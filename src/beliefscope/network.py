@@ -8,6 +8,7 @@ document is reported with all of its problems at once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -135,10 +136,15 @@ def _checked_object(pairs):
     return out
 
 
+def _reject_constant(name: str):
+    raise SpecSyntaxError(f"non-finite number '{name}' is not allowed")
+
+
 def load_json(text: str):
-    """json.loads with duplicate-key detection and positioned syntax errors."""
+    """json.loads with duplicate-key detection, no NaN/Infinity literals and
+    positioned syntax errors."""
     try:
-        return json.loads(text, object_pairs_hook=_checked_object)
+        return json.loads(text, object_pairs_hook=_checked_object, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
 
@@ -153,14 +159,22 @@ def _check_keys(obj: dict, allowed: set, where: str):
         _require(key in allowed, f"{where}: unknown field '{key}'")
 
 
-def _as_number(value, where: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{where}: expected a number")
-    return float(value)
+def finite_number(value, where: str) -> float:
+    """A JSON number as a finite float; a bool, a non-number or an integer too
+    large for a float is a SpecSyntaxError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SpecSyntaxError(f"{where}: expected a finite number")
 
 
 def _as_row(value, where: str) -> tuple[float, ...]:
     _require(isinstance(value, list), f"{where}: expected a list of numbers")
-    return tuple(_as_number(v, where) for v in value)
+    return tuple(finite_number(v, where) for v in value)
 
 
 def _as_str_list(value, where: str) -> tuple[str, ...]:
@@ -208,7 +222,7 @@ def _parse_node(obj, declared_kind_check=True) -> NodeSpec:
             inputs = _as_str_list(obj["inputs"], f"{where}: 'inputs'")
         if "params" in obj:
             _require(isinstance(obj["params"], dict), f"{where}: 'params' must be an object")
-            params = {k: _as_number(v, f"{where}: param '{k}'") for k, v in obj["params"].items()}
+            params = {k: finite_number(v, f"{where}: param '{k}'") for k, v in obj["params"].items()}
 
     return NodeSpec(nid, kind, states, parents, rows, evaluator, inputs, params)
 

@@ -67,12 +67,18 @@ def _indicators(inet: InstantiatedNetwork) -> dict[str, np.ndarray]:
 
 
 def propagate(inet: InstantiatedNetwork) -> Beliefs:
-    """Exact per-node posteriors given all evidence.
+    """Exact per-node posteriors given all evidence, in time linear in the nodes.
 
     Upward pass collects likelihood messages from the leaves, downward pass
     distributes prior messages from the root; each node's posterior is the
-    normalised product of the two.  Messages are renormalised at every node so
-    long chains cannot underflow (posteriors are invariant to this).
+    normalised product of the two.  Fan-in is combined in the log domain: the
+    normalised log λ-messages of a node's k children form one (k, s) array.
+    Its column sum gives the node's λ, and its exclusive prefix and suffix
+    sums give all k "every sibling but one" π messages at once.  Log-messages
+    are only added, never subtracted, so a structural zero stays an exact
+    -inf.  Every combined message is max-shifted before it leaves the log
+    domain and is then renormalised, so neither wide fan-in nor long chains
+    can underflow (posteriors are invariant to this).
 
     Raises ImpossibleEvidenceError, naming the node where support vanished,
     when the evidence has probability zero under the model.
@@ -81,50 +87,60 @@ def propagate(inet: InstantiatedNetwork) -> Beliefs:
     order = _topological(net)
     indicator = _indicators(inet)
 
-    lam: dict[str, np.ndarray] = {}
-    lam_msg: dict[str, np.ndarray] = {}
-    for nid in reversed(order):
-        node = net.node(nid)
-        vec = indicator.get(nid)
-        vec = np.ones(len(node.states)) if vec is None else vec.copy()
-        for child in net.children[nid]:
-            vec *= lam_msg[child]
-        total = vec.sum()
-        if total <= 0.0:
-            raise ImpossibleEvidenceError(nid)
-        lam[nid] = vec / total
-        if nid != net.root:
-            msg = node.cpt @ lam[nid]
-            total = msg.sum()
+    with np.errstate(divide="ignore"):
+        lam: dict[str, np.ndarray] = {}
+        log_msg: dict[str, np.ndarray] = {}
+        fan_in: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for nid in reversed(order):
+            node = net.node(nid)
+            own = indicator.get(nid)
+            kids = net.children[nid]
+            if kids:
+                rows = np.array([log_msg[c] for c in kids])
+                prefix = np.zeros((len(kids) + 1, rows.shape[1]))
+                rows.cumsum(axis=0, out=prefix[1:])
+                fan_in[nid] = rows, prefix
+                log_lam = prefix[-1] if own is None else prefix[-1] + np.log(own)
+                top = log_lam.max()
+                if top == -np.inf:
+                    raise ImpossibleEvidenceError(nid)
+                vec = np.exp(log_lam - top)
+                lam[nid] = vec / vec.sum()
+            else:
+                lam[nid] = np.full(len(node.states), 1.0 / len(node.states)) if own is None else own
+            if nid != net.root:
+                msg = node.cpt @ lam[nid]
+                total = msg.sum()
+                if total <= 0.0:
+                    raise ImpossibleEvidenceError(nid)
+                log_msg[nid] = np.log(msg / total)
+
+        pi: dict[str, np.ndarray] = {net.root: net.node(net.root).cpt[0]}
+        marginals: dict[str, np.ndarray] = {}
+        for nid in order:
+            bel = pi[nid] * lam[nid]
+            total = bel.sum()
             if total <= 0.0:
                 raise ImpossibleEvidenceError(nid)
-            lam_msg[nid] = msg / total
+            marginals[nid] = bel / total
 
-    pi: dict[str, np.ndarray] = {net.root: net.node(net.root).cpt[0]}
-    marginals: dict[str, np.ndarray] = {}
-    for nid in order:
-        bel = pi[nid] * lam[nid]
-        total = bel.sum()
-        if total <= 0.0:
-            raise ImpossibleEvidenceError(nid)
-        marginals[nid] = bel / total
-
-        kids = net.children[nid]
-        if not kids:
-            continue
-        base = pi[nid]
-        own = indicator.get(nid)
-        if own is not None:
-            base = base * own
-        for child in kids:
-            msg = base.copy()
-            for other in kids:
-                if other != child:
-                    msg *= lam_msg[other]
-            total = msg.sum()
-            if total <= 0.0:
-                raise ImpossibleEvidenceError(nid)
-            pi[child] = net.node(child).cpt.T @ (msg / total)
+            if nid not in fan_in:
+                continue
+            rows, prefix = fan_in[nid]
+            suffix = np.zeros(prefix.shape)
+            rows[::-1].cumsum(axis=0, out=suffix[1:])
+            log_base = np.log(pi[nid])
+            own = indicator.get(nid)
+            if own is not None:
+                log_base += np.log(own)
+            # Row i excludes child i.  Some state has pi > 0 and lam > 0 here,
+            # so no row is all -inf and no further impossibility check is needed.
+            excluded = log_base + prefix[:-1] + suffix[-2::-1]
+            excluded -= excluded.max(axis=1, keepdims=True)
+            vec = np.exp(excluded)
+            msgs = vec / vec.sum(axis=1, keepdims=True)
+            for child, msg in zip(net.children[nid], msgs):
+                pi[child] = net.node(child).cpt.T @ msg
 
     return Beliefs(marginals, {n.id: n.states for n in net.nodes})
 

@@ -30,6 +30,7 @@ from .network import (
     NodeSpec,
     ROW_SUM_TOL,
     apply_evidence,
+    finite_number,
     load_json,
     network_diagnostics,
     network_spec_from_document,
@@ -101,22 +102,31 @@ class FrameStream:
 
 
 def parse_stream(text: str) -> FrameStream:
-    """Parse a JSONL stream: a {"dt": ...} header line then one frame per line."""
+    """Parse a JSONL stream: a {"dt": ...} header line then one frame per line.
+
+    ``dt`` and every ``t`` must be finite numbers and every ``index`` an
+    integer; anything else is a SpecSyntaxError, not a silent conversion.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SpecSyntaxError("empty stream document")
     header = load_json(lines[0])
     if not (isinstance(header, dict) and set(header) == {"dt"}):
         raise SpecSyntaxError('stream header must be {"dt": ...}')
+    dt = finite_number(header["dt"], "stream header 'dt'")
     frames = []
     for lineno, line in enumerate(lines[1:], start=2):
         obj = load_json(line)
         if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
                 and {"index", "t"} <= set(obj)):
             raise SpecSyntaxError(f"stream line {lineno}: expected index, t, regions")
+        index = obj["index"]
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise SpecSyntaxError(f"stream line {lineno}: 'index' must be an integer")
+        t = finite_number(obj["t"], f"stream line {lineno}: 't'")
         regions = tuple(region_from_document(r) for r in obj.get("regions", []))
-        frames.append(Frame(int(obj["index"]), float(obj["t"]), regions))
-    return FrameStream(tuple(frames), float(header["dt"]))
+        frames.append(Frame(index, t, regions))
+    return FrameStream(tuple(frames), dt)
 
 
 def stream_to_jsonl(stream: FrameStream) -> str:

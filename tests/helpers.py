@@ -7,6 +7,7 @@ arithmetic) and never call the code paths they are used to verify.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -15,23 +16,32 @@ from beliefscope.relational import Region
 from beliefscope.temporal import DynamicModel, Frame
 
 
-def normalized(rng, k):
+def normalized(rng, k, p_zero=0.0):
+    """A random distribution over k states, entries >= 0.05 before normalising.
+
+    With ``p_zero`` > 0 each entry is zeroed with that probability, keeping at
+    least one positive entry; with the default no extra draws are made.
+    """
     row = [rng.random() + 0.05 for _ in range(k)]
+    if p_zero > 0.0:
+        keep = rng.randrange(k)
+        row = [0.0 if j != keep and rng.random() < p_zero else v for j, v in enumerate(row)]
     s = sum(row)
     return tuple(v / s for v in row)
 
 
-def random_tree_spec(rng, n_nodes, max_states=4):
+def random_tree_spec(rng, n_nodes, max_states=4, p_zero=0.0):
+    """A random tree; ``p_zero`` > 0 puts structural zeros into priors and CPT rows."""
     names = [f"n{i}" for i in range(n_nodes)]
     sizes = [rng.randint(2, max_states) for _ in range(n_nodes)]
     nodes = []
     for i, name in enumerate(names):
         states = tuple(f"s{j}" for j in range(sizes[i]))
         if i == 0:
-            nodes.append(NodeSpec(name, "chance", states, (), (normalized(rng, sizes[i]),)))
+            nodes.append(NodeSpec(name, "chance", states, (), (normalized(rng, sizes[i], p_zero),)))
         else:
             parent = rng.randrange(i)
-            rows = tuple(normalized(rng, sizes[i]) for _ in range(sizes[parent]))
+            rows = tuple(normalized(rng, sizes[i], p_zero) for _ in range(sizes[parent]))
             nodes.append(NodeSpec(name, "chance", states, (names[parent],), rows))
     return NetworkSpec("n0", tuple(nodes))
 
@@ -71,6 +81,24 @@ def loop_enumerate(spec: NetworkSpec, evidence: EvidenceSet):
         s = sum(vec)
         out[nid] = [v / s for v in vec]
     return out
+
+
+def star_posterior(prior, rows, observed):
+    """Closed-form hub log-posterior of a star whose children are all observed.
+
+    ``rows[c]`` is child c's CPT (one row per hub state) and ``observed[c]``
+    the index of its observed state; the prior and observed entries must be
+    positive.  Sums log-likelihoods with math.fsum, so
+    it reaches fan-in far beyond what enumeration can hold.  Returns the list
+    of log P(hub state | evidence).
+    """
+    log_joint = []
+    for h, p in enumerate(prior):
+        terms = [math.log(p)] + [math.log(cpt[h][s]) for cpt, s in zip(rows, observed)]
+        log_joint.append(math.fsum(terms))
+    top = max(log_joint)
+    log_evidence = top + math.log(math.fsum(math.exp(v - top) for v in log_joint))
+    return [v - log_evidence for v in log_joint]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import shutil
 import subprocess
 import sys
 
@@ -155,6 +156,23 @@ class TestInfer:
         assert code == 3
         assert "impossible evidence" in err
 
+    def test_wide_star_beyond_underflow_exits_0(self, capsys, tmp_path):
+        k = 1000
+        doc = {"root": "H", "nodes": [
+            {"id": "H", "kind": "chance", "states": ["a", "b", "c"], "prior": [0.2, 0.3, 0.5]}]}
+        for i in range(k):
+            doc["nodes"].append({"id": f"c{i}", "kind": "chance", "states": ["present", "absent"],
+                                 "parent": "H", "cpt": [[0.6, 0.4], [0.5, 0.5], [0.55, 0.45]]})
+        spec = tmp_path / "star.json"
+        spec.write_text(json.dumps(doc))
+        evidence = tmp_path / "evidence.json"
+        evidence.write_text(json.dumps({"assignments": {f"c{i}": "absent" for i in range(k)}}))
+        code, out, err = run(capsys, "infer", "--spec", str(spec), "--scene", str(evidence))
+        assert code == 0, err
+        hub = json.loads(out)["beliefs"]["H"]
+        assert [hub[s] for s in "abc"] == pytest.approx([8.2015461477e-98, 1.0, 2.9131187529e-46],
+                                                        rel=1e-8)
+
     def test_temporal_model_rejected(self, capsys):
         code, _, err = run(capsys, "infer", "--model", "lumen_tracker",
                            "--scenario", "surround_scene")
@@ -221,6 +239,21 @@ class TestTrackAndGenerate:
         assert code == 2
         assert "infer" in err
 
+    @pytest.mark.parametrize("replace, by", [
+        pytest.param('{"dt": 0.04}', '{"dt": NaN}', id="dt-nan"),
+        pytest.param('"t": 0.04', '"t": NaN', id="t-nan"),
+        pytest.param('"index": 1', '"index": 0.9', id="index-float"),
+        pytest.param('"index": 1', '"index": true', id="index-bool"),
+    ])
+    def test_non_finite_or_mistyped_stream_exits_2(self, capsys, tmp_path, replace, by):
+        _, stream_text, _ = run(capsys, "generate", "--scenario", "surround_scene", "--frames", "3")
+        assert replace in stream_text
+        path = tmp_path / "stream.jsonl"
+        path.write_text(stream_text.replace(replace, by, 1))
+        code, out, _ = run(capsys, "track", "--model", "lumen_tracker", "--stream", str(path))
+        assert code == 2
+        assert out == ""
+
     def test_generate_unknown_scenario_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "--scenario", "volcano")
         assert code == 2
@@ -264,19 +297,25 @@ class TestCheck:
         assert "oracle mismatch" in err
 
 
+def launcher():
+    """The installed console script, or ``python -m beliefscope`` without one."""
+    script = shutil.which("beliefscope")
+    return [script] if script else [sys.executable, "-m", "beliefscope"]
+
+
 class TestEntryPoint:
     def test_console_script_round_trip(self, tmp_path):
         generate = subprocess.run(
-            ["beliefscope", "generate", "--scenario", "adjacent_scene", "--frames", "2"],
+            [*launcher(), "generate", "--scenario", "adjacent_scene", "--frames", "2"],
             capture_output=True, text=True)
         assert generate.returncode == 0
         track = subprocess.run(
-            ["beliefscope", "track", "--model", "lumen_tracker", "--stream", "-"],
+            [*launcher(), "track", "--model", "lumen_tracker", "--stream", "-"],
             input=generate.stdout, capture_output=True, text=True)
         assert track.returncode == 0
         assert len(track.stdout.splitlines()) == 2
 
     def test_usage_error_exits_2(self):
-        proc = subprocess.run(["beliefscope", "infer", "--model", "bend"],
+        proc = subprocess.run([*launcher(), "infer", "--model", "bend"],
                               capture_output=True, text=True)
         assert proc.returncode == 2

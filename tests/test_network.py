@@ -85,6 +85,19 @@ class TestParse:
         with pytest.raises(SpecSyntaxError, match="duplicate key 'root'"):
             parse_network_spec(text)
 
+    @pytest.mark.parametrize("number, message", [
+        pytest.param("NaN", "non-finite number 'NaN'", id="nan"),
+        pytest.param("Infinity", "non-finite number 'Infinity'", id="inf"),
+        pytest.param("-Infinity", "non-finite number '-Infinity'", id="minus-inf"),
+        pytest.param("1e999", "'cpt' row: expected a finite number", id="float-overflow"),
+        pytest.param("1" + "0" * 400, "'cpt' row: expected a finite number", id="int-overflows-float"),
+    ])
+    def test_non_finite_number_rejected(self, number, message):
+        text = TWO_NODE.replace("0.9", number, 1)
+        assert number in text
+        with pytest.raises(SpecSyntaxError, match=message):
+            parse_network_spec(text)
+
     def test_unnormalised_row_is_a_parse_success(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["cpt"] = [[0.9, 0.2], [0.2, 0.8]]

@@ -16,7 +16,7 @@ from beliefscope.network import (
 )
 from beliefscope.propagation import Beliefs, brute_force_beliefs, map_assignment, propagate
 
-from helpers import loop_enumerate, random_evidence, random_tree_spec
+from helpers import loop_enumerate, random_evidence, random_tree_spec, star_posterior
 from test_network import TWO_NODE
 
 
@@ -103,6 +103,38 @@ class TestBruteForce:
                 assert np.abs(got.distribution(nid) - np.asarray(vec)).max() < 1e-9
 
 
+def star_spec(prior, rows):
+    """A hub with one binary (present/absent) child per CPT in ``rows``."""
+    states = tuple(f"h{i}" for i in range(len(prior)))
+    nodes = [NodeSpec("hub", "chance", states, (), (tuple(prior),))]
+    for i, cpt in enumerate(rows):
+        nodes.append(NodeSpec(f"c{i}", "chance", ("present", "absent"), ("hub",), cpt))
+    return NetworkSpec("hub", tuple(nodes))
+
+
+class TestWideFanIn:
+    """Stars far wider than enumeration allows, against the closed-form oracle."""
+
+    THREE_STATE = ((0.6, 0.4), (0.5, 0.5), (0.55, 0.45))
+    BINARY = ((0.6, 0.4), (0.5, 0.5))
+
+    @pytest.mark.parametrize("prior, cpt, k, exact", [
+        pytest.param((0.2, 0.3, 0.5), THREE_STATE, 1000, [8.2015461477e-98, 1.0, 2.9131187529e-46],
+                     id="three-state-1000"),
+        pytest.param((0.2, 0.3, 0.5), THREE_STATE, 3000, [1.2412798824e-291, 1.0, 8.8997348438e-138],
+                     id="three-state-3000"),
+        pytest.param((0.3, 0.7), BINARY, 1100, [1.0740114363e-107, 1.0], id="binary-1100"),
+    ])
+    def test_all_children_absent(self, prior, cpt, k, exact):
+        rows = [cpt] * k
+        beliefs = propagate(instantiate(star_spec(prior, rows),
+                                        {f"c{i}": "absent" for i in range(k)}))
+        hub = beliefs.distribution("hub")
+        want = np.array(star_posterior(prior, rows, [1] * k))
+        assert np.abs(np.log(hub) - want).max() < 1e-8
+        assert hub.tolist() == pytest.approx(exact, rel=1e-8)
+
+
 class TestMapAssignment:
     def test_argmax(self):
         b = Beliefs({"O": np.array([0.82, 0.18])}, {"O": ("t", "f")})
@@ -117,14 +149,24 @@ class TestMapAssignment:
 
 
 class TestProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10 ** 6))
-    def test_oracle_equivalence(self, seed):
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), p_zero=st.sampled_from((0.0, 0.3)))
+    def test_oracle_equivalence(self, seed, p_zero):
+        # p_zero > 0 puts structural zeros (-inf log-messages) into the
+        # sibling exclusion; both routes must then also agree on impossibility
         rng = random.Random(seed)
-        spec = random_tree_spec(rng, rng.randint(2, 10), max_states=4)
+        spec = random_tree_spec(rng, rng.randint(2, 10), max_states=4, p_zero=p_zero)
         inet = instantiate(spec, random_evidence(rng, spec).assignments)
-        fast = propagate(inet)
-        slow = brute_force_beliefs(inet)
+        outcomes = []
+        for route in (propagate, brute_force_beliefs):
+            try:
+                outcomes.append(route(inet))
+            except ImpossibleEvidenceError:
+                outcomes.append(None)
+        fast, slow = outcomes
+        assert (fast is None) == (slow is None)
+        if fast is None:
+            return
         for nid in fast.marginals:
             assert np.abs(fast.distribution(nid) - slow.distribution(nid)).max() < 1e-9
 

@@ -102,6 +102,24 @@ class TestStream:
         with pytest.raises(SpecSyntaxError, match="line 2"):
             parse_stream('{"dt": 0.04}\n{"t": 0.0}')
 
+    @pytest.mark.parametrize("header, frame, message", [
+        pytest.param('{"dt": NaN}', '{"index": 0, "t": 0.0}', "non-finite number 'NaN'", id="dt-nan"),
+        pytest.param('{"dt": 1e999}', '{"index": 0, "t": 0.0}', "'dt': expected a finite", id="dt-inf"),
+        pytest.param('{"dt": "0.04"}', '{"index": 0, "t": 0.0}', "'dt': expected a finite", id="dt-str"),
+        pytest.param('{"dt": 0.04}', '{"index": 0, "t": NaN}', "non-finite number 'NaN'", id="t-nan"),
+        pytest.param('{"dt": 0.04}', '{"index": 0, "t": -1e999}', "'t': expected a finite", id="t-inf"),
+        pytest.param('{"dt": 0.04}', '{"index": 0, "t": true}', "'t': expected a finite", id="t-bool"),
+        pytest.param('{"dt": 0.04}', '{"index": 0, "t": 1%s}' % ("0" * 400),
+                     "'t': expected a finite", id="t-int-overflows-float"),
+        pytest.param('{"dt": 0.04}', '{"index": 0.9, "t": 0.0}', "'index' must be an integer",
+                     id="index-float"),
+        pytest.param('{"dt": 0.04}', '{"index": true, "t": 0.0}', "'index' must be an integer",
+                     id="index-bool"),
+    ])
+    def test_non_finite_and_mistyped_fields_rejected(self, header, frame, message):
+        with pytest.raises(SpecSyntaxError, match=message):
+            parse_stream(f"{header}\n{frame}")
+
     def test_duplicate_region_ids_in_frame(self):
         with pytest.raises(StreamValidationError, match="duplicate region id"):
             Frame(0, 0.0, (dark_pixel("a"), dark_pixel("a", 5)))
