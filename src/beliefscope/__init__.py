@@ -54,6 +54,7 @@ from .temporal import (
     build_dynamic_window,
     dynamic_diagnostics,
     dynamic_trace,
+    dynamic_windows,
     filter_stream,
     match_regions,
     parse_stream,

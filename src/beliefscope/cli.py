@@ -41,11 +41,11 @@ from .temporal import (
     DynamicModel,
     FrameStream,
     TemporalModel,
-    build_dynamic_window,
     dynamic_diagnostics,
     dynamic_from_document,
     dynamic_to_document,
     dynamic_trace,
+    dynamic_windows,
     filter_stream,
     parse_stream,
     semi_static_from_document,
@@ -277,13 +277,8 @@ def _pairs_to_check(args, model):
             spec_i = model.per_frame.with_root_prior(fb.effective_prior)
             yield relationalize(spec_i, frame.regions, tau=args.tau, epsilon=args.epsilon)
         return
-    k = args.window if args.window is not None else model.max_window
-    k = min(k, len(stream.frames))
-    if k < 2:
-        raise StreamValidationError("window >= 2 required")
-    for end in range(k - 1, len(stream.frames)):
-        yield build_dynamic_window(model, stream.frames[end - k + 1 : end + 1],
-                                   tau=args.tau, epsilon=args.epsilon, delta=args.delta)
+    yield from dynamic_windows(model, stream.frames, args.window,
+                               tau=args.tau, epsilon=args.epsilon, delta=args.delta)
 
 
 def _cmd_check(args) -> int:

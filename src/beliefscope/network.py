@@ -172,6 +172,13 @@ def finite_number(value, where: str) -> float:
     raise SpecSyntaxError(f"{where}: expected a finite number")
 
 
+def strict_int(value, where: str) -> int:
+    """A JSON integer; a bool, a float or a non-number is a SpecSyntaxError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SpecSyntaxError(f"{where} must be an integer")
+
+
 def _as_row(value, where: str) -> tuple[float, ...]:
     _require(isinstance(value, list), f"{where}: expected a list of numbers")
     return tuple(finite_number(v, where) for v in value)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -66,6 +66,56 @@ def _indicators(inet: InstantiatedNetwork) -> dict[str, np.ndarray]:
     return out
 
 
+def _log_message(cpt: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
+    """A child's normalised log λ-message to its parent, from the child's CPT
+    and λ; None when the child's evidence has probability zero under every
+    parent state.  Callers ignore numpy's divide warning for log(0)."""
+    msg = cpt @ lam
+    total = msg.sum()
+    if total <= 0.0:
+        return None
+    return np.log(msg / total)
+
+
+def leaf_messages(cpt: np.ndarray) -> np.ndarray:
+    """The log λ-message of a leaf child with this CPT for every observation:
+    row i for state i observed, the last row for unobserved.  An observation
+    of probability zero gets a NaN row."""
+    n_parent, n = cpt.shape
+    rows = []
+    with np.errstate(divide="ignore"):
+        for lam in [*np.eye(n), np.full(n, 1.0 / n)]:
+            msg = _log_message(cpt, lam)
+            rows.append(np.full(n_parent, np.nan) if msg is None else msg)
+    return np.array(rows)
+
+
+def star_posteriors(prior: np.ndarray, children: Sequence[np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Root posteriors of many stars at once, with the arithmetic of :func:`propagate`.
+
+    Every star has an unobserved root with ``prior`` and only leaf children;
+    ``children[j]`` holds child j's log λ-message for every star, shape
+    (n_stars, s), in the root's child order.  The rows are added in that
+    order, the same additions as propagate's cumsum.  Returns the posteriors
+    and a mask of the stars on which propagate would not raise
+    ImpossibleEvidenceError (no NaN message, some finite λ, nonzero belief);
+    rows outside the mask are meaningless.
+    """
+    log_lam = children[0].copy()
+    for rows in children[1:]:
+        log_lam += rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = log_lam.max(axis=1, keepdims=True)
+        vec = np.exp(log_lam - top)
+        bel = prior * (vec / vec.sum(axis=1, keepdims=True))
+        total = bel.sum(axis=1, keepdims=True)
+        posteriors = bel / total
+    # NaN compares False, so a NaN message also lands outside the mask
+    possible = (top[:, 0] > -np.inf) & (total[:, 0] > 0.0)
+    return posteriors, possible
+
+
 def propagate(inet: InstantiatedNetwork) -> Beliefs:
     """Exact per-node posteriors given all evidence, in time linear in the nodes.
 
@@ -109,11 +159,10 @@ def propagate(inet: InstantiatedNetwork) -> Beliefs:
             else:
                 lam[nid] = np.full(len(node.states), 1.0 / len(node.states)) if own is None else own
             if nid != net.root:
-                msg = node.cpt @ lam[nid]
-                total = msg.sum()
-                if total <= 0.0:
+                msg = _log_message(node.cpt, lam[nid])
+                if msg is None:
                     raise ImpossibleEvidenceError(nid)
-                log_msg[nid] = np.log(msg / total)
+                log_msg[nid] = msg
 
         pi: dict[str, np.ndarray] = {net.root: net.node(net.root).cpt[0]}
         marginals: dict[str, np.ndarray] = {}

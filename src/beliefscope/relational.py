@@ -19,8 +19,10 @@ from .network import (
     EvidenceSet,
     Network,
     NetworkSpec,
+    finite_number,
     load_json,
     network_diagnostics,
+    strict_int,
     validate_network,
 )
 
@@ -99,13 +101,16 @@ def region_from_document(obj) -> Region:
         if key not in _REGION_KEYS:
             raise SpecSyntaxError(f"region: unknown field '{key}'")
     try:
+        if not isinstance(obj["id"], str):
+            raise SpecSyntaxError("region: 'id' must be a string")
         mask = obj.get("mask")
         return Region(
             id=obj["id"],
             colour_class=obj["colour_class"],
-            centroid=(float(obj["centroid"][0]), float(obj["centroid"][1])),
-            area=int(obj["area"]),
-            bbox=tuple(int(v) for v in obj["bbox"]),
+            centroid=(finite_number(obj["centroid"][0], "region: 'centroid'"),
+                      finite_number(obj["centroid"][1], "region: 'centroid'")),
+            area=strict_int(obj["area"], "region: 'area'"),
+            bbox=tuple(strict_int(v, "region: 'bbox' entry") for v in obj["bbox"]),
             mask=np.asarray(mask, dtype=bool) if mask is not None else None,
         )
     except (KeyError, TypeError, IndexError) as exc:

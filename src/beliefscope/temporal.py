@@ -1,9 +1,9 @@
 """Temporal recognition over frame streams.
 
 Semi-static filtering rolls each frame's posterior into the next frame's
-prior through a transition table; dynamic recognition builds one tree over a
-window of frames, with a per-frame presence node and an inter-frame relation
-node per consecutive matched pair.
+prior through a transition table; dynamic recognition puts each window of
+frames under the hypothesis as a star, with a per-frame presence node and an
+inter-frame relation node per consecutive matched pair.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,9 +35,10 @@ from .network import (
     network_diagnostics,
     network_spec_from_document,
     network_spec_to_document,
+    strict_int,
     validate_network,
 )
-from .propagation import propagate, sig10
+from .propagation import leaf_messages, propagate, sig10, star_posteriors
 from .relational import (
     COLOUR_CLASSES,
     DEFAULT_EPSILON,
@@ -120,9 +121,7 @@ def parse_stream(text: str) -> FrameStream:
         if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
                 and {"index", "t"} <= set(obj)):
             raise SpecSyntaxError(f"stream line {lineno}: expected index, t, regions")
-        index = obj["index"]
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise SpecSyntaxError(f"stream line {lineno}: 'index' must be an integer")
+        index = strict_int(obj["index"], f"stream line {lineno}: 'index'")
         t = finite_number(obj["t"], f"stream line {lineno}: 't'")
         regions = tuple(region_from_document(r) for r in obj.get("regions", []))
         frames.append(Frame(index, t, regions))
@@ -367,75 +366,129 @@ def dynamic_diagnostics(model: DynamicModel) -> list[str]:
     return diags
 
 
-def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
-                         tau: float | None = None, epsilon: float | None = None,
-                         delta: float | None = None) -> tuple[Network, EvidenceSet]:
-    """Tree over a window: hypothesis -> per-frame presence nodes + relation nodes.
+def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int | None, *,
+                     tau: float | None, epsilon: float | None, delta: float | None,
+                     ) -> tuple[int, Network, list[Region | None], list[str | None]]:
+    """The window length k, the validated k-frame window network, each frame's
+    bound region and each consecutive pair's relation value (None when the
+    pair stays unobserved).  Every window slices these lists.
 
-    Presence nodes are observed present/absent from the frame's bound region;
-    a relation node is observed only when the bound regions of its two frames
-    match across frames, otherwise it stays unobserved.
+    ``window`` defaults to the model's ``max_window`` and is clamped to the
+    number of frames.
     """
-    k = len(frames)
-    if k < 2:
-        raise StreamValidationError("window >= 2 required")
-    if k > model.max_window:
-        raise StreamValidationError(f"window {k} exceeds max {model.max_window}")
-
-    diags = dynamic_diagnostics(model)
-    if diags:
-        raise InvalidNetworkError(diags)
-    net = validate_network(window_spec(model, k))
-    feature_ids = [f"{model.feature_id}_{i}" for i in range(k)]
-
-    bound = [select_region(model.predicate, f.regions) for f in frames]
-    assignments = {fid: (PRESENT if bound[i] is not None else ABSENT)
-                   for i, fid in enumerate(feature_ids)}
-    eff_tau = tau if tau is not None else model.params.get("tau", DEFAULT_TAU)
-    eff_eps = epsilon if epsilon is not None else model.params.get("epsilon", DEFAULT_EPSILON)
-    eff_delta = delta if delta is not None else model.delta
-    for i in range(k - 1):
-        a, b = bound[i], bound[i + 1]
-        if a is None or b is None:
-            continue
-        matched = match_regions(frames[i], frames[i + 1], delta=eff_delta)
-        if matched.get(a.id) != b.id:
-            continue
-        assignments[f"{model.relation_id}_{i}_{i + 1}"] = eval_relation(
-            model.relation_evaluator, a, b, tau=eff_tau, epsilon=eff_eps)
-    return net, EvidenceSet(assignments)
-
-
-def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | None = None,
-                  tau: float | None = None, epsilon: float | None = None,
-                  delta: float | None = None) -> BeliefTrace:
-    """Sliding-window dynamic recognition; one entry per window, indexed by its
-    last frame."""
-    frames = stream.frames
     k = window if window is not None else model.max_window
     if k > model.max_window:
         raise StreamValidationError(f"window {k} exceeds max {model.max_window}")
     k = min(k, len(frames))
     if k < 2:
         raise StreamValidationError("window >= 2 required")
+    diags = dynamic_diagnostics(model)
+    if diags:
+        raise InvalidNetworkError(diags)
+    net = validate_network(window_spec(model, k))
+
+    bound = [select_region(model.predicate, f.regions) for f in frames]
+    eff_tau = tau if tau is not None else model.params.get("tau", DEFAULT_TAU)
+    eff_eps = epsilon if epsilon is not None else model.params.get("epsilon", DEFAULT_EPSILON)
+    eff_delta = delta if delta is not None else model.delta
+    values: list[str | None] = []
+    for i in range(len(frames) - 1):
+        a, b = bound[i], bound[i + 1]
+        value = None
+        if (a is not None and b is not None
+                and match_regions(frames[i], frames[i + 1], delta=eff_delta).get(a.id) == b.id):
+            value = eval_relation(model.relation_evaluator, a, b, tau=eff_tau, epsilon=eff_eps)
+        values.append(value)
+    return k, net, bound, values
+
+
+def _window_evidence(model: DynamicModel, bound: Sequence[Region | None],
+                     values: Sequence[str | None]) -> EvidenceSet:
+    """Presence nodes observed present/absent; relation nodes only when matched."""
+    assignments = {f"{model.feature_id}_{i}": (PRESENT if r is not None else ABSENT)
+                   for i, r in enumerate(bound)}
+    for i, value in enumerate(values):
+        if value is not None:
+            assignments[f"{model.relation_id}_{i}_{i + 1}"] = value
+    return EvidenceSet(assignments)
+
+
+def dynamic_windows(model: DynamicModel, frames: Sequence[Frame], window: int | None = None, *,
+                    tau: float | None = None, epsilon: float | None = None,
+                    delta: float | None = None) -> Iterator[tuple[Network, EvidenceSet]]:
+    """Every sliding window of ``frames`` as an explicit tree, in order of its
+    last frame: yields (net, evidence).
+
+    ``window`` defaults to the model's ``max_window`` and is clamped to the
+    number of frames.  The model is checked once, all windows share one
+    Network, and each frame and consecutive pair is evaluated once.
+    """
+    k, net, bound, values = _evaluate_frames(model, frames, window,
+                                             tau=tau, epsilon=epsilon, delta=delta)
+    for start in range(len(frames) - k + 1):
+        yield net, _window_evidence(model, bound[start:start + k], values[start:start + k - 1])
+
+
+def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
+                         tau: float | None = None, epsilon: float | None = None,
+                         delta: float | None = None) -> tuple[Network, EvidenceSet]:
+    """Tree over one window: hypothesis -> per-frame presence nodes + relation nodes.
+
+    Presence nodes are observed present/absent from the frame's bound region;
+    a relation node is observed only when the bound regions of its two frames
+    match across frames, otherwise it stays unobserved.  This is the single
+    window of :func:`dynamic_windows` over exactly these frames.
+    """
+    return next(dynamic_windows(model, frames, len(frames),
+                                tau=tau, epsilon=epsilon, delta=delta))
+
+
+def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | None = None,
+                  tau: float | None = None, epsilon: float | None = None,
+                  delta: float | None = None) -> BeliefTrace:
+    """Sliding-window dynamic recognition; one entry per window, indexed by its
+    last frame.
+
+    The model is checked once per stream, and each frame and consecutive pair
+    is evaluated once.  No window tree is built: each is a star under the
+    hypothesis, so each child's log λ-message is formed once per possible
+    observation and :func:`star_posteriors` combines them for all windows at
+    once, bitwise equal to :func:`propagate` on the window's tree.  The first
+    window with impossible evidence is run through its tree, so the error
+    names the node where support vanished.
+    """
+    frames = stream.frames
+    k, net, bound, values = _evaluate_frames(model, frames, window,
+                                             tau=tau, epsilon=epsilon, delta=delta)
+
+    feature = net.node(f"{model.feature_id}_0")
+    relation = net.node(f"{model.relation_id}_0_1")
+    unobserved = len(relation.states)
+    frame_msgs = leaf_messages(feature.cpt)[
+        [feature.state_index(PRESENT if r is not None else ABSENT) for r in bound]]
+    pair_msgs = leaf_messages(relation.cpt)[
+        [relation.state_index(v) if v is not None else unobserved for v in values]]
+    n = len(frames) - k + 1
+    # propagate's child order: presence nodes 0..k-1, then relation nodes
+    children = ([frame_msgs[i:i + n] for i in range(k)]
+                + [pair_msgs[i:i + n] for i in range(k - 1)])
+    posteriors, possible = star_posteriors(net.node(model.hypothesis_id).cpt[0], children)
+    if not possible.all():
+        start = int(np.argmin(possible))
+        ev = _window_evidence(model, bound[start:start + k], values[start:start + k - 1])
+        try:
+            propagate(apply_evidence(net, ev))
+        except BeliefscopeError as exc:
+            raise FrameInferenceError(frames[start + k - 1].index, exc) from exc
 
     prior = np.asarray(model.prior, dtype=float)
     prior = prior / prior.sum()
-    entries = []
-    for end in range(k - 1, len(frames)):
-        sub = frames[end - k + 1 : end + 1]
-        try:
-            net, ev = build_dynamic_window(model, sub, tau=tau, epsilon=epsilon, delta=delta)
-            beliefs = propagate(apply_evidence(net, ev))
-        except BeliefscopeError as exc:
-            raise FrameInferenceError(frames[end].index, exc) from exc
-        bindings = {}
-        for i, frame in enumerate(sub):
-            region = select_region(model.predicate, frame.regions)
-            bindings[f"{model.feature_id}_{i}"] = region.id if region is not None else None
-        entries.append(FrameBelief(frames[end].index,
-                                   beliefs.distribution(model.hypothesis_id), prior, bindings))
-    return BeliefTrace(model.hypothesis_id, tuple(model.hypothesis_states), tuple(entries))
+    names = [f"{model.feature_id}_{i}" for i in range(k)]
+    ids = [r.id if r is not None else None for r in bound]
+    entries = tuple(FrameBelief(frames[start + k - 1].index, post, prior,
+                                dict(zip(names, ids[start:start + k])))
+                    for start, post in enumerate(posteriors))
+    return BeliefTrace(model.hypothesis_id, tuple(model.hypothesis_states), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +530,23 @@ def dynamic_from_document(doc) -> DynamicModel:
         return DynamicModel(
             hypothesis_id=hyp["id"],
             hypothesis_states=tuple(hyp["states"]),
-            prior=tuple(float(p) for p in hyp["prior"]),
+            prior=tuple(finite_number(p, "dynamic model: hypothesis 'prior'")
+                        for p in hyp["prior"]),
             feature_id=feat["id"],
-            feature_rows=tuple(tuple(float(v) for v in r) for r in feat["cpt"]),
+            feature_rows=tuple(tuple(finite_number(v, "dynamic model: feature 'cpt'") for v in r)
+                               for r in feat["cpt"]),
             predicate={a: (tuple(v) if isinstance(v, list) else v) for a, v in feat["bind"].items()},
             relation_id=rel["id"],
             relation_evaluator=rel["evaluator"],
-            relation_rows=tuple(tuple(float(v) for v in r) for r in rel["cpt"]),
-            params={k: float(v) for k, v in rel.get("params", {}).items()},
-            delta=float(doc.get("delta", DEFAULT_MATCH_DELTA)),
-            max_window=int(doc.get("max_window", DEFAULT_MAX_WINDOW)),
+            relation_rows=tuple(tuple(finite_number(v, "dynamic model: relation 'cpt'") for v in r)
+                                for r in rel["cpt"]),
+            params={k: finite_number(v, f"dynamic model: relation param '{k}'")
+                    for k, v in rel.get("params", {}).items()},
+            delta=finite_number(doc.get("delta", DEFAULT_MATCH_DELTA), "dynamic model: 'delta'"),
+            max_window=strict_int(doc.get("max_window", DEFAULT_MAX_WINDOW),
+                                  "dynamic model: 'max_window'"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise SpecSyntaxError(f"malformed dynamic model document: {exc}") from None
 
 

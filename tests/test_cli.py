@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from beliefscope import cli
+from beliefscope.endoscopy import builtin_model
 from beliefscope.propagation import Beliefs
+from beliefscope.temporal import dynamic_to_document
 
 
 TWO_NODE_DOC = {
@@ -244,6 +246,10 @@ class TestTrackAndGenerate:
         pytest.param('"t": 0.04', '"t": NaN', id="t-nan"),
         pytest.param('"index": 1', '"index": 0.9', id="index-float"),
         pytest.param('"index": 1', '"index": true', id="index-bool"),
+        pytest.param('"centroid": [30.0', '"centroid": ["nan"', id="centroid-str"),
+        pytest.param('"area": 9', '"area": 9.7', id="area-float"),
+        pytest.param('"bbox": [20, 20, 40, 40]', '"bbox": [20, 20, 40, 40.0]', id="bbox-float"),
+        pytest.param('"id": "ring"', '"id": ["ring"]', id="region-id-list"),
     ])
     def test_non_finite_or_mistyped_stream_exits_2(self, capsys, tmp_path, replace, by):
         _, stream_text, _ = run(capsys, "generate", "--scenario", "surround_scene", "--frames", "3")
@@ -253,6 +259,46 @@ class TestTrackAndGenerate:
         code, out, _ = run(capsys, "track", "--model", "lumen_tracker", "--stream", str(path))
         assert code == 2
         assert out == ""
+
+    def test_invalid_dynamic_spec_lists_every_diagnostic(self, capsys, tmp_path):
+        doc = dynamic_to_document(builtin_model("dirty_lens").model)
+        doc["feature"]["cpt"][0] = [0.9, 0.2]
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps(doc))
+        _, _, diagnostics = run(capsys, "validate", "--spec", str(path))
+        assert "row sum 1.1 != 1" in diagnostics
+        for command in ("track", "check"):
+            code, out, err = run(capsys, command, "--spec", str(path),
+                                 "--scenario", "static_spot", "--frames", "4")
+            assert (code, out, err) == (1, "", diagnostics), command
+
+    def test_window_beyond_the_model_cap_rejected_by_track_and_check(self, capsys):
+        for command in ("track", "check"):
+            code, out, err = run(capsys, command, "--model", "dirty_lens", "--scenario",
+                                 "static_spot", "--frames", "3", "--window", "7")
+            assert (code, out) == (1, ""), command
+            assert "window 7 exceeds max 5" in err
+
+    @pytest.mark.parametrize("where, key, value", [
+        pytest.param(None, "delta", "nan", id="delta-str"),
+        pytest.param(None, "max_window", 3.7, id="max-window-float"),
+        pytest.param(None, "max_window", True, id="max-window-bool"),
+        pytest.param(None, "max_window", "5", id="max-window-str"),
+        pytest.param("hypothesis", "prior", ["nan", 0.5], id="prior-str"),
+        pytest.param("feature", "cpt", [[0.8, "0.2"], [0.2, 0.8]], id="feature-cpt-str"),
+        pytest.param("relation", "cpt", [[0.8, 0.2], [True, 0.8]], id="relation-cpt-bool"),
+        pytest.param("relation", "params", {"epsilon": "nan"}, id="param-str"),
+        pytest.param("relation", "params", [], id="params-list"),
+    ])
+    def test_non_finite_or_mistyped_dynamic_model_exits_2(self, capsys, tmp_path,
+                                                          where, key, value):
+        doc = dynamic_to_document(builtin_model("dirty_lens").model)
+        (doc if where is None else doc[where])[key] = value
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], ["track", "--scenario", "moving_spot"]):
+            code, out, _ = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+            assert (code, out) == (2, ""), argv
 
     def test_generate_unknown_scenario_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "--scenario", "volcano")

@@ -1,18 +1,21 @@
 import json
 import random
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from beliefscope.errors import (
     FrameInferenceError,
+    ImpossibleEvidenceError,
     InvalidNetworkError,
     SpecSyntaxError,
     StreamValidationError,
 )
-from beliefscope.endoscopy import builtin_model, generate_stream
+from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
 from beliefscope.network import NetworkSpec, NodeSpec, apply_evidence
-from beliefscope.propagation import brute_force_beliefs
+from beliefscope.propagation import brute_force_beliefs, propagate
 from beliefscope.relational import Region
 from beliefscope.temporal import (
     DynamicModel,
@@ -48,6 +51,39 @@ def dark_pixel(rid="d", x=0, y=0):
 
 def frames_with_dark(n, dt=0.04):
     return FrameStream(tuple(Frame(i, round(i * dt, 6), (dark_pixel(),)) for i in range(n)), dt)
+
+
+def region_line(rid='"r"', centroid="[1, 1]", area="9", bbox="[0, 0, 2, 2]"):
+    """A one-frame stream line with one region, fields given as JSON text."""
+    return ('{"index": 0, "t": 0.0, "regions": [{"id": %s, "colour_class": "dark", '
+            '"centroid": %s, "area": %s, "bbox": %s}]}' % (rid, centroid, area, bbox))
+
+
+def tree_route(model, stream, window):
+    """Each window's hypothesis posterior via its explicit tree and propagate,
+    or the FrameInferenceError the first impossible window raises."""
+    frames = stream.frames
+    k = min(window, len(frames))
+    posteriors = []
+    for end in range(k - 1, len(frames)):
+        net, ev = build_dynamic_window(model, frames[end - k + 1:end + 1])
+        try:
+            beliefs = propagate(apply_evidence(net, ev))
+        except ImpossibleEvidenceError as exc:
+            return FrameInferenceError(frames[end].index, exc)
+        posteriors.append(beliefs.distribution(model.hypothesis_id))
+    return posteriors
+
+
+def three_state_distance_model():
+    """A 3-state hypothesis over distance relations, to exercise sums of more
+    than two terms."""
+    return replace(builtin_model("dirty_lens").model, hypothesis_states=("a", "b", "c"),
+                   prior=(0.2, 0.3, 0.5),
+                   feature_rows=((0.7, 0.3), (0.35, 0.65), (0.1, 0.9)),
+                   relation_evaluator="distance",
+                   relation_rows=((0.6, 0.4), (0.45, 0.55), (0.15, 0.85)),
+                   params={"tau": 2.5})
 
 
 def of_model():
@@ -115,6 +151,16 @@ class TestStream:
                      id="index-float"),
         pytest.param('{"dt": 0.04}', '{"index": true, "t": 0.0}', "'index' must be an integer",
                      id="index-bool"),
+        pytest.param('{"dt": 0.04}', region_line(centroid='["nan", 0]'),
+                     "'centroid': expected a finite", id="centroid-str"),
+        pytest.param('{"dt": 0.04}', region_line(centroid="[0, 1e999]"),
+                     "'centroid': expected a finite", id="centroid-inf"),
+        pytest.param('{"dt": 0.04}', region_line(area="9.7"), "'area' must be an integer",
+                     id="area-float"),
+        pytest.param('{"dt": 0.04}', region_line(bbox="[true, 0, 2, 2]"),
+                     "'bbox' entry must be an integer", id="bbox-bool"),
+        pytest.param('{"dt": 0.04}', region_line(rid='["r"]'), "'id' must be a string",
+                     id="region-id-list"),
     ])
     def test_non_finite_and_mistyped_fields_rejected(self, header, frame, message):
         with pytest.raises(SpecSyntaxError, match=message):
@@ -350,3 +396,42 @@ class TestDynamicWindow:
             DynamicModel("h", ("present", "absent"), (0.5, 0.5), "s",
                          ((0.8, 0.2), (0.2, 0.8)), {"colour_class": "dark"},
                          "r", "surrounding", ((0.8, 0.2), (0.2, 0.8)))
+
+
+class TestStarRoute:
+    @pytest.mark.parametrize("model", [builtin_model("dirty_lens").model,
+                                       three_state_distance_model()],
+                             ids=["dirty_lens", "three_state_distance"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_posteriors_bitwise_equal_to_window_trees(self, model, scenario):
+        for seed in (1, 2, 3):
+            stream = generate_stream(scenario, 9, seed=seed)
+            for window in range(2, 6):
+                trace = dynamic_trace(model, stream, window=window)
+                expected = tree_route(model, stream, window)
+                assert len(trace.frames) == len(expected)
+                for fb, post in zip(trace.frames, expected):
+                    assert np.array_equal(fb.posterior, post), (seed, window, fb.index)
+
+    @pytest.mark.parametrize("changes", [
+        pytest.param({"feature_rows": ((0.0, 1.0), (0.0, 1.0))}, id="present-never-possible"),
+        pytest.param({"prior": (1.0, 0.0), "feature_rows": ((0.0, 1.0), (0.2, 0.8))},
+                     id="prior-excludes-the-only-explaining-state"),
+        pytest.param({"feature_rows": ((0.0, 1.0), (1.0, 0.0))}, id="all-states-ruled-out"),
+    ])
+    def test_impossible_window_reports_like_the_tree_route(self, changes):
+        model = replace(builtin_model("dirty_lens").model, **changes)
+        spot = generate_stream("static_spot", 1, seed=7).frames[0].regions
+        # three empty frames, then the spot, then one more empty frame
+        frames = tuple(Frame(i, round(i * 0.04, 6), spot if i in (3, 4) else ())
+                       for i in range(6))
+        stream = FrameStream(frames, 0.04)
+        expected = tree_route(model, stream, 3)
+        assert isinstance(expected, FrameInferenceError)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FrameInferenceError) as err:
+                dynamic_trace(model, stream, window=3)
+        assert err.value.index == expected.index
+        assert str(err.value) == str(expected)
+        assert err.value.cause.node == expected.cause.node
