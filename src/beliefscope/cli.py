@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -313,8 +314,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     for name in ("tau", "epsilon", "delta"):
         value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            print(f"--{name} must be strictly positive", file=sys.stderr)
+        if value is not None and not 0 < value < math.inf:
+            print(f"--{name} must be a finite, strictly positive number", file=sys.stderr)
             return 2
     try:
         return _COMMANDS[args.command](args)

@@ -116,6 +116,63 @@ def star_posteriors(prior: np.ndarray, children: Sequence[np.ndarray]
     return posteriors, possible
 
 
+def _upward(net: Network, indicator: Mapping[str, np.ndarray]
+            ) -> tuple[dict[str, np.ndarray], dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The upward pass of :func:`propagate`: every node's normalised λ, and
+    for every parent its children's stacked log λ-messages with their
+    exclusive prefix sums.  The root's prior is never read.  Callers ignore
+    numpy's divide warning for log(0)."""
+    lam: dict[str, np.ndarray] = {}
+    log_msg: dict[str, np.ndarray] = {}
+    fan_in: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for nid in reversed(_topological(net)):
+        node = net.node(nid)
+        own = indicator.get(nid)
+        kids = net.children[nid]
+        if kids:
+            rows = np.array([log_msg[c] for c in kids])
+            prefix = np.zeros((len(kids) + 1, rows.shape[1]))
+            rows.cumsum(axis=0, out=prefix[1:])
+            fan_in[nid] = rows, prefix
+            log_lam = prefix[-1] if own is None else prefix[-1] + np.log(own)
+            top = log_lam.max()
+            if top == -np.inf:
+                raise ImpossibleEvidenceError(nid)
+            vec = np.exp(log_lam - top)
+            lam[nid] = vec / vec.sum()
+        else:
+            lam[nid] = np.full(len(node.states), 1.0 / len(node.states)) if own is None else own
+        if nid != net.root:
+            msg = _log_message(node.cpt, lam[nid])
+            if msg is None:
+                raise ImpossibleEvidenceError(nid)
+            log_msg[nid] = msg
+    return lam, fan_in
+
+
+def _belief(nid: str, pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    bel = pi * lam
+    total = bel.sum()
+    if total <= 0.0:
+        raise ImpossibleEvidenceError(nid)
+    return bel / total
+
+
+def root_posterior(inet: InstantiatedNetwork, prior) -> np.ndarray:
+    """The root's posterior when its prior row is ``prior`` (normalised here,
+    as :func:`~beliefscope.network.validate_network` would): :func:`propagate`'s
+    upward pass and root belief alone, bitwise equal to its root marginal on
+    the tree with that prior.  λ at the root does not depend on the root's
+    prior, so one validated network serves every prior.
+
+    Raises ImpossibleEvidenceError at the same node as propagate.
+    """
+    prior = np.asarray(prior, dtype=float)
+    with np.errstate(divide="ignore"):
+        lam, _ = _upward(inet.net, _indicators(inet))
+    return _belief(inet.net.root, prior / prior.sum(), lam[inet.net.root])
+
+
 def propagate(inet: InstantiatedNetwork) -> Beliefs:
     """Exact per-node posteriors given all evidence, in time linear in the nodes.
 
@@ -134,44 +191,15 @@ def propagate(inet: InstantiatedNetwork) -> Beliefs:
     when the evidence has probability zero under the model.
     """
     net = inet.net
-    order = _topological(net)
     indicator = _indicators(inet)
 
     with np.errstate(divide="ignore"):
-        lam: dict[str, np.ndarray] = {}
-        log_msg: dict[str, np.ndarray] = {}
-        fan_in: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for nid in reversed(order):
-            node = net.node(nid)
-            own = indicator.get(nid)
-            kids = net.children[nid]
-            if kids:
-                rows = np.array([log_msg[c] for c in kids])
-                prefix = np.zeros((len(kids) + 1, rows.shape[1]))
-                rows.cumsum(axis=0, out=prefix[1:])
-                fan_in[nid] = rows, prefix
-                log_lam = prefix[-1] if own is None else prefix[-1] + np.log(own)
-                top = log_lam.max()
-                if top == -np.inf:
-                    raise ImpossibleEvidenceError(nid)
-                vec = np.exp(log_lam - top)
-                lam[nid] = vec / vec.sum()
-            else:
-                lam[nid] = np.full(len(node.states), 1.0 / len(node.states)) if own is None else own
-            if nid != net.root:
-                msg = _log_message(node.cpt, lam[nid])
-                if msg is None:
-                    raise ImpossibleEvidenceError(nid)
-                log_msg[nid] = msg
+        lam, fan_in = _upward(net, indicator)
 
         pi: dict[str, np.ndarray] = {net.root: net.node(net.root).cpt[0]}
         marginals: dict[str, np.ndarray] = {}
-        for nid in order:
-            bel = pi[nid] * lam[nid]
-            total = bel.sum()
-            if total <= 0.0:
-                raise ImpossibleEvidenceError(nid)
-            marginals[nid] = bel / total
+        for nid in _topological(net):
+            marginals[nid] = _belief(nid, pi[nid], lam[nid])
 
             if nid not in fan_in:
                 continue

@@ -88,10 +88,19 @@ class Region:
             if not (mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()):
                 raise ValueError(f"region '{self.id}': mask extent does not reach the bbox")
 
-    def pixels(self) -> np.ndarray:
-        """Absolute (x, y) coordinates of set mask pixels; requires a mask."""
-        ys, xs = np.nonzero(self.mask)
-        return np.stack([xs + self.bbox[0], ys + self.bbox[1]], axis=1).astype(float)
+    def pixels(self, window: tuple[int, int, int, int] | None = None) -> np.ndarray:
+        """Absolute (x, y) coordinates of set mask pixels, as floats; requires a
+        mask.  With ``window`` (inclusive bounds, like ``bbox``) only the pixels
+        inside it, none when it misses the bbox."""
+        xn, yn, xx, yx = self.bbox
+        if window is not None:
+            xn, yn = max(xn, window[0]), max(yn, window[1])
+            xx, yx = min(xx, window[2]), min(yx, window[3])
+            if xn > xx or yn > yx:
+                return np.empty((0, 2))
+        x0, y0 = self.bbox[0], self.bbox[1]
+        ys, xs = np.nonzero(self.mask[yn - y0 : yx - y0 + 1, xn - x0 : xx - x0 + 1])
+        return np.stack([xs + xn, ys + yn], axis=1).astype(float)
 
 
 def region_from_document(obj) -> Region:
@@ -200,12 +209,34 @@ def _bbox_gap(a_bbox, b_bbox) -> float:
     return math.hypot(dx, dy)
 
 
-def _min_region_distance(a: Region, b: Region) -> float:
-    if a.mask is not None and b.mask is not None:
-        pa, pb = a.pixels(), b.pixels()
-        d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1)
-        return float(np.sqrt(d2.min()))
-    return _bbox_gap(a.bbox, b.bbox)
+#: pixel-pair blocks compared at once by the adjacency test: at most this
+#: many pixels of each region, so a block holds at most its square in pairs
+_PAIR_BLOCK = 256
+
+
+def _within(a: Region, b: Region, tau: float) -> bool:
+    """Is the minimum inter-mask distance (inter-bbox without both masks) <= tau?
+
+    No pixel pair is closer than the bbox gap (the hypot of two integer
+    offsets is their correctly rounded distance), so a gap beyond tau decides
+    at once.  Otherwise a pixel within tau of the other region lies inside that
+    region's bbox grown by floor(tau), so only those pixels are kept, and
+    their pairs are compared a fixed-size block at a time until one is within
+    tau: memory stays bounded however large the masks.
+    """
+    gap = _bbox_gap(a.bbox, b.bbox)
+    if gap > tau or a.mask is None or b.mask is None:
+        return gap <= tau
+    r = math.floor(tau)
+    pa = a.pixels((b.bbox[0] - r, b.bbox[1] - r, b.bbox[2] + r, b.bbox[3] + r))
+    pb = b.pixels((a.bbox[0] - r, a.bbox[1] - r, a.bbox[2] + r, a.bbox[3] + r))
+    for i in range(0, len(pa), _PAIR_BLOCK):
+        for j in range(0, len(pb), _PAIR_BLOCK):
+            d2 = ((pa[i:i + _PAIR_BLOCK, None, :] - pb[None, j:j + _PAIR_BLOCK, :]) ** 2
+                  ).sum(axis=-1)
+            if math.sqrt(d2.min()) <= tau:
+                return True
+    return False
 
 
 def eval_relation(kind: str, a: Region, b: Region, *,
@@ -221,8 +252,8 @@ def eval_relation(kind: str, a: Region, b: Region, *,
     """
     if kind not in RELATION_STATES:
         raise ValueError(f"unknown evaluator '{kind}'")
-    if tau <= 0 or epsilon <= 0:
-        raise ValueError("relation params must be strictly positive")
+    if not (0 < tau < math.inf and 0 < epsilon < math.inf):
+        raise ValueError("relation params must be strictly positive and finite")
 
     if kind == "surrounding":
         if not _bbox_strictly_inside(b.bbox, a.bbox):
@@ -233,7 +264,7 @@ def eval_relation(kind: str, a: Region, b: Region, *,
             return HOLDS_NOT
         return HOLDS if _four_rays_hit(a, b) else HOLDS_NOT
     if kind == "adjacent":
-        return HOLDS if _min_region_distance(a, b) <= tau else HOLDS_NOT
+        return HOLDS if _within(a, b, tau) else HOLDS_NOT
     if kind == "distance":
         return NEAR if _euclid(a.centroid, b.centroid) <= tau else FAR
     # static
@@ -323,25 +354,18 @@ def bind_features(spec: NetworkSpec, regions: Sequence[Region]) -> dict[str, Reg
     return {fid: select_region(pred, regions) for fid, pred in spec.bind.items()}
 
 
-def relationalize(spec: NetworkSpec, regions: Sequence[Region], *,
-                  tau: float | None = None, epsilon: float | None = None,
-                  ) -> tuple[Network, EvidenceSet]:
-    """Instantiate relation nodes from the scene and drop the functional links.
+def relation_evidence(spec: NetworkSpec, bound: Mapping[str, Region | None], *,
+                      tau: float | None = None, epsilon: float | None = None) -> EvidenceSet:
+    """The evidence a scene gives a relational spec, from its bound regions
+    (as :func:`bind_features` returns them).
 
-    Returns the plain tree network (relation CPTs intact) plus an evidence set
-    clamping every bound feature to present/absent and every fully-bound
+    Every bound feature is clamped to present/absent and every fully-bound
     relation node to its evaluated value.  Relation nodes with an unmatched
     input stay unobserved: the feature node already carries the absence
     evidence, and clamping the relation too would double-count it.
 
     ``tau``/``epsilon`` override the per-node params (used by CLI flags).
     """
-    diags = network_diagnostics(spec) + relational_diagnostics(spec)
-    if diags:
-        raise InvalidNetworkError(diags)
-    net = validate_network(spec)
-    bound = bind_features(spec, regions)
-
     assignments: dict[str, str] = {}
     for fid in spec.bind:
         assignments[fid] = PRESENT if bound[fid] is not None else ABSENT
@@ -356,4 +380,19 @@ def relationalize(spec: NetworkSpec, regions: Sequence[Region], *,
             tau=tau if tau is not None else n.params.get("tau", DEFAULT_TAU),
             epsilon=epsilon if epsilon is not None else n.params.get("epsilon", DEFAULT_EPSILON),
         )
-    return net, EvidenceSet(assignments)
+    return EvidenceSet(assignments)
+
+
+def relationalize(spec: NetworkSpec, regions: Sequence[Region], *,
+                  tau: float | None = None, epsilon: float | None = None,
+                  ) -> tuple[Network, EvidenceSet]:
+    """Instantiate relation nodes from the scene and drop the functional links.
+
+    Checks the spec, then returns the plain tree network (relation CPTs
+    intact) plus the scene's :func:`relation_evidence`.
+    """
+    diags = network_diagnostics(spec) + relational_diagnostics(spec)
+    if diags:
+        raise InvalidNetworkError(diags)
+    net = validate_network(spec)
+    return net, relation_evidence(spec, bind_features(spec, regions), tau=tau, epsilon=epsilon)

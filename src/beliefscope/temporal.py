@@ -38,7 +38,7 @@ from .network import (
     strict_int,
     validate_network,
 )
-from .propagation import leaf_messages, propagate, sig10, star_posteriors
+from .propagation import leaf_messages, propagate, root_posterior, sig10, star_posteriors
 from .relational import (
     COLOUR_CLASSES,
     DEFAULT_EPSILON,
@@ -52,8 +52,8 @@ from .relational import (
     eval_relation,
     region_from_document,
     region_to_document,
+    relation_evidence,
     relational_diagnostics,
-    relationalize,
     select_region,
 )
 
@@ -183,6 +183,9 @@ class TemporalModel:
             diags.append(f"transition must be {k}x{k} over the hypothesis states")
         else:
             for i, row in enumerate(trans):
+                if not np.isfinite(row).all():
+                    diags.append(f"transition: non-finite entry (row {i})")
+                    continue
                 if abs(row.sum() - 1.0) > ROW_SUM_TOL:
                     diags.append(f"transition: row sum {row.sum():g} != 1 (row {i})")
                 if ((row < 0) | (row > 1)).any():
@@ -231,8 +234,13 @@ def filter_stream(model: TemporalModel, stream: FrameStream, *,
     """Semi-static recognition over a stream.
 
     Frame 0 uses the static prior; every later frame replaces the hypothesis
-    prior with :func:`semi_static_prior` over the previous posterior, then
-    runs the per-frame scene through relationalize + propagate.
+    prior with :func:`semi_static_prior` over the previous posterior.  The
+    per-frame spec is checked once per stream and every frame shares its one
+    Network.  Each frame only binds its regions, evaluates its relations and
+    runs the upward pass: λ at the hypothesis does not depend on its prior,
+    so the posterior is the effective prior times λ, normalised
+    (:func:`root_posterior`), bitwise equal to relationalize + propagate on
+    the per-frame tree with that prior.
     """
     if not stream.frames:
         raise StreamValidationError("stream is empty")
@@ -240,6 +248,7 @@ def filter_stream(model: TemporalModel, stream: FrameStream, *,
     diags = network_diagnostics(spec) + relational_diagnostics(spec)
     if diags:
         raise InvalidNetworkError(diags)
+    net = validate_network(spec)
     root = spec.node(spec.root)
     static_prior = np.asarray(root.rows[0], dtype=float)
     static_prior = static_prior / static_prior.sum()
@@ -251,14 +260,12 @@ def filter_stream(model: TemporalModel, stream: FrameStream, *,
             eff = static_prior
         else:
             eff = semi_static_prior(static_prior, model.transition, prev, model.mode)
+        bound = bind_features(spec, frame.regions)
         try:
-            net, ev = relationalize(spec.with_root_prior(eff), frame.regions,
-                                    tau=tau, epsilon=epsilon)
-            beliefs = propagate(apply_evidence(net, ev))
+            ev = relation_evidence(spec, bound, tau=tau, epsilon=epsilon)
+            post = root_posterior(apply_evidence(net, ev), eff)
         except BeliefscopeError as exc:
             raise FrameInferenceError(frame.index, exc) from exc
-        bound = bind_features(spec, frame.regions)
-        post = beliefs.distribution(spec.root)
         entries.append(FrameBelief(frame.index, post, eff,
                                    {f: (r.id if r is not None else None) for f, r in bound.items()}))
         prev = post
@@ -507,7 +514,8 @@ def semi_static_from_document(doc) -> TemporalModel:
     trans = doc["transition"]
     if not (isinstance(trans, list) and all(isinstance(r, list) for r in trans)):
         raise SpecSyntaxError("semi-static model: 'transition' must be a list of rows")
-    return TemporalModel(spec, np.asarray(trans, dtype=float), doc.get("mode", "paper"))
+    rows = [[finite_number(v, "semi-static model: 'transition'") for v in r] for r in trans]
+    return TemporalModel(spec, np.asarray(rows, dtype=float), doc.get("mode", "paper"))
 
 
 def semi_static_to_document(model: TemporalModel) -> dict:

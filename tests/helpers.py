@@ -101,6 +101,18 @@ def star_posterior(prior, rows, observed):
     return [v - log_evidence for v in log_joint]
 
 
+def dense_min_distance(a: Region, b: Region) -> float:
+    """Minimum distance between two masked regions over every pixel pair at
+    once: the dense |A| x |B| formula, memory quadratic in the mask areas."""
+    def pixels(r):
+        ys, xs = np.nonzero(r.mask)
+        return np.stack([xs + r.bbox[0], ys + r.bbox[1]], axis=1).astype(float)
+
+    pa, pb = pixels(a), pixels(b)
+    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1)
+    return float(np.sqrt(d2.min()))
+
+
 # ---------------------------------------------------------------------------
 # temporal oracles
 

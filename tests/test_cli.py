@@ -9,7 +9,7 @@ import pytest
 from beliefscope import cli
 from beliefscope.endoscopy import builtin_model
 from beliefscope.propagation import Beliefs
-from beliefscope.temporal import dynamic_to_document
+from beliefscope.temporal import dynamic_to_document, semi_static_to_document
 
 
 TWO_NODE_DOC = {
@@ -299,6 +299,25 @@ class TestTrackAndGenerate:
         for argv in (["validate"], ["track", "--scenario", "moving_spot"]):
             code, out, _ = run(capsys, argv[0], "--spec", str(path), *argv[1:])
             assert (code, out) == (2, ""), argv
+
+    @pytest.mark.parametrize("entry", ["nan", "0.1", True, None])
+    def test_non_numeric_transition_entry_exits_2(self, capsys, tmp_path, entry):
+        doc = semi_static_to_document(builtin_model("lumen_tracker").model)
+        doc["transition"][1][0] = entry
+        path = tmp_path / "semi.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], ["track", "--scenario", "surround_scene"]):
+            code, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+            assert (code, out) == (2, ""), argv
+            assert "'transition': expected a finite number" in err
+
+    @pytest.mark.parametrize("flag", ["--tau", "--epsilon", "--delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_threshold_flags_must_be_finite_and_positive(self, capsys, flag, value):
+        code, out, err = run(capsys, "infer", "--model", "bend", "--scenario",
+                             "adjacent_scene", f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert f"{flag} must be a finite, strictly positive number" in err
 
     def test_generate_unknown_scenario_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "--scenario", "volcano")

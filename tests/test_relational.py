@@ -1,9 +1,12 @@
 import json
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from beliefscope import cli, relational
 from beliefscope.endoscopy import builtin_model, generate_stream
 from beliefscope.errors import InvalidNetworkError, SpecSyntaxError
 from beliefscope.network import NetworkSpec, NodeSpec, apply_evidence
@@ -19,7 +22,7 @@ from beliefscope.relational import (
     select_region,
 )
 
-from helpers import random_region
+from helpers import dense_min_distance, random_region
 
 
 def ring_region(rid="ring", colour="bright"):
@@ -124,6 +127,11 @@ class TestEvalRelation:
             eval_relation("above", a, b)
         with pytest.raises(ValueError, match="strictly positive"):
             eval_relation("adjacent", a, b, tau=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="strictly positive and finite"):
+                eval_relation("adjacent", a, b, tau=bad)
+            with pytest.raises(ValueError, match="strictly positive and finite"):
+                eval_relation("static", a, b, epsilon=bad)
 
     def test_symmetry_of_pairwise_relations(self):
         rng = random.Random(4)
@@ -168,6 +176,96 @@ class TestEvalRelation:
     def test_determinism(self):
         a, b = ring_region(), pixel_region("p", 2, 2)
         assert all(eval_relation("surrounding", a, b) == "holds" for _ in range(5))
+
+
+def square_region(rid, x0, y0, size, colour="dark", hole=0):
+    """A solid square mask at (x0, y0), or with ``hole`` a square frame around
+    a centred hole of that size."""
+    mask = np.ones((size, size), dtype=bool)
+    if hole:
+        band = (size - hole) // 2
+        mask[band:band + hole, band:band + hole] = False
+    c = x0 + (size - 1) / 2, y0 + (size - 1) / 2
+    return Region(rid, colour, c, int(mask.sum()), (x0, y0, x0 + size - 1, y0 + size - 1),
+                  mask=mask)
+
+
+ADJACENCY_SPEC = {
+    "root": "lesion",
+    "nodes": [
+        {"id": "lesion", "kind": "chance", "states": ["present", "absent"], "prior": [0.4, 0.6]},
+        {"id": "dark_fold", "kind": "chance", "states": ["present", "absent"],
+         "parent": "lesion", "cpt": [[0.8, 0.2], [0.3, 0.7]]},
+        {"id": "bright_rim", "kind": "chance", "states": ["present", "absent"],
+         "parent": "lesion", "cpt": [[0.7, 0.3], [0.2, 0.8]]},
+        {"id": "touching", "kind": "relation", "states": ["holds", "holds_not"],
+         "parent": "lesion", "evaluator": "adjacent", "inputs": ["dark_fold", "bright_rim"],
+         "cpt": [[0.9, 0.1], [0.25, 0.75]]},
+    ],
+    "bind": {"dark_fold": {"colour_class": "dark"}, "bright_rim": {"colour_class": "bright"}},
+}
+
+
+class TestAdjacency:
+    TAUS = (0.5, 1.0, math.sqrt(2), 2.0, 3.5, 0.3, 1.7, 2.2, math.sqrt(5), 2.9, 4.25, 6.5)
+
+    # a block of 2 makes every pair of cropped masks span several blocks
+    @pytest.mark.parametrize("block", [None, 2], ids=["default-block", "block-of-2"])
+    def test_decision_equals_the_dense_minimum_distance(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(relational, "_PAIR_BLOCK", block)
+        rng = random.Random(2718)
+        for i in range(400):
+            a = random_region(rng, "a", size=8)
+            b = random_region(rng, "b", size=8,
+                              origin=(rng.randint(-12, 12), rng.randint(-12, 12)))
+            d = dense_min_distance(a, b)
+            for tau in self.TAUS:
+                want = "holds" if d <= tau else "holds_not"
+                assert eval_relation("adjacent", a, b, tau=tau) == want, (i, tau, d)
+                assert eval_relation("adjacent", b, a, tau=tau) == want, (i, tau, d)
+
+    def test_tau_exactly_at_a_pixel_distance(self):
+        a = pixel_region("a", 0, 0)
+        for (x, y), tau in [((1, 0), 1.0), ((1, 1), math.sqrt(2)), ((2, 1), math.sqrt(5)),
+                            ((3, 0), 3.0)]:
+            b = pixel_region("b", x, y, colour="bright")
+            assert eval_relation("adjacent", a, b, tau=tau) == "holds"
+            assert eval_relation("adjacent", a, b, tau=math.nextafter(tau, 0)) == "holds_not"
+
+    def test_large_masks_far_apart(self, capsys, tmp_path):
+        a = square_region("a", 0, 0, 300)
+        b = square_region("b", 1299, 0, 300, colour="bright")
+        assert eval_relation("adjacent", a, b) == "holds_not"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(ADJACENCY_SPEC))
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_to_document((a, b))))
+        code = cli.main(["infer", "--spec", str(spec), "--scene", str(scene)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["beliefs"]["touching"] == {"holds": 0.0, "holds_not": 1.0}
+
+    # the frame's hole leaves a 3 px gap around the solid square it encloses
+    @pytest.mark.parametrize("a, b, tau, want", [
+        pytest.param(square_region("a", 0, 0, 300), square_region("b", 150, 150, 300),
+                     2.0, "holds", id="overlapping-squares"),
+        pytest.param(square_region("a", 0, 0, 300), square_region("b", -13, -13, 326, hole=304),
+                     3.5, "holds", id="frame-at-gap-3-within"),
+        pytest.param(square_region("a", 0, 0, 300), square_region("b", -13, -13, 326, hole=304),
+                     2.5, "holds_not", id="frame-at-gap-3-beyond"),
+        pytest.param(square_region("a", 0, 0, 300), square_region("b", 100, 100, 150),
+                     1.0, "holds", id="square-inside-square"),
+    ])
+    def test_large_masks_with_overlapping_bboxes_stay_small(self, a, b, tau, want):
+        tracemalloc.start()
+        try:
+            got = (eval_relation("adjacent", a, b, tau=tau), eval_relation("adjacent", b, a, tau=tau))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (want, want)
+        assert peak < 16 * 2**20
 
 
 class TestRelationalize:

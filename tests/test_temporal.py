@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from beliefscope import cli
 from beliefscope.errors import (
     FrameInferenceError,
     ImpossibleEvidenceError,
@@ -16,10 +17,11 @@ from beliefscope.errors import (
 from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
 from beliefscope.network import NetworkSpec, NodeSpec, apply_evidence
 from beliefscope.propagation import brute_force_beliefs, propagate
-from beliefscope.relational import Region
+from beliefscope.relational import Region, relationalize
 from beliefscope.temporal import (
     DynamicModel,
     Frame,
+    MODES,
     FrameStream,
     TemporalModel,
     build_dynamic_window,
@@ -39,7 +41,9 @@ from helpers import (
     chain_model,
     eq3_step,
     frame_likelihood,
+    normalized,
     pattern_frames,
+    random_region,
     unrolled_chain_spec,
 )
 
@@ -73,6 +77,88 @@ def tree_route(model, stream, window):
             return FrameInferenceError(frames[end].index, exc)
         posteriors.append(beliefs.distribution(model.hypothesis_id))
     return posteriors
+
+
+def explicit_route(model, stream):
+    """Each frame's (effective prior, posterior) through relationalize on the
+    per-frame spec with the effective prior as its root prior, then propagate;
+    or the FrameInferenceError of the first impossible frame."""
+    spec = model.per_frame
+    static = np.asarray(spec.node(spec.root).rows[0], dtype=float)
+    static = static / static.sum()
+    out, prev = [], None
+    for frame in stream.frames:
+        eff = static if prev is None else semi_static_prior(static, model.transition, prev,
+                                                            model.mode)
+        try:
+            net, ev = relationalize(spec.with_root_prior(eff), frame.regions)
+            post = propagate(apply_evidence(net, ev)).distribution(spec.root)
+        except ImpossibleEvidenceError as exc:
+            return FrameInferenceError(frame.index, exc)
+        out.append((eff, post))
+        prev = post
+    return out
+
+
+def assert_routes_equal(model, stream):
+    trace = filter_stream(model, stream)
+    expected = explicit_route(model, stream)
+    assert len(trace.frames) == len(expected)
+    for fb, (eff, post) in zip(trace.frames, expected):
+        assert np.array_equal(fb.effective_prior, eff), fb.index
+        assert np.array_equal(fb.posterior, post), fb.index
+
+
+def masked_adjacency_model(rng):
+    """A 3-state hypothesis over two colour-bound features and their adjacency."""
+    hyp = ("none", "fold", "polyp")
+    nodes = (
+        NodeSpec("lesion", "chance", hyp, (), (normalized(rng, 3),)),
+        NodeSpec("dark_fold", "chance", ("present", "absent"), ("lesion",),
+                 tuple(normalized(rng, 2) for _ in hyp)),
+        NodeSpec("bright_rim", "chance", ("present", "absent"), ("lesion",),
+                 tuple(normalized(rng, 2) for _ in hyp)),
+        NodeSpec("touching", "relation", ("holds", "holds_not"), ("lesion",),
+                 tuple(normalized(rng, 2) for _ in hyp), evaluator="adjacent",
+                 inputs=("dark_fold", "bright_rim"), params={"tau": 2.5}),
+    )
+    spec = NetworkSpec("lesion", nodes, {"dark_fold": {"colour_class": "dark"},
+                                         "bright_rim": {"colour_class": "bright"}})
+    return TemporalModel(spec, np.array([normalized(rng, 3) for _ in hyp]))
+
+
+def deep_model(rng):
+    """A per-frame tree that is not a star: root -> internal chance node ->
+    bound leaves, with a distance relation under the root."""
+    nodes = (
+        NodeSpec("scene", "chance", ("lumen", "wall"), (), (normalized(rng, 2),)),
+        NodeSpec("view", "chance", ("near", "mid", "far"), ("scene",),
+                 tuple(normalized(rng, 3) for _ in range(2))),
+        NodeSpec("dark_region", "chance", ("present", "absent"), ("view",),
+                 tuple(normalized(rng, 2) for _ in range(3))),
+        NodeSpec("bright_region", "chance", ("present", "absent"), ("view",),
+                 tuple(normalized(rng, 2) for _ in range(3))),
+        NodeSpec("gap", "relation", ("near", "far"), ("scene",),
+                 tuple(normalized(rng, 2) for _ in range(2)), evaluator="distance",
+                 inputs=("dark_region", "bright_region"), params={"tau": 5.0}),
+    )
+    spec = NetworkSpec("scene", nodes, {"dark_region": {"colour_class": "dark"},
+                                        "bright_region": {"colour_class": "bright"}})
+    return TemporalModel(spec, np.array([normalized(rng, 2) for _ in range(2)]), mode="filter")
+
+
+def random_scene_stream(rng, n_frames):
+    """Frames of masked dark/bright regions, each present with probability
+    0.8, placed close enough that their adjacency and distance vary."""
+    frames = []
+    for i in range(n_frames):
+        regions = []
+        for rid, colour in (("d", "dark"), ("b", "bright")):
+            if rng.random() < 0.8:
+                regions.append(random_region(rng, rid, colour=colour,
+                                             origin=(rng.randint(0, 8), rng.randint(0, 8))))
+        frames.append(Frame(i, round(i * 0.04, 6), tuple(regions)))
+    return FrameStream(tuple(frames), 0.04)
 
 
 def three_state_distance_model():
@@ -297,6 +383,19 @@ class TestFilterStream:
         with pytest.raises(InvalidNetworkError, match="row sum"):
             TemporalModel(spec, np.array([[0.7, 0.7], [0.1, 0.9]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_transition_rejected(self, bad):
+        spec = of_model().per_frame
+        with pytest.raises(InvalidNetworkError, match=r"non-finite entry \(row 1\)"):
+            TemporalModel(spec, np.array([[0.9, 0.1], [bad, 0.9]]))
+
+    @pytest.mark.parametrize("entry", ["nan", "0.1", True, None])
+    def test_transition_document_entries_must_be_numbers(self, entry):
+        doc = semi_static_to_document(of_model())
+        doc["transition"][1][0] = entry
+        with pytest.raises(SpecSyntaxError, match="'transition': expected a finite number"):
+            semi_static_from_document(doc)
+
     def test_semi_static_document_round_trip(self):
         model = of_model()
         doc = semi_static_to_document(model)
@@ -435,3 +534,54 @@ class TestStarRoute:
         assert err.value.index == expected.index
         assert str(err.value) == str(expected)
         assert err.value.cause.node == expected.cause.node
+
+
+class TestSemiStaticRoute:
+    @pytest.mark.parametrize("mode", ["paper", "filter"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_lumen_tracker_bitwise_equal_to_per_frame_trees(self, scenario, mode):
+        model = replace(builtin_model("lumen_tracker").model, mode=mode)
+        for seed in (1, 2, 3):
+            assert_routes_equal(model, generate_stream(scenario, 12, seed=seed))
+
+    @pytest.mark.parametrize("build", [masked_adjacency_model, deep_model],
+                             ids=["masked-adjacency", "deep-tree"])
+    def test_random_models_bitwise_equal_to_per_frame_trees(self, build):
+        rng = random.Random(5)
+        for _ in range(15):
+            model = build(rng)
+            for mode in MODES:
+                assert_routes_equal(replace(model, mode=mode), random_scene_stream(rng, 10))
+
+    @pytest.mark.parametrize("prior, transition, cpt, message", [
+        pytest.param((0.5, 0.5), ((0.9, 0.1), (0.1, 0.9)), ((0.0, 1.0), (0.0, 1.0)),
+                     "frame 2: impossible evidence: support vanished at node 'F'",
+                     id="leaf-message-vanishes"),
+        pytest.param((1.0, 0.0), ((0.9, 0.1), (0.1, 0.9)), ((0.0, 1.0), (0.5, 0.5)),
+                     "frame 2: impossible evidence: support vanished at node 'O'",
+                     id="root-belief-vanishes"),
+        pytest.param((1.0, 0.0), ((0.0, 1.0), (0.5, 0.5)), ((0.5, 0.5), (0.5, 0.5)),
+                     "effective prior has zero mass", id="effective-prior-vanishes"),
+    ])
+    def test_impossible_frame_reports_like_the_tree_route(self, capsys, tmp_path, prior,
+                                                          transition, cpt, message):
+        spec = NetworkSpec("O", (
+            NodeSpec("O", "chance", ("t", "f"), (), (prior,)),
+            NodeSpec("F", "chance", ("present", "absent"), ("O",), cpt),
+        ), {"F": {"colour_class": "dark"}})
+        model = TemporalModel(spec, np.array(transition))
+        stream = FrameStream(tuple(Frame(i, round(i * 0.04, 6), (dark_pixel(),) if i == 2 else ())
+                                   for i in range(4)), 0.04)
+        try:
+            expected = str(explicit_route(model, stream))
+        except ImpossibleEvidenceError as exc:  # a zero-mass effective prior names no frame
+            expected = str(exc)
+        assert expected == message
+        model_path, stream_path = tmp_path / "model.json", tmp_path / "stream.jsonl"
+        model_path.write_text(json.dumps(semi_static_to_document(model)))
+        stream_path.write_text(stream_to_jsonl(stream))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["track", "--spec", str(model_path), "--stream", str(stream_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", message + "\n")
