@@ -12,6 +12,7 @@ from .errors import (
     StreamValidationError,
 )
 from .network import (
+    COLOUR_CLASSES,
     EvidenceSet,
     InstantiatedNetwork,
     Network,
@@ -34,7 +35,6 @@ from .propagation import (
     propagate,
 )
 from .relational import (
-    COLOUR_CLASSES,
     Region,
     bind_features,
     eval_relation,
@@ -52,9 +52,9 @@ from .temporal import (
     FrameStream,
     TemporalModel,
     build_dynamic_window,
-    dynamic_diagnostics,
     dynamic_trace,
     dynamic_windows,
+    filter_frames,
     filter_stream,
     match_regions,
     parse_stream,

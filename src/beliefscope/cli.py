@@ -30,23 +30,22 @@ from .network import (
     NetworkSpec,
     apply_evidence,
     load_json,
-    network_diagnostics,
     network_spec_from_document,
     network_spec_to_document,
     parse_evidence,
     validate_network,
 )
 from .propagation import brute_force_beliefs, propagate, sig10
-from .relational import parse_scene, relational_diagnostics, relationalize
+from .relational import bind_features, parse_scene, relation_evidence, relationalize
 from .temporal import (
     DynamicModel,
     FrameStream,
     TemporalModel,
-    dynamic_diagnostics,
     dynamic_from_document,
     dynamic_to_document,
     dynamic_trace,
     dynamic_windows,
+    filter_frames,
     filter_stream,
     parse_stream,
     semi_static_from_document,
@@ -189,23 +188,9 @@ def _with_mode(model: TemporalModel, mode: str | None) -> TemporalModel:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        model = _load_model(args)
-    except InvalidNetworkError as exc:
-        for d in exc.diagnostics:
-            print(d, file=sys.stderr)
-        return 1
-    if isinstance(model, TemporalModel):
-        spec = model.per_frame
-        diags = network_diagnostics(spec) + relational_diagnostics(spec)
-    elif isinstance(model, DynamicModel):
-        diags = dynamic_diagnostics(model)
-    else:
-        diags = network_diagnostics(model) + relational_diagnostics(model)
-    for d in diags:
-        print(d, file=sys.stderr)
-    if diags:
-        return 1
+    model = _load_model(args)  # temporal and dynamic models are checked on construction
+    if isinstance(model, NetworkSpec):
+        validate_network(model)
     print("ok", file=sys.stderr)
     return 0
 
@@ -218,6 +203,7 @@ def _cmd_compile(args) -> int:
             raise SpecSyntaxError("defaults document must be a JSON object")
     model = compile_rule(args.rule, defaults)
     if isinstance(model, NetworkSpec):
+        validate_network(model)
         doc = network_spec_to_document(model)
     else:
         doc = dynamic_to_document(model)
@@ -267,16 +253,18 @@ def _pairs_to_check(args, model):
             yield _scene_inputs(args, model)
             return
         stream = _load_stream(args)
+        net = validate_network(model)
         for frame in stream.frames:
-            yield relationalize(model, frame.regions, tau=args.tau, epsilon=args.epsilon)
+            yield net, relation_evidence(model, bind_features(model, frame.regions),
+                                         tau=args.tau, epsilon=args.epsilon)
         return
     stream = _load_stream(args)
     if isinstance(model, TemporalModel):
-        model = _with_mode(model, args.mode)
-        trace = filter_stream(model, stream, tau=args.tau, epsilon=args.epsilon)
-        for fb, frame in zip(trace.frames, stream.frames):
-            spec_i = model.per_frame.with_root_prior(fb.effective_prior)
-            yield relationalize(spec_i, frame.regions, tau=args.tau, epsilon=args.epsilon)
+        # filter the whole stream first, so a frame error is reported before any check runs
+        frames = list(filter_frames(_with_mode(model, args.mode), stream,
+                                    tau=args.tau, epsilon=args.epsilon))
+        for net, ev, belief in frames:
+            yield net.with_root_prior(belief.effective_prior), ev
         return
     yield from dynamic_windows(model, stream.frames, args.window,
                                tau=args.tau, epsilon=args.epsilon, delta=args.delta)

@@ -16,14 +16,16 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import RuleSyntaxError
-from .network import NetworkSpec, NodeSpec
-from .relational import (
+from .network import (
     BOOLEAN_STATES,
     COLOUR_CLASSES,
     DISTANCE_STATES,
     FEATURE_STATES,
-    Region,
+    NetworkSpec,
+    NodeSpec,
+    finite_number,
 )
+from .relational import Region
 from .temporal import DynamicModel, Frame, FrameStream, TemporalModel
 
 #: the one place the shipped models take their numbers from
@@ -66,6 +68,8 @@ def _merged(defaults: Mapping[str, float] | None) -> dict[str, float]:
         unknown = set(defaults) - set(DEFAULT_PROBS)
         if unknown:
             raise ValueError(f"unknown default probability roles: {', '.join(sorted(unknown))}")
+        for role, p in defaults.items():
+            finite_number(p, f"default '{role}'")
         merged.update(defaults)
     return merged
 

@@ -1,8 +1,8 @@
 """Network data model: the JSON document format, parsing, validation and evidence.
 
-Parsing is purely syntactic (shape, types, references); every numerical and
-structural invariant lives in :func:`network_diagnostics` so that a bad
-document is reported with all of its problems at once.
+Parsing is purely syntactic (shape, types, references); every numerical,
+structural and relational invariant lives in :func:`network_diagnostics` so
+that a bad document is reported with all of its problems at once.
 """
 
 from __future__ import annotations
@@ -19,6 +19,27 @@ from .errors import EvidenceError, InvalidNetworkError, SpecSyntaxError
 ROW_SUM_TOL = 1e-9
 
 NODE_KINDS = ("chance", "relation")
+
+COLOUR_CLASSES = ("dark", "bright", "yellow", "green", "brown", "other")
+
+PRESENT = "present"
+ABSENT = "absent"
+FEATURE_STATES = (PRESENT, ABSENT)
+
+HOLDS = "holds"
+HOLDS_NOT = "holds_not"
+NEAR = "near"
+FAR = "far"
+BOOLEAN_STATES = (HOLDS, HOLDS_NOT)
+DISTANCE_STATES = (NEAR, FAR)
+
+#: evaluator name -> the state labels its outputs range over
+RELATION_STATES: dict[str, tuple[str, ...]] = {
+    "surrounding": BOOLEAN_STATES,
+    "adjacent": BOOLEAN_STATES,
+    "distance": DISTANCE_STATES,
+    "static": BOOLEAN_STATES,
+}
 
 _TOP_KEYS = {"root", "nodes", "bind"}
 _CHANCE_KEYS = {"id", "kind", "states", "parent", "prior", "cpt"}
@@ -113,6 +134,13 @@ class Network:
 
     def node(self, node_id: str) -> Node:
         return self.by_id[node_id]
+
+    def with_root_prior(self, prior) -> "Network":
+        """Copy of this network with the root's prior replaced, renormalised
+        like every row :func:`validate_network` loads."""
+        root = replace(self.by_id[self.root], cpt=normalised_rows([prior]))
+        return replace(self, nodes=tuple(root if n.id == self.root else n for n in self.nodes),
+                       by_id={**self.by_id, self.root: root})
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +357,8 @@ def _fmt_labels(labels) -> str:
 
 
 def network_diagnostics(spec: NetworkSpec) -> list[str]:
-    """Every violated Network invariant, aggregated (empty list means valid)."""
+    """Every violated Network invariant, aggregated (empty list means valid):
+    the tree structure, every CPT row, then :func:`relational_diagnostics`."""
     diags: list[str] = []
     by_id = {n.id: n for n in spec.nodes}
 
@@ -387,7 +416,64 @@ def network_diagnostics(spec: NetworkSpec) -> list[str]:
             s = sum(row)
             if abs(s - 1.0) > ROW_SUM_TOL:
                 diags.append(f"node {n.id}: row sum {s:g} != 1 (row {i})")
+    return diags + relational_diagnostics(spec)
+
+
+def relational_diagnostics(spec: NetworkSpec) -> list[str]:
+    """Invariants specific to relational specs (relation nodes and bindings)."""
+    diags: list[str] = []
+    by_id = {n.id: n for n in spec.nodes}
+    parents = {p for n in spec.nodes for p in n.parents}
+
+    for n in spec.nodes:
+        if n.kind != "relation":
+            continue
+        if n.evaluator is None:
+            diags.append(f"relation node {n.id}: missing evaluator")
+            continue
+        want = RELATION_STATES.get(n.evaluator)
+        if want is None:
+            diags.append(f"relation node {n.id}: unknown evaluator '{n.evaluator}'")
+            continue
+        if len(n.inputs) != 2:
+            diags.append(f"relation node {n.id}: expected 2 inputs, got {len(n.inputs)}")
+        for i in n.inputs:
+            other = by_id.get(i)
+            if other is None or other.kind != "chance" or i in parents:
+                diags.append(f"relation node {n.id}: input '{i}' is not a feature (leaf) node")
+        if set(n.states) != set(want):
+            diags.append(
+                f"relation node {n.id}: states must be {{{', '.join(want)}}} for evaluator '{n.evaluator}'")
+        for key, value in n.params.items():
+            if key not in ("tau", "epsilon"):
+                diags.append(f"relation node {n.id}: unknown param '{key}'")
+            elif value <= 0:
+                diags.append(f"relation node {n.id}: param '{key}' must be strictly positive")
+
+    for fid, pred in spec.bind.items():
+        node = by_id[fid]
+        if node.kind != "chance" or fid in parents:
+            diags.append(f"bound node {fid}: not a feature (leaf) node")
+        if set(node.states) != set(FEATURE_STATES):
+            diags.append(f"bound node {fid}: states must be {{present, absent}}")
+        for attr, want in pred.items():
+            if attr != "colour_class":
+                diags.append(f"bound node {fid}: unknown predicate attribute '{attr}'")
+                continue
+            values = want if isinstance(want, (tuple, list)) else (want,)
+            for v in values:
+                if v not in COLOUR_CLASSES:
+                    diags.append(f"bound node {fid}: unknown colour class '{v}'")
     return diags
+
+
+def normalised_rows(rows) -> np.ndarray:
+    """Rows as a read-only float array, each renormalised to sum to 1 (CPTs
+    and transition tables)."""
+    cpt = np.asarray(rows, dtype=float)
+    cpt = cpt / cpt.sum(axis=1, keepdims=True)
+    cpt.flags.writeable = False
+    return cpt
 
 
 def validate_network(spec: NetworkSpec) -> Network:
@@ -399,12 +485,8 @@ def validate_network(spec: NetworkSpec) -> Network:
     if diags:
         raise InvalidNetworkError(diags)
 
-    nodes = []
-    for n in spec.nodes:
-        cpt = np.asarray(n.rows, dtype=float)
-        cpt = cpt / cpt.sum(axis=1, keepdims=True)
-        cpt.flags.writeable = False
-        nodes.append(Node(n.id, n.kind, n.states, n.parent, cpt, n.evaluator, n.inputs, dict(n.params)))
+    nodes = [Node(n.id, n.kind, n.states, n.parent, normalised_rows(n.rows), n.evaluator,
+                  n.inputs, dict(n.params)) for n in spec.nodes]
     by_id = {n.id: n for n in nodes}
     children: dict[str, list[str]] = {n.id: [] for n in nodes}
     for n in nodes:

@@ -14,38 +14,25 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidNetworkError, SpecSyntaxError
+from .errors import SpecSyntaxError
 from .network import (
+    ABSENT,
+    COLOUR_CLASSES,
+    FAR,
+    HOLDS,
+    HOLDS_NOT,
+    NEAR,
+    PRESENT,
+    RELATION_STATES,
     EvidenceSet,
     Network,
     NetworkSpec,
     finite_number,
     load_json,
-    network_diagnostics,
+    relational_diagnostics,
     strict_int,
     validate_network,
 )
-
-COLOUR_CLASSES = ("dark", "bright", "yellow", "green", "brown", "other")
-
-PRESENT = "present"
-ABSENT = "absent"
-FEATURE_STATES = (PRESENT, ABSENT)
-
-HOLDS = "holds"
-HOLDS_NOT = "holds_not"
-NEAR = "near"
-FAR = "far"
-BOOLEAN_STATES = (HOLDS, HOLDS_NOT)
-DISTANCE_STATES = (NEAR, FAR)
-
-#: evaluator name -> the state labels its outputs range over
-RELATION_STATES: dict[str, tuple[str, ...]] = {
-    "surrounding": BOOLEAN_STATES,
-    "adjacent": BOOLEAN_STATES,
-    "distance": DISTANCE_STATES,
-    "static": BOOLEAN_STATES,
-}
 
 DEFAULT_TAU = 2.0
 DEFAULT_EPSILON = 2.0
@@ -279,58 +266,6 @@ def eval_relation(kind: str, a: Region, b: Region, *,
 # the instantiation transform
 
 
-def relational_diagnostics(spec: NetworkSpec) -> list[str]:
-    """Invariants specific to relational specs (relation nodes and bindings)."""
-    diags: list[str] = []
-    by_id = {n.id: n for n in spec.nodes}
-    children: dict[str, int] = {n.id: 0 for n in spec.nodes}
-    for n in spec.nodes:
-        for p in n.parents:
-            if p in children:
-                children[p] += 1
-
-    for n in spec.nodes:
-        if n.kind != "relation":
-            continue
-        if n.evaluator is None:
-            diags.append(f"relation node {n.id}: missing evaluator")
-            continue
-        want = RELATION_STATES.get(n.evaluator)
-        if want is None:
-            diags.append(f"relation node {n.id}: unknown evaluator '{n.evaluator}'")
-            continue
-        if len(n.inputs) != 2:
-            diags.append(f"relation node {n.id}: expected 2 inputs, got {len(n.inputs)}")
-        for i in n.inputs:
-            other = by_id.get(i)
-            if other is None or other.kind != "chance" or children.get(i, 0) > 0:
-                diags.append(f"relation node {n.id}: input '{i}' is not a feature (leaf) node")
-        if set(n.states) != set(want):
-            diags.append(
-                f"relation node {n.id}: states must be {{{', '.join(want)}}} for evaluator '{n.evaluator}'")
-        for key, value in n.params.items():
-            if key not in ("tau", "epsilon"):
-                diags.append(f"relation node {n.id}: unknown param '{key}'")
-            elif value <= 0:
-                diags.append(f"relation node {n.id}: param '{key}' must be strictly positive")
-
-    for fid, pred in spec.bind.items():
-        node = by_id[fid]
-        if node.kind != "chance" or children.get(fid, 0) > 0:
-            diags.append(f"bound node {fid}: not a feature (leaf) node")
-        if set(node.states) != set(FEATURE_STATES):
-            diags.append(f"bound node {fid}: states must be {{present, absent}}")
-        for attr, want in pred.items():
-            if attr != "colour_class":
-                diags.append(f"bound node {fid}: unknown predicate attribute '{attr}'")
-                continue
-            values = want if isinstance(want, (tuple, list)) else (want,)
-            for v in values:
-                if v not in COLOUR_CLASSES:
-                    diags.append(f"bound node {fid}: unknown colour class '{v}'")
-    return diags
-
-
 def _matches(pred: Mapping[str, Any], region: Region) -> bool:
     for attr, want in pred.items():
         got = getattr(region, attr)
@@ -388,11 +323,9 @@ def relationalize(spec: NetworkSpec, regions: Sequence[Region], *,
                   ) -> tuple[Network, EvidenceSet]:
     """Instantiate relation nodes from the scene and drop the functional links.
 
-    Checks the spec, then returns the plain tree network (relation CPTs
-    intact) plus the scene's :func:`relation_evidence`.
+    :func:`validate_network` (which checks the relational invariants too)
+    plus the scene's :func:`relation_evidence`: the plain tree network
+    (relation CPTs intact) and the evidence that clamps it.
     """
-    diags = network_diagnostics(spec) + relational_diagnostics(spec)
-    if diags:
-        raise InvalidNetworkError(diags)
-    net = validate_network(spec)
-    return net, relation_evidence(spec, bind_features(spec, regions), tau=tau, epsilon=epsilon)
+    return validate_network(spec), relation_evidence(spec, bind_features(spec, regions),
+                                                     tau=tau, epsilon=epsilon)

@@ -24,36 +24,35 @@ from .errors import (
     StreamValidationError,
 )
 from .network import (
+    ABSENT,
+    FEATURE_STATES,
+    PRESENT,
+    RELATION_STATES,
+    ROW_SUM_TOL,
     EvidenceSet,
     Network,
     NetworkSpec,
     NodeSpec,
-    ROW_SUM_TOL,
     apply_evidence,
     finite_number,
     load_json,
     network_diagnostics,
     network_spec_from_document,
     network_spec_to_document,
+    normalised_rows,
     strict_int,
     validate_network,
 )
 from .propagation import leaf_messages, propagate, root_posterior, sig10, star_posteriors
 from .relational import (
-    COLOUR_CLASSES,
     DEFAULT_EPSILON,
     DEFAULT_TAU,
-    FEATURE_STATES,
-    PRESENT,
-    ABSENT,
-    RELATION_STATES,
     Region,
     bind_features,
     eval_relation,
     region_from_document,
     region_to_document,
     relation_evidence,
-    relational_diagnostics,
     select_region,
 )
 
@@ -123,8 +122,10 @@ def parse_stream(text: str) -> FrameStream:
             raise SpecSyntaxError(f"stream line {lineno}: expected index, t, regions")
         index = strict_int(obj["index"], f"stream line {lineno}: 'index'")
         t = finite_number(obj["t"], f"stream line {lineno}: 't'")
-        regions = tuple(region_from_document(r) for r in obj.get("regions", []))
-        frames.append(Frame(index, t, regions))
+        regions = obj.get("regions", [])
+        if not isinstance(regions, list):
+            raise SpecSyntaxError(f"stream line {lineno}: 'regions' must be a list")
+        frames.append(Frame(index, t, tuple(region_from_document(r) for r in regions)))
     return FrameStream(tuple(frames), dt)
 
 
@@ -166,7 +167,8 @@ def semi_static_prior(prior, transition, prev_belief, mode: str = "paper") -> np
 
 @dataclass(frozen=True, eq=False)
 class TemporalModel:
-    """Per-frame relational spec plus the hypothesis transition table."""
+    """Per-frame relational spec plus the hypothesis transition table; valid
+    by construction (InvalidNetworkError carries the diagnostics of both)."""
 
     per_frame: NetworkSpec
     transition: np.ndarray
@@ -177,7 +179,7 @@ class TemporalModel:
             raise InvalidNetworkError([f"mode must be one of {MODES}"])
         states = self.per_frame.node(self.per_frame.root).states
         trans = np.asarray(self.transition, dtype=float)
-        diags = []
+        diags = network_diagnostics(self.per_frame)
         k = len(states)
         if trans.shape != (k, k):
             diags.append(f"transition must be {k}x{k} over the hypothesis states")
@@ -192,9 +194,7 @@ class TemporalModel:
                     diags.append(f"transition: entry outside [0,1] (row {i})")
         if diags:
             raise InvalidNetworkError(diags)
-        trans = trans / trans.sum(axis=1, keepdims=True)
-        trans.flags.writeable = False
-        object.__setattr__(self, "transition", trans)
+        object.__setattr__(self, "transition", normalised_rows(trans))
 
     @property
     def hypothesis(self) -> str:
@@ -229,31 +229,25 @@ class BeliefTrace:
         return "\n".join(lines) + "\n"
 
 
-def filter_stream(model: TemporalModel, stream: FrameStream, *,
-                  tau: float | None = None, epsilon: float | None = None) -> BeliefTrace:
-    """Semi-static recognition over a stream.
+def filter_frames(model: TemporalModel, stream: FrameStream, *,
+                  tau: float | None = None, epsilon: float | None = None,
+                  ) -> Iterator[tuple[Network, EvidenceSet, FrameBelief]]:
+    """Semi-static recognition frame by frame: yields (net, evidence, belief).
 
     Frame 0 uses the static prior; every later frame replaces the hypothesis
-    prior with :func:`semi_static_prior` over the previous posterior.  The
-    per-frame spec is checked once per stream and every frame shares its one
-    Network.  Each frame only binds its regions, evaluates its relations and
-    runs the upward pass: λ at the hypothesis does not depend on its prior,
-    so the posterior is the effective prior times λ, normalised
-    (:func:`root_posterior`), bitwise equal to relationalize + propagate on
-    the per-frame tree with that prior.
+    prior with :func:`semi_static_prior` over the previous posterior.  All
+    frames share one Network; ``net.with_root_prior(belief.effective_prior)``
+    is a frame's own tree.  Each frame only binds its regions, evaluates its
+    relations and runs the upward pass: the posterior is the effective prior
+    times λ at the hypothesis, normalised (:func:`root_posterior`), bitwise
+    equal to :func:`propagate` on that tree.
     """
     if not stream.frames:
         raise StreamValidationError("stream is empty")
     spec = model.per_frame
-    diags = network_diagnostics(spec) + relational_diagnostics(spec)
-    if diags:
-        raise InvalidNetworkError(diags)
     net = validate_network(spec)
-    root = spec.node(spec.root)
-    static_prior = np.asarray(root.rows[0], dtype=float)
-    static_prior = static_prior / static_prior.sum()
+    static_prior = net.node(spec.root).cpt[0]
 
-    entries = []
     prev: np.ndarray | None = None
     for frame in stream.frames:
         if prev is None:
@@ -266,10 +260,17 @@ def filter_stream(model: TemporalModel, stream: FrameStream, *,
             post = root_posterior(apply_evidence(net, ev), eff)
         except BeliefscopeError as exc:
             raise FrameInferenceError(frame.index, exc) from exc
-        entries.append(FrameBelief(frame.index, post, eff,
-                                   {f: (r.id if r is not None else None) for f, r in bound.items()}))
+        yield net, ev, FrameBelief(frame.index, post, eff,
+                                   {f: (r.id if r is not None else None) for f, r in bound.items()})
         prev = post
-    return BeliefTrace(spec.root, root.states, tuple(entries))
+
+
+def filter_stream(model: TemporalModel, stream: FrameStream, *,
+                  tau: float | None = None, epsilon: float | None = None) -> BeliefTrace:
+    """Semi-static recognition over a stream: the beliefs of :func:`filter_frames`."""
+    root = model.per_frame.node(model.per_frame.root)
+    return BeliefTrace(root.id, root.states, tuple(
+        belief for _, _, belief in filter_frames(model, stream, tau=tau, epsilon=epsilon)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,12 @@ def match_regions(prev: Frame, cur: Frame, *, delta: float = DEFAULT_MATCH_DELTA
 @dataclass(frozen=True, eq=False)
 class DynamicModel:
     """Template for window recognition: hypothesis, per-frame presence node,
-    and one inter-frame relation node per consecutive pair."""
+    and one inter-frame relation node per consecutive pair.
+
+    Valid by construction: InvalidNetworkError carries every diagnostic of
+    the fields and of the 2-frame :func:`window_spec`, whose presence nodes
+    are bound by the predicate (``bound node <feature>_i: ...``).
+    """
 
     hypothesis_id: str
     hypothesis_states: tuple[str, ...]
@@ -334,13 +340,15 @@ class DynamicModel:
             diags.append("max_window must be >= 2")
         if self.delta <= 0:
             diags.append("match delta must be strictly positive")
+        if self.relation_evaluator in RELATION_STATES:  # else window_spec has no states for it
+            diags += network_diagnostics(window_spec(self, 2))
         if diags:
             raise InvalidNetworkError(diags)
 
 
 def window_spec(model: DynamicModel, k: int) -> NetworkSpec:
-    """The tree for a k-frame window: hypothesis -> k presence nodes + k-1
-    relation nodes."""
+    """The tree for a k-frame window: hypothesis -> k presence nodes, each
+    bound by the model's predicate, + k-1 relation nodes."""
     nodes = [NodeSpec(model.hypothesis_id, "chance", tuple(model.hypothesis_states), (),
                       (tuple(model.prior),))]
     feature_ids = [f"{model.feature_id}_{i}" for i in range(k)]
@@ -355,22 +363,8 @@ def window_spec(model: DynamicModel, k: int) -> NetworkSpec:
             evaluator=model.relation_evaluator,
             inputs=(feature_ids[i], feature_ids[i + 1]),
             params=dict(model.params)))
-    return NetworkSpec(model.hypothesis_id, tuple(nodes))
-
-
-def dynamic_diagnostics(model: DynamicModel) -> list[str]:
-    """Every violated invariant of a dynamic model (probe via a 2-frame window)."""
-    spec = window_spec(model, 2)
-    diags = network_diagnostics(spec) + relational_diagnostics(spec)
-    for attr, want in model.predicate.items():
-        if attr != "colour_class":
-            diags.append(f"dynamic predicate: unknown attribute '{attr}'")
-            continue
-        values = want if isinstance(want, (tuple, list)) else (want,)
-        for v in values:
-            if v not in COLOUR_CLASSES:
-                diags.append(f"dynamic predicate: unknown colour class '{v}'")
-    return diags
+    return NetworkSpec(model.hypothesis_id, tuple(nodes),
+                       {fid: model.predicate for fid in feature_ids})
 
 
 def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int | None, *,
@@ -389,9 +383,6 @@ def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int |
     k = min(k, len(frames))
     if k < 2:
         raise StreamValidationError("window >= 2 required")
-    diags = dynamic_diagnostics(model)
-    if diags:
-        raise InvalidNetworkError(diags)
     net = validate_network(window_spec(model, k))
 
     bound = [select_region(model.predicate, f.regions) for f in frames]
@@ -479,7 +470,8 @@ def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | Non
     # propagate's child order: presence nodes 0..k-1, then relation nodes
     children = ([frame_msgs[i:i + n] for i in range(k)]
                 + [pair_msgs[i:i + n] for i in range(k - 1)])
-    posteriors, possible = star_posteriors(net.node(model.hypothesis_id).cpt[0], children)
+    prior = net.node(model.hypothesis_id).cpt[0]
+    posteriors, possible = star_posteriors(prior, children)
     if not possible.all():
         start = int(np.argmin(possible))
         ev = _window_evidence(model, bound[start:start + k], values[start:start + k - 1])
@@ -488,8 +480,6 @@ def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | Non
         except BeliefscopeError as exc:
             raise FrameInferenceError(frames[start + k - 1].index, exc) from exc
 
-    prior = np.asarray(model.prior, dtype=float)
-    prior = prior / prior.sum()
     names = [f"{model.feature_id}_{i}" for i in range(k)]
     ids = [r.id if r is not None else None for r in bound]
     entries = tuple(FrameBelief(frames[start + k - 1].index, post, prior,

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from beliefscope import cli
+from beliefscope import cli, network, relational, temporal
 from beliefscope.endoscopy import builtin_model
 from beliefscope.propagation import Beliefs
 from beliefscope.temporal import dynamic_to_document, semi_static_to_document
@@ -89,6 +89,32 @@ class TestValidate:
         assert "row sum 1.4" in err
         assert "unknown colour class 'maroon'" in err
 
+    def test_semi_static_document_lists_per_frame_and_transition_diagnostics(self, capsys,
+                                                                             tmp_path):
+        doc = semi_static_to_document(builtin_model("lumen_tracker").model)
+        doc["per_frame"]["nodes"][1]["cpt"][0] = [0.9, 0.2]
+        doc["transition"][0] = [0.5, 0.6]
+        path = tmp_path / "semi.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["node dark_region: row sum 1.1 != 1 (row 0)",
+                                    "transition: row sum 1.1 != 1 (row 0)"]
+
+    def test_dynamic_document_lists_evaluator_and_window_diagnostics(self, capsys, tmp_path):
+        doc = dynamic_to_document(builtin_model("dirty_lens").model)
+        doc["relation"]["evaluator"] = "adjacent"
+        doc["feature"]["cpt"][0] = [0.9, 0.2]
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "dynamic relation evaluator must be static or distance, got 'adjacent'",
+            "node spot_0: row sum 1.1 != 1 (row 0)",
+            "node spot_1: row sum 1.1 != 1 (row 0)",
+        ]
+
 
 class TestCompile:
     def test_compile_emits_a_loadable_spec(self, capsys, tmp_path):
@@ -121,6 +147,24 @@ class TestCompile:
                            "--defaults", str(path))
         assert code == 0
         assert json.loads(out)["nodes"][0]["prior"] == [0.25, 0.75]
+
+
+    @pytest.mark.parametrize("rule", ["IF bright region THEN x",
+                                      "IF yellow spots & static THEN x"])
+    def test_invalid_defaults_exit_1_without_a_document(self, capsys, tmp_path, rule):
+        path = tmp_path / "defaults.json"
+        path.write_text('{"feature_given_present": 1.5}')
+        code, out, err = run(capsys, "compile", "--rule", rule, "--defaults", str(path))
+        assert (code, out) == (1, "")
+        assert "cpt entry 1.5 outside [0,1] (row 0)" in err
+
+    def test_non_numeric_default_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "defaults.json"
+        path.write_text('{"hypothesis_prior": "x"}')
+        code, out, err = run(capsys, "compile", "--rule", "IF bright region THEN x",
+                             "--defaults", str(path))
+        assert (code, out) == (2, "")
+        assert "default 'hypothesis_prior': expected a finite number" in err
 
 
 class TestInfer:
@@ -174,6 +218,19 @@ class TestInfer:
         hub = json.loads(out)["beliefs"]["H"]
         assert [hub[s] for s in "abc"] == pytest.approx([8.2015461477e-98, 1.0, 2.9131187529e-46],
                                                         rel=1e-8)
+
+    def test_unknown_evaluator_with_evidence_exits_1(self, capsys, tmp_path, evidence_file):
+        doc = json.loads(json.dumps(TWO_NODE_DOC))
+        doc["nodes"].append({"id": "R", "kind": "relation", "states": ["holds", "holds_not"],
+                             "parent": "O", "cpt": [[0.8, 0.2], [0.2, 0.8]],
+                             "evaluator": "above", "inputs": ["F", "F"]})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        _, _, diagnostics = run(capsys, "validate", "--spec", str(path))
+        assert diagnostics == "relation node R: unknown evaluator 'above'\n"
+        for command in ("infer", "check"):
+            code, out, err = run(capsys, command, "--spec", str(path), "--scene", evidence_file)
+            assert (code, out, err) == (1, "", diagnostics), command
 
     def test_temporal_model_rejected(self, capsys):
         code, _, err = run(capsys, "infer", "--model", "lumen_tracker",
@@ -250,6 +307,8 @@ class TestTrackAndGenerate:
         pytest.param('"area": 9', '"area": 9.7', id="area-float"),
         pytest.param('"bbox": [20, 20, 40, 40]', '"bbox": [20, 20, 40, 40.0]', id="bbox-float"),
         pytest.param('"id": "ring"', '"id": ["ring"]', id="region-id-list"),
+        pytest.param('{"dt": 0.04}\n', '{"dt": 0.04}\n{"index": 0, "t": 0.0, "regions": 5}\n',
+                     id="regions-int"),
     ])
     def test_non_finite_or_mistyped_stream_exits_2(self, capsys, tmp_path, replace, by):
         _, stream_text, _ = run(capsys, "generate", "--scenario", "surround_scene", "--frames", "3")
@@ -341,6 +400,22 @@ class TestCheck:
                            "--scene", evidence_file)
         assert code == 0
         assert "over 1 network(s)" in out
+
+    @pytest.mark.parametrize("model, scenario", [("diverticulum", "surround_scene"),
+                                                 ("lumen_tracker", "surround_scene")])
+    def test_stream_checks_its_model_once(self, capsys, monkeypatch, model, scenario):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return network.validate_network(spec)
+
+        for module in (cli, relational, temporal):
+            monkeypatch.setattr(module, "validate_network", counted)
+        code, out, _ = run(capsys, "check", "--model", model, "--scenario", scenario,
+                           "--frames", "6")
+        assert (code, len(calls)) == (0, 1)
+        assert "over 6 network(s)" in out
 
     def test_temporal_model_with_scene_input_exits_2(self, capsys, evidence_file):
         code, _, err = run(capsys, "check", "--model", "lumen_tracker",

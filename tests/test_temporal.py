@@ -247,6 +247,8 @@ class TestStream:
                      "'bbox' entry must be an integer", id="bbox-bool"),
         pytest.param('{"dt": 0.04}', region_line(rid='["r"]'), "'id' must be a string",
                      id="region-id-list"),
+        pytest.param('{"dt": 0.04}', '{"index": 0, "t": 0.0, "regions": 5}',
+                     "line 2: 'regions' must be a list", id="regions-int"),
     ])
     def test_non_finite_and_mistyped_fields_rejected(self, header, frame, message):
         with pytest.raises(SpecSyntaxError, match=message):
@@ -383,6 +385,19 @@ class TestFilterStream:
         with pytest.raises(InvalidNetworkError, match="row sum"):
             TemporalModel(spec, np.array([[0.7, 0.7], [0.1, 0.9]]))
 
+    def test_invalid_per_frame_spec_and_transition_reported_together(self):
+        spec = of_model().per_frame
+        bad_row = replace(spec.nodes[1], rows=((0.9, 0.2),) + spec.nodes[1].rows[1:])
+        bad_spec = replace(spec, nodes=(spec.nodes[0], bad_row) + spec.nodes[2:],
+                           bind={**spec.bind, bad_row.id: {"colour_class": "maroon"}})
+        with pytest.raises(InvalidNetworkError) as err:
+            TemporalModel(bad_spec, np.array([[0.7, 0.7], [0.1, 0.9]]))
+        assert err.value.diagnostics == [
+            f"node {bad_row.id}: row sum 1.1 != 1 (row 0)",
+            f"bound node {bad_row.id}: unknown colour class 'maroon'",
+            "transition: row sum 1.4 != 1 (row 0)",
+        ]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_transition_rejected(self, bad):
         spec = of_model().per_frame
@@ -495,6 +510,20 @@ class TestDynamicWindow:
             DynamicModel("h", ("present", "absent"), (0.5, 0.5), "s",
                          ((0.8, 0.2), (0.2, 0.8)), {"colour_class": "dark"},
                          "r", "surrounding", ((0.8, 0.2), (0.2, 0.8)))
+
+    def test_dynamic_model_reports_fields_and_window_together(self):
+        with pytest.raises(InvalidNetworkError) as err:
+            DynamicModel("h", ("present", "absent"), (0.7, 0.7), "s",
+                         ((0.8, 0.2), (0.2, 0.8)), {"colour_class": "maroon", "area": "big"},
+                         "r", "static", ((0.8, 0.2), (0.2, 0.8)), delta=0.0)
+        assert err.value.diagnostics == [
+            "match delta must be strictly positive",
+            "node h: row sum 1.4 != 1 (row 0)",
+            "bound node s_0: unknown colour class 'maroon'",
+            "bound node s_0: unknown predicate attribute 'area'",
+            "bound node s_1: unknown colour class 'maroon'",
+            "bound node s_1: unknown predicate attribute 'area'",
+        ]
 
 
 class TestStarRoute:
