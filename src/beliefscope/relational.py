@@ -75,10 +75,12 @@ class Region:
             if not (mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()):
                 raise ValueError(f"region '{self.id}': mask extent does not reach the bbox")
 
-    def pixels(self, window: tuple[int, int, int, int] | None = None) -> np.ndarray:
+    def pixels(self, window: tuple[int, int, int, int] | None = None, *,
+               edge: bool = False) -> np.ndarray:
         """Absolute (x, y) coordinates of set mask pixels, as floats; requires a
         mask.  With ``window`` (inclusive bounds, like ``bbox``) only the pixels
-        inside it, none when it misses the bbox."""
+        inside it, none when it misses the bbox.  With ``edge`` only those with
+        a 4-neighbour outside the (cropped) mask."""
         xn, yn, xx, yx = self.bbox
         if window is not None:
             xn, yn = max(xn, window[0]), max(yn, window[1])
@@ -86,7 +88,13 @@ class Region:
             if xn > xx or yn > yx:
                 return np.empty((0, 2))
         x0, y0 = self.bbox[0], self.bbox[1]
-        ys, xs = np.nonzero(self.mask[yn - y0 : yx - y0 + 1, xn - x0 : xx - x0 + 1])
+        mask = self.mask[yn - y0 : yx - y0 + 1, xn - x0 : xx - x0 + 1]
+        if edge:
+            inner = np.zeros_like(mask)
+            inner[1:-1, 1:-1] = (mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1]
+                                 & mask[1:-1, :-2] & mask[1:-1, 2:])
+            mask = mask & ~inner
+        ys, xs = np.nonzero(mask)
         return np.stack([xs + xn, ys + yn], axis=1).astype(float)
 
 
@@ -206,17 +214,27 @@ def _within(a: Region, b: Region, tau: float) -> bool:
 
     No pixel pair is closer than the bbox gap (the hypot of two integer
     offsets is their correctly rounded distance), so a gap beyond tau decides
-    at once.  Otherwise a pixel within tau of the other region lies inside that
-    region's bbox grown by floor(tau), so only those pixels are kept, and
-    their pairs are compared a fixed-size block at a time until one is within
-    tau: memory stays bounded however large the masks.
+    at once.  Otherwise a pixel within tau of the other region lies inside
+    that region's bbox grown by floor(tau), so only those pixels are kept.
+    When they make more than one block of pairs, only their edge pixels are
+    kept, unless the masks overlap (distance 0): a closest pixel of disjoint
+    masks has a 4-neighbour outside its own mask, since one step towards the
+    other pixel along an axis on which they differ would be strictly closer.
+    The pairs are compared a fixed-size block at a time until one is within
+    tau, so time goes with the perimeters and memory stays bounded however
+    large the masks.
     """
     gap = _bbox_gap(a.bbox, b.bbox)
     if gap > tau or a.mask is None or b.mask is None:
         return gap <= tau
     r = math.floor(tau)
-    pa = a.pixels((b.bbox[0] - r, b.bbox[1] - r, b.bbox[2] + r, b.bbox[3] + r))
-    pb = b.pixels((a.bbox[0] - r, a.bbox[1] - r, a.bbox[2] + r, a.bbox[3] + r))
+    near_b = (b.bbox[0] - r, b.bbox[1] - r, b.bbox[2] + r, b.bbox[3] + r)
+    near_a = (a.bbox[0] - r, a.bbox[1] - r, a.bbox[2] + r, a.bbox[3] + r)
+    pa, pb = a.pixels(near_b), b.pixels(near_a)
+    if len(pa) * len(pb) > _PAIR_BLOCK ** 2:
+        if _masks_overlap(a, b):
+            return True
+        pa, pb = a.pixels(near_b, edge=True), b.pixels(near_a, edge=True)
     for i in range(0, len(pa), _PAIR_BLOCK):
         for j in range(0, len(pb), _PAIR_BLOCK):
             d2 = ((pa[i:i + _PAIR_BLOCK, None, :] - pb[None, j:j + _PAIR_BLOCK, :]) ** 2

@@ -314,8 +314,10 @@ class DynamicModel:
     and one inter-frame relation node per consecutive pair.
 
     Valid by construction: InvalidNetworkError carries every diagnostic of
-    the fields and of the 2-frame :func:`window_spec`, whose presence nodes
-    are bound by the predicate (``bound node <feature>_i: ...``).
+    the fields, then of the template's rows and predicate, each once: they
+    are checked on a star with one presence node, bound by the predicate
+    (``bound node <feature>_0: ...``), and one relation node over it, which
+    is left out while the evaluator has no states.
     """
 
     hypothesis_id: str
@@ -340,31 +342,38 @@ class DynamicModel:
             diags.append("max_window must be >= 2")
         if self.delta <= 0:
             diags.append("match delta must be strictly positive")
-        if self.relation_evaluator in RELATION_STATES:  # else window_spec has no states for it
-            diags += network_diagnostics(window_spec(self, 2))
+        presence = f"{self.feature_id}_0"
+        relations = ([(f"{self.relation_id}_0_1", presence, presence)]
+                     if self.relation_evaluator in RELATION_STATES else [])
+        diags += network_diagnostics(_star_spec(self, [presence], relations))
         if diags:
             raise InvalidNetworkError(diags)
+
+
+def _star_spec(model: DynamicModel, presence: Sequence[str],
+               relations: Sequence[tuple[str, str, str]]) -> NetworkSpec:
+    """The model's hypothesis over the presence nodes ``presence``, each bound
+    by the model's predicate, and over relation nodes given as (id, input,
+    input)."""
+    nodes = [NodeSpec(model.hypothesis_id, "chance", tuple(model.hypothesis_states), (),
+                      (tuple(model.prior),))]
+    for fid in presence:
+        nodes.append(NodeSpec(fid, "chance", FEATURE_STATES, (model.hypothesis_id,),
+                              tuple(tuple(r) for r in model.feature_rows)))
+    for rid, a, b in relations:
+        nodes.append(NodeSpec(
+            rid, "relation", RELATION_STATES[model.relation_evaluator],
+            (model.hypothesis_id,), tuple(tuple(r) for r in model.relation_rows),
+            evaluator=model.relation_evaluator, inputs=(a, b), params=dict(model.params)))
+    return NetworkSpec(model.hypothesis_id, tuple(nodes), {fid: model.predicate for fid in presence})
 
 
 def window_spec(model: DynamicModel, k: int) -> NetworkSpec:
     """The tree for a k-frame window: hypothesis -> k presence nodes, each
     bound by the model's predicate, + k-1 relation nodes."""
-    nodes = [NodeSpec(model.hypothesis_id, "chance", tuple(model.hypothesis_states), (),
-                      (tuple(model.prior),))]
-    feature_ids = [f"{model.feature_id}_{i}" for i in range(k)]
-    for fid in feature_ids:
-        nodes.append(NodeSpec(fid, "chance", FEATURE_STATES, (model.hypothesis_id,),
-                              tuple(tuple(r) for r in model.feature_rows)))
-    rel_states = RELATION_STATES[model.relation_evaluator]
-    for i in range(k - 1):
-        nodes.append(NodeSpec(
-            f"{model.relation_id}_{i}_{i + 1}", "relation", rel_states,
-            (model.hypothesis_id,), tuple(tuple(r) for r in model.relation_rows),
-            evaluator=model.relation_evaluator,
-            inputs=(feature_ids[i], feature_ids[i + 1]),
-            params=dict(model.params)))
-    return NetworkSpec(model.hypothesis_id, tuple(nodes),
-                       {fid: model.predicate for fid in feature_ids})
+    presence = [f"{model.feature_id}_{i}" for i in range(k)]
+    return _star_spec(model, presence, [(f"{model.relation_id}_{i}_{i + 1}", presence[i],
+                                         presence[i + 1]) for i in range(k - 1)])
 
 
 def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int | None, *,
@@ -413,49 +422,23 @@ def _window_evidence(model: DynamicModel, bound: Sequence[Region | None],
 
 def dynamic_windows(model: DynamicModel, frames: Sequence[Frame], window: int | None = None, *,
                     tau: float | None = None, epsilon: float | None = None,
-                    delta: float | None = None) -> Iterator[tuple[Network, EvidenceSet]]:
-    """Every sliding window of ``frames`` as an explicit tree, in order of its
-    last frame: yields (net, evidence).
+                    delta: float | None = None,
+                    ) -> Iterator[tuple[Network, EvidenceSet, FrameBelief]]:
+    """Sliding-window dynamic recognition, in order of each window's last
+    frame: yields (net, evidence, belief).
 
     ``window`` defaults to the model's ``max_window`` and is clamped to the
     number of frames.  The model is checked once, all windows share one
-    Network, and each frame and consecutive pair is evaluated once.
+    Network (the window's tree, with ``evidence`` its clamping), and each
+    frame and consecutive pair is evaluated once.  No tree is propagated:
+    each window is a star under the hypothesis, so each child's log
+    λ-message is formed once per possible observation and
+    :func:`star_posteriors` combines them for all windows at once, bitwise
+    equal to :func:`propagate` on the window's tree.  If any window's
+    evidence is impossible, the first such window is run through its tree
+    before anything is yielded, so the error names its last frame and the
+    node where support vanished.
     """
-    k, net, bound, values = _evaluate_frames(model, frames, window,
-                                             tau=tau, epsilon=epsilon, delta=delta)
-    for start in range(len(frames) - k + 1):
-        yield net, _window_evidence(model, bound[start:start + k], values[start:start + k - 1])
-
-
-def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
-                         tau: float | None = None, epsilon: float | None = None,
-                         delta: float | None = None) -> tuple[Network, EvidenceSet]:
-    """Tree over one window: hypothesis -> per-frame presence nodes + relation nodes.
-
-    Presence nodes are observed present/absent from the frame's bound region;
-    a relation node is observed only when the bound regions of its two frames
-    match across frames, otherwise it stays unobserved.  This is the single
-    window of :func:`dynamic_windows` over exactly these frames.
-    """
-    return next(dynamic_windows(model, frames, len(frames),
-                                tau=tau, epsilon=epsilon, delta=delta))
-
-
-def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | None = None,
-                  tau: float | None = None, epsilon: float | None = None,
-                  delta: float | None = None) -> BeliefTrace:
-    """Sliding-window dynamic recognition; one entry per window, indexed by its
-    last frame.
-
-    The model is checked once per stream, and each frame and consecutive pair
-    is evaluated once.  No window tree is built: each is a star under the
-    hypothesis, so each child's log λ-message is formed once per possible
-    observation and :func:`star_posteriors` combines them for all windows at
-    once, bitwise equal to :func:`propagate` on the window's tree.  The first
-    window with impossible evidence is run through its tree, so the error
-    names the node where support vanished.
-    """
-    frames = stream.frames
     k, net, bound, values = _evaluate_frames(model, frames, window,
                                              tau=tau, epsilon=epsilon, delta=delta)
 
@@ -482,10 +465,36 @@ def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | Non
 
     names = [f"{model.feature_id}_{i}" for i in range(k)]
     ids = [r.id if r is not None else None for r in bound]
-    entries = tuple(FrameBelief(frames[start + k - 1].index, post, prior,
-                                dict(zip(names, ids[start:start + k])))
-                    for start, post in enumerate(posteriors))
-    return BeliefTrace(model.hypothesis_id, tuple(model.hypothesis_states), entries)
+    for start, post in enumerate(posteriors):
+        ev = _window_evidence(model, bound[start:start + k], values[start:start + k - 1])
+        yield net, ev, FrameBelief(frames[start + k - 1].index, post, prior,
+                                   dict(zip(names, ids[start:start + k])))
+
+
+def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
+                         tau: float | None = None, epsilon: float | None = None,
+                         delta: float | None = None) -> tuple[Network, EvidenceSet]:
+    """Tree over one window: hypothesis -> per-frame presence nodes + relation nodes.
+
+    Presence nodes are observed present/absent from the frame's bound region;
+    a relation node is observed only when the bound regions of its two frames
+    match across frames, otherwise it stays unobserved.  This is the network
+    and evidence of the single window of :func:`dynamic_windows` over exactly
+    these frames; nothing is propagated.
+    """
+    _, net, bound, values = _evaluate_frames(model, frames, len(frames),
+                                             tau=tau, epsilon=epsilon, delta=delta)
+    return net, _window_evidence(model, bound, values)
+
+
+def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | None = None,
+                  tau: float | None = None, epsilon: float | None = None,
+                  delta: float | None = None) -> BeliefTrace:
+    """Sliding-window dynamic recognition over a stream: the beliefs of
+    :func:`dynamic_windows`, one entry per window, indexed by its last frame."""
+    return BeliefTrace(model.hypothesis_id, tuple(model.hypothesis_states), tuple(
+        belief for _, _, belief in dynamic_windows(model, stream.frames, window,
+                                                   tau=tau, epsilon=epsilon, delta=delta)))
 
 
 # ---------------------------------------------------------------------------

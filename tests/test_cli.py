@@ -4,12 +4,21 @@ import shutil
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import pytest
 
 from beliefscope import cli, network, relational, temporal
-from beliefscope.endoscopy import builtin_model
+from beliefscope.endoscopy import builtin_model, generate_stream
 from beliefscope.propagation import Beliefs
-from beliefscope.temporal import dynamic_to_document, semi_static_to_document
+from beliefscope.temporal import (
+    Frame,
+    FrameStream,
+    build_dynamic_window,
+    dynamic_to_document,
+    semi_static_to_document,
+    stream_to_jsonl,
+)
 
 
 TWO_NODE_DOC = {
@@ -112,7 +121,21 @@ class TestValidate:
         assert err.splitlines() == [
             "dynamic relation evaluator must be static or distance, got 'adjacent'",
             "node spot_0: row sum 1.1 != 1 (row 0)",
-            "node spot_1: row sum 1.1 != 1 (row 0)",
+        ]
+
+    def test_unknown_dynamic_evaluator_keeps_the_other_diagnostics(self, capsys, tmp_path):
+        doc = dynamic_to_document(builtin_model("dirty_lens").model)
+        doc["relation"]["evaluator"] = "above"
+        doc["feature"]["cpt"][0] = [0.9, 0.2]
+        doc["feature"]["bind"]["colour_class"] = "maroon"
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "dynamic relation evaluator must be static or distance, got 'above'",
+            "node spot_0: row sum 1.1 != 1 (row 0)",
+            "bound node spot_0: unknown colour class 'maroon'",
         ]
 
 
@@ -435,6 +458,90 @@ class TestCheck:
                            "--scene", evidence_file)
         assert code == 4
         assert "oracle mismatch" in err
+
+
+def spot_stream_file(tmp_path, n=40):
+    """A dirty-lens stream whose windows repeat a few evidence sets: the spot
+    drops out every 7th frame and jumps 5 px (matched, not static) every 5th."""
+    spot = generate_stream("static_spot", 1, seed=7).frames[0].regions[0]
+    frames = []
+    for i in range(n):
+        regions = () if i % 7 == 3 else (
+            replace(spot, centroid=(spot.centroid[0] + 5 * (i % 5 == 4), spot.centroid[1])),)
+        frames.append(Frame(i, round(i * 0.04, 6), regions))
+    stream = FrameStream(tuple(frames), 0.04)
+    path = tmp_path / "stream.jsonl"
+    path.write_text(stream_to_jsonl(stream))
+    return stream, str(path)
+
+
+class TestCheckRoutes:
+    def test_each_distinct_window_is_compared_once(self, capsys, monkeypatch, tmp_path):
+        model = builtin_model("dirty_lens").model
+        stream, path = spot_stream_file(tmp_path)
+        frames = stream.frames
+        distinct = {frozenset(build_dynamic_window(model, frames[end - 2:end + 1])[1]
+                              .assignments.items()) for end in range(2, len(frames))}
+        assert 1 < len(distinct) < len(frames) - 2
+        calls = {"propagate": 0, "brute_force_beliefs": 0, "select_region": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "propagate")
+        counted(cli, "brute_force_beliefs")
+        counted(temporal, "select_region")
+        code, out, _ = run(capsys, "check", "--model", "dirty_lens", "--stream", path,
+                           "--window", "3")
+        assert code == 0
+        assert out.endswith(f" over {len(frames) - 2} network(s)\n")
+        assert calls == {"propagate": len(distinct), "brute_force_beliefs": len(distinct),
+                         "select_region": len(frames)}
+
+    def test_skewed_star_route_exits_4(self, capsys, monkeypatch, tmp_path):
+        _, path = spot_stream_file(tmp_path)
+        real = temporal.star_posteriors
+
+        def skewed(prior, children):
+            posteriors, possible = real(prior, children)
+            return posteriors + 1e-6, possible
+
+        monkeypatch.setattr(temporal, "star_posteriors", skewed)
+        code, out, err = run(capsys, "check", "--model", "dirty_lens", "--stream", path)
+        assert code == 4
+        assert out.startswith("max |propagate - enumeration| = 1e-06 over 36 network(s)")
+        assert "oracle mismatch" in err
+
+    def test_skewed_semi_static_route_exits_4(self, capsys, monkeypatch):
+        real = temporal.root_posterior
+        monkeypatch.setattr(temporal, "root_posterior",
+                            lambda inet, prior: real(inet, prior) + 1e-6)
+        code, out, err = run(capsys, "check", "--model", "lumen_tracker",
+                             "--scenario", "surround_scene", "--frames", "4")
+        assert code == 4
+        assert out.startswith("max |propagate - enumeration| = 1e-06 over 4 network(s)")
+        assert "oracle mismatch" in err
+
+    def test_impossible_window_names_its_frame_like_track(self, capsys, tmp_path):
+        model = replace(builtin_model("dirty_lens").model,
+                        feature_rows=((0.0, 1.0), (0.0, 1.0)))
+        spot = generate_stream("static_spot", 1, seed=7).frames[0].regions
+        frames = tuple(Frame(i, round(i * 0.04, 6), spot if i in (3, 4) else ())
+                       for i in range(6))
+        model_path, stream_path = tmp_path / "model.json", tmp_path / "stream.jsonl"
+        model_path.write_text(json.dumps(dynamic_to_document(model)))
+        stream_path.write_text(stream_to_jsonl(FrameStream(frames, 0.04)))
+        message = "frame 3: impossible evidence: support vanished at node 'spot_2'\n"
+        for command in ("track", "check"):
+            code, out, err = run(capsys, command, "--spec", str(model_path),
+                                 "--stream", str(stream_path), "--window", "3")
+            assert (code, out, err) == (3, "", message), command
 
 
 def launcher():

@@ -268,6 +268,47 @@ class TestAdjacency:
         assert peak < 16 * 2**20
 
 
+def triangle_pair(n, crack):
+    """Two right triangles in one n x n box, across a diagonal crack ``crack``
+    pixel diagonals wide: their bboxes overlap almost entirely, their masks
+    never do, and their closest pixels lie on the crack."""
+    ys, xs = np.mgrid[0:n, 0:n]
+    lower = xs + ys <= n - 1
+    upper = (xs + ys >= n - 1 + crack)[crack:, crack:]
+    return (Region("a", "dark", (n / 3, n / 3), int(lower.sum()), (0, 0, n - 1, n - 1),
+                   mask=lower),
+            Region("b", "bright", (2 * n / 3, 2 * n / 3), int(upper.sum()),
+                   (crack, crack, n - 1, n - 1), mask=upper))
+
+
+class TestAdjacencyEdges:
+    @pytest.mark.parametrize("tau, want", [(4.0, "holds_not"), (math.sqrt(18), "holds")])
+    def test_disjoint_masks_compare_only_their_edges(self, monkeypatch, tau, want):
+        n = 60
+        a, b = triangle_pair(n, 6)
+        assert dense_min_distance(a, b) == math.sqrt(18)
+        compared = []
+        real = Region.pixels
+
+        def counted(self, *args, **kwargs):
+            out = real(self, *args, **kwargs)
+            if kwargs.get("edge"):
+                compared.append(len(out))
+            return out
+
+        monkeypatch.setattr(Region, "pixels", counted)
+        assert eval_relation("adjacent", a, b, tau=tau) == want
+        assert eval_relation("adjacent", b, a, tau=tau) == want
+        # each triangle's edge is its two legs and the crack's staircase
+        assert len(compared) == 4 and max(compared) <= 3 * n
+
+    def test_edge_pixels_of_a_solid_square_are_its_border(self):
+        edge = square_region("a", 0, 0, 5).pixels(edge=True)
+        assert np.array_equal(edge, ring_region().pixels())
+        # the window's own border counts as edge: the crop is all that is compared
+        assert len(square_region("a", 0, 0, 5).pixels((0, 0, 2, 4), edge=True)) == 3 * 5 - 3
+
+
 class TestRelationalize:
     def test_diverticulum_scene(self):
         spec = builtin_model("diverticulum").model

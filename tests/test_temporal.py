@@ -521,8 +521,17 @@ class TestDynamicWindow:
             "node h: row sum 1.4 != 1 (row 0)",
             "bound node s_0: unknown colour class 'maroon'",
             "bound node s_0: unknown predicate attribute 'area'",
-            "bound node s_1: unknown colour class 'maroon'",
-            "bound node s_1: unknown predicate attribute 'area'",
+        ]
+
+    def test_dynamic_model_reports_each_row_once(self):
+        with pytest.raises(InvalidNetworkError) as err:
+            DynamicModel("h", ("present", "absent"), (0.5, 0.5), "s",
+                         ((0.9, 0.2), (0.2, 0.8)), {"colour_class": "dark"},
+                         "r", "distance", ((0.8, 0.2), (1.5, 0.8)), params={"tau": -1.0})
+        assert err.value.diagnostics == [
+            "node s_0: row sum 1.1 != 1 (row 0)",
+            "node r_0_1: cpt entry 1.5 outside [0,1] (row 1)",
+            "relation node r_0_1: param 'tau' must be strictly positive",
         ]
 
 
