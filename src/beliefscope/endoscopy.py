@@ -117,31 +117,22 @@ def _bend(d: Mapping[str, float]) -> NetworkSpec:
 
 
 def _lumen_tracker(d: Mapping[str, float]) -> TemporalModel:
-    p = d["hypothesis_prior"]
-    nodes = (
-        NodeSpec("lumen", "chance", ("lumen", "not_lumen"), (), ((p, _one_minus(p)),)),
-        _feature("dark_region", "lumen", d),
-    )
+    nodes = (_hypothesis("lumen", ("lumen", "not_lumen"), d), _feature("dark_region", "lumen", d))
     spec = NetworkSpec("lumen", nodes, {"dark_region": {"colour_class": "dark"}})
     t = d["transition_persist"]
     u = _one_minus(t)
     return TemporalModel(spec, np.array([[t, u], [u, t]]), mode="paper")
 
 
+def _static_template(hypothesis: str, feature: str, colours, d: Mapping[str, float], **params) -> DynamicModel:
+    """A window template over one feature bound by ``colours`` and whether it stays put."""
+    prior = _hypothesis(hypothesis, HYPOTHESIS_STATES, d).rows[0]
+    return DynamicModel(hypothesis, HYPOTHESIS_STATES, prior, feature, _feature(feature, hypothesis, d).rows,
+                        {"colour_class": colours}, "static_relation", "static", _relation_rows(d), params)
+
+
 def _dirty_lens(d: Mapping[str, float]) -> DynamicModel:
-    p = d["hypothesis_prior"]
-    return DynamicModel(
-        hypothesis_id="dirty_lens",
-        hypothesis_states=HYPOTHESIS_STATES,
-        prior=(p, _one_minus(p)),
-        feature_id="spot",
-        feature_rows=_binary_rows(d["feature_given_present"], d["feature_given_absent"]),
-        predicate={"colour_class": ("yellow", "green", "brown")},
-        relation_id="static_relation",
-        relation_evaluator="static",
-        relation_rows=_relation_rows(d),
-        params={"epsilon": 2.0},
-    )
+    return _static_template("dirty_lens", "spot", ("yellow", "green", "brown"), d, epsilon=2.0)
 
 
 _BUILDERS = {
@@ -292,18 +283,8 @@ def compile_rule(text: str, defaults: Mapping[str, float] | None = None) -> Mode
             raise RuleSyntaxError("a rule cannot combine a spatial relation with STATIC",
                                   len(text))
         colours, noun = first
-        p = d["hypothesis_prior"]
-        return DynamicModel(
-            hypothesis_id=hypothesis,
-            hypothesis_states=HYPOTHESIS_STATES,
-            prior=(p, _one_minus(p)),
-            feature_id=_feature_node_id(colours, noun),
-            feature_rows=_binary_rows(d["feature_given_present"], d["feature_given_absent"]),
-            predicate={"colour_class": colours if len(colours) > 1 else colours[0]},
-            relation_id="static_relation",
-            relation_evaluator="static",
-            relation_rows=_relation_rows(d),
-        )
+        return _static_template(hypothesis, _feature_node_id(colours, noun),
+                                colours if len(colours) > 1 else colours[0], d)
 
     features = [first] + ([second] if second is not None else [])
     nodes = [_hypothesis(hypothesis, HYPOTHESIS_STATES, d)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -131,13 +132,14 @@ class Network:
     nodes: tuple[Node, ...]
     by_id: Mapping[str, Node]
     children: Mapping[str, tuple[str, ...]]
+    memo: dict = field(default_factory=dict, repr=False)  # derived data, filled on first use
 
     def node(self, node_id: str) -> Node:
         return self.by_id[node_id]
 
     def with_root_prior(self, prior) -> "Network":
-        """Copy of this network with the root's prior replaced, renormalised
-        like every row :func:`validate_network` loads."""
+        """Copy of this network with the root's prior replaced, renormalised like every row
+        :func:`validate_network` loads.  It shares ``memo``, which never holds that row."""
         root = replace(self.by_id[self.root], cpt=normalised_rows([prior]))
         return replace(self, nodes=tuple(root if n.id == self.root else n for n in self.nodes),
                        by_id={**self.by_id, self.root: root})
@@ -362,6 +364,7 @@ def network_diagnostics(spec: NetworkSpec) -> list[str]:
     diags: list[str] = []
     by_id = {n.id: n for n in spec.nodes}
 
+    diags += [f"duplicate node id '{nid}'" for nid, k in Counter(n.id for n in spec.nodes).items() if k > 1]
     for n in spec.nodes:
         if len(n.states) < 2:
             diags.append(f"node {n.id}: fewer than 2 states")
@@ -441,6 +444,11 @@ def relational_diagnostics(spec: NetworkSpec) -> list[str]:
             other = by_id.get(i)
             if other is None or other.kind != "chance" or i in parents:
                 diags.append(f"relation node {n.id}: input '{i}' is not a feature (leaf) node")
+        # inputs admitting the same colour classes bind the same region
+        preds = [_colour_classes(spec.bind[i]) if i in spec.bind else None for i in n.inputs]
+        if n.evaluator == "static" and None not in preds and preds[1:] != preds[:-1]:
+            names = " and ".join(f"'{i}'" for i in n.inputs)
+            diags.append(f"relation node {n.id}: static inputs {names} are bound by different predicates")
         if set(n.states) != set(want):
             diags.append(
                 f"relation node {n.id}: states must be {{{', '.join(want)}}} for evaluator '{n.evaluator}'")
@@ -465,6 +473,12 @@ def relational_diagnostics(spec: NetworkSpec) -> list[str]:
                 if v not in COLOUR_CLASSES:
                     diags.append(f"bound node {fid}: unknown colour class '{v}'")
     return diags
+
+
+def _colour_classes(pred: Mapping[str, Any]) -> frozenset[str]:
+    """The colour classes a predicate admits, its only attribute: all when it names none."""
+    want = pred.get("colour_class", COLOUR_CLASSES)
+    return frozenset(want if isinstance(want, (tuple, list)) else (want,))
 
 
 def normalised_rows(rows) -> np.ndarray:

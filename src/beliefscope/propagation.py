@@ -1,13 +1,15 @@
 """Exact posteriors on tree networks.
 
-Two routes with identical contracts: two-pass message passing (upward
-likelihood, downward prior) and a joint-enumeration oracle that materialises
-the full joint table.  The oracle exists to verify the fast path and is kept
-algorithmically independent of it.
+One upward kernel, :func:`upward`, computes every node's likelihood (λ) for a
+batch of observation rows.  :func:`propagate` runs it on one row and adds the
+downward (prior) pass; ``track`` runs it on every frame or window of a stream
+and takes each hypothesis posterior from :func:`posterior`.  A joint-enumeration
+oracle verifies this path and is kept algorithmically independent of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -47,169 +49,149 @@ class Beliefs:
         }
 
 
-def _topological(net: Network) -> list[str]:
+@functools.cache
+def _own_evidence(s: int) -> np.ndarray:
+    """An s-state node's λ from its own evidence by code: state i observed, or uniform at -1."""
+    table = np.vstack([np.eye(s), np.full((1, s), 1.0 / s)])
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _messages(lams: np.ndarray, cpts: np.ndarray) -> np.ndarray:
+    """Normalised log λ-messages (g, n, s) of children with CPTs (g, s, size) and λ (g, n, size):
+    products summed over the child's states, never matrix products, whose rounding changes with n."""
+    msg = (lams[:, :, None, :] * cpts[:, None]).sum(axis=-1)
+    return np.log(msg / msg.sum(axis=-1, keepdims=True))
+
+
+def _plan(net: Network) -> tuple[list[str], dict[str, int], list]:
+    """What :func:`upward` takes from the network alone, kept in ``net.memo``: the breadth-first
+    order, node columns, and per parent (or lone root) its children grouped by state count; a
+    leaf's message depends only on its code, so leaf groups keep it for every code."""
+    if "upward" in net.memo:
+        return net.memo["upward"]
     order = [net.root]
-    i = 0
-    while i < len(order):
-        order.extend(net.children[order[i]])
-        i += 1
-    return order
-
-
-def _indicators(inet: InstantiatedNetwork) -> dict[str, np.ndarray]:
-    out = {}
-    for nid, label in inet.observed.items():
-        node = inet.net.node(nid)
-        vec = np.zeros(len(node.states))
-        vec[node.state_index(label)] = 1.0
-        out[nid] = vec
-    return out
-
-
-def _log_message(cpt: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
-    """A child's normalised log λ-message to its parent, from the child's CPT
-    and λ; None when the child's evidence has probability zero under every
-    parent state.  Callers ignore numpy's divide warning for log(0)."""
-    msg = cpt @ lam
-    total = msg.sum()
-    if total <= 0.0:
-        return None
-    return np.log(msg / total)
-
-
-def leaf_messages(cpt: np.ndarray) -> np.ndarray:
-    """The log λ-message of a leaf child with this CPT for every observation:
-    row i for state i observed, the last row for unobserved.  An observation
-    of probability zero gets a NaN row."""
-    n_parent, n = cpt.shape
-    rows = []
-    with np.errstate(divide="ignore"):
-        for lam in [*np.eye(n), np.full(n, 1.0 / n)]:
-            msg = _log_message(cpt, lam)
-            rows.append(np.full(n_parent, np.nan) if msg is None else msg)
-    return np.array(rows)
-
-
-def star_posteriors(prior: np.ndarray, children: Sequence[np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Root posteriors of many stars at once, with the arithmetic of :func:`propagate`.
-
-    Every star has an unobserved root with ``prior`` and only leaf children;
-    ``children[j]`` holds child j's log λ-message for every star, shape
-    (n_stars, s), in the root's child order.  The rows are added in that
-    order, the same additions as propagate's cumsum.  Returns the posteriors
-    and a mask of the stars on which propagate would not raise
-    ImpossibleEvidenceError (no NaN message, some finite λ, nonzero belief);
-    rows outside the mask are meaningless.
-    """
-    log_lam = children[0].copy()
-    for rows in children[1:]:
-        log_lam += rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        top = log_lam.max(axis=1, keepdims=True)
-        vec = np.exp(log_lam - top)
-        bel = prior * (vec / vec.sum(axis=1, keepdims=True))
-        total = bel.sum(axis=1, keepdims=True)
-        posteriors = bel / total
-    # NaN compares False, so a NaN message also lands outside the mask
-    possible = (top[:, 0] > -np.inf) & (total[:, 0] > 0.0)
-    return posteriors, possible
-
-
-def _upward(net: Network, indicator: Mapping[str, np.ndarray]
-            ) -> tuple[dict[str, np.ndarray], dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """The upward pass of :func:`propagate`: every node's normalised λ, and
-    for every parent its children's stacked log λ-messages with their
-    exclusive prefix sums.  The root's prior is never read.  Callers ignore
-    numpy's divide warning for log(0)."""
-    lam: dict[str, np.ndarray] = {}
-    log_msg: dict[str, np.ndarray] = {}
-    fan_in: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for nid in reversed(_topological(net)):
-        node = net.node(nid)
-        own = indicator.get(nid)
+    for nid in order:
+        order.extend(net.children[nid])
+    column = {node.id: j for j, node in enumerate(net.nodes)}
+    steps = []
+    for nid in reversed([nid for nid in order if net.children[nid]] or order):  # or a lone root
         kids = net.children[nid]
-        if kids:
-            rows = np.array([log_msg[c] for c in kids])
-            prefix = np.zeros((len(kids) + 1, rows.shape[1]))
+        groups: dict[tuple[int, bool], list[int]] = {}
+        for j, child in enumerate(kids):
+            groups.setdefault((len(net.by_id[child].states), not net.children[child]), []).append(j)
+        leaves, inner = [], []
+        for (size, leaf), slots in groups.items():
+            ids = [kids[j] for j in slots]
+            cpts = np.array([net.by_id[c].cpt for c in ids])
+            if leaf:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    table = _messages(_own_evidence(size)[None], cpts)
+                leaves.append((slots, ids, [column[c] for c in ids], size,
+                               table.reshape(-1, table.shape[-1]), (size + 1) * np.arange(len(ids))[:, None]))
+            else:
+                inner.append((slots, ids, cpts))
+        steps.append((nid, len(net.by_id[nid].states), len(kids), leaves, inner))
+    net.memo["upward"] = order, column, steps
+    return net.memo["upward"]
+
+
+def observation_codes(net: Network, observed: Sequence[Mapping[str, str]]) -> np.ndarray:
+    """Observation rows for :func:`upward`, one per mapping of node ids to observed labels."""
+    column = _plan(net)[1]
+    codes = np.full((len(observed), len(net.nodes)), -1, dtype=np.intp)
+    for row, assignments in zip(codes, observed):
+        for nid, label in assignments.items():
+            row[column[nid]] = net.by_id[nid].state_index(label)
+    return codes
+
+
+def upward(net: Network, codes: np.ndarray) -> tuple[dict, dict, tuple[int, str] | None]:
+    """The upward (likelihood) pass over a batch of observation rows.
+
+    ``codes`` (:func:`observation_codes`) has a row per observation set and a column per
+    node of ``net.nodes``: the observed state's index, or -1.  Returns every node's
+    normalised λ, shape (n, s); per parent its children's log λ-messages (:func:`_messages`),
+    shape (k, n, s), with their exclusive prefix sums; and the first row whose support
+    vanished with the node where it did, or None.  The root's prior is never read, and a
+    row is bitwise equal to its batch of one.  Only vanished support makes a NaN.
+    """
+    order, column, steps = _plan(net)
+    lam: dict[str, np.ndarray] = {}
+    fan_in: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for nid, s, k, leaves, inner in steps:  # each leaf's λ is formed with its siblings'
+            own = np.take(_own_evidence(s), codes[:, column[nid]], axis=0)
+            rows = np.empty((k, len(codes), s))
+            for slots, ids, cols, size, table, offsets in leaves:
+                code = codes[:, cols].T  # np.take gathers rows far faster than fancy indexing
+                lam.update(zip(ids, np.take(_own_evidence(size), code, axis=0)))
+                rows[slots] = np.take(table, code + offsets, axis=0)
+            for slots, ids, cpts in inner:
+                rows[slots] = _messages(np.array([lam[c] for c in ids]), cpts)
+            prefix = np.zeros((len(rows) + 1, len(codes), s))
             rows.cumsum(axis=0, out=prefix[1:])
             fan_in[nid] = rows, prefix
-            log_lam = prefix[-1] if own is None else prefix[-1] + np.log(own)
-            top = log_lam.max()
-            if top == -np.inf:
-                raise ImpossibleEvidenceError(nid)
-            vec = np.exp(log_lam - top)
-            lam[nid] = vec / vec.sum()
-        else:
-            lam[nid] = np.full(len(node.states), 1.0 / len(node.states)) if own is None else own
-        if nid != net.root:
-            msg = _log_message(node.cpt, lam[nid])
-            if msg is None:
-                raise ImpossibleEvidenceError(nid)
-            log_msg[nid] = msg
-    return lam, fan_in
+            log_lam = np.where(own == 0, -np.inf, prefix[-1])  # observed: other states ruled out
+            vec = np.exp(log_lam - log_lam.max(axis=-1, keepdims=True))
+            lam[nid] = vec / vec.sum(axis=-1, keepdims=True)
+    if not np.isnan(lam[net.root]).any():
+        return lam, fan_in, None
+    row = int(np.isnan(lam[net.root]).any(axis=-1).argmax())
+    # the first node with a NaN λ-message there in reversed breadth-first order, else the root
+    for parent in reversed(order):
+        if parent in fan_in:
+            nan = np.isnan(fan_in[parent][0][::-1, row]).any(axis=-1)
+            if nan.any():
+                return lam, fan_in, (row, net.children[parent][::-1][int(nan.argmax())])
+    return lam, fan_in, (row, net.root)
 
 
-def _belief(nid: str, pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    bel = pi * lam
-    total = bel.sum()
-    if total <= 0.0:
-        raise ImpossibleEvidenceError(nid)
-    return bel / total
-
-
-def root_posterior(inet: InstantiatedNetwork, prior) -> np.ndarray:
-    """The root's posterior when its prior row is ``prior`` (normalised here,
-    as :func:`~beliefscope.network.validate_network` would): :func:`propagate`'s
-    upward pass and root belief alone, bitwise equal to its root marginal on
-    the tree with that prior.  λ at the root does not depend on the root's
-    prior, so one validated network serves every prior.
-
-    Raises ImpossibleEvidenceError at the same node as propagate.
-    """
-    prior = np.asarray(prior, dtype=float)
-    with np.errstate(divide="ignore"):
-        lam, _ = _upward(inet.net, _indicators(inet))
-    return _belief(inet.net.root, prior / prior.sum(), lam[inet.net.root])
+def posterior(prior: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Prior (π) times likelihood (λ), normalised over the last axis; zero mass gives NaN."""
+    bel = prior * lam
+    with np.errstate(invalid="ignore"):
+        return bel / bel.sum(axis=-1, keepdims=True)
 
 
 def propagate(inet: InstantiatedNetwork) -> Beliefs:
     """Exact per-node posteriors given all evidence, in time linear in the nodes.
 
-    Upward pass collects likelihood messages from the leaves, downward pass
-    distributes prior messages from the root; each node's posterior is the
-    normalised product of the two.  Fan-in is combined in the log domain: the
-    normalised log λ-messages of a node's k children form one (k, s) array.
-    Its column sum gives the node's λ, and its exclusive prefix and suffix
-    sums give all k "every sibling but one" π messages at once.  Log-messages
-    are only added, never subtracted, so a structural zero stays an exact
-    -inf.  Every combined message is max-shifted before it leaves the log
-    domain and is then renormalised, so neither wide fan-in nor long chains
-    can underflow (posteriors are invariant to this).
+    The upward pass (:func:`upward` on one observation row) collects
+    likelihood messages from the leaves, the downward pass distributes prior
+    messages from the root; each node's posterior is the normalised product
+    of the two.  Fan-in is combined in the log domain: the column sum of a
+    node's k stacked child log λ-messages is its λ, and their exclusive
+    prefix and suffix sums give all k "every sibling but one" π messages.
+    Log-messages are only added, so a structural zero stays an exact -inf,
+    and every combined message is max-shifted before it leaves the log
+    domain, so neither wide fan-in nor long chains can underflow.
 
     Raises ImpossibleEvidenceError, naming the node where support vanished,
     when the evidence has probability zero under the model.
     """
     net = inet.net
-    indicator = _indicators(inet)
+    lam, fan_in, vanished = upward(net, observation_codes(net, [inet.observed]))
+    if vanished is not None:
+        raise ImpossibleEvidenceError(vanished[1])
 
     with np.errstate(divide="ignore"):
-        lam, fan_in = _upward(net, indicator)
-
         pi: dict[str, np.ndarray] = {net.root: net.node(net.root).cpt[0]}
         marginals: dict[str, np.ndarray] = {}
-        for nid in _topological(net):
-            marginals[nid] = _belief(nid, pi[nid], lam[nid])
-
+        for nid in _plan(net)[0]:
+            bel = pi[nid] * lam[nid][0]
+            total = bel.sum()
+            if total <= 0.0:
+                raise ImpossibleEvidenceError(nid)
+            marginals[nid] = bel / total
             if nid not in fan_in:
                 continue
-            rows, prefix = fan_in[nid]
+            rows, prefix = (stack[:, 0] for stack in fan_in[nid])
             suffix = np.zeros(prefix.shape)
             rows[::-1].cumsum(axis=0, out=suffix[1:])
             log_base = np.log(pi[nid])
-            own = indicator.get(nid)
-            if own is not None:
-                log_base += np.log(own)
+            if nid in inet.observed:  # an observed node rules out its other states
+                log_base[np.array(net.node(nid).states) != inet.observed[nid]] = -np.inf
             # Row i excludes child i.  Some state has pi > 0 and lam > 0 here,
             # so no row is all -inf and no further impossibility check is needed.
             excluded = log_base + prefix[:-1] + suffix[-2::-1]

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BeliefscopeError,
@@ -43,7 +45,7 @@ from .network import (
     strict_int,
     validate_network,
 )
-from .propagation import leaf_messages, propagate, root_posterior, sig10, star_posteriors
+from .propagation import observation_codes, posterior, sig10, upward
 from .relational import (
     DEFAULT_EPSILON,
     DEFAULT_TAU,
@@ -237,10 +239,11 @@ def filter_frames(model: TemporalModel, stream: FrameStream, *,
     Frame 0 uses the static prior; every later frame replaces the hypothesis
     prior with :func:`semi_static_prior` over the previous posterior.  All
     frames share one Network; ``net.with_root_prior(belief.effective_prior)``
-    is a frame's own tree.  Each frame only binds its regions, evaluates its
-    relations and runs the upward pass: the posterior is the effective prior
-    times λ at the hypothesis, normalised (:func:`root_posterior`), bitwise
-    equal to :func:`propagate` on that tree.
+    is a frame's own tree.  This is the scaled forward algorithm: λ at the
+    hypothesis does not depend on its prior, so one ``upward`` call gives it
+    for all frames and the scan carries k-vectors through ``posterior``,
+    bitwise equal to ``propagate`` on each frame's tree.  Errors come in
+    stream order.
     """
     if not stream.frames:
         raise StreamValidationError("stream is empty")
@@ -248,20 +251,29 @@ def filter_frames(model: TemporalModel, stream: FrameStream, *,
     net = validate_network(spec)
     static_prior = net.node(spec.root).cpt[0]
 
-    prev: np.ndarray | None = None
+    evidence, failure = [], None
     for frame in stream.frames:
-        if prev is None:
-            eff = static_prior
-        else:
-            eff = semi_static_prior(static_prior, model.transition, prev, model.mode)
-        bound = bind_features(spec, frame.regions)
         try:
+            bound = bind_features(spec, frame.regions)
             ev = relation_evidence(spec, bound, tau=tau, epsilon=epsilon)
-            post = root_posterior(apply_evidence(net, ev), eff)
-        except BeliefscopeError as exc:
-            raise FrameInferenceError(frame.index, exc) from exc
-        yield net, ev, FrameBelief(frame.index, post, eff,
-                                   {f: (r.id if r is not None else None) for f, r in bound.items()})
+            evidence.append((ev, apply_evidence(net, ev).observed, {f: r and r.id for f, r in bound.items()}))
+        except (BeliefscopeError, ValueError) as exc:  # raised when the scan gets here
+            failure = FrameInferenceError(frame.index, exc) if isinstance(exc, BeliefscopeError) else exc
+            break
+    lam, _, vanished = upward(net, observation_codes(net, [observed for _, observed, _ in evidence]))
+
+    prev: np.ndarray | None = None
+    for i, frame in enumerate(stream.frames):
+        eff = (static_prior if prev is None
+               else semi_static_prior(static_prior, model.transition, prev, model.mode))
+        if i == len(evidence):
+            raise failure
+        post = posterior(eff / eff.sum(), lam[spec.root][i])
+        if np.isnan(post[0]):
+            node = vanished[1] if vanished is not None and vanished[0] == i else spec.root
+            raise FrameInferenceError(frame.index, ImpossibleEvidenceError(node))
+        ev, _, bindings = evidence[i]
+        yield net, ev, FrameBelief(frame.index, post, eff, bindings)
         prev = post
 
 
@@ -317,7 +329,8 @@ class DynamicModel:
     the fields, then of the template's rows and predicate, each once: they
     are checked on a star with one presence node, bound by the predicate
     (``bound node <feature>_0: ...``), and one relation node over it, which
-    is left out while the evaluator has no states.
+    is left out while the evaluator has no states.  Node ids must differ in
+    every window of up to ``max_window`` frames.
     """
 
     hypothesis_id: str
@@ -346,8 +359,24 @@ class DynamicModel:
         relations = ([(f"{self.relation_id}_0_1", presence, presence)]
                      if self.relation_evaluator in RELATION_STATES else [])
         diags += network_diagnostics(_star_spec(self, [presence], relations))
+        # Windows of k frames hold the hypothesis, F_i (i < k) and R_j_(j+1) (j + 1 < k); no two F_i
+        # or R_j_(j+1) are equal, so ids are shared only if the hypothesis is one of them or F is some R_j.
+        k, hyp, fid, rid = self.max_window, self.hypothesis_id, self.feature_id, self.relation_id
+        j, f = _window_index(hyp.rpartition("_")[0], rid, k - 1), _window_index(fid, rid, k - 1)
+        shared = [hyp] if (_window_index(hyp, fid, k) is not None
+                           or j is not None and hyp.endswith(f"_{j + 1}")) else []
+        shared += [f"{fid}_{f + 1}"] if f is not None else []  # equal to R_f_(f+1)
+        diags += [d for d in dict.fromkeys(f"duplicate node id '{nid}'" for nid in shared)
+                  if d not in diags]
         if diags:
             raise InvalidNetworkError(diags)
+
+
+def _window_index(nid: str, prefix: str, limit: int) -> int | None:
+    """i when ``nid`` is ``f"{prefix}_{i}"`` for some 0 <= i < limit, else None."""
+    m = re.fullmatch(re.escape(prefix) + "_(0|[1-9][0-9]*)", nid)
+    # an index with more digits than limit is not below it, and is never converted
+    return int(m[1]) if m and len(m[1]) <= len(str(limit)) and int(m[1]) < limit else None
 
 
 def _star_spec(model: DynamicModel, presence: Sequence[str],
@@ -428,40 +457,31 @@ def dynamic_windows(model: DynamicModel, frames: Sequence[Frame], window: int | 
     frame: yields (net, evidence, belief).
 
     ``window`` defaults to the model's ``max_window`` and is clamped to the
-    number of frames.  The model is checked once, all windows share one
-    Network (the window's tree, with ``evidence`` its clamping), and each
-    frame and consecutive pair is evaluated once.  No tree is propagated:
-    each window is a star under the hypothesis, so each child's log
-    λ-message is formed once per possible observation and
-    :func:`star_posteriors` combines them for all windows at once, bitwise
-    equal to :func:`propagate` on the window's tree.  If any window's
-    evidence is impossible, the first such window is run through its tree
-    before anything is yielded, so the error names its last frame and the
-    node where support vanished.
+    number of frames.  All windows share one Network (the window's tree, with
+    ``evidence`` its clamping); each frame and consecutive pair is evaluated
+    once, and one ``upward`` call over slices of their codes gives every
+    posterior, bitwise equal to ``propagate`` on the window's tree.  If any
+    window is impossible, nothing is yielded: the error names the first such
+    window's last frame and where support vanished.
     """
     k, net, bound, values = _evaluate_frames(model, frames, window,
                                              tau=tau, epsilon=epsilon, delta=delta)
 
     feature = net.node(f"{model.feature_id}_0")
     relation = net.node(f"{model.relation_id}_0_1")
-    unobserved = len(relation.states)
-    frame_msgs = leaf_messages(feature.cpt)[
-        [feature.state_index(PRESENT if r is not None else ABSENT) for r in bound]]
-    pair_msgs = leaf_messages(relation.cpt)[
-        [relation.state_index(v) if v is not None else unobserved for v in values]]
-    n = len(frames) - k + 1
-    # propagate's child order: presence nodes 0..k-1, then relation nodes
-    children = ([frame_msgs[i:i + n] for i in range(k)]
-                + [pair_msgs[i:i + n] for i in range(k - 1)])
+    frame_codes = np.array([feature.state_index(ABSENT if r is None else PRESENT) for r in bound])
+    pair_codes = np.array([relation.state_index(v) if v is not None else -1 for v in values])
+    # columns in window_spec's node order: hypothesis, presence nodes, relation nodes
+    codes = np.hstack([np.full((len(frames) - k + 1, 1), -1), sliding_window_view(frame_codes, k),
+                       sliding_window_view(pair_codes, k - 1)])
+    lam, _, vanished = upward(net, codes)
     prior = net.node(model.hypothesis_id).cpt[0]
-    posteriors, possible = star_posteriors(prior, children)
-    if not possible.all():
-        start = int(np.argmin(possible))
-        ev = _window_evidence(model, bound[start:start + k], values[start:start + k - 1])
-        try:
-            propagate(apply_evidence(net, ev))
-        except BeliefscopeError as exc:
-            raise FrameInferenceError(frames[start + k - 1].index, exc) from exc
+    posteriors = posterior(prior, lam[model.hypothesis_id])
+    failed = np.isnan(posteriors).any(axis=1)
+    if failed.any():
+        start = int(failed.argmax())
+        node = vanished[1] if vanished is not None and vanished[0] == start else model.hypothesis_id
+        raise FrameInferenceError(frames[start + k - 1].index, ImpossibleEvidenceError(node))
 
     names = [f"{model.feature_id}_{i}" for i in range(k)]
     ids = [r.id if r is not None else None for r in bound]

@@ -83,6 +83,33 @@ def loop_enumerate(spec: NetworkSpec, evidence: EvidenceSet):
     return out
 
 
+def first_vanished(spec: NetworkSpec, assignments) -> str | None:
+    """The first node, in reversed breadth-first order, where the evidence in
+    its subtree has probability zero under each of its states, or whose
+    message to its parent is zero under each parent state; None when no node
+    is.  Unnormalised loop arithmetic over the spec's raw rows."""
+    children: dict[str, list[str]] = {n.id: [] for n in spec.nodes}
+    for n in spec.nodes:
+        if n.parents:
+            children[n.parents[0]].append(n.id)
+    order = [spec.root]
+    for nid in order:
+        order.extend(children[nid])
+    message = {}
+    for nid in reversed(order):
+        node = spec.node(nid)
+        subtree = [1.0 if assignments.get(nid, s) == s else 0.0 for s in node.states]
+        for c in children[nid]:
+            subtree = [v * m for v, m in zip(subtree, message[c])]
+        if not any(subtree):
+            return nid
+        if node.parents:
+            message[nid] = [sum(p * v for p, v in zip(row, subtree)) for row in node.rows]
+            if not any(message[nid]):
+                return nid
+    return None
+
+
 def star_posterior(prior, rows, observed):
     """Closed-form hub log-posterior of a star whose children are all observed.
 

@@ -57,6 +57,34 @@ class TestValidate:
         assert code == 0
         assert "ok" in err
 
+    def test_window_id_shared_with_the_hypothesis_exits_1(self, capsys, tmp_path):
+        doc = dynamic_to_document(builtin_model("dirty_lens").model)
+        doc["hypothesis"]["id"] = "spot_2"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], ["track", "--scenario", "static_spot", "--frames", "6"]):
+            code, out, err = run(capsys, *argv, "--spec", str(path))
+            assert (code, out, err) == (1, "", "duplicate node id 'spot_2'\n"), argv
+
+    def test_static_over_differently_bound_inputs_exits_1(self, capsys, tmp_path):
+        rows = [[0.8, 0.2], [0.3, 0.7]]
+        per_frame = {"root": "h", "nodes": [
+            {"id": "h", "kind": "chance", "states": ["t", "f"], "prior": [0.5, 0.5]},
+            {"id": "d", "kind": "chance", "states": ["present", "absent"], "parent": "h",
+             "cpt": rows},
+            {"id": "b", "kind": "chance", "states": ["present", "absent"], "parent": "h",
+             "cpt": rows},
+            {"id": "s", "kind": "relation", "states": ["holds", "holds_not"], "parent": "h",
+             "cpt": rows, "evaluator": "static", "inputs": ["d", "b"]},
+        ], "bind": {"d": {"colour_class": "dark"}, "b": {"colour_class": "bright"}}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"type": "semi_static", "per_frame": per_frame,
+                                    "transition": [[0.9, 0.1], [0.1, 0.9]]}))
+        message = "relation node s: static inputs 'd' and 'b' are bound by different predicates\n"
+        for argv in (["validate"], ["track", "--scenario", "surround_scene", "--frames", "3"]):
+            code, out, err = run(capsys, *argv, "--spec", str(path))
+            assert (code, out, err) == (1, "", message), argv
+
     def test_invalid_spec_exits_1_with_diagnostics(self, capsys, tmp_path):
         doc = json.loads(json.dumps(TWO_NODE_DOC))
         doc["nodes"][1]["cpt"] = [[0.9, 0.2], [0.2, 0.8]]
@@ -506,22 +534,16 @@ class TestCheckRoutes:
 
     def test_skewed_star_route_exits_4(self, capsys, monkeypatch, tmp_path):
         _, path = spot_stream_file(tmp_path)
-        real = temporal.star_posteriors
-
-        def skewed(prior, children):
-            posteriors, possible = real(prior, children)
-            return posteriors + 1e-6, possible
-
-        monkeypatch.setattr(temporal, "star_posteriors", skewed)
+        real = temporal.posterior
+        monkeypatch.setattr(temporal, "posterior", lambda prior, lam: real(prior, lam) + 1e-6)
         code, out, err = run(capsys, "check", "--model", "dirty_lens", "--stream", path)
         assert code == 4
         assert out.startswith("max |propagate - enumeration| = 1e-06 over 36 network(s)")
         assert "oracle mismatch" in err
 
     def test_skewed_semi_static_route_exits_4(self, capsys, monkeypatch):
-        real = temporal.root_posterior
-        monkeypatch.setattr(temporal, "root_posterior",
-                            lambda inet, prior: real(inet, prior) + 1e-6)
+        real = temporal.posterior
+        monkeypatch.setattr(temporal, "posterior", lambda prior, lam: real(prior, lam) + 1e-6)
         code, out, err = run(capsys, "check", "--model", "lumen_tracker",
                              "--scenario", "surround_scene", "--frames", "4")
         assert code == 4

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from beliefscope.errors import EvidenceError, InvalidNetworkError, SpecSyntaxError
 from beliefscope.network import (
     EvidenceSet,
+    NetworkSpec,
     NodeSpec,
     apply_evidence,
     network_diagnostics,
@@ -188,6 +189,15 @@ class TestValidate:
         doc["nodes"][0]["states"] = ["t", "t"]
         diags = network_diagnostics(parse_network_spec(json.dumps(doc)))
         assert any("duplicate state label 't'" in d for d in diags)
+
+    def test_duplicate_node_ids_in_a_programmatic_spec(self):
+        spec = NetworkSpec("x", (
+            NodeSpec("x", "chance", ("t", "f"), (), ((0.5, 0.5),)),
+            NodeSpec("x", "chance", ("t", "f"), ("x",), ((0.9, 0.1), (0.2, 0.8))),
+        ))
+        assert network_diagnostics(spec) == ["duplicate node id 'x'"]
+        with pytest.raises(InvalidNetworkError, match="duplicate node id 'x'"):
+            validate_network(spec)
 
     def test_declared_root_mismatch(self):
         doc = json.loads(TWO_NODE)

@@ -14,9 +14,23 @@ from beliefscope.network import (
     parse_network_spec,
     validate_network,
 )
-from beliefscope.propagation import Beliefs, brute_force_beliefs, map_assignment, propagate
+from beliefscope.propagation import (
+    Beliefs,
+    brute_force_beliefs,
+    map_assignment,
+    observation_codes,
+    posterior,
+    propagate,
+    upward,
+)
 
-from helpers import loop_enumerate, random_evidence, random_tree_spec, star_posterior
+from helpers import (
+    first_vanished,
+    loop_enumerate,
+    random_evidence,
+    random_tree_spec,
+    star_posterior,
+)
 from test_network import TWO_NODE
 
 
@@ -207,3 +221,63 @@ class TestProperties:
         zeros = before.distribution("H") == 0.0
         assert zeros.any()
         assert (after.distribution("H")[zeros] == 0.0).all()
+
+
+class TestUpwardKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), p_zero=st.sampled_from((0.0, 0.3)))
+    def test_rows_equal_their_batch_of_one_and_propagate(self, seed, p_zero):
+        rng = random.Random(seed)
+        spec = random_tree_spec(rng, rng.randint(1, 10), max_states=4, p_zero=p_zero)
+        net = validate_network(spec)
+        observed = [random_evidence(rng, spec).assignments for _ in range(rng.randint(1, 50))]
+        lam, _, vanished = upward(net, observation_codes(net, observed))
+        prior = net.node(net.root).cpt[0]
+        first = None
+        for row, assignments in enumerate(observed):
+            alone, _, alone_vanished = upward(net, observation_codes(net, [assignments]))
+            for nid, vec in alone.items():
+                assert np.array_equal(lam[nid][row], vec[0], equal_nan=True), nid
+            node = first_vanished(spec, assignments)
+            assert alone_vanished == (None if node is None else (0, node))
+            if node is not None and first is None:
+                first = row, node
+            try:
+                marginal = propagate(apply_evidence(net, EvidenceSet(assignments)))
+            except ImpossibleEvidenceError as exc:
+                # support vanished below the root, or the root prior rules out its λ
+                assert exc.node == (node if node is not None else net.root)
+                continue
+            assert node is None
+            assert np.array_equal(marginal.distribution(net.root),
+                                  posterior(prior, lam[net.root][row]))
+        assert vanished == first
+
+    def test_vanished_row_names_the_deepest_node_first(self):
+        spec = NetworkSpec("A", (
+            NodeSpec("A", "chance", ("x", "y"), (), ((0.5, 0.5),)),
+            NodeSpec("B", "chance", ("x", "y"), ("A",), ((1.0, 0.0), (0.0, 1.0))),
+            NodeSpec("C", "chance", ("x", "y"), ("B",), ((1.0, 0.0), (1.0, 0.0))),
+            NodeSpec("D", "chance", ("x", "y"), ("A",), ((0.5, 0.5), (0.5, 0.5))),
+        ))
+        net = validate_network(spec)
+        observed = [{"C": "x"}, {"D": "x", "B": "x"}, {"C": "y", "D": "y"}, {"C": "y"}]
+        lam, _, vanished = upward(net, observation_codes(net, observed))
+        assert vanished == (2, "C")
+        assert np.isnan(lam["A"][2:]).all() and not np.isnan(lam["A"][:2]).any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_root_prior_copies_share_the_plan(self, seed):
+        rng = random.Random(seed)
+        spec = random_tree_spec(rng, rng.randint(1, 10), max_states=4, p_zero=0.0)
+        net = validate_network(spec)
+        ev = random_evidence(rng, spec)
+        propagate(apply_evidence(net, ev))
+        weights = [rng.random() + 0.1 for _ in net.node(net.root).states]
+        prior = [w / sum(weights) for w in weights]
+        copy = net.with_root_prior(prior)
+        assert net.memo and copy.memo is net.memo
+        shared = propagate(apply_evidence(copy, ev))
+        fresh = propagate(instantiate(spec.with_root_prior(prior), ev.assignments))
+        for nid, vec in fresh.marginals.items():
+            assert np.array_equal(shared.distribution(nid), vec), nid

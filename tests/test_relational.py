@@ -394,6 +394,29 @@ class TestRelationalize:
         bad_attr = NetworkSpec(base.root, base.nodes, {"bright_region": {"size": "big"}})
         assert any("unknown predicate attribute" in d for d in relational_diagnostics(bad_attr))
 
+    def test_static_inputs_need_equal_predicates(self):
+        def spec(bind):
+            rows = ((0.8, 0.2), (0.3, 0.7))
+            return NetworkSpec("h", (
+                NodeSpec("h", "chance", ("t", "f"), (), ((0.5, 0.5),)),
+                NodeSpec("d", "chance", ("present", "absent"), ("h",), rows),
+                NodeSpec("b", "chance", ("present", "absent"), ("h",), rows),
+                NodeSpec("s", "relation", ("holds", "holds_not"), ("h",), rows,
+                         evaluator="static", inputs=("d", "b")),
+            ), bind)
+
+        dark, bright = {"colour_class": "dark"}, {"colour_class": "bright"}
+        assert relational_diagnostics(spec({"d": dark, "b": bright})) == [
+            "relation node s: static inputs 'd' and 'b' are bound by different predicates"]
+        assert relational_diagnostics(spec({"d": dark, "b": dict(dark)})) == []
+        assert relational_diagnostics(spec({"d": dark})) == []
+        # predicates admitting the same colour classes bind the same region
+        assert relational_diagnostics(spec({"d": dark, "b": {"colour_class": ["dark"]}})) == []
+        either = {"colour_class": ["dark", "bright"]}
+        assert relational_diagnostics(spec({"d": either, "b": {"colour_class": ["bright", "dark"]}})) == []
+        assert relational_diagnostics(spec({"d": either, "b": dark})) == [
+            "relation node s: static inputs 'd' and 'b' are bound by different predicates"]
+
     def test_relationalize_rejects_invalid_spec(self):
         base = builtin_model("diverticulum").model
         bad = NetworkSpec(base.root, base.nodes, {"bright_region": {"colour_class": "maroon"}})

@@ -1,7 +1,11 @@
+import itertools
 import json
+import math
 import random
 import warnings
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from beliefscope.temporal import (
     dynamic_from_document,
     dynamic_to_document,
     dynamic_trace,
+    filter_frames,
     filter_stream,
     match_regions,
     parse_stream,
@@ -35,6 +40,7 @@ from beliefscope.temporal import (
     semi_static_prior,
     semi_static_to_document,
     stream_to_jsonl,
+    window_spec,
 )
 
 from helpers import (
@@ -534,6 +540,34 @@ class TestDynamicWindow:
             "relation node r_0_1: param 'tau' must be strictly positive",
         ]
 
+    def test_dynamic_model_rejects_node_ids_shared_in_a_window(self):
+        model = builtin_model("dirty_lens").model
+        with pytest.raises(InvalidNetworkError) as err:
+            replace(model, hypothesis_id="spot_2")
+        assert err.value.diagnostics == ["duplicate node id 'spot_2'"]
+        replace(model, hypothesis_id="spot_2", max_window=2)  # windows hold spot_0, spot_1
+        with pytest.raises(InvalidNetworkError, match="duplicate node id 'spot_999999999'"):
+            replace(model, hypothesis_id="spot_999999999", max_window=10 ** 9)
+
+    def test_shared_window_ids_are_those_of_the_built_windows(self):
+        model = builtin_model("dirty_lens").model
+        pieces = ("s", "s_", "s_0", "s_1", "s_2", "s_00", "s_02", "s_0_1", "s_2_3", "s_1_2_3", "t")
+        for hyp, feature, relation in itertools.product(pieces, repeat=3):
+            for max_window in (2, 3, 4):
+                ids = {"hypothesis_id": hyp, "feature_id": feature, "relation_id": relation}
+                template = SimpleNamespace(**{**vars(model), **ids})  # never validated
+                expected = set()
+                for k in range(2, max_window + 1):
+                    nodes = Counter(n.id for n in window_spec(template, k).nodes)
+                    expected |= {nid for nid, count in nodes.items() if count > 1}
+                try:
+                    replace(model, max_window=max_window, **ids)
+                    found = set()
+                except InvalidNetworkError as exc:
+                    found = {d.split("'")[1] for d in exc.diagnostics
+                             if d.startswith("duplicate node id")}
+                assert found == expected, (ids, max_window)
+
 
 class TestStarRoute:
     @pytest.mark.parametrize("model", [builtin_model("dirty_lens").model,
@@ -623,3 +657,30 @@ class TestSemiStaticRoute:
             code = cli.main(["track", "--spec", str(model_path), "--stream", str(stream_path)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (3, "", message + "\n")
+
+    def test_errors_come_in_stream_order(self):
+        # frame 1 binds only the dark region; frame 3 binds both, so with tau
+        # NaN its adjacency evaluation raises
+        def model(dark_rows):
+            rows = ((0.8, 0.2), (0.3, 0.7))
+            spec = NetworkSpec("O", (
+                NodeSpec("O", "chance", ("t", "f"), (), ((0.5, 0.5),)),
+                NodeSpec("D", "chance", ("present", "absent"), ("O",), dark_rows),
+                NodeSpec("B", "chance", ("present", "absent"), ("O",), rows),
+                NodeSpec("R", "relation", ("holds", "holds_not"), ("O",), rows,
+                         evaluator="adjacent", inputs=("D", "B")),
+            ), {"D": {"colour_class": "dark"}, "B": {"colour_class": "bright"}})
+            return TemporalModel(spec, np.array(((0.9, 0.1), (0.1, 0.9))))
+
+        bright = Region("b", "bright", (5.0, 0.0), 1, (5, 0, 5, 0))
+        regions = {1: (dark_pixel(),), 3: (dark_pixel(), bright)}
+        stream = FrameStream(tuple(Frame(i, round(i * 0.04, 6), regions.get(i, ()))
+                                   for i in range(5)), 0.04)
+        with pytest.raises(FrameInferenceError) as err:
+            filter_stream(model(((0.0, 1.0), (0.0, 1.0))), stream, tau=math.nan)
+        assert str(err.value) == "frame 1: impossible evidence: support vanished at node 'D'"
+
+        frames = filter_frames(model(((0.8, 0.2), (0.3, 0.7))), stream, tau=math.nan)
+        assert [belief.index for _, _, belief in itertools.islice(frames, 3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            next(frames)
