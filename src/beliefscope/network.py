@@ -170,13 +170,17 @@ def _reject_constant(name: str):
     raise SpecSyntaxError(f"non-finite number '{name}' is not allowed")
 
 
-def load_json(text: str):
+_DECODER = json.JSONDecoder(object_pairs_hook=_checked_object, parse_constant=_reject_constant)
+
+
+def load_json(text: str, line: int = 1):
     """json.loads with duplicate-key detection, no NaN/Infinity literals and
-    positioned syntax errors."""
+    positioned syntax errors; ``line`` is the number of the text's first line
+    in its file."""
     try:
-        return json.loads(text, object_pairs_hook=_checked_object, parse_constant=_reject_constant)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        raise SpecSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
+        raise SpecSyntaxError(exc.msg, line=exc.lineno + line - 1, column=exc.colno) from None
 
 
 def _require(cond: bool, message: str):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -37,7 +38,13 @@ from .network import (
 DEFAULT_TAU = 2.0
 DEFAULT_EPSILON = 2.0
 
-_REGION_KEYS = {"id", "colour_class", "centroid", "area", "bbox", "mask"}
+_REGION_KEYS = frozenset({"id", "colour_class", "centroid", "area", "bbox", "mask"})
+_REQUIRED_KEYS = _REGION_KEYS - {"mask"}
+_LIST, _INT = {list}, {int}
+
+#: region integers (area, bbox entries) must lie within ±EXACT_INT: a float
+#: holds every such integer exactly, so the evaluators' arithmetic cannot overflow
+EXACT_INT = 2**53
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +77,11 @@ class Region:
             h, w = ymax - ymin + 1, xmax - xmin + 1
             if mask.shape != (h, w):
                 raise ValueError(f"region '{self.id}': mask shape {mask.shape} does not match bbox {h}x{w}")
-            if int(mask.sum()) != self.area:
-                raise ValueError(f"region '{self.id}': mask has {int(mask.sum())} pixels, area is {self.area}")
-            if not (mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()):
+            pixels = np.count_nonzero(mask)
+            if pixels != self.area:
+                raise ValueError(f"region '{self.id}': mask has {pixels} pixels, area is {self.area}")
+            flat = mask.tobytes()  # one byte per pixel, row by row: slices are rows and columns
+            if not (any(flat[:w]) and any(flat[-w:]) and any(flat[::w]) and any(flat[w - 1::w])):
                 raise ValueError(f"region '{self.id}': mask extent does not reach the bbox")
 
     def pixels(self, window: tuple[int, int, int, int] | None = None, *,
@@ -98,7 +107,51 @@ class Region:
         return np.stack([xs + xn, ys + yn], axis=1).astype(float)
 
 
+def _bit_grid(mask, h: int, w: int) -> np.ndarray:
+    """``mask`` as a bool array of shape (h, w).
+
+    ValueError unless it is a list of h lists of w entries, each the integer
+    0 or 1.  Every pass over the entries runs in C: the type pass rejects
+    ``true`` and ``1.0``, which compare equal to 1, and ``bytes`` rejects
+    integers outside 0..255.
+    """
+    if not (type(mask) is list and len(mask) == h and set(map(type, mask)) <= _LIST
+            and set(map(len, mask)) <= {w} and set(map(type, chain.from_iterable(mask))) <= _INT):
+        raise ValueError("not a grid of integers")
+    bits = bytes(chain.from_iterable(mask))
+    if bits.strip(b"\0\1"):
+        raise ValueError("not a grid of 0 and 1")
+    return np.frombuffer(bits, dtype=bool).reshape(h, w).copy()  # owns its pixels, like np.asarray
+
+
 def region_from_document(obj) -> Region:
+    """The Region a scene or stream document describes.
+
+    The common shape is checked inline: a dict with known keys, a string id,
+    a finite float centroid, integer area and bbox entries within
+    ±``EXACT_INT`` and a 0/1 mask.  Anything else falls through to the
+    per-field checks below, which exist only to name the error, so an
+    accepted region is the same on either path.
+    """
+    if type(obj) is dict and _REQUIRED_KEYS <= obj.keys() <= _REGION_KEYS:
+        rid, colour, c, area, b = (obj["id"], obj["colour_class"], obj["centroid"],
+                                    obj["area"], obj["bbox"])
+        mask = obj.get("mask")
+        if type(rid) is str and type(c) is list and len(c) >= 2 and type(b) is list and len(b) == 4:
+            x, y = c[0], c[1]
+            xmin, ymin, xmax, ymax = b
+            if (type(x) is float and x - x == 0.0 and type(y) is float and y - y == 0.0
+                    and type(area) is int and type(xmin) is int and type(ymin) is int
+                    and type(xmax) is int and type(ymax) is int and area <= EXACT_INT
+                    and -EXACT_INT <= xmin and xmax <= EXACT_INT
+                    and -EXACT_INT <= ymin and ymax <= EXACT_INT):
+                try:
+                    return Region(rid, colour, (x, y), area, (xmin, ymin, xmax, ymax),
+                                  None if mask is None
+                                  else _bit_grid(mask, ymax - ymin + 1, xmax - xmin + 1))
+                except ValueError:
+                    pass  # named below
+
     if not isinstance(obj, dict):
         raise SpecSyntaxError("region entries must be objects")
     for key in obj:
@@ -108,7 +161,7 @@ def region_from_document(obj) -> Region:
         if not isinstance(obj["id"], str):
             raise SpecSyntaxError("region: 'id' must be a string")
         mask = obj.get("mask")
-        return Region(
+        region = Region(
             id=obj["id"],
             colour_class=obj["colour_class"],
             centroid=(finite_number(obj["centroid"][0], "region: 'centroid'"),
@@ -121,6 +174,16 @@ def region_from_document(obj) -> Region:
         raise SpecSyntaxError(f"malformed region entry: {exc}") from None
     except ValueError as exc:
         raise SpecSyntaxError(str(exc)) from None
+    if region.area > EXACT_INT:
+        raise SpecSyntaxError(f"region '{region.id}': 'area' must be an integer in [-2**53, 2**53]")
+    if not all(-EXACT_INT <= v <= EXACT_INT for v in region.bbox):
+        raise SpecSyntaxError(f"region '{region.id}': 'bbox' entries must be integers in [-2**53, 2**53]")
+    if mask is not None:
+        try:
+            _bit_grid(mask, *region.mask.shape)
+        except ValueError:
+            raise SpecSyntaxError(f"region '{region.id}': mask entries must be 0 or 1") from None
+    return region
 
 
 def region_to_document(region: Region) -> dict:

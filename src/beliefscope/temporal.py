@@ -103,22 +103,57 @@ class FrameStream:
                     f"deviates from dt {self.dt:g} by more than 10%")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(name)  # load_json names it
+
+
+#: the C decoder without load_json's duplicate-key hook; see _frame_document
+_PLAIN_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+_DICT = {dict}
+
+
+def _frame_document(line: str, lineno: int):
+    """One stream line decoded as :func:`load_json` decodes it, at the speed
+    of the plain C decoder.
+
+    The plain decoder keeps the last of repeated keys.  Every key in a line
+    is followed by a colon outside any string, so when the line has exactly
+    as many colons as the frame and its region objects have keys, no key was
+    repeated and there is no other object.  Any other line (a colon inside a
+    string, a nested object, a repeated key, NaN, a syntax error, another
+    shape) is decoded again by load_json, which names what is wrong.
+    """
+    try:
+        obj = _PLAIN_JSON.decode(line)
+    except ValueError:
+        obj = None
+    if type(obj) is dict:
+        regions = obj.get("regions", [])
+        if (type(regions) is list and set(map(type, regions)) <= _DICT
+                and line.count(":") == len(obj) + sum(map(len, regions))):
+            return obj
+    return load_json(line, line=lineno)
+
+
 def parse_stream(text: str) -> FrameStream:
     """Parse a JSONL stream: a {"dt": ...} header line then one frame per line.
 
     ``dt`` and every ``t`` must be finite numbers and every ``index`` an
     integer; anything else is a SpecSyntaxError, not a silent conversion.
+    Blank lines are skipped; errors name the line of the file.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+             if line.strip())
+    first = next(lines, None)
+    if first is None:
         raise SpecSyntaxError("empty stream document")
-    header = load_json(lines[0])
+    header = load_json(first[1], line=first[0])
     if not (isinstance(header, dict) and set(header) == {"dt"}):
         raise SpecSyntaxError('stream header must be {"dt": ...}')
     dt = finite_number(header["dt"], "stream header 'dt'")
     frames = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        obj = load_json(line)
+    for lineno, line in lines:
+        obj = _frame_document(line, lineno)
         if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
                 and {"index", "t"} <= set(obj)):
             raise SpecSyntaxError(f"stream line {lineno}: expected index, t, regions")
@@ -127,7 +162,7 @@ def parse_stream(text: str) -> FrameStream:
         regions = obj.get("regions", [])
         if not isinstance(regions, list):
             raise SpecSyntaxError(f"stream line {lineno}: 'regions' must be a list")
-        frames.append(Frame(index, t, tuple(region_from_document(r) for r in regions)))
+        frames.append(Frame(index, t, tuple(map(region_from_document, regions))))
     return FrameStream(tuple(frames), dt)
 
 
@@ -159,8 +194,14 @@ def semi_static_prior(prior, transition, prev_belief, mode: str = "paper") -> np
     k = prior.shape[0] if prior.ndim == 1 else 0
     if prior.ndim != 1 or prev.shape != (k,) or trans.shape != (k, k):
         raise ValueError("dimension mismatch between prior, transition and previous belief")
+    return _mixed_prior(prior, trans, prev, mode == "paper")
+
+
+def _mixed_prior(prior: np.ndarray, trans: np.ndarray, prev: np.ndarray,
+                 paper: bool) -> np.ndarray:
+    """:func:`semi_static_prior` on float arrays of matching shapes."""
     mixed = prev @ trans
-    eff = prior * mixed if mode == "paper" else mixed
+    eff = prior * mixed if paper else mixed
     total = eff.sum()
     if total <= 0.0:
         raise ImpossibleEvidenceError(None, "effective prior has zero mass")
@@ -263,9 +304,10 @@ def filter_frames(model: TemporalModel, stream: FrameStream, *,
     lam, _, vanished = upward(net, observation_codes(net, [observed for _, observed, _ in evidence]))
 
     prev: np.ndarray | None = None
+    paper = model.mode == "paper"
     for i, frame in enumerate(stream.frames):
         eff = (static_prior if prev is None
-               else semi_static_prior(static_prior, model.transition, prev, model.mode))
+               else _mixed_prior(static_prior, model.transition, prev, paper))
         if i == len(evidence):
             raise failure
         post = posterior(eff / eff.sum(), lam[spec.root][i])

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from beliefscope.network import EvidenceSet, NetworkSpec, NodeSpec
+from beliefscope.errors import SpecSyntaxError
+from beliefscope.network import EvidenceSet, NetworkSpec, NodeSpec, finite_number, strict_int
 from beliefscope.relational import Region
 from beliefscope.temporal import DynamicModel, Frame
 
@@ -138,6 +139,35 @@ def dense_min_distance(a: Region, b: Region) -> float:
     pa, pb = pixels(a), pixels(b)
     d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1)
     return float(np.sqrt(d2.min()))
+
+
+def per_field_region(obj) -> Region:
+    """A region document decoded field by field, one checking call per value,
+    as ``region_from_document`` did before its inline checks: the reference
+    they must agree with.  It takes any integer area or bbox entry and any
+    mask numpy reads as a bool grid."""
+    if not isinstance(obj, dict):
+        raise SpecSyntaxError("region entries must be objects")
+    for key in obj:
+        if key not in ("id", "colour_class", "centroid", "area", "bbox", "mask"):
+            raise SpecSyntaxError(f"region: unknown field '{key}'")
+    try:
+        if not isinstance(obj["id"], str):
+            raise SpecSyntaxError("region: 'id' must be a string")
+        mask = obj.get("mask")
+        return Region(
+            id=obj["id"],
+            colour_class=obj["colour_class"],
+            centroid=(finite_number(obj["centroid"][0], "region: 'centroid'"),
+                      finite_number(obj["centroid"][1], "region: 'centroid'")),
+            area=strict_int(obj["area"], "region: 'area'"),
+            bbox=tuple(strict_int(v, "region: 'bbox' entry") for v in obj["bbox"]),
+            mask=np.asarray(mask, dtype=bool) if mask is not None else None,
+        )
+    except (KeyError, TypeError, IndexError) as exc:
+        raise SpecSyntaxError(f"malformed region entry: {exc}") from None
+    except ValueError as exc:
+        raise SpecSyntaxError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

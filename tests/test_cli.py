@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from beliefscope import cli, network, relational, temporal
-from beliefscope.endoscopy import builtin_model, generate_stream
+from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
 from beliefscope.propagation import Beliefs
 from beliefscope.temporal import (
     Frame,
@@ -433,6 +433,76 @@ class TestTrackAndGenerate:
         code, _, err = run(capsys, "generate", "--scenario", "volcano")
         assert code == 2
         assert "unknown scenario" in err
+
+
+ADJACENT_TRACKER = {
+    "type": "semi_static", "mode": "paper", "transition": [[0.9, 0.1], [0.1, 0.9]],
+    "per_frame": {
+        "root": "lesion",
+        "nodes": [
+            {"id": "lesion", "kind": "chance", "states": ["yes", "no"], "prior": [0.5, 0.5]},
+            {"id": "fold", "kind": "chance", "states": ["present", "absent"],
+             "parent": "lesion", "cpt": [[0.8, 0.2], [0.3, 0.7]]},
+            {"id": "rim", "kind": "chance", "states": ["present", "absent"],
+             "parent": "lesion", "cpt": [[0.8, 0.2], [0.3, 0.7]]},
+            {"id": "touching", "kind": "relation", "states": ["holds", "holds_not"],
+             "parent": "lesion", "cpt": [[0.9, 0.1], [0.2, 0.8]],
+             "evaluator": "adjacent", "inputs": ["fold", "rim"]},
+        ],
+        "bind": {"fold": {"colour_class": "dark"}, "rim": {"colour_class": "bright"}},
+    },
+}
+
+
+class TestStreamInput:
+    @pytest.mark.parametrize("command", ["track", "check"])
+    def test_area_beyond_2_pow_53_exits_2_in_matching(self, capsys, tmp_path, command):
+        _, text, _ = run(capsys, "generate", "--scenario", "static_spot", "--frames", "3")
+        lines = text.splitlines()
+        lines[2] = lines[2].replace('"area": 9', '"area": 1' + "0" * 400)
+        path = tmp_path / "stream.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, command, "--model", "dirty_lens", "--stream", str(path))
+        assert (code, out) == (2, "")
+        assert err == "region 'spot': 'area' must be an integer in [-2**53, 2**53]\n"
+
+    @pytest.mark.parametrize("command", ["track", "check"])
+    def test_bbox_entry_beyond_2_pow_53_exits_2_in_adjacency(self, capsys, tmp_path, command):
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(ADJACENT_TRACKER))
+        far = 10**400
+        regions = [{"id": "a", "colour_class": "dark", "centroid": [1.0, 1.0], "area": 1,
+                    "bbox": [1, 1, 1, 1]},
+                   {"id": "b", "colour_class": "bright", "centroid": [9.0, 9.0], "area": 1,
+                    "bbox": [far, 9, far, 9]}]
+        path = tmp_path / "stream.jsonl"
+        path.write_text('{"dt": 0.04}\n' + json.dumps({"index": 0, "t": 0.0, "regions": regions}))
+        code, out, err = run(capsys, command, "--spec", str(spec), "--stream", str(path))
+        assert (code, out) == (2, "")
+        assert err == "region 'b': 'bbox' entries must be integers in [-2**53, 2**53]\n"
+
+    @pytest.mark.parametrize("entry", ["2", "0.5", '"1"', '"a"', "true", "1e999"])
+    def test_mask_entries_must_be_0_or_1(self, capsys, tmp_path, entry):
+        path = tmp_path / "stream.jsonl"
+        path.write_text('{"dt": 0.04}\n{"index": 0, "t": 0.0, "regions": [{"id": "p", '
+                        '"colour_class": "dark", "centroid": [0.0, 0.0], "area": 1, '
+                        '"bbox": [0, 0, 0, 0], "mask": [[%s]]}]}\n' % entry)
+        code, out, err = run(capsys, "track", "--model", "lumen_tracker", "--stream", str(path))
+        assert (code, out, err) == (2, "", "region 'p': mask entries must be 0 or 1\n")
+
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("model", ["dirty_lens", "lumen_tracker"])
+    @pytest.mark.parametrize("command", ["track", "check"])
+    def test_generated_stream_file_answers_like_the_scenario(self, capsys, tmp_path, command,
+                                                             model, scenario, seed):
+        flags = ("--seed", seed, "--frames", "6")
+        _, text, _ = run(capsys, "generate", "--scenario", scenario, *flags)
+        path = tmp_path / "stream.jsonl"
+        path.write_text(text)
+        from_file = run(capsys, command, "--model", model, "--stream", str(path))
+        internal = run(capsys, command, "--model", model, "--scenario", scenario, *flags)
+        assert from_file == internal
 
 
 class TestCheck:

@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beliefscope import cli, relational
 from beliefscope.endoscopy import builtin_model, generate_stream
 from beliefscope.errors import InvalidNetworkError, SpecSyntaxError
-from beliefscope.network import NetworkSpec, NodeSpec, apply_evidence
+from beliefscope.network import COLOUR_CLASSES, NetworkSpec, NodeSpec, apply_evidence
 from beliefscope.propagation import brute_force_beliefs, propagate
 from beliefscope.relational import (
     Region,
@@ -22,7 +23,7 @@ from beliefscope.relational import (
     select_region,
 )
 
-from helpers import dense_min_distance, random_region
+from helpers import dense_min_distance, per_field_region, random_region
 
 
 def ring_region(rid="ring", colour="bright"):
@@ -51,6 +52,15 @@ class TestRegion:
             Region("r", "dark", (0, 0), 1, (0, 0, 1, 1),
                    mask=np.array([[1, 0], [0, 0]], dtype=bool))
 
+    @pytest.mark.parametrize("edge", [(0, slice(None)), (-1, slice(None)),
+                                      (slice(None), 0), (slice(None), -1)],
+                             ids=["top", "bottom", "left", "right"])
+    def test_mask_extent_needs_every_edge(self, edge):
+        mask = np.ones((3, 4), dtype=bool)
+        mask[edge] = False
+        with pytest.raises(ValueError, match="mask extent does not reach the bbox"):
+            Region("r", "dark", (1.0, 1.0), int(mask.sum()), (0, 0, 3, 2), mask=mask)
+
     def test_scene_round_trip(self):
         regions = (ring_region(), pixel_region("p", 2, 2))
         text = json.dumps(scene_to_document(regions))
@@ -65,6 +75,156 @@ class TestRegion:
         with pytest.raises(SpecSyntaxError, match="duplicate region id"):
             parse_scene(json.dumps(scene_to_document((pixel_region("a", 0, 0),
                                                       pixel_region("a", 5, 5)))))
+
+
+EXACT = 2**53
+HOSTILE_VALUES = (None, True, "x", [], {}, 0, -1, 0.5, EXACT + 1, 10**400, 1e999, [1, 2], [[1]])
+HOSTILE_NUMBERS = (True, False, None, "1", [], 1e999, -1e999, 0, -7, 0.5, 1.0, EXACT, EXACT + 1,
+                   -EXACT - 1, 10**400)
+HOSTILE_ENTRIES = (2, -1, 256, 0.5, 1.0, 0.0, True, False, "1", "a", None, 1e999, [1], {})
+REGION_FIELDS = ("id", "colour_class", "centroid", "area", "bbox", "mask")
+EDITS = ("field", "number", "number", "number", "length", "drop", "extra", "area",
+         "mask-entry", "mask-entry", "mask-row", "mask-shift", "not-a-dict")
+
+
+@st.composite
+def region_documents(draw):
+    """Region documents: valid ones, with and without masks, then up to two
+    hostile edits of a field, a centroid or bbox entry, a length, a key, the
+    area, a mask entry or row, or the whole entry."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    corner = st.sampled_from([0, 7, -3, EXACT - 3, -EXACT])
+    x0, y0 = draw(corner), draw(corner)
+    number = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-50, 50)
+    doc = {"id": draw(st.text(max_size=3)), "colour_class": draw(st.sampled_from(COLOUR_CLASSES)),
+           "centroid": [draw(number), draw(number)], "area": h * w,
+           "bbox": [x0, y0, x0 + w - 1, y0 + h - 1]}
+    if draw(st.booleans()):
+        bit = st.sampled_from([0, 1])
+        grid = draw(st.lists(st.lists(bit, min_size=w, max_size=w), min_size=h, max_size=h))
+        grid[0][0] = grid[-1][-1] = 1   # the set pixels reach every bbox edge
+        doc["mask"], doc["area"] = grid, sum(map(sum, grid))
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(EDITS))
+        field = draw(st.sampled_from(["bbox", "centroid"]))
+        mask = doc.get("mask") if isinstance(doc.get("mask"), list) else None
+        if edit == "field":
+            doc[draw(st.sampled_from(REGION_FIELDS))] = draw(st.sampled_from(HOSTILE_VALUES))
+        elif edit == "number" and isinstance(doc.get(field), list) and doc[field]:
+            entry = draw(st.integers(0, len(doc[field]) - 1))
+            doc[field][entry] = draw(st.sampled_from(HOSTILE_NUMBERS))
+        elif edit == "length" and isinstance(doc.get(field), list):
+            doc[field] = doc[field][:-1] if draw(st.booleans()) else doc[field] + [3]
+        elif edit == "drop":
+            doc.pop(draw(st.sampled_from(REGION_FIELDS)), None)
+        elif edit == "extra":
+            doc["shade"] = 1
+        elif edit == "area":
+            doc["area"] = draw(st.sampled_from([0, True, EXACT, EXACT + 1, 10**400]))
+        elif edit == "mask-entry" and mask:
+            row = draw(st.sampled_from(mask))
+            if isinstance(row, list) and 1 in row:   # a set pixel: the pixel count may hold
+                row[row.index(1)] = draw(st.sampled_from(HOSTILE_ENTRIES))
+        elif edit == "mask-row" and mask and isinstance(mask[-1], list):
+            mask[-1] = mask[-1][:-1] if draw(st.booleans()) else mask[-1] + [0]
+        elif edit == "mask-shift" and mask and len(mask) > 1 and all(
+                isinstance(row, list) and row for row in (mask[0], mask[-1])):
+            mask[0].append(mask[-1].pop())   # ragged rows, the same number of entries
+        elif edit == "not-a-dict":
+            return draw(st.sampled_from([[doc], "region", 3, None]))
+    return doc
+
+
+def _bit_grid(mask) -> bool:
+    return (isinstance(mask, list) and all(isinstance(row, list) for row in mask)
+            and all(type(v) is int and v in (0, 1) for row in mask for v in row))
+
+
+def assert_decoded_like_per_field(doc):
+    """region_from_document accepts what the per-field decoder accepts, with
+    the same fields, and names every other error the same way, except for
+    the integer range and mask entry rules the per-field decoder lacks."""
+    try:
+        expected = per_field_region(doc)
+    except SpecSyntaxError as exc:
+        with pytest.raises(SpecSyntaxError) as info:
+            relational.region_from_document(doc)
+        assert str(info.value) == str(exc)
+        return
+    if expected.area > EXACT:
+        message = f"region '{expected.id}': 'area' must be an integer in [-2**53, 2**53]"
+    elif any(abs(v) > EXACT for v in expected.bbox):
+        message = f"region '{expected.id}': 'bbox' entries must be integers in [-2**53, 2**53]"
+    elif expected.mask is not None and not _bit_grid(doc["mask"]):
+        message = f"region '{expected.id}': mask entries must be 0 or 1"
+    else:
+        region = relational.region_from_document(doc)
+        for name in ("id", "colour_class", "centroid", "area", "bbox"):
+            value, reference = getattr(region, name), getattr(expected, name)
+            assert value == reference and type(value) is type(reference), name
+        assert [type(v) for v in region.centroid] == [float, float]
+        if expected.mask is None:
+            assert region.mask is None
+        else:
+            assert region.mask.dtype == bool and region.mask.flags.writeable
+            assert np.array_equal(region.mask, expected.mask)
+        return
+    with pytest.raises(SpecSyntaxError) as info:
+        relational.region_from_document(doc)
+    assert str(info.value) == message
+
+
+def single_edits(doc):
+    """Every copy of ``doc`` with one field, entry, length, key, mask entry or
+    mask row changed to a hostile value, and the non-dict entries."""
+    yield from ([doc], "region", 3, None)
+    for field in REGION_FIELDS:
+        yield {k: v for k, v in doc.items() if k != field}
+        for value in HOSTILE_VALUES:
+            yield {**doc, field: value}
+    yield {**doc, "shade": 1}
+    for area in (0, -1, True, EXACT, EXACT + 1, 10**400):
+        yield {**doc, "area": area}
+    for field in ("centroid", "bbox"):
+        yield {**doc, field: doc[field][:-1]}
+        yield {**doc, field: doc[field] + [3]}
+        for i in range(len(doc[field])):
+            for value in HOSTILE_NUMBERS:
+                yield {**doc, field: doc[field][:i] + [value] + doc[field][i + 1:]}
+    mask = doc.get("mask")
+    if mask is not None:
+        for y, row in enumerate(mask):
+            for x in range(len(row)):
+                for value in HOSTILE_ENTRIES:
+                    rows = [list(r) for r in mask]
+                    rows[y][x] = value
+                    yield {**doc, "mask": rows}
+            yield {**doc, "mask": mask[:y] + [row[:-1]] + mask[y + 1:]}
+            yield {**doc, "mask": mask[:y] + [row + [1]] + mask[y + 1:]}
+        yield {**doc, "mask": [mask[0] + mask[-1][-1:]] + mask[1:-1] + [mask[-1][:-1]]}
+
+
+SWEEP_BASES = (
+    {"id": "r", "colour_class": "dark", "centroid": [1.5, -2.0], "area": 9, "bbox": [0, 0, 2, 2]},
+    {"id": "m", "colour_class": "bright", "centroid": [1.0, 0.5], "area": 4, "bbox": [3, 5, 5, 6],
+     "mask": [[1, 0, 1], [0, 1, 1]]},
+    {"id": "hi", "colour_class": "other", "centroid": [0.0, 0.0], "area": EXACT,
+     "bbox": [EXACT - 1, EXACT - 2, EXACT, EXACT]},
+    {"id": "lo", "colour_class": "green", "centroid": [-1, 7], "area": 1,
+     "bbox": [-EXACT, -EXACT, -EXACT + 1, -EXACT + 1]},
+)
+
+
+class TestRegionDecoder:
+    @settings(max_examples=200, deadline=None)
+    @given(region_documents())
+    def test_agrees_with_the_per_field_decoder(self, doc):
+        assert_decoded_like_per_field(doc)
+
+    @pytest.mark.parametrize("base", SWEEP_BASES, ids=[b["id"] for b in SWEEP_BASES])
+    def test_every_single_edit_agrees_with_the_per_field_decoder(self, base):
+        for doc in single_edits(base):
+            assert_decoded_like_per_field(doc)
 
 
 class TestEvalRelation:

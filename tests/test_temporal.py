@@ -9,8 +9,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from beliefscope import cli
+from beliefscope import cli, temporal
 from beliefscope.errors import (
     FrameInferenceError,
     ImpossibleEvidenceError,
@@ -19,7 +20,7 @@ from beliefscope.errors import (
     StreamValidationError,
 )
 from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
-from beliefscope.network import NetworkSpec, NodeSpec, apply_evidence
+from beliefscope.network import NetworkSpec, NodeSpec, apply_evidence, load_json
 from beliefscope.propagation import brute_force_beliefs, propagate
 from beliefscope.relational import Region, relationalize
 from beliefscope.temporal import (
@@ -63,10 +64,11 @@ def frames_with_dark(n, dt=0.04):
     return FrameStream(tuple(Frame(i, round(i * dt, 6), (dark_pixel(),)) for i in range(n)), dt)
 
 
-def region_line(rid='"r"', centroid="[1, 1]", area="9", bbox="[0, 0, 2, 2]"):
+def region_line(rid='"r"', centroid="[1, 1]", area="9", bbox="[0, 0, 2, 2]", mask=None):
     """A one-frame stream line with one region, fields given as JSON text."""
+    extra = "" if mask is None else ', "mask": %s' % mask
     return ('{"index": 0, "t": 0.0, "regions": [{"id": %s, "colour_class": "dark", '
-            '"centroid": %s, "area": %s, "bbox": %s}]}' % (rid, centroid, area, bbox))
+            '"centroid": %s, "area": %s, "bbox": %s%s}]}' % (rid, centroid, area, bbox, extra))
 
 
 def tree_route(model, stream, window):
@@ -207,7 +209,66 @@ class TestSemiStaticPrior:
             semi_static_prior((0.5, 0.5), ((0.9, 0.1), (0.1, 0.9)), (1.0, 0.0), "smooth")
 
 
+def _object_text(values, keys=("index", "t", "regions", "id", "area", "a:b", ":")):
+    """JSON object text from (key, value text) pairs; in half of them keys may repeat."""
+    pair = st.tuples(st.sampled_from(keys), values)
+    pairs = st.lists(pair, max_size=4, unique_by=lambda kv: kv[0]) | st.lists(pair, max_size=4)
+    return pairs.map(lambda kvs: "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in kvs) + "}")
+
+
+JSON_SCALARS = st.sampled_from(["0", "-2", "0.5", '"x"', '"a:b"', "true", "null", "1e999"])
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+    | _object_text(inner),
+    max_leaves=8)
+
+
+@st.composite
+def frame_lines(draw):
+    """Frame-like lines: an object of pairs with a 'regions' list of objects,
+    repeated keys, colons inside strings, nested objects and syntax errors."""
+    regions = draw(st.lists(_object_text(JSON_VALUES) | JSON_VALUES, max_size=3))
+    pairs = draw(_object_text(JSON_VALUES, keys=("index", "t", "id", "a:b", ":")))
+    line = pairs[:-1] + (", " if pairs != "{}" else "") + '"regions": [' + ", ".join(regions) + "]}"
+    damage = draw(st.sampled_from(["none"] * 8 + ["cut", "nan"]))
+    if damage == "cut":
+        cut = draw(st.integers(0, len(line) - 1))
+        line = line[:cut] + line[cut + 1:]
+    elif damage == "nan" and "0.5" in line:
+        line = line.replace("0.5", "NaN", 1)
+    return line
+
+
 class TestStream:
+    @settings(max_examples=120, deadline=None)
+    @given(frame_lines())
+    def test_frame_lines_decode_like_load_json(self, line):
+        """The colon count lets a line skip the duplicate-key hook only when
+        no key can repeat, so the result or the error is load_json's."""
+        try:
+            expected = load_json(line, line=7)
+        except SpecSyntaxError as exc:
+            with pytest.raises(SpecSyntaxError) as info:
+                temporal._frame_document(line, 7)
+            assert str(info.value) == str(exc)
+        else:
+            assert temporal._frame_document(line, 7) == expected
+
+    @pytest.mark.parametrize("line, message", [
+        pytest.param('{"index": 0, "index": 1, "t": 0.0}', "duplicate key 'index'", id="frame"),
+        pytest.param(region_line(area='9, "area": 4'), "duplicate key 'area'", id="region"),
+        pytest.param(region_line(centroid='{"x": 1, "x": 2}'), "duplicate key 'x'", id="nested"),
+        pytest.param(region_line(rid='"a:b", "id": "c"'), "duplicate key 'id'", id="colon-in-id"),
+    ])
+    def test_repeated_keys_are_named(self, line, message):
+        with pytest.raises(SpecSyntaxError, match=f"^{message}$"):
+            parse_stream('{"dt": 0.04}\n' + line)
+
+    def test_colons_inside_strings(self):
+        stream = parse_stream('{"dt": 0.04}\n' + region_line(rid='"a:b::"'))
+        assert stream.frames[0].regions[0].id == "a:b::"
+
     def test_round_trip(self):
         stream = generate_stream("static_spot", 4, seed=3)
         assert stream_to_jsonl(parse_stream(stream_to_jsonl(stream))) == stream_to_jsonl(stream)
@@ -229,6 +290,25 @@ class TestStream:
             parse_stream('{"index": 0, "t": 0.0, "regions": []}')
         with pytest.raises(SpecSyntaxError, match="line 2"):
             parse_stream('{"dt": 0.04}\n{"t": 0.0}')
+
+    def test_errors_name_the_line_of_the_file(self):
+        frames = '{"index": 0, "t": 0.0}\n\n{"t": 0.04}\n'
+        with pytest.raises(SpecSyntaxError, match="^stream line 5: expected"):
+            parse_stream('{"dt": 0.04}\n\n' + frames)
+        with pytest.raises(SpecSyntaxError, match="^stream line 3: 'index'"):
+            parse_stream('\n{"dt": 0.04}\n{"index": 0.5, "t": 0.0}\n')
+
+    @pytest.mark.parametrize("text, position", [
+        pytest.param('{"dt": 0.04}\n{"index": 0, "t": 0.0}\n\n{"index": 1, "t": 0.04,}\n',
+                     "(line 4, column 24)", id="frame"),
+        pytest.param('\n\n{"dt": 0.04\n', "(line 3, column 12)", id="header"),
+        pytest.param('{"dt": 0.04}\n{"index": 0, "t": 0.0, "regions": [}\n',
+                     "(line 2, column 36)", id="regions"),
+    ])
+    def test_json_syntax_errors_point_into_the_file(self, text, position):
+        with pytest.raises(SpecSyntaxError) as info:
+            parse_stream(text)
+        assert str(info.value).endswith(position)
 
     @pytest.mark.parametrize("header, frame, message", [
         pytest.param('{"dt": NaN}', '{"index": 0, "t": 0.0}', "non-finite number 'NaN'", id="dt-nan"),
@@ -253,12 +333,37 @@ class TestStream:
                      "'bbox' entry must be an integer", id="bbox-bool"),
         pytest.param('{"dt": 0.04}', region_line(rid='["r"]'), "'id' must be a string",
                      id="region-id-list"),
+        pytest.param('{"dt": 0.04}', region_line(area="9007199254740993"),
+                     r"'area' must be an integer in \[-2\*\*53, 2\*\*53\]", id="area-beyond-2**53"),
+        pytest.param('{"dt": 0.04}', region_line(area="1" + "0" * 400),
+                     r"region 'r': 'area' must be an integer in", id="area-beyond-float"),
+        pytest.param('{"dt": 0.04}', region_line(bbox="[0, 0, 2, 9007199254740993]"),
+                     r"region 'r': 'bbox' entries must be integers in", id="bbox-beyond-2**53"),
+        pytest.param('{"dt": 0.04}', region_line(bbox="[-9007199254740993, 0, 2, 2]"),
+                     r"region 'r': 'bbox' entries must be integers in", id="bbox-below-2**53"),
+        pytest.param('{"dt": 0.04}', region_line(area="1", bbox="[0, 0, 0, 0]", mask="[[2]]"),
+                     "region 'r': mask entries must be 0 or 1", id="mask-2"),
+        pytest.param('{"dt": 0.04}', region_line(area="1", bbox="[0, 0, 0, 0]", mask="[[true]]"),
+                     "region 'r': mask entries must be 0 or 1", id="mask-true"),
+        pytest.param('{"dt": 0.04}', region_line(area="2", bbox="[0, 0, 1, 0]", mask="[[1, 1.0]]"),
+                     "region 'r': mask entries must be 0 or 1", id="mask-float-one"),
+        pytest.param('{"dt": 0.04}', region_line(area="1", bbox="[0, 0, 1, 0]", mask="[[1, 0], [1]]"),
+                     "inhomogeneous shape", id="mask-ragged-keeps-its-message"),
+        pytest.param('{"dt": 0.04}', region_line(area="1", bbox="[0, 0, 0, 0]", mask='[["a", 1]]'),
+                     r"mask shape \(1, 2\) does not match bbox 1x1", id="mask-misshaped-keeps-its-message"),
         pytest.param('{"dt": 0.04}', '{"index": 0, "t": 0.0, "regions": 5}',
                      "line 2: 'regions' must be a list", id="regions-int"),
     ])
     def test_non_finite_and_mistyped_fields_rejected(self, header, frame, message):
         with pytest.raises(SpecSyntaxError, match=message):
             parse_stream(f"{header}\n{frame}")
+
+    def test_region_integers_within_2_pow_53_are_exact(self):
+        limit = 2**53
+        stream = parse_stream('{"dt": 0.04}\n' + region_line(
+            area=str(limit), bbox=f"[{-limit}, 0, {limit}, 2]"))
+        region = stream.frames[0].regions[0]
+        assert (region.area, region.bbox) == (limit, (-limit, 0, limit, 2))
 
     def test_duplicate_region_ids_in_frame(self):
         with pytest.raises(StreamValidationError, match="duplicate region id"):
