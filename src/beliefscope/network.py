@@ -176,11 +176,14 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_checked_object, parse_constant=_r
 def load_json(text: str, line: int = 1):
     """json.loads with duplicate-key detection, no NaN/Infinity literals and
     positioned syntax errors; ``line`` is the number of the text's first line
-    in its file."""
+    in its file.  A value nested deeper than the decoder can recurse is
+    reported at the text's first line."""
     try:
         return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, line=exc.lineno + line - 1, column=exc.colno) from None
+    except RecursionError:
+        raise SpecSyntaxError("JSON value nested too deeply", line=line, column=1) from None
 
 
 def _require(cond: bool, message: str):

@@ -347,22 +347,25 @@ def eval_relation(kind: str, a: Region, b: Region, *,
 # the instantiation transform
 
 
-def _matches(pred: Mapping[str, Any], region: Region) -> bool:
-    for attr, want in pred.items():
-        got = getattr(region, attr)
-        if isinstance(want, (tuple, list)):
-            if got not in want:
-                return False
-        elif got != want:
-            return False
-    return True
-
-
 def select_region(pred: Mapping[str, Any], regions: Sequence[Region]) -> Region | None:
-    """The region bound by a predicate: largest area, ties to lowest id."""
-    candidates = [r for r in regions if _matches(pred, r)]
-    candidates.sort(key=lambda r: (-r.area, r.id))
-    return candidates[0] if candidates else None
+    """The region bound by a predicate: largest area, ties to lowest id.
+
+    The predicate is read once into (attribute, admitted values) pairs, a
+    single value admitting just itself; one pass over the regions keeps the
+    best match by (-area, id), so binding a frame costs one comparison per
+    region and no sort.
+    """
+    tests = [(attr, tuple(want) if isinstance(want, (tuple, list)) else (want,))
+             for attr, want in pred.items()]
+    best = None
+    for r in regions:
+        for attr, admitted in tests:
+            if getattr(r, attr) not in admitted:
+                break
+        else:
+            if best is None or r.area > best.area or (r.area == best.area and r.id < best.id):
+                best = r
+    return best
 
 
 def bind_features(spec: NetworkSpec, regions: Sequence[Region]) -> dict[str, Region | None]:

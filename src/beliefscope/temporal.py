@@ -12,6 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -121,11 +122,12 @@ def _frame_document(line: str, lineno: int):
     as many colons as the frame and its region objects have keys, no key was
     repeated and there is no other object.  Any other line (a colon inside a
     string, a nested object, a repeated key, NaN, a syntax error, another
-    shape) is decoded again by load_json, which names what is wrong.
+    shape, nesting too deep) is decoded again by load_json, which names what
+    is wrong.
     """
     try:
         obj = _PLAIN_JSON.decode(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         obj = None
     if type(obj) is dict:
         regions = obj.get("regions", [])
@@ -140,7 +142,8 @@ def parse_stream(text: str) -> FrameStream:
 
     ``dt`` and every ``t`` must be finite numbers and every ``index`` an
     integer; anything else is a SpecSyntaxError, not a silent conversion.
-    Blank lines are skipped; errors name the line of the file.
+    Blank lines are skipped; errors, a region's too, name the line of the
+    file.
     """
     lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
              if line.strip())
@@ -162,7 +165,11 @@ def parse_stream(text: str) -> FrameStream:
         regions = obj.get("regions", [])
         if not isinstance(regions, list):
             raise SpecSyntaxError(f"stream line {lineno}: 'regions' must be a list")
-        frames.append(Frame(index, t, tuple(map(region_from_document, regions))))
+        try:
+            frame_regions = tuple(map(region_from_document, regions))
+        except SpecSyntaxError as exc:
+            raise SpecSyntaxError(f"stream line {lineno}: {exc}") from None
+        frames.append(Frame(index, t, frame_regions))
     return FrameStream(tuple(frames), dt)
 
 
@@ -261,14 +268,27 @@ class BeliefTrace:
     frames: tuple[FrameBelief, ...]
 
     def to_jsonl(self) -> str:
+        """One line per frame, byte for byte the ``json.dumps`` of
+        {"index", "posterior", "effective_prior", "bindings"}, laid out here:
+        state names are escaped once per trace and binding ids per line by
+        the encoder's own escaper, and each probability is written as the
+        ``repr`` of its :func:`sig10` rounding, as json writes a finite float.
+        """
+        keys = [encode_basestring_ascii(s) + ": " for s in self.states]
+
+        def probabilities(vector: np.ndarray) -> str:
+            return ", ".join([k + float.__repr__(sig10(p)) for k, p in zip(keys, vector.tolist())])
+
         lines = []
+        prior, prior_text = None, ""  # a dynamic trace's beliefs share one prior array
         for fb in self.frames:
-            lines.append(json.dumps({
-                "index": fb.index,
-                "posterior": {s: sig10(p) for s, p in zip(self.states, fb.posterior)},
-                "effective_prior": {s: sig10(p) for s, p in zip(self.states, fb.effective_prior)},
-                "bindings": dict(fb.bindings),
-            }))
+            if fb.effective_prior is not prior:
+                prior, prior_text = fb.effective_prior, probabilities(fb.effective_prior)
+            bindings = ", ".join([encode_basestring_ascii(f) + ": "
+                                  + ("null" if r is None else encode_basestring_ascii(r))
+                                  for f, r in fb.bindings.items()])
+            lines.append(f'{{"index": {fb.index}, "posterior": {{{probabilities(fb.posterior)}}}, '
+                         f'"effective_prior": {{{prior_text}}}, "bindings": {{{bindings}}}}}')
         return "\n".join(lines) + "\n"
 
 
@@ -337,13 +357,24 @@ def match_regions(prev: Frame, cur: Frame, *, delta: float = DEFAULT_MATCH_DELTA
 
     A pair is admissible iff same colour class, area ratio within
     ``area_ratio`` and centroid distance <= ``delta``; each region is matched
-    at most once; ties break on the lowest (prev id, cur id) pair.
+    at most once; ties break on the lowest (prev id, cur id) pair.  No pair
+    crosses colour classes, so this is the union of the independent
+    matchings of each class (:func:`_class_matching`).
     """
+    matched: dict[str, str] = {}
+    for colour in dict.fromkeys(p.colour_class for p in prev.regions):
+        matched.update(_class_matching([p for p in prev.regions if p.colour_class == colour],
+                                       [c for c in cur.regions if c.colour_class == colour],
+                                       delta, area_ratio))
+    return matched
+
+
+def _class_matching(prev: Sequence[Region], cur: Sequence[Region], delta: float,
+                    area_ratio: tuple[float, float]) -> dict[str, str]:
+    """:func:`match_regions` over regions that all share one colour class."""
     candidates = []
-    for p in prev.regions:
-        for c in cur.regions:
-            if p.colour_class != c.colour_class:
-                continue
+    for p in prev:
+        for c in cur:
             ratio = c.area / p.area
             if not (area_ratio[0] <= ratio <= area_ratio[1]):
                 continue
@@ -439,12 +470,18 @@ def _star_spec(model: DynamicModel, presence: Sequence[str],
     return NetworkSpec(model.hypothesis_id, tuple(nodes), {fid: model.predicate for fid in presence})
 
 
+def _window_ids(model: DynamicModel, k: int) -> tuple[list[str], list[str]]:
+    """The presence and relation node ids of a k-frame window, in frame order."""
+    return ([f"{model.feature_id}_{i}" for i in range(k)],
+            [f"{model.relation_id}_{i}_{i + 1}" for i in range(k - 1)])
+
+
 def window_spec(model: DynamicModel, k: int) -> NetworkSpec:
     """The tree for a k-frame window: hypothesis -> k presence nodes, each
     bound by the model's predicate, + k-1 relation nodes."""
-    presence = [f"{model.feature_id}_{i}" for i in range(k)]
-    return _star_spec(model, presence, [(f"{model.relation_id}_{i}_{i + 1}", presence[i],
-                                         presence[i + 1]) for i in range(k - 1)])
+    presence, relations = _window_ids(model, k)
+    return _star_spec(model, presence, [(rid, presence[i], presence[i + 1])
+                                        for i, rid in enumerate(relations)])
 
 
 def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int | None, *,
@@ -469,25 +506,30 @@ def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int |
     eff_tau = tau if tau is not None else model.params.get("tau", DEFAULT_TAU)
     eff_eps = epsilon if epsilon is not None else model.params.get("epsilon", DEFAULT_EPSILON)
     eff_delta = delta if delta is not None else model.delta
+    # a bound pair can only match within its colour class, whose matching no other class affects
+    same_class = [[r for r in f.regions if r.colour_class == b.colour_class] if b is not None else []
+                  for f, b in zip(frames, bound)]
     values: list[str | None] = []
     for i in range(len(frames) - 1):
         a, b = bound[i], bound[i + 1]
         value = None
-        if (a is not None and b is not None
-                and match_regions(frames[i], frames[i + 1], delta=eff_delta).get(a.id) == b.id):
+        if (a is not None and b is not None and a.colour_class == b.colour_class
+                and _class_matching(same_class[i], same_class[i + 1], eff_delta,
+                                    DEFAULT_AREA_RATIO).get(a.id) == b.id):
             value = eval_relation(model.relation_evaluator, a, b, tau=eff_tau, epsilon=eff_eps)
         values.append(value)
     return k, net, bound, values
 
 
-def _window_evidence(model: DynamicModel, bound: Sequence[Region | None],
-                     values: Sequence[str | None]) -> EvidenceSet:
-    """Presence nodes observed present/absent; relation nodes only when matched."""
-    assignments = {f"{model.feature_id}_{i}": (PRESENT if r is not None else ABSENT)
-                   for i, r in enumerate(bound)}
-    for i, value in enumerate(values):
+def _window_evidence(presence: Sequence[str], relations: Sequence[str],
+                     bound: Sequence[Region | None], values: Sequence[str | None]) -> EvidenceSet:
+    """Presence nodes observed present/absent; relation nodes only when
+    matched.  ``presence`` and ``relations`` are the window's node ids, as
+    :func:`_window_ids` gives them."""
+    assignments = {fid: (PRESENT if r is not None else ABSENT) for fid, r in zip(presence, bound)}
+    for rid, value in zip(relations, values):
         if value is not None:
-            assignments[f"{model.relation_id}_{i}_{i + 1}"] = value
+            assignments[rid] = value
     return EvidenceSet(assignments)
 
 
@@ -509,8 +551,8 @@ def dynamic_windows(model: DynamicModel, frames: Sequence[Frame], window: int | 
     k, net, bound, values = _evaluate_frames(model, frames, window,
                                              tau=tau, epsilon=epsilon, delta=delta)
 
-    feature = net.node(f"{model.feature_id}_0")
-    relation = net.node(f"{model.relation_id}_0_1")
+    presence, relations = _window_ids(model, k)
+    feature, relation = net.node(presence[0]), net.node(relations[0])
     frame_codes = np.array([feature.state_index(ABSENT if r is None else PRESENT) for r in bound])
     pair_codes = np.array([relation.state_index(v) if v is not None else -1 for v in values])
     # columns in window_spec's node order: hypothesis, presence nodes, relation nodes
@@ -525,12 +567,12 @@ def dynamic_windows(model: DynamicModel, frames: Sequence[Frame], window: int | 
         node = vanished[1] if vanished is not None and vanished[0] == start else model.hypothesis_id
         raise FrameInferenceError(frames[start + k - 1].index, ImpossibleEvidenceError(node))
 
-    names = [f"{model.feature_id}_{i}" for i in range(k)]
     ids = [r.id if r is not None else None for r in bound]
     for start, post in enumerate(posteriors):
-        ev = _window_evidence(model, bound[start:start + k], values[start:start + k - 1])
+        ev = _window_evidence(presence, relations, bound[start:start + k],
+                              values[start:start + k - 1])
         yield net, ev, FrameBelief(frames[start + k - 1].index, post, prior,
-                                   dict(zip(names, ids[start:start + k])))
+                                   dict(zip(presence, ids[start:start + k])))
 
 
 def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
@@ -544,9 +586,9 @@ def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
     and evidence of the single window of :func:`dynamic_windows` over exactly
     these frames; nothing is propagated.
     """
-    _, net, bound, values = _evaluate_frames(model, frames, len(frames),
+    k, net, bound, values = _evaluate_frames(model, frames, len(frames),
                                              tau=tau, epsilon=epsilon, delta=delta)
-    return net, _window_evidence(model, bound, values)
+    return net, _window_evidence(*_window_ids(model, k), bound, values)
 
 
 def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | None = None,

@@ -174,6 +174,22 @@ def per_field_region(obj) -> Region:
 # temporal oracles
 
 
+def all_pairs_matching(prev: Frame, cur: Frame, delta: float, area_ratio) -> dict[str, str]:
+    """Greedy cross-frame matching over every pair of the two frames at once,
+    colour classes mixed, as ``match_regions`` did before it matched each
+    class on its own: sort all admissible (distance, prev id, cur id) and
+    take each pair whose regions are both still free."""
+    candidates = sorted(
+        (math.hypot(p.centroid[0] - c.centroid[0], p.centroid[1] - c.centroid[1]), p.id, c.id)
+        for p in prev.regions for c in cur.regions
+        if p.colour_class == c.colour_class and area_ratio[0] <= c.area / p.area <= area_ratio[1])
+    matched: dict[str, str] = {}
+    for d, pid, cid in candidates:
+        if d <= delta and pid not in matched and cid not in matched.values():
+            matched[pid] = cid
+    return matched
+
+
 def eq3_step(prior, transition, prev, likelihood, mode="paper"):
     """One rollover step evaluated directly from the formula, loop arithmetic only.
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import shutil
@@ -165,6 +166,13 @@ class TestValidate:
             "node spot_0: row sum 1.1 != 1 (row 0)",
             "bound node spot_0: unknown colour class 'maroon'",
         ]
+
+
+    def test_deeply_nested_spec_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"root": "O",\n "nodes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "validate", "--spec", str(path))
+        assert (code, out, err) == (2, "", "JSON value nested too deeply (line 1, column 1)\n")
 
 
 class TestCompile:
@@ -464,7 +472,7 @@ class TestStreamInput:
         path.write_text("\n".join(lines) + "\n")
         code, out, err = run(capsys, command, "--model", "dirty_lens", "--stream", str(path))
         assert (code, out) == (2, "")
-        assert err == "region 'spot': 'area' must be an integer in [-2**53, 2**53]\n"
+        assert err == "stream line 3: region 'spot': 'area' must be an integer in [-2**53, 2**53]\n"
 
     @pytest.mark.parametrize("command", ["track", "check"])
     def test_bbox_entry_beyond_2_pow_53_exits_2_in_adjacency(self, capsys, tmp_path, command):
@@ -479,7 +487,16 @@ class TestStreamInput:
         path.write_text('{"dt": 0.04}\n' + json.dumps({"index": 0, "t": 0.0, "regions": regions}))
         code, out, err = run(capsys, command, "--spec", str(spec), "--stream", str(path))
         assert (code, out) == (2, "")
-        assert err == "region 'b': 'bbox' entries must be integers in [-2**53, 2**53]\n"
+        assert err == "stream line 2: region 'b': 'bbox' entries must be integers in [-2**53, 2**53]\n"
+
+    def test_deeply_nested_regions_exit_2(self, capsys, tmp_path):
+        _, text, _ = run(capsys, "generate", "--scenario", "static_spot", "--frames", "3")
+        lines = text.splitlines()
+        lines[2] = '{"index": 1, "t": 0.04, "regions": %s}' % ("[" * 100_000 + "]" * 100_000)
+        path = tmp_path / "stream.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "track", "--model", "dirty_lens", "--stream", str(path))
+        assert (code, out, err) == (2, "", "JSON value nested too deeply (line 3, column 1)\n")
 
     @pytest.mark.parametrize("entry", ["2", "0.5", '"1"', '"a"', "true", "1e999"])
     def test_mask_entries_must_be_0_or_1(self, capsys, tmp_path, entry):
@@ -488,7 +505,7 @@ class TestStreamInput:
                         '"colour_class": "dark", "centroid": [0.0, 0.0], "area": 1, '
                         '"bbox": [0, 0, 0, 0], "mask": [[%s]]}]}\n' % entry)
         code, out, err = run(capsys, "track", "--model", "lumen_tracker", "--stream", str(path))
-        assert (code, out, err) == (2, "", "region 'p': mask entries must be 0 or 1\n")
+        assert (code, out, err) == (2, "", "stream line 2: region 'p': mask entries must be 0 or 1\n")
 
     @pytest.mark.parametrize("seed", ["0", "3"])
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -634,6 +651,55 @@ class TestCheckRoutes:
             code, out, err = run(capsys, command, "--spec", str(model_path),
                                  "--stream", str(stream_path), "--window", "3")
             assert (code, out, err) == (3, "", message), command
+
+
+class TestCollector:
+    """cli.main runs a command with the cyclic garbage collector paused and
+    gives the caller its collector state back."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_paused_while_the_command_runs(self, capsys, monkeypatch):
+        seen = []
+        real = cli.generate_stream
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_stream", spy)
+        gc.enable()
+        assert run(capsys, "track", "--model", "dirty_lens", "--scenario", "static_spot")[0] == 0
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_on_entry_is_restored(self, capsys, tmp_path, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, "track", "--model", "dirty_lens", "--scenario", "static_spot")[0] == 0
+        assert gc.isenabled() is enabled
+        code, _, _ = run(capsys, "track", "--model", "dirty_lens",
+                         "--stream", str(tmp_path / "missing.jsonl"))
+        assert code == 2 and gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            cli.main(["track", "--no-such-flag"])
+        assert gc.isenabled() is enabled
+
+    def test_cyclic_garbage_does_not_grow_with_the_stream(self, capsys, tmp_path):
+        _, short = spot_stream_file(tmp_path, 40)
+        long_dir = tmp_path / "long"
+        long_dir.mkdir()
+        _, long = spot_stream_file(long_dir, 400)
+        gc.collect()
+        gc.disable()
+        found = []
+        for path in (short, long, short):
+            assert run(capsys, "track", "--model", "dirty_lens", "--stream", path)[0] == 0
+            found.append(gc.collect())
+        assert found[0] == found[1] == found[2]
 
 
 def launcher():

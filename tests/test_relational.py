@@ -497,6 +497,21 @@ class TestRelationalize:
         other = Region("b", "dark", (9.0, 9.0), 9, (8, 8, 10, 10))
         assert select_region({"colour_class": "dark"}, (other, big)).id == "a"
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["dark", "bright", "green"]), st.integers(1, 3)),
+                    max_size=8),
+           st.sampled_from(["dark", ["dark"], ("bright", "green"), []]),
+           st.randoms(use_true_random=False))
+    def test_binding_is_the_first_candidate_by_area_then_id(self, specs, colours, rng):
+        regions = [Region(f"r{i}", colour, (0.0, 0.0), area, (0, 0, 0, 0))
+                   for i, (colour, area) in enumerate(specs)]
+        rng.shuffle(regions)
+        admitted = colours if isinstance(colours, (list, tuple)) else [colours]
+        candidates = sorted((r for r in regions if r.colour_class in admitted),
+                            key=lambda r: (-r.area, r.id))
+        expected = candidates[0] if candidates else None
+        assert select_region({"colour_class": colours}, regions) is expected
+
     def test_colour_disjunction_predicate(self):
         pred = {"colour_class": ("yellow", "green", "brown")}
         assert select_region(pred, (pixel_region("y", 0, 0, "green"),)).id == "y"

@@ -21,11 +21,13 @@ from beliefscope.errors import (
 )
 from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
 from beliefscope.network import NetworkSpec, NodeSpec, apply_evidence, load_json
-from beliefscope.propagation import brute_force_beliefs, propagate
-from beliefscope.relational import Region, relationalize
+from beliefscope.propagation import brute_force_beliefs, propagate, sig10
+from beliefscope.relational import Region, relationalize, select_region
 from beliefscope.temporal import (
+    BeliefTrace,
     DynamicModel,
     Frame,
+    FrameBelief,
     MODES,
     FrameStream,
     TemporalModel,
@@ -45,6 +47,7 @@ from beliefscope.temporal import (
 )
 
 from helpers import (
+    all_pairs_matching,
     chain_model,
     eq3_step,
     frame_likelihood,
@@ -264,6 +267,20 @@ class TestStream:
     def test_repeated_keys_are_named(self, line, message):
         with pytest.raises(SpecSyntaxError, match=f"^{message}$"):
             parse_stream('{"dt": 0.04}\n' + line)
+
+    @pytest.mark.parametrize("region, message", [
+        pytest.param(region_line().replace('"dark"', '"purple"'),
+                     "region 'r': unknown colour class 'purple'", id="colour"),
+        pytest.param(region_line(mask="[[1, 1, 1], [1, 1, 1]]"),
+                     "region 'r': mask shape (2, 3) does not match bbox 3x3", id="mask"),
+        pytest.param(region_line().replace('"area": 9, ', ""),
+                     "malformed region entry: 'area'", id="malformed"),
+    ])
+    def test_region_errors_name_the_line_of_the_file(self, region, message):
+        second = region.replace('"index": 0, "t": 0.0', '"index": 1, "t": 0.04')
+        with pytest.raises(SpecSyntaxError) as info:
+            parse_stream('{"dt": 0.04}\n' + region_line() + "\n\n" + second)
+        assert str(info.value) == f"stream line 4: {message}"
 
     def test_colons_inside_strings(self):
         stream = parse_stream('{"dt": 0.04}\n' + region_line(rid='"a:b::"'))
@@ -569,6 +586,77 @@ class TestMatchRegions:
         cur = Frame(1, 0.04, (dark_pixel("x", 1),))
         # both candidates at distance 1: 'a' wins
         assert match_regions(prev, cur) == {"a": "x"}
+
+
+#: regions whose matchings tie on distance (integer grid, delta 10 reached
+#: exactly by 6-8-10 offsets) and sit on the area-ratio edges 0.5 and 2.0;
+#: yellow and green are bound by dirty_lens, dark is not
+MATCH_REGIONS = st.lists(
+    st.tuples(st.sampled_from(["yellow", "green", "dark"]), st.integers(0, 12),
+              st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6, 8])),
+    max_size=6,
+).map(lambda specs: tuple(Region(f"r{i}", colour, (float(x), float(y)), area, (x, y, x, y))
+                          for i, (colour, x, y, area) in enumerate(specs)))
+
+
+class TestClassMatching:
+    @settings(max_examples=300, deadline=None)
+    @given(MATCH_REGIONS, MATCH_REGIONS)
+    def test_bound_pair_decision_equals_all_pairs_matching(self, prev_regions, cur_regions):
+        """Matching within the bound region's colour class decides a window's
+        relation exactly as greedy matching over all pairs did."""
+        model = builtin_model("dirty_lens").model
+        prev, cur = Frame(0, 0.0, prev_regions), Frame(1, 0.04, cur_regions)
+        reference = all_pairs_matching(prev, cur, model.delta, temporal.DEFAULT_AREA_RATIO)
+        assert match_regions(prev, cur, delta=model.delta) == reference
+
+        a = select_region(model.predicate, prev_regions)
+        b = select_region(model.predicate, cur_regions)
+        matched = a is not None and b is not None and reference.get(a.id) == b.id
+        _, evidence = build_dynamic_window(model, (prev, cur))
+        assert (f"{model.relation_id}_0_1" in evidence.assignments) == matched
+
+
+def _dumped_trace(trace):
+    """The trace laid out by json.dumps of each line's document."""
+    return "\n".join(json.dumps({
+        "index": fb.index,
+        "posterior": {s: sig10(p) for s, p in zip(trace.states, fb.posterior)},
+        "effective_prior": {s: sig10(p) for s, p in zip(trace.states, fb.effective_prior)},
+        "bindings": dict(fb.bindings),
+    }) for fb in trace.frames) + "\n"
+
+
+AWKWARD_TEXT = ['"', "\\", 'a"b\\c', "naïve", "日本", "\x00\x1f\n\t", "\u2028", "🙂", "", "/"]
+
+
+class TestTraceLayout:
+    def test_awkward_names_ids_and_probabilities_are_laid_out_like_json_dumps(self):
+        states = tuple(AWKWARD_TEXT[:5])
+        probabilities = [0.0, 1.0, 5e-324, 1e-5, 0.1 + 0.2]
+        frames = []
+        for i in range(len(AWKWARD_TEXT)):
+            post = np.array(probabilities[i % 5:] + probabilities[:i % 5])
+            bindings = {f"{AWKWARD_TEXT[i]}_{j}": (None if j == i % 3 else AWKWARD_TEXT[-1 - j])
+                        for j in range(3)}
+            frames.append(FrameBelief(i, post, post[::-1].copy(), bindings))
+        frames.append(FrameBelief(99, np.array(probabilities), np.array(probabilities), {}))
+        trace = BeliefTrace("h", states, tuple(frames))
+        assert trace.to_jsonl() == _dumped_trace(trace)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True),
+           st.lists(st.tuples(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+                              st.dictionaries(st.text(max_size=3),
+                                              st.none() | st.text(max_size=3), max_size=3),
+                              st.booleans()),
+                    max_size=4))
+    def test_any_trace_is_laid_out_like_json_dumps(self, states, rows):
+        shared = np.array([0.25, 0.5, 0.25])
+        frames = tuple(FrameBelief(i, np.array(p), shared if same else np.array(p[::-1]), b)
+                       for i, (p, b, same) in enumerate(rows))
+        trace = BeliefTrace("h", tuple(states), frames)
+        assert trace.to_jsonl() == _dumped_trace(trace)
 
 
 class TestDynamicWindow:
