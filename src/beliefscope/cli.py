@@ -28,6 +28,7 @@ from .errors import (
 )
 from .endoscopy import builtin_model, compile_rule, generate_stream
 from .network import (
+    Network,
     NetworkSpec,
     apply_evidence,
     load_json,
@@ -36,7 +37,7 @@ from .network import (
     parse_evidence,
     validate_network,
 )
-from .propagation import brute_force_beliefs, propagate, sig10
+from .propagation import downward, enumerate_beliefs, observation_codes, propagate, sig10
 from .relational import bind_features, parse_scene, relation_evidence, relationalize
 from .temporal import (
     DynamicModel,
@@ -248,19 +249,21 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _pairs_to_check(args, model):
-    """(net, evidence, printed) for every network the oracle comparison runs
-    over: ``printed`` is the hypothesis posterior ``track`` prints for that
-    frame or window, or None where the printed answer is propagate's own."""
+def _rows_to_check(args, model):
+    """(net, evidence, prior, printed) for every network the oracle comparison runs over:
+    ``prior`` is the root prior that replaces the network's own on that frame's tree (a
+    semi-static frame's effective prior) or None, and ``printed`` is the hypothesis posterior
+    ``track`` prints for that frame or window, or None where the printed answer is
+    propagate's own."""
     if isinstance(model, NetworkSpec):
         if getattr(args, "scene", None) is not None:
-            yield (*_scene_inputs(args, model), None)
+            yield (*_scene_inputs(args, model), None, None)
             return
         stream = _load_stream(args)
         net = validate_network(model)
         for frame in stream.frames:
             yield net, relation_evidence(model, bind_features(model, frame.regions),
-                                         tau=args.tau, epsilon=args.epsilon), None
+                                         tau=args.tau, epsilon=args.epsilon), None, None
         return
     stream = _load_stream(args)
     if isinstance(model, TemporalModel):
@@ -268,11 +271,34 @@ def _pairs_to_check(args, model):
         frames = list(filter_frames(_with_mode(model, args.mode), stream,
                                     tau=args.tau, epsilon=args.epsilon))
         for net, ev, belief in frames:
-            yield net.with_root_prior(belief.effective_prior), ev, belief.posterior
+            yield net, ev, belief.effective_prior, belief.posterior
         return
     for net, ev, belief in dynamic_windows(model, stream.frames, args.window, tau=args.tau,
                                            epsilon=args.epsilon, delta=args.delta):
-        yield net, ev, belief.posterior
+        yield net, ev, None, belief.posterior
+
+
+def _residual(net: Network, observed: list, priors: list, printed: list) -> float:
+    """The largest difference over one Network's distinct rows between :func:`downward` and
+    :func:`enumerate_beliefs` on every marginal, and between each printed posterior, given as
+    (row, posterior), and the oracle's hypothesis marginal of its row."""
+    codes = observation_codes(net, observed)
+    priors = None if priors[0] is None else np.array(priors)
+    try:
+        fast = downward(net, codes, priors)
+        slow = enumerate_beliefs(net, codes, priors)
+    except (ImpossibleEvidenceError, StateSpaceCapError):
+        # raise what comparing row by row raises first, propagate before enumeration
+        for row in range(len(codes)):
+            alone = None if priors is None else priors[row:row + 1]
+            downward(net, codes[row:row + 1], alone)
+            enumerate_beliefs(net, codes[row:row + 1], alone)
+        raise
+    worst = max(float(np.abs(fast[nid] - slow[nid]).max()) for nid in slow)
+    if printed:
+        rows, posteriors = zip(*printed)
+        worst = max(worst, float(np.abs(np.array(posteriors) - slow[net.root][list(rows)]).max()))
+    return worst
 
 
 def _cmd_check(args) -> int:
@@ -280,33 +306,27 @@ def _cmd_check(args) -> int:
     network, and the posterior ``track`` prints for each frame or window
     with the oracle's hypothesis marginal; print the largest difference.
 
-    Both routes are deterministic, so each distinct (Network, evidence) pair
-    is propagated and enumerated once: consecutive windows share one Network
-    and most repeat an evidence set.  The memo is cleared whenever the
-    Network changes, so it holds at most one Network's distinct evidence
-    sets.  Every network still counts in ``over N network(s)``.
+    Both routes are deterministic, so each distinct (Network, evidence, root
+    prior) row is collected once, in first-seen order, and each Network's rows
+    go through one call of each batched kernel: consecutive windows share one
+    Network and most repeat an evidence set, and a semi-static frame's tree
+    is the stream's Network under its effective prior.  Every network still
+    counts in ``over N network(s)``.
     """
     model = _load_model(args)
-    worst = 0.0
+    networks: dict[Network, tuple[dict, list, list, list]] = {}
     compared = 0
-    memo_net, memo = None, {}
-    for net, ev, printed in _pairs_to_check(args, model):
-        if net is not memo_net:
-            memo_net, memo = net, {}
-        key = frozenset(ev.assignments.items())
-        if key not in memo:
-            inet = apply_evidence(net, ev)
-            fast = propagate(inet)
-            slow = brute_force_beliefs(inet)
-            residual = 0.0
-            for nid, vec in fast.marginals.items():
-                residual = max(residual, float(np.abs(vec - slow.marginals[nid]).max()))
-            memo[key] = residual, slow.marginals[net.root]
-        residual, root = memo[key]
-        worst = max(worst, residual)
+    for net, ev, prior, printed in _rows_to_check(args, model):
+        index, observed, priors, shown = networks.setdefault(net, ({}, [], [], []))
+        key = frozenset(ev.assignments.items()), None if prior is None else prior.tobytes()
+        if key not in index:
+            index[key] = len(observed)
+            observed.append(apply_evidence(net, ev).observed)
+            priors.append(prior)
         if printed is not None:
-            worst = max(worst, float(np.abs(printed - root).max()))
+            shown.append((index[key], printed))
         compared += 1
+    worst = max((_residual(net, *rows) for net, (_, *rows) in networks.items()), default=0.0)
     _emit(args, f"max |propagate - enumeration| = {sig10(worst):.10g} over {compared} network(s)\n")
     if worst >= ORACLE_TOLERANCE:
         print(f"oracle mismatch: {worst:.3e} >= {ORACLE_TOLERANCE:.0e}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
@@ -137,13 +138,6 @@ class Network:
     def node(self, node_id: str) -> Node:
         return self.by_id[node_id]
 
-    def with_root_prior(self, prior) -> "Network":
-        """Copy of this network with the root's prior replaced, renormalised like every row
-        :func:`validate_network` loads.  It shares ``memo``, which never holds that row."""
-        root = replace(self.by_id[self.root], cpt=normalised_rows([prior]))
-        return replace(self, nodes=tuple(root if n.id == self.root else n for n in self.nodes),
-                       by_id={**self.by_id, self.root: root})
-
 
 @dataclass(frozen=True, eq=False)
 class InstantiatedNetwork:
@@ -177,13 +171,36 @@ def load_json(text: str, line: int = 1):
     """json.loads with duplicate-key detection, no NaN/Infinity literals and
     positioned syntax errors; ``line`` is the number of the text's first line
     in its file.  A value nested deeper than the decoder can recurse is
-    reported at the text's first line."""
+    reported at the line where the nesting is deepest (:func:`_deepest_line`)."""
     try:
         return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, line=exc.lineno + line - 1, column=exc.colno) from None
     except RecursionError:
-        raise SpecSyntaxError("JSON value nested too deeply", line=line, column=1) from None
+        raise SpecSyntaxError("JSON value nested too deeply",
+                              line=_deepest_line(text) + line - 1, column=1) from None
+
+
+#: a string (its closing quote missing at the end of the text), an opening or closing bracket, a newline
+_NESTING_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[{]|[\]}]|\n', re.DOTALL)
+
+
+def _deepest_line(text: str) -> int:
+    """The line of ``text``, counted from 1, where the depth of brackets outside
+    strings first reaches its maximum."""
+    depth = deepest = 0
+    line = where = 1
+    for token in _NESTING_TOKEN.finditer(text):
+        kind = token.group()
+        if kind in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, where = depth, line
+        elif kind in ("]", "}"):
+            depth -= 1
+        else:
+            line += kind.count("\n")
+    return where
 
 
 def _require(cond: bool, message: str):

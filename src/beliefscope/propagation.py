@@ -1,10 +1,12 @@
 """Exact posteriors on tree networks.
 
 One upward kernel, :func:`upward`, computes every node's likelihood (λ) for a
-batch of observation rows.  :func:`propagate` runs it on one row and adds the
-downward (prior) pass; ``track`` runs it on every frame or window of a stream
-and takes each hypothesis posterior from :func:`posterior`.  A joint-enumeration
-oracle verifies this path and is kept algorithmically independent of it.
+batch of observation rows, and :func:`downward` adds the prior (π) pass to give
+every node's marginals for the same batch.  :func:`propagate` is their batch of
+one; ``track`` runs the upward kernel on every frame or window of a stream and
+takes each hypothesis posterior from :func:`posterior`.  A joint-enumeration
+oracle, :func:`enumerate_beliefs`, verifies this path over a batch too and is
+kept algorithmically independent of it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .errors import ImpossibleEvidenceError, StateSpaceCapError
 from .network import InstantiatedNetwork, Network
 
 ENUMERATION_CAP = 1 << 20
+
+#: the most joint-table entries :func:`enumerate_beliefs` holds for one chunk of rows
+ENUMERATION_CHUNK = 1 << 16
 
 
 def sig10(x: float) -> float:
@@ -57,17 +62,23 @@ def _own_evidence(s: int) -> np.ndarray:
     return table
 
 
+def _contract(vecs: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Σ_j vecs[g, n, j] · tables[g, i, j], shape (g, n, i): products summed over the last
+    axis, never matrix products, whose rounding changes with n."""
+    return (vecs[:, :, None, :] * tables[:, None]).sum(axis=-1)
+
+
 def _messages(lams: np.ndarray, cpts: np.ndarray) -> np.ndarray:
-    """Normalised log λ-messages (g, n, s) of children with CPTs (g, s, size) and λ (g, n, size):
-    products summed over the child's states, never matrix products, whose rounding changes with n."""
-    msg = (lams[:, :, None, :] * cpts[:, None]).sum(axis=-1)
+    """Normalised log λ-messages (g, n, s) of children with CPTs (g, s, size) and λ (g, n, size)."""
+    msg = _contract(lams, cpts)
     return np.log(msg / msg.sum(axis=-1, keepdims=True))
 
 
 def _plan(net: Network) -> tuple[list[str], dict[str, int], list]:
-    """What :func:`upward` takes from the network alone, kept in ``net.memo``: the breadth-first
-    order, node columns, and per parent (or lone root) its children grouped by state count; a
-    leaf's message depends only on its code, so leaf groups keep it for every code."""
+    """What :func:`upward` and :func:`downward` take from the network alone, kept in
+    ``net.memo``: the breadth-first order, node columns, and per parent (or lone root) its
+    children grouped by state count, each group with its stacked CPTs and their transposes;
+    a leaf's message depends only on its code, so leaf groups keep it for every code."""
     if "upward" in net.memo:
         return net.memo["upward"]
     order = [net.root]
@@ -84,13 +95,14 @@ def _plan(net: Network) -> tuple[list[str], dict[str, int], list]:
         for (size, leaf), slots in groups.items():
             ids = [kids[j] for j in slots]
             cpts = np.array([net.by_id[c].cpt for c in ids])
+            down = np.ascontiguousarray(cpts.transpose(0, 2, 1))
             if leaf:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     table = _messages(_own_evidence(size)[None], cpts)
-                leaves.append((slots, ids, [column[c] for c in ids], size,
+                leaves.append((slots, ids, [column[c] for c in ids], size, down,
                                table.reshape(-1, table.shape[-1]), (size + 1) * np.arange(len(ids))[:, None]))
             else:
-                inner.append((slots, ids, cpts))
+                inner.append((slots, ids, cpts, down))
         steps.append((nid, len(net.by_id[nid].states), len(kids), leaves, inner))
     net.memo["upward"] = order, column, steps
     return net.memo["upward"]
@@ -123,11 +135,11 @@ def upward(net: Network, codes: np.ndarray) -> tuple[dict, dict, tuple[int, str]
         for nid, s, k, leaves, inner in steps:  # each leaf's λ is formed with its siblings'
             own = np.take(_own_evidence(s), codes[:, column[nid]], axis=0)
             rows = np.empty((k, len(codes), s))
-            for slots, ids, cols, size, table, offsets in leaves:
+            for slots, ids, cols, size, _, table, offsets in leaves:
                 code = codes[:, cols].T  # np.take gathers rows far faster than fancy indexing
                 lam.update(zip(ids, np.take(_own_evidence(size), code, axis=0)))
                 rows[slots] = np.take(table, code + offsets, axis=0)
-            for slots, ids, cpts in inner:
+            for slots, ids, cpts, _ in inner:
                 rows[slots] = _messages(np.array([lam[c] for c in ids]), cpts)
             prefix = np.zeros((len(rows) + 1, len(codes), s))
             rows.cumsum(axis=0, out=prefix[1:])
@@ -154,68 +166,101 @@ def posterior(prior: np.ndarray, lam: np.ndarray) -> np.ndarray:
         return bel / bel.sum(axis=-1, keepdims=True)
 
 
-def propagate(inet: InstantiatedNetwork) -> Beliefs:
-    """Exact per-node posteriors given all evidence, in time linear in the nodes.
+def downward(net: Network, codes: np.ndarray, priors: np.ndarray | None = None,
+             ) -> dict[str, np.ndarray]:
+    """Every node's posterior marginals, shape (n, s) in breadth-first order, for a batch of
+    observation rows (:func:`observation_codes`).
 
-    The upward pass (:func:`upward` on one observation row) collects
-    likelihood messages from the leaves, the downward pass distributes prior
-    messages from the root; each node's posterior is the normalised product
-    of the two.  Fan-in is combined in the log domain: the column sum of a
-    node's k stacked child log λ-messages is its λ, and their exclusive
-    prefix and suffix sums give all k "every sibling but one" π messages.
-    Log-messages are only added, so a structural zero stays an exact -inf,
-    and every combined message is max-shifted before it leaves the log
-    domain, so neither wide fan-in nor long chains can underflow.
+    :func:`upward` collects likelihood (λ) messages from the leaves; this pass sends prior
+    (π) messages down from the root, and each node's marginal is the normalised product of
+    the two (:func:`posterior`).  ``priors``, one row per observation row, replaces the root's
+    prior, renormalised as :func:`validate_network` renormalises a prior row.  A parent's message
+    to child i excludes child i's own λ-message: the exclusive prefix sums of the stacked
+    child log λ-messages that ``upward`` returns, with the matching suffix sums, give all k
+    "every sibling but one" messages at once.  Log-messages are only added, so a structural
+    zero stays an exact -inf, and every combined message is max-shifted before it leaves the
+    log domain, so neither wide fan-in nor long chains can underflow.  A child's π is its
+    CPT weighted by that message, products summed (:func:`_contract`), never a matrix
+    product, so a row is bitwise equal to its batch of one.
+
+    Raises ImpossibleEvidenceError for the first row whose evidence has probability zero,
+    naming the node :func:`propagate` names for that row alone: where support vanished on
+    the way up, else the first node in breadth-first order whose π and λ share no state.
+    """
+    order, column, steps = _plan(net)
+    lam, fan_in, vanished = upward(net, codes)
+    root = net.root
+    if priors is None:
+        prior = net.by_id[root].cpt[:1]  # broadcast over the rows
+    else:
+        prior = priors / priors.sum(axis=1, keepdims=True)
+    pi = {root: prior}
+    marginals = {root: posterior(prior, lam[root])}
+    failed = np.isnan(marginals[root]).any(axis=-1)  # only zero mass makes a NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for nid, s, _, leaves, inner in reversed(steps):  # parents top-down
+            rows, prefix = fan_in[nid]
+            suffix = np.zeros(prefix.shape)
+            rows[::-1].cumsum(axis=0, out=suffix[1:])
+            own = np.take(_own_evidence(s), codes[:, column[nid]], axis=0)
+            # observed: other states ruled out; row i of the stack excludes child i
+            excluded = np.where(own == 0, -np.inf, np.log(pi[nid])) + prefix[:-1] + suffix[-2::-1]
+            excluded -= excluded.max(axis=-1, keepdims=True)
+            vec = np.exp(excluded)
+            msgs = vec / vec.sum(axis=-1, keepdims=True)
+            groups = [(slots, ids, down, np.take(_own_evidence(size), codes[:, cols].T, axis=0))
+                      for slots, ids, cols, size, down, *_ in leaves]
+            groups += [(slots, ids, down, np.array([lam[c] for c in ids]))
+                       for slots, ids, _, down in inner]
+            for slots, ids, down, child_lam in groups:
+                child_pi = _contract(msgs[slots], down)
+                pi.update(zip(ids, child_pi))
+                child = posterior(child_pi, child_lam)
+                failed |= np.isnan(child).any(axis=(0, 2))
+                marginals.update(zip(ids, child))
+    if failed.any():
+        row = int(failed.argmax())
+        if vanished is not None and vanished[0] == row:
+            raise ImpossibleEvidenceError(vanished[1])
+        raise ImpossibleEvidenceError(next(nid for nid in order
+                                           if np.isnan(marginals[nid][row]).any()))
+    return {nid: marginals[nid] for nid in order}
+
+
+def propagate(inet: InstantiatedNetwork) -> Beliefs:
+    """Exact per-node posteriors given all evidence, in time linear in the nodes:
+    :func:`downward` on one observation row.
 
     Raises ImpossibleEvidenceError, naming the node where support vanished,
     when the evidence has probability zero under the model.
     """
     net = inet.net
-    lam, fan_in, vanished = upward(net, observation_codes(net, [inet.observed]))
-    if vanished is not None:
-        raise ImpossibleEvidenceError(vanished[1])
-
-    with np.errstate(divide="ignore"):
-        pi: dict[str, np.ndarray] = {net.root: net.node(net.root).cpt[0]}
-        marginals: dict[str, np.ndarray] = {}
-        for nid in _plan(net)[0]:
-            bel = pi[nid] * lam[nid][0]
-            total = bel.sum()
-            if total <= 0.0:
-                raise ImpossibleEvidenceError(nid)
-            marginals[nid] = bel / total
-            if nid not in fan_in:
-                continue
-            rows, prefix = (stack[:, 0] for stack in fan_in[nid])
-            suffix = np.zeros(prefix.shape)
-            rows[::-1].cumsum(axis=0, out=suffix[1:])
-            log_base = np.log(pi[nid])
-            if nid in inet.observed:  # an observed node rules out its other states
-                log_base[np.array(net.node(nid).states) != inet.observed[nid]] = -np.inf
-            # Row i excludes child i.  Some state has pi > 0 and lam > 0 here,
-            # so no row is all -inf and no further impossibility check is needed.
-            excluded = log_base + prefix[:-1] + suffix[-2::-1]
-            excluded -= excluded.max(axis=1, keepdims=True)
-            vec = np.exp(excluded)
-            msgs = vec / vec.sum(axis=1, keepdims=True)
-            for child, msg in zip(net.children[nid], msgs):
-                pi[child] = net.node(child).cpt.T @ msg
-
-    return Beliefs(marginals, {n.id: n.states for n in net.nodes})
+    marginals = downward(net, observation_codes(net, [inet.observed]))
+    return Beliefs({nid: vec[0] for nid, vec in marginals.items()},
+                   {n.id: n.states for n in net.nodes})
 
 
-def brute_force_beliefs(inet: InstantiatedNetwork, cap: int = ENUMERATION_CAP) -> Beliefs:
-    """Joint-enumeration oracle: same contract as :func:`propagate`.
+def enumerate_beliefs(net: Network, codes: np.ndarray, priors: np.ndarray | None = None,
+                      cap: int = ENUMERATION_CAP) -> dict[str, np.ndarray]:
+    """Joint-enumeration oracle with the contract of :func:`downward`: every node's
+    marginals, shape (n, s), in ``net.nodes`` order.
 
-    Accumulates the probability of every joint assignment consistent with the
-    evidence (as a dense table of CPT-entry products) and normalises the
-    per-node marginals.  Refuses joint state spaces larger than ``cap``.
+    The product of CPT entries over the whole joint state space is built once per call, as a
+    dense table.  Each row's evidence, and its root prior when ``priors`` is given, multiply a
+    copy of it as indicator factors, and each node's marginal sums that copy over every other
+    node.  Rows are copied in chunks of at most ENUMERATION_CHUNK table entries (one row when
+    a table is larger) into one buffer, so memory stays within two tables or two chunks.
+    Refuses joint state spaces larger than ``cap``, and raises ImpossibleEvidenceError when
+    a row's evidence has no joint mass.
     """
-    net = inet.net
     sizes = [len(n.states) for n in net.nodes]
     total_states = math.prod(sizes)
     if total_states > cap:
         raise StateSpaceCapError(f"joint state space {total_states} exceeds cap {cap}")
+
+    def factor(j: int, rows: np.ndarray) -> np.ndarray:
+        """Rows (m, s_j) of node j's factor, shaped to multiply m joint tables."""
+        return rows.reshape([len(rows)] + [size if i == j else 1 for i, size in enumerate(sizes)])
 
     axis = {n.id: i for i, n in enumerate(net.nodes)}
     joint = np.ones(sizes)
@@ -223,29 +268,44 @@ def brute_force_beliefs(inet: InstantiatedNetwork, cap: int = ENUMERATION_CAP) -
         shape = [1] * len(sizes)
         shape[axis[n.id]] = len(n.states)
         if n.parent is None:
-            joint = joint * n.cpt[0].reshape(shape)
+            if priors is None:  # else each row's own prior multiplies its copy
+                joint *= n.cpt[0].reshape(shape)
         else:
             pa = axis[n.parent]
             shape[pa] = len(net.node(n.parent).states)
-            table = n.cpt if pa < axis[n.id] else n.cpt.T
-            joint = joint * table.reshape(shape)
-    for nid, label in inet.observed.items():
-        node = net.node(nid)
-        ind = np.zeros(len(node.states))
-        ind[node.state_index(label)] = 1.0
-        shape = [1] * len(sizes)
-        shape[axis[nid]] = len(node.states)
-        joint = joint * ind.reshape(shape)
+            joint *= (n.cpt if pa < axis[n.id] else n.cpt.T).reshape(shape)
 
-    if joint.sum() <= 0.0:
-        raise ImpossibleEvidenceError(None, "impossible evidence: total joint mass is zero")
+    marginals = {n.id: np.empty((len(codes), size)) for n, size in zip(net.nodes, sizes)}
+    step = max(1, ENUMERATION_CHUNK // total_states)
+    buffer = np.empty((min(step, len(codes)), *sizes))
+    for start in range(0, len(codes), step):
+        chunk = codes[start:start + step]
+        tables = buffer[:len(chunk)]
+        tables[...] = joint
+        for j, size in enumerate(sizes):
+            code = chunk[:, j:j + 1]
+            if (code >= 0).any():
+                tables *= factor(j, (code < 0) | (code == np.arange(size)))
+        if priors is not None:
+            rows = priors[start:start + step]
+            tables *= factor(axis[net.root], rows / rows.sum(axis=1, keepdims=True))
+        if (tables.sum(axis=tuple(range(1, tables.ndim))) <= 0.0).any():
+            raise ImpossibleEvidenceError(None, "impossible evidence: total joint mass is zero")
+        for j, n in enumerate(net.nodes):
+            m = tables.sum(axis=tuple(i + 1 for i in range(len(sizes)) if i != j))
+            marginals[n.id][start:start + len(chunk)] = m / m.sum(axis=-1, keepdims=True)
+    return marginals
 
-    marginals = {}
-    for n in net.nodes:
-        other = tuple(i for i in range(len(sizes)) if i != axis[n.id])
-        m = joint.sum(axis=other)
-        marginals[n.id] = m / m.sum()
-    return Beliefs(marginals, {n.id: n.states for n in net.nodes})
+
+def brute_force_beliefs(inet: InstantiatedNetwork, cap: int = ENUMERATION_CAP) -> Beliefs:
+    """Joint-enumeration oracle with the contract of :func:`propagate`:
+    :func:`enumerate_beliefs` on one observation row.  Refuses joint state
+    spaces larger than ``cap``.
+    """
+    net = inet.net
+    marginals = enumerate_beliefs(net, observation_codes(net, [inet.observed]), cap=cap)
+    return Beliefs({nid: vec[0] for nid, vec in marginals.items()},
+                   {n.id: n.states for n in net.nodes})
 
 
 def map_assignment(beliefs: Beliefs) -> dict[str, str]:

@@ -142,8 +142,8 @@ def parse_stream(text: str) -> FrameStream:
 
     ``dt`` and every ``t`` must be finite numbers and every ``index`` an
     integer; anything else is a SpecSyntaxError, not a silent conversion.
-    Blank lines are skipped; errors, a region's too, name the line of the
-    file.
+    Blank lines are skipped; errors, a region's and a frame's too, name the
+    line of the file.
     """
     lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
              if line.strip())
@@ -169,7 +169,10 @@ def parse_stream(text: str) -> FrameStream:
             frame_regions = tuple(map(region_from_document, regions))
         except SpecSyntaxError as exc:
             raise SpecSyntaxError(f"stream line {lineno}: {exc}") from None
-        frames.append(Frame(index, t, frame_regions))
+        try:
+            frames.append(Frame(index, t, frame_regions))
+        except StreamValidationError as exc:
+            raise StreamValidationError(f"stream line {lineno}: {exc}") from None
     return FrameStream(tuple(frames), dt)
 
 
@@ -299,8 +302,9 @@ def filter_frames(model: TemporalModel, stream: FrameStream, *,
 
     Frame 0 uses the static prior; every later frame replaces the hypothesis
     prior with :func:`semi_static_prior` over the previous posterior.  All
-    frames share one Network; ``net.with_root_prior(belief.effective_prior)``
-    is a frame's own tree.  This is the scaled forward algorithm: λ at the
+    frames share one Network; a frame's own tree is the per-frame spec with
+    ``belief.effective_prior`` as the root's prior, or the Network with that
+    row prior in ``propagation.downward``.  This is the scaled forward algorithm: λ at the
     hypothesis does not depend on its prior, so one ``upward`` call gives it
     for all frames and the scan carries k-vectors through ``posterior``,
     bitwise equal to ``propagate`` on each frame's tree.  Errors come in

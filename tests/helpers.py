@@ -12,7 +12,14 @@ import math
 import numpy as np
 
 from beliefscope.errors import SpecSyntaxError
-from beliefscope.network import EvidenceSet, NetworkSpec, NodeSpec, finite_number, strict_int
+from beliefscope.network import (
+    EvidenceSet,
+    Network,
+    NetworkSpec,
+    NodeSpec,
+    finite_number,
+    strict_int,
+)
 from beliefscope.relational import Region
 from beliefscope.temporal import DynamicModel, Frame
 
@@ -82,6 +89,40 @@ def loop_enumerate(spec: NetworkSpec, evidence: EvidenceSet):
         s = sum(vec)
         out[nid] = [v / s for v in vec]
     return out
+
+
+def per_evidence_enumeration(net: Network, observed) -> dict[str, np.ndarray] | None:
+    """Every node's marginals for one evidence set, {node id: vector} in
+    ``net.nodes`` order, or None when the evidence has no joint mass: one
+    dense table of CPT-entry products built for this evidence alone, in node
+    order, each observed node then clamped by an indicator factor."""
+    sizes = [len(n.states) for n in net.nodes]
+    axis = {n.id: i for i, n in enumerate(net.nodes)}
+    joint = np.ones(sizes)
+    for n in net.nodes:
+        shape = [1] * len(sizes)
+        shape[axis[n.id]] = len(n.states)
+        if n.parent is None:
+            joint = joint * n.cpt[0].reshape(shape)
+        else:
+            pa = axis[n.parent]
+            shape[pa] = len(net.node(n.parent).states)
+            table = n.cpt if pa < axis[n.id] else n.cpt.T
+            joint = joint * table.reshape(shape)
+    for nid, label in observed.items():
+        node = net.node(nid)
+        ind = np.zeros(len(node.states))
+        ind[node.state_index(label)] = 1.0
+        shape = [1] * len(sizes)
+        shape[axis[nid]] = len(node.states)
+        joint = joint * ind.reshape(shape)
+    if joint.sum() <= 0.0:
+        return None
+    marginals = {}
+    for n in net.nodes:
+        m = joint.sum(axis=tuple(i for i in range(len(sizes)) if i != axis[n.id]))
+        marginals[n.id] = m / m.sum()
+    return marginals
 
 
 def first_vanished(spec: NetworkSpec, assignments) -> str | None:

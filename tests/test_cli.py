@@ -11,7 +11,6 @@ import pytest
 
 from beliefscope import cli, network, relational, temporal
 from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
-from beliefscope.propagation import Beliefs
 from beliefscope.temporal import (
     Frame,
     FrameStream,
@@ -168,11 +167,13 @@ class TestValidate:
         ]
 
 
-    def test_deeply_nested_spec_exits_2(self, capsys, tmp_path):
+    def test_deeply_nested_spec_exits_2_naming_the_deepest_line(self, capsys, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text('{"root": "O",\n "nodes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        # brackets inside a string do not nest
+        path.write_text('{"root": "O\\"' + "[" * 9000 + '",\n "nodes": ' + "[" * 5000
+                        + "]" * 5000 + ',\n "bind": {}}')
         code, out, err = run(capsys, "validate", "--spec", str(path))
-        assert (code, out, err) == (2, "", "JSON value nested too deeply (line 1, column 1)\n")
+        assert (code, out, err) == (2, "", "JSON value nested too deeply (line 2, column 1)\n")
 
 
 class TestCompile:
@@ -251,6 +252,13 @@ class TestInfer:
         # dark present and bright absent cancel exactly at the symmetric defaults
         assert json.loads(out)["beliefs"]["bend"]["present"] == pytest.approx(0.5)
         assert json.loads(out)["beliefs"]["bright_arc"]["absent"] == 1.0
+
+    def test_deeply_nested_scene_names_the_deepest_line(self, capsys, tmp_path,
+                                                         two_node_spec_file):
+        path = tmp_path / "scene.json"
+        path.write_text('{\n "regions": [],\n "extra": ' + "[" * 5000 + "]" * 5000 + "\n}")
+        code, out, err = run(capsys, "infer", "--spec", two_node_spec_file, "--scene", str(path))
+        assert (code, out, err) == (2, "", "JSON value nested too deeply (line 3, column 1)\n")
 
     def test_impossible_evidence_exits_3(self, capsys, tmp_path, evidence_file):
         doc = json.loads(json.dumps(TWO_NODE_DOC))
@@ -498,6 +506,18 @@ class TestStreamInput:
         code, out, err = run(capsys, "track", "--model", "dirty_lens", "--stream", str(path))
         assert (code, out, err) == (2, "", "JSON value nested too deeply (line 3, column 1)\n")
 
+    @pytest.mark.parametrize("command", ["track", "check"])
+    def test_duplicate_region_id_names_its_stream_line(self, capsys, tmp_path, command):
+        _, text, _ = run(capsys, "generate", "--scenario", "static_spot", "--frames", "3")
+        lines = text.splitlines()
+        frame = json.loads(lines[3])
+        frame["regions"] *= 2
+        lines[3] = json.dumps(frame)
+        path = tmp_path / "stream.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, command, "--model", "dirty_lens", "--stream", str(path))
+        assert (code, out, err) == (1, "", "stream line 4: frame 2: duplicate region id 'spot'\n")
+
     @pytest.mark.parametrize("entry", ["2", "0.5", '"1"', '"a"', "true", "1e999"])
     def test_mask_entries_must_be_0_or_1(self, capsys, tmp_path, entry):
         path = tmp_path / "stream.jsonl"
@@ -562,17 +582,60 @@ class TestCheck:
         assert "stream input" in err
 
     def test_mismatch_exits_4(self, capsys, monkeypatch, two_node_spec_file, evidence_file):
-        real = cli.brute_force_beliefs
+        real = cli.enumerate_beliefs
 
-        def skewed(inet, cap=1 << 20):
-            b = real(inet, cap)
-            return Beliefs({k: v + 1e-6 for k, v in b.marginals.items()}, b.states)
+        def skewed(*args, **kwargs):
+            return {nid: vec + 1e-6 for nid, vec in real(*args, **kwargs).items()}
 
-        monkeypatch.setattr(cli, "brute_force_beliefs", skewed)
+        monkeypatch.setattr(cli, "enumerate_beliefs", skewed)
         code, _, err = run(capsys, "check", "--spec", two_node_spec_file,
                            "--scene", evidence_file)
         assert code == 4
         assert "oracle mismatch" in err
+
+
+def wide_spot_spec_file(tmp_path, children):
+    """A relational spec over a binary hypothesis with ``children`` unbound binary
+    children and a feature bound to yellow regions that can never be present."""
+    nodes = [{"id": "h", "kind": "chance", "states": ["yes", "no"], "prior": [0.5, 0.5]},
+             {"id": "f", "kind": "chance", "states": ["present", "absent"], "parent": "h",
+              "cpt": [[0.0, 1.0], [0.0, 1.0]]}]
+    nodes += [{"id": f"c{i}", "kind": "chance", "states": ["t", "f"], "parent": "h",
+               "cpt": [[0.6, 0.4], [0.3, 0.7]]} for i in range(children)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"root": "h", "nodes": nodes, "bind": {"f": {"colour_class": "yellow"}}}))
+    return str(path)
+
+
+class TestCheckFailures:
+    """check raises what comparing each row in stream order, propagate before
+    enumeration, raises first."""
+
+    @pytest.fixture
+    def spot_later(self, capsys, tmp_path):
+        """A stream whose spot (bound to f) shows from its second frame on."""
+        _, text, _ = run(capsys, "generate", "--scenario", "static_spot", "--frames", "3")
+        lines = text.splitlines()
+        lines[1] = lines[1].split('"regions"')[0] + '"regions": []}'
+        path = tmp_path / "stream.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("children, code, err", [
+        (8, 3, "impossible evidence: support vanished at node 'f'\n"),
+        (20, 1, "joint state space 4194304 exceeds cap 1048576\n"),
+    ])
+    def test_a_possible_first_frame_is_enumerated_first(self, capsys, tmp_path, spot_later,
+                                                       children, code, err):
+        spec = wide_spot_spec_file(tmp_path, children)
+        assert run(capsys, "check", "--spec", spec, "--stream", spot_later) == (code, "", err)
+
+    def test_an_impossible_first_row_is_propagated_first(self, capsys, tmp_path):
+        spec = wide_spot_spec_file(tmp_path, 20)
+        scene = tmp_path / "evidence.json"
+        scene.write_text('{"assignments": {"f": "present"}}')
+        assert run(capsys, "check", "--spec", spec, "--scene", str(scene)) == (
+            3, "", "impossible evidence: support vanished at node 'f'\n")
 
 
 def spot_stream_file(tmp_path, n=40):
@@ -598,26 +661,31 @@ class TestCheckRoutes:
         distinct = {frozenset(build_dynamic_window(model, frames[end - 2:end + 1])[1]
                               .assignments.items()) for end in range(2, len(frames))}
         assert 1 < len(distinct) < len(frames) - 2
-        calls = {"propagate": 0, "brute_force_beliefs": 0, "select_region": 0}
+        calls = {"downward": [], "enumerate_beliefs": [], "select_region": []}
 
         def counted(module, name):
             real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name].append(args)
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(cli, "propagate")
-        counted(cli, "brute_force_beliefs")
+        counted(cli, "downward")
+        counted(cli, "enumerate_beliefs")
         counted(temporal, "select_region")
         code, out, _ = run(capsys, "check", "--model", "dirty_lens", "--stream", path,
                            "--window", "3")
         assert code == 0
         assert out.endswith(f" over {len(frames) - 2} network(s)\n")
-        assert calls == {"propagate": len(distinct), "brute_force_beliefs": len(distinct),
-                         "select_region": len(frames)}
+        assert len(calls.pop("select_region")) == len(frames)
+        for name, (call, *more) in calls.items():  # one call each, one row per evidence set
+            net, codes = call[:2]
+            assert more == [] and len(codes) == len(distinct), name
+            rows = {frozenset((node.id, node.states[c]) for node, c in zip(net.nodes, row)
+                              if c >= 0) for row in codes.tolist()}
+            assert rows == distinct, name
 
     def test_skewed_star_route_exits_4(self, capsys, monkeypatch, tmp_path):
         _, path = spot_stream_file(tmp_path)

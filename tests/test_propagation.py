@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from beliefscope.network import (
     validate_network,
 )
 from beliefscope.propagation import (
+    ENUMERATION_CAP,
     Beliefs,
     brute_force_beliefs,
+    downward,
+    enumerate_beliefs,
     map_assignment,
     observation_codes,
     posterior,
@@ -27,6 +31,8 @@ from beliefscope.propagation import (
 from helpers import (
     first_vanished,
     loop_enumerate,
+    normalized,
+    per_evidence_enumeration,
     random_evidence,
     random_tree_spec,
     star_posterior,
@@ -267,17 +273,108 @@ class TestUpwardKernel:
         assert np.isnan(lam["A"][2:]).all() and not np.isnan(lam["A"][:2]).any()
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_root_prior_copies_share_the_plan(self, seed):
+    def test_row_priors_equal_the_tree_with_that_prior(self, seed):
         rng = random.Random(seed)
         spec = random_tree_spec(rng, rng.randint(1, 10), max_states=4, p_zero=0.0)
         net = validate_network(spec)
-        ev = random_evidence(rng, spec)
-        propagate(apply_evidence(net, ev))
-        weights = [rng.random() + 0.1 for _ in net.node(net.root).states]
-        prior = [w / sum(weights) for w in weights]
-        copy = net.with_root_prior(prior)
-        assert net.memo and copy.memo is net.memo
-        shared = propagate(apply_evidence(copy, ev))
-        fresh = propagate(instantiate(spec.with_root_prior(prior), ev.assignments))
-        for nid, vec in fresh.marginals.items():
-            assert np.array_equal(shared.distribution(nid), vec), nid
+        observed = [random_evidence(rng, spec).assignments for _ in range(3)]
+        priors = [normalized(rng, len(net.node(net.root).states)) for _ in observed]
+        codes = observation_codes(net, observed)
+        fast = downward(net, codes, np.array(priors))
+        slow = enumerate_beliefs(net, codes, np.array(priors)) if len(net.nodes) <= 8 else None
+        for row, (assignments, prior) in enumerate(zip(observed, priors)):
+            tree = instantiate(spec.with_root_prior(prior), assignments)
+            fresh = propagate(tree)
+            for nid, vec in fresh.marginals.items():
+                assert np.array_equal(fast[nid][row], vec), nid
+            if slow is not None:
+                for nid, vec in brute_force_beliefs(tree).marginals.items():
+                    assert np.abs(slow[nid][row] - vec).max() < 1e-12, nid
+
+
+class TestBatchedKernels:
+    """downward and enumerate_beliefs over many rows, against each row alone and the
+    per-evidence enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), p_zero=st.sampled_from((0.0, 0.3)),
+           row_priors=st.booleans())
+    def test_rows_equal_their_batch_of_one(self, seed, p_zero, row_priors):
+        rng = random.Random(seed)
+        spec = random_tree_spec(rng, rng.randint(1, 7), max_states=4, p_zero=p_zero)
+        net = validate_network(spec)
+        observed = [random_evidence(rng, spec).assignments for _ in range(rng.randint(1, 50))]
+        codes = observation_codes(net, observed)
+        k = len(net.node(net.root).states)
+        priors = (np.array([normalized(rng, k, p_zero) for _ in observed]) if row_priors
+                  else None)
+
+        def run(kernel, rows):
+            try:
+                return kernel(net, codes[rows], None if priors is None else priors[rows])
+            except ImpossibleEvidenceError as exc:
+                return exc
+
+        for kernel in (downward, enumerate_beliefs):
+            alone = [run(kernel, [row]) for row in range(len(observed))]
+            possible = [row for row, out in enumerate(alone) if isinstance(out, dict)]
+            batch = run(kernel, possible)
+            for i, row in enumerate(possible):
+                for nid, vec in alone[row].items():
+                    assert np.array_equal(batch[nid][i], vec[0]), (kernel, nid)
+                if kernel is enumerate_beliefs and priors is None:
+                    want = per_evidence_enumeration(net, observed[row])
+                    assert list(want) == list(batch)
+                    for nid, vec in want.items():
+                        assert np.array_equal(batch[nid][i], vec), nid
+            if len(possible) == len(observed):
+                continue
+            # the whole batch raises what its first impossible row raises alone
+            first = min(set(range(len(observed))) - set(possible))
+            raised = run(kernel, slice(None))
+            assert isinstance(raised, ImpossibleEvidenceError)
+            assert (str(raised), raised.node) == (str(alone[first]), alone[first].node)
+            if kernel is downward:  # support vanished below the root, or the prior rules out λ
+                node = first_vanished(spec, observed[first])
+                assert raised.node == (node if node is not None else net.root)
+                if priors is None:
+                    with pytest.raises(ImpossibleEvidenceError) as exc:
+                        propagate(apply_evidence(net, EvidenceSet(observed[first])))
+                    assert (str(exc.value), exc.value.node) == (str(raised), raised.node)
+            else:
+                assert per_evidence_enumeration(net, observed[first]) is None or priors is not None
+
+    def test_the_first_impossible_row_names_the_node(self):
+        spec = NetworkSpec("O", (
+            NodeSpec("O", "chance", ("t", "f"), (), ((0.5, 0.5),)),
+            NodeSpec("F", "chance", ("t", "f"), ("O",), ((0.0, 1.0), (1.0, 0.0))),
+            NodeSpec("G", "chance", ("t", "f"), ("O",), ((0.0, 1.0), (0.0, 1.0))),
+        ))
+        net = validate_network(spec)
+        # row 0: the prior rules out the only state F=t leaves; row 1: G=t has no support
+        codes = observation_codes(net, [{}, {"F": "t"}, {"G": "t"}])
+        priors = np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]])
+        for rows, node in (([0, 1, 2], "O"), ([0, 2, 1], "G")):
+            with pytest.raises(ImpossibleEvidenceError) as exc:
+                downward(net, codes[rows], priors[rows])
+            assert exc.value.node == node
+
+    def test_enumeration_near_the_cap_stays_in_bounded_memory(self):
+        nodes = [NodeSpec("c0", "chance", ("t", "f"), (), ((0.5, 0.5),))]
+        for i in range(1, 20):
+            nodes.append(NodeSpec(f"c{i}", "chance", ("t", "f"), (f"c{i - 1}",),
+                                  ((0.7, 0.3), (0.4, 0.6))))
+        net = validate_network(NetworkSpec("c0", tuple(nodes)))
+        assert ENUMERATION_CAP == 1 << len(nodes)
+        table = 8 << len(nodes)  # bytes in one joint table of float64 entries
+        codes = observation_codes(net, [{f"c{i}": "t"} for i in range(8)])
+        tracemalloc.start()
+        try:
+            marginals = enumerate_beliefs(net, codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * table  # the joint table and one row's copy; 8 rows would hold 9
+        assert [marginals["c0"][i].tolist() for i in (0, 1)] == [
+            brute_force_beliefs(apply_evidence(net, EvidenceSet({f"c{i}": "t"})))
+            .distribution("c0").tolist() for i in (0, 1)]
