@@ -38,11 +38,12 @@ from .network import (
     validate_network,
 )
 from .propagation import downward, enumerate_beliefs, observation_codes, propagate, sig10
-from .relational import bind_features, parse_scene, relation_evidence, relationalize
+from .relational import parse_scene, relation_evidence, relationalize
 from .temporal import (
     DynamicModel,
     FrameStream,
     TemporalModel,
+    bind_frame,
     dynamic_from_document,
     dynamic_to_document,
     dynamic_trace,
@@ -262,7 +263,7 @@ def _rows_to_check(args, model):
         stream = _load_stream(args)
         net = validate_network(model)
         for frame in stream.frames:
-            yield net, relation_evidence(model, bind_features(model, frame.regions),
+            yield net, relation_evidence(model, bind_frame(model, frame),
                                          tau=args.tau, epsilon=args.epsilon), None, None
         return
     stream = _load_stream(args)

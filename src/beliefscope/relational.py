@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Mapping, Sequence
+from itertools import accumulate, chain, compress, repeat
+from operator import contains, is_not, itemgetter
+from typing import Any, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +40,6 @@ DEFAULT_TAU = 2.0
 DEFAULT_EPSILON = 2.0
 
 _REGION_KEYS = frozenset({"id", "colour_class", "centroid", "area", "bbox", "mask"})
-_REQUIRED_KEYS = _REGION_KEYS - {"mask"}
 _LIST, _INT = {list}, {int}
 
 #: region integers (area, bbox entries) must lie within ±EXACT_INT: a float
@@ -125,33 +125,10 @@ def _bit_grid(mask, h: int, w: int) -> np.ndarray:
 
 
 def region_from_document(obj) -> Region:
-    """The Region a scene or stream document describes.
-
-    The common shape is checked inline: a dict with known keys, a string id,
-    a finite float centroid, integer area and bbox entries within
-    ±``EXACT_INT`` and a 0/1 mask.  Anything else falls through to the
-    per-field checks below, which exist only to name the error, so an
-    accepted region is the same on either path.
-    """
-    if type(obj) is dict and _REQUIRED_KEYS <= obj.keys() <= _REGION_KEYS:
-        rid, colour, c, area, b = (obj["id"], obj["colour_class"], obj["centroid"],
-                                    obj["area"], obj["bbox"])
-        mask = obj.get("mask")
-        if type(rid) is str and type(c) is list and len(c) >= 2 and type(b) is list and len(b) == 4:
-            x, y = c[0], c[1]
-            xmin, ymin, xmax, ymax = b
-            if (type(x) is float and x - x == 0.0 and type(y) is float and y - y == 0.0
-                    and type(area) is int and type(xmin) is int and type(ymin) is int
-                    and type(xmax) is int and type(ymax) is int and area <= EXACT_INT
-                    and -EXACT_INT <= xmin and xmax <= EXACT_INT
-                    and -EXACT_INT <= ymin and ymax <= EXACT_INT):
-                try:
-                    return Region(rid, colour, (x, y), area, (xmin, ymin, xmax, ymax),
-                                  None if mask is None
-                                  else _bit_grid(mask, ymax - ymin + 1, xmax - xmin + 1))
-                except ValueError:
-                    pass  # named below
-
+    """The Region a scene or stream document describes, checked field by
+    field: the path that names what is wrong with a document
+    :meth:`RegionTable.checked` turns down, and builds the rare valid shapes
+    it does not take."""
     if not isinstance(obj, dict):
         raise SpecSyntaxError("region entries must be objects")
     for key in obj:
@@ -199,11 +176,120 @@ def region_to_document(region: Region) -> dict:
     return doc
 
 
+_COLOUR_CODE = {c: i for i, c in enumerate(COLOUR_CLASSES)}
+_DICT, _STR, _FLOAT, _NUMBER = {dict}, {str}, {float}, {int, float}
+_FIELDS = tuple(map(itemgetter, ("id", "colour_class", "centroid", "area", "bbox")))
+_XY = itemgetter(slice(0, 2))
+
+
+class RegionTable:
+    """Groups of regions (a scene, or a chunk of a stream's frames) held as
+    columns: ids, colour codes, centroids as float64, areas and bboxes as
+    int64.  A row's Region is built when it is first read, once, so the
+    Regions of a group keep their identity however they are read."""
+
+    def __init__(self, ids: list[str], codes: np.ndarray, centroids: np.ndarray,
+                 areas: np.ndarray, bboxes: np.ndarray, bounds: list[int],
+                 built: dict[int, Region]):
+        self._ids, self._codes, self._centroids = ids, codes, centroids
+        self._areas, self._bboxes, self._bounds, self._built = areas, bboxes, bounds, built
+        self._by_classes: dict[frozenset, list[tuple[Region, ...]]] = {}
+
+    @classmethod
+    def checked(cls, groups: Sequence[Sequence]) -> RegionTable | None:
+        """The table of ``groups``, sequences of region documents; None unless
+        every document describes a region and no group repeats an id.
+
+        Every check :func:`region_from_document` makes runs as one C pass
+        over a column: types by ``set(map(type, ...))``, keys by counting
+        them, ranges and bbox order on the numpy columns.  A mask is checked
+        by :func:`_bit_grid` and its Region built and kept at once.  On None
+        the caller names the error, or builds the rows the passes do not
+        take, through :func:`region_from_document`.
+        """
+        counts = list(map(len, groups))
+        rows = list(chain.from_iterable(groups))
+        m = len(rows)
+        if not set(map(type, rows)) <= _DICT:
+            return None
+        try:
+            ids, colours, centroids, areas, bboxes = (list(map(f, rows)) for f in _FIELDS)
+        except KeyError:
+            return None
+        if (sum(map(len, rows)) != 5 * m + sum(map(contains, rows, repeat("mask")))
+                or not (set(map(type, ids)) <= _STR and set(map(type, areas)) <= _INT
+                        and set(map(type, centroids)) <= _LIST and set(map(type, bboxes)) <= _LIST
+                        and set(map(len, bboxes)) <= {4} and min(map(len, centroids), default=2) >= 2)):
+            return None
+        xy = list(chain.from_iterable(map(_XY, centroids)))
+        corners = list(chain.from_iterable(bboxes))
+        xy_types = set(map(type, xy))
+        if not (xy_types <= _NUMBER and set(map(type, corners)) <= _INT):
+            return None
+        try:
+            codes = np.array(list(map(_COLOUR_CODE.__getitem__, colours)), dtype=np.int8)
+            centroid = np.array(xy if xy_types <= _FLOAT else list(map(float, xy))).reshape(m, 2)
+            area = np.array(areas, dtype=np.int64)
+            bbox = np.array(corners, dtype=np.int64).reshape(m, 4)
+        except (KeyError, TypeError, OverflowError):  # an unknown or unhashable class, a huge integer
+            return None
+        bounds = list(accumulate(counts, initial=0))
+        if not (np.isfinite(centroid).all() and (area >= 1).all() and (area <= EXACT_INT).all()
+                and (bbox >= -EXACT_INT).all() and (bbox <= EXACT_INT).all()
+                and (bbox[:, 0] <= bbox[:, 2]).all() and (bbox[:, 1] <= bbox[:, 3]).all()
+                and sum(map(len, map(set, map(ids.__getitem__, map(slice, bounds, bounds[1:]))))) == m):
+            return None
+        masks = list(map(dict.get, rows, repeat("mask")))
+        built = {}
+        for i in compress(range(m), map(is_not, masks, repeat(None))):
+            xmin, ymin, xmax, ymax = bboxes[i]
+            try:
+                built[i] = Region(ids[i], colours[i], tuple(map(float, centroids[i][:2])), areas[i],
+                                  (xmin, ymin, xmax, ymax),
+                                  _bit_grid(masks[i], ymax - ymin + 1, xmax - xmin + 1))
+            except ValueError:
+                return None
+        return cls(ids, codes, centroid, area, bbox, bounds, built)
+
+    def _rows(self, rows: Sequence[int]) -> list[Region]:
+        built = self._built
+        new = [i for i in rows if i not in built]
+        if new:
+            ids = self._ids
+            for i, code, (x, y), area, bbox in zip(
+                    new, self._codes[new].tolist(), self._centroids[new].tolist(),
+                    self._areas[new].tolist(), self._bboxes[new].tolist()):
+                built[i] = Region(ids[i], COLOUR_CLASSES[code], (x, y), area, tuple(bbox))
+        return [built[i] for i in rows]
+
+    def group(self, k: int, classes: Collection[str] = COLOUR_CLASSES) -> tuple[Region, ...]:
+        """The Regions of group ``k`` whose colour class is in ``classes``, in
+        document order.  The first call for a set of classes builds the rows
+        of those classes in every group; no other row is built."""
+        key = frozenset(classes)
+        groups = self._by_classes.get(key)
+        if groups is None:
+            rows = np.flatnonzero(np.isin(self._codes, [_COLOUR_CODE[c] for c in key
+                                                        if c in _COLOUR_CODE]))
+            regions = self._rows(rows.tolist())
+            cuts = np.searchsorted(rows, self._bounds).tolist()
+            groups = self._by_classes[key] = [tuple(regions[a:b]) for a, b in zip(cuts, cuts[1:])]
+        return groups[k]
+
+
+def regions_from_documents(objs: Sequence) -> tuple[Region, ...]:
+    """The Regions a list of region documents describes, through
+    :meth:`RegionTable.checked`, or document by document through
+    :func:`region_from_document` when the column passes turn it down."""
+    table = RegionTable.checked([objs])
+    return table.group(0) if table is not None else tuple(map(region_from_document, objs))
+
+
 def parse_scene(text: str) -> tuple[Region, ...]:
     doc = load_json(text)
     if not (isinstance(doc, dict) and set(doc) == {"regions"} and isinstance(doc["regions"], list)):
         raise SpecSyntaxError('scene document must be {"regions": [...]}')
-    regions = tuple(region_from_document(obj) for obj in doc["regions"])
+    regions = regions_from_documents(doc["regions"])
     seen = set()
     for r in regions:
         if r.id in seen:

@@ -12,8 +12,10 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Mapping, Sequence
+from operator import contains, itemgetter
+from typing import Any, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,6 +38,8 @@ from .network import (
     Network,
     NetworkSpec,
     NodeSpec,
+    _as_str_list,
+    _colour_classes,
     apply_evidence,
     finite_number,
     load_json,
@@ -51,7 +55,7 @@ from .relational import (
     DEFAULT_EPSILON,
     DEFAULT_TAU,
     Region,
-    bind_features,
+    RegionTable,
     eval_relation,
     region_from_document,
     region_to_document,
@@ -68,7 +72,13 @@ DEFAULT_MAX_WINDOW = 5
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Time-indexed set of regions."""
+    """Time-indexed set of regions.
+
+    A frame of a stream read by :func:`parse_stream` keeps its regions as
+    rows of its chunk's :class:`RegionTable`: ``regions`` builds them on
+    first access and then returns the same tuple, and :meth:`regions_of`
+    builds only the rows of the classes it is asked for.
+    """
 
     index: int
     t: float
@@ -82,6 +92,30 @@ class Frame:
             if r.id in seen:
                 raise StreamValidationError(f"frame {self.index}: duplicate region id '{r.id}'")
             seen.add(r.id)
+
+    def regions_of(self, classes: Collection[str]) -> tuple[Region, ...]:
+        """The regions whose colour class is in ``classes``, in frame order."""
+        return tuple(r for r in self.regions if r.colour_class in classes)
+
+
+class _ColumnFrame(Frame):
+    """A frame of a parsed stream: group ``k`` of a :class:`RegionTable`
+    whose rows :func:`parse_stream` has checked as :class:`Frame` checks
+    them."""
+
+    def __init__(self, index: int, t: float, table: RegionTable, k: int):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_group", (table, k))
+
+    @property
+    def regions(self) -> tuple[Region, ...]:
+        table, k = self._group
+        return table.group(k)
+
+    def regions_of(self, classes: Collection[str]) -> tuple[Region, ...]:
+        table, k = self._group
+        return table.group(k, classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +144,7 @@ def _refuse_constant(name: str):
 
 #: the C decoder without load_json's duplicate-key hook; see _frame_document
 _PLAIN_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
-_DICT = {dict}
+_DICT, _INT, _SEQUENCE = {dict}, {int}, {list, tuple}
 
 
 def _frame_document(line: str, lineno: int):
@@ -137,23 +171,81 @@ def _frame_document(line: str, lineno: int):
     return load_json(line, line=lineno)
 
 
+#: frame lines decoded and checked at a time by :func:`parse_stream`
+CHUNK_FRAMES = 256
+
+
 def parse_stream(text: str) -> FrameStream:
     """Parse a JSONL stream: a {"dt": ...} header line then one frame per line.
 
+    Lines end at "\n" only: JSON allows U+2028, U+2029 and U+0085 raw
+    inside a string, and a "\r" before the "\n" is JSON whitespace.
     ``dt`` and every ``t`` must be finite numbers and every ``index`` an
     integer; anything else is a SpecSyntaxError, not a silent conversion.
     Blank lines are skipped; errors, a region's and a frame's too, name the
     line of the file.
+
+    Frames are decoded and checked :data:`CHUNK_FRAMES` at a time in column
+    passes (:func:`_column_frames`); their regions stay columns, built into
+    Regions only as they are read (:class:`Frame`).  A chunk the passes turn
+    down goes through :func:`_checked_frames`, line by line, which names its
+    first error or builds the frames the passes do not take.
     """
-    lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
-             if line.strip())
-    first = next(lines, None)
-    if first is None:
+    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), start=1)
+             if line.strip()]
+    if not lines:
         raise SpecSyntaxError("empty stream document")
-    header = load_json(first[1], line=first[0])
+    header = load_json(lines[0][1], line=lines[0][0])
     if not (isinstance(header, dict) and set(header) == {"dt"}):
         raise SpecSyntaxError('stream header must be {"dt": ...}')
     dt = finite_number(header["dt"], "stream header 'dt'")
+    frames: list[Frame] = []
+    for start in range(1, len(lines), CHUNK_FRAMES):
+        chunk = lines[start:start + CHUNK_FRAMES]
+        checked = _column_frames(chunk)
+        frames += checked if checked is not None else _checked_frames(chunk)
+    return FrameStream(tuple(frames), dt)
+
+
+_FRAME_FIELDS = (itemgetter("index"), itemgetter("t"))
+_NUMBER = {int, float}
+
+
+def _column_frames(lines: Sequence[tuple[int, str]]) -> list[Frame] | None:
+    """The frames of numbered stream lines, checked in column passes, or
+    None unless every line passes every check of :func:`_checked_frames`.
+
+    Lines are decoded one by one and dropped with the chunk; what is kept
+    is one :class:`RegionTable` of the chunk's regions and a frame per line.
+    """
+    try:
+        objs = [_frame_document(line, lineno) for lineno, line in lines]
+    except SpecSyntaxError:
+        return None
+    if not set(map(type, objs)) <= _DICT:
+        return None
+    try:
+        index, t = (list(map(f, objs)) for f in _FRAME_FIELDS)
+    except KeyError:
+        return None
+    regions = list(map(dict.get, objs, repeat("regions"), repeat(())))
+    if (sum(map(len, objs)) != 2 * len(objs) + sum(map(contains, objs, repeat("regions")))
+            or not (set(map(type, index)) <= _INT and set(map(type, t)) <= _NUMBER
+                    and set(map(type, regions)) <= _SEQUENCE and min(index) >= 0)):
+        return None
+    try:
+        t = list(map(float, t))
+    except OverflowError:
+        return None
+    table = RegionTable.checked(regions) if all(map(math.isfinite, t)) else None
+    if table is None:
+        return None
+    return list(map(_ColumnFrame, index, t, repeat(table), range(len(objs))))
+
+
+def _checked_frames(lines: Sequence[tuple[int, str]]) -> list[Frame]:
+    """The frames of numbered stream lines, checked one line at a time; the
+    first error names its line."""
     frames = []
     for lineno, line in lines:
         obj = _frame_document(line, lineno)
@@ -173,7 +265,7 @@ def parse_stream(text: str) -> FrameStream:
             frames.append(Frame(index, t, frame_regions))
         except StreamValidationError as exc:
             raise StreamValidationError(f"stream line {lineno}: {exc}") from None
-    return FrameStream(tuple(frames), dt)
+    return frames
 
 
 def stream_to_jsonl(stream: FrameStream) -> str:
@@ -295,6 +387,13 @@ class BeliefTrace:
         return "\n".join(lines) + "\n"
 
 
+def bind_frame(spec: NetworkSpec, frame: Frame) -> dict[str, Region | None]:
+    """:func:`~beliefscope.relational.bind_features` over a frame's regions,
+    reading only those of the colour classes each predicate admits."""
+    return {fid: select_region(pred, frame.regions_of(_colour_classes(pred)))
+            for fid, pred in spec.bind.items()}
+
+
 def filter_frames(model: TemporalModel, stream: FrameStream, *,
                   tau: float | None = None, epsilon: float | None = None,
                   ) -> Iterator[tuple[Network, EvidenceSet, FrameBelief]]:
@@ -319,7 +418,7 @@ def filter_frames(model: TemporalModel, stream: FrameStream, *,
     evidence, failure = [], None
     for frame in stream.frames:
         try:
-            bound = bind_features(spec, frame.regions)
+            bound = bind_frame(spec, frame)
             ev = relation_evidence(spec, bound, tau=tau, epsilon=epsilon)
             evidence.append((ev, apply_evidence(net, ev).observed, {f: r and r.id for f, r in bound.items()}))
         except (BeliefscopeError, ValueError) as exc:  # raised when the scan gets here
@@ -506,13 +605,16 @@ def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int |
         raise StreamValidationError("window >= 2 required")
     net = validate_network(window_spec(model, k))
 
-    bound = [select_region(model.predicate, f.regions) for f in frames]
+    # binding and matching read only the regions of the colour classes the predicate admits
+    admitted = _colour_classes(model.predicate)
+    candidates = [f.regions_of(admitted) for f in frames]
+    bound = [select_region(model.predicate, regions) for regions in candidates]
     eff_tau = tau if tau is not None else model.params.get("tau", DEFAULT_TAU)
     eff_eps = epsilon if epsilon is not None else model.params.get("epsilon", DEFAULT_EPSILON)
     eff_delta = delta if delta is not None else model.delta
     # a bound pair can only match within its colour class, whose matching no other class affects
-    same_class = [[r for r in f.regions if r.colour_class == b.colour_class] if b is not None else []
-                  for f, b in zip(frames, bound)]
+    same_class = [[r for r in regions if r.colour_class == b.colour_class] if b is not None else []
+                  for regions, b in zip(candidates, bound)]
     values: list[str | None] = []
     for i in range(len(frames) - 1):
         a, b = bound[i], bound[i + 1]
@@ -644,7 +746,7 @@ def dynamic_from_document(doc) -> DynamicModel:
         hyp, feat, rel = doc["hypothesis"], doc["feature"], doc["relation"]
         return DynamicModel(
             hypothesis_id=hyp["id"],
-            hypothesis_states=tuple(hyp["states"]),
+            hypothesis_states=_as_str_list(hyp["states"], "dynamic model: hypothesis 'states'"),
             prior=tuple(finite_number(p, "dynamic model: hypothesis 'prior'")
                         for p in hyp["prior"]),
             feature_id=feat["id"],

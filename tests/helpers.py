@@ -11,17 +11,18 @@ import math
 
 import numpy as np
 
-from beliefscope.errors import SpecSyntaxError
+from beliefscope.errors import SpecSyntaxError, StreamValidationError
 from beliefscope.network import (
     EvidenceSet,
     Network,
     NetworkSpec,
     NodeSpec,
     finite_number,
+    load_json,
     strict_int,
 )
 from beliefscope.relational import Region
-from beliefscope.temporal import DynamicModel, Frame
+from beliefscope.temporal import DynamicModel, Frame, FrameStream
 
 
 def normalized(rng, k, p_zero=0.0):
@@ -209,6 +210,56 @@ def per_field_region(obj) -> Region:
         raise SpecSyntaxError(f"malformed region entry: {exc}") from None
     except ValueError as exc:
         raise SpecSyntaxError(str(exc)) from None
+
+
+def reference_region(obj) -> Region:
+    """:func:`per_field_region` plus the integer range and 0/1 mask rules,
+    each checked on its own: region documents as streams and scenes decoded
+    them before the column passes."""
+    region = per_field_region(obj)
+    if region.area > 2**53:
+        raise SpecSyntaxError(f"region '{region.id}': 'area' must be an integer in [-2**53, 2**53]")
+    if not all(-2**53 <= v <= 2**53 for v in region.bbox):
+        raise SpecSyntaxError(f"region '{region.id}': 'bbox' entries must be integers in [-2**53, 2**53]")
+    if region.mask is not None and not all(
+            type(v) is int and v in (0, 1) for row in obj["mask"] for v in row):
+        raise SpecSyntaxError(f"region '{region.id}': mask entries must be 0 or 1")
+    return region
+
+
+def reference_parse_stream(text: str) -> FrameStream:
+    """A JSONL stream parsed line by line and region by region, every line
+    decoded by ``load_json`` and every frame built eagerly: ``parse_stream``
+    as it was before its column passes, except that lines end at "\n" only."""
+    lines = ((lineno, line) for lineno, line in enumerate(text.split("\n"), start=1)
+             if line.strip())
+    first = next(lines, None)
+    if first is None:
+        raise SpecSyntaxError("empty stream document")
+    header = load_json(first[1], line=first[0])
+    if not (isinstance(header, dict) and set(header) == {"dt"}):
+        raise SpecSyntaxError('stream header must be {"dt": ...}')
+    dt = finite_number(header["dt"], "stream header 'dt'")
+    frames = []
+    for lineno, line in lines:
+        obj = load_json(line, line=lineno)
+        if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
+                and {"index", "t"} <= set(obj)):
+            raise SpecSyntaxError(f"stream line {lineno}: expected index, t, regions")
+        index = strict_int(obj["index"], f"stream line {lineno}: 'index'")
+        t = finite_number(obj["t"], f"stream line {lineno}: 't'")
+        regions = obj.get("regions", [])
+        if not isinstance(regions, list):
+            raise SpecSyntaxError(f"stream line {lineno}: 'regions' must be a list")
+        try:
+            frame_regions = tuple(map(reference_region, regions))
+        except SpecSyntaxError as exc:
+            raise SpecSyntaxError(f"stream line {lineno}: {exc}") from None
+        try:
+            frames.append(Frame(index, t, frame_regions))
+        except StreamValidationError as exc:
+            raise StreamValidationError(f"stream line {lineno}: {exc}") from None
+    return FrameStream(tuple(frames), dt)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,18 @@ class TestTrackAndGenerate:
             code, out, _ = run(capsys, argv[0], "--spec", str(path), *argv[1:])
             assert (code, out) == (2, ""), argv
 
+    @pytest.mark.parametrize("states", [["clean", -0.0], ["clean", None], "ab", {"a": 1}])
+    def test_non_string_hypothesis_states_exit_2(self, capsys, tmp_path, states):
+        doc = dynamic_to_document(builtin_model("dirty_lens").model)
+        doc["hypothesis"]["states"] = states
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], ["track", "--scenario", "static_spot"],
+                     ["check", "--scenario", "static_spot"]):
+            code, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+            assert (code, out) == (2, ""), argv
+            assert err == "dynamic model: hypothesis 'states': expected a list of strings\n"
+
     @pytest.mark.parametrize("entry", ["nan", "0.1", True, None])
     def test_non_numeric_transition_entry_exits_2(self, capsys, tmp_path, entry):
         doc = semi_static_to_document(builtin_model("lumen_tracker").model)
@@ -526,6 +538,17 @@ class TestStreamInput:
                         '"bbox": [0, 0, 0, 0], "mask": [[%s]]}]}\n' % entry)
         code, out, err = run(capsys, "track", "--model", "lumen_tracker", "--stream", str(path))
         assert (code, out, err) == (2, "", "stream line 2: region 'p': mask entries must be 0 or 1\n")
+
+    @pytest.mark.parametrize("command", ["track", "check"])
+    def test_raw_line_separator_inside_a_region_id(self, capsys, tmp_path, command):
+        _, text, _ = run(capsys, "generate", "--scenario", "static_spot", "--frames", "4")
+        path = tmp_path / "stream.jsonl"
+        path.write_text(text.replace('"id": "spot"', '"id": "sp\u2028ot"'), encoding="utf-8")
+        code, out, err = run(capsys, command, "--model", "dirty_lens", "--stream", str(path))
+        assert (code, err) == (0, "")
+        path.write_text(text, encoding="utf-8")
+        expected = run(capsys, command, "--model", "dirty_lens", "--stream", str(path))
+        assert out == expected[1].replace('": "spot"', '": "sp\\u2028ot"')
 
     @pytest.mark.parametrize("seed", ["0", "3"])
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

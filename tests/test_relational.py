@@ -140,15 +140,25 @@ def _bit_grid(mask) -> bool:
             and all(type(v) is int and v in (0, 1) for row in mask for v in row))
 
 
+def _column_decoded(doc):
+    return relational.regions_from_documents([doc])[0]
+
+
 def assert_decoded_like_per_field(doc):
-    """region_from_document accepts what the per-field decoder accepts, with
-    the same fields, and names every other error the same way, except for
-    the integer range and mask entry rules the per-field decoder lacks."""
+    """region_from_document, and the column passes behind scenes and streams,
+    accept what the per-field decoder accepts, with the same fields, and name
+    every other error the same way, except for the integer range and mask
+    entry rules the per-field decoder lacks."""
+    for decode in (relational.region_from_document, _column_decoded):
+        _assert_decodes_like_per_field(decode, doc)
+
+
+def _assert_decodes_like_per_field(decode, doc):
     try:
         expected = per_field_region(doc)
     except SpecSyntaxError as exc:
         with pytest.raises(SpecSyntaxError) as info:
-            relational.region_from_document(doc)
+            decode(doc)
         assert str(info.value) == str(exc)
         return
     if expected.area > EXACT:
@@ -158,11 +168,12 @@ def assert_decoded_like_per_field(doc):
     elif expected.mask is not None and not _bit_grid(doc["mask"]):
         message = f"region '{expected.id}': mask entries must be 0 or 1"
     else:
-        region = relational.region_from_document(doc)
+        region = decode(doc)
         for name in ("id", "colour_class", "centroid", "area", "bbox"):
             value, reference = getattr(region, name), getattr(expected, name)
             assert value == reference and type(value) is type(reference), name
         assert [type(v) for v in region.centroid] == [float, float]
+        assert [type(v) for v in region.bbox] == [int] * 4
         if expected.mask is None:
             assert region.mask is None
         else:
@@ -170,7 +181,7 @@ def assert_decoded_like_per_field(doc):
             assert np.array_equal(region.mask, expected.mask)
         return
     with pytest.raises(SpecSyntaxError) as info:
-        relational.region_from_document(doc)
+        decode(doc)
     assert str(info.value) == message
 
 

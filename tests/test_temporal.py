@@ -2,10 +2,12 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,8 +56,10 @@ from helpers import (
     normalized,
     pattern_frames,
     random_region,
+    reference_parse_stream,
     unrolled_chain_spec,
 )
+from test_relational import SWEEP_BASES, single_edits
 
 
 def dark_pixel(rid="d", x=0, y=0):
@@ -385,6 +389,211 @@ class TestStream:
     def test_duplicate_region_ids_in_frame(self):
         with pytest.raises(StreamValidationError, match="duplicate region id"):
             Frame(0, 0.0, (dark_pixel("a"), dark_pixel("a", 5)))
+
+
+FRAME_EDITS = ("none", "region", "duplicate-id", "index", "t", "unknown-key", "drop-key",
+               "huge-int", "regions")
+
+
+@st.composite
+def hostile_streams(draw):
+    """Small streams of valid frames (masked regions and integers at ±2**53
+    among them), then at most one hostile edit: one of ``single_edits`` of a
+    region, or a repeated region id, an index out of order or negative, a bad
+    ``t``, an unknown or missing key, a huge integer or a bad regions list."""
+    frames = []
+    for i in range(draw(st.integers(1, 6))):
+        bases = draw(st.lists(st.sampled_from(SWEEP_BASES), max_size=3))
+        regions = [json.loads(json.dumps({**base, "id": f"{base['id']}{j}"}))
+                   for j, base in enumerate(bases)]
+        frames.append({"index": 3 * i, "t": round(i * 0.04, 6), "regions": regions})
+    edit = draw(st.sampled_from(FRAME_EDITS))
+    frame = draw(st.sampled_from(frames))
+    regions = frame["regions"]
+    if edit == "region" and regions:
+        j = draw(st.integers(0, len(regions) - 1))
+        edits = list(single_edits(regions[j]))
+        regions[j] = edits[draw(st.integers(0, len(edits) - 1))]
+    elif edit == "duplicate-id" and regions:
+        regions.append(dict(draw(st.sampled_from(regions))))
+    elif edit == "index":
+        frame["index"] = draw(st.sampled_from([-1, 0, 3, frame["index"] - 1, True, 2.0, None]))
+    elif edit == "t":
+        frame["t"] = draw(st.sampled_from([None, "0", True, 1e999, 10**400, 7, 0.5, -1e308]))
+    elif edit == "unknown-key":
+        frame[draw(st.sampled_from(["id", "Regions", "mask"]))] = 0
+    elif edit == "drop-key":
+        del frame[draw(st.sampled_from(["index", "t", "regions"]))]
+    elif edit == "huge-int":
+        key = draw(st.sampled_from(["index", "t", "area", "bbox", "centroid"]))
+        huge = draw(st.sampled_from([2**63, -2**63 - 1, 10**30, 2**53 + 1]))
+        if key in ("index", "t"):
+            frame[key] = huge
+        elif regions:
+            region = regions[0]
+            region[key] = huge if key == "area" else [huge] + region[key][1:]
+    elif edit == "regions":
+        frame["regions"] = draw(st.sampled_from([None, {}, "r", [[]], [None]]))
+    text = "\n".join([json.dumps({"dt": 0.04})] + [json.dumps(f) for f in frames])
+    if draw(st.booleans()):   # a literal the decoder reads as an infinite float
+        text = text.replace("Infinity", "1e999")
+    return text + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def assert_same_stream(stream, expected):
+    assert stream.dt == expected.dt
+    assert len(stream.frames) == len(expected.frames)
+    for frame, want in zip(stream.frames, expected.frames):
+        assert (frame.index, frame.t) == (want.index, want.t)
+        assert (type(frame.index), type(frame.t)) == (type(want.index), type(want.t))
+        assert len(frame.regions) == len(want.regions)
+        for region, reference in zip(frame.regions, want.regions):
+            for name in ("id", "colour_class", "centroid", "area", "bbox"):
+                value = getattr(region, name)
+                assert value == getattr(reference, name), name
+                assert type(value) is type(getattr(reference, name)), name
+            assert list(map(type, region.centroid)) == list(map(type, reference.centroid))
+            assert list(map(type, region.bbox)) == list(map(type, reference.bbox))
+            if reference.mask is None:
+                assert region.mask is None
+            else:
+                assert region.mask.dtype == bool and region.mask.flags.writeable
+                assert np.array_equal(region.mask, reference.mask)
+
+
+def assert_parses_like_the_reference(text, chunk, classes):
+    """parse_stream, ``chunk`` frame lines at a time, gives the frames and
+    regions of :func:`reference_parse_stream` or raises its error, and
+    ``regions_of(classes)`` reuses the Regions of ``regions``."""
+    try:
+        expected = reference_parse_stream(text)
+    except Exception as exc:
+        with mock.patch.object(temporal, "CHUNK_FRAMES", chunk), pytest.raises(Exception) as info:
+            parse_stream(text)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    with mock.patch.object(temporal, "CHUNK_FRAMES", chunk):
+        stream = parse_stream(text)
+    for frame, want in zip(stream.frames, expected.frames):
+        some = frame.regions_of(classes)   # read first: the full tuple reuses its Regions
+        assert [r.id for r in some] == [r.id for r in want.regions if r.colour_class in classes]
+        assert frame.regions is frame.regions
+        assert all(any(r is s for s in frame.regions) for r in some)
+    assert_same_stream(stream, expected)
+
+
+class TestColumnIngest:
+    """parse_stream checks frames and regions in column passes, a chunk of
+    lines at a time, and builds a Region only when it is read."""
+
+    @settings(max_examples=400, deadline=None, report_multiple_bugs=False)
+    @given(hostile_streams(), st.sampled_from([1, 2, 3, 256]),
+           st.sets(st.sampled_from(["dark", "bright", "other", "green", "yellow"])))
+    def test_parses_like_the_line_by_line_reference(self, text, chunk, classes):
+        assert_parses_like_the_reference(text, chunk, classes)
+
+    @pytest.mark.parametrize("base", SWEEP_BASES, ids=[b["id"] for b in SWEEP_BASES])
+    def test_every_single_edit_parses_like_the_reference(self, base):
+        """Each edit of a region, in the second chunk of a stream."""
+        good = {**base, "id": "ok"}
+        for doc in single_edits(base):
+            frames = [{"index": i, "t": round(i * 0.04, 6), "regions": [good, doc][:1 + (i == 1)]}
+                      for i in range(3)]
+            text = "\n".join([json.dumps({"dt": 0.04})] + list(map(json.dumps, frames)))
+            for literal in ("Infinity", "1e999"):   # the decoder reads 1e999 as infinite
+                assert_parses_like_the_reference(text.replace("Infinity", literal), 1,
+                                                 {base["colour_class"]})
+
+    def test_every_frame_edit_parses_like_the_reference(self):
+        """Each hostile value of a frame field, a missing or unknown key and a
+        repeated region id, on the middle one of three frames."""
+        good = SWEEP_BASES[0]
+        middle = {"index": 3, "t": 0.04, "regions": [good]}
+        values = {"index": [-1, 0, 3, 9, -2**63 - 1, 2**63, 10**30, True, 2.0, None, "1"],
+                  "t": [None, "0", True, 1e999, -1e999, 10**400, 2**63, 7, 0.5, -1e308, 0.0],
+                  "regions": [None, {}, "r", [], [[]], [None], [1], [good, good]]}
+        edits = [{**middle, key: value} for key, vs in values.items() for value in vs]
+        edits += [{k: v for k, v in middle.items() if k != key} for key in middle]
+        edits += [{**middle, key: 0} for key in ("id", "Regions", "mask")]
+        for frame in edits:
+            frames = [{"index": 0, "t": 0.0, "regions": [good]}, frame,
+                      {"index": 6, "t": 0.08, "regions": [good]}]
+            text = "\n".join([json.dumps({"dt": 0.04})] + list(map(json.dumps, frames)))
+            for literal in ("Infinity", "1e999"):
+                for chunk in (1, 2):
+                    assert_parses_like_the_reference(text.replace("Infinity", literal), chunk,
+                                                     {"dark"})
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_lines_end_at_newline_only(self, separator):
+        text = ('{"dt": 0.04}\n' + region_line(rid=f'"a{separator}b"') + "\n"
+                + '{"index": 1, "t": 0.04, "bad": 1}\n')
+        with pytest.raises(SpecSyntaxError, match="^stream line 3: expected index, t, regions$"):
+            parse_stream(text)
+        stream = parse_stream(text.rsplit("\n", 2)[0])
+        assert stream.frames[0].regions[0].id == f"a{separator}b"
+
+    def test_crlf_line_ends_are_json_whitespace(self):
+        text = '{"dt": 0.04}\n' + region_line() + "\n" + region_line().replace(
+            '"index": 0, "t": 0.0', '"index": 1, "t": 0.04') + "\n"
+        stream = parse_stream(text.replace("\n", "\r\n"))
+        assert_same_stream(stream, parse_stream(text))
+        assert [f.index for f in stream.frames] == [0, 1]
+
+    def test_tracking_builds_regions_of_the_admitted_classes_only(self, capsys, monkeypatch,
+                                                                tmp_path):
+        text, docs = twelve_region_stream(40)
+        path = tmp_path / "stream.jsonl"
+        path.write_text(text)
+        built = []
+        post_init = Region.__post_init__
+
+        def counted(region):
+            built.append(region.colour_class)
+            post_init(region)
+
+        monkeypatch.setattr(Region, "__post_init__", counted)
+        for model, admitted in (("dirty_lens", {"yellow", "green", "brown"}),
+                                ("lumen_tracker", {"dark"})):
+            built.clear()
+            assert cli.main(["track", "--model", model, "--stream", str(path)]) == 0
+            capsys.readouterr()
+            assert set(built) <= admitted
+            assert len(built) == sum(r["colour_class"] in admitted for r in docs)
+
+    def test_a_parsed_stream_holds_little_memory_per_region(self):
+        frames = 200
+        text, docs = twelve_region_stream(frames)
+        parse_stream(text)   # imports and caches warmed outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stream = parse_stream(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(stream.frames) == frames
+        assert held / len(docs) < 200, held / len(docs)
+
+
+def twelve_region_stream(n):
+    """(JSONL text, every region document) of n frames of 12 regions: a
+    yellow spot in three of every four frames among dark, bright and other
+    distractors."""
+    lines, docs = [json.dumps({"dt": 0.04})], []
+    for i in range(n):
+        regions = []
+        if i % 4 != 3:
+            regions.append({"id": "spot", "colour_class": "yellow", "centroid": [50.0 + i % 2, 40.0],
+                            "area": 9, "bbox": [49, 39, 51, 41]})
+        while len(regions) < 12:
+            k = len(regions)
+            x = 100 + 20 * k
+            regions.append({"id": f"d{k}", "colour_class": ("dark", "bright", "other")[k % 3],
+                            "centroid": [x + 1.0, 200.0], "area": 9, "bbox": [x, 199, x + 2, 201]})
+        docs += regions
+        lines.append(json.dumps({"index": i, "t": round(i * 0.04, 6), "regions": regions}))
+    return "\n".join(lines) + "\n", docs
 
 
 class TestFilterStream:
