@@ -26,34 +26,20 @@ from .errors import (
     StateSpaceCapError,
     StreamValidationError,
 )
-from .endoscopy import builtin_model, compile_rule, generate_stream
 from .network import (
     Network,
     NetworkSpec,
     apply_evidence,
+    evidence_from_document,
     load_json,
     network_spec_from_document,
     network_spec_to_document,
-    parse_evidence,
     validate_network,
 )
 from .propagation import downward, enumerate_beliefs, observation_codes, propagate, sig10
-from .relational import parse_scene, relation_evidence, relationalize
-from .temporal import (
-    DynamicModel,
-    FrameStream,
-    TemporalModel,
-    bind_frame,
-    dynamic_from_document,
-    dynamic_to_document,
-    dynamic_trace,
-    dynamic_windows,
-    filter_frames,
-    filter_stream,
-    parse_stream,
-    semi_static_from_document,
-    stream_to_jsonl,
-)
+
+# relational, temporal and endoscopy are imported by the commands that use them: each module
+# is compiled on every run, and infer and validate on a network spec need none of them
 
 ORACLE_TOLERANCE = 1e-9
 
@@ -150,19 +136,25 @@ def _emit(args, text: str) -> None:
 
 def _load_model(args):
     if getattr(args, "rule", None) is not None:
+        from .endoscopy import compile_rule
         return compile_rule(args.rule)
     if args.model is not None:
+        from .endoscopy import builtin_model
         return builtin_model(args.model).model
     doc = load_json(_read(args.spec))
     kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "semi_static":
+        from .temporal import semi_static_from_document
         return semi_static_from_document(doc)
     if kind == "dynamic":
+        from .temporal import dynamic_from_document
         return dynamic_from_document(doc)
     return network_spec_from_document(doc)
 
 
-def _load_stream(args) -> FrameStream:
+def _load_stream(args):
+    from .endoscopy import generate_stream
+    from .temporal import parse_stream
     if args.scenario is not None:
         return generate_stream(args.scenario, args.frames, seed=args.seed)
     if getattr(args, "stream", None) is None:
@@ -172,20 +164,22 @@ def _load_stream(args) -> FrameStream:
 
 def _scene_inputs(args, spec: NetworkSpec):
     """(net, evidence) for a scene, evidence document, or generated scenario."""
-    if getattr(args, "scene", None) is not None:
-        text = _read(args.scene)
-        doc = load_json(text)
-        if isinstance(doc, dict) and "assignments" in doc:
-            return validate_network(spec), parse_evidence(text)
-        regions = parse_scene(text)
-        return relationalize(spec, regions, tau=args.tau, epsilon=args.epsilon)
-    stream = _load_stream(args)
-    if not stream.frames:
-        raise StreamValidationError("generated stream is empty")
-    return relationalize(spec, stream.frames[0].regions, tau=args.tau, epsilon=args.epsilon)
+    if getattr(args, "scene", None) is None:
+        from .relational import relationalize
+        stream = _load_stream(args)
+        if not stream.frames:
+            raise StreamValidationError("generated stream is empty")
+        return relationalize(spec, stream.frames[0].regions, tau=args.tau, epsilon=args.epsilon)
+    doc = load_json(_read(args.scene))
+    if isinstance(doc, dict) and "assignments" in doc:
+        return validate_network(spec), evidence_from_document(doc)
+    from .relational import relationalize, scene_from_document
+    return relationalize(spec, scene_from_document(doc), tau=args.tau, epsilon=args.epsilon)
 
 
-def _with_mode(model: TemporalModel, mode: str | None) -> TemporalModel:
+def _with_mode(model, mode: str | None):
+    """A semi-static model in ``mode``, if given."""
+    from .temporal import TemporalModel
     if mode is None or mode == model.mode:
         return model
     return TemporalModel(model.per_frame, model.transition, mode)
@@ -205,6 +199,8 @@ def _cmd_compile(args) -> int:
         defaults = load_json(_read(args.defaults))
         if not isinstance(defaults, dict):
             raise SpecSyntaxError("defaults document must be a JSON object")
+    from .endoscopy import compile_rule
+    from .temporal import dynamic_to_document
     model = compile_rule(args.rule, defaults)
     if isinstance(model, NetworkSpec):
         validate_network(model)
@@ -222,12 +218,12 @@ def _cmd_infer(args) -> int:
               file=sys.stderr)
         return 2
     net, ev = _scene_inputs(args, model)
-    beliefs = propagate(apply_evidence(net, ev))
-    _emit(args, json.dumps(beliefs.to_document(), indent=2) + "\n")
+    _emit(args, propagate(apply_evidence(net, ev)).to_json())
     return 0
 
 
 def _cmd_track(args) -> int:
+    from .temporal import DynamicModel, TemporalModel, dynamic_trace, filter_stream
     model = _load_model(args)
     stream = _load_stream(args)
     if isinstance(model, TemporalModel):
@@ -245,6 +241,8 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .endoscopy import generate_stream
+    from .temporal import stream_to_jsonl
     stream = generate_stream(args.scenario, args.frames, seed=args.seed)
     _emit(args, stream_to_jsonl(stream))
     return 0
@@ -256,6 +254,8 @@ def _rows_to_check(args, model):
     semi-static frame's effective prior) or None, and ``printed`` is the hypothesis posterior
     ``track`` prints for that frame or window, or None where the printed answer is
     propagate's own."""
+    from .relational import relation_evidence
+    from .temporal import TemporalModel, bind_frame, dynamic_windows, filter_frames
     if isinstance(model, NetworkSpec):
         if getattr(args, "scene", None) is not None:
             yield (*_scene_inputs(args, model), None, None)

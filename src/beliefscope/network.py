@@ -3,6 +3,12 @@
 Parsing is purely syntactic (shape, types, references); every numerical,
 structural and relational invariant lives in :func:`network_diagnostics` so
 that a bad document is reported with all of its problems at once.
+
+Large specs take a column fast path through both: node entries are checked as
+columns (:func:`_column_nodes`), and a spec is found clean from its columns and its
+CPTs stacked by shape (:func:`_clean`).  What either turns down or doubts goes
+through the per-node loops, the only source of every message.  Each ``Node.cpt`` is
+a read-only view of its renormalised stack.
 """
 
 from __future__ import annotations
@@ -12,6 +18,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Mapping
 
 import numpy as np
@@ -46,6 +55,10 @@ RELATION_STATES: dict[str, tuple[str, ...]] = {
 _TOP_KEYS = {"root", "nodes", "bind"}
 _CHANCE_KEYS = {"id", "kind", "states", "parent", "prior", "cpt"}
 _RELATION_KEYS = _CHANCE_KEYS | {"evaluator", "inputs", "params"}
+#: the node entries :func:`_column_nodes` takes: a root with a prior, a child with a cpt
+_CHANCE_SHAPES = {frozenset({"id", "kind", "states", "prior"}),
+                  frozenset({"id", "kind", "states", "parent", "cpt"})}
+_DICT, _LIST, _STR, _NUMBER = {dict}, {list}, {str}, {int, float}
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,29 @@ class NetworkSpec:
         )
         return replace(self, nodes=nodes)
 
+    @cached_property  # each derived once for diagnostics and validation alike
+    def _by_id(self) -> dict[str, NodeSpec]:
+        return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def _children(self) -> dict[str, list[str]]:
+        """Each node's children by every declared parent edge, in node order."""
+        children: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        for n in self.nodes:
+            for p in n.parents:
+                children[p].append(n.id)
+        return children
+
+    @cached_property
+    def _tables(self) -> list[tuple[list[int], np.ndarray]]:
+        """Per count of rows and of states, the positions in ``nodes`` of those nodes and
+        their rows stacked as one float array; ValueError when a node's rows are ragged."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, n in enumerate(self.nodes):
+            groups.setdefault((len(n.rows), len(n.states)), []).append(i)
+        return [(slots, np.array([self.nodes[i].rows for i in slots], dtype=float))
+                for slots in groups.values()]
+
 
 @dataclass(frozen=True)
 class EvidenceSet:
@@ -127,12 +163,14 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Validated tree network; immutable and safe to share."""
+    """Validated tree network; immutable and safe to share.  ``stacked`` gives each
+    node's CPT as (the read-only stack of every CPT of its shape, its index there)."""
 
     root: str
     nodes: tuple[Node, ...]
     by_id: Mapping[str, Node]
     children: Mapping[str, tuple[str, ...]]
+    stacked: Mapping[str, tuple[np.ndarray, int]]
     memo: dict = field(default_factory=dict, repr=False)  # derived data, filled on first use
 
     def node(self, node_id: str) -> Node:
@@ -165,13 +203,43 @@ def _reject_constant(name: str):
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_checked_object, parse_constant=_reject_constant)
+#: the C decoder without the duplicate-key hook; see load_json
+_PLAIN_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _key_count(doc) -> int:
+    """The keys of the objects where a model, evidence, scene or stream-line document
+    holds them: the top object, the objects among its values (``bind``,
+    ``assignments``) with their object values, and the objects of its lists of objects."""
+    if type(doc) is not dict:
+        return 0
+    count = len(doc)
+    for value in doc.values():
+        if type(value) is list and set(map(type, value)) <= _DICT:
+            count += sum(map(len, value))
+        elif type(value) is dict:
+            count += len(value) + sum([len(v) for v in value.values() if type(v) is dict])
+    return count
 
 
 def load_json(text: str, line: int = 1):
     """json.loads with duplicate-key detection, no NaN/Infinity literals and
     positioned syntax errors; ``line`` is the number of the text's first line
     in its file.  A value nested deeper than the decoder can recurse is
-    reported at the line where the nesting is deepest (:func:`_deepest_line`)."""
+    reported at the line where the nesting is deepest (:func:`_deepest_line`).
+
+    The plain C decoder keeps the last of repeated keys.  Every key is followed
+    by a colon outside any string, so when the text has exactly as many colons
+    as :func:`_key_count` finds keys, no key was repeated and there is no other
+    object: the plain decode stands.  Any other text is decoded again with the
+    duplicate-key hook, which names what is wrong."""
+    try:
+        doc = _PLAIN_JSON.decode(text)
+    except (ValueError, RecursionError, SpecSyntaxError):
+        pass
+    else:
+        if text.count(":") == _key_count(doc):
+            return doc
     try:
         return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
@@ -306,6 +374,34 @@ def _parse_bind(obj, ids: set[str]) -> dict:
     return bind
 
 
+def _column_nodes(objs: list) -> tuple[NodeSpec, ...] | None:
+    """The NodeSpecs of node entries checked in column passes, or None unless each is a
+    chance node of :data:`_CHANCE_SHAPES` that :func:`_parse_node` takes."""
+    if not (set(map(type, objs)) <= _DICT and set(map(frozenset, objs)) <= _CHANCE_SHAPES):
+        return None
+    ids, kinds, states = (list(map(itemgetter(key), objs)) for key in ("id", "kind", "states"))
+    parents = [(o["parent"],) if "parent" in o else () for o in objs]
+    tables = [[o["prior"]] if "prior" in o else o["cpt"] for o in objs]
+    if not set(map(type, tables)) <= _LIST:
+        return None
+    rows = list(chain.from_iterable(tables))
+    if not set(map(type, rows)) <= _LIST:
+        return None
+    values = list(chain.from_iterable(rows))
+    numbers = set(map(type, values))
+    try:
+        if not (set(map(type, ids)) <= _STR and all(ids) and kinds.count("chance") == len(ids)
+                and set(map(type, states)) <= _LIST and set(map(type, chain(*states))) <= _STR
+                and set(map(type, chain(*parents))) <= _STR
+                and numbers <= _NUMBER and all(map(math.isfinite, values))):
+            return None
+    except OverflowError:  # an integer too large for a float
+        return None
+    as_row = tuple if numbers <= {float} else (lambda row: tuple(map(float, row)))
+    return tuple(map(NodeSpec, ids, kinds, map(tuple, states), parents,
+                     [tuple(map(as_row, t)) for t in tables]))
+
+
 def network_spec_from_document(doc) -> NetworkSpec:
     """Build a NetworkSpec from a decoded JSON document (syntactic checks only)."""
     _require(isinstance(doc, dict), "network document must be a JSON object")
@@ -313,7 +409,7 @@ def network_spec_from_document(doc) -> NetworkSpec:
     _require(isinstance(doc.get("root"), str), "document: 'root' must be a node id")
     _require(isinstance(doc.get("nodes"), list), "document: 'nodes' must be a list")
 
-    nodes = tuple(_parse_node(obj) for obj in doc["nodes"])
+    nodes = _column_nodes(doc["nodes"]) or tuple(_parse_node(obj) for obj in doc["nodes"])
     ids = set()
     for n in nodes:
         _require(n.id not in ids, f"duplicate node id '{n.id}'")
@@ -366,7 +462,10 @@ def network_spec_to_document(spec: NetworkSpec) -> dict:
 
 
 def parse_evidence(text: str) -> EvidenceSet:
-    doc = load_json(text)
+    return evidence_from_document(load_json(text))
+
+
+def evidence_from_document(doc) -> EvidenceSet:
     _require(isinstance(doc, dict) and set(doc) == {"assignments"}, "evidence document must be {\"assignments\": {...}}")
     asg = doc["assignments"]
     _require(isinstance(asg, dict) and all(isinstance(v, str) for v in asg.values()),
@@ -385,8 +484,38 @@ def _fmt_labels(labels) -> str:
 def network_diagnostics(spec: NetworkSpec) -> list[str]:
     """Every violated Network invariant, aggregated (empty list means valid):
     the tree structure, every CPT row, then :func:`relational_diagnostics`."""
+    return ([] if _clean(spec) else _listed_diagnostics(spec)) + relational_diagnostics(spec)
+
+
+def _clean(spec: NetworkSpec) -> bool:
+    """Whether :func:`_listed_diagnostics` finds nothing, decided in column passes over the
+    nodes and their stacked CPTs; False also in doubt, as for a row sum within half the
+    tolerance of its bound, where numpy's order of summation may decide."""
+    nodes, by_id, order = spec.nodes, spec._by_id, [spec.root]
+    states, parents = [n.states for n in nodes], [n.parents for n in nodes]
+    if not (nodes and len(by_id) == len(nodes) and min(map(len, states)) >= 2
+            and list(map(len, map(set, states))) == list(map(len, states))
+            and set(map(len, parents)) <= {0, 1}
+            and [n.id for n in nodes if not n.parents] == [spec.root]
+            and [len(n.rows) for n in nodes] == [len(by_id[p[0]].states) if p else 1
+                                                for p in parents]):
+        return False
+    for nid in order:  # breadth first from the root: every node is reached unless on a cycle
+        order.extend(spec._children[nid])
+    try:
+        tables = spec._tables
+    except (ValueError, TypeError, OverflowError):
+        return False
+    return len(order) == len(nodes) and all(
+        table.shape == (len(slots), len(nodes[slots[0]].rows), len(nodes[slots[0]].states))
+        and ((0.0 <= table) & (table <= 1.0)).all()
+        and (abs(table.sum(axis=-1) - 1.0) <= ROW_SUM_TOL / 2).all() for slots, table in tables)
+
+
+def _listed_diagnostics(spec: NetworkSpec) -> list[str]:
+    """The tree and CPT diagnostics of :func:`network_diagnostics`, node by node."""
     diags: list[str] = []
-    by_id = {n.id: n for n in spec.nodes}
+    by_id = spec._by_id
 
     diags += [f"duplicate node id '{nid}'" for nid, k in Counter(n.id for n in spec.nodes).items() if k > 1]
     for n in spec.nodes:
@@ -409,10 +538,7 @@ def network_diagnostics(spec: NetworkSpec) -> list[str]:
         diags.append(f"declared root '{spec.root}' is not the parentless node ('{parentless[0]}')")
 
     # reachability via all declared parent edges; unreachable nodes sit on cycles
-    children: dict[str, list[str]] = {n.id: [] for n in spec.nodes}
-    for n in spec.nodes:
-        for p in n.parents:
-            children[p].append(n.id)
+    children = spec._children
     reached = set(parentless)
     queue = list(parentless)
     while queue:
@@ -443,13 +569,13 @@ def network_diagnostics(spec: NetworkSpec) -> list[str]:
             s = sum(row)
             if abs(s - 1.0) > ROW_SUM_TOL:
                 diags.append(f"node {n.id}: row sum {s:g} != 1 (row {i})")
-    return diags + relational_diagnostics(spec)
+    return diags
 
 
 def relational_diagnostics(spec: NetworkSpec) -> list[str]:
     """Invariants specific to relational specs (relation nodes and bindings)."""
     diags: list[str] = []
-    by_id = {n.id: n for n in spec.nodes}
+    by_id = spec._by_id
     parents = {p for n in spec.nodes for p in n.parents}
 
     for n in spec.nodes:
@@ -506,10 +632,10 @@ def _colour_classes(pred: Mapping[str, Any]) -> frozenset[str]:
 
 
 def normalised_rows(rows) -> np.ndarray:
-    """Rows as a read-only float array, each renormalised to sum to 1 (CPTs
-    and transition tables)."""
+    """Rows as a read-only float array, each renormalised to sum to 1 (stacks of
+    CPTs and transition tables)."""
     cpt = np.asarray(rows, dtype=float)
-    cpt = cpt / cpt.sum(axis=1, keepdims=True)
+    cpt = cpt / cpt.sum(axis=-1, keepdims=True)
     cpt.flags.writeable = False
     return cpt
 
@@ -523,14 +649,17 @@ def validate_network(spec: NetworkSpec) -> Network:
     if diags:
         raise InvalidNetworkError(diags)
 
-    nodes = [Node(n.id, n.kind, n.states, n.parent, normalised_rows(n.rows), n.evaluator,
-                  n.inputs, dict(n.params)) for n in spec.nodes]
-    by_id = {n.id: n for n in nodes}
-    children: dict[str, list[str]] = {n.id: [] for n in nodes}
-    for n in nodes:
-        if n.parent is not None:
-            children[n.parent].append(n.id)
-    return Network(spec.root, tuple(nodes), by_id, {k: tuple(v) for k, v in children.items()})
+    cpts: list = [None] * len(spec.nodes)
+    stacked = {}
+    for slots, table in spec._tables:
+        table = normalised_rows(table)
+        for k, (i, cpt) in enumerate(zip(slots, table)):
+            cpts[i] = cpt
+            stacked[spec.nodes[i].id] = table, k
+    nodes = tuple(Node(n.id, n.kind, n.states, n.parent, cpt, n.evaluator, n.inputs,
+                       dict(n.params)) for n, cpt in zip(spec.nodes, cpts))
+    return Network(spec.root, nodes, {n.id: n for n in nodes},
+                   {k: tuple(v) for k, v in spec._children.items()}, stacked)
 
 
 def apply_evidence(net: Network, ev: EvidenceSet) -> InstantiatedNetwork:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,6 +31,17 @@ ENUMERATION_CHUNK = 1 << 16
 def sig10(x: float) -> float:
     """Round to 10 significant digits, the documented output precision."""
     return float(f"{x:.10g}")
+
+
+def sig10_json(x: float) -> str:
+    """``float.__repr__(sig10(x))``, as json writes it, mostly without the round trip.
+    A ``.10g`` text of a normal double is the shortest text that reads back as that
+    double, so repr writes the same digits, and below 1e10 in the same notation, adding
+    ".0" to a whole number; other texts take the round trip."""
+    text = f"{x:.10g}"
+    if "e+" in text or "e-3" in text or "n" in text:  # large, maybe subnormal, inf or nan
+        return float.__repr__(float(text))
+    return text if "." in text or "e" in text else text + ".0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +64,19 @@ class Beliefs:
                 for nid, vec in self.marginals.items()
             }
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_document(), indent=2) + "\n"``, byte for byte, laid out
+        here: ids and state names go through the encoder's own escaper, and each
+        probability is written by :func:`sig10_json`."""
+        nodes = []
+        for nid, vec in self.marginals.items():
+            entries = ",\n".join([f"      {encode_basestring_ascii(s)}: {sig10_json(p)}"
+                                  for s, p in zip(self.states[nid], vec.tolist())])
+            nodes.append(f"    {encode_basestring_ascii(nid)}: "
+                         + (f"{{\n{entries}\n    }}" if entries else "{}"))
+        body = ",\n".join(nodes)
+        return f'{{\n  "beliefs": {{\n{body}\n  }}\n}}\n' if nodes else '{\n  "beliefs": {}\n}\n'
 
 
 @functools.cache
@@ -94,7 +119,8 @@ def _plan(net: Network) -> tuple[list[str], dict[str, int], list]:
         leaves, inner = [], []
         for (size, leaf), slots in groups.items():
             ids = [kids[j] for j in slots]
-            cpts = np.array([net.by_id[c].cpt for c in ids])
+            table = net.stacked[ids[0]][0]  # children of one parent with one size share a stack
+            cpts = np.take(table, [net.stacked[c][1] for c in ids], axis=0)
             down = np.ascontiguousarray(cpts.transpose(0, 2, 1))
             if leaf:
                 with np.errstate(divide="ignore", invalid="ignore"):

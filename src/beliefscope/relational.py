@@ -286,7 +286,10 @@ def regions_from_documents(objs: Sequence) -> tuple[Region, ...]:
 
 
 def parse_scene(text: str) -> tuple[Region, ...]:
-    doc = load_json(text)
+    return scene_from_document(load_json(text))
+
+
+def scene_from_document(doc) -> tuple[Region, ...]:
     if not (isinstance(doc, dict) and set(doc) == {"regions"} and isinstance(doc["regions"], list)):
         raise SpecSyntaxError('scene document must be {"regions": [...]}')
     regions = regions_from_documents(doc["regions"])

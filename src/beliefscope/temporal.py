@@ -50,7 +50,7 @@ from .network import (
     strict_int,
     validate_network,
 )
-from .propagation import observation_codes, posterior, sig10, upward
+from .propagation import observation_codes, posterior, sig10_json, upward
 from .relational import (
     DEFAULT_EPSILON,
     DEFAULT_TAU,
@@ -138,37 +138,7 @@ class FrameStream:
                     f"deviates from dt {self.dt:g} by more than 10%")
 
 
-def _refuse_constant(name: str):
-    raise ValueError(name)  # load_json names it
-
-
-#: the C decoder without load_json's duplicate-key hook; see _frame_document
-_PLAIN_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
 _DICT, _INT, _SEQUENCE = {dict}, {int}, {list, tuple}
-
-
-def _frame_document(line: str, lineno: int):
-    """One stream line decoded as :func:`load_json` decodes it, at the speed
-    of the plain C decoder.
-
-    The plain decoder keeps the last of repeated keys.  Every key in a line
-    is followed by a colon outside any string, so when the line has exactly
-    as many colons as the frame and its region objects have keys, no key was
-    repeated and there is no other object.  Any other line (a colon inside a
-    string, a nested object, a repeated key, NaN, a syntax error, another
-    shape, nesting too deep) is decoded again by load_json, which names what
-    is wrong.
-    """
-    try:
-        obj = _PLAIN_JSON.decode(line)
-    except (ValueError, RecursionError):
-        obj = None
-    if type(obj) is dict:
-        regions = obj.get("regions", [])
-        if (type(regions) is list and set(map(type, regions)) <= _DICT
-                and line.count(":") == len(obj) + sum(map(len, regions))):
-            return obj
-    return load_json(line, line=lineno)
 
 
 #: frame lines decoded and checked at a time by :func:`parse_stream`
@@ -219,7 +189,7 @@ def _column_frames(lines: Sequence[tuple[int, str]]) -> list[Frame] | None:
     is one :class:`RegionTable` of the chunk's regions and a frame per line.
     """
     try:
-        objs = [_frame_document(line, lineno) for lineno, line in lines]
+        objs = [load_json(line, line=lineno) for lineno, line in lines]
     except SpecSyntaxError:
         return None
     if not set(map(type, objs)) <= _DICT:
@@ -248,7 +218,7 @@ def _checked_frames(lines: Sequence[tuple[int, str]]) -> list[Frame]:
     first error names its line."""
     frames = []
     for lineno, line in lines:
-        obj = _frame_document(line, lineno)
+        obj = load_json(line, line=lineno)
         if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
                 and {"index", "t"} <= set(obj)):
             raise SpecSyntaxError(f"stream line {lineno}: expected index, t, regions")
@@ -366,13 +336,13 @@ class BeliefTrace:
         """One line per frame, byte for byte the ``json.dumps`` of
         {"index", "posterior", "effective_prior", "bindings"}, laid out here:
         state names are escaped once per trace and binding ids per line by
-        the encoder's own escaper, and each probability is written as the
-        ``repr`` of its :func:`sig10` rounding, as json writes a finite float.
+        the encoder's own escaper, and each probability is written by
+        :func:`~beliefscope.propagation.sig10_json`.
         """
         keys = [encode_basestring_ascii(s) + ": " for s in self.states]
 
         def probabilities(vector: np.ndarray) -> str:
-            return ", ".join([k + float.__repr__(sig10(p)) for k, p in zip(keys, vector.tolist())])
+            return ", ".join([k + sig10_json(p) for k, p in zip(keys, vector.tolist())])
 
         lines = []
         prior, prior_text = None, ""  # a dynamic trace's beliefs share one prior array

@@ -7,18 +7,23 @@ arithmetic) and never call the code paths they are used to verify.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
 
-from beliefscope.errors import SpecSyntaxError, StreamValidationError
+from beliefscope import network
+from beliefscope.errors import InvalidNetworkError, SpecSyntaxError, StreamValidationError
 from beliefscope.network import (
     EvidenceSet,
     Network,
     NetworkSpec,
+    Node,
     NodeSpec,
     finite_number,
     load_json,
+    normalised_rows,
+    relational_diagnostics,
     strict_int,
 )
 from beliefscope.relational import Region
@@ -260,6 +265,72 @@ def reference_parse_stream(text: str) -> FrameStream:
         except StreamValidationError as exc:
             raise StreamValidationError(f"stream line {lineno}: {exc}") from None
     return FrameStream(tuple(frames), dt)
+
+
+def reference_load_json(text: str, line: int = 1):
+    """``load_json`` as it was before its colon count: every object of the text
+    goes through the duplicate-key hook."""
+    try:
+        return network._DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise SpecSyntaxError(exc.msg, line=exc.lineno + line - 1, column=exc.colno) from None
+
+
+# ---------------------------------------------------------------------------
+# network spec references
+
+
+def reference_network_spec(doc) -> NetworkSpec:
+    """``network_spec_from_document`` as it was before its column passes:
+    every node entry through ``_parse_node``, the source of every message."""
+    if not isinstance(doc, dict):
+        raise SpecSyntaxError("network document must be a JSON object")
+    for key in doc:
+        if key not in ("root", "nodes", "bind"):
+            raise SpecSyntaxError(f"document: unknown field '{key}'")
+    if not isinstance(doc.get("root"), str):
+        raise SpecSyntaxError("document: 'root' must be a node id")
+    if not isinstance(doc.get("nodes"), list):
+        raise SpecSyntaxError("document: 'nodes' must be a list")
+    nodes = tuple(network._parse_node(obj) for obj in doc["nodes"])
+    ids = set()
+    for n in nodes:
+        if n.id in ids:
+            raise SpecSyntaxError(f"duplicate node id '{n.id}'")
+        ids.add(n.id)
+    for n in nodes:
+        for p in n.parents:
+            if p not in ids:
+                raise SpecSyntaxError(f"node '{n.id}': undeclared parent '{p}'")
+        for i in n.inputs:
+            if i not in ids:
+                raise SpecSyntaxError(f"node '{n.id}': undeclared input '{i}'")
+    if doc["root"] not in ids:
+        raise SpecSyntaxError(f"undeclared root '{doc['root']}'")
+    return NetworkSpec(doc["root"], nodes, network._parse_bind(doc.get("bind", {}), ids))
+
+
+def reference_validate_network(spec: NetworkSpec) -> Network:
+    """``validate_network`` as it was before its column passes: every diagnostic
+    from the per-node loop, then one ``normalised_rows`` array per node.  The
+    stacks the propagation plan gathers from are stacked from those arrays."""
+    diags = network._listed_diagnostics(spec) + relational_diagnostics(spec)
+    if diags:
+        raise InvalidNetworkError(diags)
+    nodes = tuple(Node(n.id, n.kind, n.states, n.parent, normalised_rows(n.rows), n.evaluator,
+                       n.inputs, dict(n.params)) for n in spec.nodes)
+    children: dict[str, list[str]] = {n.id: [] for n in nodes}
+    groups: dict[tuple[int, ...], list[Node]] = {}
+    for n in nodes:
+        if n.parent is not None:
+            children[n.parent].append(n.id)
+        groups.setdefault(n.cpt.shape, []).append(n)
+    stacked = {}
+    for group in groups.values():
+        table = np.array([n.cpt for n in group])
+        stacked.update((n.id, (table, k)) for k, n in enumerate(group))
+    return Network(spec.root, nodes, {n.id: n for n in nodes},
+                   {k: tuple(v) for k, v in children.items()}, stacked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,24 @@
+import contextlib
+import copy
 import gc
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from beliefscope import cli, network, relational, temporal
+from beliefscope import cli, endoscopy, network, relational, temporal
 from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
+from beliefscope.network import network_spec_to_document
+from beliefscope.propagation import Beliefs, sig10, sig10_json
+from beliefscope.relational import scene_to_document
 from beliefscope.temporal import (
     Frame,
     FrameStream,
@@ -252,6 +260,22 @@ class TestInfer:
         # dark present and bright absent cancel exactly at the symmetric defaults
         assert json.loads(out)["beliefs"]["bend"]["present"] == pytest.approx(0.5)
         assert json.loads(out)["beliefs"]["bright_arc"]["absent"] == 1.0
+
+    @pytest.mark.parametrize("scene", ['{"assignments": {"F": "t"}}', '{"regions": []}'])
+    def test_each_input_document_is_decoded_once(self, capsys, monkeypatch, tmp_path,
+                                                  two_node_spec_file, scene):
+        decoded, real = [], network.load_json
+
+        def counted(text, line=1):
+            decoded.append(text)
+            return real(text, line)
+
+        for module in (cli, network, relational):
+            monkeypatch.setattr(module, "load_json", counted)
+        (tmp_path / "scene.json").write_text(scene)
+        code, _, _ = run(capsys, "infer", "--spec", two_node_spec_file,
+                         "--scene", str(tmp_path / "scene.json"))
+        assert code == 0 and decoded == [json.dumps(TWO_NODE_DOC), scene]
 
     def test_deeply_nested_scene_names_the_deepest_line(self, capsys, tmp_path,
                                                          two_node_spec_file):
@@ -756,13 +780,13 @@ class TestCollector:
 
     def test_paused_while_the_command_runs(self, capsys, monkeypatch):
         seen = []
-        real = cli.generate_stream
+        real = endoscopy.generate_stream
 
         def spy(*args, **kwargs):
             seen.append(gc.isenabled())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "generate_stream", spy)
+        monkeypatch.setattr(endoscopy, "generate_stream", spy)
         gc.enable()
         assert run(capsys, "track", "--model", "dirty_lens", "--scenario", "static_spot")[0] == 0
         assert seen == [False] and gc.isenabled()
@@ -800,6 +824,21 @@ def launcher():
 
 
 class TestEntryPoint:
+    def test_infer_and_validate_on_a_network_spec_load_only_what_they_run(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(TWO_NODE_DOC))
+        (tmp_path / "ev.json").write_text('{"assignments": {"F": "t"}}')
+        code = ("import sys; from beliefscope.cli import main; main(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.startswith('beliefscope.')))")
+        for argv in (["infer", "--spec", "spec.json", "--scene", "ev.json"],
+                     ["validate", "--spec", "spec.json"]):
+            done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == str(["beliefscope.cli", "beliefscope.errors",
+                                                        "beliefscope.network",
+                                                        "beliefscope.propagation"])
+
     def test_console_script_round_trip(self, tmp_path):
         generate = subprocess.run(
             [*launcher(), "generate", "--scenario", "adjacent_scene", "--frames", "2"],
@@ -815,3 +854,111 @@ class TestEntryPoint:
         proc = subprocess.run([*launcher(), "infer", "--model", "bend"],
                               capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+def dumped_beliefs(beliefs: Beliefs) -> str:
+    return json.dumps(beliefs.to_document(), indent=2) + "\n"
+
+
+class TestInferLayout:
+    def test_awkward_ids_states_and_probabilities_are_laid_out_like_json_dumps(self):
+        from test_temporal import AWKWARD_TEXT
+        probabilities = [0.0, 1.0, 5e-324, 1e-5, 0.1 + 0.2]
+        states = {nid: tuple(AWKWARD_TEXT[i:] + AWKWARD_TEXT[:i])[:1 + i % 5]
+                  for i, nid in enumerate(AWKWARD_TEXT)}
+        marginals = {nid: np.array((probabilities * 2)[i:i + len(states[nid])])
+                     for i, nid in enumerate(AWKWARD_TEXT)}
+        beliefs = Beliefs(marginals, states)
+        assert beliefs.to_json() == dumped_beliefs(beliefs)
+        assert Beliefs({}, {}).to_json() == dumped_beliefs(Beliefs({}, {}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4),
+                           st.lists(st.tuples(st.text(max_size=3), st.floats(0.0, 1.0)),
+                                    max_size=4, unique_by=lambda pair: pair[0]),
+                           max_size=4))
+    def test_any_beliefs_are_laid_out_like_json_dumps(self, nodes):
+        beliefs = Beliefs({nid: np.array([p for _, p in pairs]) for nid, pairs in nodes.items()},
+                          {nid: tuple(s for s, _ in pairs) for nid, pairs in nodes.items()})
+        assert beliefs.to_json() == dumped_beliefs(beliefs)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats() | st.floats(0.0, 1.0) | st.sampled_from([5e-324, 1e-5, 0.1 + 0.2, 1e10]))
+    def test_probabilities_are_written_as_the_repr_of_their_rounding(self, x):
+        assert sig10_json(x) == float.__repr__(sig10(x))
+
+    def test_infer_prints_awkward_labels_like_json_dumps(self, capsys, tmp_path):
+        doc = {"root": 'r"\\', "nodes": [
+            {"id": 'r"\\', "kind": "chance", "states": ["naïve", "\x00\u2028"], "prior": [0.3, 0.7]},
+            {"id": "日本", "kind": "chance", "states": ["🙂", ""], "parent": 'r"\\',
+             "cpt": [[1.0, 0.0], [1e-5, 1 - 1e-5]]}]}
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        (tmp_path / "ev.json").write_text(json.dumps({"assignments": {"日本": "🙂"}}))
+        code, out, _ = run(capsys, "infer", "--spec", str(tmp_path / "spec.json"),
+                           "--scene", str(tmp_path / "ev.json"))
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+#: JSON values a mutated document may hold: signs, zeros, huge and inexact integers,
+#: wrong types and empty containers; all small to decode and to act on
+FUZZ_VALUES = [-1, 0, 1, 0.5, 1e308, 10**30, 2**53 + 1, -0.0, "x", "", [], {}, [[0.5]], None, True]
+
+
+def mutated(doc, rng):
+    """A copy of ``doc`` with one or two of its values replaced by a FUZZ_VALUES value,
+    or its key deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 2)):
+        places = []
+
+        def walk(value):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            for key, child in items:
+                places.append((value, key))
+                if isinstance(child, (dict, list)):
+                    walk(child)
+
+        walk(doc)
+        if not places:
+            break
+        container, key = rng.choice(places)
+        if isinstance(container, dict) and rng.random() < 0.2:
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return doc
+
+
+FUZZ_SPECS = [network_spec_to_document(builtin_model(name).model) for name in ("diverticulum", "bend")]
+FUZZ_SPECS.append({"root": "h", "nodes": [
+    {"id": "h", "kind": "chance", "states": ["a", "b", "c"], "prior": [0.2, 0.3, 0.5]},
+    *({"id": f"f{i}", "kind": "chance", "states": ["on", "off"], "parent": "h",
+       "cpt": [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]} for i in range(4))]})
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(range(len(FUZZ_SPECS))),
+           st.sampled_from(["spec", "evidence", "scene", "both"]))
+    def test_validate_and_infer_exit_0_to_4_without_a_traceback(self, tmp_path_factory, rng,
+                                                                 base, target):
+        spec = FUZZ_SPECS[base]
+        leaves = [n["id"] for n in spec["nodes"] if "cpt" in n and n["kind"] == "chance"]
+        evidence = {"assignments": {leaves[0]: "present" if base < 2 else "on"}}
+        if target == "scene":
+            frame = generate_stream("surround_scene", 1, seed=rng.randrange(9)).frames[0]
+            evidence = scene_to_document(frame.regions)
+        if target in ("spec", "both"):
+            spec = mutated(spec, rng)
+        if target != "spec":
+            evidence = mutated(evidence, rng)
+        directory = tmp_path_factory.mktemp("fuzz")
+        (directory / "spec.json").write_text(json.dumps(spec))
+        (directory / "scene.json").write_text(json.dumps(evidence))
+        for argv in (["validate", "--spec", str(directory / "spec.json")],
+                     ["infer", "--spec", str(directory / "spec.json"),
+                      "--scene", str(directory / "scene.json")]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in range(5) and "Traceback" not in err.getvalue(), (argv, err.getvalue())

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -5,20 +6,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beliefscope.errors import EvidenceError, InvalidNetworkError, SpecSyntaxError
+from beliefscope import network
+from beliefscope.endoscopy import builtin_model
+from beliefscope.errors import (
+    EvidenceError,
+    ImpossibleEvidenceError,
+    InvalidNetworkError,
+    SpecSyntaxError,
+)
 from beliefscope.network import (
+    ROW_SUM_TOL,
     EvidenceSet,
+    Network,
     NetworkSpec,
     NodeSpec,
     apply_evidence,
+    load_json,
     network_diagnostics,
+    network_spec_from_document,
+    network_spec_to_document,
     parse_evidence,
     parse_network_spec,
     serialize_network_spec,
     validate_network,
 )
+from beliefscope.propagation import propagate
+from beliefscope.temporal import window_spec
 
-from helpers import random_tree_spec
+from helpers import (
+    normalized,
+    random_tree_spec,
+    reference_load_json,
+    reference_network_spec,
+    reference_validate_network,
+)
 
 TWO_NODE = json.dumps({
     "root": "O",
@@ -286,3 +307,164 @@ class TestEvidence:
     def test_evidence_duplicate_key(self):
         with pytest.raises(SpecSyntaxError, match="duplicate key"):
             parse_evidence('{"assignments": {"F": "t", "F": "f"}}')
+
+
+# ---------------------------------------------------------------------------
+# column ingest against the per-node reference
+
+
+def small_wide_document(rng, max_width: int) -> dict:
+    """A root with two hubs of three leaves each, every node with 2..max_width states."""
+    def states(name):
+        return [f"{name}{j}" for j in range(rng.randint(2, max_width))]
+
+    root = states("r")
+    nodes = [{"id": "root", "kind": "chance", "states": root, "prior": list(normalized(rng, len(root)))}]
+    for h in range(2):
+        hub = states("h")
+        nodes.append({"id": f"hub{h}", "kind": "chance", "states": hub, "parent": "root",
+                      "cpt": [list(normalized(rng, len(hub))) for _ in root]})
+        for i in range(3):
+            leaf = states("l")
+            nodes.append({"id": f"hub{h}_leaf{i}", "kind": "chance", "states": leaf,
+                          "parent": f"hub{h}", "cpt": [list(normalized(rng, len(leaf))) for _ in hub]})
+    return {"root": "root", "nodes": nodes}
+
+
+BUILTIN_SPECS = {
+    "diverticulum": builtin_model("diverticulum").model,
+    "bend": builtin_model("bend").model,
+    "lumen_tracker": builtin_model("lumen_tracker").model.per_frame,
+    "dirty_lens": window_spec(builtin_model("dirty_lens").model, 3),
+}
+
+HOSTILE_VALUES = [True, 10**400, 2**53 + 1, -0.0, 1e308, 1e999, None, [0.5], "0.5", 1, 0]
+
+#: each edit with the choices it draws from
+SPEC_EDITS = {
+    "none": [None],
+    "value": HOSTILE_VALUES,
+    "literal": ["1e999", "-1e999", "NaN", "Infinity", "1E400", "-0"],  # written into the text
+    "shift": [0.4, 0.75, 1.25, -1.25, 1e9],  # times ROW_SUM_TOL: about the tolerance and its half
+    "swap mass": [0.5, 1.0],  # moved between two entries: the sum stays, the range breaks
+    "row": ["ragged", "empty", "nested", "extra"],
+    "repeated key": ['"kind": ', '"colour_class": ', '"prior": ', '"id": '],
+    "unknown key": ["colour", "params", "evaluator"],
+    "states": ["extra", "one", "one with its tables", "repeated", "empty", "not a list", 0],
+    "parent": ["another", "two", "itself", 5, None, ["x"], {}],
+    "id": ["another", "", 5, None],
+    "kind": ["relation", "Chance", None],
+    "int row": [None],
+}
+
+
+def edited_spec_text(doc: dict, edit: str, choice, rng) -> str:
+    """The JSON text of ``doc`` with one edit, at a node, row and entry drawn from ``rng``."""
+    doc = copy.deepcopy(doc)
+    nodes = doc["nodes"]
+    node = rng.choice(nodes)
+    rows = node["cpt"] if "cpt" in node else [node["prior"]]
+    row = rng.choice(rows)
+    j, k = rng.randrange(len(row)), rng.randrange(len(row))
+    if edit == "value":
+        row[j] = choice
+    elif edit == "literal":
+        row[j] = 7.25  # a placeholder no generated entry has
+    elif edit == "shift":
+        row[j] += choice * ROW_SUM_TOL
+    elif edit == "swap mass" and j != k:
+        row[j], row[k] = row[j] + choice, row[k] - choice
+    elif edit == "row":
+        {"ragged": row.pop, "empty": lambda: rows.append([]), "extra": lambda: row.append(0.0),
+         "nested": lambda: rows.__setitem__(rows.index(row), [row])}[choice]()
+    elif edit == "unknown key":
+        node[choice] = 1
+    elif edit == "states" and choice == "one with its tables":
+        del node["states"][1:]
+        for r in rows:
+            r[:] = [1.0]
+    elif edit == "states":
+        node["states"] = {"extra": node["states"] + ["extra"], "one": node["states"][:1],
+                          "repeated": node["states"][:-1] + node["states"][:1], "empty": [],
+                          "not a list": "s"}.get(choice, choice)
+    elif edit == "parent":
+        other = rng.choice(nodes)["id"]
+        named = {"another": other, "two": [other, rng.choice(nodes)["id"]], "itself": node["id"]}
+        node["parent"] = named[choice] if isinstance(choice, str) else choice
+        node.setdefault("cpt", rows)
+        node.pop("prior", None)
+    elif edit == "id":
+        node["id"] = rng.choice(nodes)["id"] if choice == "another" else choice
+    elif edit == "kind":
+        node["kind"] = choice
+    elif edit == "int row":
+        row[:] = [0] * len(row)
+        row[j] = 1
+    text = json.dumps(doc)
+    if edit == "repeated key":  # the first such key, repeated before itself
+        text = text.replace(choice, choice + "0, " + choice, 1)
+    if edit == "literal":
+        text = text.replace("7.25", choice)
+    return text
+
+
+def ingest(text, decode, parse, validate):
+    """(spec, network) from a spec text, or the error: ("syntax", message) or
+    ("invalid", diagnostics)."""
+    try:
+        spec = parse(decode(text))
+        return spec, validate(spec)
+    except SpecSyntaxError as exc:
+        return "syntax", str(exc)
+    except InvalidNetworkError as exc:
+        return "invalid", exc.diagnostics
+
+
+def marginal_bytes(net, assignments):
+    try:
+        beliefs = propagate(apply_evidence(net, EvidenceSet(assignments)))
+    except ImpossibleEvidenceError as exc:
+        return str(exc)
+    return {nid: vec.tobytes() for nid, vec in beliefs.marginals.items()}
+
+
+def assert_ingested_like_the_reference(text: str):
+    fast = ingest(text, load_json, network_spec_from_document, validate_network)
+    slow = ingest(text, reference_load_json, reference_network_spec, reference_validate_network)
+    if not isinstance(slow[1], Network):
+        assert fast == slow
+        return
+    (spec, net), (ref_spec, ref_net) = fast, slow
+    assert repr(spec) == repr(ref_spec)  # floats stay floats, -0.0 stays -0.0
+    for node, ref in zip(net.nodes, ref_net.nodes, strict=True):
+        assert node.cpt.tobytes() == ref.cpt.tobytes() and node.cpt.shape == ref.cpt.shape
+        assert not node.cpt.flags.writeable
+    leaf = net.nodes[-1]
+    for assignments in ({}, {leaf.id: leaf.states[0]}, {leaf.id: leaf.states[-1]}):
+        assert marginal_bytes(net, assignments) == marginal_bytes(ref_net, assignments)
+
+
+class TestSpecIngest:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["wide"] + list(BUILTIN_SPECS)), st.integers(2, 5),
+           st.sampled_from(list(SPEC_EDITS)), st.data(), st.randoms(use_true_random=False))
+    def test_ingests_like_the_per_node_reference(self, base, max_width, edit, data, rng):
+        doc = (small_wide_document(rng, max_width) if base == "wide"
+               else network_spec_to_document(BUILTIN_SPECS[base]))
+        choice = data.draw(st.sampled_from(SPEC_EDITS[edit]))
+        assert_ingested_like_the_reference(edited_spec_text(doc, edit, choice, rng))
+
+    @pytest.mark.parametrize("edit, choice", [(e, c) for e, cs in SPEC_EDITS.items() for c in cs])
+    def test_every_edit_of_a_wide_tree(self, edit, choice):
+        for seed in range(8):
+            rng = random.Random(seed)
+            doc = small_wide_document(rng, 2 + seed % 4)
+            assert_ingested_like_the_reference(edited_spec_text(doc, edit, choice, rng))
+
+    def test_the_column_passes_take_a_wide_tree_and_doubt_near_the_tolerance(self):
+        doc = small_wide_document(random.Random(1), 5)
+        assert network._column_nodes(doc["nodes"]) is not None
+        assert network._clean(network_spec_from_document(doc))
+        doc["nodes"][3]["cpt"][0][0] += 0.75 * ROW_SUM_TOL
+        spec = network_spec_from_document(doc)
+        assert not network._clean(spec) and network_diagnostics(spec) == []

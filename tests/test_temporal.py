@@ -56,6 +56,7 @@ from helpers import (
     normalized,
     pattern_frames,
     random_region,
+    reference_load_json,
     reference_parse_stream,
     unrolled_chain_spec,
 )
@@ -250,17 +251,17 @@ def frame_lines(draw):
 class TestStream:
     @settings(max_examples=120, deadline=None)
     @given(frame_lines())
-    def test_frame_lines_decode_like_load_json(self, line):
+    def test_frame_lines_decode_like_the_checked_decoder(self, line):
         """The colon count lets a line skip the duplicate-key hook only when
-        no key can repeat, so the result or the error is load_json's."""
+        no key can repeat, so the result or the error is the checked decoder's."""
         try:
-            expected = load_json(line, line=7)
+            expected = reference_load_json(line, line=7)
         except SpecSyntaxError as exc:
             with pytest.raises(SpecSyntaxError) as info:
-                temporal._frame_document(line, 7)
+                load_json(line, line=7)
             assert str(info.value) == str(exc)
         else:
-            assert temporal._frame_document(line, 7) == expected
+            assert load_json(line, line=7) == expected
 
     @pytest.mark.parametrize("line, message", [
         pytest.param('{"index": 0, "index": 1, "t": 0.0}', "duplicate key 'index'", id="frame"),
