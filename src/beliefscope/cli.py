@@ -249,42 +249,36 @@ def _cmd_generate(args) -> int:
 
 
 def _rows_to_check(args, model):
-    """(net, evidence, prior, printed) for every network the oracle comparison runs over:
-    ``prior`` is the root prior that replaces the network's own on that frame's tree (a
-    semi-static frame's effective prior) or None, and ``printed`` is the hypothesis posterior
-    ``track`` prints for that frame or window, or None where the printed answer is
-    propagate's own."""
-    from .relational import relation_evidence
+    """(net, codes, priors, printed): a code row per network the oracle comparison runs over,
+    each row's root prior replacing the network's own (a semi-static frame's effective
+    prior) and the hypothesis posterior ``track`` prints for each, or None for either."""
+    from .relational import _relation_assignments
     from .temporal import TemporalModel, bind_frame, dynamic_windows, filter_frames
     if isinstance(model, NetworkSpec):
         if getattr(args, "scene", None) is not None:
-            yield (*_scene_inputs(args, model), None, None)
-            return
-        stream = _load_stream(args)
-        net = validate_network(model)
-        for frame in stream.frames:
-            yield net, relation_evidence(model, bind_frame(model, frame),
-                                         tau=args.tau, epsilon=args.epsilon), None, None
-        return
+            net, ev = _scene_inputs(args, model)  # apply_evidence names a file's unknown labels
+            return net, observation_codes(net, [apply_evidence(net, ev).observed]), None, None
+        stream, net = _load_stream(args), validate_network(model)
+        return net, observation_codes(net, [
+            _relation_assignments(model, bind_frame(model, frame), tau=args.tau, epsilon=args.epsilon)
+            for frame in stream.frames]), None, None
     stream = _load_stream(args)
     if isinstance(model, TemporalModel):
-        # filter the whole stream first, so a frame error is reported before any check runs
-        frames = list(filter_frames(_with_mode(model, args.mode), stream,
-                                    tau=args.tau, epsilon=args.epsilon))
-        for net, ev, belief in frames:
-            yield net, ev, belief.effective_prior, belief.posterior
-        return
-    for net, ev, belief in dynamic_windows(model, stream.frames, args.window, tau=args.tau,
-                                           epsilon=args.epsilon, delta=args.delta):
-        yield net, ev, None, belief.posterior
+        net, codes, trace = filter_frames(_with_mode(model, args.mode), stream,
+                                          tau=args.tau, epsilon=args.epsilon)
+        priors = np.array([belief.effective_prior for belief in trace.frames])
+    else:
+        net, codes, trace = dynamic_windows(model, stream.frames, args.window, tau=args.tau,
+                                            epsilon=args.epsilon, delta=args.delta)
+        priors = None
+    return net, codes, priors, np.array([belief.posterior for belief in trace.frames])
 
 
-def _residual(net: Network, observed: list, priors: list, printed: list) -> float:
-    """The largest difference over one Network's distinct rows between :func:`downward` and
-    :func:`enumerate_beliefs` on every marginal, and between each printed posterior, given as
-    (row, posterior), and the oracle's hypothesis marginal of its row."""
-    codes = observation_codes(net, observed)
-    priors = None if priors[0] is None else np.array(priors)
+def _residual(net: Network, codes: np.ndarray, priors: np.ndarray | None,
+              printed: np.ndarray | None, rows: np.ndarray) -> float:
+    """The largest difference over distinct code rows between :func:`downward` and
+    :func:`enumerate_beliefs` on every marginal, and between each printed posterior and the
+    oracle's hypothesis marginal of its row, ``rows`` giving each printed posterior's row."""
     try:
         fast = downward(net, codes, priors)
         slow = enumerate_beliefs(net, codes, priors)
@@ -296,9 +290,8 @@ def _residual(net: Network, observed: list, priors: list, printed: list) -> floa
             enumerate_beliefs(net, codes[row:row + 1], alone)
         raise
     worst = max(float(np.abs(fast[nid] - slow[nid]).max()) for nid in slow)
-    if printed:
-        rows, posteriors = zip(*printed)
-        worst = max(worst, float(np.abs(np.array(posteriors) - slow[net.root][list(rows)]).max()))
+    if printed is not None:
+        worst = max(worst, float(np.abs(printed - slow[net.root][rows]).max()))
     return worst
 
 
@@ -307,28 +300,21 @@ def _cmd_check(args) -> int:
     network, and the posterior ``track`` prints for each frame or window
     with the oracle's hypothesis marginal; print the largest difference.
 
-    Both routes are deterministic, so each distinct (Network, evidence, root
-    prior) row is collected once, in first-seen order, and each Network's rows
-    go through one call of each batched kernel: consecutive windows share one
-    Network and most repeat an evidence set, and a semi-static frame's tree
-    is the stream's Network under its effective prior.  Every network still
+    Every route gives one Network and a code row per frame or window, the rows
+    ``track`` itself propagates.  Both kernels are deterministic, so each
+    distinct (code row, root prior) goes once, in first-seen order, through one
+    call of each: most windows repeat an evidence set, and a semi-static frame's
+    tree is the Network under its effective prior.  Every frame or window still
     counts in ``over N network(s)``.
     """
-    model = _load_model(args)
-    networks: dict[Network, tuple[dict, list, list, list]] = {}
-    compared = 0
-    for net, ev, prior, printed in _rows_to_check(args, model):
-        index, observed, priors, shown = networks.setdefault(net, ({}, [], [], []))
-        key = frozenset(ev.assignments.items()), None if prior is None else prior.tobytes()
-        if key not in index:
-            index[key] = len(observed)
-            observed.append(apply_evidence(net, ev).observed)
-            priors.append(prior)
-        if printed is not None:
-            shown.append((index[key], printed))
-        compared += 1
-    worst = max((_residual(net, *rows) for net, (_, *rows) in networks.items()), default=0.0)
-    _emit(args, f"max |propagate - enumeration| = {sig10(worst):.10g} over {compared} network(s)\n")
+    net, codes, priors, printed = _rows_to_check(args, _load_model(args))
+    slots: dict[bytes, int] = {}  # each distinct (code row, prior), by its bytes
+    rows = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in
+                     (codes if priors is None else np.hstack([codes, priors]))], dtype=np.intp)
+    first = np.unique(rows, return_index=True)[1]  # each distinct row's first frame or window
+    worst = 0.0 if not len(codes) else _residual(
+        net, codes[first], None if priors is None else priors[first], printed, rows)
+    _emit(args, f"max |propagate - enumeration| = {sig10(worst):.10g} over {len(codes)} network(s)\n")
     if worst >= ORACLE_TOLERANCE:
         print(f"oracle mismatch: {worst:.3e} >= {ORACLE_TOLERANCE:.0e}", file=sys.stderr)
         return 4

@@ -474,6 +474,12 @@ def relation_evidence(spec: NetworkSpec, bound: Mapping[str, Region | None], *,
 
     ``tau``/``epsilon`` override the per-node params (used by CLI flags).
     """
+    return EvidenceSet(_relation_assignments(spec, bound, tau=tau, epsilon=epsilon))
+
+
+def _relation_assignments(spec: NetworkSpec, bound: Mapping[str, Region | None], *,
+                          tau: float | None, epsilon: float | None) -> dict[str, str]:
+    """:func:`relation_evidence`'s assignments, for the stream routes' code rows."""
     assignments: dict[str, str] = {}
     for fid in spec.bind:
         assignments[fid] = PRESENT if bound[fid] is not None else ABSENT
@@ -488,7 +494,7 @@ def relation_evidence(spec: NetworkSpec, bound: Mapping[str, Region | None], *,
             tau=tau if tau is not None else n.params.get("tau", DEFAULT_TAU),
             epsilon=epsilon if epsilon is not None else n.params.get("epsilon", DEFAULT_EPSILON),
         )
-    return EvidenceSet(assignments)
+    return assignments
 
 
 def relationalize(spec: NetworkSpec, regions: Sequence[Region], *,

@@ -4,6 +4,10 @@ Semi-static filtering rolls each frame's posterior into the next frame's
 prior through a transition table; dynamic recognition puts each window of
 frames under the hypothesis as a star, with a per-frame presence node and an
 inter-frame relation node per consecutive matched pair.
+
+Both return one batch ``(net, codes, trace)``: the Network all frames or windows
+share, a code row per frame or window (:func:`~beliefscope.propagation.observation_codes`),
+the only evidence form past binding, and the beliefs ``track`` prints.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import contains, itemgetter
-from typing import Any, Collection, Iterator, Mapping, Sequence
+from typing import Any, Collection, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,7 +44,6 @@ from .network import (
     NodeSpec,
     _as_str_list,
     _colour_classes,
-    apply_evidence,
     finite_number,
     load_json,
     network_diagnostics,
@@ -56,10 +59,10 @@ from .relational import (
     DEFAULT_TAU,
     Region,
     RegionTable,
+    _relation_assignments,
     eval_relation,
     region_from_document,
     region_to_document,
-    relation_evidence,
     select_region,
 )
 
@@ -282,19 +285,24 @@ def _mixed_prior(prior: np.ndarray, trans: np.ndarray, prev: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class TemporalModel:
-    """Per-frame relational spec plus the hypothesis transition table; valid
-    by construction (InvalidNetworkError carries the diagnostics of both)."""
+    """Per-frame relational spec plus the hypothesis transition table, valid by construction
+    (InvalidNetworkError carries the diagnostics of both); the per-frame Network is built here."""
 
     per_frame: NetworkSpec
     transition: np.ndarray
     mode: str = "paper"
+    _net: Network = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidNetworkError([f"mode must be one of {MODES}"])
         states = self.per_frame.node(self.per_frame.root).states
         trans = np.asarray(self.transition, dtype=float)
-        diags = network_diagnostics(self.per_frame)
+        try:
+            object.__setattr__(self, "_net", validate_network(self.per_frame))
+            diags = []
+        except InvalidNetworkError as exc:
+            diags = exc.diagnostics
         k = len(states)
         if trans.shape != (k, k):
             diags.append(f"transition must be {k}x{k} over the hypothesis states")
@@ -366,58 +374,56 @@ def bind_frame(spec: NetworkSpec, frame: Frame) -> dict[str, Region | None]:
 
 def filter_frames(model: TemporalModel, stream: FrameStream, *,
                   tau: float | None = None, epsilon: float | None = None,
-                  ) -> Iterator[tuple[Network, EvidenceSet, FrameBelief]]:
-    """Semi-static recognition frame by frame: yields (net, evidence, belief).
+                  ) -> tuple[Network, np.ndarray, BeliefTrace]:
+    """Semi-static recognition over a stream as one batch (net, codes, trace):
+    a code row and a belief per frame.
 
     Frame 0 uses the static prior; every later frame replaces the hypothesis
     prior with :func:`semi_static_prior` over the previous posterior.  All
-    frames share one Network; a frame's own tree is the per-frame spec with
-    ``belief.effective_prior`` as the root's prior, or the Network with that
-    row prior in ``propagation.downward``.  This is the scaled forward algorithm: λ at the
-    hypothesis does not depend on its prior, so one ``upward`` call gives it
-    for all frames and the scan carries k-vectors through ``posterior``,
-    bitwise equal to ``propagate`` on each frame's tree.  Errors come in
-    stream order.
+    frames share the model's Network; a frame's own tree is the per-frame spec
+    with its belief's ``effective_prior`` as the root's prior, or the Network
+    with that row prior in ``propagation.downward``.  This is the scaled
+    forward algorithm: λ at the hypothesis does not depend on its prior, so one
+    ``upward`` call gives it for all frames and the scan carries k-vectors
+    through ``posterior``, bitwise equal to ``propagate`` on each frame's tree.
+    Errors come in stream order.
     """
     if not stream.frames:
         raise StreamValidationError("stream is empty")
-    spec = model.per_frame
-    net = validate_network(spec)
-    static_prior = net.node(spec.root).cpt[0]
+    spec, net = model.per_frame, model._net
+    root = net.node(spec.root)
 
-    evidence, failure = [], None
+    observed, bindings, failure = [], [], None
     for frame in stream.frames:
         try:
             bound = bind_frame(spec, frame)
-            ev = relation_evidence(spec, bound, tau=tau, epsilon=epsilon)
-            evidence.append((ev, apply_evidence(net, ev).observed, {f: r and r.id for f, r in bound.items()}))
+            observed.append(_relation_assignments(spec, bound, tau=tau, epsilon=epsilon))
         except (BeliefscopeError, ValueError) as exc:  # raised when the scan gets here
             failure = FrameInferenceError(frame.index, exc) if isinstance(exc, BeliefscopeError) else exc
             break
-    lam, _, vanished = upward(net, observation_codes(net, [observed for _, observed, _ in evidence]))
+        bindings.append({f: r and r.id for f, r in bound.items()})
+    codes = observation_codes(net, observed)
+    lam, _, vanished = upward(net, codes)
 
-    prev: np.ndarray | None = None
+    beliefs: list[FrameBelief] = []
     paper = model.mode == "paper"
     for i, frame in enumerate(stream.frames):
-        eff = (static_prior if prev is None
-               else _mixed_prior(static_prior, model.transition, prev, paper))
-        if i == len(evidence):
+        eff = (_mixed_prior(root.cpt[0], model.transition, beliefs[-1].posterior, paper)
+               if beliefs else root.cpt[0])
+        if i == len(observed):
             raise failure
         post = posterior(eff / eff.sum(), lam[spec.root][i])
         if np.isnan(post[0]):
             node = vanished[1] if vanished is not None and vanished[0] == i else spec.root
             raise FrameInferenceError(frame.index, ImpossibleEvidenceError(node))
-        ev, _, bindings = evidence[i]
-        yield net, ev, FrameBelief(frame.index, post, eff, bindings)
-        prev = post
+        beliefs.append(FrameBelief(frame.index, post, eff, bindings[i]))
+    return net, codes, BeliefTrace(root.id, root.states, tuple(beliefs))
 
 
 def filter_stream(model: TemporalModel, stream: FrameStream, *,
                   tau: float | None = None, epsilon: float | None = None) -> BeliefTrace:
-    """Semi-static recognition over a stream: the beliefs of :func:`filter_frames`."""
-    root = model.per_frame.node(model.per_frame.root)
-    return BeliefTrace(root.id, root.states, tuple(
-        belief for _, _, belief in filter_frames(model, stream, tau=tau, epsilon=epsilon)))
+    """Semi-static recognition over a stream: the trace of :func:`filter_frames`."""
+    return filter_frames(model, stream, tau=tau, epsilon=epsilon)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +565,12 @@ def window_spec(model: DynamicModel, k: int) -> NetworkSpec:
 
 def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int | None, *,
                      tau: float | None, epsilon: float | None, delta: float | None,
-                     ) -> tuple[int, Network, list[Region | None], list[str | None]]:
-    """The window length k, the validated k-frame window network, each frame's
-    bound region and each consecutive pair's relation value (None when the
-    pair stays unobserved).  Every window slices these lists.
-
-    ``window`` defaults to the model's ``max_window`` and is clamped to the
-    number of frames.
-    """
+                     ) -> tuple[int, Network, list[Region | None], np.ndarray]:
+    """The window length k (``window``, else ``max_window``, clamped to the
+    number of frames), the validated k-frame window network, each frame's bound
+    region and each window's code row, with each frame and consecutive pair
+    evaluated once: presence nodes are observed present/absent, relation nodes
+    only when the pair's bound regions match."""
     k = window if window is not None else model.max_window
     if k > model.max_window:
         raise StreamValidationError(f"window {k} exceeds max {model.max_window}")
@@ -585,55 +589,41 @@ def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int |
     # a bound pair can only match within its colour class, whose matching no other class affects
     same_class = [[r for r in regions if r.colour_class == b.colour_class] if b is not None else []
                   for regions, b in zip(candidates, bound)]
-    values: list[str | None] = []
+    presence, relations = _window_ids(model, k)
+    feature, relation = net.node(presence[0]), net.node(relations[0])
+    pair_codes = []
     for i in range(len(frames) - 1):
         a, b = bound[i], bound[i + 1]
-        value = None
+        code = -1
         if (a is not None and b is not None and a.colour_class == b.colour_class
                 and _class_matching(same_class[i], same_class[i + 1], eff_delta,
                                     DEFAULT_AREA_RATIO).get(a.id) == b.id):
-            value = eval_relation(model.relation_evaluator, a, b, tau=eff_tau, epsilon=eff_eps)
-        values.append(value)
-    return k, net, bound, values
-
-
-def _window_evidence(presence: Sequence[str], relations: Sequence[str],
-                     bound: Sequence[Region | None], values: Sequence[str | None]) -> EvidenceSet:
-    """Presence nodes observed present/absent; relation nodes only when
-    matched.  ``presence`` and ``relations`` are the window's node ids, as
-    :func:`_window_ids` gives them."""
-    assignments = {fid: (PRESENT if r is not None else ABSENT) for fid, r in zip(presence, bound)}
-    for rid, value in zip(relations, values):
-        if value is not None:
-            assignments[rid] = value
-    return EvidenceSet(assignments)
+            code = relation.state_index(eval_relation(model.relation_evaluator, a, b,
+                                                      tau=eff_tau, epsilon=eff_eps))
+        pair_codes.append(code)
+    frame_codes = [feature.state_index(ABSENT if r is None else PRESENT) for r in bound]
+    # columns in window_spec's node order: hypothesis, presence nodes, relation nodes
+    return k, net, bound, np.hstack([np.full((len(frames) - k + 1, 1), -1),
+                                     sliding_window_view(np.array(frame_codes), k),
+                                     sliding_window_view(np.array(pair_codes), k - 1)])
 
 
 def dynamic_windows(model: DynamicModel, frames: Sequence[Frame], window: int | None = None, *,
                     tau: float | None = None, epsilon: float | None = None,
                     delta: float | None = None,
-                    ) -> Iterator[tuple[Network, EvidenceSet, FrameBelief]]:
-    """Sliding-window dynamic recognition, in order of each window's last
-    frame: yields (net, evidence, belief).
+                    ) -> tuple[Network, np.ndarray, BeliefTrace]:
+    """Sliding-window dynamic recognition as one batch (net, codes, trace): a
+    code row and a belief per window, in order of each window's last frame.
 
     ``window`` defaults to the model's ``max_window`` and is clamped to the
-    number of frames.  All windows share one Network (the window's tree, with
-    ``evidence`` its clamping); each frame and consecutive pair is evaluated
-    once, and one ``upward`` call over slices of their codes gives every
+    number of frames.  All windows share one Network, the window's tree; one
+    ``upward`` call over the code rows (:func:`_evaluate_frames`) gives every
     posterior, bitwise equal to ``propagate`` on the window's tree.  If any
-    window is impossible, nothing is yielded: the error names the first such
-    window's last frame and where support vanished.
+    window is impossible, the error names the first such window's last frame
+    and where support vanished.
     """
-    k, net, bound, values = _evaluate_frames(model, frames, window,
-                                             tau=tau, epsilon=epsilon, delta=delta)
-
-    presence, relations = _window_ids(model, k)
-    feature, relation = net.node(presence[0]), net.node(relations[0])
-    frame_codes = np.array([feature.state_index(ABSENT if r is None else PRESENT) for r in bound])
-    pair_codes = np.array([relation.state_index(v) if v is not None else -1 for v in values])
-    # columns in window_spec's node order: hypothesis, presence nodes, relation nodes
-    codes = np.hstack([np.full((len(frames) - k + 1, 1), -1), sliding_window_view(frame_codes, k),
-                       sliding_window_view(pair_codes, k - 1)])
+    k, net, bound, codes = _evaluate_frames(model, frames, window,
+                                            tau=tau, epsilon=epsilon, delta=delta)
     lam, _, vanished = upward(net, codes)
     prior = net.node(model.hypothesis_id).cpt[0]
     posteriors = posterior(prior, lam[model.hypothesis_id])
@@ -643,12 +633,11 @@ def dynamic_windows(model: DynamicModel, frames: Sequence[Frame], window: int | 
         node = vanished[1] if vanished is not None and vanished[0] == start else model.hypothesis_id
         raise FrameInferenceError(frames[start + k - 1].index, ImpossibleEvidenceError(node))
 
+    presence = _window_ids(model, k)[0]
     ids = [r.id if r is not None else None for r in bound]
-    for start, post in enumerate(posteriors):
-        ev = _window_evidence(presence, relations, bound[start:start + k],
-                              values[start:start + k - 1])
-        yield net, ev, FrameBelief(frames[start + k - 1].index, post, prior,
-                                   dict(zip(presence, ids[start:start + k])))
+    return net, codes, BeliefTrace(model.hypothesis_id, tuple(model.hypothesis_states), tuple(
+        FrameBelief(frames[start + k - 1].index, post, prior, dict(zip(presence, ids[start:start + k])))
+        for start, post in enumerate(posteriors)))
 
 
 def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
@@ -659,22 +648,21 @@ def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
     Presence nodes are observed present/absent from the frame's bound region;
     a relation node is observed only when the bound regions of its two frames
     match across frames, otherwise it stays unobserved.  This is the network
-    and evidence of the single window of :func:`dynamic_windows` over exactly
-    these frames; nothing is propagated.
+    and the code row, read back as evidence, of the single window of
+    :func:`dynamic_windows` over exactly these frames; nothing is propagated.
     """
-    k, net, bound, values = _evaluate_frames(model, frames, len(frames),
-                                             tau=tau, epsilon=epsilon, delta=delta)
-    return net, _window_evidence(*_window_ids(model, k), bound, values)
+    _, net, _, codes = _evaluate_frames(model, frames, len(frames),
+                                        tau=tau, epsilon=epsilon, delta=delta)
+    return net, EvidenceSet({node.id: node.states[c] for node, c in zip(net.nodes, codes[0])
+                             if c >= 0})
 
 
 def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | None = None,
                   tau: float | None = None, epsilon: float | None = None,
                   delta: float | None = None) -> BeliefTrace:
-    """Sliding-window dynamic recognition over a stream: the beliefs of
+    """Sliding-window dynamic recognition over a stream: the trace of
     :func:`dynamic_windows`, one entry per window, indexed by its last frame."""
-    return BeliefTrace(model.hypothesis_id, tuple(model.hypothesis_states), tuple(
-        belief for _, _, belief in dynamic_windows(model, stream.frames, window,
-                                                   tau=tau, epsilon=epsilon, delta=delta)))
+    return dynamic_windows(model, stream.frames, window, tau=tau, epsilon=epsilon, delta=delta)[2]
 
 
 # ---------------------------------------------------------------------------

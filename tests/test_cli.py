@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -27,6 +28,8 @@ from beliefscope.temporal import (
     semi_static_to_document,
     stream_to_jsonl,
 )
+
+from helpers import random_region
 
 
 TWO_NODE_DOC = {
@@ -57,6 +60,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(argv):
+    """``run`` without the capsys fixture, which property tests cannot take."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestValidate:
@@ -383,6 +394,20 @@ class TestTrackAndGenerate:
         # uniform static prior: the two modes coincide
         assert paper == filt
 
+    def test_semi_static_model_is_validated_once(self, capsys, monkeypatch):
+        calls = []
+        real = network.network_diagnostics
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        for module in (network, temporal):
+            monkeypatch.setattr(module, "network_diagnostics", counted)
+        code, out, _ = run(capsys, "track", "--model", "lumen_tracker",
+                           "--scenario", "surround_scene", "--frames", "6")
+        assert (code, len(out.splitlines()), len(calls)) == (0, 6, 1)
+
     def test_track_rejects_static_model(self, capsys):
         code, _, err = run(capsys, "track", "--model", "diverticulum",
                            "--scenario", "static_spot")
@@ -621,6 +646,16 @@ class TestCheck:
                            "--frames", "6")
         assert (code, len(calls)) == (0, 1)
         assert "over 6 network(s)" in out
+
+    @pytest.mark.parametrize("model, code, out, err", [
+        ("diverticulum", 0, "max |propagate - enumeration| = 0 over 0 network(s)\n", ""),
+        ("lumen_tracker", 1, "", "stream is empty\n"),
+        ("dirty_lens", 1, "", "window >= 2 required\n"),
+    ])
+    def test_header_only_stream(self, capsys, tmp_path, model, code, out, err):
+        path = tmp_path / "stream.jsonl"
+        path.write_text('{"dt": 0.04}\n')
+        assert run(capsys, "check", "--model", model, "--stream", str(path)) == (code, out, err)
 
     def test_temporal_model_with_scene_input_exits_2(self, capsys, evidence_file):
         code, _, err = run(capsys, "check", "--model", "lumen_tracker",
@@ -936,6 +971,10 @@ FUZZ_SPECS.append({"root": "h", "nodes": [
        "cpt": [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]} for i in range(4))]})
 
 
+FUZZ_TEMPORAL = {"lumen_tracker": semi_static_to_document(builtin_model("lumen_tracker").model),
+                 "dirty_lens": dynamic_to_document(builtin_model("dirty_lens").model)}
+
+
 class TestCliFuzz:
     @settings(max_examples=150, deadline=None)
     @given(st.randoms(use_true_random=False), st.sampled_from(range(len(FUZZ_SPECS))),
@@ -958,7 +997,72 @@ class TestCliFuzz:
         for argv in (["validate", "--spec", str(directory / "spec.json")],
                      ["infer", "--spec", str(directory / "spec.json"),
                       "--scene", str(directory / "scene.json")]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-            assert code in range(5) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+            code, _, err = run_captured(argv)
+            assert code in range(5) and "Traceback" not in err, (argv, err)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(sorted(FUZZ_TEMPORAL)),
+           st.sampled_from(sorted(SCENARIOS)), st.sampled_from(["model", "stream", "both"]),
+           st.sampled_from(["track", "check"]),
+           st.sampled_from([[], ["--window", "2"], ["--window", "3"], ["--window", "5"]]))
+    def test_track_and_check_exit_0_to_4_without_a_traceback(self, tmp_path_factory, rng, name,
+                                                            scenario, target, command, window):
+        model = FUZZ_TEMPORAL[name]
+        stream = generate_stream(scenario, 6, seed=rng.randrange(9))
+        lines = [json.loads(line) for line in stream_to_jsonl(stream).splitlines()]
+        if target != "stream":
+            model = mutated(model, rng)
+        if target != "model":
+            lines = mutated(lines, rng)
+        directory = tmp_path_factory.mktemp("fuzz")
+        (directory / "model.json").write_text(json.dumps(model))
+        (directory / "stream.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+        argv = [command, "--spec", str(directory / "model.json"),
+                "--stream", str(directory / "stream.jsonl"), *window]
+        code, _, err = run_captured(argv)
+        assert code in range(5) and "Traceback" not in err, (argv, err)
+
+
+def region_stream(rng, n_frames):
+    """Frames of masked regions, each either new (random, or a generated scene's) or
+    the previous frame's region moved by at most 3 px, so that binding, matching and
+    every relation value vary."""
+    frames, previous = [], ()
+    for i in range(n_frames):
+        regions = []
+        if rng.random() < 0.3:
+            scene = generate_stream(rng.choice(sorted(SCENARIOS)), 1, seed=rng.randrange(9))
+            previous += scene.frames[0].regions
+        for region in previous:
+            if rng.random() < 0.6:
+                dx, dy = rng.randint(-3, 3), rng.randint(-3, 3)
+                x0, y0, x1, y1 = region.bbox
+                regions.append(replace(region, id=f"r{i}_{len(regions)}",
+                                       bbox=(x0 + dx, y0 + dy, x1 + dx, y1 + dy),
+                                       centroid=(region.centroid[0] + dx, region.centroid[1] + dy)))
+        while len(regions) < rng.randint(0, 3):
+            regions.append(random_region(rng, f"r{i}_{len(regions)}", origin=(20, 20),
+                                         colour=rng.choice(["dark", "bright", "yellow", "green"])))
+        frames.append(Frame(i, round(i * 0.04, 6), tuple(regions)))
+        previous = tuple(regions)
+    return FrameStream(tuple(frames), 0.04)
+
+
+class TestCheckCertifiesTrack:
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(endoscopy.BUILTIN_MODELS),
+           st.integers(2, 8), st.integers(2, 5), st.sampled_from(["paper", "filter"]))
+    def test_check_agrees_with_what_track_prints(self, tmp_path_factory, rng, model, n_frames,
+                                                 window, mode):
+        path = tmp_path_factory.mktemp("stream") / "stream.jsonl"
+        path.write_text(stream_to_jsonl(region_stream(rng, n_frames)))
+        flags = {"dirty_lens": ["--window", str(window)], "lumen_tracker": ["--mode", mode]}
+        (track_code, printed, _), (code, out, err) = (
+            run_captured([command, "--model", model, "--stream", str(path), *flags.get(model, [])])
+            for command in ("track", "check"))
+        assert (code, err) == (0, ""), out
+        residual, compared = re.fullmatch(
+            r"max \|propagate - enumeration\| = (\S+) over (\d+) network\(s\)\n", out).groups()
+        assert float(residual) < 1e-9
+        # track declines a single-scene model; check then compares every frame
+        assert int(compared) == (len(printed.splitlines()) if track_code == 0 else n_frames)

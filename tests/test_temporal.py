@@ -1083,7 +1083,10 @@ class TestSemiStaticRoute:
             filter_stream(model(((0.0, 1.0), (0.0, 1.0))), stream, tau=math.nan)
         assert str(err.value) == "frame 1: impossible evidence: support vanished at node 'D'"
 
-        frames = filter_frames(model(((0.8, 0.2), (0.3, 0.7))), stream, tau=math.nan)
-        assert [belief.index for _, _, belief in itertools.islice(frames, 3)] == [0, 1, 2]
+        # a possible model: frames 0-2 filter cleanly, so the batch raises frame 3's error
+        possible = model(((0.8, 0.2), (0.3, 0.7)))
+        head = FrameStream(stream.frames[:3], stream.dt)
+        _, codes, trace = filter_frames(possible, head, tau=math.nan)
+        assert [belief.index for belief in trace.frames] == [0, 1, 2] and len(codes) == 3
         with pytest.raises(ValueError, match="strictly positive and finite"):
-            next(frames)
+            filter_frames(possible, stream, tau=math.nan)
