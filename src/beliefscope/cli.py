@@ -50,12 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tree-network inference with relational and temporal recognition.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(p, rule=True):
+    def add_model_flags(p):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--model", metavar="NAME", help="builtin model name")
         group.add_argument("--spec", metavar="FILE", help="model document ('-' for stdin)")
-        if rule:
-            group.add_argument("--rule", metavar="TEXT", help="IF/THEN rule text")
+        group.add_argument("--rule", metavar="TEXT", help="IF/THEN rule text")
 
     def add_input_flags(p, scene=True, stream=True):
         group = p.add_mutually_exclusive_group(required=True)
@@ -126,16 +125,15 @@ def _read(path: str) -> str:
 
 
 def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _load_model(args):
-    if getattr(args, "rule", None) is not None:
+    if args.rule is not None:
         from .endoscopy import compile_rule
         return compile_rule(args.rule)
     if args.model is not None:
@@ -157,19 +155,17 @@ def _load_stream(args):
     from .temporal import parse_stream
     if args.scenario is not None:
         return generate_stream(args.scenario, args.frames, seed=args.seed)
-    if getattr(args, "stream", None) is None:
+    if args.stream is None:
         raise SpecSyntaxError("this model needs a stream input (--stream or --scenario)")
     return parse_stream(_read(args.stream))
 
 
 def _scene_inputs(args, spec: NetworkSpec):
     """(net, evidence) for a scene, evidence document, or generated scenario."""
-    if getattr(args, "scene", None) is None:
+    if args.scene is None:
         from .relational import relationalize
-        stream = _load_stream(args)
-        if not stream.frames:
-            raise StreamValidationError("generated stream is empty")
-        return relationalize(spec, stream.frames[0].regions, tau=args.tau, epsilon=args.epsilon)
+        return relationalize(spec, _load_stream(args).frames[0].regions,
+                             tau=args.tau, epsilon=args.epsilon)
     doc = load_json(_read(args.scene))
     if isinstance(doc, dict) and "assignments" in doc:
         return validate_network(spec), evidence_from_document(doc)
@@ -252,15 +248,15 @@ def _rows_to_check(args, model):
     """(net, codes, priors, printed): a code row per network the oracle comparison runs over,
     each row's root prior replacing the network's own (a semi-static frame's effective
     prior) and the hypothesis posterior ``track`` prints for each, or None for either."""
-    from .relational import _relation_assignments
+    from .relational import relation_evidence
     from .temporal import TemporalModel, bind_frame, dynamic_windows, filter_frames
     if isinstance(model, NetworkSpec):
-        if getattr(args, "scene", None) is not None:
+        if args.scene is not None:
             net, ev = _scene_inputs(args, model)  # apply_evidence names a file's unknown labels
             return net, observation_codes(net, [apply_evidence(net, ev).observed]), None, None
         stream, net = _load_stream(args), validate_network(model)
         return net, observation_codes(net, [
-            _relation_assignments(model, bind_frame(model, frame), tau=args.tau, epsilon=args.epsilon)
+            relation_evidence(model, bind_frame(model, frame), tau=args.tau, epsilon=args.epsilon)
             for frame in stream.frames]), None, None
     stream = _load_stream(args)
     if isinstance(model, TemporalModel):

@@ -365,7 +365,7 @@ SCENARIOS = {
 }
 
 
-def generate_stream(scenario: str, n_frames: int, *, seed: int = 0, dt: float = 0.04) -> FrameStream:
+def generate_stream(scenario: str, n_frames: int, *, seed: int = 0) -> FrameStream:
     """Deterministic synthetic stream: same (scenario, seed) -> identical bytes."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario '{scenario}' (expected one of {', '.join(sorted(SCENARIOS))})")
@@ -373,5 +373,6 @@ def generate_stream(scenario: str, n_frames: int, *, seed: int = 0, dt: float = 
         raise ValueError("n_frames must be >= 1")
     rng = random.Random(seed)
     region_sets = SCENARIOS[scenario](rng, n_frames)
+    dt = 0.04  # seconds between synthetic frames
     frames = tuple(Frame(i, round(i * dt, 6), regions) for i, regions in enumerate(region_sets))
     return FrameStream(frames, dt)

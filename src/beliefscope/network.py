@@ -4,11 +4,11 @@ Parsing is purely syntactic (shape, types, references); every numerical,
 structural and relational invariant lives in :func:`network_diagnostics` so
 that a bad document is reported with all of its problems at once.
 
-Large specs take a column fast path through both: node entries are checked as
-columns (:func:`_column_nodes`), and a spec is found clean from its columns and its
-CPTs stacked by shape (:func:`_clean`).  What either turns down or doubts goes
-through the per-node loops, the only source of every message.  Each ``Node.cpt`` is
-a read-only view of its renormalised stack.
+Node entries of chance nodes are parsed as columns (:func:`_column_nodes`).  A spec
+is checked by :func:`network_diagnostics` alone, the only source of every verdict and
+message, and :func:`validate_network` checks and builds each spec object once: its
+Network is derived data of the immutable spec.  Each ``Node.cpt`` is a read-only view
+of its CPT stack, renormalised at once.
 """
 
 from __future__ import annotations
@@ -111,6 +111,14 @@ class NetworkSpec:
         return replace(self, nodes=nodes)
 
     @cached_property  # each derived once for diagnostics and validation alike
+    def _network(self) -> Network:
+        """:func:`validate_network`'s Network; not kept while the spec is invalid."""
+        diags = network_diagnostics(self)
+        if diags:
+            raise InvalidNetworkError(diags)
+        return _build_network(self)
+
+    @cached_property
     def _by_id(self) -> dict[str, NodeSpec]:
         return {n.id: n for n in self.nodes}
 
@@ -311,7 +319,7 @@ def _as_str_list(value, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _parse_node(obj, declared_kind_check=True) -> NodeSpec:
+def _parse_node(obj) -> NodeSpec:
     _require(isinstance(obj, dict), "node entries must be objects")
     _require(isinstance(obj.get("id"), str) and obj["id"], "node: 'id' must be a non-empty string")
     nid = obj["id"]
@@ -484,36 +492,6 @@ def _fmt_labels(labels) -> str:
 def network_diagnostics(spec: NetworkSpec) -> list[str]:
     """Every violated Network invariant, aggregated (empty list means valid):
     the tree structure, every CPT row, then :func:`relational_diagnostics`."""
-    return ([] if _clean(spec) else _listed_diagnostics(spec)) + relational_diagnostics(spec)
-
-
-def _clean(spec: NetworkSpec) -> bool:
-    """Whether :func:`_listed_diagnostics` finds nothing, decided in column passes over the
-    nodes and their stacked CPTs; False also in doubt, as for a row sum within half the
-    tolerance of its bound, where numpy's order of summation may decide."""
-    nodes, by_id, order = spec.nodes, spec._by_id, [spec.root]
-    states, parents = [n.states for n in nodes], [n.parents for n in nodes]
-    if not (nodes and len(by_id) == len(nodes) and min(map(len, states)) >= 2
-            and list(map(len, map(set, states))) == list(map(len, states))
-            and set(map(len, parents)) <= {0, 1}
-            and [n.id for n in nodes if not n.parents] == [spec.root]
-            and [len(n.rows) for n in nodes] == [len(by_id[p[0]].states) if p else 1
-                                                for p in parents]):
-        return False
-    for nid in order:  # breadth first from the root: every node is reached unless on a cycle
-        order.extend(spec._children[nid])
-    try:
-        tables = spec._tables
-    except (ValueError, TypeError, OverflowError):
-        return False
-    return len(order) == len(nodes) and all(
-        table.shape == (len(slots), len(nodes[slots[0]].rows), len(nodes[slots[0]].states))
-        and ((0.0 <= table) & (table <= 1.0)).all()
-        and (abs(table.sum(axis=-1) - 1.0) <= ROW_SUM_TOL / 2).all() for slots, table in tables)
-
-
-def _listed_diagnostics(spec: NetworkSpec) -> list[str]:
-    """The tree and CPT diagnostics of :func:`network_diagnostics`, node by node."""
     diags: list[str] = []
     by_id = spec._by_id
 
@@ -569,7 +547,7 @@ def _listed_diagnostics(spec: NetworkSpec) -> list[str]:
             s = sum(row)
             if abs(s - 1.0) > ROW_SUM_TOL:
                 diags.append(f"node {n.id}: row sum {s:g} != 1 (row {i})")
-    return diags
+    return diags + relational_diagnostics(spec)
 
 
 def relational_diagnostics(spec: NetworkSpec) -> list[str]:
@@ -641,14 +619,18 @@ def normalised_rows(rows) -> np.ndarray:
 
 
 def validate_network(spec: NetworkSpec) -> Network:
-    """Check every invariant; on success build a Network with rows renormalised.
+    """Check every invariant; on success the Network with rows renormalised.
 
-    Raises InvalidNetworkError carrying the full diagnostic list on failure.
+    A spec is checked and built once: later calls return the same Network.
+    Raises InvalidNetworkError carrying the full diagnostic list on every
+    call while the spec is invalid.
     """
-    diags = network_diagnostics(spec)
-    if diags:
-        raise InvalidNetworkError(diags)
+    return spec._network
 
+
+def _build_network(spec: NetworkSpec) -> Network:
+    """The Network of a spec that :func:`network_diagnostics` finds valid,
+    or one valid by construction."""
     cpts: list = [None] * len(spec.nodes)
     stacked = {}
     for slots, table in spec._tables:

@@ -463,9 +463,9 @@ def bind_features(spec: NetworkSpec, regions: Sequence[Region]) -> dict[str, Reg
 
 
 def relation_evidence(spec: NetworkSpec, bound: Mapping[str, Region | None], *,
-                      tau: float | None = None, epsilon: float | None = None) -> EvidenceSet:
-    """The evidence a scene gives a relational spec, from its bound regions
-    (as :func:`bind_features` returns them).
+                      tau: float | None = None, epsilon: float | None = None) -> dict[str, str]:
+    """The evidence a scene gives a relational spec, as node id -> observed
+    state, from its bound regions (as :func:`bind_features` returns them).
 
     Every bound feature is clamped to present/absent and every fully-bound
     relation node to its evaluated value.  Relation nodes with an unmatched
@@ -474,12 +474,6 @@ def relation_evidence(spec: NetworkSpec, bound: Mapping[str, Region | None], *,
 
     ``tau``/``epsilon`` override the per-node params (used by CLI flags).
     """
-    return EvidenceSet(_relation_assignments(spec, bound, tau=tau, epsilon=epsilon))
-
-
-def _relation_assignments(spec: NetworkSpec, bound: Mapping[str, Region | None], *,
-                          tau: float | None, epsilon: float | None) -> dict[str, str]:
-    """:func:`relation_evidence`'s assignments, for the stream routes' code rows."""
     assignments: dict[str, str] = {}
     for fid in spec.bind:
         assignments[fid] = PRESENT if bound[fid] is not None else ABSENT
@@ -502,9 +496,9 @@ def relationalize(spec: NetworkSpec, regions: Sequence[Region], *,
                   ) -> tuple[Network, EvidenceSet]:
     """Instantiate relation nodes from the scene and drop the functional links.
 
-    :func:`validate_network` (which checks the relational invariants too)
-    plus the scene's :func:`relation_evidence`: the plain tree network
-    (relation CPTs intact) and the evidence that clamps it.
+    :func:`validate_network` (which checks the relational invariants too,
+    once per spec) plus the scene's :func:`relation_evidence`: the plain tree
+    network (relation CPTs intact) and the evidence that clamps it.
     """
-    return validate_network(spec), relation_evidence(spec, bind_features(spec, regions),
-                                                     tau=tau, epsilon=epsilon)
+    return validate_network(spec), EvidenceSet(relation_evidence(
+        spec, bind_features(spec, regions), tau=tau, epsilon=epsilon))

@@ -43,6 +43,7 @@ from .network import (
     NetworkSpec,
     NodeSpec,
     _as_str_list,
+    _build_network,
     _colour_classes,
     finite_number,
     load_json,
@@ -59,10 +60,10 @@ from .relational import (
     DEFAULT_TAU,
     Region,
     RegionTable,
-    _relation_assignments,
     eval_relation,
     region_from_document,
     region_to_document,
+    relation_evidence,
     select_region,
 )
 
@@ -286,12 +287,12 @@ def _mixed_prior(prior: np.ndarray, trans: np.ndarray, prev: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class TemporalModel:
     """Per-frame relational spec plus the hypothesis transition table, valid by construction
-    (InvalidNetworkError carries the diagnostics of both); the per-frame Network is built here."""
+    (InvalidNetworkError carries the diagnostics of both); the per-frame spec keeps its
+    Network (:func:`validate_network`), so a model rebuilt over it is not checked again."""
 
     per_frame: NetworkSpec
     transition: np.ndarray
     mode: str = "paper"
-    _net: Network = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -299,7 +300,7 @@ class TemporalModel:
         states = self.per_frame.node(self.per_frame.root).states
         trans = np.asarray(self.transition, dtype=float)
         try:
-            object.__setattr__(self, "_net", validate_network(self.per_frame))
+            validate_network(self.per_frame)
             diags = []
         except InvalidNetworkError as exc:
             diags = exc.diagnostics
@@ -390,14 +391,14 @@ def filter_frames(model: TemporalModel, stream: FrameStream, *,
     """
     if not stream.frames:
         raise StreamValidationError("stream is empty")
-    spec, net = model.per_frame, model._net
+    spec, net = model.per_frame, validate_network(model.per_frame)
     root = net.node(spec.root)
 
     observed, bindings, failure = [], [], None
     for frame in stream.frames:
         try:
             bound = bind_frame(spec, frame)
-            observed.append(_relation_assignments(spec, bound, tau=tau, epsilon=epsilon))
+            observed.append(relation_evidence(spec, bound, tau=tau, epsilon=epsilon))
         except (BeliefscopeError, ValueError) as exc:  # raised when the scan gets here
             failure = FrameInferenceError(frame.index, exc) if isinstance(exc, BeliefscopeError) else exc
             break
@@ -430,12 +431,11 @@ def filter_stream(model: TemporalModel, stream: FrameStream, *,
 # cross-frame matching and dynamic recognition
 
 
-def match_regions(prev: Frame, cur: Frame, *, delta: float = DEFAULT_MATCH_DELTA,
-                  area_ratio: tuple[float, float] = DEFAULT_AREA_RATIO) -> dict[str, str]:
+def match_regions(prev: Frame, cur: Frame, *, delta: float = DEFAULT_MATCH_DELTA) -> dict[str, str]:
     """Greedy matching by ascending centroid distance.
 
     A pair is admissible iff same colour class, area ratio within
-    ``area_ratio`` and centroid distance <= ``delta``; each region is matched
+    :data:`DEFAULT_AREA_RATIO` and centroid distance <= ``delta``; each region is matched
     at most once; ties break on the lowest (prev id, cur id) pair.  No pair
     crosses colour classes, so this is the union of the independent
     matchings of each class (:func:`_class_matching`).
@@ -444,18 +444,18 @@ def match_regions(prev: Frame, cur: Frame, *, delta: float = DEFAULT_MATCH_DELTA
     for colour in dict.fromkeys(p.colour_class for p in prev.regions):
         matched.update(_class_matching([p for p in prev.regions if p.colour_class == colour],
                                        [c for c in cur.regions if c.colour_class == colour],
-                                       delta, area_ratio))
+                                       delta))
     return matched
 
 
-def _class_matching(prev: Sequence[Region], cur: Sequence[Region], delta: float,
-                    area_ratio: tuple[float, float]) -> dict[str, str]:
+def _class_matching(prev: Sequence[Region], cur: Sequence[Region], delta: float) -> dict[str, str]:
     """:func:`match_regions` over regions that all share one colour class."""
+    low, high = DEFAULT_AREA_RATIO
     candidates = []
     for p in prev:
         for c in cur:
             ratio = c.area / p.area
-            if not (area_ratio[0] <= ratio <= area_ratio[1]):
+            if not (low <= ratio <= high):
                 continue
             d = math.hypot(p.centroid[0] - c.centroid[0], p.centroid[1] - c.centroid[1])
             if d > delta:
@@ -482,7 +482,8 @@ class DynamicModel:
     are checked on a star with one presence node, bound by the predicate
     (``bound node <feature>_0: ...``), and one relation node over it, which
     is left out while the evaluator has no states.  Node ids must differ in
-    every window of up to ``max_window`` frames.
+    every window of up to ``max_window`` frames.  So every such window's tree
+    is valid, and :func:`_evaluate_frames` builds it without checking it again.
     """
 
     hypothesis_id: str
@@ -567,17 +568,18 @@ def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int |
                      tau: float | None, epsilon: float | None, delta: float | None,
                      ) -> tuple[int, Network, list[Region | None], np.ndarray]:
     """The window length k (``window``, else ``max_window``, clamped to the
-    number of frames), the validated k-frame window network, each frame's bound
-    region and each window's code row, with each frame and consecutive pair
-    evaluated once: presence nodes are observed present/absent, relation nodes
-    only when the pair's bound regions match."""
+    number of frames), the k-frame window network, each frame's bound region
+    and each window's code row, with each frame and consecutive pair evaluated
+    once: presence nodes are observed present/absent, relation nodes only when
+    the pair's bound regions match.  The window's tree is valid by the model's
+    construction for every k <= ``max_window``, so it is built unchecked."""
     k = window if window is not None else model.max_window
     if k > model.max_window:
         raise StreamValidationError(f"window {k} exceeds max {model.max_window}")
     k = min(k, len(frames))
     if k < 2:
         raise StreamValidationError("window >= 2 required")
-    net = validate_network(window_spec(model, k))
+    net = _build_network(window_spec(model, k))
 
     # binding and matching read only the regions of the colour classes the predicate admits
     admitted = _colour_classes(model.predicate)
@@ -596,8 +598,7 @@ def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int |
         a, b = bound[i], bound[i + 1]
         code = -1
         if (a is not None and b is not None and a.colour_class == b.colour_class
-                and _class_matching(same_class[i], same_class[i + 1], eff_delta,
-                                    DEFAULT_AREA_RATIO).get(a.id) == b.id):
+                and _class_matching(same_class[i], same_class[i + 1], eff_delta).get(a.id) == b.id):
             code = relation.state_index(eval_relation(model.relation_evaluator, a, b,
                                                       tau=eff_tau, epsilon=eff_eps))
         pair_codes.append(code)

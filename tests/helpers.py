@@ -6,9 +6,11 @@ arithmetic) and never call the code paths they are used to verify.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -22,8 +24,8 @@ from beliefscope.network import (
     NodeSpec,
     finite_number,
     load_json,
+    network_diagnostics,
     normalised_rows,
-    relational_diagnostics,
     strict_int,
 )
 from beliefscope.relational import Region
@@ -311,10 +313,10 @@ def reference_network_spec(doc) -> NetworkSpec:
 
 
 def reference_validate_network(spec: NetworkSpec) -> Network:
-    """``validate_network`` as it was before its column passes: every diagnostic
-    from the per-node loop, then one ``normalised_rows`` array per node.  The
+    """``validate_network`` as it was before its column passes and its cache: every
+    diagnostic of the per-node loops, then one ``normalised_rows`` array per node.  The
     stacks the propagation plan gathers from are stacked from those arrays."""
-    diags = network._listed_diagnostics(spec) + relational_diagnostics(spec)
+    diags = network_diagnostics(spec)
     if diags:
         raise InvalidNetworkError(diags)
     nodes = tuple(Node(n.id, n.kind, n.states, n.parent, normalised_rows(n.rows), n.evaluator,
@@ -494,3 +496,48 @@ def random_region(rng, rid, colour=None, origin=(0, 0), size=6, with_mask=True):
     area = int(mask.sum())
     return Region(id=rid, colour_class=colour, centroid=centroid, area=area,
                   bbox=bbox, mask=mask if with_mask else None)
+
+
+#: JSON values a mutated document may hold: signs, zeros, huge and inexact integers,
+#: wrong types and empty containers; all small to decode and to act on
+FUZZ_VALUES = [-1, 0, 1, 0.5, 1e308, 10**30, 2**53 + 1, -0.0, "x", "", [], {}, [[0.5]], None, True]
+
+
+def mutated(doc, rng):
+    """A copy of ``doc`` with one or two of its values replaced by a FUZZ_VALUES value,
+    or its key deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 2)):
+        places = []
+
+        def walk(value):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            for key, child in items:
+                places.append((value, key))
+                if isinstance(child, (dict, list)):
+                    walk(child)
+
+        walk(doc)
+        if not places:
+            break
+        container, key = rng.choice(places)
+        if isinstance(container, dict) and rng.random() < 0.2:
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return doc
+
+
+def counted_diagnostics(monkeypatch) -> list:
+    """The specs every later ``network_diagnostics`` call checks, however it is reached."""
+    calls, real = [], network.network_diagnostics
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("beliefscope") and \
+                getattr(module, "network_diagnostics", None) is real:
+            monkeypatch.setattr(module, "network_diagnostics", counted)
+    return calls

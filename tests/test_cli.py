@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import gc
 import io
 import json
@@ -29,7 +28,7 @@ from beliefscope.temporal import (
     stream_to_jsonl,
 )
 
-from helpers import random_region
+from helpers import FUZZ_VALUES, counted_diagnostics, mutated, random_region
 
 
 TWO_NODE_DOC = {
@@ -395,15 +394,7 @@ class TestTrackAndGenerate:
         assert paper == filt
 
     def test_semi_static_model_is_validated_once(self, capsys, monkeypatch):
-        calls = []
-        real = network.network_diagnostics
-
-        def counted(spec):
-            calls.append(spec)
-            return real(spec)
-
-        for module in (network, temporal):
-            monkeypatch.setattr(module, "network_diagnostics", counted)
+        calls = counted_diagnostics(monkeypatch)
         code, out, _ = run(capsys, "track", "--model", "lumen_tracker",
                            "--scenario", "surround_scene", "--frames", "6")
         assert (code, len(out.splitlines()), len(calls)) == (0, 6, 1)
@@ -634,14 +625,7 @@ class TestCheck:
     @pytest.mark.parametrize("model, scenario", [("diverticulum", "surround_scene"),
                                                  ("lumen_tracker", "surround_scene")])
     def test_stream_checks_its_model_once(self, capsys, monkeypatch, model, scenario):
-        calls = []
-
-        def counted(spec):
-            calls.append(spec)
-            return network.validate_network(spec)
-
-        for module in (cli, relational, temporal):
-            monkeypatch.setattr(module, "validate_network", counted)
+        calls = counted_diagnostics(monkeypatch)
         code, out, _ = run(capsys, "check", "--model", model, "--scenario", scenario,
                            "--frames", "6")
         assert (code, len(calls)) == (0, 1)
@@ -803,6 +787,138 @@ class TestCheckRoutes:
             assert (code, out, err) == (3, "", message), command
 
 
+SPATIAL, TEMPORAL = ("diverticulum", "bend"), ("lumen_tracker", "dirty_lens")
+SURROUNDING_RULE = "IF bright region SURROUNDING dark region THEN diverticulum"
+STATIC_RULE = "IF yellow spot & STATIC THEN dirty_lens"
+
+
+class TestOneCheckPerCommand:
+    """Every command checks its model once, as it is loaded: neither a dynamic model's
+    windows nor a semi-static model rebuilt for ``--mode`` are checked again.  (``track``
+    declines a spatial model before checking it.)"""
+
+    @pytest.mark.parametrize("argv", [
+        *(["validate", "--model", m] for m in SPATIAL + TEMPORAL),
+        *(["infer", "--model", m, "--scenario", "surround_scene"] for m in SPATIAL + TEMPORAL),
+        *(["track", "--model", m, "--scenario", "static_spot"] for m in TEMPORAL),
+        *(["check", "--model", m, "--scenario", "static_spot"] for m in SPATIAL + TEMPORAL),
+        *([c, "--model", "lumen_tracker", "--scenario", "static_spot", "--mode", mode]
+          for c in ("track", "check") for mode in ("paper", "filter")),
+        *([c, "--model", "dirty_lens", "--scenario", "static_spot", "--window", k]
+          for c in ("track", "check") for k in ("2", "3", "5")),
+        *([c, "--rule", SURROUNDING_RULE, "--scenario", "surround_scene"] for c in ("infer", "check")),
+        *([c, "--rule", STATIC_RULE, "--scenario", "static_spot"] for c in ("track", "check")),
+        ["validate", "--rule", SURROUNDING_RULE], ["validate", "--rule", STATIC_RULE],
+    ], ids=" ".join)
+    def test_builtin_models_and_rules(self, capsys, monkeypatch, argv):
+        calls = counted_diagnostics(monkeypatch)
+        code, _, err = run(capsys, *argv, *(["--frames", "6"] if "--scenario" in argv else []))
+        # infer declines a temporal model after loading it
+        assert code == (2 if argv[0] == "infer" and argv[2] in TEMPORAL else 0), err
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, argv", [
+        ("diverticulum", ["validate"]), ("diverticulum", ["infer", "--scenario", "surround_scene"]),
+        ("diverticulum", ["check", "--scenario", "surround_scene"]),
+        ("lumen_tracker", ["validate"]), ("lumen_tracker", ["check", "--scenario", "static_spot"]),
+        ("lumen_tracker", ["track", "--scenario", "static_spot", "--mode", "filter"]),
+        ("dirty_lens", ["validate"]), ("dirty_lens", ["check", "--scenario", "static_spot"]),
+        ("dirty_lens", ["track", "--scenario", "static_spot", "--window", "3"]),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_model_documents_of_every_kind(self, capsys, monkeypatch, tmp_path, name, argv):
+        model = builtin_model(name).model
+        doc = (network_spec_to_document(model) if name in SPATIAL else
+               semi_static_to_document(model) if name == "lumen_tracker" else dynamic_to_document(model))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        calls = counted_diagnostics(monkeypatch)
+        code, _, err = run(capsys, argv[0], "--spec", str(path), *argv[1:],
+                           *(["--frames", "6"] if "--scenario" in argv else []))
+        assert code == 0, err
+        assert len(calls) == 1
+
+
+LUMEN_DOC = semi_static_to_document(builtin_model("lumen_tracker").model)
+DIRTY_DOC = dynamic_to_document(builtin_model("dirty_lens").model)
+BEND_DOC = network_spec_to_document(builtin_model("bend").model)
+
+
+def edited(doc: dict, edit) -> str:
+    """The JSON text of a copy of ``doc`` after ``edit(copy)``."""
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _root_with_two_rows(doc):
+    del doc["nodes"][0]["prior"]
+    doc["nodes"][0]["cpt"] = [[0.5, 0.5], [0.5, 0.5]]
+
+
+class TestErrorBranches:
+    """Each user-facing error branch on a minimal document: its exit code and stderr.
+    ``{file}`` in the arguments names a file holding the document."""
+
+    @pytest.mark.parametrize("argv, text, code, err", [
+        pytest.param(["validate", "--spec", "{file}"],
+                     edited(LUMEN_DOC, lambda d: d.update(mode="smooth")),
+                     1, "mode must be one of ('paper', 'filter')\n", id="semi-static-mode"),
+        pytest.param(["validate", "--spec", "{file}"],
+                     edited(LUMEN_DOC, lambda d: d.update(transition=[[1.5, -0.5], [0.1, 0.9]])),
+                     1, "transition: entry outside [0,1] (row 0)\n", id="transition-entry"),
+        pytest.param(["validate", "--spec", "{file}"],
+                     edited(DIRTY_DOC, lambda d: d.update(max_window=1)),
+                     1, "max_window must be >= 2\n", id="max-window-1"),
+        pytest.param(["validate", "--spec", "{file}"], edited(LUMEN_DOC, lambda d: d.update(x=1)),
+                     2, "semi-static model: unknown field 'x'\n", id="semi-static-field"),
+        pytest.param(["validate", "--spec", "{file}"], edited(DIRTY_DOC, lambda d: d.update(x=1)),
+                     2, "dynamic model: unknown field 'x'\n", id="dynamic-field"),
+        pytest.param(["validate", "--spec", "{file}"],
+                     edited(LUMEN_DOC, lambda d: d.update(transition=[0.9, 0.1])),
+                     2, "semi-static model: 'transition' must be a list of rows\n",
+                     id="transition-not-rows"),
+        pytest.param(["validate", "--spec", "{file}"],
+                     edited(BEND_DOC, lambda d: d["bind"]["dark_region"].update(colour_class=3)),
+                     2, "bind 'dark_region': value for 'colour_class' must be a string or list of "
+                        "strings\n", id="bind-value"),
+        pytest.param(["validate", "--spec", "{file}"],
+                     edited(BEND_DOC, lambda d: d["nodes"][3].update(params={"gamma": 1.0})),
+                     1, "relation node distance_relation: unknown param 'gamma'\n", id="param-gamma"),
+        pytest.param(["validate", "--spec", "{file}"], edited(BEND_DOC, _root_with_two_rows),
+                     1, "node bend: 2 rows, expected 1 (root prior)\n", id="root-cpt"),
+        pytest.param(["validate", "--spec", "{file}"],
+                     edited(BEND_DOC, lambda d: d["nodes"][1].update(cpt="x")),
+                     2, "node 'dark_region': 'cpt' must be a list of rows\n", id="cpt-string"),
+        pytest.param(["track", "--model", "lumen_tracker", "--stream", "{file}"], "\n \n",
+                     2, "empty stream document\n", id="blank-stream"),
+        pytest.param(["compile", "--rule", "IF dark region THEN lumen", "--defaults", "{file}"],
+                     "[0.5]", 2, "defaults document must be a JSON object\n", id="defaults-list"),
+        pytest.param(["compile", "--rule", "IF yellow or purple spot THEN x"], None,
+                     2, "unknown colour class 'purple' (at position 13)\n", id="second-colour"),
+        pytest.param(["compile", "--rule", "IF yellow spot & MOVING THEN x"], None,
+                     2, "unknown relation MOVING (at position 17)\n", id="and-moving"),
+        pytest.param(["compile", "--rule", "IF bright ring SURROUNDING dark hole & STATIC THEN x"],
+                     None, 2, "a rule cannot combine a spatial relation with STATIC (at position 52)\n",
+                     id="spatial-and-static"),
+    ])
+    def test_exit_code_and_stderr(self, capsys, tmp_path, argv, text, code, err):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        argv = [str(path) if a == "{file}" else a for a in argv]
+        got_code, out, got_err = run(capsys, *argv)
+        assert (got_code, got_err) == (code, err)
+        assert out == ""
+
+    def test_a_rule_over_two_features_of_one_name_keeps_both(self, capsys):
+        code, out, err = run(capsys, "compile", "--rule", "IF dark region ADJACENT dark region THEN pair")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [n["id"] for n in doc["nodes"]] == ["pair", "dark_region", "dark_region_2",
+                                                   "distance_relation"]
+        assert doc["nodes"][3]["inputs"] == ["dark_region", "dark_region_2"]
+
+
 class TestCollector:
     """cli.main runs a command with the cyclic garbage collector paused and
     gives the caller its collector state back."""
@@ -934,36 +1050,6 @@ class TestInferLayout:
         assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-#: JSON values a mutated document may hold: signs, zeros, huge and inexact integers,
-#: wrong types and empty containers; all small to decode and to act on
-FUZZ_VALUES = [-1, 0, 1, 0.5, 1e308, 10**30, 2**53 + 1, -0.0, "x", "", [], {}, [[0.5]], None, True]
-
-
-def mutated(doc, rng):
-    """A copy of ``doc`` with one or two of its values replaced by a FUZZ_VALUES value,
-    or its key deleted."""
-    doc = copy.deepcopy(doc)
-    for _ in range(rng.randint(1, 2)):
-        places = []
-
-        def walk(value):
-            items = value.items() if isinstance(value, dict) else enumerate(value)
-            for key, child in items:
-                places.append((value, key))
-                if isinstance(child, (dict, list)):
-                    walk(child)
-
-        walk(doc)
-        if not places:
-            break
-        container, key = rng.choice(places)
-        if isinstance(container, dict) and rng.random() < 0.2:
-            del container[key]
-        else:
-            container[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
-    return doc
-
-
 FUZZ_SPECS = [network_spec_to_document(builtin_model(name).model) for name in ("diverticulum", "bend")]
 FUZZ_SPECS.append({"root": "h", "nodes": [
     {"id": "h", "kind": "chance", "states": ["a", "b", "c"], "prior": [0.2, 0.3, 0.5]},
@@ -973,6 +1059,13 @@ FUZZ_SPECS.append({"root": "h", "nodes": [
 
 FUZZ_TEMPORAL = {"lumen_tracker": semi_static_to_document(builtin_model("lumen_tracker").model),
                  "dirty_lens": dynamic_to_document(builtin_model("dirty_lens").model)}
+
+
+#: one rule of each kind: a feature alone, SURROUNDING, ADJACENT, and & STATIC
+COMPILE_RULES = ["IF dark region THEN lumen",
+                 "IF bright region SURROUNDING dark region THEN diverticulum",
+                 "IF dark region ADJACENT bright arc THEN bend",
+                 "IF yellow or green spot & STATIC THEN dirty_lens"]
 
 
 class TestCliFuzz:
@@ -1021,6 +1114,22 @@ class TestCliFuzz:
                 "--stream", str(directory / "stream.jsonl"), *window]
         code, _, err = run_captured(argv)
         assert code in range(5) and "Traceback" not in err, (argv, err)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(COMPILE_RULES),
+           st.sampled_from(["values", "role", "top"]))
+    def test_compile_defaults_exit_0_to_4_without_a_traceback(self, tmp_path_factory, rng,
+                                                             rule, target):
+        defaults = mutated(endoscopy.DEFAULT_PROBS, rng)
+        if target == "role":  # an unknown role beside the mutated ones
+            defaults[rng.choice(["gamma", "", "hypothesis prior", "0"])] = rng.choice(FUZZ_VALUES)
+        elif target == "top":
+            defaults = rng.choice([v for v in FUZZ_VALUES if not isinstance(v, dict)])
+        path = tmp_path_factory.mktemp("fuzz") / "defaults.json"
+        path.write_text(json.dumps(defaults))
+        code, _, err = run_captured(["compile", "--rule", rule, "--defaults", str(path)])
+        assert code in range(5) and "Traceback" not in err, (defaults, err)
 
 
 def region_stream(rng, n_frames):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beliefscope import network
-from beliefscope.endoscopy import builtin_model
+from beliefscope.endoscopy import builtin_model, generate_stream
 from beliefscope.errors import (
     EvidenceError,
     ImpossibleEvidenceError,
@@ -31,9 +31,11 @@ from beliefscope.network import (
     validate_network,
 )
 from beliefscope.propagation import propagate
+from beliefscope.relational import relationalize
 from beliefscope.temporal import window_spec
 
 from helpers import (
+    counted_diagnostics,
     normalized,
     random_tree_spec,
     reference_load_json,
@@ -271,6 +273,33 @@ class TestValidate:
         assert any(expect in d for d in diags)
 
 
+class TestValidateOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return counted_diagnostics(monkeypatch)
+
+    def test_a_spec_is_checked_and_built_once(self, calls):
+        spec = two_node_spec()
+        net = validate_network(spec)
+        assert validate_network(spec) is net and len(calls) == 1
+        assert validate_network(two_node_spec()) is not net and len(calls) == 2  # a new spec
+
+    def test_an_invalid_spec_raises_on_every_call(self, calls):
+        doc = json.loads(TWO_NODE)
+        doc["nodes"][1]["cpt"][0] = [0.9, 0.2]
+        spec = parse_network_spec(json.dumps(doc))
+        for _ in range(2):
+            with pytest.raises(InvalidNetworkError, match=r"row sum 1\.1 != 1 \(row 0\)"):
+                validate_network(spec)
+        assert len(calls) == 2
+
+    def test_a_relationalize_loop_checks_its_spec_once(self, calls):
+        spec = builtin_model("diverticulum").model
+        nets = {relationalize(spec, frame.regions)[0]
+                for frame in generate_stream("surround_scene", 5, seed=3).frames}
+        assert len(nets) == 1 and len(calls) == 1
+
+
 class TestEvidence:
     def test_clamp(self):
         net = validate_network(two_node_spec())
@@ -464,7 +493,5 @@ class TestSpecIngest:
     def test_the_column_passes_take_a_wide_tree_and_doubt_near_the_tolerance(self):
         doc = small_wide_document(random.Random(1), 5)
         assert network._column_nodes(doc["nodes"]) is not None
-        assert network._clean(network_spec_from_document(doc))
         doc["nodes"][3]["cpt"][0][0] += 0.75 * ROW_SUM_TOL
-        spec = network_spec_from_document(doc)
-        assert not network._clean(spec) and network_diagnostics(spec) == []
+        assert network_diagnostics(network_spec_from_document(doc)) == []

@@ -21,8 +21,14 @@ from beliefscope.errors import (
     SpecSyntaxError,
     StreamValidationError,
 )
-from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
-from beliefscope.network import NetworkSpec, NodeSpec, apply_evidence, load_json
+from beliefscope.endoscopy import SCENARIOS, builtin_model, compile_rule, generate_stream
+from beliefscope.network import (
+    NetworkSpec,
+    NodeSpec,
+    apply_evidence,
+    load_json,
+    network_diagnostics,
+)
 from beliefscope.propagation import brute_force_beliefs, propagate, sig10
 from beliefscope.relational import Region, relationalize, select_region
 from beliefscope.temporal import (
@@ -53,6 +59,7 @@ from helpers import (
     chain_model,
     eq3_step,
     frame_likelihood,
+    mutated,
     normalized,
     pattern_frames,
     random_region,
@@ -970,6 +977,66 @@ class TestDynamicWindow:
                     found = {d.split("'")[1] for d in exc.diagnostics
                              if d.startswith("duplicate node id")}
                 assert found == expected, (ids, max_window)
+
+
+#: the shapes of an ``& STATIC`` rule: one or several colours, articles, noise words, case
+STATIC_RULES = ["IF yellow spot & STATIC THEN dirty_lens",
+                "IF a yellow or green or brown spot & STATIC in image THEN dirty lens",
+                "IF the dark round region & static THEN lumen",
+                "IF bright arc & STATIC THEN spot_0"]
+
+#: ids whose windows often share node ids: with the hypothesis, or a presence node with
+#: a relation node
+WINDOW_IDS = st.sampled_from(["s", "s_", "s_0", "s_1", "s_2", "s_3", "s_00", "s_0_1", "s_1_2",
+                              "s_2_3", "t"])
+
+
+def assert_windows_valid(model: DynamicModel):
+    """Every window tree a model builds, 2 <= k <= max_window (up to 8), checks clean:
+    windows are built unchecked because the model's construction covers them."""
+    for k in range(2, min(model.max_window, 8) + 1):
+        assert network_diagnostics(window_spec(model, k)) == [], (model, k)
+
+
+class TestValidByConstruction:
+    def test_builtin_and_static_rule_windows(self):
+        assert_windows_valid(builtin_model("dirty_lens").model)
+        for rule in STATIC_RULES:
+            assert_windows_valid(compile_rule(rule))
+
+    def test_windows_of_fuzzed_dynamic_documents(self):
+        base = dynamic_to_document(builtin_model("dirty_lens").model)
+        valid = 0
+        for seed in range(1500):
+            try:
+                model = dynamic_from_document(mutated(base, random.Random(seed)))
+            except (SpecSyntaxError, InvalidNetworkError):
+                continue
+            assert_windows_valid(model)
+            valid += 1
+        assert valid >= 40  # a guard: enough mutations construct to exercise the windows
+
+    @settings(max_examples=200, deadline=None)
+    @given(WINDOW_IDS, WINDOW_IDS, WINDOW_IDS, st.integers(2, 8),
+           st.sampled_from(["static", "distance"]))
+    def test_windows_of_models_with_colliding_ids(self, hyp, feature, relation, max_window,
+                                                  evaluator):
+        try:
+            model = replace(builtin_model("dirty_lens").model, hypothesis_id=hyp,
+                            feature_id=feature, relation_id=relation, max_window=max_window,
+                            relation_evaluator=evaluator, params={})
+        except InvalidNetworkError:
+            return
+        assert_windows_valid(model)
+
+
+@pytest.mark.parametrize("read, doc", [
+    (semi_static_from_document, {"type": "dynamic"}), (semi_static_from_document, []),
+    (dynamic_from_document, {"type": "semi_static"}), (dynamic_from_document, None),
+])
+def test_model_documents_of_the_wrong_type_are_turned_down(read, doc):
+    with pytest.raises(SpecSyntaxError, match='must have "type"'):
+        read(doc)
 
 
 class TestStarRoute:
