@@ -13,6 +13,10 @@ import gc
 import json
 import math
 import sys
+import tempfile
+from contextlib import nullcontext
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,6 +46,9 @@ from .propagation import downward, enumerate_beliefs, observation_codes, propaga
 # is compiled on every run, and infer and validate on a network spec need none of them
 
 ORACLE_TOLERANCE = 1e-9
+
+#: characters of a trace held in memory before the rest waits in a temporary file
+SPOOL_CHARS = 1 << 20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,12 +131,54 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _emit(args, text: str) -> None:
+def _blocks(path: str) -> Iterator[str]:
+    """A stream file ('-' for stdin) in blocks of CHUNK_FRAMES lines, decoded as
+    :func:`_read` decodes the whole file: a file as UTF-8 with "\r\n" and "\r"
+    read as "\n", stdin in its own encoding.  Lines are split at b"\n", which
+    no character of UTF-8 or of an 8-bit encoding contains, so each block
+    decodes as it does in the whole file, and a decoding error names its byte
+    position in the whole input."""
+    from . import temporal
+    size = temporal.CHUNK_FRAMES
+    if path == "-" and not hasattr(sys.stdin, "buffer"):  # a text stream, such as io.StringIO
+        while text := "".join(islice(sys.stdin, size)):
+            yield text
+        return
+    if path == "-":
+        source = nullcontext(sys.stdin.buffer)
+        encoding, errors = sys.stdin.encoding, sys.stdin.errors
+    else:
+        source, encoding, errors = open(path, "rb"), "utf-8", "strict"
+    with source as raw:
+        offset = 0
+        while data := b"".join(islice(raw, size)):
+            try:
+                text = data.decode(encoding, errors)
+            except UnicodeDecodeError as exc:
+                raise _decode_error(exc, offset) from None
+            offset += len(data)
+            del data
+            if path != "-" and "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            yield text
+            del text
+
+
+def _decode_error(exc: UnicodeDecodeError, offset: int) -> ValueError:
+    """``exc``, raised on bytes ``offset`` bytes into their input, as decoding the
+    whole input reports it."""
+    start = exc.start + offset
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if exc.end == exc.start + 1
+             else f"bytes in position {start}-{exc.end - 1 + offset}")
+    return ValueError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
+
+
+def _emit(args, parts: Iterable[str]) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _load_model(args):
@@ -150,22 +199,74 @@ def _load_model(args):
     return network_spec_from_document(doc)
 
 
-def _load_stream(args):
-    from .endoscopy import generate_stream
-    from .temporal import parse_stream
+def _chunks(args) -> Iterator:
+    """The input stream's frames: CHUNK_FRAMES at a time from ``--stream``
+    (:func:`~beliefscope.temporal.read_stream`), as one chunk from ``--scenario``."""
     if args.scenario is not None:
-        return generate_stream(args.scenario, args.frames, seed=args.seed)
+        from .endoscopy import generate_stream
+        return iter([generate_stream(args.scenario, args.frames, seed=args.seed).frames])
     if args.stream is None:
         raise SpecSyntaxError("this model needs a stream input (--stream or --scenario)")
-    return parse_stream(_read(args.stream))
+    from .temporal import read_stream
+    return read_stream(_blocks(args.stream))
+
+
+def _batches(args, model) -> Iterator[tuple]:
+    """(net, codes, trace) per chunk of the input stream, through the route of the
+    model's kind; a single-scene model's frames have no trace.
+
+    After an evaluation error the rest of the stream is still read, so an error
+    of the stream itself, anywhere in it, is raised first, as when the whole
+    stream was read before anything was evaluated."""
+    from .temporal import DynamicModel, TemporalModel, dynamic_chunks, filter_chunks
+    chunks = _chunks(args)
+    if isinstance(model, TemporalModel):
+        batches = filter_chunks(_with_mode(model, args.mode), chunks,
+                                tau=args.tau, epsilon=args.epsilon)
+    elif isinstance(model, DynamicModel):
+        batches = dynamic_chunks(model, chunks, args.window, tau=args.tau,
+                                 epsilon=args.epsilon, delta=args.delta)
+    else:
+        batches = _scene_rows(args, model, chunks)
+    try:
+        yield from batches
+    except (BeliefscopeError, ValueError):
+        for _ in chunks:
+            pass
+        raise
+
+
+def _scene_rows(args, spec: NetworkSpec, chunks) -> Iterator[tuple]:
+    """(net, codes, None) per chunk: a single-scene spec's code row for each frame."""
+    from .relational import relation_evidence
+    from .temporal import bind_frame
+    net = validate_network(spec)
+    for frames in chunks:
+        yield net, observation_codes(net, [
+            relation_evidence(spec, bind_frame(spec, frame), tau=args.tau, epsilon=args.epsilon)
+            for frame in frames]), None
+
+
+def _misapplied_flag(args, model) -> str | None:
+    """The message for ``--mode`` on a model that is not semi-static or ``--window``
+    on one that is not dynamic, else None."""
+    from .temporal import DynamicModel, TemporalModel
+    kind = ("semi-static" if isinstance(model, TemporalModel) else
+            "dynamic" if isinstance(model, DynamicModel) else "single-scene")
+    if args.mode is not None and kind != "semi-static":
+        return f"--mode applies to semi-static models only, not to a {kind} model"
+    if args.window is not None and kind != "dynamic":
+        return f"--window applies to dynamic models only, not to a {kind} model"
+    return None
 
 
 def _scene_inputs(args, spec: NetworkSpec):
     """(net, evidence) for a scene, evidence document, or generated scenario."""
-    if args.scene is None:
+    if args.scene is None:  # a scenario's frame 0, the same for every --frames >= 1
+        from .endoscopy import generate_stream
         from .relational import relationalize
-        return relationalize(spec, _load_stream(args).frames[0].regions,
-                             tau=args.tau, epsilon=args.epsilon)
+        frame = generate_stream(args.scenario, min(args.frames, 1), seed=args.seed).frames[0]
+        return relationalize(spec, frame.regions, tau=args.tau, epsilon=args.epsilon)
     doc = load_json(_read(args.scene))
     if isinstance(doc, dict) and "assignments" in doc:
         return validate_network(spec), evidence_from_document(doc)
@@ -203,7 +304,7 @@ def _cmd_compile(args) -> int:
         doc = network_spec_to_document(model)
     else:
         doc = dynamic_to_document(model)
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+    _emit(args, [json.dumps(doc, indent=2) + "\n"])
     return 0
 
 
@@ -214,25 +315,29 @@ def _cmd_infer(args) -> int:
               file=sys.stderr)
         return 2
     net, ev = _scene_inputs(args, model)
-    _emit(args, propagate(apply_evidence(net, ev)).to_json())
+    _emit(args, [propagate(apply_evidence(net, ev)).to_json()])
     return 0
 
 
 def _cmd_track(args) -> int:
-    from .temporal import DynamicModel, TemporalModel, dynamic_trace, filter_stream
+    """Write the trace of a temporal or dynamic model over the stream, made chunk
+    by chunk and written once the whole stream has gone through, so that an error
+    anywhere writes nothing."""
     model = _load_model(args)
-    stream = _load_stream(args)
-    if isinstance(model, TemporalModel):
-        trace = filter_stream(_with_mode(model, args.mode), stream,
-                              tau=args.tau, epsilon=args.epsilon)
-    elif isinstance(model, DynamicModel):
-        trace = dynamic_trace(model, stream, window=args.window,
-                              tau=args.tau, epsilon=args.epsilon, delta=args.delta)
-    else:
-        print("track requires a temporal or dynamic model; use infer for single scenes",
-              file=sys.stderr)
+    message = _misapplied_flag(args, model)
+    if message is None and isinstance(model, NetworkSpec):
+        for _ in _chunks(args):  # the stream's own errors come first
+            pass
+        message = "track requires a temporal or dynamic model; use infer for single scenes"
+    if message is not None:
+        print(message, file=sys.stderr)
         return 2
-    _emit(args, trace.to_jsonl())
+    # the whole trace is made before --out is opened; past SPOOL_CHARS it waits on disk
+    with tempfile.SpooledTemporaryFile(SPOOL_CHARS, "w+", encoding="utf-8", newline="") as spool:
+        for _, _, trace in _batches(args, model):
+            spool.write(trace.to_jsonl())
+        spool.seek(0)
+        _emit(args, iter(lambda: spool.read(1 << 13), ""))
     return 0
 
 
@@ -240,54 +345,63 @@ def _cmd_generate(args) -> int:
     from .endoscopy import generate_stream
     from .temporal import stream_to_jsonl
     stream = generate_stream(args.scenario, args.frames, seed=args.seed)
-    _emit(args, stream_to_jsonl(stream))
+    _emit(args, [stream_to_jsonl(stream)])
     return 0
 
 
-def _rows_to_check(args, model):
-    """(net, codes, priors, printed): a code row per network the oracle comparison runs over,
-    each row's root prior replacing the network's own (a semi-static frame's effective
-    prior) and the hypothesis posterior ``track`` prints for each, or None for either."""
-    from .relational import relation_evidence
-    from .temporal import TemporalModel, bind_frame, dynamic_windows, filter_frames
-    if isinstance(model, NetworkSpec):
-        if args.scene is not None:
-            net, ev = _scene_inputs(args, model)  # apply_evidence names a file's unknown labels
-            return net, observation_codes(net, [apply_evidence(net, ev).observed]), None, None
-        stream, net = _load_stream(args), validate_network(model)
-        return net, observation_codes(net, [
-            relation_evidence(model, bind_frame(model, frame), tau=args.tau, epsilon=args.epsilon)
-            for frame in stream.frames]), None, None
-    stream = _load_stream(args)
-    if isinstance(model, TemporalModel):
-        net, codes, trace = filter_frames(_with_mode(model, args.mode), stream,
-                                          tau=args.tau, epsilon=args.epsilon)
-        priors = np.array([belief.effective_prior for belief in trace.frames])
-    else:
-        net, codes, trace = dynamic_windows(model, stream.frames, args.window, tau=args.tau,
-                                            epsilon=args.epsilon, delta=args.delta)
-        priors = None
-    return net, codes, priors, np.array([belief.posterior for belief in trace.frames])
+def _rows_to_check(args, model) -> Iterator[tuple]:
+    """(net, codes, priors, printed) per batch of the rows the oracle comparison runs
+    over: a code row per network, each row's root prior replacing the network's own (a
+    semi-static frame's effective prior) and the hypothesis posterior ``track`` prints for
+    each, or None for either.  A stream gives a batch per chunk (:func:`_batches`)."""
+    from .temporal import TemporalModel
+    if isinstance(model, NetworkSpec) and args.scene is not None:
+        net, ev = _scene_inputs(args, model)  # apply_evidence names a file's unknown labels
+        yield net, observation_codes(net, [apply_evidence(net, ev).observed]), None, None
+        return
+    semi_static = isinstance(model, TemporalModel)
+    for net, codes, trace in _batches(args, model):
+        if trace is None:
+            yield net, codes, None, None
+            continue
+        beliefs = trace.frames
+        priors = np.array([belief.effective_prior for belief in beliefs]) if semi_static else None
+        yield net, codes, priors, np.array([belief.posterior for belief in beliefs])
 
 
 def _residual(net: Network, codes: np.ndarray, priors: np.ndarray | None,
-              printed: np.ndarray | None, rows: np.ndarray) -> float:
-    """The largest difference over distinct code rows between :func:`downward` and
-    :func:`enumerate_beliefs` on every marginal, and between each printed posterior and the
-    oracle's hypothesis marginal of its row, ``rows`` giving each printed posterior's row."""
-    try:
-        fast = downward(net, codes, priors)
-        slow = enumerate_beliefs(net, codes, priors)
-    except (ImpossibleEvidenceError, StateSpaceCapError):
-        # raise what comparing row by row raises first, propagate before enumeration
-        for row in range(len(codes)):
-            alone = None if priors is None else priors[row:row + 1]
-            downward(net, codes[row:row + 1], alone)
-            enumerate_beliefs(net, codes[row:row + 1], alone)
-        raise
-    worst = max(float(np.abs(fast[nid] - slow[nid]).max()) for nid in slow)
+              printed: np.ndarray | None, roots: dict[bytes, np.ndarray]) -> float:
+    """The largest difference, over the batch's code rows not yet in ``roots``, between
+    :func:`downward` and :func:`enumerate_beliefs` on every marginal, and between each
+    printed posterior and the oracle's hypothesis marginal of its row.
+
+    Both kernels are deterministic and give each row what its batch of one gives, so each
+    distinct (code row, root prior) goes once, in first-seen order, through one call of
+    each; ``roots`` keeps its oracle hypothesis marginal, by the row's bytes, for the
+    printed posteriors of later batches."""
+    keys = [row.tobytes() for row in (codes if priors is None else np.hstack([codes, priors]))]
+    first: dict[bytes, int] = {}  # each new distinct row's first frame or window
+    for i, key in enumerate(keys):
+        if key not in roots:
+            first.setdefault(key, i)
+    rows = list(first.values())
+    worst = 0.0
+    if rows:
+        alone = None if priors is None else priors[rows]
+        try:
+            fast = downward(net, codes[rows], alone)
+            slow = enumerate_beliefs(net, codes[rows], alone)
+        except (ImpossibleEvidenceError, StateSpaceCapError):
+            # raise what comparing row by row raises first, propagate before enumeration
+            for row in rows:
+                alone = None if priors is None else priors[row:row + 1]
+                downward(net, codes[row:row + 1], alone)
+                enumerate_beliefs(net, codes[row:row + 1], alone)
+            raise
+        worst = max(float(np.abs(fast[nid] - slow[nid]).max()) for nid in slow)
+        roots.update(zip(first, slow[net.root]))
     if printed is not None:
-        worst = max(worst, float(np.abs(printed - slow[net.root][rows]).max()))
+        worst = max(worst, float(np.abs(printed - np.array([roots[key] for key in keys])).max()))
     return worst
 
 
@@ -297,20 +411,33 @@ def _cmd_check(args) -> int:
     with the oracle's hypothesis marginal; print the largest difference.
 
     Every route gives one Network and a code row per frame or window, the rows
-    ``track`` itself propagates.  Both kernels are deterministic, so each
-    distinct (code row, root prior) goes once, in first-seen order, through one
-    call of each: most windows repeat an evidence set, and a semi-static frame's
-    tree is the Network under its effective prior.  Every frame or window still
-    counts in ``over N network(s)``.
+    ``track`` itself propagates, a batch per chunk of a stream.  Each distinct
+    (code row, root prior) goes through the oracle once (:func:`_residual`): most
+    windows repeat an evidence set, kept from chunk to chunk.  A semi-static
+    frame's row carries its own effective prior, so rows are kept only within a
+    chunk and only the running maximum crosses a chunk boundary.  Every frame or
+    window still counts in ``over N network(s)``.  A kernel error is raised after
+    the whole stream, so an error ``track`` raises on a later frame comes first.
     """
-    net, codes, priors, printed = _rows_to_check(args, _load_model(args))
-    slots: dict[bytes, int] = {}  # each distinct (code row, prior), by its bytes
-    rows = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in
-                     (codes if priors is None else np.hstack([codes, priors]))], dtype=np.intp)
-    first = np.unique(rows, return_index=True)[1]  # each distinct row's first frame or window
-    worst = 0.0 if not len(codes) else _residual(
-        net, codes[first], None if priors is None else priors[first], printed, rows)
-    _emit(args, f"max |propagate - enumeration| = {sig10(worst):.10g} over {len(codes)} network(s)\n")
+    model = _load_model(args)
+    message = _misapplied_flag(args, model)
+    if message is not None:
+        print(message, file=sys.stderr)
+        return 2
+    roots: dict[bytes, np.ndarray] = {}
+    worst, count, failure = 0.0, 0, None
+    for net, codes, priors, printed in _rows_to_check(args, model):
+        count += len(codes)
+        if priors is not None:
+            roots.clear()
+        if failure is None and len(codes):
+            try:
+                worst = max(worst, _residual(net, codes, priors, printed, roots))
+            except (ImpossibleEvidenceError, StateSpaceCapError) as exc:
+                failure = exc
+    if failure is not None:
+        raise failure
+    _emit(args, [f"max |propagate - enumeration| = {sig10(worst):.10g} over {count} network(s)\n"])
     if worst >= ORACLE_TOLERANCE:
         print(f"oracle mismatch: {worst:.3e} >= {ORACLE_TOLERANCE:.0e}", file=sys.stderr)
         return 4

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import contains, itemgetter
-from typing import Any, Collection, Mapping, Sequence
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -145,11 +145,38 @@ class FrameStream:
 _DICT, _INT, _SEQUENCE = {dict}, {int}, {list, tuple}
 
 
-#: frame lines decoded and checked at a time by :func:`parse_stream`
+#: frame lines decoded and checked at a time by :func:`parse_stream`, and frames read,
+#: evaluated and emitted at a time by ``track`` and ``check`` (:func:`read_stream`)
 CHUNK_FRAMES = 256
 
 
-def parse_stream(text: str) -> FrameStream:
+class StreamCursor:
+    """Where :func:`parse_stream` stands in a stream read a block of lines at a
+    time: the lines read, the header's ``dt``, the last frame's index and time,
+    and the stream's first error.
+
+    The error is kept, not raised, until the stream ends, because a later line
+    can outrank it just as when the whole stream is parsed at once: the first
+    line error wins over a ``dt`` that is not positive, and that over the first
+    pair of frames out of order or off the interval.  :meth:`close` raises it.
+    """
+
+    def __init__(self):
+        self.line = 0
+        self.dt: float | None = None
+        self.last: Frame | None = None
+        self.error: BeliefscopeError | None = None
+        self.line_error = False
+
+    def close(self) -> None:
+        """Raise the stream's first error, if it has one, or the empty document's."""
+        if self.error is not None:
+            raise self.error
+        if self.dt is None:
+            raise SpecSyntaxError("empty stream document")
+
+
+def parse_stream(text: str, cursor: StreamCursor | None = None) -> FrameStream | None:
     """Parse a JSONL stream: a {"dt": ...} header line then one frame per line.
 
     Lines end at "\n" only: JSON allows U+2028, U+2029 and U+0085 raw
@@ -164,21 +191,65 @@ def parse_stream(text: str) -> FrameStream:
     Regions only as they are read (:class:`Frame`).  A chunk the passes turn
     down goes through :func:`_checked_frames`, line by line, which names its
     first error or builds the frames the passes do not take.
+
+    With a ``cursor``, ``text`` is the next block of whole lines of a stream
+    read block by block (:func:`read_stream`): lines are numbered on from the
+    cursor's, the header is the stream's first line, and each frame's order and
+    interval are checked against the frame before it, across blocks too.  The
+    stream's first error stays on the cursor (:class:`StreamCursor`), and the
+    block's frames come back while there is none, else None.
     """
-    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), start=1)
-             if line.strip()]
-    if not lines:
-        raise SpecSyntaxError("empty stream document")
-    header = load_json(lines[0][1], line=lines[0][0])
-    if not (isinstance(header, dict) and set(header) == {"dt"}):
-        raise SpecSyntaxError('stream header must be {"dt": ...}')
-    dt = finite_number(header["dt"], "stream header 'dt'")
+    whole = cursor is None
+    if whole:
+        cursor = StreamCursor()
+    first, cursor.line = cursor.line + 1, cursor.line + text.count("\n")
     frames: list[Frame] = []
-    for start in range(1, len(lines), CHUNK_FRAMES):
-        chunk = lines[start:start + CHUNK_FRAMES]
-        checked = _column_frames(chunk)
-        frames += checked if checked is not None else _checked_frames(chunk)
-    return FrameStream(tuple(frames), dt)
+    lines = [] if cursor.line_error else [
+        (lineno, line) for lineno, line in enumerate(text.split("\n"), start=first) if line.strip()]
+    if lines:
+        try:
+            if cursor.dt is None:
+                lineno, line = lines.pop(0)
+                header = load_json(line, line=lineno)
+                if not (isinstance(header, dict) and set(header) == {"dt"}):
+                    raise SpecSyntaxError('stream header must be {"dt": ...}')
+                cursor.dt = finite_number(header["dt"], "stream header 'dt'")
+            for start in range(0, len(lines), CHUNK_FRAMES):
+                chunk = lines[start:start + CHUNK_FRAMES]
+                checked = _column_frames(chunk)
+                frames += checked if checked is not None else _checked_frames(chunk)
+        except (SpecSyntaxError, StreamValidationError) as exc:  # the first line error outranks all
+            cursor.error, cursor.line_error = exc, True
+    block = None
+    if cursor.error is None and cursor.dt is not None:
+        try:
+            if cursor.last is not None and frames:
+                FrameStream((cursor.last, frames[0]), cursor.dt)
+            block = FrameStream(tuple(frames), cursor.dt)
+        except StreamValidationError as exc:
+            cursor.error = exc
+        else:
+            if frames:
+                cursor.last = Frame(frames[-1].index, frames[-1].t)
+    if whole:
+        cursor.close()
+    return block
+
+
+def read_stream(blocks: Iterable[str]) -> Iterator[tuple[Frame, ...]]:
+    """The frames of a stream given as blocks of whole lines, a block's frames at
+    a time (:func:`parse_stream` with a cursor), while the stream has no error so
+    far.  After the last block it raises the stream's first error, the one
+    parsing the whole stream at once would raise, so a caller that reads every
+    block before raising an error of its own keeps that precedence."""
+    cursor = StreamCursor()
+    for text in blocks:
+        block = parse_stream(text, cursor)
+        del text  # each block and its frames are dropped before the next is read
+        if block is not None and block.frames:
+            yield block.frames
+        del block
+    cursor.close()
 
 
 _FRAME_FIELDS = (itemgetter("index"), itemgetter("t"))
@@ -373,11 +444,11 @@ def bind_frame(spec: NetworkSpec, frame: Frame) -> dict[str, Region | None]:
             for fid, pred in spec.bind.items()}
 
 
-def filter_frames(model: TemporalModel, stream: FrameStream, *,
+def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
                   tau: float | None = None, epsilon: float | None = None,
-                  ) -> tuple[Network, np.ndarray, BeliefTrace]:
-    """Semi-static recognition over a stream as one batch (net, codes, trace):
-    a code row and a belief per frame.
+                  ) -> Iterator[tuple[Network, np.ndarray, BeliefTrace]]:
+    """Semi-static recognition over a stream given as chunks of frames, one
+    batch (net, codes, trace) per chunk: a code row and a belief per frame.
 
     Frame 0 uses the static prior; every later frame replaces the hypothesis
     prior with :func:`semi_static_prior` over the previous posterior.  All
@@ -385,40 +456,54 @@ def filter_frames(model: TemporalModel, stream: FrameStream, *,
     with its belief's ``effective_prior`` as the root's prior, or the Network
     with that row prior in ``propagation.downward``.  This is the scaled
     forward algorithm: λ at the hypothesis does not depend on its prior, so one
-    ``upward`` call gives it for all frames and the scan carries k-vectors
-    through ``posterior``, bitwise equal to ``propagate`` on each frame's tree.
+    ``upward`` call per chunk gives it for the chunk's frames, and the scan
+    carries only the previous posterior, from chunk to chunk too, through
+    ``posterior``, bitwise equal to ``propagate`` on each frame's tree.
     Errors come in stream order.
     """
-    if not stream.frames:
-        raise StreamValidationError("stream is empty")
     spec, net = model.per_frame, validate_network(model.per_frame)
     root = net.node(spec.root)
-
-    observed, bindings, failure = [], [], None
-    for frame in stream.frames:
-        try:
-            bound = bind_frame(spec, frame)
-            observed.append(relation_evidence(spec, bound, tau=tau, epsilon=epsilon))
-        except (BeliefscopeError, ValueError) as exc:  # raised when the scan gets here
-            failure = FrameInferenceError(frame.index, exc) if isinstance(exc, BeliefscopeError) else exc
-            break
-        bindings.append({f: r and r.id for f, r in bound.items()})
-    codes = observation_codes(net, observed)
-    lam, _, vanished = upward(net, codes)
-
-    beliefs: list[FrameBelief] = []
     paper = model.mode == "paper"
-    for i, frame in enumerate(stream.frames):
-        eff = (_mixed_prior(root.cpt[0], model.transition, beliefs[-1].posterior, paper)
-               if beliefs else root.cpt[0])
-        if i == len(observed):
-            raise failure
-        post = posterior(eff / eff.sum(), lam[spec.root][i])
-        if np.isnan(post[0]):
-            node = vanished[1] if vanished is not None and vanished[0] == i else spec.root
-            raise FrameInferenceError(frame.index, ImpossibleEvidenceError(node))
-        beliefs.append(FrameBelief(frame.index, post, eff, bindings[i]))
-    return net, codes, BeliefTrace(root.id, root.states, tuple(beliefs))
+    prev = None  # the previous frame's posterior
+    for frames in chunks:
+        if not frames:
+            continue
+        observed, bindings, failure = [], [], None
+        for frame in frames:
+            try:
+                bound = bind_frame(spec, frame)
+                observed.append(relation_evidence(spec, bound, tau=tau, epsilon=epsilon))
+            except (BeliefscopeError, ValueError) as exc:  # raised when the scan gets here
+                failure = FrameInferenceError(frame.index, exc) if isinstance(exc, BeliefscopeError) else exc
+                break
+            bindings.append({f: r and r.id for f, r in bound.items()})
+        codes = observation_codes(net, observed)
+        lam, _, vanished = upward(net, codes)
+
+        beliefs: list[FrameBelief] = []
+        for i, frame in enumerate(frames):
+            eff = (_mixed_prior(root.cpt[0], model.transition, prev, paper)
+                   if prev is not None else root.cpt[0])
+            if i == len(observed):
+                raise failure
+            prev = posterior(eff / eff.sum(), lam[spec.root][i])
+            if np.isnan(prev[0]):
+                node = vanished[1] if vanished is not None and vanished[0] == i else spec.root
+                raise FrameInferenceError(frame.index, ImpossibleEvidenceError(node))
+            beliefs.append(FrameBelief(frame.index, prev, eff, bindings[i]))
+        if beliefs:
+            yield net, codes, BeliefTrace(root.id, root.states, tuple(beliefs))
+        del frames, frame, observed, bindings, beliefs  # dropped before the next chunk is read
+    if prev is None:
+        raise StreamValidationError("stream is empty")
+
+
+def filter_frames(model: TemporalModel, stream: FrameStream, *,
+                  tau: float | None = None, epsilon: float | None = None,
+                  ) -> tuple[Network, np.ndarray, BeliefTrace]:
+    """Semi-static recognition over a stream as one batch (net, codes, trace):
+    :func:`filter_chunks` over the stream as one chunk."""
+    return next(filter_chunks(model, [stream.frames], tau=tau, epsilon=epsilon))
 
 
 def filter_stream(model: TemporalModel, stream: FrameStream, *,
@@ -483,7 +568,7 @@ class DynamicModel:
     (``bound node <feature>_0: ...``), and one relation node over it, which
     is left out while the evaluator has no states.  Node ids must differ in
     every window of up to ``max_window`` frames.  So every such window's tree
-    is valid, and :func:`_evaluate_frames` builds it without checking it again.
+    is valid, and :func:`_window_codes` builds it without checking it again.
     """
 
     hypothesis_id: str
@@ -564,81 +649,118 @@ def window_spec(model: DynamicModel, k: int) -> NetworkSpec:
                                         for i, rid in enumerate(relations)])
 
 
-def _evaluate_frames(model: DynamicModel, frames: Sequence[Frame], window: int | None, *,
-                     tau: float | None, epsilon: float | None, delta: float | None,
-                     ) -> tuple[int, Network, list[Region | None], np.ndarray]:
-    """The window length k (``window``, else ``max_window``, clamped to the
-    number of frames), the k-frame window network, each frame's bound region
-    and each window's code row, with each frame and consecutive pair evaluated
-    once: presence nodes are observed present/absent, relation nodes only when
-    the pair's bound regions match.  The window's tree is valid by the model's
-    construction for every k <= ``max_window``, so it is built unchecked."""
+def _window_codes(model: DynamicModel, chunks: Iterable[Sequence[Frame]], window: int | None, *,
+                  tau: float | None, epsilon: float | None, delta: float | None,
+                  ) -> Iterator[tuple[int, Network, np.ndarray, list[int], list[str | None]]]:
+    """Per chunk of frames: the window length k (``window``, else
+    ``max_window``, clamped to the number of frames when the whole stream is
+    shorter), the k-frame window network, a code row per window whose last frame
+    is in the chunk, and the index and bound region id of each frame those
+    windows span.  Each frame and consecutive pair is evaluated once: presence
+    nodes are observed present/absent, relation nodes only when the pair's bound
+    regions match.  Only the last k-1 frames' codes and bound ids and the last
+    frame's bound region and same-class regions cross a chunk boundary.  The
+    window's tree is valid by the model's construction for every k <=
+    ``max_window``, so it is built unchecked."""
     k = window if window is not None else model.max_window
     if k > model.max_window:
         raise StreamValidationError(f"window {k} exceeds max {model.max_window}")
-    k = min(k, len(frames))
     if k < 2:
         raise StreamValidationError("window >= 2 required")
-    net = _build_network(window_spec(model, k))
-
     # binding and matching read only the regions of the colour classes the predicate admits
     admitted = _colour_classes(model.predicate)
-    candidates = [f.regions_of(admitted) for f in frames]
-    bound = [select_region(model.predicate, regions) for regions in candidates]
     eff_tau = tau if tau is not None else model.params.get("tau", DEFAULT_TAU)
     eff_eps = epsilon if epsilon is not None else model.params.get("epsilon", DEFAULT_EPSILON)
     eff_delta = delta if delta is not None else model.delta
-    # a bound pair can only match within its colour class, whose matching no other class affects
-    same_class = [[r for r in regions if r.colour_class == b.colour_class] if b is not None else []
+    present, absent = FEATURE_STATES.index(PRESENT), FEATURE_STATES.index(ABSENT)
+    relation_code = {state: i for i, state in enumerate(RELATION_STATES[model.relation_evaluator])}
+    indices: list[int] = []
+    ids: list[str | None] = []
+    frame_codes: list[int] = []
+    pair_codes: list[int] = []
+    links = []  # the last frame's bound region and the regions of its colour class
+    net = None
+    for frames in chunks:
+        candidates = [f.regions_of(admitted) for f in frames]
+        bound = [select_region(model.predicate, regions) for regions in candidates]
+        # a bound pair can only match within its colour class, whose matching no other class affects
+        links += [(b, [r for r in regions if b is not None and r.colour_class == b.colour_class])
                   for regions, b in zip(candidates, bound)]
-    presence, relations = _window_ids(model, k)
-    feature, relation = net.node(presence[0]), net.node(relations[0])
-    pair_codes = []
-    for i in range(len(frames) - 1):
-        a, b = bound[i], bound[i + 1]
-        code = -1
-        if (a is not None and b is not None and a.colour_class == b.colour_class
-                and _class_matching(same_class[i], same_class[i + 1], eff_delta).get(a.id) == b.id):
-            code = relation.state_index(eval_relation(model.relation_evaluator, a, b,
-                                                      tau=eff_tau, epsilon=eff_eps))
-        pair_codes.append(code)
-    frame_codes = [feature.state_index(ABSENT if r is None else PRESENT) for r in bound]
-    # columns in window_spec's node order: hypothesis, presence nodes, relation nodes
-    return k, net, bound, np.hstack([np.full((len(frames) - k + 1, 1), -1),
-                                     sliding_window_view(np.array(frame_codes), k),
-                                     sliding_window_view(np.array(pair_codes), k - 1)])
+        for (a, a_class), (b, b_class) in zip(links, links[1:]):
+            code = -1
+            if (a is not None and b is not None and a.colour_class == b.colour_class
+                    and _class_matching(a_class, b_class, eff_delta).get(a.id) == b.id):
+                code = relation_code[eval_relation(model.relation_evaluator, a, b,
+                                                   tau=eff_tau, epsilon=eff_eps)]
+            pair_codes.append(code)
+        del links[:-1]
+        frame_codes += [absent if r is None else present for r in bound]
+        ids += [r.id if r is not None else None for r in bound]
+        indices += [f.index for f in frames]
+        if len(frame_codes) >= k:
+            if net is None:
+                net = _build_network(window_spec(model, k))
+            yield k, net, _windows(frame_codes, pair_codes, k), indices[:], ids[:]
+            for carried, keep in ((frame_codes, k - 1), (ids, k - 1), (indices, k - 1),
+                                  (pair_codes, k - 2)):
+                del carried[:len(carried) - keep]
+        del frames, candidates, bound  # dropped before the next chunk is read
+    if net is None:  # the whole stream is shorter than a window: one window over all of it
+        k = len(frame_codes)
+        if k < 2:
+            raise StreamValidationError("window >= 2 required")
+        net = _build_network(window_spec(model, k))
+        yield k, net, _windows(frame_codes, pair_codes, k), indices, ids
+
+
+def _windows(frame_codes: Sequence[int], pair_codes: Sequence[int], k: int) -> np.ndarray:
+    """The code row of every k-frame window over consecutive frames' presence codes and
+    consecutive pairs' relation codes, in window_spec's node order: hypothesis, presence
+    nodes, relation nodes."""
+    return np.hstack([np.full((len(frame_codes) - k + 1, 1), -1),
+                      sliding_window_view(np.array(frame_codes), k),
+                      sliding_window_view(np.array(pair_codes), k - 1)])
+
+
+def dynamic_chunks(model: DynamicModel, chunks: Iterable[Sequence[Frame]],
+                   window: int | None = None, *, tau: float | None = None,
+                   epsilon: float | None = None, delta: float | None = None,
+                   ) -> Iterator[tuple[Network, np.ndarray, BeliefTrace]]:
+    """Sliding-window dynamic recognition over a stream given as chunks of
+    frames, one batch (net, codes, trace) per chunk: a code row and a belief per
+    window whose last frame is in the chunk, in order of that frame.
+
+    ``window`` defaults to the model's ``max_window`` and is clamped to the
+    number of frames.  All windows share one Network, the window's tree; one
+    ``upward`` call per chunk over the code rows (:func:`_window_codes`) gives
+    its posteriors, bitwise equal to ``propagate`` on the window's tree.  If a
+    window is impossible, the error names the first such window's last frame
+    and where support vanished.
+    """
+    hyp = model.hypothesis_id
+    for k, net, codes, indices, ids in _window_codes(model, chunks, window, tau=tau,
+                                                     epsilon=epsilon, delta=delta):
+        lam, _, vanished = upward(net, codes)
+        prior = net.node(hyp).cpt[0]
+        posteriors = posterior(prior, lam[hyp])
+        failed = np.isnan(posteriors).any(axis=1)
+        if failed.any():
+            start = int(failed.argmax())
+            node = vanished[1] if vanished is not None and vanished[0] == start else hyp
+            raise FrameInferenceError(indices[start + k - 1], ImpossibleEvidenceError(node))
+        presence = _window_ids(model, k)[0]
+        yield net, codes, BeliefTrace(hyp, tuple(model.hypothesis_states), tuple(
+            FrameBelief(indices[start + k - 1], post, prior, dict(zip(presence, ids[start:start + k])))
+            for start, post in enumerate(posteriors)))
 
 
 def dynamic_windows(model: DynamicModel, frames: Sequence[Frame], window: int | None = None, *,
                     tau: float | None = None, epsilon: float | None = None,
                     delta: float | None = None,
                     ) -> tuple[Network, np.ndarray, BeliefTrace]:
-    """Sliding-window dynamic recognition as one batch (net, codes, trace): a
-    code row and a belief per window, in order of each window's last frame.
-
-    ``window`` defaults to the model's ``max_window`` and is clamped to the
-    number of frames.  All windows share one Network, the window's tree; one
-    ``upward`` call over the code rows (:func:`_evaluate_frames`) gives every
-    posterior, bitwise equal to ``propagate`` on the window's tree.  If any
-    window is impossible, the error names the first such window's last frame
-    and where support vanished.
-    """
-    k, net, bound, codes = _evaluate_frames(model, frames, window,
-                                            tau=tau, epsilon=epsilon, delta=delta)
-    lam, _, vanished = upward(net, codes)
-    prior = net.node(model.hypothesis_id).cpt[0]
-    posteriors = posterior(prior, lam[model.hypothesis_id])
-    failed = np.isnan(posteriors).any(axis=1)
-    if failed.any():
-        start = int(failed.argmax())
-        node = vanished[1] if vanished is not None and vanished[0] == start else model.hypothesis_id
-        raise FrameInferenceError(frames[start + k - 1].index, ImpossibleEvidenceError(node))
-
-    presence = _window_ids(model, k)[0]
-    ids = [r.id if r is not None else None for r in bound]
-    return net, codes, BeliefTrace(model.hypothesis_id, tuple(model.hypothesis_states), tuple(
-        FrameBelief(frames[start + k - 1].index, post, prior, dict(zip(presence, ids[start:start + k])))
-        for start, post in enumerate(posteriors)))
+    """Sliding-window dynamic recognition as one batch (net, codes, trace):
+    :func:`dynamic_chunks` over the frames as one chunk."""
+    return next(dynamic_chunks(model, [frames], window, tau=tau, epsilon=epsilon, delta=delta))
 
 
 def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
@@ -652,8 +774,8 @@ def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
     and the code row, read back as evidence, of the single window of
     :func:`dynamic_windows` over exactly these frames; nothing is propagated.
     """
-    _, net, _, codes = _evaluate_frames(model, frames, len(frames),
-                                        tau=tau, epsilon=epsilon, delta=delta)
+    _, net, codes, _, _ = next(_window_codes(model, [frames], len(frames),
+                                             tau=tau, epsilon=epsilon, delta=delta))
     return net, EvidenceSet({node.id: node.states[c] for node, c in zip(net.nodes, codes[0])
                              if c >= 0})
 

@@ -15,7 +15,13 @@ import sys
 import numpy as np
 
 from beliefscope import network
-from beliefscope.errors import InvalidNetworkError, SpecSyntaxError, StreamValidationError
+from beliefscope.errors import (
+    ImpossibleEvidenceError,
+    InvalidNetworkError,
+    SpecSyntaxError,
+    StateSpaceCapError,
+    StreamValidationError,
+)
 from beliefscope.network import (
     EvidenceSet,
     Network,
@@ -541,3 +547,69 @@ def counted_diagnostics(monkeypatch) -> list:
                 getattr(module, "network_diagnostics", None) is real:
             monkeypatch.setattr(module, "network_diagnostics", counted)
     return calls
+
+
+def whole_stream_command(args) -> int:
+    """``track`` or ``check`` as they ran before a stream was read a chunk at a
+    time: the whole input read (``cli._read``) and parsed
+    (:func:`reference_parse_stream`) before anything is evaluated, every frame
+    evaluated as one batch (``filter_frames``, ``dynamic_windows``), the whole
+    output made before it is written, and ``check``'s distinct rows compared
+    in one call of each kernel.  Errors therefore come in that order: the
+    stream's own, then evaluation, then the kernels'."""
+    from beliefscope import cli
+    from beliefscope.endoscopy import generate_stream
+    from beliefscope.propagation import downward, enumerate_beliefs, observation_codes, sig10
+    from beliefscope.relational import relation_evidence
+    from beliefscope.temporal import TemporalModel, bind_frame, dynamic_windows, filter_frames
+
+    model = cli._load_model(args)
+    stream = (generate_stream(args.scenario, args.frames, seed=args.seed)
+              if args.scenario is not None else reference_parse_stream(cli._read(args.stream)))
+    printed = priors = None
+    if isinstance(model, TemporalModel):
+        net, codes, trace = filter_frames(cli._with_mode(model, args.mode), stream,
+                                          tau=args.tau, epsilon=args.epsilon)
+        priors = np.array([belief.effective_prior for belief in trace.frames])
+    elif isinstance(model, DynamicModel):
+        net, codes, trace = dynamic_windows(model, stream.frames, args.window, tau=args.tau,
+                                            epsilon=args.epsilon, delta=args.delta)
+    elif args.command == "track":
+        print("track requires a temporal or dynamic model; use infer for single scenes",
+              file=sys.stderr)
+        return 2
+    else:
+        net = network.validate_network(model)
+        codes, trace = observation_codes(net, [
+            relation_evidence(model, bind_frame(model, frame), tau=args.tau, epsilon=args.epsilon)
+            for frame in stream.frames]), None
+    if args.command == "track":
+        sys.stdout.write(trace.to_jsonl())
+        return 0
+    if trace is not None:
+        printed = np.array([belief.posterior for belief in trace.frames])
+    slots: dict[bytes, int] = {}
+    rows = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in
+                     (codes if priors is None else np.hstack([codes, priors]))], dtype=np.intp)
+    first = np.unique(rows, return_index=True)[1]
+    worst = 0.0
+    if len(codes):
+        alone = None if priors is None else priors[first]
+        try:
+            fast = downward(net, codes[first], alone)
+            slow = enumerate_beliefs(net, codes[first], alone)
+        except (ImpossibleEvidenceError, StateSpaceCapError):
+            for row in first:  # the first row's error, propagate before enumeration
+                alone = None if priors is None else priors[row:row + 1]
+                downward(net, codes[row:row + 1], alone)
+                enumerate_beliefs(net, codes[row:row + 1], alone)
+            raise
+        worst = max(float(np.abs(fast[nid] - slow[nid]).max()) for nid in slow)
+        if printed is not None:
+            worst = max(worst, float(np.abs(printed - slow[net.root][rows]).max()))
+    sys.stdout.write(f"max |propagate - enumeration| = {sig10(worst):.10g} "
+                     f"over {len(codes)} network(s)\n")
+    if worst >= cli.ORACLE_TOLERANCE:
+        print(f"oracle mismatch: {worst:.3e} >= {cli.ORACLE_TOLERANCE:.0e}", file=sys.stderr)
+        return 4
+    return 0

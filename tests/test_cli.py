@@ -3,12 +3,15 @@ import gc
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from beliefscope import cli, endoscopy, network, relational, temporal
 from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
 from beliefscope.network import network_spec_to_document
 from beliefscope.propagation import Beliefs, sig10, sig10_json
-from beliefscope.relational import scene_to_document
+from beliefscope.relational import Region, scene_to_document
 from beliefscope.temporal import (
     Frame,
     FrameStream,
@@ -28,7 +31,8 @@ from beliefscope.temporal import (
     stream_to_jsonl,
 )
 
-from helpers import FUZZ_VALUES, counted_diagnostics, mutated, random_region
+from helpers import (FUZZ_VALUES, counted_diagnostics, mutated, random_region,
+                     whole_stream_command)
 
 
 TWO_NODE_DOC = {
@@ -696,6 +700,29 @@ class TestCheckFailures:
         spec = wide_spot_spec_file(tmp_path, children)
         assert run(capsys, "check", "--spec", spec, "--stream", spot_later) == (code, "", err)
 
+    @pytest.mark.parametrize("semi_static", [False, True])
+    def test_a_later_stream_or_frame_error_outranks_a_kernel_error(self, capsys, tmp_path,
+                                                                  spot_later, semi_static):
+        """The first chunk's rows exceed the enumeration cap; the error is held while
+        the stream goes on, so a bad last line, or a later impossible frame that track
+        would report, still comes first, one frame per chunk as in one chunk."""
+        spec = wide_spot_spec_file(tmp_path, 20)
+        if semi_static:
+            doc = {"type": "semi_static", "transition": [[0.9, 0.1], [0.1, 0.9]],
+                   "per_frame": json.loads(open(spec).read())}
+            spec = tmp_path / "semi_static.json"
+            spec.write_text(json.dumps(doc))
+        bad_end = tmp_path / "bad_end.jsonl"
+        bad_end.write_text(open(spot_later).read() + "{\n")
+        expected = {spot_later: (3, "", "frame 1: impossible evidence: support vanished at node 'f'\n")
+                    if semi_static else (1, "", "joint state space 4194304 exceeds cap 1048576\n"),
+                    str(bad_end): (2, "", "Expecting property name enclosed in double quotes "
+                                          "(line 5, column 2)\n")}
+        for stream, want in expected.items():
+            for chunk in (1, 256):
+                with mock.patch.object(temporal, "CHUNK_FRAMES", chunk):
+                    assert run(capsys, "check", "--spec", str(spec), "--stream", stream) == want
+
     def test_an_impossible_first_row_is_propagated_first(self, capsys, tmp_path):
         spec = wide_spot_spec_file(tmp_path, 20)
         scene = tmp_path / "evidence.json"
@@ -1111,7 +1138,8 @@ class TestCliFuzz:
         (directory / "model.json").write_text(json.dumps(model))
         (directory / "stream.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
         argv = [command, "--spec", str(directory / "model.json"),
-                "--stream", str(directory / "stream.jsonl"), *window]
+                "--stream", str(directory / "stream.jsonl")]
+        argv += window if name == "dirty_lens" else []  # --window on another kind exits 2
         code, _, err = run_captured(argv)
         assert code in range(5) and "Traceback" not in err, (argv, err)
 
@@ -1175,3 +1203,273 @@ class TestCheckCertifiesTrack:
         assert float(residual) < 1e-9
         # track declines a single-scene model; check then compares every frame
         assert int(compared) == (len(printed.splitlines()) if track_code == 0 else n_frames)
+
+
+def impossible_models(directory):
+    """Model files whose every frame without a bound region is impossible: a dynamic and
+    a semi-static model whose feature is present in every state."""
+    lens = dynamic_to_document(builtin_model("dirty_lens").model)
+    lens["feature"]["cpt"] = [[1.0, 0.0], [1.0, 0.0]]
+    lumen = semi_static_to_document(builtin_model("lumen_tracker").model)
+    lumen["per_frame"]["nodes"][1]["cpt"] = [[1.0, 0.0], [1.0, 0.0]]
+    paths = []
+    for name, doc in (("lens", lens), ("lumen", lumen)):
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+def edited_stream(rng, data: bytes, edit: str) -> bytes:
+    """``data``, a stream's bytes, with one edit at a random place."""
+    lines = data.split(b"\n")[:-1]
+    at = rng.randrange(len(lines))
+    if edit == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if edit == "line-separator":  # JSON allows U+2028 raw inside a string
+        return data.replace(b'"id": "', '"id": "\u2028'.encode(), 1)
+    if edit == "bad-line":
+        lines[at] = rng.choice([b"{", b'{"index": 0}', lines[at] + b" x", b"[1, 2"])
+    elif edit == "swap" and len(lines) > 2:
+        other = rng.randrange(1, len(lines))
+        lines[max(at, 1)], lines[other] = lines[other], lines[max(at, 1)]
+    elif edit == "interval" and len(lines) > 1:
+        at = max(at, 1)
+        lines[at] = lines[at].replace(b'"t": ', b'"t": 1', 1)
+    elif edit == "header":
+        lines[0] = rng.choice([b'{"dt": 0}', b'{"dt": -1}', b'{"dt": 0.04, "x": 1}'])
+    elif edit == "blank":
+        lines.insert(at, rng.choice([b"", b"  ", b"\t"]))
+    elif edit == "utf-8":
+        cut = rng.randrange(len(data) + 1)
+        return data[:cut] + rng.choice([b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80"]) + data[cut:]
+    return b"".join(line + b"\n" for line in lines)
+
+
+def run_with_stdin(argv, data: bytes, whole_stream=False):
+    """``run_captured`` with ``data`` on a stdin decoded as a POSIX UTF-8 one, strictly; with
+    ``whole_stream``, ``track`` and ``check`` run :func:`whole_stream_command`."""
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict", newline="\n")
+    commands = {"track": whole_stream_command, "check": whole_stream_command} if whole_stream else {}
+    with mock.patch.object(sys, "stdin", stdin), mock.patch.dict(cli._COMMANDS, commands):
+        return run_captured(argv)
+
+
+STREAM_EDITS = ["crlf", "line-separator", "bad-line", "swap", "interval", "header",
+                "blank", "utf-8"]
+
+
+class TestChunkedStreams:
+    """track and check read, evaluate and emit a stream CHUNK_FRAMES frames at a time, and
+    answer byte for byte as when the whole stream was read first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["track", "check"]),
+           st.sampled_from(["lumen_tracker", "filter", "dirty_lens", "diverticulum", "lens",
+                            "lumen"]),
+           st.integers(2, 5), st.integers(0, 9), st.sampled_from([1, 2, 3, 256]),
+           st.lists(st.sampled_from(STREAM_EDITS), max_size=2), st.booleans())
+    def test_every_chunk_size_answers_like_the_whole_stream(self, tmp_path_factory, rng, command,
+                                                            model, window, n_frames, chunk, edits,
+                                                            from_stdin):
+        """Up to two edits, so that errors of two kinds meet in one stream."""
+        directory = tmp_path_factory.mktemp("chunks")
+        flags = {"lumen_tracker": ["--model", "lumen_tracker"],
+                 "filter": ["--model", "lumen_tracker", "--mode", "filter"],
+                 "dirty_lens": ["--model", "dirty_lens", "--window", str(window)],
+                 "diverticulum": ["--model", "diverticulum"]}
+        lens, lumen = impossible_models(directory)
+        flags.update(lens=["--spec", lens], lumen=["--spec", lumen])
+        stream = (region_stream(rng, n_frames) if n_frames else FrameStream((), 0.04))
+        data = stream_to_jsonl(stream).encode()
+        for edit in edits if n_frames else []:
+            data = edited_stream(rng, data, edit)
+        path = directory / "stream.jsonl"
+        path.write_bytes(data)
+        argv = [command, *flags[model], "--stream", "-" if from_stdin else str(path)]
+        expected = run_with_stdin(argv, data, whole_stream=True)
+        with mock.patch.object(temporal, "CHUNK_FRAMES", chunk):
+            assert run_with_stdin(argv, data) == expected, (argv, data)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+    @pytest.mark.parametrize("command", ["track", "check"])
+    @pytest.mark.parametrize("flags", [["--model", "dirty_lens", "--window", "5"],
+                                       ["--model", "lumen_tracker", "--mode", "filter"]])
+    def test_windows_and_scans_straddle_chunk_boundaries(self, tmp_path, command, flags, chunk):
+        """A 5-frame window spans up to five chunks and the semi-static scan carries its
+        posterior across every boundary, from a file and from stdin."""
+        path, data = tmp_path / "stream.jsonl", stream_to_jsonl(generate_stream(
+            "moving_spot", 23, seed=4)).encode()
+        path.write_bytes(data)
+        for stream in (str(path), "-"):
+            argv = [command, *flags, "--stream", stream]
+            expected = run_with_stdin(argv, data, whole_stream=True)
+            assert expected[0] == 0
+            with mock.patch.object(temporal, "CHUNK_FRAMES", chunk):
+                assert run_with_stdin(argv, data) == expected
+
+    @pytest.mark.parametrize("where", ["before", "at", "after"])
+    @pytest.mark.parametrize("later", ["bad-line", "swap", "utf-8"])
+    def test_a_later_stream_error_outranks_an_earlier_impossible_frame(self, tmp_path, where,
+                                                                       later):
+        """The window ending at frame 1 is impossible.  With chunks of two lines, the
+        stream error comes later in that frame's chunk, in the first line of the next
+        chunk, or chunks later: it still wins, and nothing is written."""
+        lens = impossible_models(tmp_path)[0]
+        lines = stream_to_jsonl(generate_stream("static_spot", 10, seed=1)).splitlines()
+        lines[2] = json.dumps({"index": 1, "t": 0.04, "regions": []})
+        path = tmp_path / "stream.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        impossible = "frame 1: impossible evidence: support vanished at node 'spot_1'\n"
+        for command in ("track", "check"):
+            argv = [command, "--spec", lens, "--window", "2", "--stream", str(path)]
+            assert run_captured(argv) == (3, "", impossible)
+        at = {"before": 3, "at": 4, "after": 9}[where]  # lines[at] is line at + 1
+        if later == "bad-line":
+            lines[at] = "{"
+        elif later == "swap":
+            lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        data = "".join(line + "\n" for line in lines).encode()
+        if later == "utf-8":
+            data = data.replace(lines[at].encode(), lines[at].encode() + b"\xff")
+        path.write_bytes(data)
+        for command in ("track", "check"):
+            argv = [command, "--spec", lens, "--window", "2", "--stream", str(path)]
+            with mock.patch.object(temporal, "CHUNK_FRAMES", 2):
+                code, out, err = run_with_stdin(argv, data)
+            assert (code, out, err) == run_with_stdin(argv, data, whole_stream=True)
+            assert code in (1, 2) and out == "" and err != impossible, err
+
+    def test_an_error_in_the_last_line_writes_nothing(self, tmp_path):
+        """The trace of 600 frames spills to disk before the last line turns out bad."""
+        path, out = tmp_path / "stream.jsonl", tmp_path / "trace.jsonl"
+        path.write_text(stream_to_jsonl(generate_stream("static_spot", 600, seed=1)) + "{\n")
+        for target in ([], ["--out", str(out)]):
+            with mock.patch.object(cli, "SPOOL_CHARS", 4096):
+                code, stdout, err = run_captured(["track", "--model", "dirty_lens",
+                                                  "--stream", str(path), *target])
+            assert (code, stdout, err) == (2, "", "Expecting property name enclosed in double "
+                                                  "quotes (line 602, column 2)\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("first, later, wins", [
+        ("bad-line", "utf-8", "codec can't decode"),
+        ("swap", "bad-line", "Expecting"),
+        ("dt", "bad-line", "Expecting"),
+        ("dt", "swap", "dt must be positive"),
+        ("swap", "interval", "between frames 0 and 2")])
+    def test_stream_errors_keep_their_rank_across_chunks(self, tmp_path, first, later, wins):
+        """An error early in the stream and one of another kind chunks later: the one
+        that reading the whole stream first reports still wins."""
+        lines = stream_to_jsonl(generate_stream("static_spot", 12, seed=1)).splitlines()
+        for kind, at in ((first, 2), (later, 10)):
+            if kind == "bad-line":
+                lines[at] = "{"
+            elif kind == "swap":
+                lines[at], lines[at + 1] = lines[at + 1], lines[at]
+            elif kind == "interval":
+                lines[at] = lines[at].replace('"t": ', '"t": 1', 1)
+            elif kind == "dt":
+                lines[0] = '{"dt": 0}'
+        data = "".join(line + "\n" for line in lines).encode()
+        if later == "utf-8":
+            data += b"\xff\n"
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(data)
+        for command in ("track", "check"):
+            argv = [command, "--model", "lumen_tracker", "--stream", str(path)]
+            expected = run_with_stdin(argv, data, whole_stream=True)
+            assert expected[0] in (1, 2) and wins in expected[2]
+            for chunk in (1, 2, 256):
+                with mock.patch.object(temporal, "CHUNK_FRAMES", chunk):
+                    assert run_with_stdin(argv, data) == expected
+
+    @pytest.mark.parametrize("cut", [0, 7, 150, 333, -40, -1])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82", b"\xf0\x9f\x98"])
+    def test_invalid_utf8_names_its_position_in_the_whole_file(self, tmp_path, cut, bad):
+        good = stream_to_jsonl(generate_stream("static_spot", 6, seed=2)).encode()
+        data = good[:cut] + bad + good[cut:] if cut >= 0 else good + bad + good[len(good) + cut:]
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        for stream in (str(path), "-"):
+            with mock.patch.object(temporal, "CHUNK_FRAMES", 1):
+                code, out, err = run_with_stdin(["track", "--model", "dirty_lens",
+                                                 "--stream", stream], data)
+            assert (code, out, err) == (2, "", f"{whole.value}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["track", "--model", "dirty_lens"], ["check", "--model", "dirty_lens"],
+        ["track", "--model", "lumen_tracker"], ["check", "--model", "lumen_tracker"],
+        ["check", "--model", "diverticulum"]])
+    def test_memory_stays_bounded_as_the_stream_grows(self, tmp_path, argv):
+        """Ten times the frames peaks within 64 KiB of the shorter stream: each chunk's
+        frames and rows are dropped before the next is read, semi-static rows, whose
+        priors seldom repeat, are kept only within their chunk, and output past
+        SPOOL_CHARS waits in a temporary file."""
+        rng = random.Random(3)
+        frames = [Frame(i, round(i * 0.04, 6), tuple(
+            [Region("d", "dark", (20.0, 20.0), 9, (19, 19, 21, 21))] * (rng.random() < 0.5)
+            + [Region("s", "yellow", (50 + rng.random(), 40.0), 9, (49, 39, 51, 41))]
+            * (rng.random() < 0.7))) for i in range(400)]
+        peaks, out = [], tmp_path / "out"
+        for n in (40, 400):
+            path = tmp_path / f"stream{n}.jsonl"
+            path.write_text(stream_to_jsonl(FrameStream(tuple(frames[:n]), 0.04)))
+            argv_n = [*argv, "--stream", str(path), "--out", str(out)]
+            with mock.patch.object(temporal, "CHUNK_FRAMES", 25), \
+                    mock.patch.object(cli, "SPOOL_CHARS", 2048):
+                run_captured(argv_n)   # caches warmed
+                tracemalloc.start()
+                try:
+                    code, _, _ = run_captured(argv_n)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] < peaks[0] + 65536, peaks
+
+
+class TestFlagsForTheOtherModelKind:
+    """--mode is for semi-static models and --window for dynamic ones; either on
+    another kind of model exits 2 before the stream is read."""
+
+    @pytest.mark.parametrize("command", ["track", "check"])
+    @pytest.mark.parametrize("model, flag, kind", [
+        ("dirty_lens", ["--mode", "filter"], "dynamic"),
+        ("dirty_lens", ["--mode", "paper"], "dynamic"),
+        ("lumen_tracker", ["--window", "3"], "semi-static"),
+        ("diverticulum", ["--window", "2"], "single-scene"),
+        ("diverticulum", ["--mode", "filter"], "single-scene")])
+    def test_exits_2_naming_the_flag_and_the_model_kind(self, capsys, command, model, flag, kind):
+        code, out, err = run(capsys, command, "--model", model, *flag,
+                             "--scenario", "static_spot", "--frames", "6")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and flag[0] in err and f"{kind} model" in err, err
+
+    def test_is_reported_before_the_stream_is_read(self, capsys, tmp_path):
+        code, out, err = run(capsys, "track", "--model", "dirty_lens", "--mode", "filter",
+                             "--stream", str(tmp_path / "missing.jsonl"))
+        assert (code, out, err) == (
+            2, "", "--mode applies to semi-static models only, not to a dynamic model\n")
+
+
+class TestInferScenario:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("model", ["diverticulum", "bend"])
+    def test_frames_beyond_the_first_change_nothing(self, capsys, model, scenario):
+        """infer reads frame 0, which a scenario generates alike for any length."""
+        outputs = {run(capsys, "infer", "--model", model, "--scenario", scenario, "--seed", "3",
+                       "--frames", frames) for frames in ("1", "40")}
+        assert len(outputs) == 1 and next(iter(outputs))[0] == 0
+        for seed in (0, 3, 5):
+            assert (stream_to_jsonl(generate_stream(scenario, 1, seed=seed))
+                    == stream_to_jsonl(generate_stream(scenario, 500, seed=seed)).split("\n")[0]
+                    + "\n" + stream_to_jsonl(generate_stream(scenario, 500, seed=seed))
+                    .split("\n")[1] + "\n")
+
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_no_frames_exits_2(self, capsys, frames):
+        assert run(capsys, "infer", "--model", "diverticulum", "--scenario", "static_spot",
+                   "--frames", frames) == (2, "", "n_frames must be >= 1\n")

@@ -500,6 +500,27 @@ class TestColumnIngest:
     def test_parses_like_the_line_by_line_reference(self, text, chunk, classes):
         assert_parses_like_the_reference(text, chunk, classes)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hostile_streams(), st.sampled_from(["static_spot", "surround_scene", "empty"]),
+           st.integers(0, 9))
+    def test_line_by_line_frames_are_the_column_frames(self, text, scenario, seed):
+        """On lines the column passes take, _checked_frames builds the same frames,
+        field by field with masks: it is the route of any chunk they turn down."""
+        valid = []
+        for candidate in (text, stream_to_jsonl(generate_stream(scenario, 4, seed=seed))):
+            try:
+                reference_parse_stream(candidate)
+            except (SpecSyntaxError, StreamValidationError):
+                continue
+            valid.append(candidate)
+        for candidate in valid:
+            lines = [(n, line) for n, line in enumerate(candidate.split("\n"), start=1)
+                     if line.strip()][1:]
+            columns = temporal._column_frames(lines)
+            assert columns is not None
+            assert_same_stream(SimpleNamespace(dt=0.04, frames=temporal._checked_frames(lines)),
+                               SimpleNamespace(dt=0.04, frames=columns))
+
     @pytest.mark.parametrize("base", SWEEP_BASES, ids=[b["id"] for b in SWEEP_BASES])
     def test_every_single_edit_parses_like_the_reference(self, base):
         """Each edit of a region, in the second chunk of a stream."""
