@@ -132,17 +132,19 @@ def _read(path: str) -> str:
 
 
 def _blocks(path: str) -> Iterator[str]:
-    """A stream file ('-' for stdin) in blocks of CHUNK_FRAMES lines, decoded as
-    :func:`_read` decodes the whole file: a file as UTF-8 with "\r\n" and "\r"
-    read as "\n", stdin in its own encoding.  Lines are split at b"\n", which
-    no character of UTF-8 or of an 8-bit encoding contains, so each block
-    decodes as it does in the whole file, and a decoding error names its byte
-    position in the whole input."""
+    """A stream file ('-' for stdin) in blocks of CHUNK_FRAMES lines: a file
+    decoded as UTF-8, stdin in its own encoding, and on both a "\r\n" read as
+    "\n", so errors on such lines name the columns of the line without it.  A
+    lone "\r" stays, as JSON whitespace, so the same bytes read the same
+    through a file and through stdin.  Lines are split at b"\n", which no
+    character of UTF-8 or of an 8-bit encoding contains, so each block
+    decodes as it does in the whole input, and a decoding error names its
+    byte position in the whole input."""
     from . import temporal
     size = temporal.CHUNK_FRAMES
     if path == "-" and not hasattr(sys.stdin, "buffer"):  # a text stream, such as io.StringIO
         while text := "".join(islice(sys.stdin, size)):
-            yield text
+            yield text.replace("\r\n", "\n")
         return
     if path == "-":
         source = nullcontext(sys.stdin.buffer)
@@ -158,9 +160,7 @@ def _blocks(path: str) -> Iterator[str]:
                 raise _decode_error(exc, offset) from None
             offset += len(data)
             del data
-            if path != "-" and "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            yield text
+            yield text.replace("\r\n", "\n")
             del text
 
 

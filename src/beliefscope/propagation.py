@@ -266,6 +266,20 @@ def propagate(inet: InstantiatedNetwork) -> Beliefs:
                    {n.id: n.states for n in net.nodes})
 
 
+def _state_count(n: int) -> str:
+    """A count of joint states for a message: in full up to 15 digits, else
+    its leading three digits and its power of ten, as in ``2.41e+24``
+    (truncated, not rounded).  No decimal string of ``n`` is made, so a count
+    of any size can be written."""
+    if n < 10**15:
+        return str(n)
+    exponent = (n.bit_length() - 1) * 30102 // 100000  # log10(2) rounded down: not above
+    while 10 ** (exponent + 1) <= n:
+        exponent += 1
+    lead = n // 10 ** (exponent - 2)
+    return f"{lead // 100}.{lead % 100:02d}e+{exponent}"
+
+
 def enumerate_beliefs(net: Network, codes: np.ndarray, priors: np.ndarray | None = None,
                       cap: int = ENUMERATION_CAP) -> dict[str, np.ndarray]:
     """Joint-enumeration oracle with the contract of :func:`downward`: every node's
@@ -282,7 +296,8 @@ def enumerate_beliefs(net: Network, codes: np.ndarray, priors: np.ndarray | None
     sizes = [len(n.states) for n in net.nodes]
     total_states = math.prod(sizes)
     if total_states > cap:
-        raise StateSpaceCapError(f"joint state space {total_states} exceeds cap {cap}")
+        raise StateSpaceCapError(f"joint state space {_state_count(total_states)} exceeds cap "
+                                 f"{_state_count(cap)}")
 
     def factor(j: int, rows: np.ndarray) -> np.ndarray:
         """Rows (m, s_j) of node j's factor, shaped to multiply m joint tables."""

@@ -54,6 +54,11 @@ class Region:
     ``bbox`` is (xmin, ymin, xmax, ymax) in inclusive pixel coordinates; a
     mask, when present, is a boolean grid of shape (height, width) aligned to
     the bbox and indexed [y - ymin, x - xmin].
+
+    ``Region(...)`` checks every field, the mask's shape, pixel count and
+    extent too.  The rows of a :class:`RegionTable` are built without those
+    checks (:meth:`RegionTable._region`), because the table's column passes
+    and :func:`_bit_grid` have made each of them once.
     """
 
     id: str
@@ -90,14 +95,7 @@ class Region:
         mask.  With ``window`` (inclusive bounds, like ``bbox``) only the pixels
         inside it, none when it misses the bbox.  With ``edge`` only those with
         a 4-neighbour outside the (cropped) mask."""
-        xn, yn, xx, yx = self.bbox
-        if window is not None:
-            xn, yn = max(xn, window[0]), max(yn, window[1])
-            xx, yx = min(xx, window[2]), min(yx, window[3])
-            if xn > xx or yn > yx:
-                return np.empty((0, 2))
-        x0, y0 = self.bbox[0], self.bbox[1]
-        mask = self.mask[yn - y0 : yx - y0 + 1, xn - x0 : xx - x0 + 1]
+        mask, xn, yn = self._crop(window)
         if edge:
             inner = np.zeros_like(mask)
             inner[1:-1, 1:-1] = (mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1]
@@ -106,21 +104,44 @@ class Region:
         ys, xs = np.nonzero(mask)
         return np.stack([xs + xn, ys + yn], axis=1).astype(float)
 
+    def _crop(self, window: tuple[int, int, int, int] | None) -> tuple[np.ndarray, int, int]:
+        """The mask inside ``window`` (inclusive bounds, like ``bbox``; all of
+        it without one) and the absolute (x, y) of the crop's first pixel; an
+        empty crop when the window misses the bbox."""
+        x0, y0, xx, yx = self.bbox
+        xn, yn = x0, y0
+        if window is not None:
+            xn, yn = max(xn, window[0]), max(yn, window[1])
+            xx, yx = min(xx, window[2]), min(yx, window[3])
+            if xn > xx or yn > yx:
+                return self.mask[:0, :0], xn, yn
+        return self.mask[yn - y0 : yx - y0 + 1, xn - x0 : xx - x0 + 1], xn, yn
 
-def _bit_grid(mask, h: int, w: int) -> np.ndarray:
-    """``mask`` as a bool array of shape (h, w).
+
+def _bit_grid(mask, h: int, w: int, area: int, bools: bool = True) -> np.ndarray:
+    """``mask`` as a bool array of shape (h, w), checked on its bytes.
 
     ValueError unless it is a list of h lists of w entries, each the integer
-    0 or 1.  Every pass over the entries runs in C: the type pass rejects
-    ``true`` and ``1.0``, which compare equal to 1, and ``bytes`` rejects
-    integers outside 0..255.
+    0 or 1, with ``area`` ones that reach all four edges of the grid.  The
+    entries become bytes once, and every check after the row structure runs
+    on those bytes in C: 0/1 by ``strip``, the pixel count by ``count``, the
+    extent on the first and last row and column slices.  ``bytes`` refuses
+    every JSON value but ``true``, ``false`` and the integers 0..255, so the
+    pass over the entries' types, which refuses the booleans, runs only when
+    ``bools`` says one may be among them.
     """
     if not (type(mask) is list and len(mask) == h and set(map(type, mask)) <= _LIST
-            and set(map(len, mask)) <= {w} and set(map(type, chain.from_iterable(mask))) <= _INT):
+            and set(map(len, mask)) <= {w}
+            and (not bools or set(map(type, chain.from_iterable(mask))) <= _INT)):
         raise ValueError("not a grid of integers")
-    bits = bytes(chain.from_iterable(mask))
-    if bits.strip(b"\0\1"):
-        raise ValueError("not a grid of 0 and 1")
+    try:
+        bits = bytes(chain.from_iterable(mask))  # one byte per pixel, row by row
+    except TypeError:
+        raise ValueError("not a grid of integers") from None
+    if bits.strip(b"\0\1") or bits.count(1) != area:
+        raise ValueError("not a grid of 0 and 1 with the area's pixels")
+    if not (1 in bits[:w] and 1 in bits[-w:] and 1 in bits[::w] and 1 in bits[w - 1::w]):
+        raise ValueError("mask extent does not reach the bbox")
     return np.frombuffer(bits, dtype=bool).reshape(h, w).copy()  # owns its pixels, like np.asarray
 
 
@@ -157,7 +178,7 @@ def region_from_document(obj) -> Region:
         raise SpecSyntaxError(f"region '{region.id}': 'bbox' entries must be integers in [-2**53, 2**53]")
     if mask is not None:
         try:
-            _bit_grid(mask, *region.mask.shape)
+            _bit_grid(mask, *region.mask.shape, region.area)
         except ValueError:
             raise SpecSyntaxError(f"region '{region.id}': mask entries must be 0 or 1") from None
     return region
@@ -196,16 +217,24 @@ class RegionTable:
         self._by_classes: dict[frozenset, list[tuple[Region, ...]]] = {}
 
     @classmethod
-    def checked(cls, groups: Sequence[Sequence]) -> RegionTable | None:
+    def checked(cls, groups: Sequence[Sequence],
+                sources: Sequence[str] | None = None) -> RegionTable | None:
         """The table of ``groups``, sequences of region documents; None unless
         every document describes a region and no group repeats an id.
 
         Every check :func:`region_from_document` makes runs as one C pass
         over a column: types by ``set(map(type, ...))``, keys by counting
         them, ranges and bbox order on the numpy columns.  A mask is checked
-        by :func:`_bit_grid` and its Region built and kept at once.  On None
-        the caller names the error, or builds the rows the passes do not
-        take, through :func:`region_from_document`.
+        once, on its bytes, by :func:`_bit_grid`, and its Region built
+        (:meth:`_region`) and kept at once.  On None the caller names the
+        error, or builds the rows the passes do not take, through
+        :func:`region_from_document`.
+
+        ``sources`` are the JSON texts the groups were decoded from, when
+        known.  A boolean decodes only from a ``true`` or ``false`` token,
+        so when no text holds either, :func:`_bit_grid` skips its pass over
+        the mask entries' types.  The texts are searched only when a mask is
+        present.
         """
         counts = list(map(len, groups))
         rows = list(chain.from_iterable(groups))
@@ -240,26 +269,46 @@ class RegionTable:
                 and sum(map(len, map(set, map(ids.__getitem__, map(slice, bounds, bounds[1:]))))) == m):
             return None
         masks = list(map(dict.get, rows, repeat("mask")))
+        masked = list(compress(range(m), map(is_not, masks, repeat(None))))
+        bools = bool(masked) and (sources is None or any(
+            "true" in text or "false" in text for text in sources))
         built = {}
-        for i in compress(range(m), map(is_not, masks, repeat(None))):
+        for i in masked:
             xmin, ymin, xmax, ymax = bboxes[i]
             try:
-                built[i] = Region(ids[i], colours[i], tuple(map(float, centroids[i][:2])), areas[i],
-                                  (xmin, ymin, xmax, ymax),
-                                  _bit_grid(masks[i], ymax - ymin + 1, xmax - xmin + 1))
+                grid = _bit_grid(masks[i], ymax - ymin + 1, xmax - xmin + 1, areas[i], bools)
             except ValueError:
                 return None
+            built[i] = cls._region(ids[i], colours[i], tuple(map(float, centroids[i][:2])),
+                                   areas[i], (xmin, ymin, xmax, ymax), grid)
         return cls(ids, codes, centroid, area, bbox, bounds, built)
+
+    @staticmethod
+    def _region(id: str, colour_class: str, centroid: tuple[float, float], area: int,
+                bbox: tuple[int, int, int, int], mask: np.ndarray | None = None) -> Region:
+        """The Region of a row whose fields the table has checked, built
+        without :meth:`Region.__post_init__`.  The fields are set in
+        declaration order, as the dataclass's ``__init__`` sets them, so the
+        instances still share their dicts' keys."""
+        region = object.__new__(Region)
+        put = object.__setattr__
+        put(region, "id", id)
+        put(region, "colour_class", colour_class)
+        put(region, "centroid", centroid)
+        put(region, "area", area)
+        put(region, "bbox", bbox)
+        put(region, "mask", mask)
+        return region
 
     def _rows(self, rows: Sequence[int]) -> list[Region]:
         built = self._built
         new = [i for i in rows if i not in built]
         if new:
-            ids = self._ids
+            ids, region = self._ids, self._region
             for i, code, (x, y), area, bbox in zip(
                     new, self._codes[new].tolist(), self._centroids[new].tolist(),
                     self._areas[new].tolist(), self._bboxes[new].tolist()):
-                built[i] = Region(ids[i], COLOUR_CLASSES[code], (x, y), area, tuple(bbox))
+                built[i] = region(ids[i], COLOUR_CLASSES[code], (x, y), area, tuple(bbox))
         return [built[i] for i in rows]
 
     def group(self, k: int, classes: Collection[str] = COLOUR_CLASSES) -> tuple[Region, ...]:
@@ -367,14 +416,15 @@ def _within(a: Region, b: Region, tau: float) -> bool:
     No pixel pair is closer than the bbox gap (the hypot of two integer
     offsets is their correctly rounded distance), so a gap beyond tau decides
     at once.  Otherwise a pixel within tau of the other region lies inside
-    that region's bbox grown by floor(tau), so only those pixels are kept.
-    When they make more than one block of pairs, only their edge pixels are
-    kept, unless the masks overlap (distance 0): a closest pixel of disjoint
-    masks has a 4-neighbour outside its own mask, since one step towards the
-    other pixel along an axis on which they differ would be strictly closer.
-    The pairs are compared a fixed-size block at a time until one is within
-    tau, so time goes with the perimeters and memory stays bounded however
-    large the masks.
+    that region's bbox grown by floor(tau), so each mask is cropped to it.
+    When the crops' pixels make at most one block of pairs, one table of
+    squared distances between their absolute coordinates, as floats, decides.
+    Otherwise only their edge pixels are kept, unless the masks overlap
+    (distance 0): a closest pixel of disjoint masks has a 4-neighbour outside
+    its own mask, since one step towards the other pixel along an axis on
+    which they differ would be strictly closer.  The pairs are then compared
+    a fixed-size block at a time until one is within tau, so time goes with
+    the perimeters and memory stays bounded however large the masks.
     """
     gap = _bbox_gap(a.bbox, b.bbox)
     if gap > tau or a.mask is None or b.mask is None:
@@ -382,11 +432,18 @@ def _within(a: Region, b: Region, tau: float) -> bool:
     r = math.floor(tau)
     near_b = (b.bbox[0] - r, b.bbox[1] - r, b.bbox[2] + r, b.bbox[3] + r)
     near_a = (a.bbox[0] - r, a.bbox[1] - r, a.bbox[2] + r, a.bbox[3] + r)
-    pa, pb = a.pixels(near_b), b.pixels(near_a)
-    if len(pa) * len(pb) > _PAIR_BLOCK ** 2:
-        if _masks_overlap(a, b):
-            return True
-        pa, pb = a.pixels(near_b, edge=True), b.pixels(near_a, edge=True)
+    (crop_a, xa, ya), (crop_b, xb, yb) = a._crop(near_b), b._crop(near_a)
+    (ys_a, xs_a), (ys_b, xs_b) = np.nonzero(crop_a), np.nonzero(crop_b)
+    pairs = len(xs_a) * len(xs_b)
+    if not pairs:
+        return False
+    if pairs <= _PAIR_BLOCK ** 2:
+        dx = np.subtract.outer(np.add(xs_a, xa, dtype=float), np.add(xs_b, xb, dtype=float))
+        dy = np.subtract.outer(np.add(ys_a, ya, dtype=float), np.add(ys_b, yb, dtype=float))
+        return math.sqrt((dx * dx + dy * dy).min()) <= tau
+    if _masks_overlap(a, b):
+        return True
+    pa, pb = a.pixels(near_b, edge=True), b.pixels(near_a, edge=True)
     for i in range(0, len(pa), _PAIR_BLOCK):
         for j in range(0, len(pb), _PAIR_BLOCK):
             d2 = ((pa[i:i + _PAIR_BLOCK, None, :] - pb[None, j:j + _PAIR_BLOCK, :]) ** 2

@@ -262,6 +262,9 @@ def _column_frames(lines: Sequence[tuple[int, str]]) -> list[Frame] | None:
 
     Lines are decoded one by one and dropped with the chunk; what is kept
     is one :class:`RegionTable` of the chunk's regions and a frame per line.
+    The table is given the line texts too, so a chunk with masks and no
+    ``true`` or ``false`` in its text skips the pass over the mask entries'
+    types (:meth:`RegionTable.checked`).
     """
     try:
         objs = [load_json(line, line=lineno) for lineno, line in lines]
@@ -282,7 +285,8 @@ def _column_frames(lines: Sequence[tuple[int, str]]) -> list[Frame] | None:
         t = list(map(float, t))
     except OverflowError:
         return None
-    table = RegionTable.checked(regions) if all(map(math.isfinite, t)) else None
+    table = (RegionTable.checked(regions, list(map(itemgetter(1), lines)))
+             if all(map(math.isfinite, t)) else None)
     if table is None:
         return None
     return list(map(_ColumnFrame, index, t, repeat(table), range(len(objs))))

@@ -549,9 +549,21 @@ def counted_diagnostics(monkeypatch) -> list:
     return calls
 
 
+def read_whole_stream(path: str) -> str:
+    """A whole stream input as text, as ``track`` and ``check`` read it: a file
+    as UTF-8, stdin in its own encoding, and on both a "\r\n" read as "\n"
+    while a lone "\r" stays."""
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    return text.replace("\r\n", "\n")
+
+
 def whole_stream_command(args) -> int:
     """``track`` or ``check`` as they ran before a stream was read a chunk at a
-    time: the whole input read (``cli._read``) and parsed
+    time: the whole input read (:func:`read_whole_stream`) and parsed
     (:func:`reference_parse_stream`) before anything is evaluated, every frame
     evaluated as one batch (``filter_frames``, ``dynamic_windows``), the whole
     output made before it is written, and ``check``'s distinct rows compared
@@ -565,7 +577,7 @@ def whole_stream_command(args) -> int:
 
     model = cli._load_model(args)
     stream = (generate_stream(args.scenario, args.frames, seed=args.seed)
-              if args.scenario is not None else reference_parse_stream(cli._read(args.stream)))
+              if args.scenario is not None else reference_parse_stream(read_whole_stream(args.stream)))
     printed = priors = None
     if isinstance(model, TemporalModel):
         net, codes, trace = filter_frames(cli._with_mode(model, args.mode), stream,

@@ -583,6 +583,64 @@ class TestStreamInput:
         code, out, err = run(capsys, "track", "--model", "lumen_tracker", "--stream", str(path))
         assert (code, out, err) == (2, "", "stream line 2: region 'p': mask entries must be 0 or 1\n")
 
+    #: a 1x1 mask of area 1 with each entry: the error each entry has always given
+    MASK_ENTRIES = {"1": None, "true": "mask entries must be 0 or 1",
+                    "false": "mask has 0 pixels, area is 1", "1.0": "mask entries must be 0 or 1",
+                    "2": "mask entries must be 0 or 1", "-1": "mask entries must be 0 or 1",
+                    '"1"': "mask entries must be 0 or 1", "null": "mask has 0 pixels, area is 1",
+                    "[1]": "mask shape (1, 1, 1) does not match bbox 1x1",
+                    str(2**64): "mask entries must be 0 or 1"}
+
+    @pytest.mark.parametrize("true_elsewhere", ["nowhere", "same-frame", "next-frame"])
+    @pytest.mark.parametrize("entry", list(MASK_ENTRIES))
+    def test_mask_entries_answer_alike_with_and_without_true_in_the_chunk(
+            self, capsys, tmp_path, entry, true_elsewhere):
+        """A chunk whose text holds no ``true`` or ``false`` skips the pass over the
+        mask entries' types; a region id "true" elsewhere in the chunk makes it run.
+        Either way each entry gives its error, as line by line does."""
+        masked = ('{"id": "p", "colour_class": "dark", "centroid": [0.0, 0.0], "area": 1, '
+                  '"bbox": [0, 0, 0, 0], "mask": [[%s]]}' % entry)
+        named_true = ('{"id": "true", "colour_class": "other", "centroid": [5.0, 5.0], '
+                      '"area": 1, "bbox": [5, 5, 5, 5]}')
+        frames = [[masked] + [named_true] * (true_elsewhere == "same-frame"),
+                  [named_true] * (true_elsewhere == "next-frame")]
+        path = tmp_path / "stream.jsonl"
+        path.write_text('{"dt": 0.04}\n' + "".join(
+            '{"index": %d, "t": %s, "regions": [%s]}\n' % (i, t, ", ".join(regions))
+            for i, t, regions in zip((0, 1), ("0.0", "0.04"), frames)))
+        argv = ("track", "--model", "lumen_tracker", "--stream", str(path))
+        code, out, err = run(capsys, *argv)
+        message = self.MASK_ENTRIES[entry]
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", f"stream line 2: region 'p': {message}\n")
+        with mock.patch.object(temporal, "_column_frames", lambda lines: None):  # line by line
+            assert run(capsys, *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("command", ["track", "check"])
+    def test_a_lone_carriage_return_reads_alike_from_a_file_and_stdin(self, tmp_path, command):
+        """A lone "\r" is JSON whitespace through --stream FILE and --stream -; a
+        "\r\n" ends a line through both, and an error on such a line names the
+        column of the line without the "\r"."""
+        lines = stream_to_jsonl(generate_stream("static_spot", 5, seed=1)).splitlines()
+        clean = "".join(line + "\n" for line in lines).encode()
+        lines[1] = lines[1].replace(', "t": ', ',\r "t": ', 1)   # {"index": 0,\r "t": 0.0, ...
+        assert "\r" in lines[1]
+        argv = [command, "--model", "dirty_lens", "--window", "2", "--stream"]
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(clean)
+        expected = run_with_stdin([*argv, str(path)], b"")
+        assert expected[0] == 0
+        for data, want in (
+                ("".join(line + "\n" for line in lines).encode(), expected),
+                (clean.replace(b"\n", b"\r\n"), expected),
+                (clean + b'{"index": 9,\r\n', (2, "", "Expecting property name enclosed in "
+                                                     "double quotes (line 7, column 13)\n"))):
+            path.write_bytes(data)
+            assert run_with_stdin([*argv, str(path)], b"") == want
+            assert run_with_stdin([*argv, "-"], data) == want
+
     @pytest.mark.parametrize("command", ["track", "check"])
     def test_raw_line_separator_inside_a_region_id(self, capsys, tmp_path, command):
         _, text, _ = run(capsys, "generate", "--scenario", "static_spot", "--frames", "4")
@@ -694,6 +752,7 @@ class TestCheckFailures:
     @pytest.mark.parametrize("children, code, err", [
         (8, 3, "impossible evidence: support vanished at node 'f'\n"),
         (20, 1, "joint state space 4194304 exceeds cap 1048576\n"),
+        (79, 1, "joint state space 2.41e+24 exceeds cap 1048576\n"),   # 2**81 states
     ])
     def test_a_possible_first_frame_is_enumerated_first(self, capsys, tmp_path, spot_later,
                                                        children, code, err):

@@ -23,7 +23,7 @@ from beliefscope.relational import (
     select_region,
 )
 
-from helpers import dense_min_distance, per_field_region, random_region
+from helpers import dense_min_distance, per_field_region, random_region, reference_region
 
 
 def ring_region(rid="ring", colour="bright"):
@@ -238,6 +238,80 @@ class TestRegionDecoder:
             assert_decoded_like_per_field(doc)
 
 
+@st.composite
+def mask_documents(draw):
+    """Region documents with a 0/1 mask: half of them fit their bbox and area,
+    the others may miss the bbox's shape, the area's pixel count or one of
+    the bbox's edges, each on its own or together."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    grid = draw(st.lists(st.lists(st.sampled_from([0, 1]), min_size=w, max_size=w),
+                         min_size=h, max_size=h))
+    x0, y0 = draw(st.sampled_from([0, 7, -3, EXACT - 5, -EXACT])), draw(st.integers(-3, 3))
+    dh = dw = darea = 0
+    if draw(st.booleans()):
+        grid[0][0] = grid[-1][-1] = 1   # the set pixels reach every bbox edge
+    else:
+        dh, dw, darea = (draw(st.sampled_from([0, 0, 0, 1, -1])) for _ in range(3))
+    return {"id": draw(st.sampled_from(["a", "b", "true"])),
+            "colour_class": draw(st.sampled_from(COLOUR_CLASSES)),
+            "centroid": [draw(st.integers(-5, 5)), 0.5],
+            "area": sum(map(sum, grid)) + darea,
+            "bbox": [x0, y0, x0 + w - 1 + dw, y0 + h - 1 + dh], "mask": grid}
+
+
+class TestTableRows:
+    @pytest.mark.parametrize("entry", [1.0, 0.0, "1", None, [1], {}, -1, 2, 256, 2**64])
+    def test_bytes_refuse_every_other_json_value_without_the_type_pass(self, entry):
+        for bools in (True, False):
+            with pytest.raises(ValueError):
+                relational._bit_grid([[entry]], 1, 1, 1, bools)
+
+    @pytest.mark.parametrize("mask, area", [
+        ([[1, 0], [0, 0]], 1), ([[0, 1], [0, 0]], 1), ([[0, 0], [1, 0]], 1),
+        ([[1, 1], [1, 1]], 3), ([[1, 1], [1, 1]], 5), ([[True, 1], [1, 1]], 4),
+        ([[1, 1], [1]], 3), ([[1, 1]], 2), ((1, 1), 2)])
+    def test_count_extent_and_shape_are_checked_on_the_bytes(self, mask, area):
+        with pytest.raises(ValueError):
+            relational._bit_grid(mask, 2, 2, area)
+
+    def test_a_grid_owns_its_pixels(self):
+        grid = relational._bit_grid([[1, 0], [1, 1]], 2, 2, 3, False)
+        assert grid.dtype == bool and grid.flags.writeable and grid.flags.owndata
+        assert grid.tolist() == [[True, False], [True, True]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(mask_documents() | mask_documents() | region_documents(),
+                             max_size=3, unique_by=lambda doc: repr(doc.get("id", doc))
+                             if isinstance(doc, dict) else repr(doc)), max_size=3))
+    def test_every_table_row_is_a_public_region(self, groups):
+        """Rows are built without Region's checks, because the column passes made
+        them: each row is accepted by ``Region(...)`` with the same fields and
+        mask.  The table is refused only when a document or a repeated id is."""
+        table = relational.RegionTable.checked(groups)
+        if table is None:
+            try:
+                regions = [[reference_region(doc) for doc in group] for group in groups]
+            except SpecSyntaxError:
+                return
+            assert any(len({r.id for r in group}) < len(group) for group in regions)
+            return
+        for k, group in enumerate(groups):
+            rows = table.group(k)
+            assert len(rows) == len(group)
+            for row, doc in zip(rows, group):
+                public = Region(row.id, row.colour_class, row.centroid, row.area, row.bbox,
+                                row.mask)
+                expected = reference_region(doc)
+                for name in ("id", "colour_class", "centroid", "area", "bbox"):
+                    assert getattr(public, name) == getattr(row, name) == getattr(expected, name)
+                if row.mask is None:
+                    assert expected.mask is None
+                else:
+                    assert row.mask.dtype == bool and row.mask.flags.writeable
+                    assert np.array_equal(public.mask, row.mask)
+                    assert np.array_equal(expected.mask, row.mask)
+
+
 class TestEvalRelation:
     def test_ring_surrounds_centre_pixel(self):
         assert eval_relation("surrounding", ring_region(), pixel_region("p", 2, 2)) == "holds"
@@ -403,6 +477,60 @@ class TestAdjacency:
             b = pixel_region("b", x, y, colour="bright")
             assert eval_relation("adjacent", a, b, tau=tau) == "holds"
             assert eval_relation("adjacent", a, b, tau=math.nextafter(tau, 0)) == "holds_not"
+
+    def test_one_empty_crop_decides_holds_not(self):
+        """a's bbox reaches within tau of b's, but a's pixels (its top row and left
+        column) all lie outside b's bbox grown by floor(tau)."""
+        mask = np.zeros((10, 10), dtype=bool)
+        mask[0, :] = mask[:, 0] = True
+        a = Region("a", "dark", (3.0, 3.0), int(mask.sum()), (0, 0, 9, 9), mask=mask)
+        b = pixel_region("b", 10, 10, colour="bright")
+        assert dense_min_distance(a, b) > 9
+        for tau in (1.5, 2.0, 2.9):
+            assert eval_relation("adjacent", a, b, tau=tau) == "holds_not"
+            assert eval_relation("adjacent", b, a, tau=tau) == "holds_not"
+
+    def test_floor_tau_covering_both_bboxes(self):
+        """tau grows each bbox past the other's: the crops are the whole masks."""
+        rng = random.Random(1414)
+        for i in range(100):
+            a = random_region(rng, "a", size=5)
+            b = random_region(rng, "b", size=5, origin=(rng.randint(-6, 6), rng.randint(-6, 6)))
+            d = dense_min_distance(a, b)
+            for tau in (30.0, math.nextafter(d, math.inf), d, math.nextafter(d, 0)):
+                want = "holds" if d <= tau else "holds_not"
+                if tau > 0:
+                    assert eval_relation("adjacent", a, b, tau=tau) == want, (i, tau, d)
+                    assert eval_relation("adjacent", b, a, tau=tau) == want, (i, tau, d)
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["one-block", "edge-blocks"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+    def test_coordinates_near_2_pow_53(self, monkeypatch, block, sign):
+        """Absolute coordinates as floats stay exact up to 2**53, so the decision at a
+        pixel distance is the same there as near 0, on the one-block path and on the
+        blocked edge path."""
+        if block is not None:
+            monkeypatch.setattr(relational, "_PAIR_BLOCK", block)
+        rng = random.Random(53)
+        for i in range(60):
+            a = random_region(rng, "a", size=4)
+            b = random_region(rng, "b", size=4, origin=(rng.randint(-3, 3), rng.randint(-3, 3)))
+            d = dense_min_distance(a, b)
+            shift = 2**53 - 20 if sign > 0 else 3 - 2**53
+
+            def moved(r):
+                x0, y0, x1, y1 = r.bbox
+                return Region(r.id, r.colour_class, r.centroid, r.area,
+                              (x0 + shift, y0 + shift, x1 + shift, y1 + shift), mask=r.mask)
+
+            far_a, far_b = moved(a), moved(b)
+            assert max(far_a.bbox + far_b.bbox) <= 2**53 and min(far_a.bbox + far_b.bbox) >= -2**53
+            for tau in (d, math.nextafter(d, 0), 1.0, 2.5):
+                if tau > 0:
+                    want = eval_relation("adjacent", a, b, tau=tau)
+                    assert want == ("holds" if d <= tau else "holds_not")
+                    assert eval_relation("adjacent", far_a, far_b, tau=tau) == want, (i, tau)
+                    assert eval_relation("adjacent", far_b, far_a, tau=tau) == want, (i, tau)
 
     def test_large_masks_far_apart(self, capsys, tmp_path):
         a = square_region("a", 0, 0, 300)

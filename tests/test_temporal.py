@@ -30,7 +30,7 @@ from beliefscope.network import (
     network_diagnostics,
 )
 from beliefscope.propagation import brute_force_beliefs, propagate, sig10
-from beliefscope.relational import Region, relationalize, select_region
+from beliefscope.relational import Region, RegionTable, relationalize, select_region
 from beliefscope.temporal import (
     BeliefTrace,
     DynamicModel,
@@ -575,12 +575,18 @@ class TestColumnIngest:
         path = tmp_path / "stream.jsonl"
         path.write_text(text)
         built = []
-        post_init = Region.__post_init__
+        table_row, post_init = RegionTable._region, Region.__post_init__
 
-        def counted(region):
+        def counted_row(*fields):
+            region = table_row(*fields)
+            built.append(region.colour_class)
+            return region
+
+        def counted(region):  # a Region built through its public constructor counts too
             built.append(region.colour_class)
             post_init(region)
 
+        monkeypatch.setattr(RegionTable, "_region", staticmethod(counted_row))
         monkeypatch.setattr(Region, "__post_init__", counted)
         for model, admitted in (("dirty_lens", {"yellow", "green", "brown"}),
                                 ("lumen_tracker", {"dark"})):
