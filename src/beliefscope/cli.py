@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="report every diagnostic for a model document")
     add_model_flags(p)
-    p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("compile", help="compile an IF/THEN rule to a model document")
     p.add_argument("--rule", metavar="TEXT", required=True)
@@ -248,15 +247,15 @@ def _scene_rows(args, spec: NetworkSpec, chunks) -> Iterator[tuple]:
 
 
 def _misapplied_flag(args, model) -> str | None:
-    """The message for ``--mode`` on a model that is not semi-static or ``--window``
-    on one that is not dynamic, else None."""
-    from .temporal import DynamicModel, TemporalModel
-    kind = ("semi-static" if isinstance(model, TemporalModel) else
-            "dynamic" if isinstance(model, DynamicModel) else "single-scene")
-    if args.mode is not None and kind != "semi-static":
-        return f"--mode applies to semi-static models only, not to a {kind} model"
-    if args.window is not None and kind != "dynamic":
-        return f"--window applies to dynamic models only, not to a {kind} model"
+    """The message for ``--mode`` on a model that is not semi-static, or ``--window``
+    or ``--delta`` on one that is not dynamic, else None."""
+    kind = "single-scene"
+    if not isinstance(model, NetworkSpec):  # so infer on a spec loads no temporal code
+        from .temporal import TemporalModel
+        kind = "semi-static" if isinstance(model, TemporalModel) else "dynamic"
+    for flag, owner in (("mode", "semi-static"), ("window", "dynamic"), ("delta", "dynamic")):
+        if getattr(args, flag, None) is not None and kind != owner:  # infer has no --mode, --window
+            return f"--{flag} applies to {owner} models only, not to a {kind} model"
     return None
 
 
@@ -310,9 +309,11 @@ def _cmd_compile(args) -> int:
 
 def _cmd_infer(args) -> int:
     model = _load_model(args)
-    if not isinstance(model, NetworkSpec):
-        print("infer requires a single-scene (relational) model; use track for temporal models",
-              file=sys.stderr)
+    message = _misapplied_flag(args, model)
+    if message is None and not isinstance(model, NetworkSpec):
+        message = "infer requires a single-scene (relational) model; use track for temporal models"
+    if message is not None:
+        print(message, file=sys.stderr)
         return 2
     net, ev = _scene_inputs(args, model)
     _emit(args, [propagate(apply_evidence(net, ev)).to_json()])

@@ -58,7 +58,8 @@ _RELATION_KEYS = _CHANCE_KEYS | {"evaluator", "inputs", "params"}
 #: the node entries :func:`_column_nodes` takes: a root with a prior, a child with a cpt
 _CHANCE_SHAPES = {frozenset({"id", "kind", "states", "prior"}),
                   frozenset({"id", "kind", "states", "parent", "cpt"})}
-_DICT, _LIST, _STR, _NUMBER = {dict}, {list}, {str}, {int, float}
+#: the type sets of the column passes' ``set(map(type, ...))`` tests, in every module
+_DICT, _INT, _LIST, _STR, _NUMBER = {dict}, {int}, {list}, {str}, {int, float}
 
 
 @dataclass(frozen=True)

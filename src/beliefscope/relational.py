@@ -26,6 +26,11 @@ from .network import (
     NEAR,
     PRESENT,
     RELATION_STATES,
+    _DICT,
+    _INT,
+    _LIST,
+    _NUMBER,
+    _STR,
     EvidenceSet,
     Network,
     NetworkSpec,
@@ -40,7 +45,6 @@ DEFAULT_TAU = 2.0
 DEFAULT_EPSILON = 2.0
 
 _REGION_KEYS = frozenset({"id", "colour_class", "centroid", "area", "bbox", "mask"})
-_LIST, _INT = {list}, {int}
 
 #: region integers (area, bbox entries) must lie within ±EXACT_INT: a float
 #: holds every such integer exactly, so the evaluators' arithmetic cannot overflow
@@ -56,9 +60,9 @@ class Region:
     the bbox and indexed [y - ymin, x - xmin].
 
     ``Region(...)`` checks every field, the mask's shape, pixel count and
-    extent too.  The rows of a :class:`RegionTable` are built without those
-    checks (:meth:`RegionTable._region`), because the table's column passes
-    and :func:`_bit_grid` have made each of them once.
+    extent too.  A parsed scene's or stream's regions, the rows of a
+    :class:`RegionTable`, are built without them (:meth:`RegionTable._region`):
+    the table's column passes and :func:`_bit_grid` have made each check once.
     """
 
     id: str
@@ -146,10 +150,9 @@ def _bit_grid(mask, h: int, w: int, area: int, bools: bool = True) -> np.ndarray
 
 
 def region_from_document(obj) -> Region:
-    """The Region a scene or stream document describes, checked field by
-    field: the path that names what is wrong with a document
-    :meth:`RegionTable.checked` turns down, and builds the rare valid shapes
-    it does not take."""
+    """The Region a region document describes, checked field by field: the
+    path that names what is wrong with a scene or stream document
+    :meth:`RegionTable.checked` turned down."""
     if not isinstance(obj, dict):
         raise SpecSyntaxError("region entries must be objects")
     for key in obj:
@@ -198,22 +201,23 @@ def region_to_document(region: Region) -> dict:
 
 
 _COLOUR_CODE = {c: i for i, c in enumerate(COLOUR_CLASSES)}
-_DICT, _STR, _FLOAT, _NUMBER = {dict}, {str}, {float}, {int, float}
+_FLOAT = {float}
 _FIELDS = tuple(map(itemgetter, ("id", "colour_class", "centroid", "area", "bbox")))
 _XY = itemgetter(slice(0, 2))
 
 
 class RegionTable:
     """Groups of regions (a scene, or a chunk of a stream's frames) held as
-    columns: ids, colour codes, centroids as float64, areas and bboxes as
-    int64.  A row's Region is built when it is first read, once, so the
-    Regions of a group keep their identity however they are read."""
+    columns (ids, colour codes, float64 centroids, int64 areas and bboxes,
+    checked mask grids).  A row's Region is built when it is first read, once,
+    so the Regions of a group keep their identity however they are read."""
 
     def __init__(self, ids: list[str], codes: np.ndarray, centroids: np.ndarray,
                  areas: np.ndarray, bboxes: np.ndarray, bounds: list[int],
-                 built: dict[int, Region]):
+                 grids: dict[int, np.ndarray]):
         self._ids, self._codes, self._centroids = ids, codes, centroids
-        self._areas, self._bboxes, self._bounds, self._built = areas, bboxes, bounds, built
+        self._areas, self._bboxes, self._bounds, self._grids = areas, bboxes, bounds, grids
+        self._built: dict[int, Region] = {}
         self._by_classes: dict[frozenset, list[tuple[Region, ...]]] = {}
 
     @classmethod
@@ -225,10 +229,9 @@ class RegionTable:
         Every check :func:`region_from_document` makes runs as one C pass
         over a column: types by ``set(map(type, ...))``, keys by counting
         them, ranges and bbox order on the numpy columns.  A mask is checked
-        once, on its bytes, by :func:`_bit_grid`, and its Region built
-        (:meth:`_region`) and kept at once.  On None the caller names the
-        error, or builds the rows the passes do not take, through
-        :func:`region_from_document`.
+        once, on its bytes, by :func:`_bit_grid`, which keeps its grid for
+        the row.  Nothing is built here: :meth:`group` builds the rows.  On
+        None the caller names the error through :func:`region_from_document`.
 
         ``sources`` are the JSON texts the groups were decoded from, when
         known.  A boolean decodes only from a ``true`` or ``false`` token,
@@ -272,16 +275,14 @@ class RegionTable:
         masked = list(compress(range(m), map(is_not, masks, repeat(None))))
         bools = bool(masked) and (sources is None or any(
             "true" in text or "false" in text for text in sources))
-        built = {}
+        grids = {}
         for i in masked:
             xmin, ymin, xmax, ymax = bboxes[i]
             try:
-                grid = _bit_grid(masks[i], ymax - ymin + 1, xmax - xmin + 1, areas[i], bools)
+                grids[i] = _bit_grid(masks[i], ymax - ymin + 1, xmax - xmin + 1, areas[i], bools)
             except ValueError:
                 return None
-            built[i] = cls._region(ids[i], colours[i], tuple(map(float, centroids[i][:2])),
-                                   areas[i], (xmin, ymin, xmax, ymax), grid)
-        return cls(ids, codes, centroid, area, bbox, bounds, built)
+        return cls(ids, codes, centroid, area, bbox, bounds, grids)
 
     @staticmethod
     def _region(id: str, colour_class: str, centroid: tuple[float, float], area: int,
@@ -304,11 +305,12 @@ class RegionTable:
         built = self._built
         new = [i for i in rows if i not in built]
         if new:
-            ids, region = self._ids, self._region
+            ids, grids, region = self._ids, self._grids, self._region
             for i, code, (x, y), area, bbox in zip(
                     new, self._codes[new].tolist(), self._centroids[new].tolist(),
                     self._areas[new].tolist(), self._bboxes[new].tolist()):
-                built[i] = region(ids[i], COLOUR_CLASSES[code], (x, y), area, tuple(bbox))
+                built[i] = region(ids[i], COLOUR_CLASSES[code], (x, y), area, tuple(bbox),
+                                  grids.get(i))
         return [built[i] for i in rows]
 
     def group(self, k: int, classes: Collection[str] = COLOUR_CLASSES) -> tuple[Region, ...]:
@@ -326,28 +328,24 @@ class RegionTable:
         return groups[k]
 
 
-def regions_from_documents(objs: Sequence) -> tuple[Region, ...]:
-    """The Regions a list of region documents describes, through
-    :meth:`RegionTable.checked`, or document by document through
-    :func:`region_from_document` when the column passes turn it down."""
-    table = RegionTable.checked([objs])
-    return table.group(0) if table is not None else tuple(map(region_from_document, objs))
-
-
 def parse_scene(text: str) -> tuple[Region, ...]:
     return scene_from_document(load_json(text))
 
 
 def scene_from_document(doc) -> tuple[Region, ...]:
+    """The regions of a scene document, the rows of a :class:`RegionTable`; one
+    it turns down is read region by region only to name its first error."""
     if not (isinstance(doc, dict) and set(doc) == {"regions"} and isinstance(doc["regions"], list)):
         raise SpecSyntaxError('scene document must be {"regions": [...]}')
-    regions = regions_from_documents(doc["regions"])
+    table = RegionTable.checked([doc["regions"]])
+    if table is not None:
+        return table.group(0)
     seen = set()
-    for r in regions:
-        if r.id in seen:
-            raise SpecSyntaxError(f"duplicate region id '{r.id}'")
-        seen.add(r.id)
-    return regions
+    for rid in [region_from_document(obj).id for obj in doc["regions"]]:
+        if rid in seen:
+            raise SpecSyntaxError(f"duplicate region id '{rid}'")
+        seen.add(rid)
+    raise SpecSyntaxError("scene regions refused without a named error")
 
 
 def scene_to_document(regions: Sequence[Region]) -> dict:

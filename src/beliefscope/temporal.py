@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import contains, itemgetter
-from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +38,9 @@ from .network import (
     PRESENT,
     RELATION_STATES,
     ROW_SUM_TOL,
+    _DICT,
+    _INT,
+    _NUMBER,
     EvidenceSet,
     Network,
     NetworkSpec,
@@ -142,9 +145,6 @@ class FrameStream:
                     f"deviates from dt {self.dt:g} by more than 10%")
 
 
-_DICT, _INT, _SEQUENCE = {dict}, {int}, {list, tuple}
-
-
 #: frame lines decoded and checked at a time by :func:`parse_stream`, and frames read,
 #: evaluated and emitted at a time by ``track`` and ``check`` (:func:`read_stream`)
 CHUNK_FRAMES = 256
@@ -186,11 +186,11 @@ def parse_stream(text: str, cursor: StreamCursor | None = None) -> FrameStream |
     Blank lines are skipped; errors, a region's and a frame's too, name the
     line of the file.
 
-    Frames are decoded and checked :data:`CHUNK_FRAMES` at a time in column
-    passes (:func:`_column_frames`); their regions stay columns, built into
-    Regions only as they are read (:class:`Frame`).  A chunk the passes turn
-    down goes through :func:`_checked_frames`, line by line, which names its
-    first error or builds the frames the passes do not take.
+    Frames are decoded, checked and built :data:`CHUNK_FRAMES` at a time in
+    column passes (:func:`_column_frames`); their regions stay columns, built
+    into Regions only as they are read (:class:`Frame`).  A chunk the passes
+    turn down goes through :func:`_checked_frames`, line by line, which only
+    names its first error.
 
     With a ``cursor``, ``text`` is the next block of whole lines of a stream
     read block by block (:func:`read_stream`): lines are numbered on from the
@@ -216,8 +216,7 @@ def parse_stream(text: str, cursor: StreamCursor | None = None) -> FrameStream |
                 cursor.dt = finite_number(header["dt"], "stream header 'dt'")
             for start in range(0, len(lines), CHUNK_FRAMES):
                 chunk = lines[start:start + CHUNK_FRAMES]
-                checked = _column_frames(chunk)
-                frames += checked if checked is not None else _checked_frames(chunk)
+                frames += _column_frames(chunk) or _checked_frames(chunk)
         except (SpecSyntaxError, StreamValidationError) as exc:  # the first line error outranks all
             cursor.error, cursor.line_error = exc, True
     block = None
@@ -253,12 +252,12 @@ def read_stream(blocks: Iterable[str]) -> Iterator[tuple[Frame, ...]]:
 
 
 _FRAME_FIELDS = (itemgetter("index"), itemgetter("t"))
-_NUMBER = {int, float}
+_SEQUENCE = {list, tuple}  # a frame without "regions" has ()
 
 
-def _column_frames(lines: Sequence[tuple[int, str]]) -> list[Frame] | None:
+def _column_frames(lines: Sequence[tuple[int, str]]) -> list[_ColumnFrame] | None:
     """The frames of numbered stream lines, checked in column passes, or
-    None unless every line passes every check of :func:`_checked_frames`.
+    None when a line fails one of the checks :func:`_checked_frames` names.
 
     Lines are decoded one by one and dropped with the chunk; what is kept
     is one :class:`RegionTable` of the chunk's regions and a frame per line.
@@ -292,10 +291,9 @@ def _column_frames(lines: Sequence[tuple[int, str]]) -> list[Frame] | None:
     return list(map(_ColumnFrame, index, t, repeat(table), range(len(objs))))
 
 
-def _checked_frames(lines: Sequence[tuple[int, str]]) -> list[Frame]:
-    """The frames of numbered stream lines, checked one line at a time; the
-    first error names its line."""
-    frames = []
+def _checked_frames(lines: Sequence[tuple[int, str]]) -> NoReturn:
+    """The first error of numbered stream lines :func:`_column_frames` turned
+    down, checked one line at a time and raised naming its line."""
     for lineno, line in lines:
         obj = load_json(line, line=lineno)
         if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
@@ -311,10 +309,10 @@ def _checked_frames(lines: Sequence[tuple[int, str]]) -> list[Frame]:
         except SpecSyntaxError as exc:
             raise SpecSyntaxError(f"stream line {lineno}: {exc}") from None
         try:
-            frames.append(Frame(index, t, frame_regions))
+            Frame(index, t, frame_regions)
         except StreamValidationError as exc:
             raise StreamValidationError(f"stream line {lineno}: {exc}") from None
-    return frames
+    raise SpecSyntaxError(f"stream line {lines[0][0]}: frames refused without a named error")
 
 
 def stream_to_jsonl(stream: FrameStream) -> str:

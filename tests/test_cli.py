@@ -79,6 +79,15 @@ class TestValidate:
         assert code == 0
         assert "ok" in err
 
+    def test_out_is_an_unknown_argument(self, capsys, tmp_path):
+        """validate writes no document, so it takes no --out."""
+        path = tmp_path / "report.txt"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["validate", "--model", "bend", "--out", str(path)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_window_id_shared_with_the_hypothesis_exits_1(self, capsys, tmp_path):
         doc = dynamic_to_document(builtin_model("dirty_lens").model)
         doc["hypothesis"]["id"] = "spot_2"
@@ -613,8 +622,8 @@ class TestStreamInput:
         message = self.MASK_ENTRIES[entry]
         if message is None:
             assert (code, err) == (0, "")
-        else:
-            assert (code, out, err) == (2, "", f"stream line 2: region 'p': {message}\n")
+            return
+        assert (code, out, err) == (2, "", f"stream line 2: region 'p': {message}\n")
         with mock.patch.object(temporal, "_column_frames", lambda lines: None):  # line by line
             assert run(capsys, *argv) == (code, out, err)
 
@@ -1491,8 +1500,8 @@ class TestChunkedStreams:
 
 
 class TestFlagsForTheOtherModelKind:
-    """--mode is for semi-static models and --window for dynamic ones; either on
-    another kind of model exits 2 before the stream is read."""
+    """--mode is for semi-static models, --window and --delta for dynamic ones;
+    any of them on another kind of model exits 2 before the stream is read."""
 
     @pytest.mark.parametrize("command", ["track", "check"])
     @pytest.mark.parametrize("model, flag, kind", [
@@ -1500,12 +1509,29 @@ class TestFlagsForTheOtherModelKind:
         ("dirty_lens", ["--mode", "paper"], "dynamic"),
         ("lumen_tracker", ["--window", "3"], "semi-static"),
         ("diverticulum", ["--window", "2"], "single-scene"),
-        ("diverticulum", ["--mode", "filter"], "single-scene")])
+        ("diverticulum", ["--mode", "filter"], "single-scene"),
+        ("lumen_tracker", ["--delta", "3"], "semi-static"),
+        ("diverticulum", ["--delta", "3"], "single-scene"),
+        ("bend", ["--delta", "3"], "single-scene")])
     def test_exits_2_naming_the_flag_and_the_model_kind(self, capsys, command, model, flag, kind):
         code, out, err = run(capsys, command, "--model", model, *flag,
                              "--scenario", "static_spot", "--frames", "6")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and flag[0] in err and f"{kind} model" in err, err
+
+    @pytest.mark.parametrize("model", ["diverticulum", "bend"])
+    def test_delta_on_infer_exits_2(self, capsys, model):
+        assert run(capsys, "infer", "--model", model, "--scenario", "static_spot",
+                   "--delta", "3") == (
+            2, "", "--delta applies to dynamic models only, not to a single-scene model\n")
+
+    @pytest.mark.parametrize("command", ["track", "check"])
+    def test_delta_on_a_dynamic_model_is_taken(self, capsys, command):
+        argv = (command, "--model", "dirty_lens", "--scenario", "moving_spot", "--frames", "8")
+        code, out, err = run(capsys, *argv, "--delta", "100")
+        assert (code, err) == (0, "")
+        if command == "track":   # the spot moves 15 px a frame: beyond the model's delta, not 100
+            assert out != run(capsys, *argv)[1]
 
     def test_is_reported_before_the_stream_is_read(self, capsys, tmp_path):
         code, out, err = run(capsys, "track", "--model", "dirty_lens", "--mode", "filter",

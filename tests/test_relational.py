@@ -140,16 +140,16 @@ def _bit_grid(mask) -> bool:
             and all(type(v) is int and v in (0, 1) for row in mask for v in row))
 
 
-def _column_decoded(doc):
-    return relational.regions_from_documents([doc])[0]
+def _scene_decoded(doc):
+    return relational.scene_from_document({"regions": [doc]})[0]
 
 
 def assert_decoded_like_per_field(doc):
-    """region_from_document, and the column passes behind scenes and streams,
-    accept what the per-field decoder accepts, with the same fields, and name
-    every other error the same way, except for the integer range and mask
-    entry rules the per-field decoder lacks."""
-    for decode in (relational.region_from_document, _column_decoded):
+    """region_from_document, and scenes (a RegionTable, region_from_document
+    naming what it turns down), accept what the per-field decoder accepts,
+    with the same fields, and name every other error the same way, except for
+    the integer range and mask entry rules the per-field decoder lacks."""
+    for decode in (relational.region_from_document, _scene_decoded):
         _assert_decodes_like_per_field(decode, doc)
 
 

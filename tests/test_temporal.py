@@ -469,10 +469,26 @@ def assert_same_stream(stream, expected):
                 assert np.array_equal(region.mask, reference.mask)
 
 
+def assert_refusal_named_like_the_reference(text) -> bool:
+    """Whether the column passes turn down the frame lines of ``text``, as one
+    chunk; if they do, _checked_frames raises the error of
+    :func:`reference_parse_stream`, so its unnamed refusal never fires."""
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()][1:]
+    if temporal._column_frames(lines) is not None:
+        return False
+    with pytest.raises(Exception) as expected:
+        reference_parse_stream(text)
+    with pytest.raises(Exception) as named:
+        temporal._checked_frames(lines)
+    assert (type(named.value), str(named.value)) == (type(expected.value), str(expected.value))
+    return True
+
+
 def assert_parses_like_the_reference(text, chunk, classes):
     """parse_stream, ``chunk`` frame lines at a time, gives the frames and
-    regions of :func:`reference_parse_stream` or raises its error, and
-    ``regions_of(classes)`` reuses the Regions of ``regions``."""
+    regions of :func:`reference_parse_stream`, every one built by the column
+    passes, or raises its error, and ``regions_of(classes)`` reuses the
+    Regions of ``regions``."""
     try:
         expected = reference_parse_stream(text)
     except Exception as exc:
@@ -482,6 +498,7 @@ def assert_parses_like_the_reference(text, chunk, classes):
         return
     with mock.patch.object(temporal, "CHUNK_FRAMES", chunk):
         stream = parse_stream(text)
+    assert {type(frame) for frame in stream.frames} <= {temporal._ColumnFrame}  # no other builder
     for frame, want in zip(stream.frames, expected.frames):
         some = frame.regions_of(classes)   # read first: the full tuple reuses its Regions
         assert [r.id for r in some] == [r.id for r in want.regions if r.colour_class in classes]
@@ -500,26 +517,22 @@ class TestColumnIngest:
     def test_parses_like_the_line_by_line_reference(self, text, chunk, classes):
         assert_parses_like_the_reference(text, chunk, classes)
 
-    @settings(max_examples=200, deadline=None)
-    @given(hostile_streams(), st.sampled_from(["static_spot", "surround_scene", "empty"]),
-           st.integers(0, 9))
-    def test_line_by_line_frames_are_the_column_frames(self, text, scenario, seed):
-        """On lines the column passes take, _checked_frames builds the same frames,
-        field by field with masks: it is the route of any chunk they turn down."""
-        valid = []
-        for candidate in (text, stream_to_jsonl(generate_stream(scenario, 4, seed=seed))):
-            try:
-                reference_parse_stream(candidate)
-            except (SpecSyntaxError, StreamValidationError):
-                continue
-            valid.append(candidate)
-        for candidate in valid:
-            lines = [(n, line) for n, line in enumerate(candidate.split("\n"), start=1)
-                     if line.strip()][1:]
-            columns = temporal._column_frames(lines)
-            assert columns is not None
-            assert_same_stream(SimpleNamespace(dt=0.04, frames=temporal._checked_frames(lines)),
-                               SimpleNamespace(dt=0.04, frames=columns))
+    @settings(max_examples=400, deadline=None)
+    @given(hostile_streams())
+    def test_line_by_line_names_every_refused_chunk_like_the_reference(self, text):
+        assert_refusal_named_like_the_reference(text)
+
+    @pytest.mark.parametrize("base", SWEEP_BASES, ids=[b["id"] for b in SWEEP_BASES])
+    def test_line_by_line_names_every_refused_single_edit_like_the_reference(self, base):
+        good = {**base, "id": "ok"}
+        refused = 0
+        for doc in single_edits(base):
+            frames = [{"index": i, "t": round(i * 0.04, 6), "regions": [good, doc][:1 + (i == 1)]}
+                      for i in range(3)]
+            text = "\n".join([json.dumps({"dt": 0.04})] + list(map(json.dumps, frames)))
+            for literal in ("Infinity", "1e999"):
+                refused += assert_refusal_named_like_the_reference(text.replace("Infinity", literal))
+        assert refused
 
     @pytest.mark.parametrize("base", SWEEP_BASES, ids=[b["id"] for b in SWEEP_BASES])
     def test_every_single_edit_parses_like_the_reference(self, base):
@@ -571,7 +584,8 @@ class TestColumnIngest:
 
     def test_tracking_builds_regions_of_the_admitted_classes_only(self, capsys, monkeypatch,
                                                                 tmp_path):
-        text, docs = twelve_region_stream(40)
+        """Masked rows too: no model here admits the masked "other" regions."""
+        text, docs = twelve_region_stream(40, masked=True)
         path = tmp_path / "stream.jsonl"
         path.write_text(text)
         built = []
@@ -611,10 +625,10 @@ class TestColumnIngest:
         assert held / len(docs) < 200, held / len(docs)
 
 
-def twelve_region_stream(n):
+def twelve_region_stream(n, masked=False):
     """(JSONL text, every region document) of n frames of 12 regions: a
     yellow spot in three of every four frames among dark, bright and other
-    distractors."""
+    distractors; with ``masked``, each "other" distractor has a full mask."""
     lines, docs = [json.dumps({"dt": 0.04})], []
     for i in range(n):
         regions = []
@@ -626,6 +640,8 @@ def twelve_region_stream(n):
             x = 100 + 20 * k
             regions.append({"id": f"d{k}", "colour_class": ("dark", "bright", "other")[k % 3],
                             "centroid": [x + 1.0, 200.0], "area": 9, "bbox": [x, 199, x + 2, 201]})
+            if masked and k % 3 == 2:
+                regions[-1]["mask"] = [[1, 1, 1]] * 3
         docs += regions
         lines.append(json.dumps({"index": i, "t": round(i * 0.04, 6), "regions": regions}))
     return "\n".join(lines) + "\n", docs
