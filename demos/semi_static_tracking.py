@@ -18,7 +18,7 @@ from beliefscope import (
 )
 
 model = builtin_model("lumen_tracker").model
-print(f"hypothesis '{model.hypothesis}', transition rows {model.transition.tolist()}, "
+print(f"hypothesis '{model.hypothesis}', transition rows {[list(row) for row in model.transition]}, "
       f"mode '{model.mode}'")
 
 # A dark region persists for six frames, then vanishes for six more.

@@ -1,8 +1,9 @@
 """Tree-network inference with deterministic relational nodes and temporal recognition.
 
 Public names are imported from their modules on first use, so a command compiles
-and runs only the modules it needs: ``infer`` and ``validate`` on a network spec
-never load the relational, temporal or endoscopy modules.
+and runs only the modules it needs: ``validate`` and ``compile`` load neither numpy
+nor any module past ``network`` and ``models``, and ``infer`` on a network spec never
+loads the relational, temporal or endoscopy modules.
 """
 
 import importlib
@@ -28,12 +29,12 @@ _EXPORTS = {
     "propagation": ("Beliefs", "brute_force_beliefs", "map_assignment", "propagate"),
     "relational": ("Region", "bind_features", "eval_relation", "parse_scene",
                    "relational_diagnostics", "relationalize", "scene_to_document", "select_region"),
-    "temporal": ("BeliefTrace", "DynamicModel", "Frame", "FrameBelief", "FrameStream",
-                 "TemporalModel", "build_dynamic_window", "dynamic_trace", "dynamic_windows",
-                 "filter_frames", "filter_stream", "match_regions", "parse_stream",
-                 "semi_static_prior", "stream_to_jsonl", "window_spec"),
-    "endoscopy": ("DEFAULT_PROBS", "BuiltinModel", "SCENARIOS", "builtin_model", "compile_rule",
-                  "generate_stream"),
+    "models": ("DEFAULT_PROBS", "BuiltinModel", "DynamicModel", "TemporalModel", "builtin_model",
+               "compile_rule", "window_spec"),
+    "temporal": ("BeliefTrace", "Frame", "FrameBelief", "FrameStream", "build_dynamic_window",
+                 "dynamic_trace", "dynamic_windows", "filter_frames", "filter_stream",
+                 "match_regions", "parse_stream", "semi_static_prior", "stream_to_jsonl"),
+    "endoscopy": ("SCENARIOS", "generate_stream"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

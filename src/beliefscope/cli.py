@@ -13,12 +13,9 @@ import gc
 import json
 import math
 import sys
-import tempfile
 from contextlib import nullcontext
 from itertools import islice
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     BeliefscopeError,
@@ -34,16 +31,19 @@ from .network import (
     Network,
     NetworkSpec,
     apply_evidence,
+    check_network,
     evidence_from_document,
     load_json,
     network_spec_from_document,
     network_spec_to_document,
     validate_network,
 )
-from .propagation import downward, enumerate_beliefs, observation_codes, propagate, sig10
 
-# relational, temporal and endoscopy are imported by the commands that use them: each module
-# is compiled on every run, and infer and validate on a network spec need none of them
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy and every module past network and models are imported by the commands that compute
+# with them: each module is compiled on every run, and validate and compile need none of them
 
 ORACLE_TOLERANCE = 1e-9
 
@@ -78,9 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, metavar="PX", help="static-displacement threshold override")
         p.add_argument("--delta", type=float, metavar="PX", help="cross-frame matching radius override")
 
-    def add_generation_flags(p):
-        p.add_argument("--seed", type=int, default=0, metavar="S")
-        p.add_argument("--frames", type=int, default=5, metavar="N")
+    def add_generation_flags(p):  # _run gives their defaults to a --scenario input only
+        p.add_argument("--seed", type=int, metavar="S")
+        p.add_argument("--frames", type=int, metavar="N")
 
     p = sub.add_parser("validate", help="report every diagnostic for a model document")
     add_model_flags(p)
@@ -182,18 +182,18 @@ def _emit(args, parts: Iterable[str]) -> None:
 
 def _load_model(args):
     if args.rule is not None:
-        from .endoscopy import compile_rule
+        from .models import compile_rule
         return compile_rule(args.rule)
     if args.model is not None:
-        from .endoscopy import builtin_model
+        from .models import builtin_model
         return builtin_model(args.model).model
     doc = load_json(_read(args.spec))
     kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "semi_static":
-        from .temporal import semi_static_from_document
+        from .models import semi_static_from_document
         return semi_static_from_document(doc)
     if kind == "dynamic":
-        from .temporal import dynamic_from_document
+        from .models import dynamic_from_document
         return dynamic_from_document(doc)
     return network_spec_from_document(doc)
 
@@ -237,6 +237,7 @@ def _batches(args, model) -> Iterator[tuple]:
 
 def _scene_rows(args, spec: NetworkSpec, chunks) -> Iterator[tuple]:
     """(net, codes, None) per chunk: a single-scene spec's code row for each frame."""
+    from .propagation import observation_codes
     from .relational import relation_evidence
     from .temporal import bind_frame
     net = validate_network(spec)
@@ -250,8 +251,8 @@ def _misapplied_flag(args, model) -> str | None:
     """The message for ``--mode`` on a model that is not semi-static, or ``--window``
     or ``--delta`` on one that is not dynamic, else None."""
     kind = "single-scene"
-    if not isinstance(model, NetworkSpec):  # so infer on a spec loads no temporal code
-        from .temporal import TemporalModel
+    if not isinstance(model, NetworkSpec):  # so infer on a spec loads no models code
+        from .models import TemporalModel
         kind = "semi-static" if isinstance(model, TemporalModel) else "dynamic"
     for flag, owner in (("mode", "semi-static"), ("window", "dynamic"), ("delta", "dynamic")):
         if getattr(args, flag, None) is not None and kind != owner:  # infer has no --mode, --window
@@ -268,14 +269,18 @@ def _scene_inputs(args, spec: NetworkSpec):
         return relationalize(spec, frame.regions, tau=args.tau, epsilon=args.epsilon)
     doc = load_json(_read(args.scene))
     if isinstance(doc, dict) and "assignments" in doc:
-        return validate_network(spec), evidence_from_document(doc)
+        net, ev = validate_network(spec), evidence_from_document(doc)
+        for name in ("tau", "epsilon"):  # no relation is evaluated
+            if getattr(args, name) is not None:
+                raise SpecSyntaxError(f"--{name} applies to scenes and streams only, not to an evidence document")
+        return net, ev
     from .relational import relationalize, scene_from_document
     return relationalize(spec, scene_from_document(doc), tau=args.tau, epsilon=args.epsilon)
 
 
 def _with_mode(model, mode: str | None):
     """A semi-static model in ``mode``, if given."""
-    from .temporal import TemporalModel
+    from .models import TemporalModel
     if mode is None or mode == model.mode:
         return model
     return TemporalModel(model.per_frame, model.transition, mode)
@@ -284,7 +289,7 @@ def _with_mode(model, mode: str | None):
 def _cmd_validate(args) -> int:
     model = _load_model(args)  # temporal and dynamic models are checked on construction
     if isinstance(model, NetworkSpec):
-        validate_network(model)
+        check_network(model)
     print("ok", file=sys.stderr)
     return 0
 
@@ -295,11 +300,10 @@ def _cmd_compile(args) -> int:
         defaults = load_json(_read(args.defaults))
         if not isinstance(defaults, dict):
             raise SpecSyntaxError("defaults document must be a JSON object")
-    from .endoscopy import compile_rule
-    from .temporal import dynamic_to_document
+    from .models import compile_rule, dynamic_to_document
     model = compile_rule(args.rule, defaults)
     if isinstance(model, NetworkSpec):
-        validate_network(model)
+        check_network(model)
         doc = network_spec_to_document(model)
     else:
         doc = dynamic_to_document(model)
@@ -315,6 +319,7 @@ def _cmd_infer(args) -> int:
     if message is not None:
         print(message, file=sys.stderr)
         return 2
+    from .propagation import propagate
     net, ev = _scene_inputs(args, model)
     _emit(args, [propagate(apply_evidence(net, ev)).to_json()])
     return 0
@@ -333,6 +338,7 @@ def _cmd_track(args) -> int:
     if message is not None:
         print(message, file=sys.stderr)
         return 2
+    import tempfile
     # the whole trace is made before --out is opened; past SPOOL_CHARS it waits on disk
     with tempfile.SpooledTemporaryFile(SPOOL_CHARS, "w+", encoding="utf-8", newline="") as spool:
         for _, _, trace in _batches(args, model):
@@ -355,7 +361,9 @@ def _rows_to_check(args, model) -> Iterator[tuple]:
     over: a code row per network, each row's root prior replacing the network's own (a
     semi-static frame's effective prior) and the hypothesis posterior ``track`` prints for
     each, or None for either.  A stream gives a batch per chunk (:func:`_batches`)."""
-    from .temporal import TemporalModel
+    import numpy as np
+    from .models import TemporalModel
+    from .propagation import observation_codes
     if isinstance(model, NetworkSpec) and args.scene is not None:
         net, ev = _scene_inputs(args, model)  # apply_evidence names a file's unknown labels
         yield net, observation_codes(net, [apply_evidence(net, ev).observed]), None, None
@@ -380,6 +388,8 @@ def _residual(net: Network, codes: np.ndarray, priors: np.ndarray | None,
     distinct (code row, root prior) goes once, in first-seen order, through one call of
     each; ``roots`` keeps its oracle hypothesis marginal, by the row's bytes, for the
     printed posteriors of later batches."""
+    import numpy as np
+    from .propagation import downward, enumerate_beliefs
     keys = [row.tobytes() for row in (codes if priors is None else np.hstack([codes, priors]))]
     first: dict[bytes, int] = {}  # each new distinct row's first frame or window
     for i, key in enumerate(keys):
@@ -420,6 +430,7 @@ def _cmd_check(args) -> int:
     window still counts in ``over N network(s)``.  A kernel error is raised after
     the whole stream, so an error ``track`` raises on a later frame comes first.
     """
+    from .propagation import sig10
     model = _load_model(args)
     message = _misapplied_flag(args, model)
     if message is not None:
@@ -478,6 +489,14 @@ def _run(argv) -> int:
         value = getattr(args, name, None)
         if value is not None and not 0 < value < math.inf:
             print(f"--{name} must be a finite, strictly positive number", file=sys.stderr)
+            return 2
+    for name, default in (("seed", 0), ("frames", 5)):  # they shape a --scenario input only
+        value = getattr(args, name, None)
+        if getattr(args, "scenario", None) is not None:
+            setattr(args, name, default if value is None else value)
+        elif value is not None:
+            source = "stream" if getattr(args, "stream", None) is not None else "scene"
+            print(f"--{name} applies to --scenario input only, not to --{source}", file=sys.stderr)
             return 2
     try:
         return _COMMANDS[args.command](args)

@@ -6,9 +6,10 @@ that a bad document is reported with all of its problems at once.
 
 Node entries of chance nodes are parsed as columns (:func:`_column_nodes`).  A spec
 is checked by :func:`network_diagnostics` alone, the only source of every verdict and
-message, and :func:`validate_network` checks and builds each spec object once: its
-Network is derived data of the immutable spec.  Each ``Node.cpt`` is a read-only view
-of its CPT stack, renormalised at once.
+message.  :func:`check_network` checks each spec object once, in pure Python, and
+:func:`validate_network` also builds it once: its Network is derived data of the
+immutable spec.  Each ``Node.cpt`` is a read-only view of its CPT stack, renormalised
+at once; building one is the only use of numpy here.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import EvidenceError, InvalidNetworkError, SpecSyntaxError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ROW_SUM_TOL = 1e-9
 
@@ -112,11 +114,17 @@ class NetworkSpec:
         return replace(self, nodes=nodes)
 
     @cached_property  # each derived once for diagnostics and validation alike
-    def _network(self) -> Network:
-        """:func:`validate_network`'s Network; not kept while the spec is invalid."""
+    def _checked(self) -> bool:
+        """:func:`check_network`'s verdict; not kept while the spec is invalid."""
         diags = network_diagnostics(self)
         if diags:
             raise InvalidNetworkError(diags)
+        return True
+
+    @cached_property
+    def _network(self) -> Network:
+        """:func:`validate_network`'s Network, built once the spec is checked."""
+        check_network(self)
         return _build_network(self)
 
     @cached_property
@@ -131,16 +139,6 @@ class NetworkSpec:
             for p in n.parents:
                 children[p].append(n.id)
         return children
-
-    @cached_property
-    def _tables(self) -> list[tuple[list[int], np.ndarray]]:
-        """Per count of rows and of states, the positions in ``nodes`` of those nodes and
-        their rows stacked as one float array; ValueError when a node's rows are ragged."""
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, n in enumerate(self.nodes):
-            groups.setdefault((len(n.rows), len(n.states)), []).append(i)
-        return [(slots, np.array([self.nodes[i].rows for i in slots], dtype=float))
-                for slots in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -612,30 +610,38 @@ def _colour_classes(pred: Mapping[str, Any]) -> frozenset[str]:
 
 def normalised_rows(rows) -> np.ndarray:
     """Rows as a read-only float array, each renormalised to sum to 1 (stacks of
-    CPTs and transition tables)."""
+    CPTs and transition tables); the model layer's only numpy."""
+    import numpy as np
     cpt = np.asarray(rows, dtype=float)
     cpt = cpt / cpt.sum(axis=-1, keepdims=True)
     cpt.flags.writeable = False
     return cpt
 
 
-def validate_network(spec: NetworkSpec) -> Network:
-    """Check every invariant; on success the Network with rows renormalised.
+def check_network(spec: NetworkSpec) -> None:
+    """Check every invariant, once per spec object, building nothing; raises
+    InvalidNetworkError carrying the full diagnostic list on every call while
+    the spec is invalid."""
+    spec._checked
 
-    A spec is checked and built once: later calls return the same Network.
-    Raises InvalidNetworkError carrying the full diagnostic list on every
-    call while the spec is invalid.
-    """
+
+def validate_network(spec: NetworkSpec) -> Network:
+    """:func:`check_network`; on success the Network with rows renormalised,
+    built once: later calls return the same Network."""
     return spec._network
 
 
 def _build_network(spec: NetworkSpec) -> Network:
     """The Network of a spec that :func:`network_diagnostics` finds valid,
-    or one valid by construction."""
+    or one valid by construction: the CPTs of each count of rows and of
+    states stacked as one array."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, n in enumerate(spec.nodes):
+        groups.setdefault((len(n.rows), len(n.states)), []).append(i)
     cpts: list = [None] * len(spec.nodes)
     stacked = {}
-    for slots, table in spec._tables:
-        table = normalised_rows(table)
+    for slots in groups.values():
+        table = normalised_rows([spec.nodes[i].rows for i in slots])
         for k, (i, cpt) in enumerate(zip(slots, table)):
             cpts[i] = cpt
             stacked[spec.nodes[i].id] = table, k

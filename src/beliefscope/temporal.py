@@ -7,19 +7,19 @@ inter-frame relation node per consecutive matched pair.
 
 Both return one batch ``(net, codes, trace)``: the Network all frames or windows
 share, a code row per frame or window (:func:`~beliefscope.propagation.observation_codes`),
-the only evidence form past binding, and the beliefs ``track`` prints.
+the only evidence form past binding, and the beliefs ``track`` prints.  The models
+and their documents are defined in :mod:`beliefscope.models`, which imports no numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import contains, itemgetter
-from typing import Any, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,31 +28,28 @@ from .errors import (
     BeliefscopeError,
     FrameInferenceError,
     ImpossibleEvidenceError,
-    InvalidNetworkError,
     SpecSyntaxError,
     StreamValidationError,
 )
+from .models import (  # the models themselves, re-exported here
+    DEFAULT_MATCH_DELTA, DEFAULT_MAX_WINDOW, MODES, DynamicModel, TemporalModel, _window_ids,
+    dynamic_from_document, dynamic_to_document, semi_static_from_document,
+    semi_static_to_document, window_spec)
 from .network import (
     ABSENT,
     FEATURE_STATES,
     PRESENT,
     RELATION_STATES,
-    ROW_SUM_TOL,
     _DICT,
     _INT,
     _NUMBER,
     EvidenceSet,
     Network,
     NetworkSpec,
-    NodeSpec,
-    _as_str_list,
     _build_network,
     _colour_classes,
     finite_number,
     load_json,
-    network_diagnostics,
-    network_spec_from_document,
-    network_spec_to_document,
     normalised_rows,
     strict_int,
     validate_network,
@@ -70,11 +67,7 @@ from .relational import (
     select_region,
 )
 
-MODES = ("paper", "filter")
-
-DEFAULT_MATCH_DELTA = 10.0
 DEFAULT_AREA_RATIO = (0.5, 2.0)
-DEFAULT_MAX_WINDOW = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,47 +351,6 @@ def _mixed_prior(prior: np.ndarray, trans: np.ndarray, prev: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class TemporalModel:
-    """Per-frame relational spec plus the hypothesis transition table, valid by construction
-    (InvalidNetworkError carries the diagnostics of both); the per-frame spec keeps its
-    Network (:func:`validate_network`), so a model rebuilt over it is not checked again."""
-
-    per_frame: NetworkSpec
-    transition: np.ndarray
-    mode: str = "paper"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidNetworkError([f"mode must be one of {MODES}"])
-        states = self.per_frame.node(self.per_frame.root).states
-        trans = np.asarray(self.transition, dtype=float)
-        try:
-            validate_network(self.per_frame)
-            diags = []
-        except InvalidNetworkError as exc:
-            diags = exc.diagnostics
-        k = len(states)
-        if trans.shape != (k, k):
-            diags.append(f"transition must be {k}x{k} over the hypothesis states")
-        else:
-            for i, row in enumerate(trans):
-                if not np.isfinite(row).all():
-                    diags.append(f"transition: non-finite entry (row {i})")
-                    continue
-                if abs(row.sum() - 1.0) > ROW_SUM_TOL:
-                    diags.append(f"transition: row sum {row.sum():g} != 1 (row {i})")
-                if ((row < 0) | (row > 1)).any():
-                    diags.append(f"transition: entry outside [0,1] (row {i})")
-        if diags:
-            raise InvalidNetworkError(diags)
-        object.__setattr__(self, "transition", normalised_rows(trans))
-
-    @property
-    def hypothesis(self) -> str:
-        return self.per_frame.root
-
-
-@dataclass(frozen=True, eq=False)
 class FrameBelief:
     index: int
     posterior: np.ndarray
@@ -465,7 +417,7 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
     """
     spec, net = model.per_frame, validate_network(model.per_frame)
     root = net.node(spec.root)
-    paper = model.mode == "paper"
+    paper, transition = model.mode == "paper", normalised_rows(model.transition)
     prev = None  # the previous frame's posterior
     for frames in chunks:
         if not frames:
@@ -484,7 +436,7 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
 
         beliefs: list[FrameBelief] = []
         for i, frame in enumerate(frames):
-            eff = (_mixed_prior(root.cpt[0], model.transition, prev, paper)
+            eff = (_mixed_prior(root.cpt[0], transition, prev, paper)
                    if prev is not None else root.cpt[0])
             if i == len(observed):
                 raise failure
@@ -557,98 +509,6 @@ def _class_matching(prev: Sequence[Region], cur: Sequence[Region], delta: float)
         matched[pid] = cid
         used_cur.add(cid)
     return matched
-
-
-@dataclass(frozen=True, eq=False)
-class DynamicModel:
-    """Template for window recognition: hypothesis, per-frame presence node,
-    and one inter-frame relation node per consecutive pair.
-
-    Valid by construction: InvalidNetworkError carries every diagnostic of
-    the fields, then of the template's rows and predicate, each once: they
-    are checked on a star with one presence node, bound by the predicate
-    (``bound node <feature>_0: ...``), and one relation node over it, which
-    is left out while the evaluator has no states.  Node ids must differ in
-    every window of up to ``max_window`` frames.  So every such window's tree
-    is valid, and :func:`_window_codes` builds it without checking it again.
-    """
-
-    hypothesis_id: str
-    hypothesis_states: tuple[str, ...]
-    prior: tuple[float, ...]
-    feature_id: str
-    feature_rows: tuple[tuple[float, ...], ...]
-    predicate: Mapping[str, Any]
-    relation_id: str
-    relation_evaluator: str
-    relation_rows: tuple[tuple[float, ...], ...]
-    params: Mapping[str, float] = field(default_factory=dict)
-    delta: float = DEFAULT_MATCH_DELTA
-    max_window: int = DEFAULT_MAX_WINDOW
-
-    def __post_init__(self):
-        diags = []
-        if self.relation_evaluator not in ("static", "distance"):
-            diags.append(f"dynamic relation evaluator must be static or distance, "
-                         f"got '{self.relation_evaluator}'")
-        if self.max_window < 2:
-            diags.append("max_window must be >= 2")
-        if self.delta <= 0:
-            diags.append("match delta must be strictly positive")
-        presence = f"{self.feature_id}_0"
-        relations = ([(f"{self.relation_id}_0_1", presence, presence)]
-                     if self.relation_evaluator in RELATION_STATES else [])
-        diags += network_diagnostics(_star_spec(self, [presence], relations))
-        # Windows of k frames hold the hypothesis, F_i (i < k) and R_j_(j+1) (j + 1 < k); no two F_i
-        # or R_j_(j+1) are equal, so ids are shared only if the hypothesis is one of them or F is some R_j.
-        k, hyp, fid, rid = self.max_window, self.hypothesis_id, self.feature_id, self.relation_id
-        j, f = _window_index(hyp.rpartition("_")[0], rid, k - 1), _window_index(fid, rid, k - 1)
-        shared = [hyp] if (_window_index(hyp, fid, k) is not None
-                           or j is not None and hyp.endswith(f"_{j + 1}")) else []
-        shared += [f"{fid}_{f + 1}"] if f is not None else []  # equal to R_f_(f+1)
-        diags += [d for d in dict.fromkeys(f"duplicate node id '{nid}'" for nid in shared)
-                  if d not in diags]
-        if diags:
-            raise InvalidNetworkError(diags)
-
-
-def _window_index(nid: str, prefix: str, limit: int) -> int | None:
-    """i when ``nid`` is ``f"{prefix}_{i}"`` for some 0 <= i < limit, else None."""
-    m = re.fullmatch(re.escape(prefix) + "_(0|[1-9][0-9]*)", nid)
-    # an index with more digits than limit is not below it, and is never converted
-    return int(m[1]) if m and len(m[1]) <= len(str(limit)) and int(m[1]) < limit else None
-
-
-def _star_spec(model: DynamicModel, presence: Sequence[str],
-               relations: Sequence[tuple[str, str, str]]) -> NetworkSpec:
-    """The model's hypothesis over the presence nodes ``presence``, each bound
-    by the model's predicate, and over relation nodes given as (id, input,
-    input)."""
-    nodes = [NodeSpec(model.hypothesis_id, "chance", tuple(model.hypothesis_states), (),
-                      (tuple(model.prior),))]
-    for fid in presence:
-        nodes.append(NodeSpec(fid, "chance", FEATURE_STATES, (model.hypothesis_id,),
-                              tuple(tuple(r) for r in model.feature_rows)))
-    for rid, a, b in relations:
-        nodes.append(NodeSpec(
-            rid, "relation", RELATION_STATES[model.relation_evaluator],
-            (model.hypothesis_id,), tuple(tuple(r) for r in model.relation_rows),
-            evaluator=model.relation_evaluator, inputs=(a, b), params=dict(model.params)))
-    return NetworkSpec(model.hypothesis_id, tuple(nodes), {fid: model.predicate for fid in presence})
-
-
-def _window_ids(model: DynamicModel, k: int) -> tuple[list[str], list[str]]:
-    """The presence and relation node ids of a k-frame window, in frame order."""
-    return ([f"{model.feature_id}_{i}" for i in range(k)],
-            [f"{model.relation_id}_{i}_{i + 1}" for i in range(k - 1)])
-
-
-def window_spec(model: DynamicModel, k: int) -> NetworkSpec:
-    """The tree for a k-frame window: hypothesis -> k presence nodes, each
-    bound by the model's predicate, + k-1 relation nodes."""
-    presence, relations = _window_ids(model, k)
-    return _star_spec(model, presence, [(rid, presence[i], presence[i + 1])
-                                        for i, rid in enumerate(relations)])
 
 
 def _window_codes(model: DynamicModel, chunks: Iterable[Sequence[Frame]], window: int | None, *,
@@ -788,84 +648,3 @@ def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | Non
     """Sliding-window dynamic recognition over a stream: the trace of
     :func:`dynamic_windows`, one entry per window, indexed by its last frame."""
     return dynamic_windows(model, stream.frames, window, tau=tau, epsilon=epsilon, delta=delta)[2]
-
-
-# ---------------------------------------------------------------------------
-# model documents
-
-
-def semi_static_from_document(doc) -> TemporalModel:
-    if not (isinstance(doc, dict) and doc.get("type") == "semi_static"):
-        raise SpecSyntaxError('semi-static model document must have "type": "semi_static"')
-    for key in doc:
-        if key not in {"type", "per_frame", "transition", "mode"}:
-            raise SpecSyntaxError(f"semi-static model: unknown field '{key}'")
-    if "per_frame" not in doc or "transition" not in doc:
-        raise SpecSyntaxError("semi-static model: 'per_frame' and 'transition' required")
-    spec = network_spec_from_document(doc["per_frame"])
-    trans = doc["transition"]
-    if not (isinstance(trans, list) and all(isinstance(r, list) for r in trans)):
-        raise SpecSyntaxError("semi-static model: 'transition' must be a list of rows")
-    rows = [[finite_number(v, "semi-static model: 'transition'") for v in r] for r in trans]
-    return TemporalModel(spec, np.asarray(rows, dtype=float), doc.get("mode", "paper"))
-
-
-def semi_static_to_document(model: TemporalModel) -> dict:
-    return {
-        "type": "semi_static",
-        "mode": model.mode,
-        "transition": [[float(v) for v in row] for row in model.transition],
-        "per_frame": network_spec_to_document(model.per_frame),
-    }
-
-
-def dynamic_from_document(doc) -> DynamicModel:
-    if not (isinstance(doc, dict) and doc.get("type") == "dynamic"):
-        raise SpecSyntaxError('dynamic model document must have "type": "dynamic"')
-    for key in doc:
-        if key not in {"type", "hypothesis", "feature", "relation", "max_window", "delta"}:
-            raise SpecSyntaxError(f"dynamic model: unknown field '{key}'")
-    try:
-        hyp, feat, rel = doc["hypothesis"], doc["feature"], doc["relation"]
-        return DynamicModel(
-            hypothesis_id=hyp["id"],
-            hypothesis_states=_as_str_list(hyp["states"], "dynamic model: hypothesis 'states'"),
-            prior=tuple(finite_number(p, "dynamic model: hypothesis 'prior'")
-                        for p in hyp["prior"]),
-            feature_id=feat["id"],
-            feature_rows=tuple(tuple(finite_number(v, "dynamic model: feature 'cpt'") for v in r)
-                               for r in feat["cpt"]),
-            predicate={a: (tuple(v) if isinstance(v, list) else v) for a, v in feat["bind"].items()},
-            relation_id=rel["id"],
-            relation_evaluator=rel["evaluator"],
-            relation_rows=tuple(tuple(finite_number(v, "dynamic model: relation 'cpt'") for v in r)
-                                for r in rel["cpt"]),
-            params={k: finite_number(v, f"dynamic model: relation param '{k}'")
-                    for k, v in rel.get("params", {}).items()},
-            delta=finite_number(doc.get("delta", DEFAULT_MATCH_DELTA), "dynamic model: 'delta'"),
-            max_window=strict_int(doc.get("max_window", DEFAULT_MAX_WINDOW),
-                                  "dynamic model: 'max_window'"),
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SpecSyntaxError(f"malformed dynamic model document: {exc}") from None
-
-
-def dynamic_to_document(model: DynamicModel) -> dict:
-    rel: dict[str, Any] = {
-        "id": model.relation_id,
-        "evaluator": model.relation_evaluator,
-        "cpt": [list(r) for r in model.relation_rows],
-    }
-    if model.params:
-        rel["params"] = dict(model.params)
-    return {
-        "type": "dynamic",
-        "hypothesis": {"id": model.hypothesis_id, "states": list(model.hypothesis_states),
-                       "prior": list(model.prior)},
-        "feature": {"id": model.feature_id, "cpt": [list(r) for r in model.feature_rows],
-                    "bind": {a: (list(v) if isinstance(v, tuple) else v)
-                             for a, v in model.predicate.items()}},
-        "relation": rel,
-        "max_window": model.max_window,
-        "delta": model.delta,
-    }

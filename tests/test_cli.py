@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beliefscope import cli, endoscopy, network, relational, temporal
+from beliefscope import cli, endoscopy, network, propagation, relational, temporal
 from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
 from beliefscope.network import network_spec_to_document
 from beliefscope.propagation import Beliefs, sig10, sig10_json
@@ -168,6 +168,16 @@ class TestValidate:
         assert (code, out) == (1, "")
         assert err.splitlines() == ["node dark_region: row sum 1.1 != 1 (row 0)",
                                     "transition: row sum 1.1 != 1 (row 0)"]
+
+    def test_ragged_transition_is_a_diagnostic_beside_the_per_frame_ones(self, capsys, tmp_path):
+        doc = semi_static_to_document(builtin_model("lumen_tracker").model)
+        doc["per_frame"]["nodes"][1]["cpt"][0] = [0.9, 0.2]
+        doc["transition"] = [[0.9, 0.1], [0.2]]
+        path = tmp_path / "semi.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", "--spec", str(path)) == (
+            1, "", "node dark_region: row sum 1.1 != 1 (row 0)\n"
+                   "transition must be 2x2 over the hypothesis states\n")
 
     def test_dynamic_document_lists_evaluator_and_window_diagnostics(self, capsys, tmp_path):
         doc = dynamic_to_document(builtin_model("dirty_lens").model)
@@ -719,12 +729,13 @@ class TestCheck:
         assert "stream input" in err
 
     def test_mismatch_exits_4(self, capsys, monkeypatch, two_node_spec_file, evidence_file):
-        real = cli.enumerate_beliefs
+        real = propagation.enumerate_beliefs
 
         def skewed(*args, **kwargs):
             return {nid: vec + 1e-6 for nid, vec in real(*args, **kwargs).items()}
 
-        monkeypatch.setattr(cli, "enumerate_beliefs", skewed)
+        # check imports the kernels when it runs, so the oracle is patched where it lives
+        monkeypatch.setattr(propagation, "enumerate_beliefs", skewed)
         code, _, err = run(capsys, "check", "--spec", two_node_spec_file,
                            "--scene", evidence_file)
         assert code == 4
@@ -833,8 +844,8 @@ class TestCheckRoutes:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(cli, "downward")
-        counted(cli, "enumerate_beliefs")
+        counted(propagation, "downward")
+        counted(propagation, "enumerate_beliefs")
         counted(temporal, "select_region")
         code, out, _ = run(capsys, "check", "--model", "dirty_lens", "--stream", path,
                            "--window", "3")
@@ -1069,21 +1080,36 @@ def launcher():
     return [script] if script else [sys.executable, "-m", "beliefscope"]
 
 
+#: the modules a command that checks a model loads: no numpy, no stream or propagation code
+MODEL_LAYER = ["beliefscope.cli", "beliefscope.errors", "beliefscope.models", "beliefscope.network"]
+
+#: (argv, the beliefscope modules and numpy loaded once it has run)
+LOADED_BY = [
+    (["infer", "--spec", "spec.json", "--scene", "ev.json"],
+     ["beliefscope.cli", "beliefscope.errors", "beliefscope.network", "beliefscope.propagation",
+      "numpy"]),
+    (["validate", "--spec", "spec.json"], ["beliefscope.cli", "beliefscope.errors", "beliefscope.network"]),
+    *((["validate", "--model", m], MODEL_LAYER) for m in SPATIAL + TEMPORAL),
+    (["validate", "--spec", "semi_static.json"], MODEL_LAYER),
+    (["validate", "--spec", "dynamic.json"], MODEL_LAYER),
+    *(([c, "--rule", r], MODEL_LAYER)
+      for c in ("validate", "compile") for r in (SURROUNDING_RULE, STATIC_RULE)),
+]
+
+
 class TestEntryPoint:
-    def test_infer_and_validate_on_a_network_spec_load_only_what_they_run(self, tmp_path):
-        (tmp_path / "spec.json").write_text(json.dumps(TWO_NODE_DOC))
-        (tmp_path / "ev.json").write_text('{"assignments": {"F": "t"}}')
+    @pytest.mark.parametrize("argv, loaded", [pytest.param(a, m, id=" ".join(a)) for a, m in LOADED_BY])
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, loaded):
+        for name, doc in (("spec.json", TWO_NODE_DOC), ("ev.json", {"assignments": {"F": "t"}}),
+                          ("semi_static.json", LUMEN_DOC), ("dynamic.json", DIRTY_DOC)):
+            (tmp_path / name).write_text(json.dumps(doc))
         code = ("import sys; from beliefscope.cli import main; main(sys.argv[1:]); "
-                "print(sorted(m for m in sys.modules if m.startswith('beliefscope.')))")
-        for argv in (["infer", "--spec", "spec.json", "--scene", "ev.json"],
-                     ["validate", "--spec", "spec.json"]):
-            done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
-                                  capture_output=True, text=True,
-                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-            assert done.returncode == 0, done.stderr
-            assert done.stdout.splitlines()[-1] == str(["beliefscope.cli", "beliefscope.errors",
-                                                        "beliefscope.network",
-                                                        "beliefscope.propagation"])
+                "print(sorted(m for m in sys.modules if m.startswith('beliefscope.') or m == 'numpy'))")
+        done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == str(loaded)
 
     def test_console_script_round_trip(self, tmp_path):
         generate = subprocess.run(
@@ -1538,6 +1564,44 @@ class TestFlagsForTheOtherModelKind:
                              "--stream", str(tmp_path / "missing.jsonl"))
         assert (code, out, err) == (
             2, "", "--mode applies to semi-static models only, not to a dynamic model\n")
+
+
+class TestFlagsForAnotherInput:
+    """--seed and --frames shape a --scenario input, --tau and --epsilon the relations
+    evaluated on a scene or stream; on any other input each exits 2 with one line."""
+
+    @pytest.mark.parametrize("flag", [["--seed", "9"], ["--frames", "2"], ["--seed", "0"]])
+    @pytest.mark.parametrize("argv, source", [
+        (["track", "--model", "dirty_lens", "--stream"], "stream"),
+        (["check", "--model", "lumen_tracker", "--stream"], "stream"),
+        (["infer", "--model", "bend", "--scene"], "scene"),
+        (["check", "--model", "bend", "--scene"], "scene")])
+    def test_generation_flags_on_a_file_input_exit_2(self, capsys, tmp_path, flag, argv, source):
+        path = tmp_path / "input"
+        path.write_text(stream_to_jsonl(generate_stream("static_spot", 4, seed=1)) if source == "stream"
+                        else json.dumps(scene_to_document(())))
+        assert run(capsys, *argv, str(path), *flag) == (
+            2, "", f"{flag[0]} applies to --scenario input only, not to --{source}\n")
+
+    @pytest.mark.parametrize("argv", [["track", "--model", "dirty_lens"],
+                                      ["check", "--model", "lumen_tracker"],
+                                      ["infer", "--model", "bend"], ["generate"]])
+    def test_a_scenario_keeps_seed_0_and_5_frames(self, capsys, argv):
+        default = run(capsys, *argv, "--scenario", "static_spot")
+        assert default[0] == 0
+        assert run(capsys, *argv, "--scenario", "static_spot", "--seed", "0", "--frames", "5") == default
+
+    @pytest.mark.parametrize("flag", ["--tau", "--epsilon"])
+    @pytest.mark.parametrize("command", ["infer", "check"])
+    def test_thresholds_on_an_evidence_document_exit_2(self, capsys, tmp_path, evidence_file,
+                                                       command, flag):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_to_document(())))
+        assert run(capsys, command, "--model", "bend", "--scene", str(scene), flag, "3")[0] == 0
+        evidence = tmp_path / "bend_evidence.json"
+        evidence.write_text('{"assignments": {"bend": "present"}}')
+        assert run(capsys, command, "--model", "bend", "--scene", str(evidence), flag, "3") == (
+            2, "", f"{flag} applies to scenes and streams only, not to an evidence document\n")
 
 
 class TestInferScenario:

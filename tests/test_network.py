@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from beliefscope.network import (
     NetworkSpec,
     NodeSpec,
     apply_evidence,
+    check_network,
     load_json,
     network_diagnostics,
     network_spec_from_document,
@@ -298,6 +300,48 @@ class TestValidateOnce:
         nets = {relationalize(spec, frame.regions)[0]
                 for frame in generate_stream("surround_scene", 5, seed=3).frames}
         assert len(nets) == 1 and len(calls) == 1
+
+
+class TestCheckDecidesTheBuild:
+    """``validate`` checks a spec with :func:`check_network` alone and builds nothing, so
+    skipping the build drops a verdict only if some accepted spec cannot be built."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6),
+           edit=st.sampled_from([None, "drop_row", "extra_row", "extra_entry", "nudge_row",
+                                 "negative_entry", "one_state", "root_not_first"]))
+    def test_every_spec_the_check_accepts_builds_its_network(self, seed, edit):
+        rng = random.Random(seed)
+        spec = random_tree_spec(rng, rng.randint(1, 8), p_zero=0.3)
+        nodes = list(spec.nodes)
+        i = rng.randrange(len(nodes))
+        n, rows = nodes[i], list(nodes[i].rows)
+        if edit == "drop_row":
+            rows = rows[:-1]
+        elif edit == "extra_row":
+            rows.append(rows[0])
+        elif edit == "extra_entry":
+            rows[0] += (0.0,)
+        elif edit == "nudge_row":  # within or past ROW_SUM_TOL
+            rows[0] = (rows[0][0] + rng.choice([3e-10, -3e-10, 3e-9]),) + rows[0][1:]
+        elif edit == "negative_entry":
+            rows[0] = (-0.0 if rng.random() < 0.5 else -1e-12,) + rows[0][1:]
+        elif edit == "one_state":
+            nodes[i] = replace(n, states=n.states[:1])
+        elif edit == "root_not_first" and len(nodes) > 1:
+            nodes.append(nodes.pop(0))
+        if edit not in ("one_state", "root_not_first"):
+            nodes[i] = replace(n, rows=tuple(rows))
+        edited = NetworkSpec(spec.root, tuple(nodes))
+        if network_diagnostics(edited):
+            with pytest.raises(InvalidNetworkError):
+                check_network(edited)
+            return
+        check_network(edited)
+        net, reference = validate_network(edited), reference_validate_network(edited)
+        for node in reference.nodes:
+            assert np.array_equal(net.node(node.id).cpt, node.cpt), node.id
+        assert net.children == reference.children
 
 
 class TestEvidence:

@@ -28,6 +28,7 @@ from beliefscope.network import (
     apply_evidence,
     load_json,
     network_diagnostics,
+    normalised_rows,
 )
 from beliefscope.propagation import brute_force_beliefs, propagate, sig10
 from beliefscope.relational import Region, RegionTable, relationalize, select_region
@@ -109,10 +110,10 @@ def explicit_route(model, stream):
     spec = model.per_frame
     static = np.asarray(spec.node(spec.root).rows[0], dtype=float)
     static = static / static.sum()
+    transition = normalised_rows(model.transition)  # as filtering reads the checked rows
     out, prev = [], None
     for frame in stream.frames:
-        eff = static if prev is None else semi_static_prior(static, model.transition, prev,
-                                                            model.mode)
+        eff = static if prev is None else semi_static_prior(static, transition, prev, model.mode)
         try:
             net, ev = relationalize(spec.with_root_prior(eff), frame.regions)
             post = propagate(apply_evidence(net, ev)).distribution(spec.root)
@@ -737,7 +738,7 @@ class TestFilterStream:
                 s = sum(post)
                 post = [v / s for v in post]
             else:
-                _, post = eq3_step(prior, model.transition.tolist(), prev, like, "paper")
+                _, post = eq3_step(prior, model.transition, prev, like, "paper")
             assert np.abs(fb.posterior - np.asarray(post)).max() < 1e-12
             prev = post
         # and the trace settles: consecutive change shrinks
