@@ -248,15 +248,20 @@ def _scene_rows(args, spec: NetworkSpec, chunks) -> Iterator[tuple]:
 
 
 def _misapplied_flag(args, model) -> str | None:
-    """The message for ``--mode`` on a model that is not semi-static, or ``--window``
-    or ``--delta`` on one that is not dynamic, else None."""
-    kind = "single-scene"
+    """The message for ``--mode``, ``--window``, ``--delta``, ``--tau`` or ``--epsilon``
+    on a model that has no use for it, else None."""
+    kind, spec = "single-scene", model
     if not isinstance(model, NetworkSpec):  # so infer on a spec loads no models code
         from .models import TemporalModel
-        kind = "semi-static" if isinstance(model, TemporalModel) else "dynamic"
+        kind, spec = ("semi-static", model.per_frame) if isinstance(model, TemporalModel) else ("dynamic", None)
     for flag, owner in (("mode", "semi-static"), ("window", "dynamic"), ("delta", "dynamic")):
         if getattr(args, flag, None) is not None and kind != owner:  # infer has no --mode, --window
             return f"--{flag} applies to {owner} models only, not to a {kind} model"
+    evaluators = ({model.relation_evaluator} if spec is None
+                  else {n.evaluator for n in spec.nodes if n.kind == "relation"})
+    for flag, readers in (("tau", {"adjacent", "distance"}), ("epsilon", {"static"})):
+        if getattr(args, flag, None) is not None and not readers & evaluators:
+            return f"--{flag} applies to {' and '.join(sorted(readers))} relations only; this model has none"
     return None
 
 

@@ -212,6 +212,10 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(object_pairs_hook=_checked_object, parse_constant=_reject_constant)
 #: the C decoder without the duplicate-key hook; see load_json
 _PLAIN_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+#: a NaN token under ``load_json(..., cut=True)``: where ``relational.cut_masks`` cut a mask
+CUT = object()
+_CUT_DECODERS = tuple(json.JSONDecoder(object_pairs_hook=hook, parse_constant=lambda name: (
+    CUT if name == "NaN" else _reject_constant(name))) for hook in (None, _checked_object))
 
 
 def _key_count(doc) -> int:
@@ -229,7 +233,7 @@ def _key_count(doc) -> int:
     return count
 
 
-def load_json(text: str, line: int = 1):
+def load_json(text: str, line: int = 1, cut: bool = False):
     """json.loads with duplicate-key detection, no NaN/Infinity literals and
     positioned syntax errors; ``line`` is the number of the text's first line
     in its file.  A value nested deeper than the decoder can recurse is
@@ -240,15 +244,16 @@ def load_json(text: str, line: int = 1):
     as :func:`_key_count` finds keys, no key was repeated and there is no other
     object: the plain decode stands.  Any other text is decoded again with the
     duplicate-key hook, which names what is wrong."""
+    plain, checked = _CUT_DECODERS if cut else (_PLAIN_JSON, _DECODER)
     try:
-        doc = _PLAIN_JSON.decode(text)
+        doc = plain.decode(text)
     except (ValueError, RecursionError, SpecSyntaxError):
         pass
     else:
         if text.count(":") == _key_count(doc):
             return doc
     try:
-        return _DECODER.decode(text)
+        return checked.decode(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, line=exc.lineno + line - 1, column=exc.colno) from None
     except RecursionError:

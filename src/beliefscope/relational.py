@@ -8,7 +8,9 @@ hypothesis.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from operator import contains, is_not, itemgetter
@@ -26,6 +28,7 @@ from .network import (
     NEAR,
     PRESENT,
     RELATION_STATES,
+    CUT,
     _DICT,
     _INT,
     _LIST,
@@ -81,9 +84,12 @@ class Region:
         if xmin > xmax or ymin > ymax:
             raise ValueError(f"region '{self.id}': bbox not well-ordered")
         if self.mask is not None:
-            mask = np.asarray(self.mask, dtype=bool)
-            object.__setattr__(self, "mask", mask)
             h, w = ymax - ymin + 1, xmax - xmin + 1
+            try:
+                mask = np.asarray(self.mask, dtype=bool)
+            except ValueError:  # ragged rows, or nested past numpy's dimensions
+                raise ValueError(f"region '{self.id}': mask is not a grid of {h} rows of {w} entries") from None
+            object.__setattr__(self, "mask", mask)
             if mask.shape != (h, w):
                 raise ValueError(f"region '{self.id}': mask shape {mask.shape} does not match bbox {h}x{w}")
             pixels = np.count_nonzero(mask)
@@ -122,31 +128,50 @@ class Region:
         return self.mask[yn - y0 : yx - y0 + 1, xn - x0 : xx - x0 + 1], xn, yn
 
 
-def _bit_grid(mask, h: int, w: int, area: int, bools: bool = True) -> np.ndarray:
-    """``mask`` as a bool array of shape (h, w), checked on its bytes.
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
-    ValueError unless it is a list of h lists of w entries, each the integer
-    0 or 1, with ``area`` ones that reach all four edges of the grid.  The
-    entries become bytes once, and every check after the row structure runs
-    on those bytes in C: 0/1 by ``strip``, the pixel count by ``count``, the
-    extent on the first and last row and column slices.  ``bytes`` refuses
-    every JSON value but ``true``, ``false`` and the integers 0..255, so the
-    pass over the entries' types, which refuses the booleans, runs only when
-    ``bools`` says one may be among them.
-    """
-    if not (type(mask) is list and len(mask) == h and set(map(type, mask)) <= _LIST
-            and set(map(len, mask)) <= {w}
-            and (not bools or set(map(type, chain.from_iterable(mask))) <= _INT)):
-        raise ValueError("not a grid of integers")
-    try:
-        bits = bytes(chain.from_iterable(mask))  # one byte per pixel, row by row
-    except TypeError:
-        raise ValueError("not a grid of integers") from None
-    if bits.strip(b"\0\1") or bits.count(1) != area:
-        raise ValueError("not a grid of 0 and 1 with the area's pixels")
-    if not (1 in bits[:w] and 1 in bits[-w:] and 1 in bits[::w] and 1 in bits[w - 1::w]):
-        raise ValueError("mask extent does not reach the bbox")
+
+def _bit_grid(text: str, h: int, w: int, area: int) -> np.ndarray:
+    """The bool array of shape (h, w) of a mask's ``json.dumps`` text, cut
+    (:func:`cut_masks`) or written back.  ValueError unless, its 0s made 1s, it
+    is the text of the h x w grid of 1s (``true``, ``1.0``, ``"1"`` or ``2`` is
+    written otherwise) and its ``area`` ones reach all four edges: checked on
+    its length first, then on its bytes in C."""
+    raw = text.encode()
+    if len(raw) != h * (3 * w + 2) or raw.replace(b"0", b"1") != (
+            b"[" + b", ".join([b"[" + b"1, " * (w - 1) + b"1]"] * h) + b"]"):
+        raise ValueError("not a grid of 0 and 1 of the bbox's shape")
+    bits = raw.translate(_BITS, b"[], ")  # one byte per pixel, row by row
+    if bits.count(1) != area or not (1 in bits[:w] and 1 in bits[-w:] and 1 in bits[::w]
+                                     and 1 in bits[w - 1::w]):
+        raise ValueError("not the area's pixels, reaching every edge of the bbox")
     return np.frombuffer(bits, dtype=bool).reshape(h, w).copy()  # owns its pixels, like np.asarray
+
+
+#: a mask after its key as ``json.dumps`` writes them, found here and checked by _bit_grid
+_MASK_TEXT = re.compile(r'"mask": (\[\[[][01, ]*\]\])')
+
+
+def cut_masks(lines: list[str]) -> tuple[list[str], list[str]]:
+    """``lines`` with each mask :data:`_MASK_TEXT` finds cut out for a NaN token,
+    and the cuts in order; ``lines`` and no cuts if none holds ``"mask": [[``.
+
+    A cut is the value of a key ``mask`` or of one ending in ``\\"mask``: the
+    quote after ``mask`` is not escaped, so it ends a string, which the ``:``
+    makes a key.  In lines the columns accept, every value is typed but a
+    centroid's entries past its first two, which :meth:`RegionTable.checked`
+    refuses beside cuts, so each NaN (:data:`~beliefscope.network.CUT`) is a
+    region's mask.  As ``load_json`` keeps every value, masks that hold as many
+    CUTs as there are cuts held no NaN of their own, and the k-th is the k-th
+    cut.  A cut :func:`_bit_grid` accepts is an array: the lines decode alike.
+    """
+    if not any(map(contains, lines, repeat('"mask": [['))):
+        return lines, []
+    texts, cuts = [], []
+    for parts in map(_MASK_TEXT.split, lines):  # a line at a time: no second copy of the chunk
+        texts.append('"mask": NaN'.join(parts[::2]))
+        cuts += parts[1::2]
+    return texts, cuts
 
 
 def region_from_document(obj) -> Region:
@@ -169,7 +194,7 @@ def region_from_document(obj) -> Region:
                       finite_number(obj["centroid"][1], "region: 'centroid'")),
             area=strict_int(obj["area"], "region: 'area'"),
             bbox=tuple(strict_int(v, "region: 'bbox' entry") for v in obj["bbox"]),
-            mask=np.asarray(mask, dtype=bool) if mask is not None else None,
+            mask=mask,
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise SpecSyntaxError(f"malformed region entry: {exc}") from None
@@ -181,8 +206,8 @@ def region_from_document(obj) -> Region:
         raise SpecSyntaxError(f"region '{region.id}': 'bbox' entries must be integers in [-2**53, 2**53]")
     if mask is not None:
         try:
-            _bit_grid(mask, *region.mask.shape, region.area)
-        except ValueError:
+            _bit_grid(json.dumps(mask), *region.mask.shape, region.area)
+        except (ValueError, RecursionError):
             raise SpecSyntaxError(f"region '{region.id}': mask entries must be 0 or 1") from None
     return region
 
@@ -221,23 +246,17 @@ class RegionTable:
         self._by_classes: dict[frozenset, list[tuple[Region, ...]]] = {}
 
     @classmethod
-    def checked(cls, groups: Sequence[Sequence],
-                sources: Sequence[str] | None = None) -> RegionTable | None:
+    def checked(cls, groups: Sequence[Sequence], cuts: Sequence[str] = ()) -> RegionTable | None:
         """The table of ``groups``, sequences of region documents; None unless
         every document describes a region and no group repeats an id.
 
         Every check :func:`region_from_document` makes runs as one C pass
         over a column: types by ``set(map(type, ...))``, keys by counting
         them, ranges and bbox order on the numpy columns.  A mask is checked
-        once, on its bytes, by :func:`_bit_grid`, which keeps its grid for
+        once by :func:`_bit_grid` on its text, the next of ``cuts`` where it is
+        CUT (:func:`cut_masks`), else its ``json.dumps``, and its grid kept for
         the row.  Nothing is built here: :meth:`group` builds the rows.  On
         None the caller names the error through :func:`region_from_document`.
-
-        ``sources`` are the JSON texts the groups were decoded from, when
-        known.  A boolean decodes only from a ``true`` or ``false`` token,
-        so when no text holds either, :func:`_bit_grid` skips its pass over
-        the mask entries' types.  The texts are searched only when a mask is
-        present.
         """
         counts = list(map(len, groups))
         rows = list(chain.from_iterable(groups))
@@ -272,15 +291,15 @@ class RegionTable:
                 and sum(map(len, map(set, map(ids.__getitem__, map(slice, bounds, bounds[1:]))))) == m):
             return None
         masks = list(map(dict.get, rows, repeat("mask")))
-        masked = list(compress(range(m), map(is_not, masks, repeat(None))))
-        bools = bool(masked) and (sources is None or any(
-            "true" in text or "false" in text for text in sources))
-        grids = {}
-        for i in masked:
+        if masks.count(CUT) != len(cuts) or cuts and max(map(len, centroids)) > 2:
+            return None
+        cut, grids = iter(cuts), {}
+        for i in compress(range(m), map(is_not, masks, repeat(None))):
             xmin, ymin, xmax, ymax = bboxes[i]
             try:
-                grids[i] = _bit_grid(masks[i], ymax - ymin + 1, xmax - xmin + 1, areas[i], bools)
-            except ValueError:
+                grids[i] = _bit_grid(next(cut) if masks[i] is CUT else json.dumps(masks[i]),
+                                     ymax - ymin + 1, xmax - xmin + 1, areas[i])
+            except (ValueError, TypeError, RecursionError):  # TypeError: a CUT within a mask
                 return None
         return cls(ids, codes, centroid, area, bbox, bounds, grids)
 

@@ -60,6 +60,7 @@ from .relational import (
     DEFAULT_TAU,
     Region,
     RegionTable,
+    cut_masks,
     eval_relation,
     region_from_document,
     region_to_document,
@@ -248,18 +249,19 @@ _FRAME_FIELDS = (itemgetter("index"), itemgetter("t"))
 _SEQUENCE = {list, tuple}  # a frame without "regions" has ()
 
 
-def _column_frames(lines: Sequence[tuple[int, str]]) -> list[_ColumnFrame] | None:
+def _column_frames(lines: Sequence[tuple[int, str]], cut: bool = True) -> list[_ColumnFrame] | None:
     """The frames of numbered stream lines, checked in column passes, or
     None when a line fails one of the checks :func:`_checked_frames` names.
 
     Lines are decoded one by one and dropped with the chunk; what is kept
     is one :class:`RegionTable` of the chunk's regions and a frame per line.
-    The table is given the line texts too, so a chunk with masks and no
-    ``true`` or ``false`` in its text skips the pass over the mask entries'
-    types (:meth:`RegionTable.checked`).
+    Masks as ``json.dumps`` writes them are cut out before decoding
+    (:func:`cut_masks`); a chunk whose cuts are refused is decoded again uncut.
     """
+    texts = list(map(itemgetter(1), lines))
+    texts, cuts = cut_masks(texts) if cut else (texts, [])
     try:
-        objs = [load_json(line, line=lineno) for lineno, line in lines]
+        objs = list(map(load_json, texts, map(itemgetter(0), lines), repeat(bool(cuts))))
     except SpecSyntaxError:
         return None
     if not set(map(type, objs)) <= _DICT:
@@ -277,10 +279,9 @@ def _column_frames(lines: Sequence[tuple[int, str]]) -> list[_ColumnFrame] | Non
         t = list(map(float, t))
     except OverflowError:
         return None
-    table = (RegionTable.checked(regions, list(map(itemgetter(1), lines)))
-             if all(map(math.isfinite, t)) else None)
+    table = RegionTable.checked(regions, cuts) if all(map(math.isfinite, t)) else None
     if table is None:
-        return None
+        return _column_frames(lines, cut=False) if cuts else None
     return list(map(_ColumnFrame, index, t, repeat(table), range(len(objs))))
 
 

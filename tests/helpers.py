@@ -200,7 +200,9 @@ def per_field_region(obj) -> Region:
     """A region document decoded field by field, one checking call per value,
     as ``region_from_document`` did before its inline checks: the reference
     they must agree with.  It takes any integer area or bbox entry and any
-    mask numpy reads as a bool grid."""
+    mask numpy reads as a bool grid; the other fields are checked before the
+    mask, and a mask numpy cannot read as an array names its region and the
+    bbox's grid."""
     if not isinstance(obj, dict):
         raise SpecSyntaxError("region entries must be objects")
     for key in obj:
@@ -209,16 +211,24 @@ def per_field_region(obj) -> Region:
     try:
         if not isinstance(obj["id"], str):
             raise SpecSyntaxError("region: 'id' must be a string")
-        mask = obj.get("mask")
-        return Region(
+        fields = dict(
             id=obj["id"],
             colour_class=obj["colour_class"],
             centroid=(finite_number(obj["centroid"][0], "region: 'centroid'"),
                       finite_number(obj["centroid"][1], "region: 'centroid'")),
             area=strict_int(obj["area"], "region: 'area'"),
             bbox=tuple(strict_int(v, "region: 'bbox' entry") for v in obj["bbox"]),
-            mask=np.asarray(mask, dtype=bool) if mask is not None else None,
         )
+        region = Region(**fields)
+        if obj.get("mask") is None:
+            return region
+        try:
+            mask = np.asarray(obj["mask"], dtype=bool)
+        except ValueError:
+            xmin, ymin, xmax, ymax = region.bbox
+            raise SpecSyntaxError(f"region '{region.id}': mask is not a grid of "
+                                  f"{ymax - ymin + 1} rows of {xmax - xmin + 1} entries") from None
+        return Region(**fields, mask=mask)
     except (KeyError, TypeError, IndexError) as exc:
         raise SpecSyntaxError(f"malformed region entry: {exc}") from None
     except ValueError as exc:

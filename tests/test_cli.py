@@ -1089,6 +1089,8 @@ LOADED_BY = [
      ["beliefscope.cli", "beliefscope.errors", "beliefscope.network", "beliefscope.propagation",
       "numpy"]),
     (["validate", "--spec", "spec.json"], ["beliefscope.cli", "beliefscope.errors", "beliefscope.network"]),
+    (["infer", "--spec", "spec.json", "--scene", "ev.json", "--tau", "3"],  # refused: no relation
+     ["beliefscope.cli", "beliefscope.errors", "beliefscope.network"]),
     *((["validate", "--model", m], MODEL_LAYER) for m in SPATIAL + TEMPORAL),
     (["validate", "--spec", "semi_static.json"], MODEL_LAYER),
     (["validate", "--spec", "dynamic.json"], MODEL_LAYER),
@@ -1566,9 +1568,23 @@ class TestFlagsForTheOtherModelKind:
             2, "", "--mode applies to semi-static models only, not to a dynamic model\n")
 
 
+_ROWS = [[0.8, 0.2], [0.3, 0.7]]
+#: a single-scene spec with a static and a distance relation: --epsilon and --tau both apply
+THRESHOLD_DOC = {
+    "root": "H", "bind": {"a": {"colour_class": "dark"}, "b": {"colour_class": "dark"}},
+    "nodes": [{"id": "H", "kind": "chance", "states": ["present", "absent"], "prior": [0.5, 0.5]},
+              *({"id": f, "kind": "chance", "states": ["present", "absent"], "parent": "H",
+                 "cpt": _ROWS} for f in "ab"),
+              {"id": "still", "kind": "relation", "states": ["holds", "holds_not"], "parent": "H",
+               "cpt": _ROWS, "evaluator": "static", "inputs": ["a", "b"]},
+              {"id": "near", "kind": "relation", "states": ["near", "far"], "parent": "H",
+               "cpt": _ROWS, "evaluator": "distance", "inputs": ["a", "b"]}]}
+
+
 class TestFlagsForAnotherInput:
     """--seed and --frames shape a --scenario input, --tau and --epsilon the relations
-    evaluated on a scene or stream; on any other input each exits 2 with one line."""
+    evaluated on a scene or stream; on any other input each exits 2 with one line, and
+    so does --tau or --epsilon on a model none of whose relations reads it."""
 
     @pytest.mark.parametrize("flag", [["--seed", "9"], ["--frames", "2"], ["--seed", "0"]])
     @pytest.mark.parametrize("argv, source", [
@@ -1595,13 +1611,57 @@ class TestFlagsForAnotherInput:
     @pytest.mark.parametrize("command", ["infer", "check"])
     def test_thresholds_on_an_evidence_document_exit_2(self, capsys, tmp_path, evidence_file,
                                                        command, flag):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(THRESHOLD_DOC))
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps(scene_to_document(())))
-        assert run(capsys, command, "--model", "bend", "--scene", str(scene), flag, "3")[0] == 0
-        evidence = tmp_path / "bend_evidence.json"
-        evidence.write_text('{"assignments": {"bend": "present"}}')
-        assert run(capsys, command, "--model", "bend", "--scene", str(evidence), flag, "3") == (
+        assert run(capsys, command, "--spec", str(spec), "--scene", str(scene), flag, "3")[0] == 0
+        evidence = tmp_path / "evidence.json"
+        evidence.write_text('{"assignments": {"H": "present"}}')
+        assert run(capsys, command, "--spec", str(spec), "--scene", str(evidence), flag, "3") == (
             2, "", f"{flag} applies to scenes and streams only, not to an evidence document\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["track", "--model", "dirty_lens"], "--tau"), (["check", "--model", "dirty_lens"], "--tau"),
+        (["infer", "--model", "bend"], "--epsilon"), (["check", "--model", "bend"], "--epsilon"),
+        (["infer", "--model", "diverticulum"], "--tau"),
+        (["infer", "--model", "diverticulum"], "--epsilon"),
+        (["track", "--model", "lumen_tracker"], "--tau"),
+        (["track", "--model", "lumen_tracker"], "--epsilon")])
+    def test_a_threshold_no_relation_reads_exits_2(self, capsys, argv, flag):
+        """adjacent and distance relations read --tau, static ones --epsilon, surrounding
+        ones neither; the flag is refused before the input is read."""
+        readers = "adjacent and distance" if flag == "--tau" else "static"
+        assert run(capsys, *argv, "--scenario", "static_spot", flag, "50") == (
+            2, "", f"{flag} applies to {readers} relations only; this model has none\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["track", "--model", "dirty_lens"], "--epsilon"), (["infer", "--model", "bend"], "--tau"),
+        (["track", "--spec", "adjacent.json"], "--tau"),
+        (["infer", "--spec", "spec.json"], "--tau"), (["infer", "--spec", "spec.json"], "--epsilon")])
+    def test_a_threshold_a_relation_reads_is_taken(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adjacent.json").write_text(json.dumps(ADJACENT_TRACKER))
+        (tmp_path / "spec.json").write_text(json.dumps(THRESHOLD_DOC))
+        assert run(capsys, *argv, "--scenario", "adjacent_scene", flag, "50")[0] == 0
+
+
+class TestRaggedMask:
+    """A mask whose rows differ in length, or hold a list where the others hold a
+    number, is named by its region and its bbox's grid, in a scene and a stream."""
+
+    @pytest.mark.parametrize("mask", ["[[1, 1], [1]]", "[[1, [1]], [1, 0]]"])
+    def test_names_the_region(self, capsys, tmp_path, mask):
+        region = ('{"id": "a", "colour_class": "dark", "centroid": [0.5, 0.5], "area": 3, '
+                  f'"bbox": [0, 0, 1, 1], "mask": {mask}}}')
+        scene, stream = tmp_path / "scene.json", tmp_path / "stream.jsonl"
+        scene.write_text(f'{{"regions": [{region}]}}')
+        stream.write_text(f'{{"dt": 0.04}}\n{{"index": 0, "t": 0.0, "regions": [{region}]}}\n')
+        message = "region 'a': mask is not a grid of 2 rows of 2 entries\n"
+        assert run(capsys, "infer", "--model", "diverticulum", "--scene", str(scene)) == (
+            2, "", message)
+        assert run(capsys, "track", "--model", "lumen_tracker", "--stream", str(stream)) == (
+            2, "", "stream line 2: " + message)
 
 
 class TestInferScenario:

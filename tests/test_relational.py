@@ -260,11 +260,12 @@ def mask_documents(draw):
 
 
 class TestTableRows:
-    @pytest.mark.parametrize("entry", [1.0, 0.0, "1", None, [1], {}, -1, 2, 256, 2**64])
+    @pytest.mark.parametrize("entry", [1.0, 0.0, "1", None, [1], {}, -1, 2, 256, 2**64, True, False])
     def test_bytes_refuse_every_other_json_value_without_the_type_pass(self, entry):
-        for bools in (True, False):
-            with pytest.raises(ValueError):
-                relational._bit_grid([[entry]], 1, 1, 1, bools)
+        """A mask is checked on the bytes of the text json.dumps writes for it, so
+        every JSON value but the integers 0 and 1 is refused, with no pass over types."""
+        with pytest.raises(ValueError):
+            relational._bit_grid(json.dumps([[entry]]), 1, 1, 1)
 
     @pytest.mark.parametrize("mask, area", [
         ([[1, 0], [0, 0]], 1), ([[0, 1], [0, 0]], 1), ([[0, 0], [1, 0]], 1),
@@ -272,10 +273,20 @@ class TestTableRows:
         ([[1, 1], [1]], 3), ([[1, 1]], 2), ((1, 1), 2)])
     def test_count_extent_and_shape_are_checked_on_the_bytes(self, mask, area):
         with pytest.raises(ValueError):
-            relational._bit_grid(mask, 2, 2, area)
+            relational._bit_grid(json.dumps(mask), 2, 2, area)
+
+    @pytest.mark.parametrize("text", ["[[1,0],[1,1]]", "[ [1, 0], [1, 1] ]", "[[1, 0],  [1, 1]]",
+                                      "[[1, 0], [1, 1]] ", "[[1, 0]]", '"[[1, 0], [1, 1]]"'])
+    def test_only_the_dumps_layout_is_a_grid(self, text):
+        with pytest.raises(ValueError):
+            relational._bit_grid(text, 2, 2, 3)
+
+    def test_a_huge_bbox_is_refused_by_the_text_length(self):
+        with pytest.raises(ValueError):
+            relational._bit_grid("[[1]]", 2**53, 2**53, 1)
 
     def test_a_grid_owns_its_pixels(self):
-        grid = relational._bit_grid([[1, 0], [1, 1]], 2, 2, 3, False)
+        grid = relational._bit_grid("[[1, 0], [1, 1]]", 2, 2, 3)
         assert grid.dtype == bool and grid.flags.writeable and grid.flags.owndata
         assert grid.tolist() == [[True, False], [True, True]]
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beliefscope import cli, temporal
+from beliefscope import cli, relational, temporal
 from beliefscope.errors import (
     FrameInferenceError,
     ImpossibleEvidenceError,
@@ -68,7 +68,7 @@ from helpers import (
     reference_parse_stream,
     unrolled_chain_spec,
 )
-from test_relational import SWEEP_BASES, single_edits
+from test_relational import SWEEP_BASES, mask_documents, single_edits
 
 
 def dark_pixel(rid="d", x=0, y=0):
@@ -378,7 +378,8 @@ class TestStream:
         pytest.param('{"dt": 0.04}', region_line(area="2", bbox="[0, 0, 1, 0]", mask="[[1, 1.0]]"),
                      "region 'r': mask entries must be 0 or 1", id="mask-float-one"),
         pytest.param('{"dt": 0.04}', region_line(area="1", bbox="[0, 0, 1, 0]", mask="[[1, 0], [1]]"),
-                     "inhomogeneous shape", id="mask-ragged-keeps-its-message"),
+                     "region 'r': mask is not a grid of 1 rows of 2 entries",
+                     id="mask-ragged-names-its-region"),
         pytest.param('{"dt": 0.04}', region_line(area="1", bbox="[0, 0, 0, 0]", mask='[["a", 1]]'),
                      r"mask shape \(1, 2\) does not match bbox 1x1", id="mask-misshaped-keeps-its-message"),
         pytest.param('{"dt": 0.04}', '{"index": 0, "t": 0.0, "regions": 5}',
@@ -624,6 +625,101 @@ class TestColumnIngest:
             tracemalloc.stop()
         assert len(stream.frames) == frames
         assert held / len(docs) < 200, held / len(docs)
+
+
+GRID = "[[1, 1], [1, 0]]"
+
+
+def masked_region(mask=GRID, rid='"a"', centroid="[1.0, 2.0]", extra=""):
+    """The text of a dark region with a 2x2 bbox and an area of 3, ``extra`` keys
+    and ``mask`` (its text, or None for no mask) at its end."""
+    text = (f'{{"id": {rid}, "colour_class": "dark", "centroid": {centroid}, "area": 3, '
+            f'"bbox": [0, 0, 1, 1]{extra}')
+    return text + ("}" if mask is None else f', "mask": {mask}}}')
+
+
+#: the text of the middle frame's second region, beside canonical masks
+MASK_TEXT_CASES = {
+    "canonical": masked_region(), "compact": masked_region("[[1,1],[1,0]]"),
+    "spaced": masked_region("[ [1, 1], [1, 0] ]"), "negative-zero": masked_region("[[1, 1], [1, -0]]"),
+    "true": masked_region("[[1, true], [1, 0]]"), "float-one": masked_region("[[1, 1.0], [1, 0]]"),
+    "leading-zero": masked_region("[[1, 01], [1, 0]]"), "wrong-area": masked_region("[[1, 1], [1, 1]]"),
+    "ragged": masked_region("[[1, 1], [1]]"), "ragged-entry": masked_region("[[1, [1]], [1, 0]]"),
+    "three-rows": masked_region("[[1, 1], [1, 0], [0, 0]]"), "empty-rows": masked_region("[[], []]"),
+    "nested": masked_region("[[[1, 1], [1, 0]]]"), "bracket-after": masked_region(GRID + "]"),
+    "duplicate-key": masked_region(extra=f', "mask": {GRID}'),
+    "id-holds-a-mask": masked_region(rid='"x\\"mask\\": [[1]]"'),
+    "id-ends-in-a-backslash": masked_region(rid='"a\\\\"'),
+    "escaped-mask-key": masked_region(None, extra=f', "a\\"mask": {GRID}'),
+    "escaped-mask-key-beside-mask": masked_region("0", extra=f', "a\\"mask": {GRID}'),
+    "null": masked_region("null"), "int": masked_region("7"),
+    "string-holding-a-grid": masked_region(f'"{GRID}"'),
+    "mask-within-a-mask": masked_region('[[{"mask": [[1]]}, 1], [1, 0]]'),
+    "nan-mask": masked_region("NaN"),
+    "nan-mask-beside-a-mask-within-a-mask": (masked_region('[[{"mask": [[1]]}, 1], [1, 0]]') + ", "
+                                             + masked_region("NaN", rid='"b"')),
+    "mask-in-a-centroid": masked_region(centroid=f'[1.0, 2.0, {{"mask": {GRID}}}]'),
+    "nan-in-a-centroid": masked_region(centroid="[1.0, 2.0, NaN]"),
+    "nan-mask-beside-a-centroid-cut": masked_region("NaN", centroid=f'[1.0, 2.0, {{"mask": {GRID}}}]'),
+    "true-mask-beside-a-centroid-cut": masked_region("true", centroid=f'[1.0, 2.0, {{"mask": {GRID}}}]'),
+}
+
+
+def mask_text_stream(region: str) -> str:
+    frames = [[masked_region(rid='"p"')], [masked_region(rid='"p"'), region], [masked_region()]]
+    return "\n".join(['{"dt": 0.04}'] + [f'{{"index": {i}, "t": {0.04 * i:.2f}, "regions": '
+                                           f'[{", ".join(regions)}]}}'
+                                           for i, regions in enumerate(frames)]) + "\n"
+
+
+#: how a frame line may be written: json.dumps, compact, compact but for a space after
+#: each colon (so masks are cut, then refused), and with spaces inside the masks' brackets
+LAYOUTS = {"dumps": lambda doc: json.dumps(doc),
+           "compact": lambda doc: json.dumps(doc, separators=(",", ":")),
+           "colon-spaced": lambda doc: json.dumps(doc, separators=(",", ": ")),
+           "bracket-spaced": lambda doc: json.dumps(doc).replace("[[", "[ [").replace("]]", "] ]")}
+
+
+@st.composite
+def mask_layout_streams(draw):
+    """Streams of masked regions (:func:`mask_documents`, a mask entry sometimes
+    hostile) with each frame line in one of the :data:`LAYOUTS`."""
+    lines = [json.dumps({"dt": 0.04})]
+    for i in range(draw(st.integers(1, 7))):
+        regions = draw(st.lists(mask_documents(), max_size=3, unique_by=lambda doc: doc["id"]))
+        for doc in regions:
+            if draw(st.integers(0, 7)) == 0:
+                doc["mask"][0][0] = draw(st.sampled_from([True, 1.0, 2, -1, None, "1", [1]]))
+        frame = {"index": i, "t": round(i * 0.04, 6), "regions": regions}
+        lines.append(LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](frame))
+    return "\n".join(lines) + "\n"
+
+
+class TestMaskText:
+    """Masks laid out as json.dumps writes them are cut out of a chunk's lines and
+    checked on their text; every other mask is decoded and written back.  Either
+    way a stream parses like the line-by-line reference."""
+
+    @pytest.mark.parametrize("region", MASK_TEXT_CASES.values(), ids=MASK_TEXT_CASES.keys())
+    def test_parses_like_the_line_by_line_reference(self, region):
+        text = mask_text_stream(region)
+        for chunk in (1, 2, 256):
+            assert_parses_like_the_reference(text, chunk, {"dark"})
+        assert_refusal_named_like_the_reference(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mask_layout_streams(), st.sampled_from([1, 2, 3, 256]))
+    def test_mixed_layouts_parse_like_the_line_by_line_reference(self, text, chunk):
+        assert_parses_like_the_reference(text, chunk, {"dark", "bright"})
+        assert_refusal_named_like_the_reference(text)
+
+    def test_dumps_layout_masks_are_never_written_back(self):
+        """A stream as json.dumps writes it is checked on its cut texts alone."""
+        text, _ = twelve_region_stream(40, masked=True)
+        dumps = mock.Mock(side_effect=AssertionError("a mask was written back"))
+        with mock.patch.object(relational, "json", mock.Mock(dumps=dumps)):
+            stream = parse_stream(text)
+        assert sum(r.mask is not None for f in stream.frames for r in f.regions) > 40
 
 
 def twelve_region_stream(n, masked=False):
