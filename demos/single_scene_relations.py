@@ -44,7 +44,7 @@ inet = apply_evidence(net, evidence)
 fast = propagate(inet).distribution("diverticulum")
 slow = brute_force_beliefs(inet).distribution("diverticulum")
 print("\npropagation vs joint enumeration on the diverticulum posterior:")
-print(f"  {fast.tolist()} vs {slow.tolist()}  (max diff {abs(fast - slow).max():.2e})")
+print(f"  {list(fast)} vs {list(slow)}  (max diff {max(abs(a - b) for a, b in zip(fast, slow)):.2e})")
 
 print("\nfull belief document:")
 print(json.dumps(propagate(inet).to_document(), indent=2))

@@ -383,20 +383,20 @@ def _rows_to_check(args, model) -> Iterator[tuple]:
         yield net, codes, priors, np.array([belief.posterior for belief in beliefs])
 
 
-def _residual(net: Network, codes: np.ndarray, priors: np.ndarray | None,
-              printed: np.ndarray | None, roots: dict[bytes, np.ndarray]) -> float:
+def _residual(net: Network, codes: list[tuple[int, ...]], priors: np.ndarray | None,
+              printed: np.ndarray | None, roots: dict[tuple, np.ndarray]) -> float:
     """The largest difference, over the batch's code rows not yet in ``roots``, between
     :func:`downward` and :func:`enumerate_beliefs` on every marginal, and between each
     printed posterior and the oracle's hypothesis marginal of its row.
 
-    Both kernels are deterministic and give each row what its batch of one gives, so each
-    distinct (code row, root prior) goes once, in first-seen order, through one call of
-    each; ``roots`` keeps its oracle hypothesis marginal, by the row's bytes, for the
-    printed posteriors of later batches."""
+    Each distinct (code row, root prior) goes once, in first-seen order, through
+    ``downward`` and through one oracle call, which gives each row what it gives alone;
+    ``roots`` keeps its oracle hypothesis marginal for later batches.  Errors come as row
+    by row, ``downward`` first: past the cap only the first row's ``downward`` can."""
     import numpy as np
     from .propagation import downward, enumerate_beliefs
-    keys = [row.tobytes() for row in (codes if priors is None else np.hstack([codes, priors]))]
-    first: dict[bytes, int] = {}  # each new distinct row's first frame or window
+    keys = codes if priors is None else list(zip(codes, map(np.ndarray.tobytes, priors)))
+    first: dict[tuple, int] = {}  # each new distinct row's first frame or window
     for i, key in enumerate(keys):
         if key not in roots:
             first.setdefault(key, i)
@@ -404,17 +404,21 @@ def _residual(net: Network, codes: np.ndarray, priors: np.ndarray | None,
     worst = 0.0
     if rows:
         alone = None if priors is None else priors[rows]
+        prior = [None] * len(rows) if alone is None else alone.tolist()
         try:
-            fast = downward(net, codes[rows], alone)
-            slow = enumerate_beliefs(net, codes[rows], alone)
-        except (ImpossibleEvidenceError, StateSpaceCapError):
-            # raise what comparing row by row raises first, propagate before enumeration
-            for row in rows:
-                alone = None if priors is None else priors[row:row + 1]
-                downward(net, codes[row:row + 1], alone)
-                enumerate_beliefs(net, codes[row:row + 1], alone)
+            slow = enumerate_beliefs(net, [codes[i] for i in rows], alone)
+        except StateSpaceCapError:
+            downward(net, codes[rows[0]], prior[0])
             raise
-        worst = max(float(np.abs(fast[nid] - slow[nid]).max()) for nid in slow)
+        except ImpossibleEvidenceError:
+            slow = None  # raised below, where comparing row by row meets it
+        fast = []
+        for j, i in enumerate(rows):
+            fast.append(downward(net, codes[i], prior[j]))
+            if slow is None:
+                enumerate_beliefs(net, [codes[i]], None if alone is None else alone[j:j + 1])
+        worst = max(float(np.abs(np.array([row[nid] for row in fast]) - slow[nid]).max())
+                    for nid in slow)
         roots.update(zip(first, slow[net.root]))
     if printed is not None:
         worst = max(worst, float(np.abs(printed - np.array([roots[key] for key in keys])).max()))
@@ -441,7 +445,7 @@ def _cmd_check(args) -> int:
     if message is not None:
         print(message, file=sys.stderr)
         return 2
-    roots: dict[bytes, np.ndarray] = {}
+    roots: dict[tuple, np.ndarray] = {}
     worst, count, failure = 0.0, 0, None
     for net, codes, priors, printed in _rows_to_check(args, model):
         count += len(codes)
@@ -503,6 +507,9 @@ def _run(argv) -> int:
             source = "stream" if getattr(args, "stream", None) is not None else "scene"
             print(f"--{name} applies to --scenario input only, not to --{source}", file=sys.stderr)
             return 2
+    if getattr(args, "frames", None) is not None and args.frames > sys.maxsize:  # no list is longer
+        print(f"--frames must be at most {sys.maxsize}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except FrameInferenceError as exc:

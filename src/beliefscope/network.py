@@ -8,8 +8,8 @@ Node entries of chance nodes are parsed as columns (:func:`_column_nodes`).  A s
 is checked by :func:`network_diagnostics` alone, the only source of every verdict and
 message.  :func:`check_network` checks each spec object once, in pure Python, and
 :func:`validate_network` also builds it once: its Network is derived data of the
-immutable spec.  Each ``Node.cpt`` is a read-only view of its CPT stack, renormalised
-at once; building one is the only use of numpy here.
+immutable spec.  Each ``Node.cpt`` is a tuple of rows, each renormalised to sum to 1
+as numpy sums (:func:`_sum`); nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Mapping
+from operator import add, itemgetter
+from typing import Any, Mapping, Sequence
 
 from .errors import EvidenceError, InvalidNetworkError, SpecSyntaxError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ROW_SUM_TOL = 1e-9
 
@@ -153,13 +150,13 @@ class EvidenceSet:
 
 @dataclass(frozen=True, eq=False)
 class Node:
-    """Validated node: CPT as a read-only array of shape (rows, n_states)."""
+    """Validated node: CPT as rows (per parent state, or the prior) of floats summing to 1."""
 
     id: str
     kind: str
     states: tuple[str, ...]
     parent: str | None
-    cpt: np.ndarray
+    cpt: tuple[tuple[float, ...], ...]
     evaluator: str | None = None
     inputs: tuple[str, ...] = ()
     params: Mapping[str, float] = field(default_factory=dict)
@@ -170,14 +167,12 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Validated tree network; immutable and safe to share.  ``stacked`` gives each
-    node's CPT as (the read-only stack of every CPT of its shape, its index there)."""
+    """Validated tree network; immutable and safe to share."""
 
     root: str
     nodes: tuple[Node, ...]
     by_id: Mapping[str, Node]
     children: Mapping[str, tuple[str, ...]]
-    stacked: Mapping[str, tuple[np.ndarray, int]]
     memo: dict = field(default_factory=dict, repr=False)  # derived data, filled on first use
 
     def node(self, node_id: str) -> Node:
@@ -613,14 +608,25 @@ def _colour_classes(pred: Mapping[str, Any]) -> frozenset[str]:
     return frozenset(want if isinstance(want, (tuple, list)) else (want,))
 
 
-def normalised_rows(rows) -> np.ndarray:
-    """Rows as a read-only float array, each renormalised to sum to 1 (stacks of
-    CPTs and transition tables); the model layer's only numpy."""
-    import numpy as np
-    cpt = np.asarray(rows, dtype=float)
-    cpt = cpt / cpt.sum(axis=-1, keepdims=True)
-    cpt.flags.writeable = False
-    return cpt
+def _sum(row: Sequence[float]) -> float:
+    """``np.sum(row)``, bit for bit: numpy adds below 8 entries left to right from 0.0, and
+    from 8 on in 8 interleaved accumulators combined pairwise, halving rows past 128
+    entries at a multiple of 8.  Python's own ``sum`` may compensate its rounding."""
+    n = len(row)
+    if n < 8:
+        return reduce(add, row, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(row[:half]) + _sum(row[half:])
+    m = n - n % 8
+    r = [reduce(add, row[j:m:8]) for j in range(8)]
+    return reduce(add, row[m:], 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))))
+
+
+def normalised_rows(rows) -> tuple[tuple[float, ...], ...]:
+    """Rows (CPTs and transition tables) each divided by its :func:`_sum`, as numpy's
+    ``rows / rows.sum(axis=-1, keepdims=True)`` divides them."""
+    return tuple(tuple([v / total for v in row]) for row, total in zip(rows, map(_sum, rows)))
 
 
 def check_network(spec: NetworkSpec) -> None:
@@ -638,22 +644,11 @@ def validate_network(spec: NetworkSpec) -> Network:
 
 def _build_network(spec: NetworkSpec) -> Network:
     """The Network of a spec that :func:`network_diagnostics` finds valid,
-    or one valid by construction: the CPTs of each count of rows and of
-    states stacked as one array."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, n in enumerate(spec.nodes):
-        groups.setdefault((len(n.rows), len(n.states)), []).append(i)
-    cpts: list = [None] * len(spec.nodes)
-    stacked = {}
-    for slots in groups.values():
-        table = normalised_rows([spec.nodes[i].rows for i in slots])
-        for k, (i, cpt) in enumerate(zip(slots, table)):
-            cpts[i] = cpt
-            stacked[spec.nodes[i].id] = table, k
-    nodes = tuple(Node(n.id, n.kind, n.states, n.parent, cpt, n.evaluator, n.inputs,
-                       dict(n.params)) for n, cpt in zip(spec.nodes, cpts))
+    or one valid by construction, its CPT rows renormalised."""
+    nodes = tuple(Node(n.id, n.kind, n.states, n.parent, normalised_rows(n.rows), n.evaluator,
+                       n.inputs, dict(n.params)) for n in spec.nodes)
     return Network(spec.root, nodes, {n.id: n for n in nodes},
-                   {k: tuple(v) for k, v in spec._children.items()}, stacked)
+                   {k: tuple(v) for k, v in spec._children.items()})
 
 
 def apply_evidence(net: Network, ev: EvidenceSet) -> InstantiatedNetwork:

@@ -1,31 +1,41 @@
 """Exact posteriors on tree networks.
 
-One upward kernel, :func:`upward`, computes every node's likelihood (λ) for a
-batch of observation rows, and :func:`downward` adds the prior (π) pass to give
-every node's marginals for the same batch.  :func:`propagate` is their batch of
-one; ``track`` runs the upward kernel on every frame or window of a stream and
-takes each hypothesis posterior from :func:`posterior`.  A joint-enumeration
-oracle, :func:`enumerate_beliefs`, verifies this path over a batch too and is
-kept algorithmically independent of it.
+One upward kernel, :func:`upward`, computes every node's likelihood (λ) for one
+observation row, and :func:`downward` adds the prior (π) pass to give every node's
+marginals for that row.  Both run on Python floats, a few operations per node, and sum
+as numpy sums (:func:`~beliefscope.network._sum`).  ``track`` runs the upward kernel
+once per distinct row of a stream and takes each hypothesis posterior from its root λ;
+:func:`propagate` is the downward kernel on one evidence set.  A joint-enumeration
+oracle, :func:`enumerate_beliefs`, verifies this path over a batch of rows with numpy,
+the only use of numpy here, and is kept algorithmically independent of it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import cache, reduce
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, Sequence
-
-import numpy as np
+from operator import add
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ImpossibleEvidenceError, StateSpaceCapError
-from .network import InstantiatedNetwork, Network
+from .network import InstantiatedNetwork, Network, _sum, normalised_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUMERATION_CAP = 1 << 20
 
 #: the most joint-table entries :func:`enumerate_beliefs` holds for one chunk of rows
 ENUMERATION_CHUNK = 1 << 16
+
+#: the most node λs of code rows :func:`_upward` keeps on one Network at a time
+ROW_MEMO = 1 << 15
+
+Row = tuple[int, ...]
+Vector = tuple[float, ...]
 
 
 def sig10(x: float) -> float:
@@ -46,24 +56,20 @@ def sig10_json(x: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Beliefs:
-    """Per-node posteriors, each a probability vector in declared state order."""
+    """Per-node posteriors, each a tuple of probabilities in declared state order."""
 
-    marginals: Mapping[str, np.ndarray]
+    marginals: Mapping[str, Vector]
     states: Mapping[str, tuple[str, ...]]
 
-    def distribution(self, node_id: str) -> np.ndarray:
+    def distribution(self, node_id: str) -> Vector:
         return self.marginals[node_id]
 
     def probability(self, node_id: str, state: str) -> float:
         return float(self.marginals[node_id][self.states[node_id].index(state)])
 
     def to_document(self) -> dict:
-        return {
-            "beliefs": {
-                nid: {s: sig10(p) for s, p in zip(self.states[nid], vec)}
-                for nid, vec in self.marginals.items()
-            }
-        }
+        return {"beliefs": {nid: {s: sig10(p) for s, p in zip(self.states[nid], vec)}
+                            for nid, vec in self.marginals.items()}}
 
     def to_json(self) -> str:
         """``json.dumps(self.to_document(), indent=2) + "\n"``, byte for byte, laid out
@@ -72,197 +78,179 @@ class Beliefs:
         nodes = []
         for nid, vec in self.marginals.items():
             entries = ",\n".join([f"      {encode_basestring_ascii(s)}: {sig10_json(p)}"
-                                  for s, p in zip(self.states[nid], vec.tolist())])
+                                  for s, p in zip(self.states[nid], vec)])
             nodes.append(f"    {encode_basestring_ascii(nid)}: "
                          + (f"{{\n{entries}\n    }}" if entries else "{}"))
         body = ",\n".join(nodes)
         return f'{{\n  "beliefs": {{\n{body}\n  }}\n}}\n' if nodes else '{\n  "beliefs": {}\n}\n'
 
 
-@functools.cache
-def _own_evidence(s: int) -> np.ndarray:
+@cache
+def _own_evidence(s: int) -> tuple[Vector, ...]:
     """An s-state node's λ from its own evidence by code: state i observed, or uniform at -1."""
-    table = np.vstack([np.eye(s), np.full((1, s), 1.0 / s)])
-    table.flags.writeable = False  # shared by every caller
-    return table
+    return tuple(tuple(float(i == j) for j in range(s)) for i in range(s)) + ((1.0 / s,) * s,)
 
 
-def _contract(vecs: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Σ_j vecs[g, n, j] · tables[g, i, j], shape (g, n, i): products summed over the last
-    axis, never matrix products, whose rounding changes with n."""
-    return (vecs[:, :, None, :] * tables[:, None]).sum(axis=-1)
+def _normalised_exp(logs: Sequence[float]) -> Vector | None:
+    """exp(logs), max-shifted before it leaves the log domain, normalised; None where
+    every entry is -inf."""
+    top = max(logs)
+    if top == -math.inf:
+        return None
+    vec = [math.exp(v - top) for v in logs]
+    total = _sum(vec)
+    return tuple([v / total for v in vec])
 
 
-def _messages(lams: np.ndarray, cpts: np.ndarray) -> np.ndarray:
-    """Normalised log λ-messages (g, n, s) of children with CPTs (g, s, size) and λ (g, n, size)."""
-    msg = _contract(lams, cpts)
-    return np.log(msg / msg.sum(axis=-1, keepdims=True))
+def _message(lam: Vector | None, cpt: tuple[Vector, ...]) -> Vector | None:
+    """A child's normalised log λ-message, per parent state i log Σ_j lam[j] · cpt[i][j]
+    (-inf at 0), products summed; None where support vanished at or below the child."""
+    if lam is None:
+        return None
+    msg = [_sum([a * b for a, b in zip(lam, row)]) for row in cpt]
+    total = _sum(msg)
+    return tuple([math.log(q) if q else -math.inf for q in [m / total for m in msg]]) if total else None
 
 
 def _plan(net: Network) -> tuple[list[str], dict[str, int], list]:
     """What :func:`upward` and :func:`downward` take from the network alone, kept in
-    ``net.memo``: the breadth-first order, node columns, and per parent (or lone root) its
-    children grouped by state count, each group with its stacked CPTs and their transposes;
-    a leaf's message depends only on its code, so leaf groups keep it for every code."""
-    if "upward" in net.memo:
-        return net.memo["upward"]
+    ``net.memo``: the breadth-first order, node columns, and per parent (or lone root),
+    deepest first, its column, state count and children, each with its column, CPT,
+    transposed CPT, λ by code (:func:`_own_evidence`) and, for a leaf, its message by code."""
+    if "plan" in net.memo:
+        return net.memo["plan"]
     order = [net.root]
     for nid in order:
         order.extend(net.children[nid])
     column = {node.id: j for j, node in enumerate(net.nodes)}
     steps = []
     for nid in reversed([nid for nid in order if net.children[nid]] or order):  # or a lone root
-        kids = net.children[nid]
-        groups: dict[tuple[int, bool], list[int]] = {}
-        for j, child in enumerate(kids):
-            groups.setdefault((len(net.by_id[child].states), not net.children[child]), []).append(j)
-        leaves, inner = [], []
-        for (size, leaf), slots in groups.items():
-            ids = [kids[j] for j in slots]
-            table = net.stacked[ids[0]][0]  # children of one parent with one size share a stack
-            cpts = np.take(table, [net.stacked[c][1] for c in ids], axis=0)
-            down = np.ascontiguousarray(cpts.transpose(0, 2, 1))
-            if leaf:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    table = _messages(_own_evidence(size)[None], cpts)
-                leaves.append((slots, ids, [column[c] for c in ids], size, down,
-                               table.reshape(-1, table.shape[-1]), (size + 1) * np.arange(len(ids))[:, None]))
-            else:
-                inner.append((slots, ids, cpts, down))
-        steps.append((nid, len(net.by_id[nid].states), len(kids), leaves, inner))
-    net.memo["upward"] = order, column, steps
-    return net.memo["upward"]
+        kids = []
+        for child in net.children[nid]:
+            cpt = net.by_id[child].cpt
+            kids.append((child, column[child], cpt, tuple(zip(*cpt)),
+                         None if net.children[child] else {}, _own_evidence(len(cpt[0]))))
+        steps.append((nid, column[nid], len(net.by_id[nid].states), kids))
+    net.memo["plan"] = order, column, steps
+    return net.memo["plan"]
 
 
-def observation_codes(net: Network, observed: Sequence[Mapping[str, str]]) -> np.ndarray:
-    """Observation rows for :func:`upward`, one per mapping of node ids to observed labels."""
+def observation_codes(net: Network, observed: Sequence[Mapping[str, str]]) -> list[Row]:
+    """Observation rows for :func:`upward` and :func:`downward`, one per mapping of node ids
+    to observed labels: per node of ``net.nodes`` the observed state's index, or -1."""
     column = _plan(net)[1]
-    codes = np.full((len(observed), len(net.nodes)), -1, dtype=np.intp)
-    for row, assignments in zip(codes, observed):
+    rows = []
+    for assignments in observed:
+        row = [-1] * len(net.nodes)
         for nid, label in assignments.items():
             row[column[nid]] = net.by_id[nid].state_index(label)
-    return codes
+        rows.append(tuple(row))
+    return rows
 
 
-def upward(net: Network, codes: np.ndarray) -> tuple[dict, dict, tuple[int, str] | None]:
-    """The upward (likelihood) pass over a batch of observation rows.
-
-    ``codes`` (:func:`observation_codes`) has a row per observation set and a column per
-    node of ``net.nodes``: the observed state's index, or -1.  Returns every node's
-    normalised λ, shape (n, s); per parent its children's log λ-messages (:func:`_messages`),
-    shape (k, n, s), with their exclusive prefix sums; and the first row whose support
-    vanished with the node where it did, or None.  The root's prior is never read, and a
-    row is bitwise equal to its batch of one.  Only vanished support makes a NaN.
-    """
-    order, column, steps = _plan(net)
-    lam: dict[str, np.ndarray] = {}
-    fan_in: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for nid, s, k, leaves, inner in steps:  # each leaf's λ is formed with its siblings'
-            own = np.take(_own_evidence(s), codes[:, column[nid]], axis=0)
-            rows = np.empty((k, len(codes), s))
-            for slots, ids, cols, size, _, table, offsets in leaves:
-                code = codes[:, cols].T  # np.take gathers rows far faster than fancy indexing
-                lam.update(zip(ids, np.take(_own_evidence(size), code, axis=0)))
-                rows[slots] = np.take(table, code + offsets, axis=0)
-            for slots, ids, cpts, _ in inner:
-                rows[slots] = _messages(np.array([lam[c] for c in ids]), cpts)
-            prefix = np.zeros((len(rows) + 1, len(codes), s))
-            rows.cumsum(axis=0, out=prefix[1:])
-            fan_in[nid] = rows, prefix
-            log_lam = np.where(own == 0, -np.inf, prefix[-1])  # observed: other states ruled out
-            vec = np.exp(log_lam - log_lam.max(axis=-1, keepdims=True))
-            lam[nid] = vec / vec.sum(axis=-1, keepdims=True)
-    if not np.isnan(lam[net.root]).any():
-        return lam, fan_in, None
-    row = int(np.isnan(lam[net.root]).any(axis=-1).argmax())
-    # the first node with a NaN λ-message there in reversed breadth-first order, else the root
-    for parent in reversed(order):
-        if parent in fan_in:
-            nan = np.isnan(fan_in[parent][0][::-1, row]).any(axis=-1)
-            if nan.any():
-                return lam, fan_in, (row, net.children[parent][::-1][int(nan.argmax())])
-    return lam, fan_in, (row, net.root)
-
-
-def posterior(prior: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Prior (π) times likelihood (λ), normalised over the last axis; zero mass gives NaN."""
-    bel = prior * lam
-    with np.errstate(invalid="ignore"):
-        return bel / bel.sum(axis=-1, keepdims=True)
-
-
-def downward(net: Network, codes: np.ndarray, priors: np.ndarray | None = None,
-             ) -> dict[str, np.ndarray]:
-    """Every node's posterior marginals, shape (n, s) in breadth-first order, for a batch of
-    observation rows (:func:`observation_codes`).
-
-    :func:`upward` collects likelihood (λ) messages from the leaves; this pass sends prior
-    (π) messages down from the root, and each node's marginal is the normalised product of
-    the two (:func:`posterior`).  ``priors``, one row per observation row, replaces the root's
-    prior, renormalised as :func:`validate_network` renormalises a prior row.  A parent's message
-    to child i excludes child i's own λ-message: the exclusive prefix sums of the stacked
-    child log λ-messages that ``upward`` returns, with the matching suffix sums, give all k
-    "every sibling but one" messages at once.  Log-messages are only added, so a structural
-    zero stays an exact -inf, and every combined message is max-shifted before it leaves the
-    log domain, so neither wide fan-in nor long chains can underflow.  A child's π is its
-    CPT weighted by that message, products summed (:func:`_contract`), never a matrix
-    product, so a row is bitwise equal to its batch of one.
-
-    Raises ImpossibleEvidenceError for the first row whose evidence has probability zero,
-    naming the node :func:`propagate` names for that row alone: where support vanished on
-    the way up, else the first node in breadth-first order whose π and λ share no state.
-    """
-    order, column, steps = _plan(net)
-    lam, fan_in, vanished = upward(net, codes)
-    root = net.root
-    if priors is None:
-        prior = net.by_id[root].cpt[:1]  # broadcast over the rows
+def _upward(net: Network, row: Row) -> tuple[dict, dict, str | None]:
+    """Every node's normalised λ for one code row (None where no state keeps support), each
+    parent's children's log λ-messages, and where support vanished, or None: at the last
+    child with a None message of the first parent, deepest first, that has one, else at a
+    root with a None λ, where numpy's NaN first showed.  Each distinct row is computed
+    once and kept on the network, up to ROW_MEMO node λs at a time."""
+    memo = net.memo.setdefault("rows", {})
+    if row in memo:
+        return memo[row]
+    if (len(memo) + 1) * len(net.nodes) > ROW_MEMO:
+        memo.clear()
+    lam, fan_in, vanished = {}, {}, None
+    for nid, col, s, kids in _plan(net)[2]:  # each leaf's λ is set with its siblings'
+        msgs = fan_in[nid] = []
+        for child, child_col, cpt, _, leaf, own in kids:
+            if leaf is None:
+                msg = _message(lam[child], cpt)
+            else:
+                code = row[child_col]
+                msg = leaf[code] if code in leaf else leaf.setdefault(code, _message(own[code], cpt))
+                lam[child] = own[code]
+            if msg is None:
+                vanished = child
+            msgs.append(msg)
+        if vanished is not None:
+            break
+        totals = [reduce(add, v) for v in zip(*msgs)] or [0.0] * s  # left to right, as cumsum
+        code = row[col]
+        if code >= 0:  # observed: other states ruled out
+            totals = [t if i == code else -math.inf for i, t in enumerate(totals)]
+        lam[nid] = _normalised_exp(totals)
     else:
-        prior = priors / priors.sum(axis=1, keepdims=True)
-    pi = {root: prior}
-    marginals = {root: posterior(prior, lam[root])}
-    failed = np.isnan(marginals[root]).any(axis=-1)  # only zero mass makes a NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for nid, s, _, leaves, inner in reversed(steps):  # parents top-down
-            rows, prefix = fan_in[nid]
-            suffix = np.zeros(prefix.shape)
-            rows[::-1].cumsum(axis=0, out=suffix[1:])
-            own = np.take(_own_evidence(s), codes[:, column[nid]], axis=0)
-            # observed: other states ruled out; row i of the stack excludes child i
-            excluded = np.where(own == 0, -np.inf, np.log(pi[nid])) + prefix[:-1] + suffix[-2::-1]
-            excluded -= excluded.max(axis=-1, keepdims=True)
-            vec = np.exp(excluded)
-            msgs = vec / vec.sum(axis=-1, keepdims=True)
-            groups = [(slots, ids, down, np.take(_own_evidence(size), codes[:, cols].T, axis=0))
-                      for slots, ids, cols, size, down, *_ in leaves]
-            groups += [(slots, ids, down, np.array([lam[c] for c in ids]))
-                       for slots, ids, _, down in inner]
-            for slots, ids, down, child_lam in groups:
-                child_pi = _contract(msgs[slots], down)
-                pi.update(zip(ids, child_pi))
-                child = posterior(child_pi, child_lam)
-                failed |= np.isnan(child).any(axis=(0, 2))
-                marginals.update(zip(ids, child))
-    if failed.any():
-        row = int(failed.argmax())
-        if vanished is not None and vanished[0] == row:
-            raise ImpossibleEvidenceError(vanished[1])
-        raise ImpossibleEvidenceError(next(nid for nid in order
-                                           if np.isnan(marginals[nid][row]).any()))
+        vanished = net.root if lam[net.root] is None else None
+    memo[row] = lam, fan_in, vanished
+    return memo[row]
+
+
+def upward(net: Network, codes: Sequence[Row]) -> tuple[list[Vector], list[str | None]]:
+    """The root's normalised λ for each code row (:func:`observation_codes`), NaN where
+    support vanished, and where it vanished, or None.  The root's prior is never read."""
+    passes = [_upward(net, row) for row in codes]
+    nan = (math.nan,) * len(net.by_id[net.root].states)
+    return [nan if at else lam[net.root] for lam, _, at in passes], [at for _, _, at in passes]
+
+
+def _posterior(pi: Sequence[float], lam: Vector, node: str) -> Vector:
+    """Prior (π) times likelihood (λ), normalised; ImpossibleEvidenceError at ``node`` where
+    that has no mass."""
+    bel = [p * q for p, q in zip(pi, lam)]
+    total = _sum(bel)
+    if not total:
+        raise ImpossibleEvidenceError(node)
+    return tuple([b / total for b in bel])
+
+
+def downward(net: Network, row: Row, prior: Sequence[float] | None = None) -> dict[str, Vector]:
+    """Every node's posterior marginals for one observation row (:func:`observation_codes`),
+    in breadth-first order: :func:`_upward` collects likelihood (λ) messages from the
+    leaves, this pass sends prior (π) messages down from the root, and each marginal is
+    their normalised product.  ``prior`` replaces the root's prior, renormalised as
+    :func:`validate_network` renormalises a prior row.  A parent's message to child i
+    excludes child i's own λ-message: running sums of the children's log λ-messages from
+    the left and from the right give all k "every sibling but one" messages at once.  Log
+    messages are only added, so a structural zero stays an exact -inf, and each is
+    max-shifted before it leaves the log domain, so neither wide fan-in nor long chains
+    underflow.  A child's π is its CPT weighted by that message, products summed.
+
+    Raises ImpossibleEvidenceError when the evidence has probability zero, naming where
+    support vanished on the way up, else the first node in breadth-first order whose π and
+    λ share no state."""
+    order, _, steps = _plan(net)
+    lam, fan_in, vanished = _upward(net, row)
+    if vanished is not None:
+        raise ImpossibleEvidenceError(vanished)
+    root = net.root
+    if prior is not None and not _sum(prior):  # no state of the root keeps prior mass
+        raise ImpossibleEvidenceError(root)
+    pi = {root: net.by_id[root].cpt[0] if prior is None else normalised_rows([prior])[0]}
+    marginals = {root: _posterior(pi[root], lam[root], root)}
+    for nid, col, _, kids in reversed(steps):  # parents top-down
+        code = row[col]
+        base = [math.log(p) if p else -math.inf for p in pi[nid]]
+        if code >= 0:  # observed: other states ruled out
+            base = [b if i == code else -math.inf for i, b in enumerate(base)]
+        states, zero = list(zip(*fan_in[nid])), (0.0,) * len(base)
+        before = [zero, *zip(*[accumulate(v) for v in states])]  # [i]: children before i
+        after = [zero, *zip(*[accumulate(reversed(v)) for v in states])]  # [j]: the last j
+        last = len(kids) - 1
+        for i, (child, _, _, down, _, _) in enumerate(kids):
+            message = _normalised_exp([b + p + q for b, p, q in zip(base, before[i], after[last - i])])
+            if message is None:  # no state of the parent keeps support without this child
+                raise ImpossibleEvidenceError(child)
+            pi[child] = [_sum([m * c for m, c in zip(message, column)]) for column in down]
+            marginals[child] = _posterior(pi[child], lam[child], child)
     return {nid: marginals[nid] for nid in order}
 
 
 def propagate(inet: InstantiatedNetwork) -> Beliefs:
     """Exact per-node posteriors given all evidence, in time linear in the nodes:
-    :func:`downward` on one observation row.
-
-    Raises ImpossibleEvidenceError, naming the node where support vanished,
-    when the evidence has probability zero under the model.
-    """
+    :func:`downward` on its observation row, which names where support vanished when
+    the evidence has probability zero."""
     net = inet.net
-    marginals = downward(net, observation_codes(net, [inet.observed]))
-    return Beliefs({nid: vec[0] for nid, vec in marginals.items()},
+    return Beliefs(downward(net, observation_codes(net, [inet.observed])[0]),
                    {n.id: n.states for n in net.nodes})
 
 
@@ -280,10 +268,11 @@ def _state_count(n: int) -> str:
     return f"{lead // 100}.{lead % 100:02d}e+{exponent}"
 
 
-def enumerate_beliefs(net: Network, codes: np.ndarray, priors: np.ndarray | None = None,
+def enumerate_beliefs(net: Network, codes: Sequence[Row], priors: np.ndarray | None = None,
                       cap: int = ENUMERATION_CAP) -> dict[str, np.ndarray]:
-    """Joint-enumeration oracle with the contract of :func:`downward`: every node's
-    marginals, shape (n, s), in ``net.nodes`` order.
+    """Joint-enumeration oracle with the contract of :func:`downward` over a batch of rows:
+    every node's marginals, shape (n, s), in ``net.nodes`` order, computed with numpy,
+    which this module imports nowhere else.
 
     The product of CPT entries over the whole joint state space is built once per call, as a
     dense table.  Each row's evidence, and its root prior when ``priors`` is given, multiply a
@@ -298,6 +287,8 @@ def enumerate_beliefs(net: Network, codes: np.ndarray, priors: np.ndarray | None
     if total_states > cap:
         raise StateSpaceCapError(f"joint state space {_state_count(total_states)} exceeds cap "
                                  f"{_state_count(cap)}")
+    import numpy as np
+    codes = np.array(codes, dtype=np.intp).reshape(len(codes), len(sizes))
 
     def factor(j: int, rows: np.ndarray) -> np.ndarray:
         """Rows (m, s_j) of node j's factor, shaped to multiply m joint tables."""
@@ -310,11 +301,12 @@ def enumerate_beliefs(net: Network, codes: np.ndarray, priors: np.ndarray | None
         shape[axis[n.id]] = len(n.states)
         if n.parent is None:
             if priors is None:  # else each row's own prior multiplies its copy
-                joint *= n.cpt[0].reshape(shape)
+                joint *= np.array(n.cpt[0]).reshape(shape)
         else:
             pa = axis[n.parent]
             shape[pa] = len(net.node(n.parent).states)
-            joint *= (n.cpt if pa < axis[n.id] else n.cpt.T).reshape(shape)
+            cpt = np.array(n.cpt)
+            joint *= (cpt if pa < axis[n.id] else cpt.T).reshape(shape)
 
     marginals = {n.id: np.empty((len(codes), size)) for n, size in zip(net.nodes, sizes)}
     step = max(1, ENUMERATION_CHUNK // total_states)
@@ -345,13 +337,11 @@ def brute_force_beliefs(inet: InstantiatedNetwork, cap: int = ENUMERATION_CAP) -
     """
     net = inet.net
     marginals = enumerate_beliefs(net, observation_codes(net, [inet.observed]), cap=cap)
-    return Beliefs({nid: vec[0] for nid, vec in marginals.items()},
+    return Beliefs({nid: tuple(vec[0].tolist()) for nid, vec in marginals.items()},
                    {n.id: n.states for n in net.nodes})
 
 
 def map_assignment(beliefs: Beliefs) -> dict[str, str]:
     """Per-node argmax state; ties go to the lowest declared state index."""
-    return {
-        nid: beliefs.states[nid][int(np.argmax(vec))]
-        for nid, vec in beliefs.marginals.items()
-    }
+    return {nid: beliefs.states[nid][max(range(len(vec)), key=vec.__getitem__)]
+            for nid, vec in beliefs.marginals.items()}

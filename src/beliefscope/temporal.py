@@ -22,7 +22,6 @@ from operator import contains, itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BeliefscopeError,
@@ -54,7 +53,7 @@ from .network import (
     strict_int,
     validate_network,
 )
-from .propagation import observation_codes, posterior, sig10_json, upward
+from .propagation import Row, observation_codes, sig10_json, upward
 from .relational import (
     DEFAULT_EPSILON,
     DEFAULT_TAU,
@@ -351,6 +350,13 @@ def _mixed_prior(prior: np.ndarray, trans: np.ndarray, prev: np.ndarray,
     return eff / total
 
 
+def posterior(prior: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Prior (π) times likelihood (λ), normalised over the last axis; zero mass gives NaN."""
+    bel = prior * lam
+    with np.errstate(invalid="ignore"):
+        return bel / bel.sum(axis=-1, keepdims=True)
+
+
 @dataclass(frozen=True, eq=False)
 class FrameBelief:
     index: int
@@ -401,7 +407,7 @@ def bind_frame(spec: NetworkSpec, frame: Frame) -> dict[str, Region | None]:
 
 def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
                   tau: float | None = None, epsilon: float | None = None,
-                  ) -> Iterator[tuple[Network, np.ndarray, BeliefTrace]]:
+                  ) -> Iterator[tuple[Network, list[Row], BeliefTrace]]:
     """Semi-static recognition over a stream given as chunks of frames, one
     batch (net, codes, trace) per chunk: a code row and a belief per frame.
 
@@ -413,12 +419,13 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
     forward algorithm: λ at the hypothesis does not depend on its prior, so one
     ``upward`` call per chunk gives it for the chunk's frames, and the scan
     carries only the previous posterior, from chunk to chunk too, through
-    ``posterior``, bitwise equal to ``propagate`` on each frame's tree.
+    :func:`posterior`, bitwise equal to ``propagate`` on each frame's tree.
     Errors come in stream order.
     """
     spec, net = model.per_frame, validate_network(model.per_frame)
     root = net.node(spec.root)
-    paper, transition = model.mode == "paper", normalised_rows(model.transition)
+    static = np.array(root.cpt[0])
+    paper, transition = model.mode == "paper", np.array(normalised_rows(model.transition))
     prev = None  # the previous frame's posterior
     for frames in chunks:
         if not frames:
@@ -433,18 +440,17 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
                 break
             bindings.append({f: r and r.id for f, r in bound.items()})
         codes = observation_codes(net, observed)
-        lam, _, vanished = upward(net, codes)
+        lam, vanished = upward(net, codes)
+        lam = np.array(lam)
 
         beliefs: list[FrameBelief] = []
         for i, frame in enumerate(frames):
-            eff = (_mixed_prior(root.cpt[0], transition, prev, paper)
-                   if prev is not None else root.cpt[0])
+            eff = _mixed_prior(static, transition, prev, paper) if prev is not None else static
             if i == len(observed):
                 raise failure
-            prev = posterior(eff / eff.sum(), lam[spec.root][i])
+            prev = posterior(eff / eff.sum(), lam[i])
             if np.isnan(prev[0]):
-                node = vanished[1] if vanished is not None and vanished[0] == i else spec.root
-                raise FrameInferenceError(frame.index, ImpossibleEvidenceError(node))
+                raise FrameInferenceError(frame.index, ImpossibleEvidenceError(vanished[i] or spec.root))
             beliefs.append(FrameBelief(frame.index, prev, eff, bindings[i]))
         if beliefs:
             yield net, codes, BeliefTrace(root.id, root.states, tuple(beliefs))
@@ -455,7 +461,7 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
 
 def filter_frames(model: TemporalModel, stream: FrameStream, *,
                   tau: float | None = None, epsilon: float | None = None,
-                  ) -> tuple[Network, np.ndarray, BeliefTrace]:
+                  ) -> tuple[Network, list[Row], BeliefTrace]:
     """Semi-static recognition over a stream as one batch (net, codes, trace):
     :func:`filter_chunks` over the stream as one chunk."""
     return next(filter_chunks(model, [stream.frames], tau=tau, epsilon=epsilon))
@@ -514,7 +520,7 @@ def _class_matching(prev: Sequence[Region], cur: Sequence[Region], delta: float)
 
 def _window_codes(model: DynamicModel, chunks: Iterable[Sequence[Frame]], window: int | None, *,
                   tau: float | None, epsilon: float | None, delta: float | None,
-                  ) -> Iterator[tuple[int, Network, np.ndarray, list[int], list[str | None]]]:
+                  ) -> Iterator[tuple[int, Network, list[Row], list[int], list[str | None]]]:
     """Per chunk of frames: the window length k (``window``, else
     ``max_window``, clamped to the number of frames when the whole stream is
     shorter), the k-frame window network, a code row per window whose last frame
@@ -576,19 +582,18 @@ def _window_codes(model: DynamicModel, chunks: Iterable[Sequence[Frame]], window
         yield k, net, _windows(frame_codes, pair_codes, k), indices, ids
 
 
-def _windows(frame_codes: Sequence[int], pair_codes: Sequence[int], k: int) -> np.ndarray:
+def _windows(frame_codes: Sequence[int], pair_codes: Sequence[int], k: int) -> list[Row]:
     """The code row of every k-frame window over consecutive frames' presence codes and
     consecutive pairs' relation codes, in window_spec's node order: hypothesis, presence
     nodes, relation nodes."""
-    return np.hstack([np.full((len(frame_codes) - k + 1, 1), -1),
-                      sliding_window_view(np.array(frame_codes), k),
-                      sliding_window_view(np.array(pair_codes), k - 1)])
+    return [(-1, *frame_codes[i:i + k], *pair_codes[i:i + k - 1])
+            for i in range(len(frame_codes) - k + 1)]
 
 
 def dynamic_chunks(model: DynamicModel, chunks: Iterable[Sequence[Frame]],
                    window: int | None = None, *, tau: float | None = None,
                    epsilon: float | None = None, delta: float | None = None,
-                   ) -> Iterator[tuple[Network, np.ndarray, BeliefTrace]]:
+                   ) -> Iterator[tuple[Network, list[Row], BeliefTrace]]:
     """Sliding-window dynamic recognition over a stream given as chunks of
     frames, one batch (net, codes, trace) per chunk: a code row and a belief per
     window whose last frame is in the chunk, in order of that frame.
@@ -603,14 +608,14 @@ def dynamic_chunks(model: DynamicModel, chunks: Iterable[Sequence[Frame]],
     hyp = model.hypothesis_id
     for k, net, codes, indices, ids in _window_codes(model, chunks, window, tau=tau,
                                                      epsilon=epsilon, delta=delta):
-        lam, _, vanished = upward(net, codes)
-        prior = net.node(hyp).cpt[0]
-        posteriors = posterior(prior, lam[hyp])
+        lam, vanished = upward(net, codes)
+        prior = np.array(net.node(hyp).cpt[0])
+        posteriors = posterior(prior, np.array(lam))
         failed = np.isnan(posteriors).any(axis=1)
         if failed.any():
             start = int(failed.argmax())
-            node = vanished[1] if vanished is not None and vanished[0] == start else hyp
-            raise FrameInferenceError(indices[start + k - 1], ImpossibleEvidenceError(node))
+            raise FrameInferenceError(indices[start + k - 1],
+                                      ImpossibleEvidenceError(vanished[start] or hyp))
         presence = _window_ids(model, k)[0]
         yield net, codes, BeliefTrace(hyp, tuple(model.hypothesis_states), tuple(
             FrameBelief(indices[start + k - 1], post, prior, dict(zip(presence, ids[start:start + k])))
@@ -620,7 +625,7 @@ def dynamic_chunks(model: DynamicModel, chunks: Iterable[Sequence[Frame]],
 def dynamic_windows(model: DynamicModel, frames: Sequence[Frame], window: int | None = None, *,
                     tau: float | None = None, epsilon: float | None = None,
                     delta: float | None = None,
-                    ) -> tuple[Network, np.ndarray, BeliefTrace]:
+                    ) -> tuple[Network, list[Row], BeliefTrace]:
     """Sliding-window dynamic recognition as one batch (net, codes, trace):
     :func:`dynamic_chunks` over the frames as one chunk."""
     return next(dynamic_chunks(model, [frames], window, tau=tau, epsilon=epsilon, delta=delta))

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from beliefscope.network import (
     finite_number,
     load_json,
     network_diagnostics,
-    normalised_rows,
     strict_int,
 )
 from beliefscope.relational import Region
@@ -116,12 +116,13 @@ def per_evidence_enumeration(net: Network, observed) -> dict[str, np.ndarray] | 
     for n in net.nodes:
         shape = [1] * len(sizes)
         shape[axis[n.id]] = len(n.states)
+        cpt = np.array(n.cpt)
         if n.parent is None:
-            joint = joint * n.cpt[0].reshape(shape)
+            joint = joint * cpt[0].reshape(shape)
         else:
             pa = axis[n.parent]
             shape[pa] = len(net.node(n.parent).states)
-            table = n.cpt if pa < axis[n.id] else n.cpt.T
+            table = cpt if pa < axis[n.id] else cpt.T
             joint = joint * table.reshape(shape)
     for nid, label in observed.items():
         node = net.node(nid)
@@ -136,6 +137,40 @@ def per_evidence_enumeration(net: Network, observed) -> dict[str, np.ndarray] | 
     for n in net.nodes:
         m = joint.sum(axis=tuple(i for i in range(len(sizes)) if i != axis[n.id]))
         marginals[n.id] = m / m.sum()
+    return marginals
+
+
+def exact_beliefs(net: Network, assignments) -> dict[str, list[Fraction]] | None:
+    """Every node's posterior marginals in breadth-first order, in exact rational
+    arithmetic over the network's renormalised CPT rows, or None when the evidence has
+    probability zero: the sum-product recursion on the tree, unnormalised until each
+    marginal is formed, with no log domain, no scaling and no order of summation."""
+    cpt = {n.id: [[Fraction(v) for v in row] for row in n.cpt] for n in net.nodes}
+    own = {n.id: [Fraction(assignments.get(n.id, s) == s) for s in n.states] for n in net.nodes}
+    order = [net.root]
+    for nid in order:
+        order.extend(net.children[nid])
+    lam, message = {}, {}
+    for nid in reversed(order):
+        lam[nid] = own[nid]
+        for child in net.children[nid]:
+            lam[nid] = [v * m for v, m in zip(lam[nid], message[child])]
+        message[nid] = [sum(p * v for p, v in zip(row, lam[nid])) for row in cpt[nid]]
+    pi = {net.root: cpt[net.root][0]}
+    marginals = {}
+    for nid in order:
+        belief = [p * v for p, v in zip(pi[nid], lam[nid])]
+        total = sum(belief)
+        if total == 0:
+            return None
+        marginals[nid] = [b / total for b in belief]
+        for child in net.children[nid]:
+            to_child = [p * e for p, e in zip(pi[nid], own[nid])]
+            for sibling in net.children[nid]:
+                if sibling != child:
+                    to_child = [v * m for v, m in zip(to_child, message[sibling])]
+            pi[child] = [sum(v * row[j] for v, row in zip(to_child, cpt[child]))
+                         for j in range(len(cpt[child][0]))]
     return marginals
 
 
@@ -330,25 +365,28 @@ def reference_network_spec(doc) -> NetworkSpec:
 
 def reference_validate_network(spec: NetworkSpec) -> Network:
     """``validate_network`` as it was before its column passes and its cache: every
-    diagnostic of the per-node loops, then one ``normalised_rows`` array per node.  The
-    stacks the propagation plan gathers from are stacked from those arrays."""
+    diagnostic of the per-node loops, then each node's rows renormalised by numpy, as
+    ``rows / rows.sum(axis=-1, keepdims=True)``, and kept as tuples of floats."""
     diags = network_diagnostics(spec)
     if diags:
         raise InvalidNetworkError(diags)
-    nodes = tuple(Node(n.id, n.kind, n.states, n.parent, normalised_rows(n.rows), n.evaluator,
-                       n.inputs, dict(n.params)) for n in spec.nodes)
+    nodes = []
+    for n in spec.nodes:
+        rows = np.array(n.rows, dtype=float)
+        rows = rows / rows.sum(axis=-1, keepdims=True)
+        nodes.append(Node(n.id, n.kind, n.states, n.parent, tuple(map(tuple, rows.tolist())),
+                          n.evaluator, n.inputs, dict(n.params)))
     children: dict[str, list[str]] = {n.id: [] for n in nodes}
-    groups: dict[tuple[int, ...], list[Node]] = {}
     for n in nodes:
         if n.parent is not None:
             children[n.parent].append(n.id)
-        groups.setdefault(n.cpt.shape, []).append(n)
-    stacked = {}
-    for group in groups.values():
-        table = np.array([n.cpt for n in group])
-        stacked.update((n.id, (table, k)) for k, n in enumerate(group))
-    return Network(spec.root, nodes, {n.id: n for n in nodes},
-                   {k: tuple(v) for k, v in children.items()}, stacked)
+    return Network(spec.root, tuple(nodes), {n.id: n for n in nodes},
+                   {k: tuple(v) for k, v in children.items()})
+
+
+def hex_rows(rows) -> list[list[str]]:
+    """Rows of floats, each float as its exact hex text: compared bit for bit."""
+    return [[float(v).hex() for v in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -610,23 +648,26 @@ def whole_stream_command(args) -> int:
         return 0
     if trace is not None:
         printed = np.array([belief.posterior for belief in trace.frames])
-    slots: dict[bytes, int] = {}
-    rows = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in
-                     (codes if priors is None else np.hstack([codes, priors]))], dtype=np.intp)
+    slots: dict[tuple, int] = {}
+    rows = np.array([slots.setdefault(key, len(slots)) for key in
+                     (codes if priors is None else zip(codes, map(np.ndarray.tobytes, priors)))],
+                    dtype=np.intp)
     first = np.unique(rows, return_index=True)[1]
     worst = 0.0
     if len(codes):
         alone = None if priors is None else priors[first]
         try:
-            fast = downward(net, codes[first], alone)
-            slow = enumerate_beliefs(net, codes[first], alone)
+            fast = [downward(net, codes[row], None if priors is None else priors[row].tolist())
+                    for row in first]
+            slow = enumerate_beliefs(net, [codes[row] for row in first], alone)
         except (ImpossibleEvidenceError, StateSpaceCapError):
             for row in first:  # the first row's error, propagate before enumeration
                 alone = None if priors is None else priors[row:row + 1]
-                downward(net, codes[row:row + 1], alone)
+                downward(net, codes[row], None if alone is None else alone[0].tolist())
                 enumerate_beliefs(net, codes[row:row + 1], alone)
             raise
-        worst = max(float(np.abs(fast[nid] - slow[nid]).max()) for nid in slow)
+        worst = max(float(np.abs(np.array([marginals[nid] for marginals in fast]) - slow[nid]).max())
+                    for nid in slow)
         if printed is not None:
             worst = max(worst, float(np.abs(printed - slow[net.root][rows]).max()))
     sys.stdout.write(f"max |propagate - enumeration| = {sig10(worst):.10g} "

@@ -49,7 +49,7 @@ def criterion(number, name):
 
 def assert_wellformed(beliefs, observed=()):
     for nid, vec in beliefs.marginals.items():
-        assert abs(vec.sum() - 1.0) < 1e-9
+        assert abs(sum(vec) - 1.0) < 1e-9
     for nid, label in dict(observed).items():
         vec = beliefs.distribution(nid)
         assert vec[beliefs.states[nid].index(label)] == 1.0
@@ -66,7 +66,7 @@ def test_criterion_1_oracle_equivalence():
             fast = propagate(inet)
             slow = brute_force_beliefs(inet)
             for nid in fast.marginals:
-                assert np.abs(fast.distribution(nid) - slow.distribution(nid)).max() < 1e-9
+                assert np.abs(np.subtract(fast.distribution(nid), slow.distribution(nid))).max() < 1e-9
             assert_wellformed(fast, inet.observed)
             assert_wellformed(slow, inet.observed)
         elapsed = time.perf_counter() - started
@@ -84,7 +84,7 @@ def test_criterion_2_relational_transform_correctness():
                 inet = apply_evidence(net, ev)
                 fast = propagate(inet)
                 slow = brute_force_beliefs(inet)
-                diff = np.abs(fast.distribution(spec.root) - slow.distribution(spec.root)).max()
+                diff = np.abs(np.subtract(fast.distribution(spec.root), slow.distribution(spec.root))).max()
                 assert diff < 1e-12
                 assert_wellformed(fast, inet.observed)
 

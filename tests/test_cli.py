@@ -802,6 +802,17 @@ class TestCheckFailures:
                 with mock.patch.object(temporal, "CHUNK_FRAMES", chunk):
                     assert run(capsys, "check", "--spec", str(spec), "--stream", stream) == want
 
+    def test_past_the_cap_only_the_first_row_is_propagated(self, capsys, monkeypatch, tmp_path,
+                                                           spot_later):
+        """Over the cap, only the first distinct row's impossible evidence could be named
+        before the cap error, so that row alone goes through downward."""
+        real, rows = propagation.downward, []
+        monkeypatch.setattr(propagation, "downward", lambda *args: rows.append(args[1]) or real(*args))
+        spec = wide_spot_spec_file(tmp_path, 20)
+        assert run(capsys, "check", "--spec", spec, "--stream", spot_later) == (
+            1, "", "joint state space 4194304 exceeds cap 1048576\n")
+        assert len(rows) == 1 and rows[0][1] == 1  # the first frame's row: f observed absent
+
     def test_an_impossible_first_row_is_propagated_first(self, capsys, tmp_path):
         spec = wide_spot_spec_file(tmp_path, 20)
         scene = tmp_path / "evidence.json"
@@ -852,12 +863,16 @@ class TestCheckRoutes:
         assert code == 0
         assert out.endswith(f" over {len(frames) - 2} network(s)\n")
         assert len(calls.pop("select_region")) == len(frames)
-        for name, (call, *more) in calls.items():  # one call each, one row per evidence set
-            net, codes = call[:2]
-            assert more == [] and len(codes) == len(distinct), name
-            rows = {frozenset((node.id, node.states[c]) for node, c in zip(net.nodes, row)
-                              if c >= 0) for row in codes.tolist()}
-            assert rows == distinct, name
+
+        def evidence(net, row):
+            return frozenset((node.id, node.states[c]) for node, c in zip(net.nodes, row) if c >= 0)
+
+        # one oracle call over a row per evidence set, and one downward call per row
+        (net, codes, *_), *more = calls["enumerate_beliefs"]
+        assert more == [] and len(codes) == len(distinct)
+        assert {evidence(net, row) for row in codes} == distinct
+        rows = [evidence(net, row) for net, row, *_ in calls["downward"]]
+        assert len(rows) == len(distinct) and set(rows) == distinct
 
     def test_skewed_star_route_exits_4(self, capsys, monkeypatch, tmp_path):
         _, path = spot_stream_file(tmp_path)
@@ -1086,8 +1101,7 @@ MODEL_LAYER = ["beliefscope.cli", "beliefscope.errors", "beliefscope.models", "b
 #: (argv, the beliefscope modules and numpy loaded once it has run)
 LOADED_BY = [
     (["infer", "--spec", "spec.json", "--scene", "ev.json"],
-     ["beliefscope.cli", "beliefscope.errors", "beliefscope.network", "beliefscope.propagation",
-      "numpy"]),
+     ["beliefscope.cli", "beliefscope.errors", "beliefscope.network", "beliefscope.propagation"]),
     (["validate", "--spec", "spec.json"], ["beliefscope.cli", "beliefscope.errors", "beliefscope.network"]),
     (["infer", "--spec", "spec.json", "--scene", "ev.json", "--tau", "3"],  # refused: no relation
      ["beliefscope.cli", "beliefscope.errors", "beliefscope.network"]),
@@ -1606,6 +1620,15 @@ class TestFlagsForAnotherInput:
         default = run(capsys, *argv, "--scenario", "static_spot")
         assert default[0] == 0
         assert run(capsys, *argv, "--scenario", "static_spot", "--seed", "0", "--frames", "5") == default
+
+    @pytest.mark.parametrize("frames", [str(sys.maxsize + 1), "99999999999999999999"])
+    @pytest.mark.parametrize("argv", [["generate"], ["track", "--model", "lumen_tracker"],
+                                      ["check", "--model", "dirty_lens"],
+                                      ["check", "--model", "bend"], ["infer", "--model", "bend"]])
+    def test_frames_past_any_index_exit_2(self, capsys, argv, frames):
+        # only lengths no sequence can have: a smaller huge --frames would fill memory
+        assert run(capsys, *argv, "--scenario", "empty", "--frames", frames) == (
+            2, "", f"--frames must be at most {sys.maxsize}\n")
 
     @pytest.mark.parametrize("flag", ["--tau", "--epsilon"])
     @pytest.mark.parametrize("command", ["infer", "check"])

@@ -682,7 +682,7 @@ class TestRelationalize:
                 inet = apply_evidence(net, ev)
                 fast = propagate(inet)
                 slow = brute_force_beliefs(inet)
-                diff = np.abs(fast.distribution(spec.root) - slow.distribution(spec.root)).max()
+                diff = np.abs(np.subtract(fast.distribution(spec.root), slow.distribution(spec.root))).max()
                 assert diff < 1e-12
 
     def test_diagnostics(self):
