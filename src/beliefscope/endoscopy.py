@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .models import (  # re-exported
     BUILTIN_MODELS, DEFAULT_PROBS, HYPOTHESIS_STATES, BuiltinModel, Model, builtin_model, compile_rule)
 from .relational import Region
@@ -37,26 +35,30 @@ def _moving_spot(rng: random.Random, n: int) -> list[tuple[Region, ...]]:
     return [(_spot(20.0 + 15.0 * i, 50.0),) for i in range(n)]
 
 
-def _ring_mask(size: int, band: int) -> np.ndarray:
-    mask = np.ones((size, size), dtype=bool)
-    mask[band:-band, band:-band] = False
-    return mask
+def _ring_mask(size: int, band: int) -> list[list[int]]:
+    """A size x size square of 1s with a square hole of 0s, ``band`` pixels in from each edge."""
+    inside = range(band, size - band)
+    return [[0 if x in inside and y in inside else 1 for x in range(size)] for y in range(size)]
+
+
+#: the mask of a solid 3 x 3 region
+_BLOCK = [[1, 1, 1]] * 3
 
 
 def _surround_scene(rng: random.Random, n: int) -> list[tuple[Region, ...]]:
+    ring_mask = _ring_mask(21, 3)
     ring = Region(id="ring", colour_class="bright", centroid=(30.0, 30.0),
-                  area=int(_ring_mask(21, 3).sum()), bbox=(20, 20, 40, 40),
-                  mask=_ring_mask(21, 3))
+                  area=sum(map(sum, ring_mask)), bbox=(20, 20, 40, 40), mask=ring_mask)
     blob = Region(id="blob", colour_class="dark", centroid=(24.0, 24.0), area=9,
-                  bbox=(23, 23, 25, 25), mask=np.ones((3, 3), dtype=bool))
+                  bbox=(23, 23, 25, 25), mask=_BLOCK)
     return [(ring, blob)] * n
 
 
 def _adjacent_scene(rng: random.Random, n: int) -> list[tuple[Region, ...]]:
     bright = Region(id="bright", colour_class="bright", centroid=(11.0, 11.0), area=9,
-                    bbox=(10, 10, 12, 12), mask=np.ones((3, 3), dtype=bool))
+                    bbox=(10, 10, 12, 12), mask=_BLOCK)
     dark = Region(id="dark", colour_class="dark", centroid=(14.0, 11.0), area=9,
-                  bbox=(13, 10, 15, 12), mask=np.ones((3, 3), dtype=bool))
+                  bbox=(13, 10, 15, 12), mask=_BLOCK)
     return [(bright, dark)] * n
 
 

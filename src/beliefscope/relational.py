@@ -4,6 +4,10 @@ A relation node's value is a function of its input regions, so it is computed
 from the scene and clamped as evidence; what remains is an ordinary tree
 network in which the relation node is just another observed child of the
 hypothesis.
+
+A region's mask is a numpy bool grid, and only the code that makes or reads one
+imports numpy: a scene or stream without masks is checked, bound and evaluated on
+Python values alone.
 """
 
 from __future__ import annotations
@@ -11,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
-from operator import contains, is_not, itemgetter
-from typing import Any, Collection, Mapping, Sequence
-
-import numpy as np
+from operator import contains, is_not, itemgetter, le
+from typing import TYPE_CHECKING, Any, Collection, Mapping, Sequence
 
 from .errors import SpecSyntaxError
 from .network import (
@@ -43,6 +47,9 @@ from .network import (
     strict_int,
     validate_network,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TAU = 2.0
 DEFAULT_EPSILON = 2.0
@@ -84,6 +91,7 @@ class Region:
         if xmin > xmax or ymin > ymax:
             raise ValueError(f"region '{self.id}': bbox not well-ordered")
         if self.mask is not None:
+            import numpy as np
             h, w = ymax - ymin + 1, xmax - xmin + 1
             try:
                 mask = np.asarray(self.mask, dtype=bool)
@@ -105,6 +113,7 @@ class Region:
         mask.  With ``window`` (inclusive bounds, like ``bbox``) only the pixels
         inside it, none when it misses the bbox.  With ``edge`` only those with
         a 4-neighbour outside the (cropped) mask."""
+        import numpy as np
         mask, xn, yn = self._crop(window)
         if edge:
             inner = np.zeros_like(mask)
@@ -145,6 +154,7 @@ def _bit_grid(text: str, h: int, w: int, area: int) -> np.ndarray:
     if bits.count(1) != area or not (1 in bits[:w] and 1 in bits[-w:] and 1 in bits[::w]
                                      and 1 in bits[w - 1::w]):
         raise ValueError("not the area's pixels, reaching every edge of the bbox")
+    import numpy as np
     return np.frombuffer(bits, dtype=bool).reshape(h, w).copy()  # owns its pixels, like np.asarray
 
 
@@ -233,15 +243,16 @@ _XY = itemgetter(slice(0, 2))
 
 class RegionTable:
     """Groups of regions (a scene, or a chunk of a stream's frames) held as
-    columns (ids, colour codes, float64 centroids, int64 areas and bboxes,
-    checked mask grids).  A row's Region is built when it is first read, once,
-    so the Regions of a group keep their identity however they are read."""
+    columns: ids, colour codes, flat centroid floats, areas, flat bbox ints and
+    checked mask grids.  The numbers are checked as lists and kept as
+    ``bytes`` and ``array`` columns, a few bytes a row.  A row's Region is built
+    when it is first read, once, so the Regions of a group keep their identity
+    however they are read."""
 
-    def __init__(self, ids: list[str], codes: np.ndarray, centroids: np.ndarray,
-                 areas: np.ndarray, bboxes: np.ndarray, bounds: list[int],
-                 grids: dict[int, np.ndarray]):
-        self._ids, self._codes, self._centroids = ids, codes, centroids
-        self._areas, self._bboxes, self._bounds, self._grids = areas, bboxes, bounds, grids
+    def __init__(self, ids: list[str], codes: bytes, xy: array, areas: array,
+                 corners: array, bounds: list[int], grids: dict[int, np.ndarray]):
+        self._ids, self._codes, self._xy, self._areas = ids, codes, xy, areas
+        self._corners, self._bounds, self._grids = corners, bounds, grids
         self._built: dict[int, Region] = {}
         self._by_classes: dict[frozenset, list[tuple[Region, ...]]] = {}
 
@@ -252,11 +263,13 @@ class RegionTable:
 
         Every check :func:`region_from_document` makes runs as one C pass
         over a column: types by ``set(map(type, ...))``, keys by counting
-        them, ranges and bbox order on the numpy columns.  A mask is checked
-        once by :func:`_bit_grid` on its text, the next of ``cuts`` where it is
-        CUT (:func:`cut_masks`), else its ``json.dumps``, and its grid kept for
-        the row.  Nothing is built here: :meth:`group` builds the rows.  On
-        None the caller names the error through :func:`region_from_document`.
+        them, finite centroids by ``math.isfinite``, ranges by ``min`` and
+        ``max``, and bbox order by ``operator.le`` over the corners.  A mask is
+        checked once by :func:`_bit_grid` on its text, the next of ``cuts``
+        where it is CUT (:func:`cut_masks`), else its ``json.dumps``, and its
+        grid kept for the row.  Nothing is built here: :meth:`group` builds the
+        rows.  On None the caller names the error through
+        :func:`region_from_document`.
         """
         counts = list(map(len, groups))
         rows = list(chain.from_iterable(groups))
@@ -278,16 +291,18 @@ class RegionTable:
         if not (xy_types <= _NUMBER and set(map(type, corners)) <= _INT):
             return None
         try:
-            codes = np.array(list(map(_COLOUR_CODE.__getitem__, colours)), dtype=np.int8)
-            centroid = np.array(xy if xy_types <= _FLOAT else list(map(float, xy))).reshape(m, 2)
-            area = np.array(areas, dtype=np.int64)
-            bbox = np.array(corners, dtype=np.int64).reshape(m, 4)
-        except (KeyError, TypeError, OverflowError):  # an unknown or unhashable class, a huge integer
+            codes = bytes(map(_COLOUR_CODE.__getitem__, colours))
+            if not xy_types <= _FLOAT:
+                xy = list(map(float, xy))
+        except (KeyError, TypeError, OverflowError):  # an unknown or unhashable class, an int past float
             return None
         bounds = list(accumulate(counts, initial=0))
-        if not (np.isfinite(centroid).all() and (area >= 1).all() and (area <= EXACT_INT).all()
-                and (bbox >= -EXACT_INT).all() and (bbox <= EXACT_INT).all()
-                and (bbox[:, 0] <= bbox[:, 2]).all() and (bbox[:, 1] <= bbox[:, 3]).all()
+        left, top, right, bottom = (corners[j::4] for j in range(4))
+        if not (all(map(math.isfinite, xy)) and min(areas, default=1) >= 1
+                and max(areas, default=1) <= EXACT_INT
+                and all(map(le, left, right)) and all(map(le, top, bottom))  # so low corners hold the min
+                and -EXACT_INT <= min(min(left, default=0), min(top, default=0))
+                and max(max(right, default=0), max(bottom, default=0)) <= EXACT_INT
                 and sum(map(len, map(set, map(ids.__getitem__, map(slice, bounds, bounds[1:]))))) == m):
             return None
         masks = list(map(dict.get, rows, repeat("mask")))
@@ -301,7 +316,7 @@ class RegionTable:
                                      ymax - ymin + 1, xmax - xmin + 1, areas[i])
             except (ValueError, TypeError, RecursionError):  # TypeError: a CUT within a mask
                 return None
-        return cls(ids, codes, centroid, area, bbox, bounds, grids)
+        return cls(ids, codes, array("d", xy), array("q", areas), array("q", corners), bounds, grids)
 
     @staticmethod
     def _region(id: str, colour_class: str, centroid: tuple[float, float], area: int,
@@ -324,12 +339,11 @@ class RegionTable:
         built = self._built
         new = [i for i in rows if i not in built]
         if new:
-            ids, grids, region = self._ids, self._grids, self._region
-            for i, code, (x, y), area, bbox in zip(
-                    new, self._codes[new].tolist(), self._centroids[new].tolist(),
-                    self._areas[new].tolist(), self._bboxes[new].tolist()):
-                built[i] = region(ids[i], COLOUR_CLASSES[code], (x, y), area, tuple(bbox),
-                                  grids.get(i))
+            ids, codes, xy, areas, corners = self._ids, self._codes, self._xy, self._areas, self._corners
+            grids, region = self._grids, self._region
+            for i in new:
+                built[i] = region(ids[i], COLOUR_CLASSES[codes[i]], (xy[2 * i], xy[2 * i + 1]), areas[i],
+                                  tuple(corners[4 * i:4 * i + 4]), grids.get(i))
         return [built[i] for i in rows]
 
     def group(self, k: int, classes: Collection[str] = COLOUR_CLASSES) -> tuple[Region, ...]:
@@ -339,10 +353,10 @@ class RegionTable:
         key = frozenset(classes)
         groups = self._by_classes.get(key)
         if groups is None:
-            rows = np.flatnonzero(np.isin(self._codes, [_COLOUR_CODE[c] for c in key
-                                                        if c in _COLOUR_CODE]))
-            regions = self._rows(rows.tolist())
-            cuts = np.searchsorted(rows, self._bounds).tolist()
+            wanted = {_COLOUR_CODE[c] for c in key if c in _COLOUR_CODE}
+            rows = list(compress(range(len(self._codes)), map(wanted.__contains__, self._codes)))
+            regions = self._rows(rows)
+            cuts = [bisect_left(rows, b) for b in self._bounds]
             groups = self._by_classes[key] = [tuple(regions[a:b]) for a, b in zip(cuts, cuts[1:])]
         return groups[k]
 
@@ -450,6 +464,7 @@ def _within(a: Region, b: Region, tau: float) -> bool:
     near_b = (b.bbox[0] - r, b.bbox[1] - r, b.bbox[2] + r, b.bbox[3] + r)
     near_a = (a.bbox[0] - r, a.bbox[1] - r, a.bbox[2] + r, a.bbox[3] + r)
     (crop_a, xa, ya), (crop_b, xb, yb) = a._crop(near_b), b._crop(near_a)
+    import numpy as np
     (ys_a, xs_a), (ys_b, xs_b) = np.nonzero(crop_a), np.nonzero(crop_b)
     pairs = len(xs_a) * len(xs_b)
     if not pairs:

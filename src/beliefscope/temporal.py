@@ -9,6 +9,12 @@ Both return one batch ``(net, codes, trace)``: the Network all frames or windows
 share, a code row per frame or window (:func:`~beliefscope.propagation.observation_codes`),
 the only evidence form past binding, and the beliefs ``track`` prints.  The models
 and their documents are defined in :mod:`beliefscope.models`, which imports no numpy.
+
+Both scans run on Python floats, and a belief's vectors are float tuples: the
+transition mixes the previous posterior as products summed left to right, and every
+normalisation sums as numpy sums (:func:`~beliefscope.network._sum`), so a trace's bits
+depend on no BLAS kernel.  Nothing here imports numpy; only a region's mask loads it,
+in :mod:`beliefscope.relational`.
 """
 
 from __future__ import annotations
@@ -16,12 +22,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import contains, itemgetter
+from operator import add, contains, itemgetter, mul
 from typing import Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
-
-import numpy as np
 
 from .errors import (
     BeliefscopeError,
@@ -47,13 +52,14 @@ from .network import (
     NetworkSpec,
     _build_network,
     _colour_classes,
+    _sum,
     finite_number,
     load_json,
     normalised_rows,
     strict_int,
     validate_network,
 )
-from .propagation import Row, observation_codes, sig10_json, upward
+from .propagation import Row, Vector, observation_codes, sig10_json, upward
 from .relational import (
     DEFAULT_EPSILON,
     DEFAULT_TAU,
@@ -320,7 +326,7 @@ def stream_to_jsonl(stream: FrameStream) -> str:
 # semi-static filtering
 
 
-def semi_static_prior(prior, transition, prev_belief, mode: str = "paper") -> np.ndarray:
+def semi_static_prior(prior, transition, prev_belief, mode: str = "paper") -> Vector:
     """Effective prior for the current frame.
 
     mode="paper": static prior times the transition-mixed previous posterior,
@@ -330,38 +336,41 @@ def semi_static_prior(prior, transition, prev_belief, mode: str = "paper") -> np
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    prior = np.asarray(prior, dtype=float)
-    trans = np.asarray(transition, dtype=float)
-    prev = np.asarray(prev_belief, dtype=float)
-    k = prior.shape[0] if prior.ndim == 1 else 0
-    if prior.ndim != 1 or prev.shape != (k,) or trans.shape != (k, k):
+    try:
+        prior, prev = tuple(map(float, prior)), tuple(map(float, prev_belief))
+        trans = tuple(tuple(map(float, row)) for row in transition)
+    except TypeError:  # a nested prior or belief, or a number for a row
+        trans = ()
+    if not trans or {len(prev), len(trans), *map(len, trans)} != {len(prior)}:
         raise ValueError("dimension mismatch between prior, transition and previous belief")
     return _mixed_prior(prior, trans, prev, mode == "paper")
 
 
-def _mixed_prior(prior: np.ndarray, trans: np.ndarray, prev: np.ndarray,
-                 paper: bool) -> np.ndarray:
-    """:func:`semi_static_prior` on float arrays of matching shapes."""
-    mixed = prev @ trans
-    eff = prior * mixed if paper else mixed
-    total = eff.sum()
+def _mixed_prior(prior: Vector, trans: Sequence[Vector], prev: Vector, paper: bool) -> Vector:
+    """:func:`semi_static_prior` on float tuples of matching lengths.  The previous
+    posterior is mixed through the transition as products summed left to right,
+    the same on every machine, and normalised by :func:`~beliefscope.network._sum`."""
+    mixed = [reduce(add, map(mul, prev, column)) for column in zip(*trans)]
+    eff = list(map(mul, prior, mixed)) if paper else mixed
+    total = _sum(eff)
     if total <= 0.0:
         raise ImpossibleEvidenceError(None, "effective prior has zero mass")
-    return eff / total
+    return tuple([e / total for e in eff])
 
 
-def posterior(prior: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Prior (π) times likelihood (λ), normalised over the last axis; zero mass gives NaN."""
-    bel = prior * lam
-    with np.errstate(invalid="ignore"):
-        return bel / bel.sum(axis=-1, keepdims=True)
+def posterior(prior: Sequence[float], lam: Sequence[float]) -> Vector | None:
+    """Prior (π) times likelihood (λ), normalised; None where that has no mass, or λ
+    is NaN (support vanished below)."""
+    bel = list(map(mul, prior, lam))
+    total = _sum(bel)
+    return tuple([b / total for b in bel]) if total > 0.0 else None
 
 
 @dataclass(frozen=True, eq=False)
 class FrameBelief:
     index: int
-    posterior: np.ndarray
-    effective_prior: np.ndarray
+    posterior: Vector
+    effective_prior: Vector
     bindings: Mapping[str, str | None]
 
 
@@ -382,11 +391,11 @@ class BeliefTrace:
         """
         keys = [encode_basestring_ascii(s) + ": " for s in self.states]
 
-        def probabilities(vector: np.ndarray) -> str:
-            return ", ".join([k + sig10_json(p) for k, p in zip(keys, vector.tolist())])
+        def probabilities(vector: Vector) -> str:
+            return ", ".join([k + sig10_json(p) for k, p in zip(keys, vector)])
 
         lines = []
-        prior, prior_text = None, ""  # a dynamic trace's beliefs share one prior array
+        prior, prior_text = None, ""  # a dynamic trace's beliefs share one prior tuple
         for fb in self.frames:
             if fb.effective_prior is not prior:
                 prior, prior_text = fb.effective_prior, probabilities(fb.effective_prior)
@@ -424,8 +433,7 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
     """
     spec, net = model.per_frame, validate_network(model.per_frame)
     root = net.node(spec.root)
-    static = np.array(root.cpt[0])
-    paper, transition = model.mode == "paper", np.array(normalised_rows(model.transition))
+    static, paper, transition = root.cpt[0], model.mode == "paper", normalised_rows(model.transition)
     prev = None  # the previous frame's posterior
     for frames in chunks:
         if not frames:
@@ -441,15 +449,14 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
             bindings.append({f: r and r.id for f, r in bound.items()})
         codes = observation_codes(net, observed)
         lam, vanished = upward(net, codes)
-        lam = np.array(lam)
-
         beliefs: list[FrameBelief] = []
         for i, frame in enumerate(frames):
             eff = _mixed_prior(static, transition, prev, paper) if prev is not None else static
             if i == len(observed):
                 raise failure
-            prev = posterior(eff / eff.sum(), lam[i])
-            if np.isnan(prev[0]):
+            total = _sum(eff)
+            prev = posterior([e / total for e in eff], lam[i])
+            if prev is None:
                 raise FrameInferenceError(frame.index, ImpossibleEvidenceError(vanished[i] or spec.root))
             beliefs.append(FrameBelief(frame.index, prev, eff, bindings[i]))
         if beliefs:
@@ -609,11 +616,14 @@ def dynamic_chunks(model: DynamicModel, chunks: Iterable[Sequence[Frame]],
     for k, net, codes, indices, ids in _window_codes(model, chunks, window, tau=tau,
                                                      epsilon=epsilon, delta=delta):
         lam, vanished = upward(net, codes)
-        prior = np.array(net.node(hyp).cpt[0])
-        posteriors = posterior(prior, np.array(lam))
-        failed = np.isnan(posteriors).any(axis=1)
-        if failed.any():
-            start = int(failed.argmax())
+        prior = net.node(hyp).cpt[0]
+        normalised: dict[Vector, Vector | None] = {}  # λ rows repeat as code rows do
+        for row in lam:
+            if row not in normalised:
+                normalised[row] = posterior(prior, row)
+        posteriors = list(map(normalised.__getitem__, lam))
+        if None in posteriors:
+            start = posteriors.index(None)
             raise FrameInferenceError(indices[start + k - 1],
                                       ImpossibleEvidenceError(vanished[start] or hyp))
         presence = _window_ids(model, k)[0]

@@ -7,6 +7,7 @@ arithmetic) and never call the code paths they are used to verify.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 import math
@@ -422,6 +423,26 @@ def eq3_step(prior, transition, prev, likelihood, mode="paper"):
     post = [eff[i] * likelihood[i] for i in range(k)]
     s = sum(post)
     return eff, [v / s for v in post]
+
+
+def numpy_mixed_prior(prior, transition, prev, paper: bool) -> np.ndarray | None:
+    """The semi-static effective prior on numpy arrays, or None where it has no mass:
+    the previous posterior's products with the transition rows, the rows added one
+    after another, left to right (a BLAS matrix product may fuse or reorder these
+    adds), times the prior in paper mode, over ``np.sum``."""
+    products = np.asarray(prev, dtype=float)[:, None] * np.asarray(transition, dtype=float)
+    mixed = functools.reduce(np.add, products)
+    eff = np.asarray(prior, dtype=float) * mixed if paper else mixed
+    total = eff.sum()
+    return eff / total if total > 0.0 else None
+
+
+def numpy_posterior(prior, lam) -> np.ndarray:
+    """Prior times likelihood over ``np.sum``, on numpy arrays: NaN where that has no
+    mass or the likelihood is NaN."""
+    bel = np.asarray(prior, dtype=float) * np.asarray(lam, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return bel / bel.sum()
 
 
 def chain_model(rng, n_features=2):

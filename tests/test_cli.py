@@ -877,7 +877,8 @@ class TestCheckRoutes:
     def test_skewed_star_route_exits_4(self, capsys, monkeypatch, tmp_path):
         _, path = spot_stream_file(tmp_path)
         real = temporal.posterior
-        monkeypatch.setattr(temporal, "posterior", lambda prior, lam: real(prior, lam) + 1e-6)
+        monkeypatch.setattr(temporal, "posterior",
+                            lambda prior, lam: tuple(p + 1e-6 for p in real(prior, lam)))
         code, out, err = run(capsys, "check", "--model", "dirty_lens", "--stream", path)
         assert code == 4
         assert out.startswith("max |propagate - enumeration| = 1e-06 over 36 network(s)")
@@ -885,7 +886,8 @@ class TestCheckRoutes:
 
     def test_skewed_semi_static_route_exits_4(self, capsys, monkeypatch):
         real = temporal.posterior
-        monkeypatch.setattr(temporal, "posterior", lambda prior, lam: real(prior, lam) + 1e-6)
+        monkeypatch.setattr(temporal, "posterior",
+                            lambda prior, lam: tuple(p + 1e-6 for p in real(prior, lam)))
         code, out, err = run(capsys, "check", "--model", "lumen_tracker",
                              "--scenario", "surround_scene", "--frames", "4")
         assert code == 4
@@ -1098,6 +1100,10 @@ def launcher():
 #: the modules a command that checks a model loads: no numpy, no stream or propagation code
 MODEL_LAYER = ["beliefscope.cli", "beliefscope.errors", "beliefscope.models", "beliefscope.network"]
 
+#: the modules ``track`` on a stream file loads
+STREAM_LAYER = ["beliefscope.cli", "beliefscope.errors", "beliefscope.models", "beliefscope.network",
+                "beliefscope.propagation", "beliefscope.relational", "beliefscope.temporal"]
+
 #: (argv, the beliefscope modules and numpy loaded once it has run)
 LOADED_BY = [
     (["infer", "--spec", "spec.json", "--scene", "ev.json"],
@@ -1110,6 +1116,12 @@ LOADED_BY = [
     (["validate", "--spec", "dynamic.json"], MODEL_LAYER),
     *(([c, "--rule", r], MODEL_LAYER)
       for c in ("validate", "compile") for r in (SURROUNDING_RULE, STATIC_RULE)),
+    # a stream or scenario without masks: numpy is left for masks and for check's witness
+    (["track", "--model", "dirty_lens", "--stream", "stream.jsonl"], STREAM_LAYER),
+    (["track", "--model", "lumen_tracker", "--scenario", "static_spot"],
+     sorted(["beliefscope.endoscopy", *STREAM_LAYER])),
+    (["generate", "--scenario", "moving_spot"], sorted(["beliefscope.endoscopy", *STREAM_LAYER])),
+    (["track", "--spec", "semi_static.json", "--stream", "masks.jsonl"], [*STREAM_LAYER, "numpy"]),
 ]
 
 
@@ -1119,6 +1131,8 @@ class TestEntryPoint:
         for name, doc in (("spec.json", TWO_NODE_DOC), ("ev.json", {"assignments": {"F": "t"}}),
                           ("semi_static.json", LUMEN_DOC), ("dynamic.json", DIRTY_DOC)):
             (tmp_path / name).write_text(json.dumps(doc))
+        spot_stream_file(tmp_path, 12)  # stream.jsonl: a spot, no masks
+        (tmp_path / "masks.jsonl").write_text(stream_to_jsonl(generate_stream("surround_scene", 12)))
         code = ("import sys; from beliefscope.cli import main; main(sys.argv[1:]); "
                 "print(sorted(m for m in sys.modules if m.startswith('beliefscope.') or m == 'numpy'))")
         done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,

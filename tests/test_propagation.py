@@ -248,12 +248,12 @@ class TestUpwardKernel:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), p_zero=st.sampled_from((0.0, 0.3)))
     def test_root_lambda_gives_propagates_root_marginal(self, seed, p_zero):
-        # track's numpy posterior over the root λ is downward's root marginal, bit for bit
+        # track's posterior over the root λ is downward's root marginal, bit for bit
         rng = random.Random(seed)
         spec = random_tree_spec(rng, rng.randint(1, 10), max_states=4, p_zero=p_zero)
         net = validate_network(spec)
         observed = [random_evidence(rng, spec).assignments for _ in range(rng.randint(1, 50))]
-        prior = np.array(net.node(net.root).cpt[0])
+        prior = net.node(net.root).cpt[0]
         for assignments, lam, vanished in zip(observed, *upward(net, observation_codes(net, observed))):
             assert vanished == first_vanished(spec, assignments)
             assert np.isnan(lam).all() if vanished is not None else not np.isnan(lam).any()
@@ -264,7 +264,7 @@ class TestUpwardKernel:
                 assert exc.node == (vanished if vanished is not None else net.root)
                 continue
             assert vanished is None
-            assert marginal.distribution(net.root) == tuple(posterior(prior, np.array(lam)).tolist())
+            assert marginal.distribution(net.root) == posterior(prior, lam)
 
     def test_vanished_row_names_the_deepest_node_first(self):
         spec = NetworkSpec("A", (

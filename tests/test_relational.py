@@ -12,6 +12,7 @@ from beliefscope.endoscopy import builtin_model, generate_stream
 from beliefscope.errors import InvalidNetworkError, SpecSyntaxError
 from beliefscope.network import COLOUR_CLASSES, NetworkSpec, NodeSpec, apply_evidence
 from beliefscope.propagation import brute_force_beliefs, propagate
+from beliefscope.temporal import parse_stream
 from beliefscope.relational import (
     Region,
     bind_features,
@@ -257,6 +258,71 @@ def mask_documents(draw):
             "centroid": [draw(st.integers(-5, 5)), 0.5],
             "area": sum(map(sum, grid)) + darea,
             "bbox": [x0, y0, x0 + w - 1 + dw, y0 + h - 1 + dh], "mask": grid}
+
+
+AREA_RANGE = "region 'r': 'area' must be an integer in [-2**53, 2**53]"
+BBOX_RANGE = "region 'r': 'bbox' entries must be integers in [-2**53, 2**53]"
+NOT_FINITE = "region: 'centroid': expected a finite number"
+
+#: (field, value, error) edits of the first SWEEP_BASES region: the values the table's
+#: columns refuse, and the error region_from_document names for each
+COLUMN_REFUSALS = [
+    ("area", EXACT + 1, AREA_RANGE), ("area", 2**63, AREA_RANGE), ("area", 2**64, AREA_RANGE),
+    ("area", -2**63 - 1, "region 'r': area must be >= 1"),
+    ("area", True, "region: 'area' must be an integer"),
+    ("bbox", [0, 0, 2, EXACT + 1], BBOX_RANGE), ("bbox", [0, 0, 2**63, 2], BBOX_RANGE),
+    ("bbox", [-EXACT - 1, 0, 2, 2], BBOX_RANGE), ("bbox", [0, -2**63 - 1, 2, 2], BBOX_RANGE),
+    ("bbox", [-EXACT - 1, 0, EXACT + 1, 2], BBOX_RANGE),
+    ("bbox", [3, 0, 2, 2], "region 'r': bbox not well-ordered"),
+    ("bbox", [0, 0, 2, -1], "region 'r': bbox not well-ordered"),
+    ("bbox", [0, 0, 2**63, -2**63], "region 'r': bbox not well-ordered"),
+    ("bbox", [0, True, 2, 2], "region: 'bbox' entry must be an integer"),
+    ("centroid", [math.nan, 0.0], NOT_FINITE), ("centroid", [0.0, math.inf], NOT_FINITE),
+    ("centroid", [-math.inf, 0.0], NOT_FINITE), ("centroid", [2**1024, 0.0], NOT_FINITE),
+    ("centroid", [True, 0.0], NOT_FINITE),
+    ("colour_class", "purple", "region 'r': unknown colour class 'purple'"),
+    ("colour_class", ["dark"], "region 'r': unknown colour class '['dark']'"),
+    ("colour_class", {"dark": 1}, "region 'r': unknown colour class '{'dark': 1}'"),
+    ("colour_class", None, "region 'r': unknown colour class 'None'"),
+]
+
+
+class TestColumnRefusals:
+    @pytest.mark.parametrize("field, value, message", COLUMN_REFUSALS,
+                             ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(COLUMN_REFUSALS)])
+    def test_each_refusal_names_its_error(self, field, value, message):
+        doc = {**SWEEP_BASES[0], field: value}
+        assert relational.RegionTable.checked([[doc]]) is None
+        assert relational.RegionTable.checked([[SWEEP_BASES[1]], [SWEEP_BASES[0], doc]]) is None
+        for decode in (relational.region_from_document, _scene_decoded):
+            with pytest.raises(SpecSyntaxError) as info:
+                decode(doc)
+            assert str(info.value) == message
+        line = json.dumps({"index": 0, "t": 0.0, "regions": [doc]})
+        if "NaN" not in line and "Infinity" not in line:  # tokens the decoder refuses first
+            with pytest.raises(SpecSyntaxError) as info:
+                parse_stream('{"dt": 0.04}\n' + line)
+            assert str(info.value) == f"stream line 2: {message}"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("mask", ["", ', "mask": [[1, 1, 1], [1, 1, 1], [1, 1, 1]]'],
+                             ids=["no-mask", "mask"])
+    def test_non_finite_centroid_tokens_are_refused_by_the_decoder(self, token, mask):
+        region = ('{"id": "r", "colour_class": "dark", "centroid": [1.0, %s], "area": 9, '
+                  '"bbox": [0, 0, 2, 2]%s}' % (token, mask))
+        for parse, text in ((parse_stream, '{"dt": 0.04}\n{"index": 0, "t": 0.0, "regions": [%s]}\n' % region),
+                            (relational.parse_scene, '{"regions": [%s]}' % region)):
+            with pytest.raises(SpecSyntaxError) as info:
+                parse(text)
+            assert str(info.value) == f"non-finite number '{token}' is not allowed"
+
+    def test_the_limits_themselves_are_accepted(self):
+        doc = {**SWEEP_BASES[0], "area": EXACT, "bbox": [-EXACT, -EXACT, EXACT, EXACT],
+               "centroid": [1, -1.5]}
+        region = relational.RegionTable.checked([[doc]]).group(0)[0]
+        assert (region.area, region.bbox, region.centroid) == (EXACT, (-EXACT, -EXACT, EXACT, EXACT),
+                                                               (1.0, -1.5))
+        assert [type(v) for v in (region.area, *region.bbox, *region.centroid)] == [int] * 5 + [float] * 2
 
 
 class TestTableRows:

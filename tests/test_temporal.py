@@ -60,8 +60,11 @@ from helpers import (
     chain_model,
     eq3_step,
     frame_likelihood,
+    hex_rows,
     mutated,
     normalized,
+    numpy_mixed_prior,
+    numpy_posterior,
     pattern_frames,
     random_region,
     reference_load_json,
@@ -205,24 +208,80 @@ def of_model():
     return TemporalModel(spec, np.array([[0.9, 0.1], [0.1, 0.9]]), mode="paper")
 
 
+#: probabilities with zeros, subnormals and the smallest normal
+PROBABILITY = st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0]) | st.floats(0.0, 1e-300) \
+    | st.floats(0.0, 1.0)
+
+
+@st.composite
+def scan_steps(draw):
+    """(prior, transition, previous posterior, λ) over k = 2-12 states; λ may be all NaN."""
+    k = draw(st.integers(2, 12))
+    row = st.lists(PROBABILITY, min_size=k, max_size=k).map(tuple)
+    lam = row | st.just((math.nan,) * k)
+    return draw(row), draw(st.lists(row, min_size=k, max_size=k)), draw(row), draw(lam)
+
+
 class TestSemiStaticPrior:
     def test_paper_mode_worked_numbers(self):
         eff = semi_static_prior((0.5, 0.5), ((0.9, 0.1), (0.1, 0.9)), (1.0, 0.0), "paper")
-        assert eff.tolist() == pytest.approx([0.9, 0.1], abs=1e-12)
+        assert eff == pytest.approx((0.9, 0.1), abs=1e-12)
 
     def test_uniform_transition_returns_the_prior(self):
         eff = semi_static_prior((0.3, 0.7), ((0.5, 0.5), (0.5, 0.5)), (0.5, 0.5), "paper")
-        assert eff.tolist() == pytest.approx([0.3, 0.7], abs=1e-12)
+        assert eff == pytest.approx((0.3, 0.7), abs=1e-12)
 
     def test_identity_transition_filter_passes_belief_through(self):
         eff = semi_static_prior((0.4, 0.6), ((1.0, 0.0), (0.0, 1.0)), (0.7, 0.3), "filter")
-        assert eff.tolist() == pytest.approx([0.7, 0.3], abs=1e-12)
+        assert eff == pytest.approx((0.7, 0.3), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             semi_static_prior((0.5, 0.5), ((1.0,),), (0.5, 0.5), "paper")
         with pytest.raises(ValueError, match="mode"):
             semi_static_prior((0.5, 0.5), ((0.9, 0.1), (0.1, 0.9)), (1.0, 0.0), "smooth")
+
+    @pytest.mark.parametrize("prior, transition, prev", [
+        pytest.param((0.5, 0.5), ((0.9, 0.1), (0.1,)), (0.5, 0.5), id="ragged-transition"),
+        pytest.param((0.5, 0.5), ((0.9, 0.1), (0.1, 0.9, 0.0)), (0.5, 0.5), id="long-row"),
+        pytest.param((0.5, 0.5), ((0.9, 0.1), (0.1, 0.9), (0.5, 0.5)), (0.5, 0.5), id="extra-row"),
+        pytest.param((0.5, 0.5), ((0.9, 0.1), 0.5), (0.5, 0.5), id="number-for-a-row"),
+        pytest.param((0.5, 0.5), ((0.9, 0.1), (0.1, 0.9)), (1.0,), id="short-belief"),
+        pytest.param(((0.5, 0.5),), ((0.9, 0.1), (0.1, 0.9)), (0.5, 0.5), id="nested-prior"),
+        pytest.param((0.5, 0.5), ((0.9, 0.1), (0.1, 0.9)), ((0.5, 0.5),), id="nested-belief"),
+        pytest.param((), (), (), id="empty"),
+        pytest.param(0.5, ((1.0,),), (1.0,), id="number-for-the-prior"),
+    ])
+    def test_ragged_or_mismatched_inputs(self, prior, transition, prev):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            semi_static_prior(prior, transition, prev, "paper")
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_steps(), st.booleans())
+    def test_steps_equal_numpy_bit_for_bit(self, step, paper):
+        # past 8 states np.sum adds pairwise, and the λ row is NaN where support vanished
+        prior, transition, prev, lam = step
+        want = numpy_mixed_prior(prior, transition, prev, paper)
+        if want is None:
+            with pytest.raises(ImpossibleEvidenceError, match="effective prior has zero mass"):
+                temporal._mixed_prior(prior, transition, prev, paper)
+        else:
+            got = temporal._mixed_prior(prior, transition, prev, paper)
+            assert hex_rows([got]) == hex_rows([want.tolist()])
+        want = numpy_posterior(prior, lam)
+        got = temporal.posterior(prior, lam)
+        if np.isnan(want).any():
+            assert got is None
+        else:
+            assert hex_rows([got]) == hex_rows([want.tolist()])
+
+    def test_zero_mass_steps(self):
+        with pytest.raises(ImpossibleEvidenceError, match="effective prior has zero mass") as err:
+            semi_static_prior((1.0, 0.0), ((0.0, 1.0), (0.5, 0.5)), (1.0, 0.0), "paper")
+        assert err.value.node is None
+        assert temporal.posterior((1.0, 0.0), (0.0, 1.0)) is None
+        assert temporal.posterior((0.5, 0.5), (math.nan, math.nan)) is None
+        assert temporal.posterior((5e-324, 0.0), (0.5, 0.5)) is None  # the product underflows
 
 
 def _object_text(values, keys=("index", "t", "regions", "id", "area", "a:b", ":")):
@@ -748,8 +807,8 @@ class TestFilterStream:
     def test_single_frame_equals_static_inference(self):
         model = of_model()
         trace = filter_stream(model, frames_with_dark(1))
-        assert trace.frames[0].posterior.tolist() == pytest.approx([9 / 11, 2 / 11], abs=1e-12)
-        assert trace.frames[0].effective_prior.tolist() == [0.5, 0.5]
+        assert trace.frames[0].posterior == pytest.approx((9 / 11, 2 / 11), abs=1e-12)
+        assert trace.frames[0].effective_prior == (0.5, 0.5)
         assert trace.frames[0].bindings == {"F": "d"}
 
     def test_worked_two_frame_example(self):
@@ -757,8 +816,7 @@ class TestFilterStream:
         # enumeration below): exactly 83/89
         trace = filter_stream(of_model(), frames_with_dark(2))
         assert trace.frames[1].posterior[0] == pytest.approx(83 / 89, abs=1e-6)
-        assert trace.frames[1].effective_prior.tolist() == pytest.approx([83 / 110, 27 / 110],
-                                                                         abs=1e-12)
+        assert trace.frames[1].effective_prior == pytest.approx((83 / 110, 27 / 110), abs=1e-12)
 
     def test_worked_example_against_unrolled_enumeration(self):
         model = of_model()
@@ -803,7 +861,7 @@ class TestFilterStream:
             t_paper = filter_stream(TemporalModel(spec, np.asarray(transition), mode_pair[0]), stream)
             t_filter = filter_stream(TemporalModel(spec, np.asarray(transition), mode_pair[1]), stream)
             for a, b in zip(t_paper.frames, t_filter.frames):
-                assert np.abs(a.posterior - b.posterior).max() < 1e-12
+                assert np.abs(np.subtract(a.posterior, b.posterior)).max() < 1e-12
 
     def test_filter_mode_equals_unrolled_enumeration(self):
         from beliefscope.network import validate_network
@@ -818,7 +876,7 @@ class TestFilterStream:
             unrolled, ev = unrolled_chain_spec(spec, transition, pattern)
             beliefs = brute_force_beliefs(apply_evidence(validate_network(unrolled), ev))
             last = beliefs.distribution(f"hyp_t{k - 1}")
-            assert np.abs(trace.frames[-1].posterior - last).max() < 1e-9
+            assert np.abs(np.subtract(trace.frames[-1].posterior, last)).max() < 1e-9
 
     def test_empty_scenes_drift_towards_stationary_mixture(self):
         model = of_model()
