@@ -3,8 +3,8 @@
 Public names are imported from their modules on first use, so a command compiles
 and runs only the modules it needs: ``validate`` and ``compile`` load neither numpy
 nor any module past ``network`` and ``models``, and ``infer`` on a network spec never
-loads the relational, temporal or endoscopy modules.  numpy is loaded only for a
-region's mask and by ``check``'s enumeration oracle.
+loads the relational, temporal or endoscopy modules.  numpy is loaded only by
+``check``'s enumeration oracle: a region's mask is a Python int bitset.
 """
 
 import importlib

@@ -200,8 +200,12 @@ def _checked_object(pairs):
     return out
 
 
+class _NonFiniteToken(SpecSyntaxError):
+    """A NaN, Infinity or -Infinity token: the decoder's hook cannot tell where it is."""
+
+
 def _reject_constant(name: str):
-    raise SpecSyntaxError(f"non-finite number '{name}' is not allowed")
+    raise _NonFiniteToken(f"non-finite number '{name}' is not allowed")
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_checked_object, parse_constant=_reject_constant)

@@ -5,9 +5,9 @@ from the scene and clamped as evidence; what remains is an ordinary tree
 network in which the relation node is just another observed child of the
 hypothesis.
 
-A region's mask is a numpy bool grid, and only the code that makes or reads one
-imports numpy: a scene or stream without masks is checked, bound and evaluated on
-Python values alone.
+A region's mask is a Python int bitset, one bit a pixel of its bbox, and every
+mask relation is decided with integer shifts and ANDs: no numpy is imported, and
+a scene or stream is checked, bound and evaluated on Python values alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from operator import contains, is_not, itemgetter, le
-from typing import TYPE_CHECKING, Any, Collection, Mapping, Sequence
+from typing import Any, Collection, Mapping, Sequence
 
 from .errors import SpecSyntaxError
 from .network import (
@@ -48,9 +48,6 @@ from .network import (
     validate_network,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_TAU = 2.0
 DEFAULT_EPSILON = 2.0
 
@@ -66,13 +63,15 @@ class Region:
     """A detected image region.
 
     ``bbox`` is (xmin, ymin, xmax, ymax) in inclusive pixel coordinates; a
-    mask, when present, is a boolean grid of shape (height, width) aligned to
-    the bbox and indexed [y - ymin, x - xmin].
+    mask, when present, is an int bitset aligned to the bbox: bit
+    ``(y - ymin) * w + (x - xmin)`` is pixel (x, y), w being the bbox's width.
 
-    ``Region(...)`` checks every field, the mask's shape, pixel count and
-    extent too.  A parsed scene's or stream's regions, the rows of a
-    :class:`RegionTable`, are built without them (:meth:`RegionTable._region`):
-    the table's column passes and :func:`_bit_grid` have made each check once.
+    ``Region(...)`` takes the mask as that int or as a grid of truthy entries
+    (nested lists or a numpy array, read as numpy reads a bool array) and
+    checks every field, the mask's shape, pixel count and extent too.  A
+    parsed scene's or stream's regions, the rows of a :class:`RegionTable`,
+    are built without them (:meth:`RegionTable._region`): the table's column
+    passes and :func:`_bit_grid` have made each check once.
     """
 
     id: str
@@ -80,7 +79,7 @@ class Region:
     centroid: tuple[float, float]
     area: int
     bbox: tuple[int, int, int, int]
-    mask: np.ndarray | None = None
+    mask: int | None = None
 
     def __post_init__(self):
         if self.colour_class not in COLOUR_CLASSES:
@@ -91,57 +90,65 @@ class Region:
         if xmin > xmax or ymin > ymax:
             raise ValueError(f"region '{self.id}': bbox not well-ordered")
         if self.mask is not None:
-            import numpy as np
             h, w = ymax - ymin + 1, xmax - xmin + 1
-            try:
-                mask = np.asarray(self.mask, dtype=bool)
-            except ValueError:  # ragged rows, or nested past numpy's dimensions
-                raise ValueError(f"region '{self.id}': mask is not a grid of {h} rows of {w} entries") from None
-            object.__setattr__(self, "mask", mask)
-            if mask.shape != (h, w):
-                raise ValueError(f"region '{self.id}': mask shape {mask.shape} does not match bbox {h}x{w}")
-            pixels = np.count_nonzero(mask)
+            if type(self.mask) is not int:
+                shape, entries = _grid(self.mask.tolist() if hasattr(self.mask, "tolist") else self.mask)
+                if shape is None:
+                    raise ValueError(f"region '{self.id}': mask is not a grid of {h} rows of {w} entries")
+                if shape != (h, w):
+                    raise ValueError(f"region '{self.id}': mask shape {shape} does not match bbox {h}x{w}")
+                object.__setattr__(self, "mask", int(bytes(map(bool, reversed(entries))).translate(_DIGITS), 2))
+            elif self.mask < 0 or self.mask.bit_length() > h * w:
+                raise ValueError(f"region '{self.id}': mask has bits outside its {h}x{w} bbox")
+            pixels, n = self.mask.bit_count(), self.mask.bit_length()
             if pixels != self.area:
                 raise ValueError(f"region '{self.id}': mask has {pixels} pixels, area is {self.area}")
-            flat = mask.tobytes()  # one byte per pixel, row by row: slices are rows and columns
-            if not (any(flat[:w]) and any(flat[-w:]) and any(flat[::w]) and any(flat[w - 1::w])):
+            # a pixel in the last row and one in the last column set bits past w * (h - 1) and w - 1,
+            # so h * w < 2 * n before the digits are padded; they run from the last pixel, a 180° turn
+            if not (n > w * (h - 1) and n >= w and _fills(format(self.mask, "b").encode().zfill(h * w), w)):
                 raise ValueError(f"region '{self.id}': mask extent does not reach the bbox")
 
-    def pixels(self, window: tuple[int, int, int, int] | None = None, *,
-               edge: bool = False) -> np.ndarray:
-        """Absolute (x, y) coordinates of set mask pixels, as floats; requires a
-        mask.  With ``window`` (inclusive bounds, like ``bbox``) only the pixels
-        inside it, none when it misses the bbox.  With ``edge`` only those with
-        a 4-neighbour outside the (cropped) mask."""
-        import numpy as np
-        mask, xn, yn = self._crop(window)
-        if edge:
-            inner = np.zeros_like(mask)
-            inner[1:-1, 1:-1] = (mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1]
-                                 & mask[1:-1, :-2] & mask[1:-1, 2:])
-            mask = mask & ~inner
-        ys, xs = np.nonzero(mask)
-        return np.stack([xs + xn, ys + yn], axis=1).astype(float)
 
-    def _crop(self, window: tuple[int, int, int, int] | None) -> tuple[np.ndarray, int, int]:
-        """The mask inside ``window`` (inclusive bounds, like ``bbox``; all of
-        it without one) and the absolute (x, y) of the crop's first pixel; an
-        empty crop when the window misses the bbox."""
-        x0, y0, xx, yx = self.bbox
-        xn, yn = x0, y0
-        if window is not None:
-            xn, yn = max(xn, window[0]), max(yn, window[1])
-            xx, yx = min(xx, window[2]), min(yx, window[3])
-            if xn > xx or yn > yx:
-                return self.mask[:0, :0], xn, yn
-        return self.mask[yn - y0 : yx - y0 + 1, xn - x0 : xx - x0 + 1], xn, yn
+_ROWS = {list, tuple}  # the rows numpy reads: every other value is an entry
+#: one byte a pixel, 0 or 1, as the ASCII digits ``int(..., 2)`` reads
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+def _grid(nested) -> tuple[tuple[int, ...] | None, list]:
+    """The shape numpy gives the array of ``nested`` rows, found a level at a
+    time, and its entries in row order; a None shape where numpy refuses it:
+    ragged rows, rows beside entries, or past its 64 dimensions."""
+    shape, level = [], [nested]
+    while level and set(map(type, level)) <= _ROWS:
+        sizes = set(map(len, level))
+        if len(sizes) > 1 or len(shape) == 64:
+            return None, []
+        shape.append(sizes.pop())
+        level = list(chain.from_iterable(level))
+    if not _ROWS.isdisjoint(map(type, level)):
+        return None, []
+    return tuple(shape), level
 
 
-def _bit_grid(text: str, h: int, w: int, area: int) -> np.ndarray:
-    """The bool array of shape (h, w) of a mask's ``json.dumps`` text, cut
+def _fills(digits: bytes, w: int) -> bool:
+    """Do the ASCII 0/1 digits of a mask w pixels wide, row by row, hold a 1 on
+    each edge of its bbox?"""
+    return 49 in digits[:w] and 49 in digits[-w:] and 49 in digits[::w] and 49 in digits[w - 1::w]
+
+
+def _cropped(r: Region, box: tuple[int, int, int, int]) -> tuple[list[str], int, int]:
+    """The rows of r's mask inside ``box`` (inclusive bounds, like ``bbox``;
+    it must meet the bbox), as strings of 0/1 digits pixel by pixel, and the
+    (x, y) of the crop's first pixel."""
+    xmin, ymin, xmax, ymax = r.bbox
+    x0, y0, x1, y1 = max(box[0], xmin), max(box[1], ymin), min(box[2], xmax), min(box[3], ymax)
+    w, digits = xmax - xmin + 1, format(r.mask, "b")[::-1]  # pixel by pixel, up to the last set one
+    return [digits[(y - ymin) * w + x0 - xmin:(y - ymin) * w + x1 - xmin + 1].ljust(x1 - x0 + 1, "0")
+            for y in range(y0, y1 + 1)], x0, y0
+
+
+def _bit_grid(text: str, h: int, w: int, area: int) -> int:
+    """The int mask of an h x w mask's ``json.dumps`` text, cut
     (:func:`cut_masks`) or written back.  ValueError unless, its 0s made 1s, it
     is the text of the h x w grid of 1s (``true``, ``1.0``, ``"1"`` or ``2`` is
     written otherwise) and its ``area`` ones reach all four edges: checked on
@@ -150,12 +157,10 @@ def _bit_grid(text: str, h: int, w: int, area: int) -> np.ndarray:
     if len(raw) != h * (3 * w + 2) or raw.replace(b"0", b"1") != (
             b"[" + b", ".join([b"[" + b"1, " * (w - 1) + b"1]"] * h) + b"]"):
         raise ValueError("not a grid of 0 and 1 of the bbox's shape")
-    bits = raw.translate(_BITS, b"[], ")  # one byte per pixel, row by row
-    if bits.count(1) != area or not (1 in bits[:w] and 1 in bits[-w:] and 1 in bits[::w]
-                                     and 1 in bits[w - 1::w]):
+    bits = raw.translate(None, b"[], ")  # one ASCII digit a pixel, row by row
+    if bits.count(49) != area or not _fills(bits, w):
         raise ValueError("not the area's pixels, reaching every edge of the bbox")
-    import numpy as np
-    return np.frombuffer(bits, dtype=bool).reshape(h, w).copy()  # owns its pixels, like np.asarray
+    return int(bits[::-1], 2)
 
 
 #: a mask after its key as ``json.dumps`` writes them, found here and checked by _bit_grid
@@ -204,7 +209,7 @@ def region_from_document(obj) -> Region:
                       finite_number(obj["centroid"][1], "region: 'centroid'")),
             area=strict_int(obj["area"], "region: 'area'"),
             bbox=tuple(strict_int(v, "region: 'bbox' entry") for v in obj["bbox"]),
-            mask=mask,
+            mask=bool(mask) if type(mask) is int else mask,  # a grid's number, shape (), not a bitset
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise SpecSyntaxError(f"malformed region entry: {exc}") from None
@@ -216,7 +221,8 @@ def region_from_document(obj) -> Region:
         raise SpecSyntaxError(f"region '{region.id}': 'bbox' entries must be integers in [-2**53, 2**53]")
     if mask is not None:
         try:
-            _bit_grid(json.dumps(mask), *region.mask.shape, region.area)
+            xmin, ymin, xmax, ymax = region.bbox
+            _bit_grid(json.dumps(mask), ymax - ymin + 1, xmax - xmin + 1, region.area)
         except (ValueError, RecursionError):
             raise SpecSyntaxError(f"region '{region.id}': mask entries must be 0 or 1") from None
     return region
@@ -231,7 +237,7 @@ def region_to_document(region: Region) -> dict:
         "bbox": list(region.bbox),
     }
     if region.mask is not None:
-        doc["mask"] = region.mask.astype(int).tolist()
+        doc["mask"] = [list(map(int, row)) for row in _cropped(region, region.bbox)[0]]
     return doc
 
 
@@ -244,13 +250,13 @@ _XY = itemgetter(slice(0, 2))
 class RegionTable:
     """Groups of regions (a scene, or a chunk of a stream's frames) held as
     columns: ids, colour codes, flat centroid floats, areas, flat bbox ints and
-    checked mask grids.  The numbers are checked as lists and kept as
+    checked int masks.  The numbers are checked as lists and kept as
     ``bytes`` and ``array`` columns, a few bytes a row.  A row's Region is built
     when it is first read, once, so the Regions of a group keep their identity
     however they are read."""
 
     def __init__(self, ids: list[str], codes: bytes, xy: array, areas: array,
-                 corners: array, bounds: list[int], grids: dict[int, np.ndarray]):
+                 corners: array, bounds: list[int], grids: dict[int, int]):
         self._ids, self._codes, self._xy, self._areas = ids, codes, xy, areas
         self._corners, self._bounds, self._grids = corners, bounds, grids
         self._built: dict[int, Region] = {}
@@ -267,7 +273,7 @@ class RegionTable:
         ``max``, and bbox order by ``operator.le`` over the corners.  A mask is
         checked once by :func:`_bit_grid` on its text, the next of ``cuts``
         where it is CUT (:func:`cut_masks`), else its ``json.dumps``, and its
-        grid kept for the row.  Nothing is built here: :meth:`group` builds the
+        int kept for the row.  Nothing is built here: :meth:`group` builds the
         rows.  On None the caller names the error through
         :func:`region_from_document`.
         """
@@ -320,7 +326,7 @@ class RegionTable:
 
     @staticmethod
     def _region(id: str, colour_class: str, centroid: tuple[float, float], area: int,
-                bbox: tuple[int, int, int, int], mask: np.ndarray | None = None) -> Region:
+                bbox: tuple[int, int, int, int], mask: int | None = None) -> Region:
         """The Region of a row whose fields the table has checked, built
         without :meth:`Region.__post_init__`.  The fields are set in
         declaration order, as the dataclass's ``__init__`` sets them, so the
@@ -399,18 +405,6 @@ def _bbox_strictly_inside(inner, outer) -> bool:
     return oxn < ixn and ixx < oxx and oyn < iyn and iyx < oyx
 
 
-def _masks_overlap(a: Region, b: Region) -> bool:
-    axn, ayn, axx, ayx = a.bbox
-    bxn, byn, bxx, byx = b.bbox
-    xn, xx = max(axn, bxn), min(axx, bxx)
-    yn, yx = max(ayn, byn), min(ayx, byx)
-    if xn > xx or yn > yx:
-        return False
-    sa = a.mask[yn - ayn : yx - ayn + 1, xn - axn : xx - axn + 1]
-    sb = b.mask[yn - byn : yx - byn + 1, xn - bxn : xx - bxn + 1]
-    return bool((sa & sb).any())
-
-
 def _four_rays_hit(a: Region, b: Region) -> bool:
     """Do the four axis rays from b's centroid to a's bbox edges all cross a's mask?"""
     axn, ayn, axx, ayx = a.bbox
@@ -418,14 +412,9 @@ def _four_rays_hit(a: Region, b: Region) -> bool:
     py = int(round(b.centroid[1]))
     if not (axn <= px <= axx and ayn <= py <= ayx):
         return False
-    row = a.mask[py - ayn]
-    col = a.mask[:, px - axn]
-    return bool(
-        row[: px - axn + 1].any()
-        and row[px - axn :].any()
-        and col[: py - ayn + 1].any()
-        and col[py - ayn :].any()
-    )
+    row, column = _cropped(a, (axn, py, axx, py))[0][0], "".join(_cropped(a, (px, ayn, px, ayx))[0])
+    x, y = px - axn, py - ayn
+    return "1" in row[:x + 1] and "1" in row[x:] and "1" in column[:y + 1] and "1" in column[y:]
 
 
 def _bbox_gap(a_bbox, b_bbox) -> float:
@@ -436,52 +425,54 @@ def _bbox_gap(a_bbox, b_bbox) -> float:
     return math.hypot(dx, dy)
 
 
-#: pixel-pair blocks compared at once by the adjacency test: at most this
-#: many pixels of each region, so a block holds at most its square in pairs
-_PAIR_BLOCK = 256
-
-
 def _within(a: Region, b: Region, tau: float) -> bool:
     """Is the minimum inter-mask distance (inter-bbox without both masks) <= tau?
 
     No pixel pair is closer than the bbox gap (the hypot of two integer
     offsets is their correctly rounded distance), so a gap beyond tau decides
     at once.  Otherwise a pixel within tau of the other region lies inside
-    that region's bbox grown by floor(tau), so each mask is cropped to it.
-    When the crops' pixels make at most one block of pairs, one table of
-    squared distances between their absolute coordinates, as floats, decides.
-    Otherwise only their edge pixels are kept, unless the masks overlap
-    (distance 0): a closest pixel of disjoint masks has a 4-neighbour outside
-    its own mask, since one step towards the other pixel along an axis on
-    which they differ would be strictly closer.  The pairs are then compared
-    a fixed-size block at a time until one is within tau, so time goes with
-    the perimeters and memory stays bounded however large the masks.
+    that region's bbox grown by floor(tau), so each mask is cropped to it, and
+    the crops are laid in one frame, the offset (cx, cy) of a's crop from b's
+    carried apart, however far apart the masks lie.  For a row offset dy the
+    pixel offsets within tau are a run |dx| <= k (the distance in floats, as
+    a table of pixel coordinates takes it, grows with |dx|; k is bisected).
+    b's frame, spread along the run by O(log) shift-ORs and moved by dy rows,
+    meets a's iff a pixel pair at that dy is within tau.  Time is O(log)
+    big-int operations for each of at most ha + hb - 1 row offsets, and
+    memory a few frames of the crops, whatever tau and the masks' places.
     """
     gap = _bbox_gap(a.bbox, b.bbox)
     if gap > tau or a.mask is None or b.mask is None:
         return gap <= tau
     r = math.floor(tau)
-    near_b = (b.bbox[0] - r, b.bbox[1] - r, b.bbox[2] + r, b.bbox[3] + r)
-    near_a = (a.bbox[0] - r, a.bbox[1] - r, a.bbox[2] + r, a.bbox[3] + r)
-    (crop_a, xa, ya), (crop_b, xb, yb) = a._crop(near_b), b._crop(near_a)
-    import numpy as np
-    (ys_a, xs_a), (ys_b, xs_b) = np.nonzero(crop_a), np.nonzero(crop_b)
-    pairs = len(xs_a) * len(xs_b)
-    if not pairs:
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a.bbox, b.bbox
+    rows_a, axn, ayn = _cropped(a, (bx0 - r, by0 - r, bx1 + r, by1 + r))
+    rows_b, bxn, byn = _cropped(b, (ax0 - r, ay0 - r, ax1 + r, ay1 + r))
+    wa, ha, wb, hb = len(rows_a[0]), len(rows_a), len(rows_b[0]), len(rows_b)
+    width = wb - 1 + max(wa, wb)  # rows from bit wb - 1: no pixel pair's dx moves b's bits onto a's other rows
+    fa, fb = (int("".join(["0" * (wb - 1) + row + "0" * (width - wb + 1 - len(row)) for row in rows])[::-1], 2)
+              for rows in (rows_a, rows_b))
+    if not (fa and fb):
         return False
-    if pairs <= _PAIR_BLOCK ** 2:
-        dx = np.subtract.outer(np.add(xs_a, xa, dtype=float), np.add(xs_b, xb, dtype=float))
-        dy = np.subtract.outer(np.add(ys_a, ya, dtype=float), np.add(ys_b, yb, dtype=float))
-        return math.sqrt((dx * dx + dy * dy).min()) <= tau
-    if _masks_overlap(a, b):
-        return True
-    pa, pb = a.pixels(near_b, edge=True), b.pixels(near_a, edge=True)
-    for i in range(0, len(pa), _PAIR_BLOCK):
-        for j in range(0, len(pb), _PAIR_BLOCK):
-            d2 = ((pa[i:i + _PAIR_BLOCK, None, :] - pb[None, j:j + _PAIR_BLOCK, :]) ** 2
-                  ).sum(axis=-1)
-            if math.sqrt(d2.min()) <= tau:
-                return True
+    cx, cy = axn - bxn, ayn - byn
+    dx_low, dx_high = cx - wb + 1, cx + wa - 1  # the dx of every pixel pair
+    nearest, farthest = max(0, dx_low, -dx_high), max(-dx_low, dx_high)  # their least and greatest |dx|
+    for dy in range(max(cy - hb + 1, -r - 1), min(cy + ha - 1, r + 1) + 1):  # past |dy| <= tau, bisection decides
+        fy = float(dy) * float(dy)
+        k, over = nearest - 1, farthest + 1  # |dx| = k is within tau, or k < nearest; over is not
+        while over - k > 1:
+            mid = (k + over) // 2
+            k, over = (mid, over) if math.sqrt((fm := float(mid)) * fm + fy) <= tau else (k, mid)
+        low, high = max(-k, dx_low), min(k, dx_high)
+        if low > high:
+            continue
+        spread, run = fb, 1  # b's frame ORed over the shifts 0 .. run - 1
+        while run < high - low + 1:
+            step = min(run, high - low + 1 - run)
+            spread, run = spread | spread << step, run + step
+        shift = (dy - cy) * width + low - cx
+        if fa & (spread << shift if shift >= 0 else spread >> -shift):
+            return True
     return False
 
 
@@ -506,7 +497,7 @@ def eval_relation(kind: str, a: Region, b: Region, *,
             return HOLDS_NOT
         if a.mask is None or b.mask is None:
             return HOLDS
-        if _masks_overlap(a, b):
+        if _within(a, b, 0.5):  # the masks overlap: other pixels lie at least 1 apart
             return HOLDS_NOT
         return HOLDS if _four_rays_hit(a, b) else HOLDS_NOT
     if kind == "adjacent":

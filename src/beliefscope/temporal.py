@@ -13,8 +13,8 @@ and their documents are defined in :mod:`beliefscope.models`, which imports no n
 Both scans run on Python floats, and a belief's vectors are float tuples: the
 transition mixes the previous posterior as products summed left to right, and every
 normalisation sums as numpy sums (:func:`~beliefscope.network._sum`), so a trace's bits
-depend on no BLAS kernel.  Nothing here imports numpy; only a region's mask loads it,
-in :mod:`beliefscope.relational`.
+depend on no BLAS kernel.  Nothing here imports numpy, nor does
+:mod:`beliefscope.relational`, whose masks are int bitsets.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .network import (
     EvidenceSet,
     Network,
     NetworkSpec,
+    _NonFiniteToken,
     _build_network,
     _colour_classes,
     _sum,
@@ -294,7 +295,10 @@ def _checked_frames(lines: Sequence[tuple[int, str]]) -> NoReturn:
     """The first error of numbered stream lines :func:`_column_frames` turned
     down, checked one line at a time and raised naming its line."""
     for lineno, line in lines:
-        obj = load_json(line, line=lineno)
+        try:
+            obj = load_json(line, line=lineno)
+        except _NonFiniteToken as exc:  # named by its line, as a 1e999 in its place would be
+            raise SpecSyntaxError(f"stream line {lineno}: {exc}") from None
         if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
                 and {"index", "t"} <= set(obj)):
             raise SpecSyntaxError(f"stream line {lineno}: expected index, t, regions")

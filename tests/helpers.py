@@ -220,16 +220,118 @@ def star_posterior(prior, rows, observed):
     return [v - log_evidence for v in log_joint]
 
 
+def mask_grid(r: Region) -> np.ndarray:
+    """r's int mask as its numpy bool grid, indexed [y - ymin, x - xmin]: bit
+    ``(y - ymin) * w + (x - xmin)`` read off the int's binary digits."""
+    xmin, ymin, xmax, ymax = r.bbox
+    h, w = ymax - ymin + 1, xmax - xmin + 1
+    digits = format(r.mask, "b").zfill(h * w)[::-1]
+    return (np.frombuffer(digits.encode(), dtype=np.uint8) == ord("1")).reshape(h, w)
+
+
+def mask_pixels(r: Region) -> set[tuple[int, int]]:
+    """The absolute (x, y) of r's set mask pixels."""
+    ys, xs = np.nonzero(mask_grid(r))
+    return set(zip((xs + r.bbox[0]).tolist(), (ys + r.bbox[1]).tolist()))
+
+
 def dense_min_distance(a: Region, b: Region) -> float:
     """Minimum distance between two masked regions over every pixel pair at
     once: the dense |A| x |B| formula, memory quadratic in the mask areas."""
     def pixels(r):
-        ys, xs = np.nonzero(r.mask)
+        ys, xs = np.nonzero(mask_grid(r))
         return np.stack([xs + r.bbox[0], ys + r.bbox[1]], axis=1).astype(float)
 
     pa, pb = pixels(a), pixels(b)
     d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1)
     return float(np.sqrt(d2.min()))
+
+
+# The mask evaluators on numpy bool grids (crops, pixel tables, edge pixels in
+# blocks): the references the int bitset evaluators of ``relational`` must agree with.
+
+
+def _reference_crop(r: Region, window):
+    """r's grid inside ``window`` (inclusive bounds, like ``bbox``; all of it
+    without one) and the absolute (x, y) of the crop's first pixel; an empty
+    crop when the window misses the bbox."""
+    grid = mask_grid(r)
+    x0, y0, xx, yx = r.bbox
+    xn, yn = x0, y0
+    if window is not None:
+        xn, yn = max(xn, window[0]), max(yn, window[1])
+        xx, yx = min(xx, window[2]), min(yx, window[3])
+        if xn > xx or yn > yx:
+            return grid[:0, :0], xn, yn
+    return grid[yn - y0: yx - y0 + 1, xn - x0: xx - x0 + 1], xn, yn
+
+
+def _reference_pixels(r: Region, window=None, edge=False) -> np.ndarray:
+    """Absolute (x, y) of the set pixels in the crop, as floats; with ``edge``
+    only those with a 4-neighbour outside the (cropped) mask."""
+    mask, xn, yn = _reference_crop(r, window)
+    if edge:
+        inner = np.zeros_like(mask)
+        inner[1:-1, 1:-1] = (mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1]
+                             & mask[1:-1, :-2] & mask[1:-1, 2:])
+        mask = mask & ~inner
+    ys, xs = np.nonzero(mask)
+    return np.stack([xs + xn, ys + yn], axis=1).astype(float)
+
+
+def reference_masks_overlap(a: Region, b: Region) -> bool:
+    axn, ayn, axx, ayx = a.bbox
+    bxn, byn, bxx, byx = b.bbox
+    xn, xx = max(axn, bxn), min(axx, bxx)
+    yn, yx = max(ayn, byn), min(ayx, byx)
+    if xn > xx or yn > yx:
+        return False
+    sa = mask_grid(a)[yn - ayn: yx - ayn + 1, xn - axn: xx - axn + 1]
+    sb = mask_grid(b)[yn - byn: yx - byn + 1, xn - bxn: xx - bxn + 1]
+    return bool((sa & sb).any())
+
+
+def reference_four_rays_hit(a: Region, b: Region) -> bool:
+    axn, ayn, axx, ayx = a.bbox
+    px, py = int(round(b.centroid[0])), int(round(b.centroid[1]))
+    if not (axn <= px <= axx and ayn <= py <= ayx):
+        return False
+    grid = mask_grid(a)
+    row, col = grid[py - ayn], grid[:, px - axn]
+    return bool(row[: px - axn + 1].any() and row[px - axn:].any()
+                and col[: py - ayn + 1].any() and col[py - ayn:].any())
+
+
+def reference_within(a: Region, b: Region, tau: float, block: int = 256) -> bool:
+    """The minimum inter-mask distance <= tau, as numpy decided it: the masks
+    cropped to each other's bbox grown by floor(tau), then one table of
+    squared distances when the crops make at most ``block``² pairs, else the
+    overlap test and the edge pixels compared ``block`` by ``block``."""
+    (axn, ayn, axx, ayx), (bxn, byn, bxx, byx) = a.bbox, b.bbox
+    gap = math.hypot(max(0, bxn - axx, axn - bxx), max(0, byn - ayx, ayn - byx))
+    if gap > tau or a.mask is None or b.mask is None:
+        return gap <= tau
+    r = math.floor(tau)
+    near_b = (b.bbox[0] - r, b.bbox[1] - r, b.bbox[2] + r, b.bbox[3] + r)
+    near_a = (a.bbox[0] - r, a.bbox[1] - r, a.bbox[2] + r, a.bbox[3] + r)
+    (crop_a, xa, ya), (crop_b, xb, yb) = _reference_crop(a, near_b), _reference_crop(b, near_a)
+    (ys_a, xs_a), (ys_b, xs_b) = np.nonzero(crop_a), np.nonzero(crop_b)
+    pairs = len(xs_a) * len(xs_b)
+    if not pairs:
+        return False
+    if pairs <= block ** 2:
+        dx = np.subtract.outer(np.add(xs_a, xa, dtype=float), np.add(xs_b, xb, dtype=float))
+        dy = np.subtract.outer(np.add(ys_a, ya, dtype=float), np.add(ys_b, yb, dtype=float))
+        return math.sqrt((dx * dx + dy * dy).min()) <= tau
+    if reference_masks_overlap(a, b):
+        return True
+    pa, pb = _reference_pixels(a, near_b, edge=True), _reference_pixels(b, near_a, edge=True)
+    for i in range(0, len(pa), block):
+        for j in range(0, len(pb), block):
+            d2 = ((pa[i:i + block, None, :] - pb[None, j:j + block, :]) ** 2).sum(axis=-1)
+            if math.sqrt(d2.min()) <= tau:
+                return True
+    return False
 
 
 def per_field_region(obj) -> Region:
@@ -289,7 +391,8 @@ def reference_region(obj) -> Region:
 def reference_parse_stream(text: str) -> FrameStream:
     """A JSONL stream parsed line by line and region by region, every line
     decoded by ``load_json`` and every frame built eagerly: ``parse_stream``
-    as it was before its column passes, except that lines end at "\n" only."""
+    as it was before its column passes, except that lines end at "\n" only
+    and a NaN or Infinity token in a frame line names its line."""
     lines = ((lineno, line) for lineno, line in enumerate(text.split("\n"), start=1)
              if line.strip())
     first = next(lines, None)
@@ -301,7 +404,12 @@ def reference_parse_stream(text: str) -> FrameStream:
     dt = finite_number(header["dt"], "stream header 'dt'")
     frames = []
     for lineno, line in lines:
-        obj = load_json(line, line=lineno)
+        try:
+            obj = load_json(line, line=lineno)
+        except SpecSyntaxError as exc:  # a NaN or Infinity token has no position of its own
+            if not str(exc).startswith("non-finite number "):
+                raise
+            raise SpecSyntaxError(f"stream line {lineno}: {exc}") from None
         if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
                 and {"index", "t"} <= set(obj)):
             raise SpecSyntaxError(f"stream line {lineno}: expected index, t, regions")

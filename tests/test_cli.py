@@ -1116,12 +1116,14 @@ LOADED_BY = [
     (["validate", "--spec", "dynamic.json"], MODEL_LAYER),
     *(([c, "--rule", r], MODEL_LAYER)
       for c in ("validate", "compile") for r in (SURROUNDING_RULE, STATIC_RULE)),
-    # a stream or scenario without masks: numpy is left for masks and for check's witness
+    # streams, scenarios and scenes with masks or without: numpy is left for check's witness
     (["track", "--model", "dirty_lens", "--stream", "stream.jsonl"], STREAM_LAYER),
     (["track", "--model", "lumen_tracker", "--scenario", "static_spot"],
      sorted(["beliefscope.endoscopy", *STREAM_LAYER])),
     (["generate", "--scenario", "moving_spot"], sorted(["beliefscope.endoscopy", *STREAM_LAYER])),
-    (["track", "--spec", "semi_static.json", "--stream", "masks.jsonl"], [*STREAM_LAYER, "numpy"]),
+    (["track", "--spec", "semi_static.json", "--stream", "masks.jsonl"], STREAM_LAYER),
+    (["infer", "--model", "diverticulum", "--scenario", "surround_scene"],
+     sorted(["beliefscope.endoscopy", *STREAM_LAYER])),
 ]
 
 

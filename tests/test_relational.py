@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,17 @@ from beliefscope.relational import (
     select_region,
 )
 
-from helpers import dense_min_distance, per_field_region, random_region, reference_region
+from helpers import (
+    dense_min_distance,
+    mask_grid,
+    mask_pixels,
+    per_field_region,
+    random_region,
+    reference_four_rays_hit,
+    reference_masks_overlap,
+    reference_region,
+    reference_within,
+)
 
 
 def ring_region(rid="ring", colour="bright"):
@@ -67,7 +78,7 @@ class TestRegion:
         text = json.dumps(scene_to_document(regions))
         parsed = parse_scene(text)
         assert [r.id for r in parsed] == ["ring", "p"]
-        assert np.array_equal(parsed[0].mask, regions[0].mask)
+        assert parsed[0].mask == regions[0].mask == 0b11111_10001_10001_10001_11111
 
     def test_scene_errors(self):
         with pytest.raises(SpecSyntaxError, match="unknown field"):
@@ -178,8 +189,7 @@ def _assert_decodes_like_per_field(decode, doc):
         if expected.mask is None:
             assert region.mask is None
         else:
-            assert region.mask.dtype == bool and region.mask.flags.writeable
-            assert np.array_equal(region.mask, expected.mask)
+            assert type(region.mask) is int and region.mask == expected.mask
         return
     with pytest.raises(SpecSyntaxError) as info:
         decode(doc)
@@ -237,6 +247,14 @@ class TestRegionDecoder:
     def test_every_single_edit_agrees_with_the_per_field_decoder(self, base):
         for doc in single_edits(base):
             assert_decoded_like_per_field(doc)
+
+    @pytest.mark.parametrize("depth", [2, 3, 63, 64, 65, 66])
+    def test_masks_nested_to_numpys_dimension_limit(self, depth):
+        """numpy reads 64 nested levels as a shape and refuses a 65th."""
+        mask = 1
+        for _ in range(depth):
+            mask = [mask]
+        assert_decoded_like_per_field({**SWEEP_BASES[0], "area": 1, "bbox": [0, 0, 0, 0], "mask": mask})
 
 
 @st.composite
@@ -308,13 +326,18 @@ class TestColumnRefusals:
     @pytest.mark.parametrize("mask", ["", ', "mask": [[1, 1, 1], [1, 1, 1], [1, 1, 1]]'],
                              ids=["no-mask", "mask"])
     def test_non_finite_centroid_tokens_are_refused_by_the_decoder(self, token, mask):
+        """A stream names the line that holds the token, as it names a 1e999."""
         region = ('{"id": "r", "colour_class": "dark", "centroid": [1.0, %s], "area": 9, '
                   '"bbox": [0, 0, 2, 2]%s}' % (token, mask))
-        for parse, text in ((parse_stream, '{"dt": 0.04}\n{"index": 0, "t": 0.0, "regions": [%s]}\n' % region),
-                            (relational.parse_scene, '{"regions": [%s]}' % region)):
+        frame = '{"index": %d, "t": %s, "regions": [%s]}\n'
+        for parse, text, where in (
+                (parse_stream, '{"dt": 0.04}\n' + frame % (0, "0.0", region), "stream line 2: "),
+                (parse_stream, '{"dt": 0.04}\n' + frame % (0, "0.0", "") + frame % (1, "0.04", "")
+                 + frame % (2, "0.08", region), "stream line 4: "),
+                (relational.parse_scene, '{"regions": [%s]}' % region, "")):
             with pytest.raises(SpecSyntaxError) as info:
                 parse(text)
-            assert str(info.value) == f"non-finite number '{token}' is not allowed"
+            assert str(info.value) == f"{where}non-finite number '{token}' is not allowed"
 
     def test_the_limits_themselves_are_accepted(self):
         doc = {**SWEEP_BASES[0], "area": EXACT, "bbox": [-EXACT, -EXACT, EXACT, EXACT],
@@ -351,10 +374,12 @@ class TestTableRows:
         with pytest.raises(ValueError):
             relational._bit_grid("[[1]]", 2**53, 2**53, 1)
 
-    def test_a_grid_owns_its_pixels(self):
-        grid = relational._bit_grid("[[1, 0], [1, 1]]", 2, 2, 3)
-        assert grid.dtype == bool and grid.flags.writeable and grid.flags.owndata
-        assert grid.tolist() == [[True, False], [True, True]]
+    def test_a_grid_is_the_bitset_of_its_pixels(self):
+        """Bit y * w + x is pixel (x, y): the int decodes back to the grid."""
+        bits = relational._bit_grid("[[1, 0, 1], [1, 1, 0]]", 2, 3, 4)
+        assert type(bits) is int and bits == 0b011_101
+        region = Region("r", "dark", (0.0, 0.0), 4, (0, 0, 2, 1), mask=bits)
+        assert mask_grid(region).tolist() == [[True, False, True], [True, True, False]]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(mask_documents() | mask_documents() | region_documents(),
@@ -384,9 +409,8 @@ class TestTableRows:
                 if row.mask is None:
                     assert expected.mask is None
                 else:
-                    assert row.mask.dtype == bool and row.mask.flags.writeable
-                    assert np.array_equal(public.mask, row.mask)
-                    assert np.array_equal(expected.mask, row.mask)
+                    assert type(row.mask) is int
+                    assert public.mask == row.mask == expected.mask
 
 
 class TestEvalRelation:
@@ -491,9 +515,7 @@ class TestEvalRelation:
             if eval_relation("surrounding", a, b) == "holds":
                 assert eval_relation("surrounding", b, a) == "holds_not"
                 # masks genuinely disjoint, checked on raw pixel sets
-                pa = {tuple(p) for p in a.pixels().astype(int).tolist()}
-                pb = {tuple(p) for p in b.pixels().astype(int).tolist()}
-                assert not (pa & pb)
+                assert not (mask_pixels(a) & mask_pixels(b))
 
     def test_determinism(self):
         a, b = ring_region(), pixel_region("p", 2, 2)
@@ -531,11 +553,7 @@ ADJACENCY_SPEC = {
 class TestAdjacency:
     TAUS = (0.5, 1.0, math.sqrt(2), 2.0, 3.5, 0.3, 1.7, 2.2, math.sqrt(5), 2.9, 4.25, 6.5)
 
-    # a block of 2 makes every pair of cropped masks span several blocks
-    @pytest.mark.parametrize("block", [None, 2], ids=["default-block", "block-of-2"])
-    def test_decision_equals_the_dense_minimum_distance(self, monkeypatch, block):
-        if block is not None:
-            monkeypatch.setattr(relational, "_PAIR_BLOCK", block)
+    def test_decision_equals_the_dense_minimum_distance(self):
         rng = random.Random(2718)
         for i in range(400):
             a = random_region(rng, "a", size=8)
@@ -580,14 +598,10 @@ class TestAdjacency:
                     assert eval_relation("adjacent", a, b, tau=tau) == want, (i, tau, d)
                     assert eval_relation("adjacent", b, a, tau=tau) == want, (i, tau, d)
 
-    @pytest.mark.parametrize("block", [None, 1], ids=["one-block", "edge-blocks"])
     @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
-    def test_coordinates_near_2_pow_53(self, monkeypatch, block, sign):
-        """Absolute coordinates as floats stay exact up to 2**53, so the decision at a
-        pixel distance is the same there as near 0, on the one-block path and on the
-        blocked edge path."""
-        if block is not None:
-            monkeypatch.setattr(relational, "_PAIR_BLOCK", block)
+    def test_coordinates_near_2_pow_53(self, sign):
+        """Bitsets hold offsets, not coordinates, so the decision at a pixel
+        distance is the same near ±2**53 as near 0."""
         rng = random.Random(53)
         for i in range(60):
             a = random_region(rng, "a", size=4)
@@ -657,32 +671,134 @@ def triangle_pair(n, crack):
                    (crack, crack, n - 1, n - 1), mask=upper))
 
 
-class TestAdjacencyEdges:
+def taus_around(d):
+    """TestAdjacency.TAUS, 30, and the pixel distance d and its float neighbours."""
+    return [t for t in (*TestAdjacency.TAUS, 30.0, d, math.nextafter(d, 0), math.nextafter(d, math.inf))
+            if t > 0]
+
+
+class TestBitsetEvaluators:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 12), st.integers(1, 12),
+           st.integers(-14, 14), st.integers(-14, 14))
+    def test_adjacent_and_surrounding_equal_the_numpy_references(self, rng, size_a, size_b, dx, dy):
+        """adjacent equals the numpy reference, on its one-table path and on its
+        edge blocks, and the dense minimum distance; surrounding equals the bbox
+        test, the numpy overlap and the numpy rays; both in both orders."""
+        a = random_region(rng, "a", colour="bright", size=size_a)
+        b = random_region(rng, "b", colour="dark", size=size_b, origin=(dx, dy))
+        d = dense_min_distance(a, b)
+        for x, y in ((a, b), (b, a)):
+            for tau in taus_around(d):
+                want = "holds" if d <= tau else "holds_not"
+                assert reference_within(x, y, tau) == reference_within(x, y, tau, block=2) == (d <= tau)
+                assert eval_relation("adjacent", x, y, tau=tau) == want, (tau, d)
+            inside = relational._bbox_strictly_inside(y.bbox, x.bbox)
+            holds = inside and not reference_masks_overlap(x, y) and reference_four_rays_hit(x, y)
+            assert eval_relation("surrounding", x, y) == ("holds" if holds else "holds_not")
+            assert relational._within(x, y, 0.5) == reference_masks_overlap(x, y)
+            assert relational._four_rays_hit(x, y) == reference_four_rays_hit(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 8), st.integers(1, 8),
+           st.sampled_from([10**6, 2**40, 2**52]), st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
+    def test_far_apart_masks_at_their_distance(self, rng, size_a, size_b, far, sx, sy):
+        """Masks far apart, at tau around their distance: the bbox offset is
+        carried into each row's run of dx, and no frame spans the distance."""
+        a = random_region(rng, "a", size=size_a, origin=(-5, -5))
+        b = random_region(rng, "b", size=size_b, origin=(sx * far, sy * far))
+        d = dense_min_distance(a, b)
+        for x, y in ((a, b), (b, a)):
+            for tau in (t for t in (d, math.nextafter(d, 0), math.nextafter(d, math.inf), d + 3.5) if t > 0):
+                assert eval_relation("adjacent", x, y, tau=tau) == (
+                    "holds" if reference_within(x, y, tau) else "holds_not"), (tau, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(7, 14), st.integers(1, 3))
+    def test_surrounding_rings_equal_the_numpy_references(self, rng, size, band):
+        """Rings with a pixel blob in or near their hole: the rays and the
+        overlap test are reached, and decide as numpy did."""
+        mask = np.ones((size, size), dtype=bool)
+        mask[band:-band, band:-band] = False
+        for _ in range(rng.randint(0, 3)):  # open the ring here and there
+            mask[rng.randrange(size), rng.randrange(size)] = False
+        mask[0, 0] = mask[-1, -1] = True
+        ring = Region("a", "bright", (size / 2, size / 2), int(mask.sum()),
+                      (0, 0, size - 1, size - 1), mask=mask)
+        blob = random_region(rng, "b", colour="dark", size=3, origin=(band - 1, band - 1))
+        inside = relational._bbox_strictly_inside(blob.bbox, ring.bbox)
+        holds = inside and not reference_masks_overlap(ring, blob) and reference_four_rays_hit(ring, blob)
+        assert eval_relation("surrounding", ring, blob) == ("holds" if holds else "holds_not")
+        assert relational._four_rays_hit(ring, blob) == reference_four_rays_hit(ring, blob)
+        assert relational._within(ring, blob, 0.5) == reference_masks_overlap(ring, blob)
+
+    def test_masks_round_trip_through_ints_grids_and_documents(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            r = random_region(rng, "r", size=9)
+            grid = mask_grid(r)
+            assert Region(r.id, r.colour_class, r.centroid, r.area, r.bbox, mask=grid).mask == r.mask
+            assert Region(r.id, r.colour_class, r.centroid, r.area, r.bbox, mask=grid.tolist()).mask == r.mask
+            assert relational.region_to_document(r)["mask"] == grid.astype(int).tolist()
+
+    @pytest.mark.parametrize("bbox", [(0, 0, 2**45, 0), (0, 0, 0, 2**45), (0, 0, 2**30, 2**30)])
+    def test_a_huge_bbox_refuses_a_small_int_without_its_frame(self, bbox):
+        """A mask whose bits cannot reach the last row and column is refused
+        before a bbox's worth of digits is made."""
+        with pytest.raises(ValueError, match="mask extent does not reach the bbox"):
+            Region("r", "dark", (0.0, 0.0), 2, bbox, mask=0b11)
+
+    @pytest.mark.parametrize("mask, message", [
+        (-1, "mask has bits outside its 2x2 bbox"), (1 << 4, "mask has bits outside its 2x2 bbox"),
+        (0b0111, "mask has 3 pixels, area is 2"), (0b0011, "mask extent does not reach the bbox"),
+        (0b1001, None), (0b0110, None)])
+    def test_an_int_mask_is_checked_like_a_grid(self, mask, message):
+        if message is None:
+            assert Region("r", "dark", (0.5, 0.5), 2, (0, 0, 1, 1), mask=mask).mask == mask
+            return
+        with pytest.raises(ValueError, match=f"region 'r': {message}"):
+            Region("r", "dark", (0.5, 0.5), 2, (0, 0, 1, 1), mask=mask)
+
+
+def bounded_adjacency(a, b, tau):
+    """adjacent in both orders, with the peak of memory traced and the time taken."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        got = (eval_relation("adjacent", a, b, tau=tau), eval_relation("adjacent", b, a, tau=tau))
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return got, peak, seconds
+
+
+class TestAdjacencyWork:
+    """Exact on large masks and huge tau, in bounded time and memory: the work
+    goes with the row offsets within tau and the masks' frame, never with tau²
+    or with the distance between the masks."""
+
     @pytest.mark.parametrize("tau, want", [(4.0, "holds_not"), (math.sqrt(18), "holds")])
-    def test_disjoint_masks_compare_only_their_edges(self, monkeypatch, tau, want):
-        n = 60
-        a, b = triangle_pair(n, 6)
-        assert dense_min_distance(a, b) == math.sqrt(18)
-        compared = []
-        real = Region.pixels
+    def test_large_triangles_across_a_crack(self, tau, want):
+        """Two 160 px triangles (12,880 and 11,935 pixels) across a 6-diagonal
+        crack, their bboxes overlapping almost entirely, at distance sqrt(18)."""
+        a, b = triangle_pair(160, 6)
+        assert dense_min_distance(*triangle_pair(40, 6)) == math.sqrt(18)
+        got, peak, seconds = bounded_adjacency(a, b, tau)
+        assert got == (want, want)
+        assert seconds < 0.5 and peak < 2**20
 
-        def counted(self, *args, **kwargs):
-            out = real(self, *args, **kwargs)
-            if kwargs.get("edge"):
-                compared.append(len(out))
-            return out
-
-        monkeypatch.setattr(Region, "pixels", counted)
-        assert eval_relation("adjacent", a, b, tau=tau) == want
-        assert eval_relation("adjacent", b, a, tau=tau) == want
-        # each triangle's edge is its two legs and the crack's staircase
-        assert len(compared) == 4 and max(compared) <= 3 * n
-
-    def test_edge_pixels_of_a_solid_square_are_its_border(self):
-        edge = square_region("a", 0, 0, 5).pixels(edge=True)
-        assert np.array_equal(edge, ring_region().pixels())
-        # the window's own border counts as edge: the crop is all that is compared
-        assert len(square_region("a", 0, 0, 5).pixels((0, 0, 2, 4), edge=True)) == 3 * 5 - 3
+    @pytest.mark.parametrize("offset, want", [
+        ((1, 1), "holds"), ((3, 0), "holds"), ((10**9, -10**9), "holds"),
+        ((2**52, 2**52), "holds_not"), ((0, 2 * 10**15), "holds_not")])
+    def test_a_huge_tau_on_small_masks(self, offset, want):
+        """tau = 1e15 on two 3 x 3 masks, near and far apart: no frame of
+        tau² bits, or of the distance between them, is built."""
+        a = square_region("a", 0, 0, 3)
+        b = square_region("b", offset[0], offset[1], 3, colour="bright")
+        got, peak, seconds = bounded_adjacency(a, b, 1e15)
+        assert got == (want, want)
+        assert peak < 2**16 and seconds < 0.1
 
 
 class TestRelationalize:
