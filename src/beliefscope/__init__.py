@@ -21,20 +21,18 @@ from .errors import (
     StreamValidationError,
 )
 
-#: the public names of each module
+#: the public names of each module, each listed under the module that defines it
 _EXPORTS = {
     "network": ("COLOUR_CLASSES", "EvidenceSet", "InstantiatedNetwork", "Network", "NetworkSpec",
                 "Node", "NodeSpec", "apply_evidence", "network_diagnostics",
-                "network_spec_from_document", "network_spec_to_document", "parse_evidence",
-                "parse_network_spec", "serialize_network_spec", "validate_network"),
+                "network_spec_from_document", "network_spec_to_document", "relational_diagnostics",
+                "validate_network"),
     "propagation": ("Beliefs", "brute_force_beliefs", "map_assignment", "propagate"),
-    "relational": ("Region", "bind_features", "eval_relation", "parse_scene",
-                   "relational_diagnostics", "relationalize", "scene_to_document", "select_region"),
+    "relational": ("Region", "eval_relation", "relationalize", "scene_to_document", "select_region"),
     "models": ("DEFAULT_PROBS", "BuiltinModel", "DynamicModel", "TemporalModel", "builtin_model",
                "compile_rule", "window_spec"),
     "temporal": ("BeliefTrace", "Frame", "FrameBelief", "FrameStream", "build_dynamic_window",
-                 "dynamic_trace", "dynamic_windows", "filter_frames", "filter_stream",
-                 "match_regions", "parse_stream", "semi_static_prior", "stream_to_jsonl"),
+                 "dynamic_trace", "filter_stream", "match_regions", "parse_stream", "stream_to_jsonl"),
     "endoscopy": ("SCENARIOS", "generate_stream"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -217,7 +217,8 @@ def _batches(args, model) -> Iterator[tuple]:
     After an evaluation error the rest of the stream is still read, so an error
     of the stream itself, anywhere in it, is raised first, as when the whole
     stream was read before anything was evaluated."""
-    from .temporal import DynamicModel, TemporalModel, dynamic_chunks, filter_chunks
+    from .models import DynamicModel, TemporalModel
+    from .temporal import dynamic_chunks, filter_chunks
     chunks = _chunks(args)
     if isinstance(model, TemporalModel):
         batches = filter_chunks(_with_mode(model, args.mode), chunks,

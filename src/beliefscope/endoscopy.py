@@ -1,16 +1,14 @@
 """Synthetic scene streams for the colonoscopy models.
 
 The shipped models, their defaults table and the IF/THEN rule compiler are
-defined in :mod:`beliefscope.models`, which imports no numpy, and are
-re-exported here.
+defined in :mod:`beliefscope.models`, which imports no numpy.
 """
 
 from __future__ import annotations
 
 import random
 
-from .models import (  # re-exported
-    BUILTIN_MODELS, DEFAULT_PROBS, HYPOTHESIS_STATES, BuiltinModel, Model, builtin_model, compile_rule)
+from .models import builtin_model  # read from here by bench/run.py and bench/tests/test_oracle.py
 from .relational import Region
 from .temporal import Frame, FrameStream
 

@@ -1,7 +1,6 @@
 """Semi-static and dynamic models, their documents, the shipped colonoscopy models and
-the IF/THEN rule compiler, re-exported by :mod:`~beliefscope.temporal` and
-:mod:`~beliefscope.endoscopy`.  Nothing here imports numpy or the stream, propagation
-and generation code, so ``validate`` and ``compile`` check a model in pure Python.
+the IF/THEN rule compiler.  Nothing here imports numpy or the stream, propagation and
+generation code, so ``validate`` and ``compile`` check a model in pure Python.
 
 Every probability the shipped models use comes from one editable defaults table; the
 values encode only qualitative orderings (a cause makes its observables likelier, an

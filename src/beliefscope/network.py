@@ -97,10 +97,7 @@ class NetworkSpec:
     bind: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
 
     def node(self, node_id: str) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._by_id[node_id]
 
     def with_root_prior(self, prior) -> "NetworkSpec":
         """Copy of this spec with the root's prior row replaced."""
@@ -138,14 +135,12 @@ class NetworkSpec:
         return children
 
 
+# kept for infer, the demos, bench/tests/test_oracle.py and bench/tracing.py
 @dataclass(frozen=True)
 class EvidenceSet:
     """Observed state assignments for a subset of nodes."""
 
     assignments: Mapping[str, str] = field(default_factory=dict)
-
-    def to_document(self) -> dict:
-        return {"assignments": dict(self.assignments)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +155,6 @@ class Node:
     evaluator: str | None = None
     inputs: tuple[str, ...] = ()
     params: Mapping[str, float] = field(default_factory=dict)
-
-    def state_index(self, label: str) -> int:
-        return self.states.index(label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +171,7 @@ class Network:
         return self.by_id[node_id]
 
 
+# kept for infer, the demos, bench/tests/test_oracle.py and bench/tracing.py
 @dataclass(frozen=True, eq=False)
 class InstantiatedNetwork:
     """A network annotated with observed states; CPTs are untouched."""
@@ -200,12 +193,8 @@ def _checked_object(pairs):
     return out
 
 
-class _NonFiniteToken(SpecSyntaxError):
-    """A NaN, Infinity or -Infinity token: the decoder's hook cannot tell where it is."""
-
-
 def _reject_constant(name: str):
-    raise _NonFiniteToken(f"non-finite number '{name}' is not allowed")
+    raise SpecSyntaxError(f"non-finite number '{name}' is not allowed")  # the hook has no position
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_checked_object, parse_constant=_reject_constant)
@@ -436,15 +425,6 @@ def network_spec_from_document(doc) -> NetworkSpec:
     return NetworkSpec(doc["root"], nodes, bind)
 
 
-def parse_network_spec(text: str) -> NetworkSpec:
-    """Parse a network-spec document; raises SpecSyntaxError with position on bad JSON."""
-    return network_spec_from_document(load_json(text))
-
-
-def serialize_network_spec(spec: NetworkSpec) -> str:
-    return json.dumps(network_spec_to_document(spec), indent=2)
-
-
 def network_spec_to_document(spec: NetworkSpec) -> dict:
     nodes = []
     for n in spec.nodes:
@@ -470,10 +450,6 @@ def network_spec_to_document(spec: NetworkSpec) -> dict:
         doc["bind"] = {f: {a: (list(v) if isinstance(v, tuple) else v) for a, v in p.items()}
                        for f, p in spec.bind.items()}
     return doc
-
-
-def parse_evidence(text: str) -> EvidenceSet:
-    return evidence_from_document(load_json(text))
 
 
 def evidence_from_document(doc) -> EvidenceSet:
@@ -655,6 +631,7 @@ def _build_network(spec: NetworkSpec) -> Network:
                    {k: tuple(v) for k, v in spec._children.items()})
 
 
+# kept for infer, the demos, bench/tests/test_oracle.py and bench/tracing.py
 def apply_evidence(net: Network, ev: EvidenceSet) -> InstantiatedNetwork:
     """Clamp observed nodes; pure annotation, never touches CPTs."""
     observed: dict[str, str] = {}

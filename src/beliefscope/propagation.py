@@ -143,7 +143,7 @@ def observation_codes(net: Network, observed: Sequence[Mapping[str, str]]) -> li
     for assignments in observed:
         row = [-1] * len(net.nodes)
         for nid, label in assignments.items():
-            row[column[nid]] = net.by_id[nid].state_index(label)
+            row[column[nid]] = net.by_id[nid].states.index(label)
         rows.append(tuple(row))
     return rows
 
@@ -245,6 +245,7 @@ def downward(net: Network, row: Row, prior: Sequence[float] | None = None) -> di
     return {nid: marginals[nid] for nid in order}
 
 
+# kept for infer, the demos and bench/tracing.py
 def propagate(inet: InstantiatedNetwork) -> Beliefs:
     """Exact per-node posteriors given all evidence, in time linear in the nodes:
     :func:`downward` on its observation row, which names where support vanished when
@@ -330,6 +331,7 @@ def enumerate_beliefs(net: Network, codes: Sequence[Row], priors: np.ndarray | N
     return marginals
 
 
+# kept for the demos, bench/tests/test_oracle.py and bench/tracing.py
 def brute_force_beliefs(inet: InstantiatedNetwork, cap: int = ENUMERATION_CAP) -> Beliefs:
     """Joint-enumeration oracle with the contract of :func:`propagate`:
     :func:`enumerate_beliefs` on one observation row.  Refuses joint state
@@ -341,6 +343,7 @@ def brute_force_beliefs(inet: InstantiatedNetwork, cap: int = ENUMERATION_CAP) -
                    {n.id: n.states for n in net.nodes})
 
 
+# kept for demos/single_scene_relations.py, which prints a MAP state the CLI cannot
 def map_assignment(beliefs: Beliefs) -> dict[str, str]:
     """Per-node argmax state; ties go to the lowest declared state index."""
     return {nid: beliefs.states[nid][max(range(len(vec)), key=vec.__getitem__)]

@@ -42,11 +42,10 @@ from .network import (
     Network,
     NetworkSpec,
     finite_number,
-    load_json,
-    relational_diagnostics,
     strict_int,
     validate_network,
 )
+from .network import relational_diagnostics  # patched here by bench/tracing.py's TARGETS
 
 DEFAULT_TAU = 2.0
 DEFAULT_EPSILON = 2.0
@@ -367,10 +366,6 @@ class RegionTable:
         return groups[k]
 
 
-def parse_scene(text: str) -> tuple[Region, ...]:
-    return scene_from_document(load_json(text))
-
-
 def scene_from_document(doc) -> tuple[Region, ...]:
     """The regions of a scene document, the rows of a :class:`RegionTable`; one
     it turns down is read region by region only to name its first error."""
@@ -537,15 +532,10 @@ def select_region(pred: Mapping[str, Any], regions: Sequence[Region]) -> Region 
     return best
 
 
-def bind_features(spec: NetworkSpec, regions: Sequence[Region]) -> dict[str, Region | None]:
-    """Bind each feature predicate per :func:`select_region`."""
-    return {fid: select_region(pred, regions) for fid, pred in spec.bind.items()}
-
-
 def relation_evidence(spec: NetworkSpec, bound: Mapping[str, Region | None], *,
                       tau: float | None = None, epsilon: float | None = None) -> dict[str, str]:
     """The evidence a scene gives a relational spec, as node id -> observed
-    state, from its bound regions (as :func:`bind_features` returns them).
+    state, from each feature's bound region (:func:`select_region`) or None.
 
     Every bound feature is clamped to present/absent and every fully-bound
     relation node to its evaluated value.  Relation nodes with an unmatched
@@ -571,6 +561,7 @@ def relation_evidence(spec: NetworkSpec, bound: Mapping[str, Region | None], *,
     return assignments
 
 
+# kept for infer and check on a scene, the demos and bench/tracing.py
 def relationalize(spec: NetworkSpec, regions: Sequence[Region], *,
                   tau: float | None = None, epsilon: float | None = None,
                   ) -> tuple[Network, EvidenceSet]:
@@ -580,5 +571,5 @@ def relationalize(spec: NetworkSpec, regions: Sequence[Region], *,
     once per spec) plus the scene's :func:`relation_evidence`: the plain tree
     network (relation CPTs intact) and the evidence that clamps it.
     """
-    return validate_network(spec), EvidenceSet(relation_evidence(
-        spec, bind_features(spec, regions), tau=tau, epsilon=epsilon))
+    bound = {fid: select_region(pred, regions) for fid, pred in spec.bind.items()}
+    return validate_network(spec), EvidenceSet(relation_evidence(spec, bound, tau=tau, epsilon=epsilon))

@@ -5,10 +5,11 @@ prior through a transition table; dynamic recognition puts each window of
 frames under the hypothesis as a star, with a per-frame presence node and an
 inter-frame relation node per consecutive matched pair.
 
-Both return one batch ``(net, codes, trace)``: the Network all frames or windows
-share, a code row per frame or window (:func:`~beliefscope.propagation.observation_codes`),
-the only evidence form past binding, and the beliefs ``track`` prints.  The models
-and their documents are defined in :mod:`beliefscope.models`, which imports no numpy.
+Both take a stream as chunks of frames (:func:`filter_chunks`, :func:`dynamic_chunks`) and
+give one batch ``(net, codes, trace)`` per chunk: the Network all frames or windows share,
+a code row per frame or window (:func:`~beliefscope.propagation.observation_codes`), the
+only evidence form past binding, and the beliefs ``track`` prints.  The models and their
+documents are defined in :mod:`beliefscope.models`, which imports no numpy.
 
 Both scans run on Python floats, and a belief's vectors are float tuples: the
 transition mixes the previous posterior as products summed left to right, and every
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
@@ -35,10 +37,8 @@ from .errors import (
     SpecSyntaxError,
     StreamValidationError,
 )
-from .models import (  # the models themselves, re-exported here
-    DEFAULT_MATCH_DELTA, DEFAULT_MAX_WINDOW, MODES, DynamicModel, TemporalModel, _window_ids,
-    dynamic_from_document, dynamic_to_document, semi_static_from_document,
-    semi_static_to_document, window_spec)
+from .models import DEFAULT_MATCH_DELTA, DynamicModel, TemporalModel, _window_ids, window_spec
+from .models import dynamic_to_document  # read from here by bench/run.py and bench/tests/test_oracle.py
 from .network import (
     ABSENT,
     FEATURE_STATES,
@@ -50,7 +50,6 @@ from .network import (
     EvidenceSet,
     Network,
     NetworkSpec,
-    _NonFiniteToken,
     _build_network,
     _colour_classes,
     _sum,
@@ -210,10 +209,11 @@ def parse_stream(text: str, cursor: StreamCursor | None = None) -> FrameStream |
         try:
             if cursor.dt is None:
                 lineno, line = lines.pop(0)
-                header = load_json(line, line=lineno)
-                if not (isinstance(header, dict) and set(header) == {"dt"}):
-                    raise SpecSyntaxError('stream header must be {"dt": ...}')
-                cursor.dt = finite_number(header["dt"], "stream header 'dt'")
+                with _named_line(lineno):
+                    header = load_json(line, line=lineno)
+                    if not (isinstance(header, dict) and set(header) == {"dt"}):
+                        raise SpecSyntaxError('stream header must be {"dt": ...}')
+                    cursor.dt = finite_number(header["dt"], "stream header 'dt'")
             for start in range(0, len(lines), CHUNK_FRAMES):
                 chunk = lines[start:start + CHUNK_FRAMES]
                 frames += _column_frames(chunk) or _checked_frames(chunk)
@@ -291,30 +291,33 @@ def _column_frames(lines: Sequence[tuple[int, str]], cut: bool = True) -> list[_
     return list(map(_ColumnFrame, index, t, repeat(table), range(len(objs))))
 
 
+@contextmanager
+def _named_line(lineno: int) -> Iterator[None]:
+    """Name the stream line in an error raised within that has no position of its own:
+    a check's, or the decoder's on a repeated key or a NaN or Infinity token."""
+    try:
+        yield
+    except (SpecSyntaxError, StreamValidationError) as exc:
+        if getattr(exc, "line", None) is not None:  # a JSON syntax error points into the file
+            raise
+        raise type(exc)(f"stream line {lineno}: {exc}") from None
+
+
 def _checked_frames(lines: Sequence[tuple[int, str]]) -> NoReturn:
     """The first error of numbered stream lines :func:`_column_frames` turned
     down, checked one line at a time and raised naming its line."""
     for lineno, line in lines:
-        try:
+        with _named_line(lineno):
             obj = load_json(line, line=lineno)
-        except _NonFiniteToken as exc:  # named by its line, as a 1e999 in its place would be
-            raise SpecSyntaxError(f"stream line {lineno}: {exc}") from None
-        if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
-                and {"index", "t"} <= set(obj)):
-            raise SpecSyntaxError(f"stream line {lineno}: expected index, t, regions")
-        index = strict_int(obj["index"], f"stream line {lineno}: 'index'")
-        t = finite_number(obj["t"], f"stream line {lineno}: 't'")
-        regions = obj.get("regions", [])
-        if not isinstance(regions, list):
-            raise SpecSyntaxError(f"stream line {lineno}: 'regions' must be a list")
-        try:
-            frame_regions = tuple(map(region_from_document, regions))
-        except SpecSyntaxError as exc:
-            raise SpecSyntaxError(f"stream line {lineno}: {exc}") from None
-        try:
-            Frame(index, t, frame_regions)
-        except StreamValidationError as exc:
-            raise StreamValidationError(f"stream line {lineno}: {exc}") from None
+            if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
+                    and {"index", "t"} <= set(obj)):
+                raise SpecSyntaxError("expected index, t, regions")
+            index = strict_int(obj["index"], "'index'")
+            t = finite_number(obj["t"], "'t'")
+            regions = obj.get("regions", [])
+            if not isinstance(regions, list):
+                raise SpecSyntaxError("'regions' must be a list")
+            Frame(index, t, tuple(map(region_from_document, regions)))
     raise SpecSyntaxError(f"stream line {lines[0][0]}: frames refused without a named error")
 
 
@@ -330,30 +333,11 @@ def stream_to_jsonl(stream: FrameStream) -> str:
 # semi-static filtering
 
 
-def semi_static_prior(prior, transition, prev_belief, mode: str = "paper") -> Vector:
-    """Effective prior for the current frame.
-
-    mode="paper": static prior times the transition-mixed previous posterior,
-    normalised.  mode="filter": the transition-mixed previous posterior alone
-    (standard forward filtering).  ``transition`` rows are indexed by the
-    previous state.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    try:
-        prior, prev = tuple(map(float, prior)), tuple(map(float, prev_belief))
-        trans = tuple(tuple(map(float, row)) for row in transition)
-    except TypeError:  # a nested prior or belief, or a number for a row
-        trans = ()
-    if not trans or {len(prev), len(trans), *map(len, trans)} != {len(prior)}:
-        raise ValueError("dimension mismatch between prior, transition and previous belief")
-    return _mixed_prior(prior, trans, prev, mode == "paper")
-
-
 def _mixed_prior(prior: Vector, trans: Sequence[Vector], prev: Vector, paper: bool) -> Vector:
-    """:func:`semi_static_prior` on float tuples of matching lengths.  The previous
-    posterior is mixed through the transition as products summed left to right,
-    the same on every machine, and normalised by :func:`~beliefscope.network._sum`."""
+    """A frame's effective prior, on float tuples of matching lengths: the previous posterior
+    mixed through ``trans`` (rows indexed by the previous state) as products summed left to
+    right, the same on every machine, times the static prior in mode "paper" or alone in mode
+    "filter" (standard forward filtering), normalised by :func:`~beliefscope.network._sum`."""
     mixed = [reduce(add, map(mul, prev, column)) for column in zip(*trans)]
     eff = list(map(mul, prior, mixed)) if paper else mixed
     total = _sum(eff)
@@ -412,8 +396,8 @@ class BeliefTrace:
 
 
 def bind_frame(spec: NetworkSpec, frame: Frame) -> dict[str, Region | None]:
-    """:func:`~beliefscope.relational.bind_features` over a frame's regions,
-    reading only those of the colour classes each predicate admits."""
+    """Each feature predicate's region per :func:`~beliefscope.relational.select_region`,
+    reading only the frame's regions of the colour classes the predicate admits."""
     return {fid: select_region(pred, frame.regions_of(_colour_classes(pred)))
             for fid, pred in spec.bind.items()}
 
@@ -425,7 +409,7 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
     batch (net, codes, trace) per chunk: a code row and a belief per frame.
 
     Frame 0 uses the static prior; every later frame replaces the hypothesis
-    prior with :func:`semi_static_prior` over the previous posterior.  All
+    prior with :func:`_mixed_prior` over the previous posterior.  All
     frames share the model's Network; a frame's own tree is the per-frame spec
     with its belief's ``effective_prior`` as the root's prior, or the Network
     with that row prior in ``propagation.downward``.  This is the scaled
@@ -470,24 +454,19 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
         raise StreamValidationError("stream is empty")
 
 
-def filter_frames(model: TemporalModel, stream: FrameStream, *,
-                  tau: float | None = None, epsilon: float | None = None,
-                  ) -> tuple[Network, list[Row], BeliefTrace]:
-    """Semi-static recognition over a stream as one batch (net, codes, trace):
-    :func:`filter_chunks` over the stream as one chunk."""
-    return next(filter_chunks(model, [stream.frames], tau=tau, epsilon=epsilon))
-
-
+# kept for the demos and bench/tracing.py
 def filter_stream(model: TemporalModel, stream: FrameStream, *,
                   tau: float | None = None, epsilon: float | None = None) -> BeliefTrace:
-    """Semi-static recognition over a stream: the trace of :func:`filter_frames`."""
-    return filter_frames(model, stream, tau=tau, epsilon=epsilon)[2]
+    """Semi-static recognition over a stream: the trace of :func:`filter_chunks` over
+    the stream as one chunk."""
+    return next(filter_chunks(model, [stream.frames], tau=tau, epsilon=epsilon))[2]
 
 
 # ---------------------------------------------------------------------------
 # cross-frame matching and dynamic recognition
 
 
+# kept for bench/tracing.py
 def match_regions(prev: Frame, cur: Frame, *, delta: float = DEFAULT_MATCH_DELTA) -> dict[str, str]:
     """Greedy matching by ascending centroid distance.
 
@@ -636,15 +615,7 @@ def dynamic_chunks(model: DynamicModel, chunks: Iterable[Sequence[Frame]],
             for start, post in enumerate(posteriors)))
 
 
-def dynamic_windows(model: DynamicModel, frames: Sequence[Frame], window: int | None = None, *,
-                    tau: float | None = None, epsilon: float | None = None,
-                    delta: float | None = None,
-                    ) -> tuple[Network, list[Row], BeliefTrace]:
-    """Sliding-window dynamic recognition as one batch (net, codes, trace):
-    :func:`dynamic_chunks` over the frames as one chunk."""
-    return next(dynamic_chunks(model, [frames], window, tau=tau, epsilon=epsilon, delta=delta))
-
-
+# kept for the demos and bench/tracing.py
 def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
                          tau: float | None = None, epsilon: float | None = None,
                          delta: float | None = None) -> tuple[Network, EvidenceSet]:
@@ -654,7 +625,7 @@ def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
     a relation node is observed only when the bound regions of its two frames
     match across frames, otherwise it stays unobserved.  This is the network
     and the code row, read back as evidence, of the single window of
-    :func:`dynamic_windows` over exactly these frames; nothing is propagated.
+    :func:`dynamic_chunks` over exactly these frames; nothing is propagated.
     """
     _, net, codes, _, _ = next(_window_codes(model, [frames], len(frames),
                                              tau=tau, epsilon=epsilon, delta=delta))
@@ -662,9 +633,11 @@ def build_dynamic_window(model: DynamicModel, frames: Sequence[Frame], *,
                              if c >= 0})
 
 
+# kept for the demos and bench/tracing.py
 def dynamic_trace(model: DynamicModel, stream: FrameStream, *, window: int | None = None,
                   tau: float | None = None, epsilon: float | None = None,
                   delta: float | None = None) -> BeliefTrace:
-    """Sliding-window dynamic recognition over a stream: the trace of
-    :func:`dynamic_windows`, one entry per window, indexed by its last frame."""
-    return dynamic_windows(model, stream.frames, window, tau=tau, epsilon=epsilon, delta=delta)[2]
+    """Sliding-window dynamic recognition over a stream: the trace of :func:`dynamic_chunks`
+    over the stream as one chunk, one entry per window, indexed by its last frame."""
+    return next(dynamic_chunks(model, [stream.frames], window, tau=tau, epsilon=epsilon,
+                               delta=delta))[2]

@@ -24,6 +24,7 @@ from beliefscope.errors import (
     StateSpaceCapError,
     StreamValidationError,
 )
+from beliefscope.models import DynamicModel
 from beliefscope.network import (
     EvidenceSet,
     Network,
@@ -36,7 +37,7 @@ from beliefscope.network import (
     strict_int,
 )
 from beliefscope.relational import Region
-from beliefscope.temporal import DynamicModel, Frame, FrameStream
+from beliefscope.temporal import Frame, FrameStream
 
 
 def normalized(rng, k, p_zero=0.0):
@@ -128,7 +129,7 @@ def per_evidence_enumeration(net: Network, observed) -> dict[str, np.ndarray] | 
     for nid, label in observed.items():
         node = net.node(nid)
         ind = np.zeros(len(node.states))
-        ind[node.state_index(label)] = 1.0
+        ind[node.states.index(label)] = 1.0
         shape = [1] * len(sizes)
         shape[axis[nid]] = len(node.states)
         joint = joint * ind.reshape(shape)
@@ -392,24 +393,21 @@ def reference_parse_stream(text: str) -> FrameStream:
     """A JSONL stream parsed line by line and region by region, every line
     decoded by ``load_json`` and every frame built eagerly: ``parse_stream``
     as it was before its column passes, except that lines end at "\n" only
-    and a NaN or Infinity token in a frame line names its line."""
+    and every error without a position of its own (a repeated key, a NaN or
+    Infinity token, the header's) names its line."""
     lines = ((lineno, line) for lineno, line in enumerate(text.split("\n"), start=1)
              if line.strip())
     first = next(lines, None)
     if first is None:
         raise SpecSyntaxError("empty stream document")
-    header = load_json(first[1], line=first[0])
+    header = _reference_line_json(*first)
+    where = f"stream line {first[0]}: "
     if not (isinstance(header, dict) and set(header) == {"dt"}):
-        raise SpecSyntaxError('stream header must be {"dt": ...}')
-    dt = finite_number(header["dt"], "stream header 'dt'")
+        raise SpecSyntaxError(where + 'stream header must be {"dt": ...}')
+    dt = finite_number(header["dt"], where + "stream header 'dt'")
     frames = []
     for lineno, line in lines:
-        try:
-            obj = load_json(line, line=lineno)
-        except SpecSyntaxError as exc:  # a NaN or Infinity token has no position of its own
-            if not str(exc).startswith("non-finite number "):
-                raise
-            raise SpecSyntaxError(f"stream line {lineno}: {exc}") from None
+        obj = _reference_line_json(lineno, line)
         if not (isinstance(obj, dict) and set(obj) <= {"index", "t", "regions"}
                 and {"index", "t"} <= set(obj)):
             raise SpecSyntaxError(f"stream line {lineno}: expected index, t, regions")
@@ -427,6 +425,17 @@ def reference_parse_stream(text: str) -> FrameStream:
         except StreamValidationError as exc:
             raise StreamValidationError(f"stream line {lineno}: {exc}") from None
     return FrameStream(tuple(frames), dt)
+
+
+def _reference_line_json(lineno: int, line: str):
+    """A stream line decoded by ``load_json``; an error the decoder cannot position
+    names the line."""
+    try:
+        return load_json(line, line=lineno)
+    except SpecSyntaxError as exc:
+        if exc.line is not None:
+            raise
+        raise SpecSyntaxError(f"stream line {lineno}: {exc}") from None
 
 
 def reference_load_json(text: str, line: int = 1):
@@ -742,7 +751,7 @@ def whole_stream_command(args) -> int:
     """``track`` or ``check`` as they ran before a stream was read a chunk at a
     time: the whole input read (:func:`read_whole_stream`) and parsed
     (:func:`reference_parse_stream`) before anything is evaluated, every frame
-    evaluated as one batch (``filter_frames``, ``dynamic_windows``), the whole
+    evaluated as one batch (``filter_chunks``, ``dynamic_chunks`` over one chunk), the whole
     output made before it is written, and ``check``'s distinct rows compared
     in one call of each kernel.  Errors therefore come in that order: the
     stream's own, then evaluation, then the kernels'."""
@@ -750,19 +759,20 @@ def whole_stream_command(args) -> int:
     from beliefscope.endoscopy import generate_stream
     from beliefscope.propagation import downward, enumerate_beliefs, observation_codes, sig10
     from beliefscope.relational import relation_evidence
-    from beliefscope.temporal import TemporalModel, bind_frame, dynamic_windows, filter_frames
+    from beliefscope.models import TemporalModel
+    from beliefscope.temporal import bind_frame, dynamic_chunks, filter_chunks
 
     model = cli._load_model(args)
     stream = (generate_stream(args.scenario, args.frames, seed=args.seed)
               if args.scenario is not None else reference_parse_stream(read_whole_stream(args.stream)))
     printed = priors = None
     if isinstance(model, TemporalModel):
-        net, codes, trace = filter_frames(cli._with_mode(model, args.mode), stream,
-                                          tau=args.tau, epsilon=args.epsilon)
+        net, codes, trace = next(filter_chunks(cli._with_mode(model, args.mode), [stream.frames],
+                                               tau=args.tau, epsilon=args.epsilon))
         priors = np.array([belief.effective_prior for belief in trace.frames])
     elif isinstance(model, DynamicModel):
-        net, codes, trace = dynamic_windows(model, stream.frames, args.window, tau=args.tau,
-                                            epsilon=args.epsilon, delta=args.delta)
+        net, codes, trace = next(dynamic_chunks(model, [stream.frames], args.window, tau=args.tau,
+                                                epsilon=args.epsilon, delta=args.delta))
     elif args.command == "track":
         print("track requires a temporal or dynamic model; use infer for single scenes",
               file=sys.stderr)

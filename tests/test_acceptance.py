@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from beliefscope import cli
-from beliefscope.endoscopy import SCENARIOS, builtin_model, compile_rule, generate_stream
+from beliefscope.endoscopy import SCENARIOS, generate_stream
+from beliefscope.models import TemporalModel, builtin_model, compile_rule
 from beliefscope.network import apply_evidence, validate_network
 from beliefscope.propagation import brute_force_beliefs, propagate
 from beliefscope.relational import relationalize
 from beliefscope.temporal import (
     FrameStream,
-    TemporalModel,
     build_dynamic_window,
     dynamic_trace,
     filter_stream,

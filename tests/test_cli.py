@@ -17,19 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beliefscope import cli, endoscopy, network, propagation, relational, temporal
-from beliefscope.endoscopy import SCENARIOS, builtin_model, generate_stream
+from beliefscope import cli, endoscopy, models, network, propagation, relational, temporal
+from beliefscope.endoscopy import SCENARIOS, generate_stream
+from beliefscope.models import builtin_model, dynamic_to_document, semi_static_to_document
 from beliefscope.network import network_spec_to_document
 from beliefscope.propagation import Beliefs, sig10, sig10_json
 from beliefscope.relational import Region, scene_to_document
-from beliefscope.temporal import (
-    Frame,
-    FrameStream,
-    build_dynamic_window,
-    dynamic_to_document,
-    semi_static_to_document,
-    stream_to_jsonl,
-)
+from beliefscope.temporal import Frame, FrameStream, build_dynamic_window, stream_to_jsonl
 
 from helpers import (FUZZ_VALUES, counted_diagnostics, mutated, random_region,
                      whole_stream_command)
@@ -303,7 +297,7 @@ class TestInfer:
             decoded.append(text)
             return real(text, line)
 
-        for module in (cli, network, relational):
+        for module in (cli, network):
             monkeypatch.setattr(module, "load_json", counted)
         (tmp_path / "scene.json").write_text(scene)
         code, _, _ = run(capsys, "infer", "--spec", two_node_spec_file,
@@ -1014,6 +1008,20 @@ class TestErrorBranches:
                      2, "node 'dark_region': 'cpt' must be a list of rows\n", id="cpt-string"),
         pytest.param(["track", "--model", "lumen_tracker", "--stream", "{file}"], "\n \n",
                      2, "empty stream document\n", id="blank-stream"),
+        # a stream's errors name their line, the header's too (the second line below)
+        pytest.param(["track", "--model", "dirty_lens", "--stream", "{file}"],
+                     '{"dt": 0.04}\n{"index": 0, "t": 0.0, "regions": [], "index": 1}\n',
+                     2, "stream line 2: duplicate key 'index'\n", id="frame-repeated-key"),
+        pytest.param(["track", "--model", "dirty_lens", "--stream", "{file}"],
+                     '{"dt": NaN}\n{"index": 0, "t": 0.0}\n',
+                     2, "stream line 1: non-finite number 'NaN' is not allowed\n", id="header-nan"),
+        pytest.param(["track", "--model", "dirty_lens", "--stream", "{file}"],
+                     '\n{"dt": 1e999}\n{"index": 0, "t": 0.0}\n',
+                     2, "stream line 2: stream header 'dt': expected a finite number\n",
+                     id="header-overflow"),
+        pytest.param(["track", "--model", "dirty_lens", "--stream", "{file}"],
+                     '{"index": 0, "t": 0.0}\n{"index": 1, "t": 0.04}\n',
+                     2, 'stream line 1: stream header must be {"dt": ...}\n', id="no-header"),
         pytest.param(["compile", "--rule", "IF dark region THEN lumen", "--defaults", "{file}"],
                      "[0.5]", 2, "defaults document must be a JSON object\n", id="defaults-list"),
         pytest.param(["compile", "--rule", "IF yellow or purple spot THEN x"], None,
@@ -1275,7 +1283,7 @@ class TestCliFuzz:
            st.sampled_from(["values", "role", "top"]))
     def test_compile_defaults_exit_0_to_4_without_a_traceback(self, tmp_path_factory, rng,
                                                              rule, target):
-        defaults = mutated(endoscopy.DEFAULT_PROBS, rng)
+        defaults = mutated(models.DEFAULT_PROBS, rng)
         if target == "role":  # an unknown role beside the mutated ones
             defaults[rng.choice(["gamma", "", "hypothesis prior", "0"])] = rng.choice(FUZZ_VALUES)
         elif target == "top":
@@ -1313,7 +1321,7 @@ def region_stream(rng, n_frames):
 
 class TestCheckCertifiesTrack:
     @settings(max_examples=100, deadline=None)
-    @given(st.randoms(use_true_random=False), st.sampled_from(endoscopy.BUILTIN_MODELS),
+    @given(st.randoms(use_true_random=False), st.sampled_from(models.BUILTIN_MODELS),
            st.integers(2, 8), st.integers(2, 5), st.sampled_from(["paper", "filter"]))
     def test_check_agrees_with_what_track_prints(self, tmp_path_factory, rng, model, n_frames,
                                                  window, mode):

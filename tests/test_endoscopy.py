@@ -2,25 +2,13 @@ import math
 
 import pytest
 
-from beliefscope.endoscopy import (
-    DEFAULT_PROBS,
-    SCENARIOS,
-    builtin_model,
-    compile_rule,
-    generate_stream,
-)
+from beliefscope.endoscopy import SCENARIOS, generate_stream
 from beliefscope.errors import RuleSyntaxError
-from beliefscope.network import NetworkSpec, apply_evidence, network_diagnostics
+from beliefscope.models import DEFAULT_PROBS, DynamicModel, TemporalModel, builtin_model, compile_rule
+from beliefscope.network import NetworkSpec, apply_evidence, network_diagnostics, relational_diagnostics
 from beliefscope.propagation import propagate
-from beliefscope.relational import relational_diagnostics, relationalize
-from beliefscope.temporal import (
-    DynamicModel,
-    TemporalModel,
-    build_dynamic_window,
-    dynamic_trace,
-    filter_stream,
-    stream_to_jsonl,
-)
+from beliefscope.relational import relationalize
+from beliefscope.temporal import build_dynamic_window, dynamic_trace, filter_stream, stream_to_jsonl
 
 from helpers import structure_key
 

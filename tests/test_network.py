@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beliefscope import network
-from beliefscope.endoscopy import builtin_model, generate_stream
+from beliefscope.endoscopy import generate_stream
 from beliefscope.errors import (
     EvidenceError,
     ImpossibleEvidenceError,
     InvalidNetworkError,
     SpecSyntaxError,
 )
+from beliefscope.models import builtin_model, window_spec
 from beliefscope.network import (
     ROW_SUM_TOL,
     EvidenceSet,
@@ -22,18 +23,15 @@ from beliefscope.network import (
     NodeSpec,
     apply_evidence,
     check_network,
+    evidence_from_document,
     load_json,
     network_diagnostics,
     network_spec_from_document,
     network_spec_to_document,
-    parse_evidence,
-    parse_network_spec,
-    serialize_network_spec,
     validate_network,
 )
 from beliefscope.propagation import propagate
 from beliefscope.relational import relationalize
-from beliefscope.temporal import window_spec
 
 from helpers import (
     counted_diagnostics,
@@ -56,7 +54,7 @@ TWO_NODE = json.dumps({
 
 
 def two_node_spec():
-    return parse_network_spec(TWO_NODE)
+    return network_spec_from_document(load_json(TWO_NODE))
 
 
 class TestParse:
@@ -71,45 +69,45 @@ class TestParse:
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["parent"] = "X"
         with pytest.raises(SpecSyntaxError, match="undeclared parent 'X'"):
-            parse_network_spec(json.dumps(doc))
+            network_spec_from_document(load_json(json.dumps(doc)))
 
     def test_duplicate_node_id(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["id"] = "O"
         doc["nodes"][1]["parent"] = "O"
         with pytest.raises(SpecSyntaxError, match="duplicate node id 'O'"):
-            parse_network_spec(json.dumps(doc))
+            network_spec_from_document(load_json(json.dumps(doc)))
 
     def test_bad_json_carries_position(self):
         with pytest.raises(SpecSyntaxError, match=r"line 1"):
-            parse_network_spec('{"root": "O", nodes}')
+            network_spec_from_document(load_json('{"root": "O", nodes}'))
 
     def test_unknown_field_rejected(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][0]["colour"] = "red"
         with pytest.raises(SpecSyntaxError, match="unknown field 'colour'"):
-            parse_network_spec(json.dumps(doc))
+            network_spec_from_document(load_json(json.dumps(doc)))
         doc = json.loads(TWO_NODE)
         doc["extra"] = 1
         with pytest.raises(SpecSyntaxError, match="unknown field 'extra'"):
-            parse_network_spec(json.dumps(doc))
+            network_spec_from_document(load_json(json.dumps(doc)))
 
     def test_relation_fields_only_on_relation_nodes(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["evaluator"] = "adjacent"
         with pytest.raises(SpecSyntaxError, match="unknown field 'evaluator'"):
-            parse_network_spec(json.dumps(doc))
+            network_spec_from_document(load_json(json.dumps(doc)))
 
     def test_prior_and_cpt_exclusive(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["prior"] = [0.5, 0.5]
         with pytest.raises(SpecSyntaxError, match="exactly one of 'prior'/'cpt'"):
-            parse_network_spec(json.dumps(doc))
+            network_spec_from_document(load_json(json.dumps(doc)))
 
     def test_duplicate_json_key(self):
         text = '{"root": "O", "root": "F", "nodes": []}'
         with pytest.raises(SpecSyntaxError, match="duplicate key 'root'"):
-            parse_network_spec(text)
+            network_spec_from_document(load_json(text))
 
     @pytest.mark.parametrize("number, message", [
         pytest.param("NaN", "non-finite number 'NaN'", id="nan"),
@@ -122,19 +120,19 @@ class TestParse:
         text = TWO_NODE.replace("0.9", number, 1)
         assert number in text
         with pytest.raises(SpecSyntaxError, match=message):
-            parse_network_spec(text)
+            network_spec_from_document(load_json(text))
 
     def test_unnormalised_row_is_a_parse_success(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["cpt"] = [[0.9, 0.2], [0.2, 0.8]]
-        spec = parse_network_spec(json.dumps(doc))  # syntactically fine
+        spec = network_spec_from_document(load_json(json.dumps(doc)))  # syntactically fine
         assert any("row sum 1.1" in d for d in network_diagnostics(spec))
 
     def test_round_trip_is_identity(self):
         rng = random.Random(11)
         for _ in range(25):
             spec = random_tree_spec(rng, rng.randint(1, 8))
-            assert parse_network_spec(serialize_network_spec(spec)) == spec
+            assert network_spec_from_document(load_json(json.dumps(network_spec_to_document(spec)))) == spec
 
     def test_round_trip_keeps_bind_and_relation_fields(self):
         text = json.dumps({
@@ -151,8 +149,8 @@ class TestParse:
             ],
             "bind": {"a": {"colour_class": "dark"}, "b": {"colour_class": ["bright", "yellow"]}},
         })
-        spec = parse_network_spec(text)
-        assert parse_network_spec(serialize_network_spec(spec)) == spec
+        spec = network_spec_from_document(load_json(text))
+        assert network_spec_from_document(load_json(json.dumps(network_spec_to_document(spec)))) == spec
         assert spec.node("r").params == {"tau": 3.0}
 
 
@@ -165,7 +163,7 @@ class TestValidate:
     def test_row_sum_diagnostic(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["cpt"] = [[0.9, 0.2], [0.2, 0.8]]
-        diags = network_diagnostics(parse_network_spec(json.dumps(doc)))
+        diags = network_diagnostics(network_spec_from_document(load_json(json.dumps(doc))))
         assert any("row sum 1.1 != 1" in d for d in diags)
 
     def test_two_parents_diagnostic(self):
@@ -173,7 +171,7 @@ class TestValidate:
         doc["nodes"].append({"id": "C", "kind": "chance", "states": ["t", "f"],
                              "prior": [0.5, 0.5]})
         doc["nodes"][1]["parent"] = ["O", "C"]
-        diags = network_diagnostics(parse_network_spec(json.dumps(doc)))
+        diags = network_diagnostics(network_spec_from_document(load_json(json.dumps(doc))))
         assert any("has 2 parents; tree required" in d for d in diags)
         assert any("multiple roots" in d for d in diags)  # O and C are both parentless
 
@@ -187,32 +185,32 @@ class TestValidate:
                  "cpt": [[0.5, 0.5], [0.5, 0.5]]},
             ],
         })
-        diags = network_diagnostics(parse_network_spec(text))
+        diags = network_diagnostics(network_spec_from_document(load_json(text)))
         assert any("cycle detected" in d for d in diags)
         assert any("no root" in d for d in diags)
 
     def test_row_count_mismatch(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["cpt"] = [[0.9, 0.1]]
-        diags = network_diagnostics(parse_network_spec(json.dumps(doc)))
+        diags = network_diagnostics(network_spec_from_document(load_json(json.dumps(doc))))
         assert any("1 cpt rows, parent 'O' has 2 states" in d for d in diags)
 
     def test_entry_out_of_range(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][0]["prior"] = [1.5, -0.5]
-        diags = network_diagnostics(parse_network_spec(json.dumps(doc)))
+        diags = network_diagnostics(network_spec_from_document(load_json(json.dumps(doc))))
         assert any("outside [0,1]" in d for d in diags)
 
     def test_state_diagnostics(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][0]["states"] = ["t"]
         doc["nodes"][0]["prior"] = [1.0]
-        diags = network_diagnostics(parse_network_spec(json.dumps(doc)))
+        diags = network_diagnostics(network_spec_from_document(load_json(json.dumps(doc))))
         assert any("fewer than 2 states" in d for d in diags)
 
         doc = json.loads(TWO_NODE)
         doc["nodes"][0]["states"] = ["t", "t"]
-        diags = network_diagnostics(parse_network_spec(json.dumps(doc)))
+        diags = network_diagnostics(network_spec_from_document(load_json(json.dumps(doc))))
         assert any("duplicate state label 't'" in d for d in diags)
 
     def test_duplicate_node_ids_in_a_programmatic_spec(self):
@@ -227,23 +225,23 @@ class TestValidate:
     def test_declared_root_mismatch(self):
         doc = json.loads(TWO_NODE)
         doc["root"] = "F"
-        diags = network_diagnostics(parse_network_spec(json.dumps(doc)))
+        diags = network_diagnostics(network_spec_from_document(load_json(json.dumps(doc))))
         assert any("declared root 'F'" in d for d in diags)
 
     def test_all_violations_reported_at_once(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][0]["prior"] = [0.7, 0.7]
         doc["nodes"][1]["cpt"] = [[0.9, 0.1]]
-        diags = network_diagnostics(parse_network_spec(json.dumps(doc)))
+        diags = network_diagnostics(network_spec_from_document(load_json(json.dumps(doc))))
         assert len(diags) >= 2
         with pytest.raises(InvalidNetworkError) as err:
-            validate_network(parse_network_spec(json.dumps(doc)))
+            validate_network(network_spec_from_document(load_json(json.dumps(doc))))
         assert err.value.diagnostics == diags
 
     def test_rows_renormalised_on_load(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][0]["prior"] = [0.3333333333, 0.6666666667]  # off by < 1e-9
-        net = validate_network(parse_network_spec(json.dumps(doc)))
+        net = validate_network(network_spec_from_document(load_json(json.dumps(doc))))
         assert sum(net.node("O").cpt[0]) == pytest.approx(1.0, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
@@ -289,7 +287,7 @@ class TestValidateOnce:
     def test_an_invalid_spec_raises_on_every_call(self, calls):
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["cpt"][0] = [0.9, 0.2]
-        spec = parse_network_spec(json.dumps(doc))
+        spec = network_spec_from_document(load_json(json.dumps(doc)))
         for _ in range(2):
             with pytest.raises(InvalidNetworkError, match=r"row sum 1\.1 != 1 \(row 0\)"):
                 validate_network(spec)
@@ -372,14 +370,13 @@ class TestEvidence:
         for n in net.nodes:
             assert hex_rows(n.cpt) == before[n.id]
 
-    def test_evidence_document_round_trip(self):
-        ev = parse_evidence('{"assignments": {"F": "t"}}')
-        assert ev.assignments == {"F": "t"}
-        assert parse_evidence(json.dumps(ev.to_document())) == ev
+    def test_evidence_document(self):
+        ev = evidence_from_document(load_json('{"assignments": {"F": "t"}}'))
+        assert ev == EvidenceSet({"F": "t"})
 
     def test_evidence_duplicate_key(self):
         with pytest.raises(SpecSyntaxError, match="duplicate key"):
-            parse_evidence('{"assignments": {"F": "t", "F": "f"}}')
+            evidence_from_document(load_json('{"assignments": {"F": "t", "F": "f"}}'))
 
 
 # ---------------------------------------------------------------------------

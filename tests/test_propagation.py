@@ -13,7 +13,8 @@ from beliefscope.network import (
     NetworkSpec,
     NodeSpec,
     apply_evidence,
-    parse_network_spec,
+    load_json,
+    network_spec_from_document,
     validate_network,
 )
 from beliefscope import propagation
@@ -50,7 +51,7 @@ def instantiate(spec, assignments):
 
 
 def two_node(assignments):
-    return instantiate(parse_network_spec(TWO_NODE), assignments)
+    return instantiate(network_spec_from_document(load_json(TWO_NODE)), assignments)
 
 
 class TestPropagate:
@@ -79,7 +80,7 @@ class TestPropagate:
     def test_impossible_evidence_names_the_node(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["cpt"] = [[0.0, 1.0], [0.0, 1.0]]  # F=t has no support
-        spec = parse_network_spec(json.dumps(doc))
+        spec = network_spec_from_document(doc)
         with pytest.raises(ImpossibleEvidenceError) as err:
             propagate(instantiate(spec, {"F": "t"}))
         assert err.value.node == "F"
@@ -123,7 +124,7 @@ class TestBruteForce:
     def test_impossible_evidence(self):
         doc = json.loads(TWO_NODE)
         doc["nodes"][1]["cpt"] = [[0.0, 1.0], [0.0, 1.0]]
-        spec = parse_network_spec(json.dumps(doc))
+        spec = network_spec_from_document(doc)
         with pytest.raises(ImpossibleEvidenceError):
             brute_force_beliefs(instantiate(spec, {"F": "t"}))
 

@@ -9,18 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beliefscope import cli, relational
-from beliefscope.endoscopy import builtin_model, generate_stream
+from beliefscope.endoscopy import generate_stream
 from beliefscope.errors import InvalidNetworkError, SpecSyntaxError
-from beliefscope.network import COLOUR_CLASSES, NetworkSpec, NodeSpec, apply_evidence
+from beliefscope.models import builtin_model
+from beliefscope.network import (
+    COLOUR_CLASSES, NetworkSpec, NodeSpec, apply_evidence, load_json, relational_diagnostics)
 from beliefscope.propagation import brute_force_beliefs, propagate
-from beliefscope.temporal import parse_stream
+from beliefscope.temporal import Frame, bind_frame, parse_stream
 from beliefscope.relational import (
     Region,
-    bind_features,
     eval_relation,
-    parse_scene,
-    relational_diagnostics,
     relationalize,
+    scene_from_document,
     scene_to_document,
     select_region,
 )
@@ -76,17 +76,18 @@ class TestRegion:
     def test_scene_round_trip(self):
         regions = (ring_region(), pixel_region("p", 2, 2))
         text = json.dumps(scene_to_document(regions))
-        parsed = parse_scene(text)
+        parsed = scene_from_document(load_json(text))
         assert [r.id for r in parsed] == ["ring", "p"]
         assert parsed[0].mask == regions[0].mask == 0b11111_10001_10001_10001_11111
 
     def test_scene_errors(self):
         with pytest.raises(SpecSyntaxError, match="unknown field"):
-            parse_scene('{"regions": [{"id": "a", "colour_class": "dark", "centroid": [0,0], '
-                        '"area": 1, "bbox": [0,0,0,0], "shade": 3}]}')
+            scene_from_document(load_json(
+                '{"regions": [{"id": "a", "colour_class": "dark", "centroid": [0,0], '
+                '"area": 1, "bbox": [0,0,0,0], "shade": 3}]}'))
         with pytest.raises(SpecSyntaxError, match="duplicate region id"):
-            parse_scene(json.dumps(scene_to_document((pixel_region("a", 0, 0),
-                                                      pixel_region("a", 5, 5)))))
+            scene_from_document(load_json(json.dumps(scene_to_document(
+                (pixel_region("a", 0, 0), pixel_region("a", 5, 5))))))
 
 
 EXACT = 2**53
@@ -334,7 +335,7 @@ class TestColumnRefusals:
                 (parse_stream, '{"dt": 0.04}\n' + frame % (0, "0.0", region), "stream line 2: "),
                 (parse_stream, '{"dt": 0.04}\n' + frame % (0, "0.0", "") + frame % (1, "0.04", "")
                  + frame % (2, "0.08", region), "stream line 4: "),
-                (relational.parse_scene, '{"regions": [%s]}' % region, "")):
+                (lambda text: scene_from_document(load_json(text)), '{"regions": [%s]}' % region, "")):
             with pytest.raises(SpecSyntaxError) as info:
                 parse(text)
             assert str(info.value) == f"{where}non-finite number '{token}' is not allowed"
@@ -849,9 +850,9 @@ class TestRelationalize:
         assert select_region(pred, (pixel_region("y", 0, 0, "green"),)).id == "y"
         assert select_region(pred, (pixel_region("d", 0, 0, "dark"),)) is None
 
-    def test_bind_features_returns_every_bound_node(self):
+    def test_bind_frame_returns_every_bound_node(self):
         spec = builtin_model("bend").model
-        bound = bind_features(spec, ())
+        bound = bind_frame(spec, Frame(0, 0.0))
         assert bound == {"dark_region": None, "bright_arc": None}
 
     def test_transform_equals_conditioning(self):
