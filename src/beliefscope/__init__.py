@@ -3,8 +3,11 @@
 Public names are imported from their modules on first use, so a command compiles
 and runs only the modules it needs: ``validate`` and ``compile`` load neither numpy
 nor any module past ``network`` and ``models``, and ``infer`` on a network spec never
-loads the relational, temporal or endoscopy modules.  numpy is loaded only by
-``check``'s enumeration oracle: a region's mask is a Python int bitset.
+loads the relational, temporal or endoscopy modules.  No command loads numpy: a
+region's mask is a Python int bitset, and ``check`` compares the propagation kernel
+with the pure-Python tree witness of :mod:`beliefscope.witness`.  numpy is read only by
+the joint-enumeration oracle, ``propagation.enumerate_beliefs``, which the tests and the
+benchmark call.
 """
 
 import importlib

@@ -5,9 +5,11 @@ observation row, and :func:`downward` adds the prior (π) pass to give every nod
 marginals for that row.  Both run on Python floats, a few operations per node, and sum
 as numpy sums (:func:`~beliefscope.network._sum`).  ``track`` runs the upward kernel
 once per distinct row of a stream and takes each hypothesis posterior from its root λ;
-:func:`propagate` is the downward kernel on one evidence set.  A joint-enumeration
-oracle, :func:`enumerate_beliefs`, verifies this path over a batch of rows with numpy,
-the only use of numpy here, and is kept algorithmically independent of it.
+:func:`propagate` is the downward kernel on one evidence set.  ``check`` certifies
+:func:`downward` against :mod:`beliefscope.witness`, which shares no code with it.  A
+joint-enumeration oracle, :func:`enumerate_beliefs`, kept for the tests, the demos and
+the benchmark, computes the same marginals over a batch of rows with numpy, the only use
+of numpy here, on joint state spaces up to ENUMERATION_CAP.
 """
 
 from __future__ import annotations

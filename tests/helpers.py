@@ -18,10 +18,8 @@ import numpy as np
 
 from beliefscope import network
 from beliefscope.errors import (
-    ImpossibleEvidenceError,
     InvalidNetworkError,
     SpecSyntaxError,
-    StateSpaceCapError,
     StreamValidationError,
 )
 from beliefscope.models import DynamicModel
@@ -753,14 +751,15 @@ def whole_stream_command(args) -> int:
     (:func:`reference_parse_stream`) before anything is evaluated, every frame
     evaluated as one batch (``filter_chunks``, ``dynamic_chunks`` over one chunk), the whole
     output made before it is written, and ``check``'s distinct rows compared
-    in one call of each kernel.  Errors therefore come in that order: the
+    over the whole stream at once.  Errors therefore come in that order: the
     stream's own, then evaluation, then the kernels'."""
     from beliefscope import cli
     from beliefscope.endoscopy import generate_stream
-    from beliefscope.propagation import downward, enumerate_beliefs, observation_codes, sig10
+    from beliefscope.propagation import downward, observation_codes, sig10
     from beliefscope.relational import relation_evidence
     from beliefscope.models import TemporalModel
     from beliefscope.temporal import bind_frame, dynamic_chunks, filter_chunks
+    from beliefscope.witness import marginals
 
     model = cli._load_model(args)
     stream = (generate_stream(args.scenario, args.frames, seed=args.seed)
@@ -769,7 +768,7 @@ def whole_stream_command(args) -> int:
     if isinstance(model, TemporalModel):
         net, codes, trace = next(filter_chunks(cli._with_mode(model, args.mode), [stream.frames],
                                                tau=args.tau, epsilon=args.epsilon))
-        priors = np.array([belief.effective_prior for belief in trace.frames])
+        priors = [belief.effective_prior for belief in trace.frames]
     elif isinstance(model, DynamicModel):
         net, codes, trace = next(dynamic_chunks(model, [stream.frames], args.window, tau=args.tau,
                                                 epsilon=args.epsilon, delta=args.delta))
@@ -786,29 +785,20 @@ def whole_stream_command(args) -> int:
         sys.stdout.write(trace.to_jsonl())
         return 0
     if trace is not None:
-        printed = np.array([belief.posterior for belief in trace.frames])
-    slots: dict[tuple, int] = {}
-    rows = np.array([slots.setdefault(key, len(slots)) for key in
-                     (codes if priors is None else zip(codes, map(np.ndarray.tobytes, priors)))],
-                    dtype=np.intp)
-    first = np.unique(rows, return_index=True)[1]
-    worst = 0.0
-    if len(codes):
-        alone = None if priors is None else priors[first]
-        try:
-            fast = [downward(net, codes[row], None if priors is None else priors[row].tolist())
-                    for row in first]
-            slow = enumerate_beliefs(net, [codes[row] for row in first], alone)
-        except (ImpossibleEvidenceError, StateSpaceCapError):
-            for row in first:  # the first row's error, propagate before enumeration
-                alone = None if priors is None else priors[row:row + 1]
-                downward(net, codes[row], None if alone is None else alone[0].tolist())
-                enumerate_beliefs(net, codes[row:row + 1], alone)
-            raise
-        worst = max(float(np.abs(np.array([marginals[nid] for marginals in fast]) - slow[nid]).max())
-                    for nid in slow)
-        if printed is not None:
-            worst = max(worst, float(np.abs(printed - slow[net.root][rows]).max()))
+        printed = [belief.posterior for belief in trace.frames]
+    keys = codes if priors is None else list(zip(codes, priors))
+    roots, worst = {}, 0.0
+    for row, key in enumerate(keys):  # each distinct row once, propagate before the witness
+        if key in roots:
+            continue
+        prior = None if priors is None else priors[row]
+        fast = downward(net, codes[row], prior)
+        slow = marginals(net, codes[row], prior)
+        worst = max([worst] + [abs(a - b) for nid in slow for a, b in zip(fast[nid], slow[nid])])
+        roots[key] = slow[net.root]
+    if printed is not None:
+        worst = max([worst] + [abs(a - b) for post, key in zip(printed, keys)
+                               for a, b in zip(post, roots[key])])
     sys.stdout.write(f"max |propagate - enumeration| = {sig10(worst):.10g} "
                      f"over {len(codes)} network(s)\n")
     if worst >= cli.ORACLE_TOLERANCE:

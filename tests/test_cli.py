@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beliefscope import cli, endoscopy, models, network, propagation, relational, temporal
+from beliefscope import cli, endoscopy, models, network, propagation, relational, temporal, witness
 from beliefscope.endoscopy import SCENARIOS, generate_stream
 from beliefscope.models import builtin_model, dynamic_to_document, semi_static_to_document
 from beliefscope.network import network_spec_to_document
@@ -723,25 +723,26 @@ class TestCheck:
         assert "stream input" in err
 
     def test_mismatch_exits_4(self, capsys, monkeypatch, two_node_spec_file, evidence_file):
-        real = propagation.enumerate_beliefs
+        real = witness.marginals
 
         def skewed(*args, **kwargs):
-            return {nid: vec + 1e-6 for nid, vec in real(*args, **kwargs).items()}
+            return {nid: tuple(p + 1e-6 for p in vec) for nid, vec in real(*args, **kwargs).items()}
 
-        # check imports the kernels when it runs, so the oracle is patched where it lives
-        monkeypatch.setattr(propagation, "enumerate_beliefs", skewed)
+        # check imports the witness when it runs, so it is patched where it lives
+        monkeypatch.setattr(witness, "marginals", skewed)
         code, _, err = run(capsys, "check", "--spec", two_node_spec_file,
                            "--scene", evidence_file)
         assert code == 4
         assert "oracle mismatch" in err
 
 
-def wide_spot_spec_file(tmp_path, children):
+def wide_spot_spec_file(tmp_path, children, spot_cpt=((0.0, 1.0), (0.0, 1.0))):
     """A relational spec over a binary hypothesis with ``children`` unbound binary
-    children and a feature bound to yellow regions that can never be present."""
+    children and a feature bound to yellow regions, by default one that can never be
+    present."""
     nodes = [{"id": "h", "kind": "chance", "states": ["yes", "no"], "prior": [0.5, 0.5]},
              {"id": "f", "kind": "chance", "states": ["present", "absent"], "parent": "h",
-              "cpt": [[0.0, 1.0], [0.0, 1.0]]}]
+              "cpt": [list(row) for row in spot_cpt]}]
     nodes += [{"id": f"c{i}", "kind": "chance", "states": ["t", "f"], "parent": "h",
                "cpt": [[0.6, 0.4], [0.3, 0.7]]} for i in range(children)]
     path = tmp_path / "wide.json"
@@ -749,9 +750,12 @@ def wide_spot_spec_file(tmp_path, children):
     return str(path)
 
 
+CHECK_LINE = re.compile(r"max \|propagate - enumeration\| = (\S+) over (\d+) network\(s\)\n")
+
+
 class TestCheckFailures:
-    """check raises what comparing each row in stream order, propagate before
-    enumeration, raises first."""
+    """check raises what comparing each row in stream order, propagate before the
+    witness, raises first, however large the joint state space."""
 
     @pytest.fixture
     def spot_later(self, capsys, tmp_path):
@@ -763,22 +767,20 @@ class TestCheckFailures:
         path.write_text("\n".join(lines) + "\n")
         return str(path)
 
-    @pytest.mark.parametrize("children, code, err", [
-        (8, 3, "impossible evidence: support vanished at node 'f'\n"),
-        (20, 1, "joint state space 4194304 exceeds cap 1048576\n"),
-        (79, 1, "joint state space 2.41e+24 exceeds cap 1048576\n"),   # 2**81 states
-    ])
-    def test_a_possible_first_frame_is_enumerated_first(self, capsys, tmp_path, spot_later,
-                                                       children, code, err):
+    @pytest.mark.parametrize("children", [8, 20, 79])  # 2**10, 2**22 and 2**81 joint states
+    def test_a_later_impossible_frame_exits_3_past_the_old_cap(self, capsys, tmp_path,
+                                                                spot_later, children):
         spec = wide_spot_spec_file(tmp_path, children)
-        assert run(capsys, "check", "--spec", spec, "--stream", spot_later) == (code, "", err)
+        assert run(capsys, "check", "--spec", spec, "--stream", spot_later) == (
+            3, "", "impossible evidence: support vanished at node 'f'\n")
 
     @pytest.mark.parametrize("semi_static", [False, True])
     def test_a_later_stream_or_frame_error_outranks_a_kernel_error(self, capsys, tmp_path,
                                                                   spot_later, semi_static):
-        """The first chunk's rows exceed the enumeration cap; the error is held while
-        the stream goes on, so a bad last line, or a later impossible frame that track
-        would report, still comes first, one frame per chunk as in one chunk."""
+        """The second frame's row, on a network of 2**22 joint states, is impossible; the
+        error is held while the stream goes on, so a bad last line, or a later impossible
+        frame that track would report, still comes first, one frame per chunk as in one
+        chunk."""
         spec = wide_spot_spec_file(tmp_path, 20)
         if semi_static:
             doc = {"type": "semi_static", "transition": [[0.9, 0.1], [0.1, 0.9]],
@@ -787,8 +789,8 @@ class TestCheckFailures:
             spec.write_text(json.dumps(doc))
         bad_end = tmp_path / "bad_end.jsonl"
         bad_end.write_text(open(spot_later).read() + "{\n")
-        expected = {spot_later: (3, "", "frame 1: impossible evidence: support vanished at node 'f'\n")
-                    if semi_static else (1, "", "joint state space 4194304 exceeds cap 1048576\n"),
+        expected = {spot_later: (3, "", ("frame 1: " if semi_static else "")
+                                 + "impossible evidence: support vanished at node 'f'\n"),
                     str(bad_end): (2, "", "Expecting property name enclosed in double quotes "
                                           "(line 5, column 2)\n")}
         for stream, want in expected.items():
@@ -796,16 +798,23 @@ class TestCheckFailures:
                 with mock.patch.object(temporal, "CHUNK_FRAMES", chunk):
                     assert run(capsys, "check", "--spec", str(spec), "--stream", stream) == want
 
-    def test_past_the_cap_only_the_first_row_is_propagated(self, capsys, monkeypatch, tmp_path,
-                                                           spot_later):
-        """Over the cap, only the first distinct row's impossible evidence could be named
-        before the cap error, so that row alone goes through downward."""
-        real, rows = propagation.downward, []
-        monkeypatch.setattr(propagation, "downward", lambda *args: rows.append(args[1]) or real(*args))
-        spec = wide_spot_spec_file(tmp_path, 20)
-        assert run(capsys, "check", "--spec", spec, "--stream", spot_later) == (
-            1, "", "joint state space 4194304 exceeds cap 1048576\n")
-        assert len(rows) == 1 and rows[0][1] == 1  # the first frame's row: f observed absent
+    @pytest.mark.parametrize("children", [20, 79])
+    def test_past_the_old_cap_every_distinct_row_is_compared(self, capsys, monkeypatch, tmp_path,
+                                                             spot_later, children):
+        """Past 2**20 joint states, where the enumeration oracle stopped, each distinct
+        row goes through downward and then the witness, in first-seen order."""
+        calls = []
+        for module, name in ((propagation, "downward"), (witness, "marginals")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                                calls.append((name, args[1][1])) or real(*args))
+        spec = wide_spot_spec_file(tmp_path, children, spot_cpt=((0.7, 0.3), (0.2, 0.8)))
+        code, out, err = run(capsys, "check", "--spec", spec, "--stream", spot_later)
+        assert (code, err) == (0, "")
+        residual, compared = CHECK_LINE.fullmatch(out).groups()
+        assert float(residual) < 1e-9 and compared == "3"
+        # f's code: absent (1) in the first frame, present (0) in the other two
+        assert calls == [("downward", 1), ("marginals", 1), ("downward", 0), ("marginals", 0)]
 
     def test_an_impossible_first_row_is_propagated_first(self, capsys, tmp_path):
         spec = wide_spot_spec_file(tmp_path, 20)
@@ -838,7 +847,7 @@ class TestCheckRoutes:
         distinct = {frozenset(build_dynamic_window(model, frames[end - 2:end + 1])[1]
                               .assignments.items()) for end in range(2, len(frames))}
         assert 1 < len(distinct) < len(frames) - 2
-        calls = {"downward": [], "enumerate_beliefs": [], "select_region": []}
+        calls = {"downward": [], "marginals": [], "select_region": []}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -850,7 +859,7 @@ class TestCheckRoutes:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(propagation, "downward")
-        counted(propagation, "enumerate_beliefs")
+        counted(witness, "marginals")
         counted(temporal, "select_region")
         code, out, _ = run(capsys, "check", "--model", "dirty_lens", "--stream", path,
                            "--window", "3")
@@ -861,12 +870,11 @@ class TestCheckRoutes:
         def evidence(net, row):
             return frozenset((node.id, node.states[c]) for node, c in zip(net.nodes, row) if c >= 0)
 
-        # one oracle call over a row per evidence set, and one downward call per row
-        (net, codes, *_), *more = calls["enumerate_beliefs"]
-        assert more == [] and len(codes) == len(distinct)
-        assert {evidence(net, row) for row in codes} == distinct
-        rows = [evidence(net, row) for net, row, *_ in calls["downward"]]
-        assert len(rows) == len(distinct) and set(rows) == distinct
+        # one downward call and then one witness call per evidence set
+        for name in ("downward", "marginals"):
+            rows = [evidence(net, row) for net, row, *_ in calls[name]]
+            assert len(rows) == len(distinct) and set(rows) == distinct, name
+        assert [row for _, row, *_ in calls["downward"]] == [row for _, row, *_ in calls["marginals"]]
 
     def test_skewed_star_route_exits_4(self, capsys, monkeypatch, tmp_path):
         _, path = spot_stream_file(tmp_path)
@@ -1124,7 +1132,7 @@ LOADED_BY = [
     (["validate", "--spec", "dynamic.json"], MODEL_LAYER),
     *(([c, "--rule", r], MODEL_LAYER)
       for c in ("validate", "compile") for r in (SURROUNDING_RULE, STATIC_RULE)),
-    # streams, scenarios and scenes with masks or without: numpy is left for check's witness
+    # streams, scenarios and scenes with masks or without: no command loads numpy
     (["track", "--model", "dirty_lens", "--stream", "stream.jsonl"], STREAM_LAYER),
     (["track", "--model", "lumen_tracker", "--scenario", "static_spot"],
      sorted(["beliefscope.endoscopy", *STREAM_LAYER])),
@@ -1132,6 +1140,14 @@ LOADED_BY = [
     (["track", "--spec", "semi_static.json", "--stream", "masks.jsonl"], STREAM_LAYER),
     (["infer", "--model", "diverticulum", "--scenario", "surround_scene"],
      sorted(["beliefscope.endoscopy", *STREAM_LAYER])),
+    # check compares propagate with the witness, past any joint state space
+    (["check", "--model", "dirty_lens", "--stream", "stream.jsonl"],
+     sorted([*STREAM_LAYER, "beliefscope.witness"])),
+    (["check", "--spec", "semi_static.json", "--stream", "masks.jsonl"],
+     sorted([*STREAM_LAYER, "beliefscope.witness"])),
+    (["check", "--spec", "spec.json", "--scene", "ev.json"],
+     ["beliefscope.cli", "beliefscope.errors", "beliefscope.network", "beliefscope.propagation",
+      "beliefscope.witness"]),
 ]
 
 
@@ -1332,8 +1348,7 @@ class TestCheckCertifiesTrack:
             run_captured([command, "--model", model, "--stream", str(path), *flags.get(model, [])])
             for command in ("track", "check"))
         assert (code, err) == (0, ""), out
-        residual, compared = re.fullmatch(
-            r"max \|propagate - enumeration\| = (\S+) over (\d+) network\(s\)\n", out).groups()
+        residual, compared = CHECK_LINE.fullmatch(out).groups()
         assert float(residual) < 1e-9
         # track declines a single-scene model; check then compares every frame
         assert int(compared) == (len(printed.splitlines()) if track_code == 0 else n_frames)
