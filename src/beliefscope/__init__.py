@@ -1,13 +1,12 @@
 """Tree-network inference with deterministic relational nodes and temporal recognition.
 
 Public names are imported from their modules on first use, so a command compiles
-and runs only the modules it needs: ``validate`` and ``compile`` load neither numpy
-nor any module past ``network`` and ``models``, and ``infer`` on a network spec never
-loads the relational, temporal or endoscopy modules.  No command loads numpy: a
-region's mask is a Python int bitset, and ``check`` compares the propagation kernel
-with the pure-Python tree witness of :mod:`beliefscope.witness`.  numpy is read only by
-the joint-enumeration oracle, ``propagation.enumerate_beliefs``, which the tests and the
-benchmark call.
+and runs only the modules it needs: ``validate`` and ``compile`` load no module past
+``network`` and ``models``, and ``infer`` on a network spec never loads the relational,
+temporal or endoscopy modules.  No module imports numpy, and the package has no runtime
+dependency: a region's mask is a Python int bitset, ``check`` compares the propagation
+kernel with the pure-Python tree witness of :mod:`beliefscope.witness`, and the
+joint-enumeration oracle ``brute_force_beliefs`` sums a joint table of Python floats.
 """
 
 import importlib

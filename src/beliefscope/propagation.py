@@ -7,9 +7,9 @@ as numpy sums (:func:`~beliefscope.network._sum`).  ``track`` runs the upward ke
 once per distinct row of a stream and takes each hypothesis posterior from its root λ;
 :func:`propagate` is the downward kernel on one evidence set.  ``check`` certifies
 :func:`downward` against :mod:`beliefscope.witness`, which shares no code with it.  A
-joint-enumeration oracle, :func:`enumerate_beliefs`, kept for the tests, the demos and
-the benchmark, computes the same marginals over a batch of rows with numpy, the only use
-of numpy here, on joint state spaces up to ENUMERATION_CAP.
+joint-enumeration oracle, :func:`brute_force_beliefs`, kept for the tests, the demos and
+the benchmark, gives :func:`propagate`'s marginals by summing the whole joint table, on
+joint state spaces up to ENUMERATION_CAP.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -17,21 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from operator import add
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ImpossibleEvidenceError, StateSpaceCapError
 from .network import InstantiatedNetwork, Network, _sum, normalised_rows
 
-if TYPE_CHECKING:
-    import numpy as np
-
+#: the most joint states :func:`brute_force_beliefs` enumerates
 ENUMERATION_CAP = 1 << 20
-
-#: the most joint-table entries :func:`enumerate_beliefs` holds for one chunk of rows
-ENUMERATION_CHUNK = 1 << 16
 
 #: the most node λs of code rows :func:`_upward` keeps on one Network at a time
 ROW_MEMO = 1 << 15
@@ -271,78 +266,57 @@ def _state_count(n: int) -> str:
     return f"{lead // 100}.{lead % 100:02d}e+{exponent}"
 
 
-def enumerate_beliefs(net: Network, codes: Sequence[Row], priors: np.ndarray | None = None,
-                      cap: int = ENUMERATION_CAP) -> dict[str, np.ndarray]:
-    """Joint-enumeration oracle with the contract of :func:`downward` over a batch of rows:
-    every node's marginals, shape (n, s), in ``net.nodes`` order, computed with numpy,
-    which this module imports nowhere else.
+# kept for the tests, demos/single_scene_relations.py, bench/tests/test_oracle.py and
+# bench/tracing.py
+def brute_force_beliefs(inet: InstantiatedNetwork) -> Beliefs:
+    """Joint-enumeration oracle with the contract of :func:`propagate`, sharing none of
+    its code: every node's marginals, in ``net.nodes`` order, summed over the whole joint
+    state space on Python floats.
 
-    The product of CPT entries over the whole joint state space is built once per call, as a
-    dense table.  Each row's evidence, and its root prior when ``priors`` is given, multiply a
-    copy of it as indicator factors, and each node's marginal sums that copy over every other
-    node.  Rows are copied in chunks of at most ENUMERATION_CHUNK table entries (one row when
-    a table is larger) into one buffer, so memory stays within two tables or two chunks.
-    Refuses joint state spaces larger than ``cap``, and raises ImpossibleEvidenceError when
-    a row's evidence has no joint mass.
-    """
-    sizes = [len(n.states) for n in net.nodes]
-    total_states = math.prod(sizes)
-    if total_states > cap:
-        raise StateSpaceCapError(f"joint state space {_state_count(total_states)} exceeds cap "
-                                 f"{_state_count(cap)}")
-    import numpy as np
-    codes = np.array(codes, dtype=np.intp).reshape(len(codes), len(sizes))
-
-    def factor(j: int, rows: np.ndarray) -> np.ndarray:
-        """Rows (m, s_j) of node j's factor, shaped to multiply m joint tables."""
-        return rows.reshape([len(rows)] + [size if i == j else 1 for i, size in enumerate(sizes)])
-
-    axis = {n.id: i for i, n in enumerate(net.nodes)}
-    joint = np.ones(sizes)
-    for n in net.nodes:
-        shape = [1] * len(sizes)
-        shape[axis[n.id]] = len(n.states)
-        if n.parent is None:
-            if priors is None:  # else each row's own prior multiplies its copy
-                joint *= np.array(n.cpt[0]).reshape(shape)
-        else:
-            pa = axis[n.parent]
-            shape[pa] = len(net.node(n.parent).states)
-            cpt = np.array(n.cpt)
-            joint *= (cpt if pa < axis[n.id] else cpt.T).reshape(shape)
-
-    marginals = {n.id: np.empty((len(codes), size)) for n, size in zip(net.nodes, sizes)}
-    step = max(1, ENUMERATION_CHUNK // total_states)
-    buffer = np.empty((min(step, len(codes)), *sizes))
-    for start in range(0, len(codes), step):
-        chunk = codes[start:start + step]
-        tables = buffer[:len(chunk)]
-        tables[...] = joint
-        for j, size in enumerate(sizes):
-            code = chunk[:, j:j + 1]
-            if (code >= 0).any():
-                tables *= factor(j, (code < 0) | (code == np.arange(size)))
-        if priors is not None:
-            rows = priors[start:start + step]
-            tables *= factor(axis[net.root], rows / rows.sum(axis=1, keepdims=True))
-        if (tables.sum(axis=tuple(range(1, tables.ndim))) <= 0.0).any():
-            raise ImpossibleEvidenceError(None, "impossible evidence: total joint mass is zero")
-        for j, n in enumerate(net.nodes):
-            m = tables.sum(axis=tuple(i + 1 for i in range(len(sizes)) if i != j))
-            marginals[n.id][start:start + len(chunk)] = m / m.sum(axis=-1, keepdims=True)
-    return marginals
-
-
-# kept for the demos, bench/tests/test_oracle.py and bench/tracing.py
-def brute_force_beliefs(inet: InstantiatedNetwork, cap: int = ENUMERATION_CAP) -> Beliefs:
-    """Joint-enumeration oracle with the contract of :func:`propagate`:
-    :func:`enumerate_beliefs` on one observation row.  Refuses joint state
-    spaces larger than ``cap``.
+    The joint table is one flat list, built a node at a time in parents-first order, the
+    newest node varying fastest: each entry is multiplied by the node's CPT row for the
+    entry's parent state, with the states other than an observed one set to 0.0.  A node
+    whose states each span ``stride`` entries takes its marginal as :func:`math.fsum`
+    over strided slices, which rounds once whatever the order, and each marginal is
+    normalised by its own sum.  Refuses joint state spaces larger than ENUMERATION_CAP,
+    and raises ImpossibleEvidenceError when the evidence has no joint mass.
     """
     net = inet.net
-    marginals = enumerate_beliefs(net, observation_codes(net, [inet.observed]), cap=cap)
-    return Beliefs({nid: tuple(vec[0].tolist()) for nid, vec in marginals.items()},
-                   {n.id: n.states for n in net.nodes})
+    total_states = math.prod([len(n.states) for n in net.nodes])
+    if total_states > ENUMERATION_CAP:
+        raise StateSpaceCapError(f"joint state space {_state_count(total_states)} exceeds cap "
+                                 f"{_state_count(ENUMERATION_CAP)}")
+    order = [net.root]
+    for nid in order:
+        order.extend(net.children[nid])
+    strides = {}  # per node in the table so far, how many entries each of its states spans
+    for nid in order:
+        node = net.by_id[nid]
+        code = node.states.index(inet.observed[nid]) if nid in inet.observed else -1
+        rows = [[p if code in (-1, j) else 0.0 for j, p in enumerate(row)] for row in node.cpt]
+        if node.parent is None:
+            table = rows[0]
+        else:
+            stride, size = strides[node.parent], len(net.by_id[node.parent].states)
+            table = [e * p for i, e in enumerate(table) for p in rows[i // stride % size]]
+        strides = {n: k * len(node.states) for n, k in strides.items()}
+        strides[nid] = 1
+    if not math.fsum(table) > 0.0:
+        raise ImpossibleEvidenceError(None, "impossible evidence: total joint mass is zero")
+    marginals = {}
+    for node in net.nodes:
+        stride, size = strides[node.id], len(node.states)
+        period = stride * size
+        if len(table) // period <= stride:  # few long runs of each state: a slice per run
+            m = [math.fsum(chain.from_iterable(table[b:b + stride]
+                                               for b in range(j * stride, len(table), period)))
+                 for j in range(size)]
+        else:  # many short runs: an extended slice per offset within a run
+            m = [math.fsum(chain.from_iterable(table[j * stride + r::period] for r in range(stride)))
+                 for j in range(size)]
+        total = math.fsum(m)
+        marginals[node.id] = tuple([v / total for v in m])
+    return Beliefs(marginals, {n.id: n.states for n in net.nodes})
 
 
 # kept for demos/single_scene_relations.py, which prints a MAP state the CLI cannot

@@ -1,6 +1,6 @@
 """The package's public names: each is listed once, under the module that
-defines it, and every name the benchmark harness reads from the package
-resolves.  ``bench/`` is only read here: its modules are imported from a
+defines it, none loads numpy, and every name the benchmark harness reads from
+the package resolves.  ``bench/`` is only read here: its modules are imported from a
 ``sys.path`` entry, as CI imports them, so a delete that breaks the harness
 fails these tests, not only CI's traced smoke runs."""
 
@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import beliefscope
+from test_network import TWO_NODE
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 LISTED = [(module, name) for module, names in beliefscope._EXPORTS.items() for name in names]
@@ -45,6 +46,21 @@ class TestOneModulePerName:
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "['beliefscope.errors']"
+
+    def test_no_public_name_loads_numpy(self):
+        """Every public name resolves, and the propagation, enumeration and MAP routes run
+        on the two-node network, without numpy."""
+        code = ("import sys, beliefscope as b\n"
+                "for names in b._EXPORTS.values():\n"
+                "    [getattr(b, name) for name in names]\n"
+                "net = b.validate_network(b.network_spec_from_document(b.network.load_json(sys.argv[1])))\n"
+                "inet = b.apply_evidence(net, b.EvidenceSet({'F': 't'}))\n"
+                "print(b.map_assignment(b.propagate(inet)), b.brute_force_beliefs(inet).probability('O', 't'))\n"
+                "print('numpy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code, TWO_NODE], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["{'O': 't', 'F': 't'} 0.8181818181818181", "False"]
 
 
 def bench_imports():

@@ -24,7 +24,6 @@ from beliefscope.propagation import (
     Beliefs,
     brute_force_beliefs,
     downward,
-    enumerate_beliefs,
     map_assignment,
     observation_codes,
     propagate,
@@ -118,8 +117,7 @@ class TestBruteForce:
                                   ((0.5, 0.5), (0.5, 0.5))))
         inet = instantiate(NetworkSpec("c0", tuple(nodes)), {})
         with pytest.raises(StateSpaceCapError, match="2097152 exceeds cap 1048576"):
-            brute_force_beliefs(inet, cap=1 << 20)
-        brute_force_beliefs(inet, cap=1 << 21)  # raising the knob admits it
+            brute_force_beliefs(inet)
 
     def test_impossible_evidence(self):
         doc = json.loads(TWO_NODE)
@@ -319,14 +317,13 @@ class TestUpwardKernel:
         observed = [random_evidence(rng, spec).assignments for _ in range(3)]
         priors = [normalized(rng, len(net.node(net.root).states)) for _ in observed]
         codes = observation_codes(net, observed)
-        slow = enumerate_beliefs(net, codes, np.array(priors)) if len(net.nodes) <= 8 else None
         for row, (assignments, prior) in enumerate(zip(observed, priors)):
             fast = downward(net, codes[row], prior)
             tree = instantiate(spec.with_root_prior(prior), assignments)
             assert propagate(tree).marginals == fast
-            if slow is not None:
+            if len(net.nodes) <= 8:
                 for nid, vec in brute_force_beliefs(tree).marginals.items():
-                    assert np.abs(slow[nid][row] - vec).max() < 1e-12, nid
+                    assert np.abs(np.subtract(fast[nid], vec)).max() < 1e-12, nid
 
 
 class TestSumAsNumpy:
@@ -376,7 +373,7 @@ class TestDownwardAgainstOracles:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), p_zero=st.sampled_from((0.0, 0.3)))
     def test_wide_trees_with_zeros(self, seed, p_zero):
-        """downward agrees with exact rational arithmetic, and with enumerate_beliefs where
+        """downward agrees with exact rational arithmetic, and with brute_force_beliefs where
         the joint state space allows it, to 1e-12; both name impossible evidence alike."""
         rng = random.Random(seed)
         spec = wide_tree_spec(rng, p_zero)
@@ -385,66 +382,51 @@ class TestDownwardAgainstOracles:
         row = observation_codes(net, [assignments])[0]
         exact = exact_beliefs(net, assignments)
         small = math.prod([len(n.states) for n in net.nodes]) <= 1 << 14
+        inet = apply_evidence(net, EvidenceSet(assignments))
         try:
             fast = downward(net, row)
         except ImpossibleEvidenceError:
             assert exact is None
             if small:
                 with pytest.raises(ImpossibleEvidenceError):
-                    enumerate_beliefs(net, [row])
+                    brute_force_beliefs(inet)
             return
         assert exact is not None and list(fast) == list(exact)
-        slow = enumerate_beliefs(net, [row]) if small else {}
+        slow = brute_force_beliefs(inet).marginals if small else {}
         for nid, vec in fast.items():
             assert np.abs(np.subtract(vec, [float(p) for p in exact[nid]])).max() < 1e-12, nid
             if slow:
-                assert np.abs(np.subtract(vec, slow[nid][0])).max() < 1e-12, nid
+                assert np.abs(np.subtract(vec, slow[nid])).max() < 1e-12, nid
 
 
 class TestBatchedKernels:
-    """enumerate_beliefs over many rows against each row alone and the per-evidence
-    enumeration, and downward on each row against the tree's own propagation."""
+    """downward on each of many rows, with or without a row prior, against the tree's own
+    propagation and where support vanished, and each row's joint enumeration against the
+    per-evidence enumeration."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), p_zero=st.sampled_from((0.0, 0.3)),
            row_priors=st.booleans())
-    def test_rows_equal_their_batch_of_one(self, seed, p_zero, row_priors):
+    def test_each_row_against_enumeration_and_propagate(self, seed, p_zero, row_priors):
         rng = random.Random(seed)
         spec = random_tree_spec(rng, rng.randint(1, 7), max_states=4, p_zero=p_zero)
         net = validate_network(spec)
         observed = [random_evidence(rng, spec).assignments for _ in range(rng.randint(1, 50))]
         codes = observation_codes(net, observed)
         k = len(net.node(net.root).states)
-        priors = (np.array([normalized(rng, k, p_zero) for _ in observed]) if row_priors
-                  else None)
-
-        def run(rows):
-            try:
-                return enumerate_beliefs(net, [codes[row] for row in rows],
-                                         None if priors is None else priors[rows])
-            except ImpossibleEvidenceError as exc:
-                return exc
-
-        alone = [run([row]) for row in range(len(observed))]
-        possible = [row for row, out in enumerate(alone) if isinstance(out, dict)]
-        batch = run(possible)
-        for i, row in enumerate(possible):
-            for nid, vec in alone[row].items():
-                assert np.array_equal(batch[nid][i], vec[0]), nid
-            if priors is None:
-                want = per_evidence_enumeration(net, observed[row])
-                assert list(want) == list(batch)
-                for nid, vec in want.items():
-                    assert np.array_equal(batch[nid][i], vec), nid
-        if len(possible) < len(observed):
-            # the whole batch raises what its first impossible row raises alone
-            first = min(set(range(len(observed))) - set(possible))
-            raised = run(range(len(observed)))
-            assert isinstance(raised, ImpossibleEvidenceError)
-            assert (str(raised), raised.node) == (str(alone[first]), alone[first].node)
-            assert per_evidence_enumeration(net, observed[first]) is None or priors is not None
+        priors = [normalized(rng, k, p_zero) for _ in observed] if row_priors else None
         for row, assignments in enumerate(observed):
-            prior = None if priors is None else priors[row].tolist()
+            inet = apply_evidence(net, EvidenceSet(assignments))
+            want = per_evidence_enumeration(net, assignments)
+            if want is None:
+                with pytest.raises(ImpossibleEvidenceError):
+                    brute_force_beliefs(inet)
+            else:
+                slow = brute_force_beliefs(inet).marginals
+                assert list(want) == list(slow)
+                for nid, vec in want.items():
+                    assert np.abs(vec - slow[nid]).max() < 1e-12, nid
+            prior = None if priors is None else priors[row]
             try:
                 fast = downward(net, codes[row], prior)
             except ImpossibleEvidenceError as exc:
@@ -452,12 +434,14 @@ class TestBatchedKernels:
                 node = first_vanished(spec, assignments)
                 assert exc.node == (node if node is not None else net.root)
                 if priors is None:
+                    assert want is None
                     with pytest.raises(ImpossibleEvidenceError) as again:
-                        propagate(apply_evidence(net, EvidenceSet(assignments)))
+                        propagate(inet)
                     assert (str(again.value), again.value.node) == (str(exc), exc.node)
                 continue
             if priors is None:
-                assert propagate(apply_evidence(net, EvidenceSet(assignments))).marginals == fast
+                assert want is not None
+                assert propagate(inet).marginals == fast
 
     def test_the_impossible_rows_name_their_node(self):
         spec = NetworkSpec("O", (
@@ -480,17 +464,17 @@ class TestBatchedKernels:
         for i in range(1, 20):
             nodes.append(NodeSpec(f"c{i}", "chance", ("t", "f"), (f"c{i - 1}",),
                                   ((0.7, 0.3), (0.4, 0.6))))
-        net = validate_network(NetworkSpec("c0", tuple(nodes)))
+        inet = apply_evidence(validate_network(NetworkSpec("c0", tuple(nodes))),
+                              EvidenceSet({"c19": "t"}))
         assert ENUMERATION_CAP == 1 << len(nodes)
-        table = 8 << len(nodes)  # bytes in one joint table of float64 entries
-        codes = observation_codes(net, [{f"c{i}": "t"} for i in range(8)])
+        table = 32 << len(nodes)  # bytes in one joint table: a float object and a list slot each
         tracemalloc.start()
         try:
-            marginals = enumerate_beliefs(net, codes)
+            slow = brute_force_beliefs(inet)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * table  # the joint table and one row's copy; 8 rows would hold 9
-        assert [tuple(marginals["c0"][i].tolist()) for i in (0, 1)] == [
-            brute_force_beliefs(apply_evidence(net, EvidenceSet({f"c{i}": "t"})))
-            .distribution("c0") for i in (0, 1)]
+        assert peak < 1.75 * table  # the table and the half-size one it was built from
+        assert slow.distribution("c19") == (1.0, 0.0)
+        for nid, vec in propagate(inet).marginals.items():
+            assert np.abs(np.subtract(vec, slow.distribution(nid))).max() < 1e-12, nid

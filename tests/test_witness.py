@@ -14,8 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from beliefscope import cli, witness
 from beliefscope.errors import ImpossibleEvidenceError
-from beliefscope.network import network_spec_from_document, validate_network
-from beliefscope.propagation import downward, enumerate_beliefs, observation_codes
+from beliefscope.network import (
+    EvidenceSet,
+    apply_evidence,
+    network_spec_from_document,
+    validate_network,
+)
+from beliefscope.propagation import brute_force_beliefs, downward, observation_codes
 
 from helpers import exact_beliefs, normalized, random_evidence, random_tree_spec
 from test_propagation import wide_tree_spec
@@ -36,21 +41,24 @@ class TestAgainstEnumeration:
     @given(st.randoms(use_true_random=False), st.integers(1, 7), st.sampled_from([0.0, 0.3]),
            st.booleans())
     def test_random_trees_with_and_without_row_priors(self, rng, n_nodes, p_zero, row_prior):
-        """The witness agrees with enumerate_beliefs to 1e-12, and the witness, the
-        enumeration and downward find the same rows impossible."""
+        """The witness agrees to 1e-12 with brute_force_beliefs on the tree with the row's
+        root prior, and the witness, the enumeration and downward find the same rows
+        impossible."""
         spec = random_tree_spec(rng, n_nodes, p_zero=p_zero)
         net = validate_network(spec)
-        row = observation_codes(net, [random_evidence(rng, spec).assignments])[0]
+        assignments = random_evidence(rng, spec).assignments
+        row = observation_codes(net, [assignments])[0]
         prior = normalized(rng, len(net.node(net.root).states), p_zero) if row_prior else None
+        tree = validate_network(spec if prior is None else spec.with_root_prior(prior))
         got = outcome(lambda: witness.marginals(net, row, prior))
-        want = outcome(lambda: enumerate_beliefs(net, [row], None if prior is None else np.array([prior])))
+        want = outcome(lambda: brute_force_beliefs(apply_evidence(tree, EvidenceSet(assignments))))
         assert (got is ImpossibleEvidenceError) == (want is ImpossibleEvidenceError)
         assert (got is ImpossibleEvidenceError) == (outcome(lambda: downward(net, row, prior))
                                                     is ImpossibleEvidenceError)
         if got is not ImpossibleEvidenceError:
             assert list(got) == list(downward(net, row, prior))  # breadth-first order
             for nid, vec in got.items():
-                assert np.abs(np.subtract(vec, want[nid][0])).max() < 1e-12, nid
+                assert np.abs(np.subtract(vec, want.distribution(nid))).max() < 1e-12, nid
 
 
 class TestAgainstExactArithmetic:
