@@ -306,14 +306,9 @@ def brute_force_beliefs(inet: InstantiatedNetwork) -> Beliefs:
     marginals = {}
     for node in net.nodes:
         stride, size = strides[node.id], len(node.states)
-        period = stride * size
-        if len(table) // period <= stride:  # few long runs of each state: a slice per run
-            m = [math.fsum(chain.from_iterable(table[b:b + stride]
-                                               for b in range(j * stride, len(table), period)))
-                 for j in range(size)]
-        else:  # many short runs: an extended slice per offset within a run
-            m = [math.fsum(chain.from_iterable(table[j * stride + r::period] for r in range(stride)))
-                 for j in range(size)]
+        period = stride * size  # state j's entries: an extended slice per offset within a run
+        m = [math.fsum(chain.from_iterable(table[j * stride + r::period] for r in range(stride)))
+             for j in range(size)]
         total = math.fsum(m)
         marginals[node.id] = tuple([v / total for v in m])
     return Beliefs(marginals, {n.id: n.states for n in net.nodes})
