@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence, Union
 
 from .errors import InvalidNetworkError, RuleSyntaxError, SpecSyntaxError
 from .network import (
     BOOLEAN_STATES, COLOUR_CLASSES, DISTANCE_STATES, FEATURE_STATES, RELATION_STATES, ROW_SUM_TOL,
-    NetworkSpec, NodeSpec, _as_str_list, check_network, finite_number, network_diagnostics,
-    network_spec_from_document, network_spec_to_document, strict_int)
+    NetworkSpec, NodeSpec, _as_str_list, check_network, field, finite_number, network_diagnostics,
+    network_spec_from_document, network_spec_to_document, record, strict_int)
 
 MODES = ("paper", "filter")
 
@@ -26,7 +25,7 @@ DEFAULT_MATCH_DELTA = 10.0
 DEFAULT_MAX_WINDOW = 5
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class TemporalModel:
     """Per-frame relational spec plus the hypothesis transition table, valid by construction
     (InvalidNetworkError carries the diagnostics of both).  ``transition`` keeps the checked
@@ -70,7 +69,7 @@ class TemporalModel:
         return self.per_frame.root
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class DynamicModel:
     """Template for window recognition: hypothesis, per-frame presence node,
     and one inter-frame relation node per consecutive pair.
@@ -265,7 +264,7 @@ BUILTIN_MODELS = ("diverticulum", "bend", "dirty_lens", "lumen_tracker")
 Model = Union[NetworkSpec, TemporalModel, DynamicModel]
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class BuiltinModel:
     name: str
     model: Model
@@ -380,7 +379,7 @@ _KEYWORDS = {"IF", "THEN", "OR", "STATIC", "&"} | set(_RELATION_KEYWORDS)
 _ARTICLES = {"a", "an", "the"}
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class _Token:
     text: str
     pos: int

@@ -18,10 +18,9 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import chain
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Any, Mapping, Sequence
 
 from .errors import EvidenceError, InvalidNetworkError, SpecSyntaxError
@@ -61,7 +60,106 @@ _CHANCE_SHAPES = {frozenset({"id", "kind", "states", "prior"}),
 _DICT, _INT, _LIST, _STR, _NUMBER = {dict}, {int}, {list}, {str}, {int, float}
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# records
+
+
+class field:
+    """A record field's default, made by ``default_factory()`` for each instance;
+    ``repr=False`` leaves the field out of the record's repr."""
+
+    def __init__(self, *, default_factory, repr: bool = True):
+        self.default_factory = default_factory
+        self.repr = repr
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _bind(cls, values: dict, args: tuple, kwargs: dict):
+    """Set the fields of ``cls`` from ``args`` by position, then from ``kwargs``, else
+    from their defaults; a wrong argument list is a TypeError, as for a call."""
+    names, defaults = cls._fields, cls._defaults
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional arguments "
+                        f"but {len(args)} were given")
+    values.update(zip(names, args))
+    missing = []
+    for name in names[len(args):]:
+        if name in kwargs:
+            values[name] = kwargs.pop(name)
+        elif name in defaults:
+            default = defaults[name]
+            values[name] = default.default_factory() if isinstance(default, field) else default
+        else:
+            missing.append(name)
+    for name in kwargs:
+        raise TypeError(f"{cls.__qualname__}() got multiple values for argument '{name}'"
+                        if name in names else
+                        f"{cls.__qualname__}() got an unexpected keyword argument '{name}'")
+    if missing:
+        raise TypeError(f"{cls.__qualname__}() missing required argument(s): "
+                        + ", ".join(map(repr, missing)))
+
+
+def record(cls=None, /, *, eq: bool = False):
+    """Class decorator for a frozen record, as ``dataclass(frozen=True, eq=eq)`` makes it
+    from the annotated fields, with or without a default or a :class:`field`:
+    ``__init__`` takes them by position or keyword and then calls ``__post_init__``, if
+    the class has one; setting or deleting an attribute raises AttributeError; ``repr``
+    names the instance's own class.  With ``eq=True`` instances compare and hash by their
+    fields, otherwise by identity.  :func:`replace` copies one with some fields changed."""
+    if cls is None:
+        return lambda cls: record(cls, eq=eq)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    for name, default in defaults.items():
+        if isinstance(default, field):
+            delattr(cls, name)  # an instance's own value always stands
+    shown = [name for name in names
+             if not isinstance(defaults.get(name), field) or defaults[name].repr]
+    post_init = getattr(cls, "__post_init__", None)
+    n, positions = len(names), tuple(enumerate(names))
+
+    def __init__(self, *args, **kwargs):
+        values = self.__dict__
+        if kwargs or len(args) != n:
+            _bind(cls, values, args, kwargs)
+        else:  # every field by position: the hot case, a quarter faster than a zip
+            for i, name in positions:
+                values[name] = args[i]
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join([f"{name}={getattr(self, name)!r}" for name in shown]) + ")")
+
+    cls._fields, cls._defaults = names, defaults
+    cls.__init__, cls.__repr__ = __init__, __repr__
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    if eq:
+        key = attrgetter(*names)
+
+        def __eq__(self, other):
+            return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+        cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(key(self))
+    return cls
+
+
+def replace(obj, /, **changes):
+    """A copy of the record ``obj`` with ``changes`` to its fields, built through its
+    ``__init__``, so that ``__post_init__`` checks it as it checks any new instance."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
+
+@record(eq=True)
 class NodeSpec:
     """One node of a parsed network document.
 
@@ -84,7 +182,7 @@ class NodeSpec:
         return self.parents[0] if self.parents else None
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class NetworkSpec:
     """Parsed, not yet validated, network document.
 
@@ -136,14 +234,14 @@ class NetworkSpec:
 
 
 # kept for infer, the demos, bench/tests/test_oracle.py and bench/tracing.py
-@dataclass(frozen=True)
+@record(eq=True)
 class EvidenceSet:
     """Observed state assignments for a subset of nodes."""
 
     assignments: Mapping[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Node:
     """Validated node: CPT as rows (per parent state, or the prior) of floats summing to 1."""
 
@@ -157,7 +255,7 @@ class Node:
     params: Mapping[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Network:
     """Validated tree network; immutable and safe to share."""
 
@@ -172,7 +270,7 @@ class Network:
 
 
 # kept for infer, the demos, bench/tests/test_oracle.py and bench/tracing.py
-@dataclass(frozen=True, eq=False)
+@record
 class InstantiatedNetwork:
     """A network annotated with observed states; CPTs are untouched."""
 
@@ -249,8 +347,9 @@ def load_json(text: str, line: int = 1, cut: bool = False):
                               line=_deepest_line(text) + line - 1, column=1) from None
 
 
-#: a string (its closing quote missing at the end of the text), an opening or closing bracket, a newline
-_NESTING_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[{]|[\]}]|\n', re.DOTALL)
+#: a string (its closing quote missing at the end of the text), an opening or closing bracket,
+#: a newline; compiled on first use, by ``re``'s own cache, as only a too deep document needs it
+_NESTING_TOKEN = r'(?s)"(?:[^"\\]|\\.)*"?|[\[{]|[\]}]|\n'
 
 
 def _deepest_line(text: str) -> int:
@@ -258,7 +357,7 @@ def _deepest_line(text: str) -> int:
     strings first reaches its maximum."""
     depth = deepest = 0
     line = where = 1
-    for token in _NESTING_TOKEN.finditer(text):
+    for token in re.finditer(_NESTING_TOKEN, text):
         kind = token.group()
         if kind in ("[", "{"):
             depth += 1

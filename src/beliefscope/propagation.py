@@ -15,7 +15,6 @@ joint state spaces up to ENUMERATION_CAP.  Nothing here imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
@@ -23,7 +22,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .errors import ImpossibleEvidenceError, StateSpaceCapError
-from .network import InstantiatedNetwork, Network, _sum, normalised_rows
+from .network import InstantiatedNetwork, Network, _sum, normalised_rows, record
 
 #: the most joint states :func:`brute_force_beliefs` enumerates
 ENUMERATION_CAP = 1 << 20
@@ -51,7 +50,7 @@ def sig10_json(x: float) -> str:
     return text if "." in text or "e" in text else text + ".0"
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Beliefs:
     """Per-node posteriors, each a tuple of probabilities in declared state order."""
 

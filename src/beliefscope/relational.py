@@ -17,7 +17,6 @@ import math
 import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from operator import contains, is_not, itemgetter, le
 from typing import Any, Collection, Mapping, Sequence
@@ -42,6 +41,7 @@ from .network import (
     Network,
     NetworkSpec,
     finite_number,
+    record,
     strict_int,
     validate_network,
 )
@@ -57,7 +57,7 @@ _REGION_KEYS = frozenset({"id", "colour_class", "centroid", "area", "bbox", "mas
 EXACT_INT = 2**53
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Region:
     """A detected image region.
 
@@ -328,7 +328,7 @@ class RegionTable:
                 bbox: tuple[int, int, int, int], mask: int | None = None) -> Region:
         """The Region of a row whose fields the table has checked, built
         without :meth:`Region.__post_init__`.  The fields are set in
-        declaration order, as the dataclass's ``__init__`` sets them, so the
+        declaration order, as the record's ``__init__`` sets them, so the
         instances still share their dicts' keys."""
         region = object.__new__(Region)
         put = object.__setattr__

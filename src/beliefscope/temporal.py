@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -56,6 +55,7 @@ from .network import (
     finite_number,
     load_json,
     normalised_rows,
+    record,
     strict_int,
     validate_network,
 )
@@ -76,7 +76,7 @@ from .relational import (
 DEFAULT_AREA_RATIO = (0.5, 2.0)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Frame:
     """Time-indexed set of regions.
 
@@ -124,7 +124,7 @@ class _ColumnFrame(Frame):
         return table.group(k, classes)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class FrameStream:
     """Ordered frames with a nominal inter-frame interval ``dt`` (seconds)."""
 
@@ -354,7 +354,7 @@ def posterior(prior: Sequence[float], lam: Sequence[float]) -> Vector | None:
     return tuple([b / total for b in bel]) if total > 0.0 else None
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class FrameBelief:
     index: int
     posterior: Vector
@@ -362,7 +362,7 @@ class FrameBelief:
     bindings: Mapping[str, str | None]
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class BeliefTrace:
     """Per-frame posterior over the hypothesis states."""
 

@@ -9,8 +9,6 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -20,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from beliefscope import cli, endoscopy, models, network, propagation, relational, temporal, witness
 from beliefscope.endoscopy import SCENARIOS, generate_stream
 from beliefscope.models import builtin_model, dynamic_to_document, semi_static_to_document
-from beliefscope.network import network_spec_to_document
+from beliefscope.network import network_spec_to_document, replace
 from beliefscope.propagation import Beliefs, sig10, sig10_json
 from beliefscope.relational import Region, scene_to_document
 from beliefscope.temporal import Frame, FrameStream, build_dynamic_window, stream_to_jsonl
@@ -1160,12 +1158,14 @@ class TestEntryPoint:
         spot_stream_file(tmp_path, 12)  # stream.jsonl: a spot, no masks
         (tmp_path / "masks.jsonl").write_text(stream_to_jsonl(generate_stream("surround_scene", 12)))
         code = ("import sys; from beliefscope.cli import main; main(sys.argv[1:]); "
-                "print(sorted(m for m in sys.modules if m.startswith('beliefscope.') or m == 'numpy'))")
+                "print(sorted(m for m in sys.modules if m.startswith('beliefscope.') or m == 'numpy')); "
+                "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
         done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == str(loaded)
+        assert done.stdout.splitlines()[-2] == str(loaded)
+        assert done.stdout.splitlines()[-1] == "[]"  # the records are made without dataclasses
 
     def test_console_script_round_trip(self, tmp_path):
         generate = subprocess.run(

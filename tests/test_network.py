@@ -1,7 +1,7 @@
 import copy
+import dataclasses
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,7 @@ from beliefscope.errors import (
     InvalidNetworkError,
     SpecSyntaxError,
 )
-from beliefscope.models import builtin_model, window_spec
+from beliefscope.models import _Token, builtin_model, window_spec
 from beliefscope.network import (
     ROW_SUM_TOL,
     EvidenceSet,
@@ -28,10 +28,20 @@ from beliefscope.network import (
     network_diagnostics,
     network_spec_from_document,
     network_spec_to_document,
+    replace,
     validate_network,
 )
 from beliefscope.propagation import propagate
-from beliefscope.relational import relationalize
+from beliefscope.relational import Region, relationalize
+from beliefscope.temporal import (
+    BeliefTrace,
+    Frame,
+    FrameBelief,
+    FrameStream,
+    _ColumnFrame,
+    parse_stream,
+    stream_to_jsonl,
+)
 
 from helpers import (
     counted_diagnostics,
@@ -536,3 +546,101 @@ class TestSpecIngest:
         assert network._column_nodes(doc["nodes"]) is not None
         doc["nodes"][3]["cpt"][0][0] += 0.75 * ROW_SUM_TOL
         assert network_diagnostics(network_spec_from_document(doc)) == []
+
+
+def record_examples() -> list:
+    """An instance of every record class, and a frame of a parsed stream (``_ColumnFrame``)."""
+    spec = builtin_model("diverticulum").model
+    net = validate_network(spec)
+    region = Region("r", "dark", (1.0, 1.0), 1, (1, 1, 1, 1))
+    frame = Frame(0, 0.0, (region,))
+    belief = FrameBelief(0, (0.5, 0.5), (0.5, 0.5), {"spot_0": None})
+    return [spec.nodes[0], spec, EvidenceSet({"F": "t"}), net.nodes[0], net,
+            apply_evidence(net, EvidenceSet({})), propagate(apply_evidence(net, EvidenceSet({}))),
+            region, frame, FrameStream((frame,), 0.04), belief, BeliefTrace("h", ("a", "b"), (belief,)),
+            builtin_model("lumen_tracker").model, builtin_model("dirty_lens").model,
+            builtin_model("bend"), _Token("IF", 0), parsed_frame()]
+
+
+def parsed_frame():
+    return parse_stream(stream_to_jsonl(generate_stream("surround_scene", 1))).frames[0]
+
+
+#: the records that compare and hash by their fields, as dataclass(eq=True) made them
+FIELD_EQ = (NodeSpec, NetworkSpec, EvidenceSet, _Token)
+
+
+def dataclass_twin(obj):
+    """A stdlib frozen dataclass named and filled as ``obj``, with ``Network.memo`` out of its repr."""
+    fields = [(name, object, dataclasses.field(repr=(type(obj), name) != (Network, "memo")))
+              for name in type(obj)._fields]
+    twin = dataclasses.make_dataclass(type(obj).__qualname__, fields, frozen=True)
+    return twin(**{name: getattr(obj, name) for name in type(obj)._fields})
+
+
+def rebuilt(obj):
+    """A second instance with the same fields as ``obj``."""
+    return parsed_frame() if isinstance(obj, _ColumnFrame) else replace(obj)
+
+
+RECORDS = [pytest.param(obj, id=type(obj).__qualname__) for obj in record_examples()]
+
+
+class TestRecords:
+    def test_every_record_class_has_an_example(self):
+        classes = {type(obj) for obj in record_examples()}
+        assert len(classes) == 17 and _ColumnFrame in classes
+
+    @pytest.mark.parametrize("obj", RECORDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, obj):
+        for name in (*type(obj)._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+
+    @pytest.mark.parametrize("obj", RECORDS)
+    def test_repr_is_the_dataclass_repr(self, obj):
+        assert repr(obj) == repr(dataclass_twin(obj))
+
+    @pytest.mark.parametrize("obj", RECORDS)
+    def test_equality_is_by_field_only_where_dataclass_made_it_so(self, obj):
+        other = rebuilt(obj)
+        assert obj == obj and other is not obj
+        if isinstance(obj, FIELD_EQ):
+            assert obj == other and not obj != other
+            assert obj != dataclass_twin(obj)  # another class, with the same fields
+            try:
+                hashes = hash(obj), hash(other)
+            except TypeError:  # a dict field, as in the dataclass
+                with pytest.raises(TypeError):
+                    hash(dataclass_twin(obj))
+            else:
+                assert hashes[0] == hashes[1]
+        else:
+            assert obj != other and hash(obj) == object.__hash__(obj)
+
+    @pytest.mark.parametrize("obj, name", [(obj, name) for obj in record_examples() for name in
+                                           ("params", "bind", "assignments", "memo")
+                                           if name in getattr(type(obj), "_fields", ())])
+    def test_a_default_factory_gives_each_instance_its_own_dict(self, obj, name):
+        cls = type(obj)
+        values = {n: getattr(obj, n) for n in cls._fields if n != name}
+        first, second = cls(**values), cls(**values)
+        assert getattr(first, name) == {} and getattr(first, name) is not getattr(second, name)
+
+    def test_replace_checks_as_construction_does(self):
+        region = Region("r", "dark", (1.0, 1.0), 1, (1, 1, 1, 1))
+        with pytest.raises(ValueError, match="^region 'r': area must be >= 1$"):
+            Region("r", "dark", (1.0, 1.0), 0, (1, 1, 1, 1))
+        with pytest.raises(ValueError, match="^region 'r': area must be >= 1$"):
+            replace(region, area=0)
+        assert replace(region, area=2).area == 2 and region.area == 1
+
+    def test_arguments_are_bound_as_for_a_call(self):
+        node = NodeSpec("h", "chance", ("a",), (), ((1.0,),))
+        assert NodeSpec(id="h", kind="chance", states=("a",), parents=(), rows=((1.0,),)) == node
+        for args, kwargs in ((("h",), {}), ((*NodeSpec._fields, None), {}), (("h",), {"id": "h"}),
+                             ((), {"identifier": "h"})):
+            with pytest.raises(TypeError):
+                NodeSpec(*args, **kwargs)

@@ -5,7 +5,6 @@ import random
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -41,6 +40,7 @@ from beliefscope.network import (
     load_json,
     network_diagnostics,
     normalised_rows,
+    replace,
 )
 from beliefscope.propagation import brute_force_beliefs, propagate, sig10
 from beliefscope.relational import Region, RegionTable, relationalize, select_region
