@@ -29,6 +29,7 @@ from .errors import (
 from .network import (
     Network,
     NetworkSpec,
+    _build_network,
     apply_evidence,
     check_network,
     evidence_from_document,
@@ -244,13 +245,20 @@ def _scene_rows(args, spec: NetworkSpec, chunks) -> Iterator[tuple]:
             for frame in frames]), None
 
 
+def _kind(model) -> str:
+    """"single-scene", "semi-static" or "dynamic": a spec's kind is known without loading
+    the models code, so that infer and check on a spec do not load it."""
+    if isinstance(model, NetworkSpec):
+        return "single-scene"
+    from .models import TemporalModel
+    return "semi-static" if isinstance(model, TemporalModel) else "dynamic"
+
+
 def _misapplied_flag(args, model) -> str | None:
     """The message for ``--mode``, ``--window``, ``--delta``, ``--tau`` or ``--epsilon``
     on a model that has no use for it, else None."""
-    kind, spec = "single-scene", model
-    if not isinstance(model, NetworkSpec):  # so infer on a spec loads no models code
-        from .models import TemporalModel
-        kind, spec = ("semi-static", model.per_frame) if isinstance(model, TemporalModel) else ("dynamic", None)
+    kind = _kind(model)
+    spec = model if kind == "single-scene" else model.per_frame if kind == "semi-static" else None
     for flag, owner in (("mode", "semi-static"), ("window", "dynamic"), ("delta", "dynamic")):
         if getattr(args, flag, None) is not None and kind != owner:  # infer has no --mode, --window
             return f"--{flag} applies to {owner} models only, not to a {kind} model"
@@ -359,52 +367,39 @@ def _cmd_generate(args) -> int:
 
 
 def _rows_to_check(args, model) -> Iterator[tuple]:
-    """(net, codes, priors, printed) per batch of the rows the witness comparison runs
-    over: a code row per network, each row's root prior replacing the network's own (a
-    semi-static frame's effective prior) and the hypothesis posterior ``track`` prints for
-    each, or None for either.  A stream gives a batch per chunk (:func:`_batches`)."""
+    """(net, codes, trace) per batch of the rows the witness comparison runs over: the
+    network, a code row per frame, window or scene, and the beliefs ``track`` prints, or
+    None.  A semi-static frame's tree is the per-frame tree with the frame's effective
+    prior at the root, so its rows go on that tree with a flat hypothesis prior, built once
+    and valid by construction.  A stream gives a batch per chunk (:func:`_batches`)."""
     from .propagation import observation_codes
     if isinstance(model, NetworkSpec) and args.scene is not None:
         net, ev = _scene_inputs(args, model)  # apply_evidence names a file's unknown labels
-        yield net, observation_codes(net, [apply_evidence(net, ev).observed]), None, None
+        yield net, observation_codes(net, [apply_evidence(net, ev).observed]), None
         return
-    from .models import TemporalModel
-    semi_static = isinstance(model, TemporalModel)
+    flat = None
+    if _kind(model) == "semi-static":
+        spec = model.per_frame
+        flat = _build_network(spec.with_root_prior([1.0] * len(spec.node(spec.root).states)))
     for net, codes, trace in _batches(args, model):
-        if trace is None:
-            yield net, codes, None, None
-            continue
-        beliefs = trace.frames
-        priors = [belief.effective_prior for belief in beliefs] if semi_static else None
-        yield net, codes, priors, [belief.posterior for belief in beliefs]
+        yield flat or net, codes, trace
 
 
-def _residual(net: Network, codes: list[tuple[int, ...]], priors: list[tuple] | None,
-              printed: list[tuple] | None, roots: dict[tuple, tuple]) -> float:
-    """The largest difference, over the batch's code rows not yet in ``roots``, between
+def _residual(net: Network, codes: list[tuple[int, ...]], roots: dict[tuple, tuple]) -> float:
+    """The largest difference, over the code rows not yet in ``roots``, between
     :func:`downward` and the witness (:func:`~beliefscope.witness.marginals`) on every
-    marginal, and between each printed posterior and the witness's hypothesis marginal of
-    its row.
-
-    Each distinct (code row, root prior) goes once, in first-seen order, through
-    ``downward`` and then through the witness, so an impossible row raises what
-    ``downward`` raises; ``roots`` keeps its witness hypothesis marginal for later
-    batches."""
+    marginal.  Each distinct row goes once, in first-seen order, through ``downward`` and
+    then through the witness, so an impossible row raises what ``downward`` raises;
+    ``roots`` keeps its witness hypothesis marginal."""
     from .propagation import downward
     from .witness import marginals
-    keys = codes if priors is None else list(zip(codes, priors))
     worst = 0.0
-    for i, key in enumerate(keys):
-        if key in roots:
+    for row in codes:
+        if row in roots:
             continue
-        prior = None if priors is None else priors[i]
-        fast = downward(net, codes[i], prior)
-        slow = marginals(net, codes[i], prior)
+        fast, slow = downward(net, row), marginals(net, row)
         worst = max([worst] + [abs(a - b) for nid, vec in slow.items() for a, b in zip(fast[nid], vec)])
-        roots[key] = slow[net.root]
-    if printed is not None:
-        worst = max([worst] + [abs(a - b) for post, key in zip(printed, keys)
-                               for a, b in zip(post, roots[key])])
+        roots[row] = slow[net.root]
     return worst
 
 
@@ -414,14 +409,16 @@ def _cmd_check(args) -> int:
     window with the witness's hypothesis marginal; print the largest difference.
 
     Every route gives one Network and a code row per frame or window, the rows
-    ``track`` itself propagates, a batch per chunk of a stream.  Each distinct
-    (code row, root prior) goes through the witness once (:func:`_residual`): most
-    windows repeat an evidence set, kept from chunk to chunk.  A semi-static
-    frame's row carries its own effective prior, so rows are kept only within a
-    chunk and only the running maximum crosses a chunk boundary.  Every frame or
-    window still counts in ``over N network(s)``.  A kernel error is raised after
-    the whole stream, so an error ``track`` raises on a later frame comes first.
-    The line still reads "propagate - enumeration", as the benchmark's oracle parses it.
+    ``track`` itself propagates, a batch per chunk of a stream
+    (:func:`_rows_to_check`).  Each distinct code row goes through the witness once
+    (:func:`_residual`), kept for the whole stream: most frames and windows repeat an
+    evidence set.  A semi-static frame's row goes on the flat-prior tree, where the
+    hypothesis marginal is the frame's normalised likelihood, so its printed posterior
+    is compared with that marginal times the printed effective prior, normalised.
+    Every frame or window still counts in ``over N network(s)``.  A kernel error is
+    raised after the whole stream, so an error ``track`` raises on a later frame comes
+    first.  The line still reads "propagate - enumeration", as the benchmark's oracle
+    parses it.
     """
     from .propagation import sig10
     model = _load_model(args)
@@ -429,17 +426,24 @@ def _cmd_check(args) -> int:
     if message is not None:
         print(message, file=sys.stderr)
         return 2
+    semi_static = _kind(model) == "semi-static"
     roots: dict[tuple, tuple] = {}
     worst, count, failure = 0.0, 0, None
-    for net, codes, priors, printed in _rows_to_check(args, model):
+    for net, codes, trace in _rows_to_check(args, model):
         count += len(codes)
-        if priors is not None:
-            roots.clear()
         if failure is None and len(codes):
             try:
-                worst = max(worst, _residual(net, codes, priors, printed, roots))
+                worst = max(worst, _residual(net, codes, roots))
             except ImpossibleEvidenceError as exc:
                 failure = exc
+        if failure is None and trace is not None:
+            for belief, row in zip(trace.frames, codes):
+                root = roots[row]
+                if semi_static:  # the effective prior times the frame's likelihood, normalised
+                    bel = [p * q for p, q in zip(belief.effective_prior, root)]
+                    total = sum(bel)
+                    root = [b / total for b in bel] if total else [math.inf] * len(bel)
+                worst = max([worst] + [abs(a - b) for a, b in zip(belief.posterior, root)])
     if failure is not None:
         raise failure
     _emit(args, [f"max |propagate - enumeration| = {sig10(worst):.10g} over {count} network(s)\n"])

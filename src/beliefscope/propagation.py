@@ -4,7 +4,8 @@ One upward kernel, :func:`upward`, computes every node's likelihood (λ) for one
 observation row, and :func:`downward` adds the prior (π) pass to give every node's
 marginals for that row.  Both run on Python floats, a few operations per node, and sum
 as numpy sums (:func:`~beliefscope.network._sum`).  ``track`` runs the upward kernel
-once per distinct row of a stream and takes each hypothesis posterior from its root λ;
+once per distinct row of a stream and takes each hypothesis posterior from its root λ
+through :func:`posterior`, the π·λ step :func:`downward` takes at every node;
 :func:`propagate` is the downward kernel on one evidence set.  ``check`` certifies
 :func:`downward` against :mod:`beliefscope.witness`, which shares no code with it.  A
 joint-enumeration oracle, :func:`brute_force_beliefs`, kept for the tests, the demos and
@@ -22,7 +23,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .errors import ImpossibleEvidenceError, StateSpaceCapError
-from .network import InstantiatedNetwork, Network, _sum, normalised_rows, record
+from .network import InstantiatedNetwork, Network, _sum, record
 
 #: the most joint states :func:`brute_force_beliefs` enumerates
 ENUMERATION_CAP = 1 << 20
@@ -189,22 +190,19 @@ def upward(net: Network, codes: Sequence[Row]) -> tuple[list[Vector], list[str |
     return [nan if at else lam[net.root] for lam, _, at in passes], [at for _, _, at in passes]
 
 
-def _posterior(pi: Sequence[float], lam: Vector, node: str) -> Vector:
-    """Prior (π) times likelihood (λ), normalised; ImpossibleEvidenceError at ``node`` where
-    that has no mass."""
-    bel = [p * q for p, q in zip(pi, lam)]
+def posterior(prior: Sequence[float], lam: Sequence[float]) -> Vector | None:
+    """Prior (π) times likelihood (λ), normalised; None where that has no mass, or λ
+    is NaN (support vanished below)."""
+    bel = [p * q for p, q in zip(prior, lam)]
     total = _sum(bel)
-    if not total:
-        raise ImpossibleEvidenceError(node)
-    return tuple([b / total for b in bel])
+    return tuple([b / total for b in bel]) if total > 0.0 else None
 
 
-def downward(net: Network, row: Row, prior: Sequence[float] | None = None) -> dict[str, Vector]:
+def downward(net: Network, row: Row) -> dict[str, Vector]:
     """Every node's posterior marginals for one observation row (:func:`observation_codes`),
     in breadth-first order: :func:`_upward` collects likelihood (λ) messages from the
     leaves, this pass sends prior (π) messages down from the root, and each marginal is
-    their normalised product.  ``prior`` replaces the root's prior, renormalised as
-    :func:`validate_network` renormalises a prior row.  A parent's message to child i
+    their normalised product (:func:`posterior`).  A parent's message to child i
     excludes child i's own λ-message: running sums of the children's log λ-messages from
     the left and from the right give all k "every sibling but one" messages at once.  Log
     messages are only added, so a structural zero stays an exact -inf, and each is
@@ -219,10 +217,10 @@ def downward(net: Network, row: Row, prior: Sequence[float] | None = None) -> di
     if vanished is not None:
         raise ImpossibleEvidenceError(vanished)
     root = net.root
-    if prior is not None and not _sum(prior):  # no state of the root keeps prior mass
+    pi = {root: net.by_id[root].cpt[0]}
+    marginals = {root: posterior(pi[root], lam[root])}
+    if marginals[root] is None:
         raise ImpossibleEvidenceError(root)
-    pi = {root: net.by_id[root].cpt[0] if prior is None else normalised_rows([prior])[0]}
-    marginals = {root: _posterior(pi[root], lam[root], root)}
     for nid, col, _, kids in reversed(steps):  # parents top-down
         code = row[col]
         base = [math.log(p) if p else -math.inf for p in pi[nid]]
@@ -237,7 +235,9 @@ def downward(net: Network, row: Row, prior: Sequence[float] | None = None) -> di
             if message is None:  # no state of the parent keeps support without this child
                 raise ImpossibleEvidenceError(child)
             pi[child] = [_sum([m * c for m, c in zip(message, column)]) for column in down]
-            marginals[child] = _posterior(pi[child], lam[child], child)
+            marginals[child] = posterior(pi[child], lam[child])
+            if marginals[child] is None:
+                raise ImpossibleEvidenceError(child)
     return {nid: marginals[nid] for nid in order}
 
 

@@ -59,7 +59,7 @@ from .network import (
     strict_int,
     validate_network,
 )
-from .propagation import Row, Vector, observation_codes, sig10_json, upward
+from .propagation import Row, Vector, observation_codes, posterior, sig10_json, upward
 from .relational import (
     DEFAULT_EPSILON,
     DEFAULT_TAU,
@@ -346,14 +346,6 @@ def _mixed_prior(prior: Vector, trans: Sequence[Vector], prev: Vector, paper: bo
     return tuple([e / total for e in eff])
 
 
-def posterior(prior: Sequence[float], lam: Sequence[float]) -> Vector | None:
-    """Prior (π) times likelihood (λ), normalised; None where that has no mass, or λ
-    is NaN (support vanished below)."""
-    bel = list(map(mul, prior, lam))
-    total = _sum(bel)
-    return tuple([b / total for b in bel]) if total > 0.0 else None
-
-
 @record
 class FrameBelief:
     index: int
@@ -411,12 +403,12 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
     Frame 0 uses the static prior; every later frame replaces the hypothesis
     prior with :func:`_mixed_prior` over the previous posterior.  All
     frames share the model's Network; a frame's own tree is the per-frame spec
-    with its belief's ``effective_prior`` as the root's prior, or the Network
-    with that row prior in ``propagation.downward``.  This is the scaled
+    with its belief's ``effective_prior`` as the root's prior.  This is the scaled
     forward algorithm: λ at the hypothesis does not depend on its prior, so one
     ``upward`` call per chunk gives it for the chunk's frames, and the scan
     carries only the previous posterior, from chunk to chunk too, through
-    :func:`posterior`, bitwise equal to ``propagate`` on each frame's tree.
+    :func:`~beliefscope.propagation.posterior`, bitwise equal to ``propagate`` on
+    each frame's tree.
     Errors come in stream order.
     """
     spec, net = model.per_frame, validate_network(model.per_frame)

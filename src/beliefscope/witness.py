@@ -37,13 +37,11 @@ def _product(a: Sequence[float], b: Sequence[float]) -> list[float]:
     return _scaled([x * y for x, y in zip(a, b)])
 
 
-def marginals(net: Network, row: Sequence[int],
-              prior: Sequence[float] | None = None) -> dict[str, tuple[float, ...]]:
+def marginals(net: Network, row: Sequence[int]) -> dict[str, tuple[float, ...]]:
     """Every node's posterior marginals for one observation row (a state index per node
     of ``net.nodes``, -1 where unobserved), in breadth-first order, as
-    :func:`~beliefscope.propagation.downward` gives them; ``prior``, if given, replaces
-    the root's prior.  Raises ImpossibleEvidenceError when the evidence has probability
-    zero."""
+    :func:`~beliefscope.propagation.downward` gives them.  Raises ImpossibleEvidenceError
+    when the evidence has probability zero."""
     order = [net.root]
     for nid in order:
         order.extend(net.children[nid])
@@ -57,7 +55,7 @@ def marginals(net: Network, row: Sequence[int],
         lam[nid] = vec
         if node.parent is not None:
             up[nid] = _message(node, vec)
-    pi = {net.root: _scaled(net.by_id[net.root].cpt[0] if prior is None else prior)}
+    pi = {net.root: _scaled(net.by_id[net.root].cpt[0])}
     beliefs = {}
     for nid in order:  # root first
         belief = _product(pi[nid], lam[nid])

@@ -1,7 +1,11 @@
 """The committed output corpus: what each CLI run in :data:`RUNS` printed.
 
 ``corpus.json`` holds, for each argv, the exit code and the sha256 of stdout
-and of stderr.  A ``check`` run's stdout is a residual, a difference of nearly
+and of stderr.  The builtin models run on generated scenarios; each benchmark
+workload's own op runs on the seed-1/2/3/5 inputs that ``bench/workloads.py``
+writes (:func:`write_inputs`; imported, never changed), each in a directory
+named ``<workload>-<seed>`` that the runs name relative to the working
+directory.  A ``check`` run's stdout is a residual, a difference of nearly
 equal floats whose last digits move with any last-bit change, so it is kept as
 its network count and a bound on the residual instead.  ``test_corpus.py``
 replays every run in process through ``cli.main``.  A change that alters an
@@ -18,12 +22,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import sys
+import tempfile
 from pathlib import Path
 
 from beliefscope import cli
 
 CORPUS = Path(__file__).with_name("corpus.json")
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 SCENARIOS = ("static_spot", "moving_spot", "surround_scene", "adjacent_scene", "empty")
 SEEDS = (1, 2, 3)
@@ -41,6 +49,18 @@ RUNS = [[command, *flags, "--scenario", scenario, "--seed", str(seed), "--frames
         for scenario in SCENARIOS for seed in SEEDS]
 RUNS += [["generate", "--scenario", scenario, "--seed", str(seed), "--frames", FRAMES]
          for scenario in SCENARIOS for seed in SEEDS]
+
+WORKLOADS = ("semi_static_masks", "dynamic_window", "dynamic_check", "wide_infer")
+WORKLOAD_SEEDS = (1, 2, 3, 5)
+#: each workload's op, as bench/workloads.py gives it, and check on the semi-static stream in both modes
+WORKLOAD_OPS = {"semi_static_masks": [["track", "--spec", "model.json", "--stream", "stream.jsonl"],
+                                      *(["check", "--spec", "model.json", "--mode", mode,
+                                         "--stream", "stream.jsonl"] for mode in ("paper", "filter"))],
+                "dynamic_window": [["track", "--model", "dirty_lens", "--stream", "stream.jsonl"]],
+                "dynamic_check": [["check", "--model", "dirty_lens", "--stream", "stream.jsonl"]],
+                "wide_infer": [["infer", "--spec", "tree.json", "--scene", "evidence.json"]]}
+RUNS += [[f"{name}-{seed}/{a}" if a.endswith((".json", ".jsonl")) else a for a in op]
+         for name in WORKLOADS for seed in WORKLOAD_SEEDS for op in WORKLOAD_OPS[name]]
 
 #: every residual ``check`` prints is below this
 RESIDUAL_BOUND = 1e-9
@@ -66,13 +86,33 @@ def outcome(argv: list[str]) -> dict:
     return entry
 
 
+def write_inputs(directory: Path) -> None:
+    """Write each workload's inputs for every seed of WORKLOAD_SEEDS under ``directory``,
+    where the runs of RUNS that read files find them."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+    for name in WORKLOADS:
+        for seed in WORKLOAD_SEEDS:
+            (directory / f"{name}-{seed}").mkdir()
+            workloads.generate(name, seed).write(directory / f"{name}-{seed}")
+
+
 def load() -> list[dict]:
     return json.loads(CORPUS.read_text())
 
 
 def write() -> None:
-    """Run every argv and rewrite the corpus, one entry per line."""
-    lines = [json.dumps(outcome(argv)) for argv in RUNS]
+    """Run every argv, from a directory holding the workload inputs, and rewrite the
+    corpus, one entry per line."""
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        write_inputs(Path(directory))
+        os.chdir(directory)
+        try:
+            lines = [json.dumps(outcome(argv)) for argv in RUNS]
+        finally:
+            os.chdir(here)
     CORPUS.write_text("[\n" + ",\n".join(lines) + "\n]\n")
 
 

@@ -764,11 +764,12 @@ def whole_stream_command(args) -> int:
     model = cli._load_model(args)
     stream = (generate_stream(args.scenario, args.frames, seed=args.seed)
               if args.scenario is not None else reference_parse_stream(read_whole_stream(args.stream)))
-    printed = priors = None
-    if isinstance(model, TemporalModel):
+    semi_static = isinstance(model, TemporalModel)
+    if semi_static:
         net, codes, trace = next(filter_chunks(cli._with_mode(model, args.mode), [stream.frames],
                                                tau=args.tau, epsilon=args.epsilon))
-        priors = [belief.effective_prior for belief in trace.frames]
+        spec = model.per_frame  # every frame's rows on the per-frame tree with a flat prior
+        net = network._build_network(spec.with_root_prior([1.0] * len(spec.node(spec.root).states)))
     elif isinstance(model, DynamicModel):
         net, codes, trace = next(dynamic_chunks(model, [stream.frames], args.window, tau=args.tau,
                                                 epsilon=args.epsilon, delta=args.delta))
@@ -784,21 +785,20 @@ def whole_stream_command(args) -> int:
     if args.command == "track":
         sys.stdout.write(trace.to_jsonl())
         return 0
-    if trace is not None:
-        printed = [belief.posterior for belief in trace.frames]
-    keys = codes if priors is None else list(zip(codes, priors))
     roots, worst = {}, 0.0
-    for row, key in enumerate(keys):  # each distinct row once, propagate before the witness
-        if key in roots:
+    for row in codes:  # each distinct row once, propagate before the witness
+        if row in roots:
             continue
-        prior = None if priors is None else priors[row]
-        fast = downward(net, codes[row], prior)
-        slow = marginals(net, codes[row], prior)
+        fast, slow = downward(net, row), marginals(net, row)
         worst = max([worst] + [abs(a - b) for nid in slow for a, b in zip(fast[nid], slow[nid])])
-        roots[key] = slow[net.root]
-    if printed is not None:
-        worst = max([worst] + [abs(a - b) for post, key in zip(printed, keys)
-                               for a, b in zip(post, roots[key])])
+        roots[row] = slow[net.root]
+    for belief, row in zip(trace.frames if trace is not None else (), codes):
+        root = roots[row]
+        if semi_static:  # the printed effective prior times the frame's likelihood
+            bel = [p * q for p, q in zip(belief.effective_prior, root)]
+            total = sum(bel)
+            root = [b / total for b in bel] if total else [math.inf] * len(bel)
+        worst = max([worst] + [abs(a - b) for a, b in zip(belief.posterior, root)])
     sys.stdout.write(f"max |propagate - enumeration| = {sig10(worst):.10g} "
                      f"over {len(codes)} network(s)\n")
     if worst >= cli.ORACLE_TOLERANCE:

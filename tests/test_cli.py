@@ -837,7 +837,74 @@ def spot_stream_file(tmp_path, n=40):
     return stream, str(path)
 
 
+def dark_stream_file(tmp_path, n=20):
+    """A stream whose one dark region, which lumen_tracker binds, drops out every third frame."""
+    dark = Region("d", "dark", (20.0, 20.0), 9, (19, 19, 21, 21))
+    frames = tuple(Frame(i, round(i * 0.04, 6), () if i % 3 == 1 else (dark,)) for i in range(n))
+    path = tmp_path / "stream.jsonl"
+    path.write_text(stream_to_jsonl(FrameStream(frames, 0.04)))
+    return str(path)
+
+
+def lumen_file(tmp_path, prior, mode, dark_cpt=((0.8, 0.2), (0.2, 0.8))):
+    """lumen_tracker's document with another hypothesis prior, mode and dark-region CPT."""
+    doc = semi_static_to_document(builtin_model("lumen_tracker").model)
+    doc["mode"] = mode
+    doc["per_frame"]["nodes"][0]["prior"] = list(prior)
+    doc["per_frame"]["nodes"][1]["cpt"] = [list(row) for row in dark_cpt]
+    path = tmp_path / "lumen.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestCheckRoutes:
+    @pytest.mark.parametrize("chunk", [3, 256])
+    @pytest.mark.parametrize("mode", ["paper", "filter"])
+    def test_each_distinct_semi_static_row_is_compared_once(self, monkeypatch, tmp_path, chunk,
+                                                             mode):
+        """A semi-static frame's row goes on the per-frame tree with a flat hypothesis prior,
+        not the model's own, and each distinct row once for the whole stream, across
+        chunks, through downward and then the witness."""
+        spec, path = lumen_file(tmp_path, (0.7, 0.3), mode), dark_stream_file(tmp_path)
+        calls = []
+        for module, name in ((propagation, "downward"), (witness, "marginals")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                                calls.append((name, args[0], args[1])) or real(*args))
+        with mock.patch.object(temporal, "CHUNK_FRAMES", chunk):
+            code, out, err = run_captured(["check", "--spec", spec, "--stream", path])
+        assert (code, err) == (0, "")
+        residual, compared = CHECK_LINE.fullmatch(out).groups()
+        assert float(residual) < 1e-9 and compared == "20"
+        # the dark region's code: present (0) in the first frame, absent (1) in the second
+        assert [(name, row[1]) for name, _, row in calls] == [
+            ("downward", 0), ("marginals", 0), ("downward", 1), ("marginals", 1)]
+        assert {net.node("lumen").cpt[0] for _, net, _ in calls} == {(0.5, 0.5)}
+
+    def test_a_certain_static_prior_in_filter_mode_exits_0(self, capsys, tmp_path):
+        """Static prior (1, 0), and a dark region certain under the first state: every
+        frame without one rules out the only state the static prior allows, yet in filter
+        mode its effective prior allows the other, so track and check both exit 0."""
+        spec = lumen_file(tmp_path, (1.0, 0.0), "filter", dark_cpt=((1.0, 0.0), (0.2, 0.8)))
+        path = dark_stream_file(tmp_path)
+        code, out, err = run(capsys, "track", "--spec", spec, "--stream", path)
+        assert (code, err, len(out.splitlines())) == (0, "", 20)
+        assert json.loads(out.splitlines()[1])["posterior"] == {"lumen": 0.0, "not_lumen": 1.0}
+        code, out, err = run(capsys, "check", "--spec", spec, "--stream", path)
+        assert (code, err) == (0, "")
+        residual, compared = CHECK_LINE.fullmatch(out).groups()
+        assert float(residual) < 1e-9 and compared == "20"
+
+    def test_a_skewed_witness_on_the_semi_static_route_exits_4(self, capsys, monkeypatch, tmp_path):
+        real = witness.marginals
+        monkeypatch.setattr(witness, "marginals", lambda *args: {
+            nid: tuple(p + 1e-6 for p in vec) for nid, vec in real(*args).items()})
+        code, out, err = run(capsys, "check", "--model", "lumen_tracker",
+                             "--stream", dark_stream_file(tmp_path))
+        assert code == 4
+        assert out.endswith(" over 20 network(s)\n")
+        assert "oracle mismatch" in err
+
     def test_each_distinct_window_is_compared_once(self, capsys, monkeypatch, tmp_path):
         model = builtin_model("dirty_lens").model
         stream, path = spot_stream_file(tmp_path)
@@ -1554,8 +1621,8 @@ class TestChunkedStreams:
         ["check", "--model", "diverticulum"]])
     def test_memory_stays_bounded_as_the_stream_grows(self, tmp_path, argv):
         """Ten times the frames peaks within 64 KiB of the shorter stream: each chunk's
-        frames and rows are dropped before the next is read, semi-static rows, whose
-        priors seldom repeat, are kept only within their chunk, and output past
+        frames and rows are dropped before the next is read, check keeps one hypothesis
+        marginal per distinct code row, of which a stream has few, and output past
         SPOOL_CHARS waits in a temporary file."""
         rng = random.Random(3)
         frames = [Frame(i, round(i * 0.04, 6), tuple(

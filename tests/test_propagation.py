@@ -18,7 +18,7 @@ from beliefscope.network import (
     validate_network,
 )
 from beliefscope import propagation
-from beliefscope.network import _sum, normalised_rows
+from beliefscope.network import _build_network, _sum, normalised_rows
 from beliefscope.propagation import (
     ENUMERATION_CAP,
     Beliefs,
@@ -26,10 +26,10 @@ from beliefscope.propagation import (
     downward,
     map_assignment,
     observation_codes,
+    posterior,
     propagate,
     upward,
 )
-from beliefscope.temporal import posterior
 
 from helpers import (
     exact_beliefs,
@@ -311,18 +311,25 @@ class TestUpwardKernel:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_row_priors_equal_the_tree_with_that_prior(self, seed):
+        """downward on the tree with another root prior agrees with its enumeration, and
+        that prior times the flat-prior tree's root marginal, normalised, gives its root
+        marginal: the step ``check`` takes for a semi-static frame."""
         rng = random.Random(seed)
         spec = random_tree_spec(rng, rng.randint(1, 10), max_states=4, p_zero=0.0)
-        net = validate_network(spec)
+        k = len(spec.node(spec.root).states)
+        flat = _build_network(spec.with_root_prior([1.0] * k))  # as check builds it
         observed = [random_evidence(rng, spec).assignments for _ in range(3)]
-        priors = [normalized(rng, len(net.node(net.root).states)) for _ in observed]
-        codes = observation_codes(net, observed)
+        priors = [normalized(rng, k) for _ in observed]
+        codes = observation_codes(flat, observed)
         for row, (assignments, prior) in enumerate(zip(observed, priors)):
-            fast = downward(net, codes[row], prior)
-            tree = instantiate(spec.with_root_prior(prior), assignments)
-            assert propagate(tree).marginals == fast
-            if len(net.nodes) <= 8:
-                for nid, vec in brute_force_beliefs(tree).marginals.items():
+            tree = validate_network(spec.with_root_prior(prior))
+            inet = apply_evidence(tree, EvidenceSet(assignments))
+            fast = downward(tree, codes[row])
+            assert propagate(inet).marginals == fast
+            lam = downward(flat, codes[row])[spec.root]
+            assert np.abs(np.subtract(fast[spec.root], posterior(prior, lam))).max() < 1e-12
+            if len(tree.nodes) <= 8:
+                for nid, vec in brute_force_beliefs(inet).marginals.items():
                     assert np.abs(np.subtract(fast[nid], vec)).max() < 1e-12, nid
 
 
@@ -400,9 +407,9 @@ class TestDownwardAgainstOracles:
 
 
 class TestBatchedKernels:
-    """downward on each of many rows, with or without a row prior, against the tree's own
-    propagation and where support vanished, and each row's joint enumeration against the
-    per-evidence enumeration."""
+    """downward on each of many rows, on the tree or on the tree with a root prior of the
+    row's own, against that tree's propagation and where support vanished, and each
+    row's joint enumeration against the per-evidence enumeration."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), p_zero=st.sampled_from((0.0, 0.3)),
@@ -416,8 +423,9 @@ class TestBatchedKernels:
         k = len(net.node(net.root).states)
         priors = [normalized(rng, k, p_zero) for _ in observed] if row_priors else None
         for row, assignments in enumerate(observed):
-            inet = apply_evidence(net, EvidenceSet(assignments))
-            want = per_evidence_enumeration(net, assignments)
+            tree = net if priors is None else validate_network(spec.with_root_prior(priors[row]))
+            inet = apply_evidence(tree, EvidenceSet(assignments))
+            want = per_evidence_enumeration(tree, assignments)
             if want is None:
                 with pytest.raises(ImpossibleEvidenceError):
                     brute_force_beliefs(inet)
@@ -426,22 +434,19 @@ class TestBatchedKernels:
                 assert list(want) == list(slow)
                 for nid, vec in want.items():
                     assert np.abs(vec - slow[nid]).max() < 1e-12, nid
-            prior = None if priors is None else priors[row]
             try:
-                fast = downward(net, codes[row], prior)
+                fast = downward(tree, codes[row])
             except ImpossibleEvidenceError as exc:
-                # support vanished below the root, or the prior rules out λ
+                # support vanished below the root, or the root prior rules out λ
                 node = first_vanished(spec, assignments)
                 assert exc.node == (node if node is not None else net.root)
-                if priors is None:
-                    assert want is None
-                    with pytest.raises(ImpossibleEvidenceError) as again:
-                        propagate(inet)
-                    assert (str(again.value), again.value.node) == (str(exc), exc.node)
+                assert want is None
+                with pytest.raises(ImpossibleEvidenceError) as again:
+                    propagate(inet)
+                assert (str(again.value), again.value.node) == (str(exc), exc.node)
                 continue
-            if priors is None:
-                assert want is not None
-                assert propagate(inet).marginals == fast
+            assert want is not None
+            assert propagate(inet).marginals == fast
 
     def test_the_impossible_rows_name_their_node(self):
         spec = NetworkSpec("O", (
@@ -449,14 +454,14 @@ class TestBatchedKernels:
             NodeSpec("F", "chance", ("t", "f"), ("O",), ((0.0, 1.0), (1.0, 0.0))),
             NodeSpec("G", "chance", ("t", "f"), ("O",), ((0.0, 1.0), (0.0, 1.0))),
         ))
-        net = validate_network(spec)
-        # row 1: the prior rules out the only state F=t leaves; row 2: G=t has no support
-        codes = observation_codes(net, [{}, {"F": "t"}, {"G": "t"}])
-        priors = [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]]
-        assert downward(net, codes[0], priors[0])["O"] == (0.5, 0.5)
+        # row 1: the root prior rules out the only state F=t leaves; row 2: G=t has no support
+        codes = observation_codes(validate_network(spec), [{}, {"F": "t"}, {"G": "t"}])
+        trees = [validate_network(spec.with_root_prior(prior))
+                 for prior in ([0.5, 0.5], [1.0, 0.0], [0.5, 0.5])]
+        assert downward(trees[0], codes[0])["O"] == (0.5, 0.5)
         for row, node in ((1, "O"), (2, "G")):
             with pytest.raises(ImpossibleEvidenceError) as exc:
-                downward(net, codes[row], priors[row])
+                downward(trees[row], codes[row])
             assert exc.value.node == node
 
     def test_enumeration_near_the_cap_stays_in_bounded_memory(self):

@@ -41,22 +41,22 @@ class TestAgainstEnumeration:
     @given(st.randoms(use_true_random=False), st.integers(1, 7), st.sampled_from([0.0, 0.3]),
            st.booleans())
     def test_random_trees_with_and_without_row_priors(self, rng, n_nodes, p_zero, row_prior):
-        """The witness agrees to 1e-12 with brute_force_beliefs on the tree with the row's
-        root prior, and the witness, the enumeration and downward find the same rows
-        impossible."""
+        """On the tree, or on the tree with a random root prior of the row's own, the
+        witness agrees to 1e-12 with brute_force_beliefs, and the witness, the enumeration
+        and downward find the same rows impossible."""
         spec = random_tree_spec(rng, n_nodes, p_zero=p_zero)
         net = validate_network(spec)
         assignments = random_evidence(rng, spec).assignments
         row = observation_codes(net, [assignments])[0]
         prior = normalized(rng, len(net.node(net.root).states), p_zero) if row_prior else None
         tree = validate_network(spec if prior is None else spec.with_root_prior(prior))
-        got = outcome(lambda: witness.marginals(net, row, prior))
+        got = outcome(lambda: witness.marginals(tree, row))
         want = outcome(lambda: brute_force_beliefs(apply_evidence(tree, EvidenceSet(assignments))))
         assert (got is ImpossibleEvidenceError) == (want is ImpossibleEvidenceError)
-        assert (got is ImpossibleEvidenceError) == (outcome(lambda: downward(net, row, prior))
+        assert (got is ImpossibleEvidenceError) == (outcome(lambda: downward(tree, row))
                                                     is ImpossibleEvidenceError)
         if got is not ImpossibleEvidenceError:
-            assert list(got) == list(downward(net, row, prior))  # breadth-first order
+            assert list(got) == list(downward(tree, row))  # breadth-first order
             for nid, vec in got.items():
                 assert np.abs(np.subtract(vec, want.distribution(nid))).max() < 1e-12, nid
 
