@@ -404,9 +404,10 @@ def _residual(net: Network, codes: list[tuple[int, ...]], roots: dict[tuple, tup
 
 
 def _cmd_check(args) -> int:
-    """Compare propagate with the witness (:mod:`~beliefscope.witness`) on every
-    instantiated network, and the posterior ``track`` prints for each frame or
-    window with the witness's hypothesis marginal; print the largest difference.
+    """Compare the kernel's :func:`~beliefscope.propagation.downward` with the witness
+    (:mod:`~beliefscope.witness`) on every distinct code row, and the posterior ``track``
+    prints for each frame or window with the witness's hypothesis marginal; print the
+    largest difference.
 
     Every route gives one Network and a code row per frame or window, the rows
     ``track`` itself propagates, a batch per chunk of a stream
@@ -441,7 +442,7 @@ def _cmd_check(args) -> int:
                 root = roots[row]
                 if semi_static:  # the effective prior times the frame's likelihood, normalised
                     bel = [p * q for p, q in zip(belief.effective_prior, root)]
-                    total = sum(bel)
+                    total = math.fsum(bel)
                     root = [b / total for b in bel] if total else [math.inf] * len(bel)
                 worst = max([worst] + [abs(a - b) for a, b in zip(belief.posterior, root)])
     if failure is not None:

@@ -56,10 +56,12 @@ class TemporalModel:
                 if not all(map(math.isfinite, row)):
                     diags.append(f"transition: non-finite entry (row {i})")
                     continue
-                if abs(sum(row) - 1.0) > ROW_SUM_TOL:
-                    diags.append(f"transition: row sum {sum(row):g} != 1 (row {i})")
                 if not all(0.0 <= v <= 1.0 for v in row):
                     diags.append(f"transition: entry outside [0,1] (row {i})")
+                    continue
+                total = math.fsum(row)
+                if abs(total - 1.0) > ROW_SUM_TOL:
+                    diags.append(f"transition: row sum {total:g} != 1 (row {i})")
         if diags:
             raise InvalidNetworkError(diags)
         object.__setattr__(self, "transition", rows)

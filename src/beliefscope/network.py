@@ -8,8 +8,9 @@ Node entries of chance nodes are parsed as columns (:func:`_column_nodes`).  A s
 is checked by :func:`network_diagnostics` alone, the only source of every verdict and
 message.  :func:`check_network` checks each spec object once, in pure Python, and
 :func:`validate_network` also builds it once: its Network is derived data of the
-immutable spec.  Each ``Node.cpt`` is a tuple of rows, each renormalised to sum to 1
-as numpy sums (:func:`_sum`); nothing here imports numpy.
+immutable spec.  Each ``Node.cpt`` is a tuple of rows, each divided by its
+:func:`math.fsum`, the one summation rule of the package: the exact sum rounded once,
+so the same bits on every Python.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import json
 import math
 import re
 from collections import Counter
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
-from operator import add, attrgetter, itemgetter
-from typing import Any, Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Mapping
 
 from .errors import EvidenceError, InvalidNetworkError, SpecSyntaxError
 
@@ -622,7 +623,7 @@ def network_diagnostics(spec: NetworkSpec) -> list[str]:
             if bad:
                 diags.append(f"node {n.id}: cpt entry {bad[0]:g} outside [0,1] (row {i})")
                 continue
-            s = sum(row)
+            s = math.fsum(row)
             if abs(s - 1.0) > ROW_SUM_TOL:
                 diags.append(f"node {n.id}: row sum {s:g} != 1 (row {i})")
     return diags + relational_diagnostics(spec)
@@ -687,25 +688,9 @@ def _colour_classes(pred: Mapping[str, Any]) -> frozenset[str]:
     return frozenset(want if isinstance(want, (tuple, list)) else (want,))
 
 
-def _sum(row: Sequence[float]) -> float:
-    """``np.sum(row)``, bit for bit: numpy adds below 8 entries left to right from 0.0, and
-    from 8 on in 8 interleaved accumulators combined pairwise, halving rows past 128
-    entries at a multiple of 8.  Python's own ``sum`` may compensate its rounding."""
-    n = len(row)
-    if n < 8:
-        return reduce(add, row, 0.0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(row[:half]) + _sum(row[half:])
-    m = n - n % 8
-    r = [reduce(add, row[j:m:8]) for j in range(8)]
-    return reduce(add, row[m:], 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))))
-
-
 def normalised_rows(rows) -> tuple[tuple[float, ...], ...]:
-    """Rows (CPTs and transition tables) each divided by its :func:`_sum`, as numpy's
-    ``rows / rows.sum(axis=-1, keepdims=True)`` divides them."""
-    return tuple(tuple([v / total for v in row]) for row, total in zip(rows, map(_sum, rows)))
+    """Rows (CPTs and transition tables) each divided by its :func:`math.fsum`."""
+    return tuple(tuple([v / total for v in row]) for row, total in zip(rows, map(math.fsum, rows)))
 
 
 def check_network(spec: NetworkSpec) -> None:

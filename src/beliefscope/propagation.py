@@ -3,10 +3,10 @@
 One upward kernel, :func:`upward`, computes every node's likelihood (λ) for one
 observation row, and :func:`downward` adds the prior (π) pass to give every node's
 marginals for that row.  Both run on Python floats, a few operations per node, and sum
-as numpy sums (:func:`~beliefscope.network._sum`).  ``track`` runs the upward kernel
-once per distinct row of a stream and takes each hypothesis posterior from its root λ
-through :func:`posterior`, the π·λ step :func:`downward` takes at every node;
-:func:`propagate` is the downward kernel on one evidence set.  ``check`` certifies
+every probability vector with :func:`math.fsum`, the exact sum rounded once.  ``track``
+runs the upward kernel once per distinct row of a stream and takes each hypothesis
+posterior from its root λ through :func:`posterior`, the π·λ step :func:`downward` takes
+at every node; :func:`propagate` is the downward kernel on one evidence set.  ``check`` certifies
 :func:`downward` against :mod:`beliefscope.witness`, which shares no code with it.  A
 joint-enumeration oracle, :func:`brute_force_beliefs`, kept for the tests, the demos and
 the benchmark, gives :func:`propagate`'s marginals by summing the whole joint table, on
@@ -23,7 +23,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .errors import ImpossibleEvidenceError, StateSpaceCapError
-from .network import InstantiatedNetwork, Network, _sum, record
+from .network import InstantiatedNetwork, Network, record
 
 #: the most joint states :func:`brute_force_beliefs` enumerates
 ENUMERATION_CAP = 1 << 20
@@ -95,7 +95,7 @@ def _normalised_exp(logs: Sequence[float]) -> Vector | None:
     if top == -math.inf:
         return None
     vec = [math.exp(v - top) for v in logs]
-    total = _sum(vec)
+    total = math.fsum(vec)
     return tuple([v / total for v in vec])
 
 
@@ -104,8 +104,8 @@ def _message(lam: Vector | None, cpt: tuple[Vector, ...]) -> Vector | None:
     (-inf at 0), products summed; None where support vanished at or below the child."""
     if lam is None:
         return None
-    msg = [_sum([a * b for a, b in zip(lam, row)]) for row in cpt]
-    total = _sum(msg)
+    msg = [math.fsum([a * b for a, b in zip(lam, row)]) for row in cpt]
+    total = math.fsum(msg)
     return tuple([math.log(q) if q else -math.inf for q in [m / total for m in msg]]) if total else None
 
 
@@ -149,8 +149,8 @@ def _upward(net: Network, row: Row) -> tuple[dict, dict, str | None]:
     """Every node's normalised λ for one code row (None where no state keeps support), each
     parent's children's log λ-messages, and where support vanished, or None: at the last
     child with a None message of the first parent, deepest first, that has one, else at a
-    root with a None λ, where numpy's NaN first showed.  Each distinct row is computed
-    once and kept on the network, up to ROW_MEMO node λs at a time."""
+    root with a None λ.  Each distinct row is computed once and kept on the network, up to
+    ROW_MEMO node λs at a time."""
     memo = net.memo.setdefault("rows", {})
     if row in memo:
         return memo[row]
@@ -171,7 +171,8 @@ def _upward(net: Network, row: Row) -> tuple[dict, dict, str | None]:
             msgs.append(msg)
         if vanished is not None:
             break
-        totals = [reduce(add, v) for v in zip(*msgs)] or [0.0] * s  # left to right, as cumsum
+        # sums of logs, not of probabilities: added left to right, as downward's running sums
+        totals = [reduce(add, v) for v in zip(*msgs)] or [0.0] * s
         code = row[col]
         if code >= 0:  # observed: other states ruled out
             totals = [t if i == code else -math.inf for i, t in enumerate(totals)]
@@ -194,7 +195,7 @@ def posterior(prior: Sequence[float], lam: Sequence[float]) -> Vector | None:
     """Prior (π) times likelihood (λ), normalised; None where that has no mass, or λ
     is NaN (support vanished below)."""
     bel = [p * q for p, q in zip(prior, lam)]
-    total = _sum(bel)
+    total = math.fsum(bel)
     return tuple([b / total for b in bel]) if total > 0.0 else None
 
 
@@ -234,7 +235,7 @@ def downward(net: Network, row: Row) -> dict[str, Vector]:
             message = _normalised_exp([b + p + q for b, p, q in zip(base, before[i], after[last - i])])
             if message is None:  # no state of the parent keeps support without this child
                 raise ImpossibleEvidenceError(child)
-            pi[child] = [_sum([m * c for m, c in zip(message, column)]) for column in down]
+            pi[child] = [math.fsum([m * c for m, c in zip(message, column)]) for column in down]
             marginals[child] = posterior(pi[child], lam[child])
             if marginals[child] is None:
                 raise ImpossibleEvidenceError(child)

@@ -11,11 +11,10 @@ a code row per frame or window (:func:`~beliefscope.propagation.observation_code
 only evidence form past binding, and the beliefs ``track`` prints.  The models and their
 documents are defined in :mod:`beliefscope.models`, which imports no numpy.
 
-Both scans run on Python floats, and a belief's vectors are float tuples: the
-transition mixes the previous posterior as products summed left to right, and every
-normalisation sums as numpy sums (:func:`~beliefscope.network._sum`), so a trace's bits
-depend on no BLAS kernel.  Nothing here imports numpy, nor does
-:mod:`beliefscope.relational`, whose masks are int bitsets.
+Both scans run on Python floats, and a belief's vectors are float tuples: the transition
+mixing and every normalisation sum with :func:`math.fsum`, the exact sum rounded once, so
+a trace's bits depend on no BLAS kernel and no Python version.  Nothing here imports
+numpy, nor does :mod:`beliefscope.relational`, whose masks are int bitsets.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from functools import reduce
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, contains, itemgetter, mul
+from operator import contains, itemgetter, mul
 from typing import Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import (
@@ -51,7 +49,6 @@ from .network import (
     NetworkSpec,
     _build_network,
     _colour_classes,
-    _sum,
     finite_number,
     load_json,
     normalised_rows,
@@ -335,12 +332,12 @@ def stream_to_jsonl(stream: FrameStream) -> str:
 
 def _mixed_prior(prior: Vector, trans: Sequence[Vector], prev: Vector, paper: bool) -> Vector:
     """A frame's effective prior, on float tuples of matching lengths: the previous posterior
-    mixed through ``trans`` (rows indexed by the previous state) as products summed left to
-    right, the same on every machine, times the static prior in mode "paper" or alone in mode
-    "filter" (standard forward filtering), normalised by :func:`~beliefscope.network._sum`."""
-    mixed = [reduce(add, map(mul, prev, column)) for column in zip(*trans)]
+    mixed through ``trans`` (rows indexed by the previous state) as products summed, times
+    the static prior in mode "paper" or alone in mode "filter" (standard forward
+    filtering), normalised."""
+    mixed = [math.fsum(map(mul, prev, column)) for column in zip(*trans)]
     eff = list(map(mul, prior, mixed)) if paper else mixed
-    total = _sum(eff)
+    total = math.fsum(eff)
     if total <= 0.0:
         raise ImpossibleEvidenceError(None, "effective prior has zero mass")
     return tuple([e / total for e in eff])
@@ -434,7 +431,7 @@ def filter_chunks(model: TemporalModel, chunks: Iterable[Sequence[Frame]], *,
             eff = _mixed_prior(static, transition, prev, paper) if prev is not None else static
             if i == len(observed):
                 raise failure
-            total = _sum(eff)
+            total = math.fsum(eff)
             prev = posterior([e / total for e in eff], lam[i])
             if prev is None:
                 raise FrameInferenceError(frame.index, ImpossibleEvidenceError(vanished[i] or spec.root))

@@ -6,13 +6,14 @@ are eliminated first, each sending its parent, per parent state, the sum over it
 states of CPT entry times its likelihood (λ), and prior (π) messages are then sent back
 down from the root.  Every message and running product is rescaled by its largest
 entry, so wide fan-in and long chains do not underflow, and only the marginals are
-normalised.  It works in time linear in the nodes, with no cap on the joint state
-space, and shares no code with ``propagation``: no log domain, no numpy-order sums, no
-numpy.
+normalised.  Every sum is :func:`math.fsum`, the package's one summation rule.  It
+works in time linear in the nodes, with no cap on the joint state space, and shares no
+code with ``propagation``: no log domain, no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .errors import ImpossibleEvidenceError
@@ -30,7 +31,7 @@ def _scaled(vec: Sequence[float]) -> list[float]:
 
 def _message(node: Node, lam: Sequence[float]) -> list[float]:
     """``node``'s λ-message to its parent: per parent state, Σ_j CPT entry · λ[j]."""
-    return _scaled([sum([p * q for p, q in zip(row, lam)]) for row in node.cpt])
+    return _scaled([math.fsum([p * q for p, q in zip(row, lam)]) for row in node.cpt])
 
 
 def _product(a: Sequence[float], b: Sequence[float]) -> list[float]:
@@ -59,7 +60,7 @@ def marginals(net: Network, row: Sequence[int]) -> dict[str, tuple[float, ...]]:
     beliefs = {}
     for nid in order:  # root first
         belief = _product(pi[nid], lam[nid])
-        total = sum(belief)
+        total = math.fsum(belief)
         beliefs[nid] = tuple([b / total for b in belief])
         kids = net.children[nid]
         if not kids:
@@ -73,7 +74,7 @@ def marginals(net: Network, row: Sequence[int]) -> dict[str, tuple[float, ...]]:
         for i in reversed(range(len(kids))):
             to_child = _product(left[i], right)
             cpt = net.by_id[kids[i]].cpt
-            pi[kids[i]] = [sum([t * cpt_row[j] for t, cpt_row in zip(to_child, cpt)])
+            pi[kids[i]] = [math.fsum([t * cpt_row[j] for t, cpt_row in zip(to_child, cpt)])
                            for j in range(len(cpt[0]))]
             if i:
                 right = _product(right, up[kids[i]])

@@ -7,7 +7,6 @@ arithmetic) and never call the code paths they are used to verify.
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import json
 import math
@@ -479,19 +478,24 @@ def reference_network_spec(doc) -> NetworkSpec:
     return NetworkSpec(doc["root"], nodes, network._parse_bind(doc.get("bind", {}), ids))
 
 
+def exact_sum(values) -> float:
+    """The exact rational sum of ``values``, rounded once to the nearest float: what
+    :func:`math.fsum` promises, computed without it."""
+    return float(sum(map(Fraction, values)))
+
+
 def reference_validate_network(spec: NetworkSpec) -> Network:
     """``validate_network`` as it was before its column passes and its cache: every
-    diagnostic of the per-node loops, then each node's rows renormalised by numpy, as
-    ``rows / rows.sum(axis=-1, keepdims=True)``, and kept as tuples of floats."""
+    diagnostic of the per-node loops, then each node's rows each divided by its
+    :func:`exact_sum`, and kept as tuples of floats."""
     diags = network_diagnostics(spec)
     if diags:
         raise InvalidNetworkError(diags)
     nodes = []
     for n in spec.nodes:
-        rows = np.array(n.rows, dtype=float)
-        rows = rows / rows.sum(axis=-1, keepdims=True)
-        nodes.append(Node(n.id, n.kind, n.states, n.parent, tuple(map(tuple, rows.tolist())),
-                          n.evaluator, n.inputs, dict(n.params)))
+        totals = map(exact_sum, n.rows)
+        rows = tuple(tuple(v / total for v in row) for row, total in zip(n.rows, totals))
+        nodes.append(Node(n.id, n.kind, n.states, n.parent, rows, n.evaluator, n.inputs, dict(n.params)))
     children: dict[str, list[str]] = {n.id: [] for n in nodes}
     for n in nodes:
         if n.parent is not None:
@@ -540,24 +544,24 @@ def eq3_step(prior, transition, prev, likelihood, mode="paper"):
     return eff, [v / s for v in post]
 
 
-def numpy_mixed_prior(prior, transition, prev, paper: bool) -> np.ndarray | None:
-    """The semi-static effective prior on numpy arrays, or None where it has no mass:
-    the previous posterior's products with the transition rows, the rows added one
-    after another, left to right (a BLAS matrix product may fuse or reorder these
-    adds), times the prior in paper mode, over ``np.sum``."""
-    products = np.asarray(prev, dtype=float)[:, None] * np.asarray(transition, dtype=float)
-    mixed = functools.reduce(np.add, products)
-    eff = np.asarray(prior, dtype=float) * mixed if paper else mixed
-    total = eff.sum()
-    return eff / total if total > 0.0 else None
+def exact_mixed_prior(prior, transition, prev, paper: bool) -> list[float] | None:
+    """The semi-static effective prior, or None where it has no mass: per state, the
+    :func:`exact_sum` of the previous posterior's products with the transition column,
+    times the prior in paper mode, over its own :func:`exact_sum`."""
+    mixed = [exact_sum([p * t for p, t in zip(prev, column)]) for column in zip(*transition)]
+    eff = [p * m for p, m in zip(prior, mixed)] if paper else mixed
+    total = exact_sum(eff)
+    return [e / total for e in eff] if total > 0.0 else None
 
 
-def numpy_posterior(prior, lam) -> np.ndarray:
-    """Prior times likelihood over ``np.sum``, on numpy arrays: NaN where that has no
-    mass or the likelihood is NaN."""
-    bel = np.asarray(prior, dtype=float) * np.asarray(lam, dtype=float)
-    with np.errstate(invalid="ignore"):
-        return bel / bel.sum()
+def exact_posterior(prior, lam) -> list[float] | None:
+    """Prior times likelihood over its :func:`exact_sum`, or None where that has no mass
+    or the likelihood is NaN."""
+    bel = [p * q for p, q in zip(prior, lam)]
+    if any(map(math.isnan, bel)):
+        return None
+    total = exact_sum(bel)
+    return [b / total for b in bel] if total > 0.0 else None
 
 
 def chain_model(rng, n_features=2):

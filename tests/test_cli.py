@@ -1056,6 +1056,9 @@ class TestErrorBranches:
         pytest.param(["validate", "--spec", "{file}"],
                      edited(LUMEN_DOC, lambda d: d.update(transition=[[1.5, -0.5], [0.1, 0.9]])),
                      1, "transition: entry outside [0,1] (row 0)\n", id="transition-entry"),
+        pytest.param(["validate", "--spec", "{file}"],  # range-checked before the sum overflows
+                     edited(LUMEN_DOC, lambda d: d.update(transition=[[1e308, 1e308], [0.1, 0.9]])),
+                     1, "transition: entry outside [0,1] (row 0)\n", id="transition-entry-past-float-range"),
         pytest.param(["validate", "--spec", "{file}"],
                      edited(DIRTY_DOC, lambda d: d.update(max_window=1)),
                      1, "max_window must be >= 2\n", id="max-window-1"),

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beliefscope.errors import ImpossibleEvidenceError, StateSpaceCapError
 from beliefscope.network import (
@@ -17,8 +17,8 @@ from beliefscope.network import (
     network_spec_from_document,
     validate_network,
 )
-from beliefscope import propagation
-from beliefscope.network import _build_network, _sum, normalised_rows
+from beliefscope import propagation, temporal
+from beliefscope.network import _build_network, normalised_rows
 from beliefscope.propagation import (
     ENUMERATION_CAP,
     Beliefs,
@@ -33,6 +33,7 @@ from beliefscope.propagation import (
 
 from helpers import (
     exact_beliefs,
+    exact_sum,
     first_vanished,
     hex_rows,
     loop_enumerate,
@@ -333,34 +334,22 @@ class TestUpwardKernel:
                     assert np.abs(np.subtract(fast[nid], vec)).max() < 1e-12, nid
 
 
-class TestSumAsNumpy:
-    """The kernel's one summation follows numpy's order, so its rows renormalise and its
-    messages contract as numpy's array code did."""
+class TestSumsRoundOnce:
+    """Every probability sum is the exact sum of its entries rounded once, so a row
+    renormalises, and a posterior and an effective prior normalise, to the same bits on
+    every Python and in every order."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=40))
-    def test_sum_is_numpys_row_sum(self, values):
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = np.array([values, values[::-1]]).sum(axis=-1)[0]
-        got = _sum(values)
-        if np.isnan(want):  # infinities of both signs
-            assert got != got
-        else:
-            assert got == want and np.copysign(1.0, got) == np.copysign(1.0, want)
-
-    @pytest.mark.parametrize("n", range(1, 41))
-    def test_every_length_up_to_40(self, n):
-        rng = np.random.default_rng(n)
-        rows = rng.random((200, n)) * 10.0 ** rng.integers(-3, 4, (200, n))
-        assert [_sum(row) for row in rows.tolist()] == rows.sum(axis=-1).tolist()
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40), min_size=1, max_size=4)
-           .filter(lambda rows: all(sum(row) > 0 for row in rows)))
-    def test_rows_renormalise_as_numpys(self, rows):
-        for row in rows:
-            want = np.array(row) / np.array(row).sum(axis=-1, keepdims=True)
-            assert hex_rows(normalised_rows([row])) == hex_rows([want.tolist()])
+    @given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=40).filter(any))
+    @example([0.1, 0.2, 0.3])  # left to right: 0x1.3333333333334p-1; exact: ...333p-1
+    @example([0.1] * 13)  # in 8 accumulators: 0x1.4cccccccccccep+0; exact: ...ccdp+0
+    def test_each_normalisation_divides_by_the_exact_sum(self, row):
+        want = hex_rows([[v / exact_sum(row) for v in row]])
+        ones = (1.0,) * len(row)
+        assert hex_rows(normalised_rows([row])) == want
+        assert hex_rows([posterior(ones, row)]) == want
+        assert hex_rows([temporal._mixed_prior(ones, [row], (1.0,), False)]) == want  # mixed: row
+        assert hex_rows([temporal._mixed_prior(row, [ones], (1.0,), True)]) == want  # row times ones
 
 
 def wide_tree_spec(rng, p_zero):
