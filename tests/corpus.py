@@ -10,11 +10,11 @@ directory.  Four wide-state trees, whose nodes have up to 12 states, run through
 inputs (a repeated key, a ``NaN`` token, a too-deep nesting, a U+2028 inside an
 id, a ``--frames`` past ``sys.maxsize``) from ``hostile/``: every input is
 written with the standard library alone (:func:`write_inputs`), so the same
-bytes come out on every Python.  A ``check`` run's stdout is a residual, a difference of nearly
-equal floats whose last digits move with any last-bit change, so it is kept as
-its network count and a bound on the residual instead.  ``test_corpus.py``
-replays every run in process through ``cli.main``.  A change that alters an
-output rewrites the file with
+bytes come out on every Python.  A ``check`` run's stdout is a residual, a
+difference of nearly equal floats whose last digits move with any last-bit
+change, so it is kept as its network count and a bound on the residual
+instead.  ``test_corpus.py`` replays every run in process through
+``cli.main``.  A change that alters an output rewrites the file with
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -125,19 +125,17 @@ def wide_state_tree(seed: int, n_nodes: int = 40) -> tuple[dict, dict]:
         total = math.fsum(entries)
         return [v / total for v in entries]
 
-    nodes, parents, sample, assignments = [], [], [], {}
+    nodes, sample, assignments = [], [], {}
     for i in range(n_nodes):
         k = rng.randint(2, 12)
         node = {"id": f"n{i}", "kind": "chance", "states": [f"s{j}" for j in range(k)]}
         if i == 0:
-            parents.append(None)
-            node["prior"] = row(k)
-            weights = node["prior"]
+            node["prior"] = weights = row(k)
         else:
-            parents.append(rng.randrange(i))
-            node["parent"] = f"n{parents[i]}"
-            node["cpt"] = [row(k) for _ in nodes[parents[i]]["states"]]
-            weights = node["cpt"][sample[parents[i]]]
+            parent = rng.randrange(i)
+            node["parent"] = f"n{parent}"
+            node["cpt"] = [row(k) for _ in nodes[parent]["states"]]
+            weights = node["cpt"][sample[parent]]
         sample.append(rng.choices(range(k), weights)[0])
         if rng.random() < 0.4:
             assignments[node["id"]] = node["states"][sample[i]]
