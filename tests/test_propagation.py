@@ -351,6 +351,32 @@ class TestSumsRoundOnce:
         assert hex_rows([temporal._mixed_prior(ones, [row], (1.0,), False)]) == want  # mixed: row
         assert hex_rows([temporal._mixed_prior(row, [ones], (1.0,), True)]) == want  # row times ones
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_every_length_up_to_40(self, n):
+        """200 seeded rows of each length, their entries spread over seven decades; past
+        two entries, most of them sum differently left to right or in accumulators."""
+        rng = np.random.default_rng(n)
+        rows = (rng.random((200, n)) * 10.0 ** rng.integers(-3, 4, (200, n))).tolist()
+        want = hex_rows([[v / exact_sum(row) for v in row] for row in rows])
+        assert hex_rows(normalised_rows(rows)) == want
+        assert hex_rows([posterior((1.0,) * n, row) for row in rows]) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(any),
+                    min_size=1, max_size=4))
+    def test_each_row_renormalises_by_its_own_exact_sum(self, rows):
+        want = hex_rows([[v / exact_sum(row) for v in row] for row in rows])
+        assert hex_rows(normalised_rows(rows)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(any), st.randoms())
+    def test_a_shuffled_row_renormalises_to_the_shuffled_bits(self, row, rnd):
+        """The one rounding makes the sum independent of the order of its entries."""
+        order = list(range(len(row)))
+        rnd.shuffle(order)
+        once = normalised_rows([row])[0]
+        assert hex_rows(normalised_rows([[row[i] for i in order]])) == hex_rows([[once[i] for i in order]])
+
 
 def wide_tree_spec(rng, p_zero):
     """A random tree with up to 10 states a node, one of whose nodes has up to 30 more
