@@ -6,7 +6,9 @@ workload's own op runs on the seed-1/2/3/5 inputs that ``bench/workloads.py``
 writes (:func:`write_inputs`; imported, never changed), each in a directory
 named ``<workload>-<seed>`` that the runs name relative to the working
 directory.  Four wide-state trees, whose nodes have up to 12 states, run through
-``infer`` and ``check`` from ``wide-<seed>`` directories, and a few hostile
+``infer`` and ``check`` from ``wide-<seed>`` directories, two wide stars (2,000
+binary leaves; 600 leaves of 2 to 5 states with zeros) from ``star-<leaves>``
+directories, and a few hostile
 inputs (a repeated key, a ``NaN`` token, a too-deep nesting, a U+2028 inside an
 id, a ``--frames`` past ``sys.maxsize``) from ``hostile/``: every input is
 written with the standard library alone (:func:`write_inputs`), so the same
@@ -74,6 +76,12 @@ WIDE_SEEDS = (1, 2, 3, 4)
 RUNS += [[command, "--spec", f"wide-{seed}/tree.json", "--scene", f"wide-{seed}/evidence.json"]
          for seed in WIDE_SEEDS for command in ("infer", "check")]
 
+#: (leaves, the most states a leaf has, the share of zero CPT entries) of each star
+#: (:func:`wide_star`), each inferred and checked
+STARS = ((2000, 2, 0.0), (600, 5, 0.2))
+RUNS += [[command, "--spec", f"star-{leaves}/tree.json", "--scene", f"star-{leaves}/evidence.json"]
+         for leaves, _, _ in STARS for command in ("infer", "check")]
+
 #: hostile inputs, under ``hostile/``: file name -> text
 HOSTILE = {
     "duplicate-key.jsonl": '{"dt": 0.04}\n{"index": 0, "index": 1, "t": 0.0, "regions": []}\n',
@@ -113,28 +121,29 @@ def outcome(argv: list[str]) -> dict:
     return entry
 
 
+def _row(rng: random.Random, k: int, p_zero: float) -> list[float]:
+    """A distribution over ``k`` states, each entry zero with chance ``p_zero`` but one."""
+    keep = rng.randrange(k)
+    entries = [rng.random() + 0.05 if j == keep or rng.random() >= p_zero else 0.0 for j in range(k)]
+    total = math.fsum(entries)
+    return [v / total for v in entries]
+
+
 def wide_state_tree(seed: int, n_nodes: int = 40) -> tuple[dict, dict]:
     """A random tree document of ``n_nodes`` chance nodes of 2 to 12 states, about a fifth
     of its CPT entries zero, and an evidence document observing about 40% of the nodes
     at the states of one joint sample, so the evidence keeps positive mass."""
     rng = random.Random(seed)
-
-    def row(k: int) -> list[float]:
-        keep = rng.randrange(k)
-        entries = [rng.random() + 0.05 if j == keep or rng.random() >= 0.2 else 0.0 for j in range(k)]
-        total = math.fsum(entries)
-        return [v / total for v in entries]
-
     nodes, sample, assignments = [], [], {}
     for i in range(n_nodes):
         k = rng.randint(2, 12)
         node = {"id": f"n{i}", "kind": "chance", "states": [f"s{j}" for j in range(k)]}
         if i == 0:
-            node["prior"] = weights = row(k)
+            node["prior"] = weights = _row(rng, k, 0.2)
         else:
             parent = rng.randrange(i)
             node["parent"] = f"n{parent}"
-            node["cpt"] = [row(k) for _ in nodes[parent]["states"]]
+            node["cpt"] = [_row(rng, k, 0.2) for _ in nodes[parent]["states"]]
             weights = node["cpt"][sample[parent]]
         sample.append(rng.choices(range(k), weights)[0])
         if rng.random() < 0.4:
@@ -143,9 +152,29 @@ def wide_state_tree(seed: int, n_nodes: int = 40) -> tuple[dict, dict]:
     return {"root": "n0", "nodes": nodes}, {"assignments": assignments}
 
 
+def wide_star(leaves: int, max_states: int, p_zero: float) -> tuple[dict, dict]:
+    """A star document, seeded by its size: a 3-state root over ``leaves`` leaves of 2 to
+    ``max_states`` states, CPT entries zero with chance ``p_zero``, and an evidence
+    document observing about 40% of the leaves at the states of one joint sample."""
+    rng = random.Random(leaves)
+    root = {"id": "hub", "kind": "chance", "states": ["a", "b", "c"], "prior": _row(rng, 3, p_zero)}
+    hub = rng.choices(range(3), root["prior"])[0]
+    nodes, assignments = [root], {}
+    for i in range(leaves):
+        k = rng.randint(2, max_states)
+        node = {"id": f"leaf{i}", "kind": "chance", "states": [f"s{j}" for j in range(k)],
+                "parent": "hub", "cpt": [_row(rng, k, p_zero) for _ in range(3)]}
+        state = rng.choices(range(k), node["cpt"][hub])[0]
+        if rng.random() < 0.4:
+            assignments[node["id"]] = node["states"][state]
+        nodes.append(node)
+    return {"root": "hub", "nodes": nodes}, {"assignments": assignments}
+
+
 def write_inputs(directory: Path) -> None:
     """Write the inputs the runs of RUNS read under ``directory``: each workload's for every
-    seed of WORKLOAD_SEEDS, each wide-state tree and its evidence, and the hostile files."""
+    seed of WORKLOAD_SEEDS, each wide-state tree and star and its evidence, and the
+    hostile files."""
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))
     import workloads
@@ -158,6 +187,11 @@ def write_inputs(directory: Path) -> None:
         (directory / f"wide-{seed}").mkdir()
         (directory / f"wide-{seed}" / "tree.json").write_text(json.dumps(tree, indent=2) + "\n")
         (directory / f"wide-{seed}" / "evidence.json").write_text(json.dumps(evidence, indent=2) + "\n")
+    for leaves, max_states, p_zero in STARS:
+        tree, evidence = wide_star(leaves, max_states, p_zero)
+        (directory / f"star-{leaves}").mkdir()
+        (directory / f"star-{leaves}" / "tree.json").write_text(json.dumps(tree) + "\n")
+        (directory / f"star-{leaves}" / "evidence.json").write_text(json.dumps(evidence) + "\n")
     (directory / "hostile").mkdir()
     for name, text in HOSTILE.items():
         (directory / "hostile" / name).write_text(text, encoding="utf-8")
