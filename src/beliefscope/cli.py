@@ -14,7 +14,8 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
+from operator import sub
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -388,19 +389,20 @@ def _rows_to_check(args, model) -> Iterator[tuple]:
 def _residual(net: Network, codes: list[tuple[int, ...]], roots: dict[tuple, tuple]) -> float:
     """The largest difference, over the code rows not yet in ``roots``, between
     :func:`downward` and the witness (:func:`~beliefscope.witness.marginals`) on every
-    marginal.  Each distinct row goes once, in first-seen order, through ``downward`` and
-    then through the witness, so an impossible row raises what ``downward`` raises;
-    ``roots`` keeps its witness hypothesis marginal."""
+    marginal.  The distinct new rows go, in first-seen order, as one batch through
+    ``downward`` and then as one batch through the witness, so an impossible row raises
+    what ``downward`` raises on the first such row; the two are compared node by node,
+    each over every row at once.  ``roots`` keeps each row's witness hypothesis
+    marginal."""
     from .propagation import downward
     from .witness import marginals
-    worst = 0.0
-    for row in codes:
-        if row in roots:
-            continue
-        fast, slow = downward(net, row), marginals(net, row)
-        worst = max([worst] + [abs(a - b) for nid, vec in slow.items() for a, b in zip(fast[nid], vec)])
-        roots[row] = slow[net.root]
-    return worst
+    rows = [row for row in dict.fromkeys(codes) if row not in roots]
+    if not rows:
+        return 0.0
+    fast, slow = downward(net, rows), marginals(net, rows)
+    roots.update(zip(rows, slow[net.root]))
+    return max([max(map(abs, map(sub, chain.from_iterable(fast[nid]), chain.from_iterable(vecs))))
+                for nid, vecs in slow.items()])
 
 
 def _cmd_check(args) -> int:
@@ -411,9 +413,10 @@ def _cmd_check(args) -> int:
 
     Every route gives one Network and a code row per frame or window, the rows
     ``track`` itself propagates, a batch per chunk of a stream
-    (:func:`_rows_to_check`).  Each distinct code row goes through the witness once
-    (:func:`_residual`), kept for the whole stream: most frames and windows repeat an
-    evidence set.  A semi-static frame's row goes on the flat-prior tree, where the
+    (:func:`_rows_to_check`).  Each chunk's code rows not seen before go, in first-seen
+    order, as one batch through ``downward`` and then through the witness
+    (:func:`_residual`); the witness's results are kept for the whole stream, as most
+    frames and windows repeat an evidence set.  A semi-static frame's row goes on the flat-prior tree, where the
     hypothesis marginal is the frame's normalised likelihood, so its printed posterior
     is compared with that marginal times the printed effective prior, normalised.
     Every frame or window still counts in ``over N network(s)``.  A kernel error is

@@ -20,7 +20,7 @@ import math
 import re
 from collections import Counter
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Any, Mapping
 
@@ -498,8 +498,9 @@ def _column_nodes(objs: list) -> tuple[NodeSpec, ...] | None:
     except OverflowError:  # an integer too large for a float
         return None
     as_row = tuple if numbers <= {float} else (lambda row: tuple(map(float, row)))
+    # all eight fields by position, the records' fast path, each node with its own params dict
     return tuple(map(NodeSpec, ids, kinds, map(tuple, states), parents,
-                     [tuple(map(as_row, t)) for t in tables]))
+                     [tuple(map(as_row, t)) for t in tables], repeat(None), repeat(()), iter(dict, None)))
 
 
 def network_spec_from_document(doc) -> NetworkSpec:

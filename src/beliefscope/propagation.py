@@ -1,25 +1,30 @@
 """Exact posteriors on tree networks.
 
-One upward kernel, :func:`upward`, computes every node's likelihood (λ) for one
-observation row, and :func:`downward` adds the prior (π) pass to give every node's
-marginals for that row.  Both run on Python floats, a few operations per node, and sum
-every probability vector with :func:`math.fsum`, the exact sum rounded once.  ``track``
-runs the upward kernel once per distinct row of a stream and takes each hypothesis
-posterior from its root λ through :func:`posterior`, the π·λ step :func:`downward` takes
-at every node; :func:`propagate` is the downward kernel on one evidence set.  ``check`` certifies
-:func:`downward` against :mod:`beliefscope.witness`, which shares no code with it.  A
-joint-enumeration oracle, :func:`brute_force_beliefs`, kept for the tests, the demos and
-the benchmark, gives :func:`propagate`'s marginals by summing the whole joint table, on
-joint state spaces up to ENUMERATION_CAP.  Nothing here imports numpy.
+One upward kernel, :func:`upward`, computes every node's likelihood (λ) for a batch of
+observation rows, and :func:`downward` adds the prior (π) pass to give every node's
+marginals for each row.  A batch is held per parent and per group of its children with
+one state count, every vector as one list per state over (child, row) pairs, so each
+step is a few C-level passes over a list, however many rows and children it holds,
+not some ten Python passes per child of each row.  Each row still takes, in the same
+order, the floating-point operations it takes alone.  Both run on Python floats and
+sum every probability vector with :func:`math.fsum`, the exact sum rounded once.
+``track`` runs the upward kernel on each chunk's distinct rows and takes each
+hypothesis posterior from its root λ through :func:`posterior`, the π·λ step
+:func:`downward` takes at every node; :func:`propagate` is the downward kernel on a
+batch of one evidence set.  ``check`` certifies :func:`downward` against
+:mod:`beliefscope.witness`, which shares no code with it.  A joint-enumeration oracle,
+:func:`brute_force_beliefs`, kept for the tests, the demos and the benchmark, gives
+:func:`propagate`'s marginals by summing the whole joint table, on joint state spaces
+up to ENUMERATION_CAP.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, cycle, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add
+from operator import add, itemgetter, mul, sub, truediv
 from typing import Mapping, Sequence
 
 from .errors import ImpossibleEvidenceError, StateSpaceCapError
@@ -28,7 +33,8 @@ from .network import InstantiatedNetwork, Network, record
 #: the most joint states :func:`brute_force_beliefs` enumerates
 ENUMERATION_CAP = 1 << 20
 
-#: the most node λs of code rows :func:`_upward` keeps on one Network at a time
+#: the most node λs' worth of code rows :func:`upward` keeps on one Network at a time, and
+#: the most node-states of code rows one batch of the kernels holds
 ROW_MEMO = 1 << 15
 
 Row = tuple[int, ...]
@@ -83,37 +89,61 @@ class Beliefs:
 
 
 @cache
-def _own_evidence(s: int) -> tuple[Vector, ...]:
-    """An s-state node's λ from its own evidence by code: state i observed, or uniform at -1."""
-    return tuple(tuple(float(i == j) for j in range(s)) for i in range(s)) + ((1.0 / s,) * s,)
+def _own_evidence(t: int) -> tuple[Vector, ...]:
+    """A t-state leaf's λ from its own evidence by code: state i observed, or uniform at -1."""
+    return tuple(tuple(float(i == j) for j in range(t)) for i in range(t)) + ((1.0 / t,) * t,)
 
 
-def _normalised_exp(logs: Sequence[float]) -> Vector | None:
-    """exp(logs), max-shifted before it leaves the log domain, normalised; None where
-    every entry is -inf."""
-    top = max(logs)
-    if top == -math.inf:
-        return None
-    vec = [math.exp(v - top) for v in logs]
-    total = math.fsum(vec)
-    return tuple([v / total for v in vec])
+def _logs(values: list[float]) -> list[float]:
+    """The log of each value, -inf at 0.0."""
+    if 0.0 not in values:
+        return list(map(math.log, values))
+    return [math.log(v) if v else -math.inf for v in values]
 
 
-def _message(lam: Vector | None, cpt: tuple[Vector, ...]) -> Vector | None:
-    """A child's normalised log λ-message, per parent state i log Σ_j lam[j] · cpt[i][j]
-    (-inf at 0), products summed; None where support vanished at or below the child."""
-    if lam is None:
-        return None
-    msg = [math.fsum([a * b for a, b in zip(lam, row)]) for row in cpt]
-    total = math.fsum(msg)
-    return tuple([math.log(q) if q else -math.inf for q in [m / total for m in msg]]) if total else None
+def _sums(flat: list[float], k: int) -> list[float]:
+    """:func:`math.fsum` of each run of ``k`` entries.  Of two non-negative floats that is
+    their sum, which IEEE 754 rounds once from the exact one."""
+    if k == 2:
+        return list(map(add, *[iter(flat)] * 2))
+    return list(map(math.fsum, zip(*[iter(flat)] * k)))
 
 
-def _plan(net: Network) -> tuple[list[str], dict[str, int], list]:
+def _each(values: list, k: int):
+    """Each of ``values`` ``k`` times in a row."""
+    return chain.from_iterable(zip(*[values] * k))
+
+
+def _tiled(vectors: list[float], k: int, times: int):
+    """Each run of ``k`` entries ``times`` times in a row."""
+    return chain.from_iterable(map(mul, zip(*[iter(vectors)] * k), repeat(times)))
+
+
+def _for_rows(blocks: tuple[tuple[float, ...], ...], flat: tuple[float, ...], n: int) -> Sequence[float]:
+    """A group's per-child blocks, each once for each of ``n`` rows: ``flat`` at one row."""
+    return flat if n == 1 else list(chain.from_iterable(map(mul, blocks, repeat(n))))
+
+
+def _codes(rows: Sequence[Row], cols: list[int]) -> list[int]:
+    """The codes of ``cols`` in each row, column after column."""
+    if len(cols) == 1:
+        return list(map(itemgetter(cols[0]), rows))
+    return list(chain.from_iterable(zip(*map(itemgetter(*cols), rows))))
+
+
+def _plan(net: Network) -> tuple[list[str], dict[str, int], list, int]:
     """What :func:`upward` and :func:`downward` take from the network alone, kept in
-    ``net.memo``: the breadth-first order, node columns, and per parent (or lone root),
-    deepest first, its column, state count and children, each with its column, CPT,
-    transposed CPT, λ by code (:func:`_own_evidence`) and, for a leaf, its message by code."""
+    ``net.memo``: the breadth-first order, node columns, per parent (or lone root),
+    deepest first, its id, column, state count, children, groups of children and
+    regrouping, and the most rows a batch holds, ROW_MEMO node-states.
+
+    A group is an internal child alone, or every leaf child with one state count.  It
+    holds a vector of each (child, row) pair, child after child, as one flat list of
+    their entries.  Per group: its children's positions, ids, code columns (None for an
+    internal child), state count, and per child its CPT entries [i][j] (up) and [j][i]
+    (down), with each of the two flattened over the children.  Regrouping is None where
+    the groups keep the children's own order, else a getter from the children's order
+    into the groups', one back, and the children's positions in the groups' order."""
     if "plan" in net.memo:
         return net.memo["plan"]
     order = [net.root]
@@ -122,13 +152,31 @@ def _plan(net: Network) -> tuple[list[str], dict[str, int], list]:
     column = {node.id: j for j, node in enumerate(net.nodes)}
     steps = []
     for nid in reversed([nid for nid in order if net.children[nid]] or order):  # or a lone root
-        kids = []
-        for child in net.children[nid]:
-            cpt = net.by_id[child].cpt
-            kids.append((child, column[child], cpt, tuple(zip(*cpt)),
-                         None if net.children[child] else {}, _own_evidence(len(cpt[0]))))
-        steps.append((nid, column[nid], len(net.by_id[nid].states), kids))
-    net.memo["plan"] = order, column, steps
+        kids, groups, leaves = net.children[nid], [], {}
+        for k, child in enumerate(kids):
+            t = len(net.by_id[child].states)
+            if net.children[child]:
+                groups.append([k])
+            elif t in leaves:
+                leaves[t].append(k)
+            else:
+                leaves[t] = [k]
+                groups.append(leaves[t])
+        built = []
+        for positions in groups:
+            ids = [kids[k] for k in positions]
+            up = tuple(tuple(chain.from_iterable(net.by_id[c].cpt)) for c in ids)
+            down = tuple(tuple(chain.from_iterable(zip(*net.by_id[c].cpt))) for c in ids)
+            built.append((positions, ids, None if net.children[ids[0]] else [column[c] for c in ids],
+                          len(net.by_id[ids[0]].states), up, tuple(chain.from_iterable(up)),
+                          down, tuple(chain.from_iterable(down))))
+        regroup, concat = None, [k for positions in groups for k in positions]
+        if concat != sorted(concat):
+            regroup = (itemgetter(*concat), itemgetter(*sorted(range(len(concat)), key=concat.__getitem__)),
+                       concat)
+        steps.append((nid, column[nid], len(net.by_id[nid].states), kids, built, regroup))
+    size = max(1, ROW_MEMO // sum([len(node.states) for node in net.nodes]))
+    net.memo["plan"] = order, column, steps, size
     return net.memo["plan"]
 
 
@@ -145,50 +193,82 @@ def observation_codes(net: Network, observed: Sequence[Mapping[str, str]]) -> li
     return rows
 
 
-def _upward(net: Network, row: Row) -> tuple[dict, dict, str | None]:
-    """Every node's normalised λ for one code row (None where no state keeps support), each
-    parent's children's log λ-messages, and where support vanished, or None: at the last
-    child with a None message of the first parent, deepest first, that has one, else at a
-    root with a None λ.  Each distinct row is computed once and kept on the network, up to
-    ROW_MEMO node λs at a time."""
-    memo = net.memo.setdefault("rows", {})
-    if row in memo:
-        return memo[row]
-    if (len(memo) + 1) * len(net.nodes) > ROW_MEMO:
-        memo.clear()
-    lam, fan_in, vanished = {}, {}, None
-    for nid, col, s, kids in _plan(net)[2]:  # each leaf's λ is set with its siblings'
-        msgs = fan_in[nid] = []
-        for child, child_col, cpt, _, leaf, own in kids:
-            if leaf is None:
-                msg = _message(lam[child], cpt)
-            else:
-                code = row[child_col]
-                msg = leaf[code] if code in leaf else leaf.setdefault(code, _message(own[code], cpt))
-                lam[child] = own[code]
-            if msg is None:
-                vanished = child
-            msgs.append(msg)
-        if vanished is not None:
-            break
-        # sums of logs, not of probabilities: added left to right, as downward's running sums
-        totals = [reduce(add, v) for v in zip(*msgs)] or [0.0] * s
-        code = row[col]
-        if code >= 0:  # observed: other states ruled out
-            totals = [t if i == code else -math.inf for i, t in enumerate(totals)]
-        lam[nid] = _normalised_exp(totals)
-    else:
-        vanished = net.root if lam[net.root] is None else None
-    memo[row] = lam, fan_in, vanished
-    return memo[row]
+def _up(net: Network, rows: Sequence[Row]) -> tuple[dict, dict, list[str | None]]:
+    """The λ pass over a batch of code rows: every node's normalised λ, each parent's
+    children's log λ-messages, and per row where support vanished, or None.
+
+    λ is kept per internal node over its rows, and per group of leaves under the id of its
+    first leaf over (child, row) pairs, one vector after another in a flat list, all zero
+    where no state keeps support.  A parent's messages are kept per row and parent state
+    as a tuple in the order of its children; a message is all -inf where its child keeps
+    no support.  Support vanished at the last child with such a message of the first
+    parent, deepest first, that has one, else at a root with no support."""
+    n, root = len(rows), net.root
+    lam, fan_in, vanished = {}, {}, [None] * n
+    for nid, col, s, kids, groups, regroup in _plan(net)[2]:  # each leaf's λ is set with its group's
+        logs: list[float] = []  # each (child, row) pair's message, group after group
+        lost: dict[int, int] = {}  # per row: the last child at this parent without support
+        for positions, ids, cols, t, up, up_flat, _, _ in groups:
+            if cols is not None:
+                lam[ids[0]] = list(chain.from_iterable(map(_own_evidence(t).__getitem__, _codes(rows, cols))))
+            # per pair and parent state i: Σ_j λ[j] · cpt[i][j], products summed
+            msg = _sums(list(map(mul, _tiled(lam[ids[0]], t, s), _for_rows(up, up_flat, n))), t)
+            total = _sums(msg, s)
+            if 0.0 in total:  # no state of the child keeps support: its logs stay -inf
+                for x, v in enumerate(total):
+                    if not v:
+                        lost[x % n] = max(lost.get(x % n, -1), positions[x // n])
+                total = [v or 1.0 for v in total]
+            logs += _logs(list(map(truediv, msg, _each(total, s))))
+        for r, k in lost.items():
+            if vanished[r] is None:
+                vanished[r] = kids[k]
+        if kids:  # per row and parent state, the children's messages in their own order
+            fan_in[nid] = list(zip(*zip(*[iter(logs)] * (n * s))))
+            if regroup is not None:
+                fan_in[nid] = list(map(regroup[1], fan_in[nid]))
+            # sums of logs, not of probabilities: added left to right, as downward's running sums
+            totals = list(map(reduce, repeat(add), fan_in[nid]))
+        else:
+            totals = [0.0] * (n * s)
+        codes = list(map(itemgetter(col), rows))
+        if max(codes) >= 0:  # observed: other states ruled out
+            totals = [v if c < 0 or c == i else -math.inf
+                      for v, c, i in zip(totals, _each(codes, s), cycle(range(s)))]
+        top = list(map(max, *[iter(totals)] * s))  # max-shifted before leaving the log domain
+        exps = list(map(math.exp, map(sub, totals, _each(top, s))))
+        lam[nid] = list(map(truediv, exps, _each(_sums(exps, s), s)))
+        if -math.inf in top:  # no state keeps support
+            for r, v in enumerate(top):
+                if v == -math.inf:
+                    lam[nid][r * s:(r + 1) * s] = [0.0] * s
+                    if nid == root and vanished[r] is None:
+                        vanished[r] = root
+    return lam, fan_in, vanished
 
 
 def upward(net: Network, codes: Sequence[Row]) -> tuple[list[Vector], list[str | None]]:
     """The root's normalised λ for each code row (:func:`observation_codes`), NaN where
-    support vanished, and where it vanished, or None.  The root's prior is never read."""
-    passes = [_upward(net, row) for row in codes]
+    support vanished, and where it vanished, or None.  The root's prior is never read.
+    The rows not in the network's row memo go through :func:`_up` as batches of up to
+    ROW_MEMO node-states; the memo keeps each distinct row's result, up to ROW_MEMO
+    node λs' worth of rows at a time."""
+    memo = net.memo.setdefault("rows", {})
+    size = _plan(net)[3]
+    found = {row: memo[row] for row in codes if row in memo}
+    new = [row for row in dict.fromkeys(codes) if row not in found]
     nan = (math.nan,) * len(net.by_id[net.root].states)
-    return [nan if at else lam[net.root] for lam, _, at in passes], [at for _, _, at in passes]
+    for start in range(0, len(new), size):
+        rows = new[start:start + size]
+        lam, _, vanished = _up(net, rows)
+        roots = zip(*[iter(lam[net.root])] * len(nan))
+        found.update(zip(rows, [(nan if at else vec, at) for vec, at in zip(roots, vanished)]))
+    for row in new:
+        if (len(memo) + 1) * len(net.nodes) > ROW_MEMO:
+            memo.clear()
+        memo[row] = found[row]
+    passes = list(map(found.__getitem__, codes))
+    return [lam for lam, _ in passes], [at for _, at in passes]
 
 
 def posterior(prior: Sequence[float], lam: Sequence[float]) -> Vector | None:
@@ -199,47 +279,102 @@ def posterior(prior: Sequence[float], lam: Sequence[float]) -> Vector | None:
     return tuple([b / total for b in bel]) if total > 0.0 else None
 
 
-def downward(net: Network, row: Row) -> dict[str, Vector]:
-    """Every node's posterior marginals for one observation row (:func:`observation_codes`),
-    in breadth-first order: :func:`_upward` collects likelihood (λ) messages from the
-    leaves, this pass sends prior (π) messages down from the root, and each marginal is
-    their normalised product (:func:`posterior`).  A parent's message to child i
-    excludes child i's own λ-message: running sums of the children's log λ-messages from
-    the left and from the right give all k "every sibling but one" messages at once.  Log
-    messages are only added, so a structural zero stays an exact -inf, and each is
-    max-shifted before it leaves the log domain, so neither wide fan-in nor long chains
-    underflow.  A child's π is its CPT weighted by that message, products summed.
+def _beliefs(pi: list[float], lam: list[float], t: int, n: int) -> tuple[list, list[int]]:
+    """π times λ, normalised, for each (child, row) pair: per child a tuple of a vector per
+    row; or none, and the pairs where the two share no state (NaN where the π message
+    already failed)."""
+    bel = list(map(mul, pi, lam))
+    total = _sums(bel, t)
+    if 0.0 in total:
+        return [], [x for x, v in enumerate(total) if not v > 0.0]
+    vectors = list(zip(*[iter(list(map(truediv, bel, _each(total, t))))] * t))
+    return list(zip(*[iter(vectors)] * n)), []
 
-    Raises ImpossibleEvidenceError when the evidence has probability zero, naming where
-    support vanished on the way up, else the first node in breadth-first order whose π and
-    λ share no state."""
-    order, _, steps = _plan(net)
-    lam, fan_in, vanished = _upward(net, row)
-    if vanished is not None:
-        raise ImpossibleEvidenceError(vanished)
-    root = net.root
-    pi = {root: net.by_id[root].cpt[0]}
-    marginals = {root: posterior(pi[root], lam[root])}
-    if marginals[root] is None:
+
+def _down(net: Network, rows: Sequence[Row]) -> dict[str, tuple[Vector, ...]]:
+    """:func:`downward` on one batch of rows; on an impossible row it raises for some
+    impossible row, and for a batch of one it names the node :func:`downward` names."""
+    order, _, steps, _ = _plan(net)
+    n, root = len(rows), net.root
+    lam, fan_in, vanished = _up(net, rows)
+    for at in vanished:
+        if at is not None:
+            raise ImpossibleEvidenceError(at)
+    pi = {root: list(net.by_id[root].cpt[0] * n)}
+    beliefs, failed = _beliefs(pi[root], lam[root], len(net.by_id[root].states), n)
+    if failed:
         raise ImpossibleEvidenceError(root)
-    for nid, col, _, kids in reversed(steps):  # parents top-down
-        code = row[col]
-        base = [math.log(p) if p else -math.inf for p in pi[nid]]
-        if code >= 0:  # observed: other states ruled out
-            base = [b if i == code else -math.inf for i, b in enumerate(base)]
-        states, zero = list(zip(*fan_in[nid])), (0.0,) * len(base)
-        before = [zero, *zip(*[accumulate(v) for v in states])]  # [i]: children before i
-        after = [zero, *zip(*[accumulate(reversed(v)) for v in states])]  # [j]: the last j
-        last = len(kids) - 1
-        for i, (child, _, _, down, _, _) in enumerate(kids):
-            message = _normalised_exp([b + p + q for b, p, q in zip(base, before[i], after[last - i])])
-            if message is None:  # no state of the parent keeps support without this child
-                raise ImpossibleEvidenceError(child)
-            pi[child] = [math.fsum([m * c for m, c in zip(message, column)]) for column in down]
-            marginals[child] = posterior(pi[child], lam[child])
-            if marginals[child] is None:
-                raise ImpossibleEvidenceError(child)
+    marginals = {root: beliefs[0]}
+    for nid, col, s, kids, groups, regroup in reversed(steps):  # parents top-down
+        if not kids:
+            continue
+        base = _logs(pi[nid])
+        codes = list(map(itemgetter(col), rows))
+        if max(codes) >= 0:  # observed: other states ruled out
+            base = [b if c < 0 or c == i else -math.inf for b, c, i in zip(base, _each(codes, s), cycle(range(s)))]
+        # per child, every sibling's message but its own: running sums from the left and
+        # from the right, per row and parent state
+        before = [(0.0, *accumulate(v[:-1])) for v in fan_in[nid]]
+        after = [(*accumulate(reversed(v[1:])),)[::-1] + (0.0,) for v in fan_in[nid]]
+        if regroup is not None:
+            before, after = list(map(regroup[0], before)), list(map(regroup[0], after))
+        logs = list(map(add, map(add, base * len(kids), chain.from_iterable(zip(*before))),
+                        chain.from_iterable(zip(*after))))  # over (child, row) pairs, group after group
+        top = list(map(max, *[iter(logs)] * s))
+        failed = []  # (row, child position) where no state keeps support
+        if -math.inf in top:  # no state of the parent keeps support without this child
+            failed = [(x % n, regroup[2][x // n] if regroup else x // n)
+                      for x, v in enumerate(top) if v == -math.inf]
+        exps = list(map(math.exp, map(sub, logs, _each(top, s))))
+        message = list(map(truediv, exps, _each(_sums(exps, s), s)))
+        start = 0
+        for positions, ids, cols, t, _, _, down, down_flat in groups:
+            stop = start + n * len(ids) * s
+            # a child's π: its CPT weighted by the message, products summed
+            child_pi = _sums(list(map(mul, _tiled(message[start:stop], s, t), _for_rows(down, down_flat, n))), s)
+            beliefs, lost = _beliefs(child_pi, lam[ids[0]], t, n)
+            failed += [(x % n, positions[x // n]) for x in lost]
+            marginals.update(zip(ids, beliefs))
+            if cols is None:
+                pi[ids[0]] = child_pi
+            start = stop
+        if failed:
+            raise ImpossibleEvidenceError(kids[min(failed)[1]])
     return {nid: marginals[nid] for nid in order}
+
+
+def downward(net: Network, codes: Sequence[Row]) -> dict[str, tuple[Vector, ...]]:
+    """Every node's posterior marginals for each observation row (:func:`observation_codes`),
+    per node in breadth-first order, a vector per row: :func:`_up` collects likelihood (λ)
+    messages from the leaves, this pass sends prior (π) messages down from the root, and
+    each marginal is their normalised product, as :func:`posterior` takes it.  A parent's
+    message to child i excludes child i's own λ-message: running sums of the children's
+    log λ-messages from the left and from the right give all k "every sibling but one"
+    messages at once.  Log messages are only added, so a structural zero stays an exact
+    -inf, and each is max-shifted before it leaves the log domain, so neither wide fan-in
+    nor long chains underflow.  A child's π is its CPT weighted by that message, products
+    summed.
+
+    The rows go as batches of up to ROW_MEMO node-states, each held per parent and group
+    of children as per-state lists over (child, row), so every step is a few C-level
+    passes over a list, however many rows and children it holds.  Each row takes the
+    floating-point operations, in the order, that it takes alone.
+
+    Raises ImpossibleEvidenceError when a row's evidence has probability zero, naming where
+    support vanished on the way up, else the first node in breadth-first order whose π and
+    λ share no state.  A batch with such a row goes again a row at a time, so the first
+    impossible row in order raises what it raises alone."""
+    size = _plan(net)[3]
+    try:
+        parts = [_down(net, codes[start:start + size]) for start in range(0, len(codes), size)]
+    except ImpossibleEvidenceError:
+        if len(codes) > 1:
+            for row in codes:
+                _down(net, [row])  # alone, the first impossible row names its own node
+        raise
+    if len(parts) == 1:
+        return parts[0]
+    return {nid: tuple(chain.from_iterable(part[nid] for part in parts)) for nid in _plan(net)[0]}
 
 
 # kept for infer, the demos and bench/tracing.py
@@ -248,7 +383,7 @@ def propagate(inet: InstantiatedNetwork) -> Beliefs:
     :func:`downward` on its observation row, which names where support vanished when
     the evidence has probability zero."""
     net = inet.net
-    return Beliefs(downward(net, observation_codes(net, [inet.observed])[0]),
+    return Beliefs({nid: vecs[0] for nid, vecs in downward(net, observation_codes(net, [inet.observed])).items()},
                    {n.id: n.states for n in net.nodes})
 
 

@@ -9,73 +9,160 @@ entry, so wide fan-in and long chains do not underflow, and only the marginals a
 normalised.  Every sum is :func:`math.fsum`, the package's one summation rule.  It
 works in time linear in the nodes, with no cap on the joint state space, and shares no
 code with ``propagation``: no log domain, no numpy.
+
+It takes a batch of code rows at once.  Under each parent, an internal child alone and
+the leaves of each state count together form a group, whose vectors are held per state
+as one list over (child, row), child after child; the running products along a parent's
+children step a child at a time, each step a list per state over the rows.  So each
+step is a C-level pass over a list, and each row takes the floating-point operations it
+takes alone.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
+from operator import add, itemgetter, mul, truediv
 from typing import Sequence
 
 from .errors import ImpossibleEvidenceError
-from .network import Network, Node
+from .network import Network
+
+def _each(values: list[float], k: int):
+    """Each of ``values`` ``k`` times in a row."""
+    return chain.from_iterable(zip(*[values] * k))
 
 
-def _scaled(vec: Sequence[float]) -> list[float]:
-    """``vec`` divided by its largest entry; ImpossibleEvidenceError where every entry
-    is 0, as then the evidence has no mass."""
-    top = max(vec)
-    if not top > 0.0:
+def _scaled(flat: list[float], k: int) -> list[float]:
+    """Each run of ``k`` entries, one vector, divided by its largest entry;
+    ImpossibleEvidenceError where every entry of one is 0, as then the evidence has no
+    mass."""
+    tops = list(map(max, *[iter(flat)] * k))
+    if not min(tops) > 0.0:
         raise ImpossibleEvidenceError(None, "impossible evidence: total mass is zero")
-    return [v / top for v in vec]
+    return list(map(truediv, flat, _each(tops, k)))
 
 
-def _message(node: Node, lam: Sequence[float]) -> list[float]:
-    """``node``'s λ-message to its parent: per parent state, Σ_j CPT entry · λ[j]."""
-    return _scaled([math.fsum([p * q for p, q in zip(row, lam)]) for row in node.cpt])
+def _product(a: Sequence[float], b: Sequence[float], k: int) -> list[float]:
+    return _scaled(list(map(mul, a, b)), k)
 
 
-def _product(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    return _scaled([x * y for x, y in zip(a, b)])
+def _contract(flat: list[float], k: int, blocks, n: int, out: int) -> list[float]:
+    """For each run of ``k`` entries, one vector over a child's source states, Σ over them
+    of vector entry times CPT entry, per target state: ``out`` entries.  ``blocks`` holds
+    each child's CPT entries, target state after target state, one block per child of
+    the group, for each of ``n`` rows."""
+    vectors = chain.from_iterable(map(mul, zip(*[iter(flat)] * k), repeat(out)))
+    entries = chain.from_iterable(map(mul, blocks, repeat(n)))
+    return list(map(math.fsum, zip(*[map(mul, vectors, entries)] * k)))
 
 
-def marginals(net: Network, row: Sequence[int]) -> dict[str, tuple[float, ...]]:
-    """Every node's posterior marginals for one observation row (a state index per node
-    of ``net.nodes``, -1 where unobserved), in breadth-first order, as
-    :func:`~beliefscope.propagation.downward` gives them.  Raises ImpossibleEvidenceError
-    when the evidence has probability zero."""
+def _own(codes: list[int], states: int) -> list[float]:
+    """λ from each pair's own evidence: 1.0 at the observed state, or everywhere at -1."""
+    table = tuple(tuple(float(c == i) for i in range(states)) for c in range(states)) + ((1.0,) * states,)
+    return list(chain.from_iterable(map(table.__getitem__, codes)))
+
+
+def _tree(net: Network) -> tuple[list[str], list]:
+    """The breadth-first order, and per parent (or lone root), root first: its id, column,
+    state count, children, groups of children, and the children's positions group after
+    group, or None where that is their order.  A group is its children's positions, ids,
+    code columns (None for an internal child), state count, and per child its CPT
+    entries both ways round: [i][j] for the message up, [j][i] for π down."""
+    if "witness" in net.memo:
+        return net.memo["witness"]
     order = [net.root]
     for nid in order:
         order.extend(net.children[nid])
-    code = {node.id: c for node, c in zip(net.nodes, row)}
+    column = {node.id: j for j, node in enumerate(net.nodes)}
+    parents = []
+    for nid in [nid for nid in order if net.children[nid]] or order:
+        kids, groups, leaves = net.children[nid], [], {}
+        for k, child in enumerate(kids):
+            states = len(net.by_id[child].states)
+            if net.children[child]:
+                groups.append([k])
+            elif states in leaves:
+                leaves[states].append(k)
+            else:
+                leaves[states] = [k]
+                groups.append(leaves[states])
+        built = []
+        for positions in groups:
+            ids = [kids[k] for k in positions]
+            cpts = [net.by_id[child].cpt for child in ids]
+            built.append((positions, ids, None if net.children[ids[0]] else [column[c] for c in ids],
+                          len(cpts[0][0]), [tuple(chain.from_iterable(cpt)) for cpt in cpts],
+                          [tuple(chain.from_iterable(zip(*cpt))) for cpt in cpts]))
+        concat = [k for positions in groups for k in positions]
+        parents.append((nid, column[nid], len(net.by_id[nid].states), kids, built,
+                        None if concat == sorted(concat) else concat))
+    net.memo["witness"] = order, parents
+    return net.memo["witness"]
+
+
+def _codes(rows: Sequence[Sequence[int]], cols: list[int]) -> list[int]:
+    """The codes of ``cols`` in each row, column after column."""
+    if len(cols) == 1:
+        return list(map(itemgetter(cols[0]), rows))
+    return list(chain.from_iterable(zip(*map(itemgetter(*cols), rows))))
+
+
+def _beliefs(pi: list[float], lam: list[float], k: int, n: int) -> list[tuple]:
+    """π times λ, rescaled and then normalised: per child, a tuple of one vector per row."""
+    belief = _product(pi, lam, k)
+    total = list(map(math.fsum, zip(*[iter(belief)] * k)))
+    vectors = list(zip(*[iter(list(map(truediv, belief, _each(total, k))))] * k))
+    return list(zip(*[iter(vectors)] * n))
+
+
+def marginals(net: Network, rows: Sequence[Sequence[int]]) -> dict[str, tuple[tuple[float, ...], ...]]:
+    """Every node's posterior marginals for each observation row (a state index per node of
+    ``net.nodes``, -1 where unobserved), per node in breadth-first order, a vector per
+    row, as :func:`~beliefscope.propagation.downward` gives them.  Raises
+    ImpossibleEvidenceError when a row's evidence has probability zero."""
+    n = len(rows)
+    order, parents = _tree(net)
     own, lam, up = {}, {}, {}
-    for nid in reversed(order):  # leaves first
-        node = net.by_id[nid]
-        own[nid] = vec = [float(code[nid] < 0 or code[nid] == i) for i in range(len(node.states))]
-        for child in net.children[nid]:
-            vec = _product(vec, up[child])
-        lam[nid] = vec
-        if node.parent is not None:
-            up[nid] = _message(node, vec)
-    pi = {net.root: _scaled(net.by_id[net.root].cpt[0])}
-    beliefs = {}
-    for nid in order:  # root first
-        belief = _product(pi[nid], lam[nid])
-        total = math.fsum(belief)
-        beliefs[nid] = tuple([b / total for b in belief])
-        kids = net.children[nid]
+    for nid, col, s, kids, groups, concat in reversed(parents):  # deepest first
+        msgs: list[tuple] = []  # per child, group after group: its message for each row
+        for positions, ids, cols, t, cpt, _ in groups:
+            if cols is not None:
+                lam[ids[0]] = _own(_codes(rows, cols), t)
+            msgs += zip(*[iter(_scaled(_contract(lam[ids[0]], t, cpt, n, s), s))] * (n * s))
+        if concat is not None:
+            msgs = list(map(msgs.__getitem__, sorted(range(len(concat)), key=concat.__getitem__)))
+        own[nid] = vec = _own(_codes(rows, [col]), s)
+        # λ takes the messages from the left, and the downward pass takes, per child, the
+        # product of those to its right, from the right: one running product over 2n rows
+        # takes both, the first message paired with the last
+        trail = [vec + [1.0] * (n * s)]
+        for pair in map(add, msgs[:-1], reversed(msgs[1:])):
+            trail.append(_product(trail[-1], pair, s))
+        up[nid] = msgs, trail[::-1]  # per child: its message, and a product whose right half is to its right
+        lam[nid] = _product(trail[-1][:n * s], msgs[-1], s) if msgs else vec
+    root = net.root
+    pi = {root: _scaled(list(net.by_id[root].cpt[0] * n), len(net.by_id[root].states))}
+    beliefs = {root: _beliefs(pi[root], lam[root], len(net.by_id[root].states), n)[0]}
+    for nid, _, s, kids, groups, concat in parents:  # root first
         if not kids:
             continue
         # the message to each child leaves out that child's own: the product of its
         # siblings' messages to the left of it times the product of those to the right
-        left = [_product(pi[nid], own[nid])]
-        for child in kids[:-1]:
-            left.append(_product(left[-1], up[child]))
-        right = [1.0] * len(lam[nid])
-        for i in reversed(range(len(kids))):
-            to_child = _product(left[i], right)
-            cpt = net.by_id[kids[i]].cpt
-            pi[kids[i]] = [math.fsum([t * cpt_row[j] for t, cpt_row in zip(to_child, cpt)])
-                           for j in range(len(cpt[0]))]
-            if i:
-                right = _product(right, up[kids[i]])
-    return beliefs
+        msgs, trail = up[nid]
+        left = [_product(pi[nid], own[nid], s)]
+        for msg in msgs[:-1]:
+            left.append(_product(left[-1], msg, s))
+        if concat is not None:
+            left, trail = list(map(left.__getitem__, concat)), list(map(trail.__getitem__, concat))
+        to_child = _product(list(chain.from_iterable(left)),
+                            list(chain.from_iterable(map(itemgetter(slice(n * s, None)), trail))), s)
+        start = 0
+        for positions, ids, cols, t, _, cpt in groups:
+            stop = start + n * len(ids) * s
+            child_pi = _contract(to_child[start:stop], s, cpt, n, t)
+            beliefs.update(zip(ids, _beliefs(child_pi, lam[ids[0]], t, n)))
+            if cols is None:
+                pi[ids[0]] = child_pi
+            start = stop
+    return {nid: beliefs[nid] for nid in order}

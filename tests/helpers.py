@@ -7,9 +7,11 @@ arithmetic) and never call the code paths they are used to verify.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from beliefscope import network
 from beliefscope.errors import (
+    ImpossibleEvidenceError,
     InvalidNetworkError,
     SpecSyntaxError,
     StreamValidationError,
@@ -504,6 +507,164 @@ def reference_validate_network(spec: NetworkSpec) -> Network:
                    {k: tuple(v) for k, v in children.items()})
 
 
+# ---------------------------------------------------------------------------
+# the per-row tree kernels, frozen as they were before they took a batch of rows
+
+
+def _reference_plan(net: Network):
+    order = [net.root]
+    for nid in order:
+        order.extend(net.children[nid])
+    steps = []
+    for nid in reversed([nid for nid in order if net.children[nid]] or order):  # or a lone root
+        steps.append((nid, len(net.by_id[nid].states), net.children[nid]))
+    return order, steps
+
+
+def _reference_normalised_exp(logs):
+    top = max(logs)
+    if top == -math.inf:
+        return None
+    vec = [math.exp(v - top) for v in logs]
+    total = math.fsum(vec)
+    return tuple([v / total for v in vec])
+
+
+def _reference_message(lam, cpt):
+    if lam is None:
+        return None
+    msg = [math.fsum([a * b for a, b in zip(lam, row)]) for row in cpt]
+    total = math.fsum(msg)
+    return tuple([math.log(q) if q else -math.inf for q in [m / total for m in msg]]) if total else None
+
+
+def _reference_posterior(prior, lam):
+    bel = [p * q for p, q in zip(prior, lam)]
+    total = math.fsum(bel)
+    return tuple([b / total for b in bel]) if total > 0.0 else None
+
+
+def reference_upward(net: Network, row) -> tuple[dict, dict, str | None]:
+    """Every node's normalised λ for one code row (None where no state keeps support), each
+    parent's children's log λ-messages, and where support vanished, or None."""
+    code = {node.id: c for node, c in zip(net.nodes, row)}
+    lam, fan_in, vanished = {}, {}, None
+    for nid, s, kids in _reference_plan(net)[1]:
+        msgs = fan_in[nid] = []
+        for child in kids:
+            node = net.by_id[child]
+            if net.children[child]:
+                msg = _reference_message(lam[child], node.cpt)
+            else:
+                t = len(node.states)
+                lam[child] = (tuple(float(i == code[child]) for i in range(t))
+                              if code[child] >= 0 else (1.0 / t,) * t)
+                msg = _reference_message(lam[child], node.cpt)
+            if msg is None:
+                vanished = child
+            msgs.append(msg)
+        if vanished is not None:
+            break
+        totals = [functools.reduce(operator.add, v) for v in zip(*msgs)] or [0.0] * s
+        if code[nid] >= 0:
+            totals = [t if i == code[nid] else -math.inf for i, t in enumerate(totals)]
+        lam[nid] = _reference_normalised_exp(totals)
+    else:
+        vanished = net.root if lam[net.root] is None else None
+    return lam, fan_in, vanished
+
+
+def reference_downward(net: Network, row) -> dict[str, tuple[float, ...]]:
+    """Every node's posterior marginals for one code row, in breadth-first order, as the
+    per-row downward kernel gave them, raising ImpossibleEvidenceError where it did."""
+    order, steps = _reference_plan(net)
+    code = {node.id: c for node, c in zip(net.nodes, row)}
+    lam, fan_in, vanished = reference_upward(net, row)
+    if vanished is not None:
+        raise ImpossibleEvidenceError(vanished)
+    root = net.root
+    pi = {root: net.by_id[root].cpt[0]}
+    marginals = {root: _reference_posterior(pi[root], lam[root])}
+    if marginals[root] is None:
+        raise ImpossibleEvidenceError(root)
+    for nid, _, kids in reversed(steps):
+        base = [math.log(p) if p else -math.inf for p in pi[nid]]
+        if code[nid] >= 0:
+            base = [b if i == code[nid] else -math.inf for i, b in enumerate(base)]
+        states, zero = list(zip(*fan_in[nid])), (0.0,) * len(base)
+        before = [zero, *zip(*[itertools.accumulate(v) for v in states])]
+        after = [zero, *zip(*[itertools.accumulate(reversed(v)) for v in states])]
+        last = len(kids) - 1
+        for i, child in enumerate(kids):
+            message = _reference_normalised_exp([b + p + q for b, p, q in
+                                                 zip(base, before[i], after[last - i])])
+            if message is None:
+                raise ImpossibleEvidenceError(child)
+            down = tuple(zip(*net.by_id[child].cpt))
+            pi[child] = [math.fsum([m * c for m, c in zip(message, column)]) for column in down]
+            marginals[child] = _reference_posterior(pi[child], lam[child])
+            if marginals[child] is None:
+                raise ImpossibleEvidenceError(child)
+    return {nid: marginals[nid] for nid in order}
+
+
+def _reference_scaled(vec):
+    top = max(vec)
+    if not top > 0.0:
+        raise ImpossibleEvidenceError(None, "impossible evidence: total mass is zero")
+    return [v / top for v in vec]
+
+
+def _reference_product(a, b):
+    return _reference_scaled([x * y for x, y in zip(a, b)])
+
+
+def reference_witness(net: Network, row) -> dict[str, tuple[float, ...]]:
+    """The per-row witness: sum-product on plain probabilities, every message and running
+    product rescaled by its largest entry, as ``witness.marginals`` gave it on one row."""
+    order = [net.root]
+    for nid in order:
+        order.extend(net.children[nid])
+    code = {node.id: c for node, c in zip(net.nodes, row)}
+    own, lam, up = {}, {}, {}
+    for nid in reversed(order):
+        node = net.by_id[nid]
+        own[nid] = vec = [float(code[nid] < 0 or code[nid] == i) for i in range(len(node.states))]
+        for child in net.children[nid]:
+            vec = _reference_product(vec, up[child])
+        lam[nid] = vec
+        if node.parent is not None:
+            up[nid] = _reference_scaled([math.fsum([p * q for p, q in zip(cpt_row, vec)])
+                                         for cpt_row in node.cpt])
+    pi = {net.root: _reference_scaled(net.by_id[net.root].cpt[0])}
+    beliefs = {}
+    for nid in order:
+        belief = _reference_product(pi[nid], lam[nid])
+        total = math.fsum(belief)
+        beliefs[nid] = tuple([b / total for b in belief])
+        kids = net.children[nid]
+        if not kids:
+            continue
+        left = [_reference_product(pi[nid], own[nid])]
+        for child in kids[:-1]:
+            left.append(_reference_product(left[-1], up[child]))
+        right = [1.0] * len(lam[nid])
+        for i in reversed(range(len(kids))):
+            to_child = _reference_product(left[i], right)
+            cpt = net.by_id[kids[i]].cpt
+            pi[kids[i]] = [math.fsum([t * cpt_row[j] for t, cpt_row in zip(to_child, cpt)])
+                           for j in range(len(cpt[0]))]
+            if i:
+                right = _reference_product(right, up[kids[i]])
+    return beliefs
+
+
+def one_row(kernel, net: Network, row) -> dict[str, tuple[float, ...]]:
+    """A batch kernel (``propagation.downward``, ``witness.marginals``) on a batch of one
+    row: each node's marginals for that row."""
+    return {nid: vecs[0] for nid, vecs in kernel(net, [row]).items()}
+
+
 def hex_rows(rows) -> list[list[str]]:
     """Rows of floats, each float as its exact hex text: compared bit for bit."""
     return [[float(v).hex() for v in row] for row in rows]
@@ -793,7 +954,7 @@ def whole_stream_command(args) -> int:
     for row in codes:  # each distinct row once, propagate before the witness
         if row in roots:
             continue
-        fast, slow = downward(net, row), marginals(net, row)
+        fast, slow = one_row(downward, net, row), one_row(marginals, net, row)
         worst = max([worst] + [abs(a - b) for nid in slow for a, b in zip(fast[nid], slow[nid])])
         roots[row] = slow[net.root]
     for belief, row in zip(trace.frames if trace is not None else (), codes):

@@ -724,7 +724,8 @@ class TestCheck:
         real = witness.marginals
 
         def skewed(*args, **kwargs):
-            return {nid: tuple(p + 1e-6 for p in vec) for nid, vec in real(*args, **kwargs).items()}
+            return {nid: tuple(tuple(p + 1e-6 for p in vec) for vec in vecs)
+                    for nid, vecs in real(*args, **kwargs).items()}
 
         # check imports the witness when it runs, so it is patched where it lives
         monkeypatch.setattr(witness, "marginals", skewed)
@@ -800,19 +801,19 @@ class TestCheckFailures:
     def test_past_the_old_cap_every_distinct_row_is_compared(self, capsys, monkeypatch, tmp_path,
                                                              spot_later, children):
         """Past 2**20 joint states, where the enumeration oracle stopped, each distinct
-        row goes through downward and then the witness, in first-seen order."""
+        row goes through downward and then the witness, in first-seen order, as one batch."""
         calls = []
         for module, name in ((propagation, "downward"), (witness, "marginals")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
-                                calls.append((name, args[1][1])) or real(*args))
+                                calls.append((name, [row[1] for row in args[1]])) or real(*args))
         spec = wide_spot_spec_file(tmp_path, children, spot_cpt=((0.7, 0.3), (0.2, 0.8)))
         code, out, err = run(capsys, "check", "--spec", spec, "--stream", spot_later)
         assert (code, err) == (0, "")
         residual, compared = CHECK_LINE.fullmatch(out).groups()
         assert float(residual) < 1e-9 and compared == "3"
         # f's code: absent (1) in the first frame, present (0) in the other two
-        assert calls == [("downward", 1), ("marginals", 1), ("downward", 0), ("marginals", 0)]
+        assert calls == [("downward", [1, 0]), ("marginals", [1, 0])]
 
     def test_an_impossible_first_row_is_propagated_first(self, capsys, tmp_path):
         spec = wide_spot_spec_file(tmp_path, 20)
@@ -858,13 +859,14 @@ def lumen_file(tmp_path, prior, mode, dark_cpt=((0.8, 0.2), (0.2, 0.8))):
 
 
 class TestCheckRoutes:
-    @pytest.mark.parametrize("chunk", [3, 256])
+    @pytest.mark.parametrize("chunk", [1, 3, 256])
     @pytest.mark.parametrize("mode", ["paper", "filter"])
     def test_each_distinct_semi_static_row_is_compared_once(self, monkeypatch, tmp_path, chunk,
                                                              mode):
         """A semi-static frame's row goes on the per-frame tree with a flat hypothesis prior,
         not the model's own, and each distinct row once for the whole stream, across
-        chunks, through downward and then the witness."""
+        chunks, through downward and then the witness: each chunk's new rows as one batch,
+        in first-seen order, and a chunk with none calls neither."""
         spec, path = lumen_file(tmp_path, (0.7, 0.3), mode), dark_stream_file(tmp_path)
         calls = []
         for module, name in ((propagation, "downward"), (witness, "marginals")):
@@ -877,8 +879,9 @@ class TestCheckRoutes:
         residual, compared = CHECK_LINE.fullmatch(out).groups()
         assert float(residual) < 1e-9 and compared == "20"
         # the dark region's code: present (0) in the first frame, absent (1) in the second
-        assert [(name, row[1]) for name, _, row in calls] == [
-            ("downward", 0), ("marginals", 0), ("downward", 1), ("marginals", 1)]
+        batches = [[0], [1]] if chunk == 1 else [[0, 1]]
+        assert [(name, [row[1] for row in rows]) for name, _, rows in calls] == [
+            (name, batch) for batch in batches for name in ("downward", "marginals")]
         assert {net.node("lumen").cpt[0] for _, net, _ in calls} == {(0.5, 0.5)}
 
     def test_a_certain_static_prior_in_filter_mode_exits_0(self, capsys, tmp_path):
@@ -898,7 +901,7 @@ class TestCheckRoutes:
     def test_a_skewed_witness_on_the_semi_static_route_exits_4(self, capsys, monkeypatch, tmp_path):
         real = witness.marginals
         monkeypatch.setattr(witness, "marginals", lambda *args: {
-            nid: tuple(p + 1e-6 for p in vec) for nid, vec in real(*args).items()})
+            nid: tuple(tuple(p + 1e-6 for p in vec) for vec in vecs) for nid, vecs in real(*args).items()})
         code, out, err = run(capsys, "check", "--model", "lumen_tracker",
                              "--stream", dark_stream_file(tmp_path))
         assert code == 4
@@ -935,11 +938,11 @@ class TestCheckRoutes:
         def evidence(net, row):
             return frozenset((node.id, node.states[c]) for node, c in zip(net.nodes, row) if c >= 0)
 
-        # one downward call and then one witness call per evidence set
+        # each evidence set once in a downward batch and then once in the same witness batch
         for name in ("downward", "marginals"):
-            rows = [evidence(net, row) for net, row, *_ in calls[name]]
+            rows = [evidence(net, row) for net, batch, *_ in calls[name] for row in batch]
             assert len(rows) == len(distinct) and set(rows) == distinct, name
-        assert [row for _, row, *_ in calls["downward"]] == [row for _, row, *_ in calls["marginals"]]
+        assert [batch for _, batch, *_ in calls["downward"]] == [batch for _, batch, *_ in calls["marginals"]]
 
     def test_skewed_star_route_exits_4(self, capsys, monkeypatch, tmp_path):
         _, path = spot_stream_file(tmp_path)

@@ -17,7 +17,7 @@ from beliefscope.network import (
     network_spec_from_document,
     validate_network,
 )
-from beliefscope import propagation, temporal
+from beliefscope import propagation, temporal, witness
 from beliefscope.network import _build_network, normalised_rows
 from beliefscope.propagation import (
     ENUMERATION_CAP,
@@ -38,9 +38,13 @@ from helpers import (
     hex_rows,
     loop_enumerate,
     normalized,
+    one_row,
     per_evidence_enumeration,
     random_evidence,
     random_tree_spec,
+    reference_downward,
+    reference_upward,
+    reference_witness,
     star_posterior,
 )
 from test_network import TWO_NODE
@@ -302,7 +306,7 @@ class TestUpwardKernel:
         kept = dict(net.memo["rows"])
         assert list(kept) == list(dict.fromkeys(codes))  # one pass per distinct row
         for row in codes:
-            downward(net, row)
+            downward(net, [row])
         assert upward(net, codes) == first
         assert all(net.memo["rows"][row] is kept[row] for row in kept)  # reused, not recomputed
         monkeypatch.setattr(propagation, "ROW_MEMO", 2 * len(net.nodes))  # two rows' λs
@@ -325,9 +329,9 @@ class TestUpwardKernel:
         for row, (assignments, prior) in enumerate(zip(observed, priors)):
             tree = validate_network(spec.with_root_prior(prior))
             inet = apply_evidence(tree, EvidenceSet(assignments))
-            fast = downward(tree, codes[row])
+            fast = one_row(downward, tree, codes[row])
             assert propagate(inet).marginals == fast
-            lam = downward(flat, codes[row])[spec.root]
+            lam = one_row(downward, flat, codes[row])[spec.root]
             assert np.abs(np.subtract(fast[spec.root], posterior(prior, lam))).max() < 1e-12
             if len(tree.nodes) <= 8:
                 for nid, vec in brute_force_beliefs(inet).marginals.items():
@@ -406,7 +410,7 @@ class TestDownwardAgainstOracles:
         small = math.prod([len(n.states) for n in net.nodes]) <= 1 << 14
         inet = apply_evidence(net, EvidenceSet(assignments))
         try:
-            fast = downward(net, row)
+            fast = one_row(downward, net, row)
         except ImpossibleEvidenceError:
             assert exact is None
             if small:
@@ -450,7 +454,7 @@ class TestBatchedKernels:
                 for nid, vec in want.items():
                     assert np.abs(vec - slow[nid]).max() < 1e-12, nid
             try:
-                fast = downward(tree, codes[row])
+                fast = one_row(downward, tree, codes[row])
             except ImpossibleEvidenceError as exc:
                 # support vanished below the root, or the root prior rules out λ
                 node = first_vanished(spec, assignments)
@@ -473,10 +477,10 @@ class TestBatchedKernels:
         codes = observation_codes(validate_network(spec), [{}, {"F": "t"}, {"G": "t"}])
         trees = [validate_network(spec.with_root_prior(prior))
                  for prior in ([0.5, 0.5], [1.0, 0.0], [0.5, 0.5])]
-        assert downward(trees[0], codes[0])["O"] == (0.5, 0.5)
+        assert downward(trees[0], codes[:1])["O"] == ((0.5, 0.5),)
         for row, node in ((1, "O"), (2, "G")):
             with pytest.raises(ImpossibleEvidenceError) as exc:
-                downward(trees[row], codes[row])
+                downward(trees[row], [codes[row]])
             assert exc.value.node == node
 
     def test_enumeration_near_the_cap_stays_in_bounded_memory(self):
@@ -498,3 +502,134 @@ class TestBatchedKernels:
         assert slow.distribution("c19") == (1.0, 0.0)
         for nid, vec in propagate(inet).marginals.items():
             assert np.abs(np.subtract(vec, slow.distribution(nid))).max() < 1e-12, nid
+
+
+def mixed_star_spec(rng, leaves, p_zero):
+    """A hub of 2 to 5 states over ``leaves`` leaves of 2 to 5 states each."""
+    k = rng.randint(2, 5)
+    hub = NodeSpec("hub", "chance", tuple(f"h{j}" for j in range(k)), (), (normalized(rng, k, p_zero),))
+    nodes = [hub]
+    for i in range(leaves):
+        t = rng.randint(2, 5)
+        nodes.append(NodeSpec(f"l{i}", "chance", tuple(f"s{j}" for j in range(t)), ("hub",),
+                              tuple(normalized(rng, t, p_zero) for _ in range(k))))
+    return NetworkSpec("hub", tuple(nodes))
+
+
+def mixed_chain_spec(rng, length, p_zero):
+    """A chain of ``length`` nodes of 2 to 12 states each."""
+    nodes = []
+    for i in range(length):
+        t = rng.randint(2, 12)
+        parent = nodes[-1] if nodes else None
+        rows = tuple(normalized(rng, t, p_zero) for _ in (parent.states if parent else (0,)))
+        nodes.append(NodeSpec(f"c{i}", "chance", tuple(f"s{j}" for j in range(t)),
+                              (parent.id,) if parent else (), rows))
+    return NetworkSpec("c0", tuple(nodes))
+
+
+def sampled_rows(rng, net, count, p_observe=0.4, p_wild=0.15):
+    """``count`` code rows, repeats among them: most observe about ``p_observe`` of the
+    nodes at the states of one joint sample, so they keep support; the others observe
+    states drawn at random, so many of them are impossible."""
+    order = [net.root]
+    for nid in order:
+        order.extend(net.children[nid])
+    column = {node.id: j for j, node in enumerate(net.nodes)}
+    distinct = []
+    for _ in range(rng.randint(1, count)):
+        state, row, wild = {}, [-1] * len(net.nodes), rng.random() < p_wild
+        for nid in order:
+            node = net.by_id[nid]
+            weights = node.cpt[state[node.parent] if node.parent is not None else 0]
+            state[nid] = rng.choices(range(len(node.states)), weights)[0]
+            if rng.random() < p_observe:
+                row[column[nid]] = rng.randrange(len(node.states)) if wild else state[nid]
+        distinct.append(tuple(row))
+    return [rng.choice(distinct) for _ in range(count)]
+
+
+def _hexed(marginals):
+    return {nid: [float(p).hex() for p in vec] for nid, vec in marginals.items()}
+
+
+def _first_error(kernel, net, rows):
+    """What the per-row loop over ``rows`` raises first, or None."""
+    for row in rows:
+        try:
+            kernel(net, row)
+        except ImpossibleEvidenceError as exc:
+            return exc.node, str(exc)
+    return None
+
+
+class TestBatchesAreThePerRowKernels:
+    """upward, downward and the witness on a batch of rows give each row, bit for bit, what
+    the per-row kernels they replaced gave it (frozen in helpers), and a batch with an
+    impossible row raises what the per-row loop raises first."""
+
+    def check(self, net, rows):
+        for kernel, reference in ((downward, reference_downward), (witness.marginals, reference_witness)):
+            want = {}
+            for row in dict.fromkeys(rows):
+                try:
+                    want[row] = _hexed(reference(net, row))
+                except ImpossibleEvidenceError as exc:
+                    want[row] = exc.node, str(exc)
+            errors = [want[row] for row in rows if isinstance(want[row], tuple)]
+            if errors:
+                with pytest.raises(ImpossibleEvidenceError) as exc:
+                    kernel(net, rows)
+                assert (exc.value.node, str(exc.value)) == errors[0], kernel
+            fine = [row for row in rows if isinstance(want[row], dict)]
+            got = kernel(net, fine) if fine else {}
+            for i, row in enumerate(fine):
+                assert _hexed({nid: vecs[i] for nid, vecs in got.items()}) == want[row], kernel
+        lam, vanished = upward(net, rows)
+        for row, vec, at in zip(rows, lam, vanished):
+            ref_lam, _, ref_at = reference_upward(net, row)
+            assert at == ref_at
+            if at is None:
+                assert [p.hex() for p in vec] == [p.hex() for p in ref_lam[net.root]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_random_trees_of_2_to_12_states(self, seed):
+        rng = random.Random(seed)
+        spec = random_tree_spec(rng, rng.randint(1, 14), max_states=12, p_zero=0.2)
+        net = validate_network(spec)
+        self.check(net, sampled_rows(rng, net, rng.randint(1, 60)))
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), leaves=st.integers(1, 2000))
+    @example(seed=0, leaves=2000)
+    def test_stars_of_mixed_leaves(self, seed, leaves):
+        """Up to 2,000 leaves of 2 to 5 states under one hub, in several batches of at
+        most ROW_MEMO node-states when they are wide."""
+        rng = random.Random(seed)
+        net = validate_network(mixed_star_spec(rng, leaves, 0.2))
+        self.check(net, sampled_rows(rng, net, rng.randint(1, 60)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_chains(self, seed):
+        rng = random.Random(seed)
+        net = validate_network(mixed_chain_spec(rng, rng.randint(2, 60), 0.2))
+        self.check(net, sampled_rows(rng, net, rng.randint(1, 60)))
+
+    def test_an_impossible_row_in_a_batch_raises_what_it_raises_alone(self):
+        spec = NetworkSpec("O", (
+            NodeSpec("O", "chance", ("t", "f"), (), ((1.0, 0.0),)),
+            NodeSpec("F", "chance", ("t", "f"), ("O",), ((0.0, 1.0), (1.0, 0.0))),
+            NodeSpec("G", "chance", ("t", "f"), ("O",), ((0.0, 1.0), (0.0, 1.0))),
+            NodeSpec("H", "chance", ("t", "f"), ("O",), ((0.3, 0.7), (0.6, 0.4))),
+        ))
+        net = validate_network(spec)
+        # F=t keeps support below the root, which its prior then rules out; G=t has none
+        fine, f, g = observation_codes(net, [{"H": "t"}, {"F": "t"}, {"G": "t"}])
+        for rows, node in (([fine, f, g], "O"), ([fine, g, f], "G"), ([f, f], "O")):
+            with pytest.raises(ImpossibleEvidenceError) as exc:
+                downward(net, rows)
+            assert (exc.value.node, str(exc.value)) == _first_error(reference_downward, net, rows)
+            assert exc.value.node == node
+        assert list(downward(net, [fine, fine])["O"]) == [reference_downward(net, fine)["O"]] * 2

@@ -22,7 +22,7 @@ from beliefscope.network import (
 )
 from beliefscope.propagation import brute_force_beliefs, downward, observation_codes
 
-from helpers import exact_beliefs, normalized, random_evidence, random_tree_spec
+from helpers import exact_beliefs, normalized, one_row, random_evidence, random_tree_spec
 from test_propagation import wide_tree_spec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -50,13 +50,13 @@ class TestAgainstEnumeration:
         row = observation_codes(net, [assignments])[0]
         prior = normalized(rng, len(net.node(net.root).states), p_zero) if row_prior else None
         tree = validate_network(spec if prior is None else spec.with_root_prior(prior))
-        got = outcome(lambda: witness.marginals(tree, row))
+        got = outcome(lambda: one_row(witness.marginals, tree, row))
         want = outcome(lambda: brute_force_beliefs(apply_evidence(tree, EvidenceSet(assignments))))
         assert (got is ImpossibleEvidenceError) == (want is ImpossibleEvidenceError)
-        assert (got is ImpossibleEvidenceError) == (outcome(lambda: downward(tree, row))
+        assert (got is ImpossibleEvidenceError) == (outcome(lambda: downward(tree, [row]))
                                                     is ImpossibleEvidenceError)
         if got is not ImpossibleEvidenceError:
-            assert list(got) == list(downward(tree, row))  # breadth-first order
+            assert list(got) == list(downward(tree, [row]))  # breadth-first order
             for nid, vec in got.items():
                 assert np.abs(np.subtract(vec, want.distribution(nid))).max() < 1e-12, nid
 
@@ -73,7 +73,7 @@ class TestAgainstExactArithmetic:
         assignments = random_evidence(rng, spec).assignments
         row = observation_codes(net, [assignments])[0]
         exact = exact_beliefs(net, assignments)
-        got = outcome(lambda: witness.marginals(net, row))
+        got = outcome(lambda: one_row(witness.marginals, net, row))
         if exact is None:
             assert got is ImpossibleEvidenceError
             return
@@ -104,7 +104,7 @@ class TestWideInfer:
     def test_the_closed_forms_agree(self, bench, wide_infer):
         (truth, _, _), (_, oracle) = wide_infer, bench
         net = validate_network(network_spec_from_document(truth["spec"]))
-        got = witness.marginals(net, observation_codes(net, [truth["evidence"]])[0])
+        got = one_row(witness.marginals, net, observation_codes(net, [truth["evidence"]])[0])
         want = oracle.wide_tree_beliefs(truth["spec"], truth["evidence"])
         assert set(got) == set(want)
         for nid, vec in got.items():
@@ -124,9 +124,24 @@ class TestWideInfer:
         truth, tree, evidence = wide_infer
         leaf = max((n for n in truth["spec"]["nodes"] if n["id"] in truth["evidence"]),
                    key=lambda n: abs(n["cpt"][0][0] - n["cpt"][1][0]))["id"]
-        real = witness._message
-        monkeypatch.setattr(witness, "_message", lambda node, lam:
-                            [1.0] * len(node.cpt) if node.id == leaf else real(node, lam))
+        real = witness._tree
+
+        def dropped(net):
+            """The witness's plan with the leaf's CPT all ones on the way up, so that its
+            message to the hub is all ones."""
+            order, parents = real(net)
+            changed = []
+            for *parent, groups, concat in parents:
+                regrouped = []
+                for positions, ids, cols, states, up, down in groups:
+                    if leaf in ids:
+                        up = [(1.0,) * len(block) if child == leaf else block
+                              for child, block in zip(ids, up)]
+                    regrouped.append((positions, ids, cols, states, up, down))
+                changed.append((*parent, regrouped, concat))
+            return order, changed
+
+        monkeypatch.setattr(witness, "_tree", dropped)
         assert cli.main(["check", "--spec", tree, "--scene", evidence]) == 4
         assert "oracle mismatch" in capsys.readouterr().err
 
