@@ -3,15 +3,15 @@
 One upward kernel, :func:`upward`, computes every node's likelihood (λ) for a batch of
 observation rows, and :func:`downward` adds the prior (π) pass to give every node's
 marginals for each row.  A batch is held per parent and per group of its children with
-one state count, every vector as one list per state over (child, row) pairs, so each
-step is a few C-level passes over a list, however many rows and children it holds,
-not some ten Python passes per child of each row.  Each row still takes, in the same
-order, the floating-point operations it takes alone.  Both run on Python floats and
-sum every probability vector with :func:`math.fsum`, the exact sum rounded once.
-``track`` runs the upward kernel on each chunk's distinct rows and takes each
-hypothesis posterior from its root λ through :func:`posterior`, the π·λ step
-:func:`downward` takes at every node; :func:`propagate` is the downward kernel on a
-batch of one evidence set.  ``check`` certifies :func:`downward` against
+one state count, the vectors of every (child, row) pair of a group one after another in
+one flat list, so each step is a few C-level passes over a list, however many rows and
+children it holds, not some ten Python passes per child of each row.  Each row still
+takes, in the same order, the floating-point operations it takes alone.  Both run on
+Python floats and sum every probability vector with :func:`math.fsum`, the exact sum
+rounded once.  ``track`` runs the upward kernel on each chunk's distinct rows and
+takes each hypothesis posterior from its root λ through :func:`posterior`, the π·λ
+step :func:`downward` takes at every node; :func:`propagate` is the downward kernel on
+a batch of one evidence set.  ``check`` certifies :func:`downward` against
 :mod:`beliefscope.witness`, which shares no code with it.  A joint-enumeration oracle,
 :func:`brute_force_beliefs`, kept for the tests, the demos and the benchmark, gives
 :func:`propagate`'s marginals by summing the whole joint table, on joint state spaces
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, reduce
-from itertools import accumulate, chain, cycle, repeat
+from itertools import accumulate, chain, cycle, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter, mul, sub, truediv
 from typing import Mapping, Sequence
@@ -111,11 +111,13 @@ def _sums(flat: list[float], k: int) -> list[float]:
 
 def _each(values: list, k: int):
     """Each of ``values`` ``k`` times in a row."""
-    return chain.from_iterable(zip(*[values] * k))
+    return values * k if len(values) == 1 else chain.from_iterable(zip(*[values] * k))
 
 
 def _tiled(vectors: list[float], k: int, times: int):
     """Each run of ``k`` entries ``times`` times in a row."""
+    if len(vectors) == k:
+        return vectors * times
     return chain.from_iterable(map(mul, zip(*[iter(vectors)] * k), repeat(times)))
 
 
@@ -150,32 +152,35 @@ def _plan(net: Network) -> tuple[list[str], dict[str, int], list, int]:
     for nid in order:
         order.extend(net.children[nid])
     column = {node.id: j for j, node in enumerate(net.nodes)}
+    cpts = [node.cpt for node in net.nodes]
+    # per node: its state count, and its CPT entries [i][j] (up) and [j][i] (down), flattened
+    states = dict(zip(column, map(len, map(itemgetter(0), cpts))))
+    up = dict(zip(column, map(tuple, map(chain.from_iterable, cpts))))
+    down = dict(zip(column, map(tuple, map(chain.from_iterable, starmap(zip, cpts)))))
     steps = []
     for nid in reversed([nid for nid in order if net.children[nid]] or order):  # or a lone root
         kids, groups, leaves = net.children[nid], [], {}
         for k, child in enumerate(kids):
-            t = len(net.by_id[child].states)
             if net.children[child]:
                 groups.append([k])
-            elif t in leaves:
-                leaves[t].append(k)
+            elif states[child] in leaves:
+                leaves[states[child]].append(k)
             else:
-                leaves[t] = [k]
-                groups.append(leaves[t])
+                leaves[states[child]] = [k]
+                groups.append(leaves[states[child]])
         built = []
         for positions in groups:
             ids = [kids[k] for k in positions]
-            up = tuple(tuple(chain.from_iterable(net.by_id[c].cpt)) for c in ids)
-            down = tuple(tuple(chain.from_iterable(zip(*net.by_id[c].cpt))) for c in ids)
-            built.append((positions, ids, None if net.children[ids[0]] else [column[c] for c in ids],
-                          len(net.by_id[ids[0]].states), up, tuple(chain.from_iterable(up)),
-                          down, tuple(chain.from_iterable(down))))
-        regroup, concat = None, [k for positions in groups for k in positions]
-        if concat != sorted(concat):
+            ups, downs = tuple(map(up.__getitem__, ids)), tuple(map(down.__getitem__, ids))
+            built.append((positions, ids, None if net.children[ids[0]] else list(map(column.__getitem__, ids)),
+                          states[ids[0]], ups, ups[0] if len(ids) == 1 else tuple(chain.from_iterable(ups)),
+                          downs, downs[0] if len(ids) == 1 else tuple(chain.from_iterable(downs))))
+        regroup, concat = None, list(chain.from_iterable(groups))
+        if len(groups) > 1 and concat != sorted(concat):
             regroup = (itemgetter(*concat), itemgetter(*sorted(range(len(concat)), key=concat.__getitem__)),
                        concat)
-        steps.append((nid, column[nid], len(net.by_id[nid].states), kids, built, regroup))
-    size = max(1, ROW_MEMO // sum([len(node.states) for node in net.nodes]))
+        steps.append((nid, column[nid], states[nid], kids, built, regroup))
+    size = max(1, ROW_MEMO // sum(states.values()))
     net.memo["plan"] = order, column, steps, size
     return net.memo["plan"]
 
@@ -194,8 +199,9 @@ def observation_codes(net: Network, observed: Sequence[Mapping[str, str]]) -> li
 
 
 def _up(net: Network, rows: Sequence[Row]) -> tuple[dict, dict, list[str | None]]:
-    """The λ pass over a batch of code rows: every node's normalised λ, each parent's
-    children's log λ-messages, and per row where support vanished, or None.
+    """The λ pass over a batch of code rows: every node's normalised λ, the children's log
+    λ-messages of each parent of more than one child, and per row where support
+    vanished, or None.
 
     λ is kept per internal node over its rows, and per group of leaves under the id of its
     first leaf over (child, row) pairs, one vector after another in a flat list, all zero
@@ -223,7 +229,9 @@ def _up(net: Network, rows: Sequence[Row]) -> tuple[dict, dict, list[str | None]
         for r, k in lost.items():
             if vanished[r] is None:
                 vanished[r] = kids[k]
-        if kids:  # per row and parent state, the children's messages in their own order
+        if len(kids) == 1:  # a lone child's messages are the totals
+            totals = logs
+        elif kids:  # per row and parent state, the children's messages in their own order
             fan_in[nid] = list(zip(*zip(*[iter(logs)] * (n * s))))
             if regroup is not None:
                 fan_in[nid] = list(map(regroup[1], fan_in[nid]))
@@ -312,14 +320,16 @@ def _down(net: Network, rows: Sequence[Row]) -> dict[str, tuple[Vector, ...]]:
         codes = list(map(itemgetter(col), rows))
         if max(codes) >= 0:  # observed: other states ruled out
             base = [b if c < 0 or c == i else -math.inf for b, c, i in zip(base, _each(codes, s), cycle(range(s)))]
-        # per child, every sibling's message but its own: running sums from the left and
-        # from the right, per row and parent state
-        before = [(0.0, *accumulate(v[:-1])) for v in fan_in[nid]]
-        after = [(*accumulate(reversed(v[1:])),)[::-1] + (0.0,) for v in fan_in[nid]]
-        if regroup is not None:
-            before, after = list(map(regroup[0], before)), list(map(regroup[0], after))
-        logs = list(map(add, map(add, base * len(kids), chain.from_iterable(zip(*before))),
-                        chain.from_iterable(zip(*after))))  # over (child, row) pairs, group after group
+        if len(kids) == 1:  # no sibling: adding the empty sums, 0.0, would change no log (none is -0.0)
+            logs = base
+        else:  # per child, every sibling's message but its own: running sums from the left
+            # and from the right, per row and parent state
+            before = [(0.0, *accumulate(v[:-1])) for v in fan_in[nid]]
+            after = [(*accumulate(reversed(v[1:])),)[::-1] + (0.0,) for v in fan_in[nid]]
+            if regroup is not None:
+                before, after = list(map(regroup[0], before)), list(map(regroup[0], after))
+            logs = list(map(add, map(add, base * len(kids), chain.from_iterable(zip(*before))),
+                            chain.from_iterable(zip(*after))))  # over (child, row) pairs, group after group
         top = list(map(max, *[iter(logs)] * s))
         failed = []  # (row, child position) where no state keeps support
         if -math.inf in top:  # no state of the parent keeps support without this child
@@ -356,8 +366,8 @@ def downward(net: Network, codes: Sequence[Row]) -> dict[str, tuple[Vector, ...]
     summed.
 
     The rows go as batches of up to ROW_MEMO node-states, each held per parent and group
-    of children as per-state lists over (child, row), so every step is a few C-level
-    passes over a list, however many rows and children it holds.  Each row takes the
+    of children as one flat list of the vectors of its (child, row) pairs, so every step
+    is a few C-level passes over a list, however many rows and children it holds.  Each row takes the
     floating-point operations, in the order, that it takes alone.
 
     Raises ImpossibleEvidenceError when a row's evidence has probability zero, naming where

@@ -11,33 +11,38 @@ works in time linear in the nodes, with no cap on the joint state space, and sha
 code with ``propagation``: no log domain, no numpy.
 
 It takes a batch of code rows at once.  Under each parent, an internal child alone and
-the leaves of each state count together form a group, whose vectors are held per state
-as one list over (child, row), child after child; the running products along a parent's
-children step a child at a time, each step a list per state over the rows.  So each
-step is a C-level pass over a list, and each row takes the floating-point operations it
-takes alone.
+the leaves of each state count together form a group, whose vectors, one per (child,
+row) pair, child after child, are held one after another in one flat list; the running
+products along a parent's children step a child at a time, each step one list of a
+vector per row.  So each step is a few C-level passes over a list, and each row takes
+the floating-point operations it takes alone.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from functools import cache
+from itertools import chain, repeat, starmap
 from operator import add, itemgetter, mul, truediv
 from typing import Sequence
 
 from .errors import ImpossibleEvidenceError
 from .network import Network
 
+#: the most node-states of code rows :func:`marginals` holds at once
+BATCH = 1 << 15
+
+
 def _each(values: list[float], k: int):
     """Each of ``values`` ``k`` times in a row."""
-    return chain.from_iterable(zip(*[values] * k))
+    return values * k if len(values) == 1 else chain.from_iterable(zip(*[values] * k))
 
 
 def _scaled(flat: list[float], k: int) -> list[float]:
     """Each run of ``k`` entries, one vector, divided by its largest entry;
     ImpossibleEvidenceError where every entry of one is 0, as then the evidence has no
     mass."""
-    tops = list(map(max, *[iter(flat)] * k))
+    tops = [max(flat)] if len(flat) == k else list(map(max, *[iter(flat)] * k))
     if not min(tops) > 0.0:
         raise ImpossibleEvidenceError(None, "impossible evidence: total mass is zero")
     return list(map(truediv, flat, _each(tops, k)))
@@ -52,15 +57,25 @@ def _contract(flat: list[float], k: int, blocks, n: int, out: int) -> list[float
     of vector entry times CPT entry, per target state: ``out`` entries.  ``blocks`` holds
     each child's CPT entries, target state after target state, one block per child of
     the group, for each of ``n`` rows."""
-    vectors = chain.from_iterable(map(mul, zip(*[iter(flat)] * k), repeat(out)))
-    entries = chain.from_iterable(map(mul, blocks, repeat(n)))
-    return list(map(math.fsum, zip(*[map(mul, vectors, entries)] * k)))
+    if len(flat) == k:  # one vector
+        vectors = flat * out
+    else:
+        vectors = chain.from_iterable(map(mul, zip(*[iter(flat)] * k), repeat(out)))
+    products = map(mul, vectors, chain.from_iterable(map(mul, blocks, repeat(n))))
+    if k == 2:  # the sum of two non-negative floats is rounded once, as fsum's
+        return list(map(add, products, products))
+    return list(map(math.fsum, zip(*[products] * k)))
+
+
+@cache
+def _own_table(states: int) -> tuple[tuple[float, ...], ...]:
+    """λ from a node's own evidence by code: 1.0 at the observed state, or everywhere at -1."""
+    return tuple(tuple(float(c == i) for i in range(states)) for c in range(states)) + ((1.0,) * states,)
 
 
 def _own(codes: list[int], states: int) -> list[float]:
-    """λ from each pair's own evidence: 1.0 at the observed state, or everywhere at -1."""
-    table = tuple(tuple(float(c == i) for i in range(states)) for c in range(states)) + ((1.0,) * states,)
-    return list(chain.from_iterable(map(table.__getitem__, codes)))
+    """λ from each pair's own evidence, vector after vector."""
+    return list(chain.from_iterable(map(_own_table(states).__getitem__, codes)))
 
 
 def _tree(net: Network) -> tuple[list[str], list]:
@@ -75,28 +90,30 @@ def _tree(net: Network) -> tuple[list[str], list]:
     for nid in order:
         order.extend(net.children[nid])
     column = {node.id: j for j, node in enumerate(net.nodes)}
+    cpts = [node.cpt for node in net.nodes]
+    # per node: its state count, and its CPT entries [i][j] (up) and [j][i] (down), flattened
+    size = dict(zip(column, map(len, map(itemgetter(0), cpts))))
+    up = dict(zip(column, map(tuple, map(chain.from_iterable, cpts))))
+    down = dict(zip(column, map(tuple, map(chain.from_iterable, starmap(zip, cpts)))))
     parents = []
     for nid in [nid for nid in order if net.children[nid]] or order:
         kids, groups, leaves = net.children[nid], [], {}
         for k, child in enumerate(kids):
-            states = len(net.by_id[child].states)
             if net.children[child]:
                 groups.append([k])
-            elif states in leaves:
-                leaves[states].append(k)
+            elif size[child] in leaves:
+                leaves[size[child]].append(k)
             else:
-                leaves[states] = [k]
-                groups.append(leaves[states])
+                leaves[size[child]] = [k]
+                groups.append(leaves[size[child]])
         built = []
         for positions in groups:
             ids = [kids[k] for k in positions]
-            cpts = [net.by_id[child].cpt for child in ids]
-            built.append((positions, ids, None if net.children[ids[0]] else [column[c] for c in ids],
-                          len(cpts[0][0]), [tuple(chain.from_iterable(cpt)) for cpt in cpts],
-                          [tuple(chain.from_iterable(zip(*cpt))) for cpt in cpts]))
-        concat = [k for positions in groups for k in positions]
-        parents.append((nid, column[nid], len(net.by_id[nid].states), kids, built,
-                        None if concat == sorted(concat) else concat))
+            built.append((positions, ids, None if net.children[ids[0]] else list(map(column.__getitem__, ids)),
+                          size[ids[0]], list(map(up.__getitem__, ids)), list(map(down.__getitem__, ids))))
+        concat = list(chain.from_iterable(groups))
+        parents.append((nid, column[nid], size[nid], kids, built,
+                        None if len(groups) == 1 or concat == sorted(concat) else concat))
     net.memo["witness"] = order, parents
     return net.memo["witness"]
 
@@ -119,10 +136,15 @@ def _beliefs(pi: list[float], lam: list[float], k: int, n: int) -> list[tuple]:
 def marginals(net: Network, rows: Sequence[Sequence[int]]) -> dict[str, tuple[tuple[float, ...], ...]]:
     """Every node's posterior marginals for each observation row (a state index per node of
     ``net.nodes``, -1 where unobserved), per node in breadth-first order, a vector per
-    row, as :func:`~beliefscope.propagation.downward` gives them.  Raises
-    ImpossibleEvidenceError when a row's evidence has probability zero."""
+    row, as :func:`~beliefscope.propagation.downward` gives them.  The rows go as batches
+    of up to BATCH node-states.  Raises ImpossibleEvidenceError when a row's evidence has
+    probability zero."""
     n = len(rows)
     order, parents = _tree(net)
+    size = max(1, BATCH // sum([len(node.states) for node in net.nodes]))
+    if n > size:
+        parts = [marginals(net, rows[start:start + size]) for start in range(0, n, size)]
+        return {nid: tuple(chain.from_iterable(part[nid] for part in parts)) for nid in order}
     own, lam, up = {}, {}, {}
     for nid, col, s, kids, groups, concat in reversed(parents):  # deepest first
         msgs: list[tuple] = []  # per child, group after group: its message for each row

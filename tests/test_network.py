@@ -541,6 +541,15 @@ class TestSpecIngest:
             doc = small_wide_document(rng, 2 + seed % 4)
             assert_ingested_like_the_reference(edited_spec_text(doc, edit, choice, rng))
 
+    def test_the_column_passes_give_each_node_its_own_params(self):
+        """Every field goes by position, and each node gets a dict of its own: a shared
+        one would let a change to one node's params show on every node."""
+        doc = small_wide_document(random.Random(2), 4)
+        nodes = network._column_nodes(doc["nodes"])
+        assert nodes == reference_network_spec(doc).nodes
+        assert [node.params for node in nodes] == [{}] * len(nodes)
+        assert len({id(node.params) for node in nodes}) == len(nodes)
+
     def test_the_column_passes_take_a_wide_tree_and_doubt_near_the_tolerance(self):
         doc = small_wide_document(random.Random(1), 5)
         assert network._column_nodes(doc["nodes"]) is not None
