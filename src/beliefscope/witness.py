@@ -177,8 +177,11 @@ def marginals(net: Network, rows: Sequence[Sequence[int]]) -> dict[str, tuple[tu
             left.append(_product(left[-1], msg, s))
         if concat is not None:
             left, trail = list(map(left.__getitem__, concat)), list(map(trail.__getitem__, concat))
-        to_child = _product(list(chain.from_iterable(left)),
-                            list(chain.from_iterable(map(itemgetter(slice(n * s, None)), trail))), s)
+        if len(kids) == 1:  # no sibling: times all ones, a rescaled product (largest entry 1.0) is itself
+            to_child = left[0]
+        else:
+            to_child = _product(list(chain.from_iterable(left)),
+                                list(chain.from_iterable(map(itemgetter(slice(n * s, None)), trail))), s)
         start = 0
         for positions, ids, cols, t, _, cpt in groups:
             stop = start + n * len(ids) * s
