@@ -416,13 +416,13 @@ def _cmd_check(args) -> int:
     (:func:`_rows_to_check`).  Each chunk's code rows not seen before go, in first-seen
     order, as one batch through ``downward`` and then through the witness
     (:func:`_residual`); the witness's results are kept for the whole stream, as most
-    frames and windows repeat an evidence set.  A semi-static frame's row goes on the flat-prior tree, where the
-    hypothesis marginal is the frame's normalised likelihood, so its printed posterior
-    is compared with that marginal times the printed effective prior, normalised.
-    Every frame or window still counts in ``over N network(s)``.  A kernel error is
-    raised after the whole stream, so an error ``track`` raises on a later frame comes
-    first.  The line still reads "propagate - enumeration", as the benchmark's oracle
-    parses it.
+    frames and windows repeat an evidence set.  A semi-static frame's row goes on the
+    flat-prior tree, where the hypothesis marginal is the frame's normalised likelihood,
+    so its printed posterior is compared with that marginal times the printed effective
+    prior, normalised.  Every frame or window still counts in ``over N network(s)``.  A
+    kernel error is raised after the whole stream, so an error ``track`` raises on a later
+    frame comes first.  The line still reads "propagate - enumeration", as the
+    benchmark's oracle parses it.
     """
     from .propagation import sig10
     model = _load_model(args)

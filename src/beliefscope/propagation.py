@@ -367,8 +367,8 @@ def downward(net: Network, codes: Sequence[Row]) -> dict[str, tuple[Vector, ...]
 
     The rows go as batches of up to ROW_MEMO node-states, each held per parent and group
     of children as one flat list of the vectors of its (child, row) pairs, so every step
-    is a few C-level passes over a list, however many rows and children it holds.  Each row takes the
-    floating-point operations, in the order, that it takes alone.
+    is a few C-level passes over a list, however many rows and children it holds.  Each
+    row takes the floating-point operations, in the order, that it takes alone.
 
     Raises ImpossibleEvidenceError when a row's evidence has probability zero, naming where
     support vanished on the way up, else the first node in breadth-first order whose π and
